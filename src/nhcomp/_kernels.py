@@ -1,14 +1,13 @@
-"""Scalar kernels shared by the volumetric catalog and the 1-D solvers.
+"""Numeric kernels shared by the volumetric catalog and the 1-D solvers.
 
-Everything in this module is written as tight scalar/loop code so it can be
-compiled with numba when available. The selection happens once at import:
-
-* ``NHCOMP_PURE_PYTHON=1`` in the environment forces the plain-Python path;
-* otherwise numba is used if importable, and silently skipped if not.
-
-Public behavior is identical on both paths; ``benchmarks/bench_solver.py``
-compares their speed. Keep numpy *array* idioms out of the hot functions --
-only scalar math and preallocated output buffers.
+The closed forms are numpy expressions written once for a scalar or an
+array argument. The root finders call them point by point (``bisect_log``
+and the Newton polish in ``homsolve``); the sign-change scan and the grid
+evaluation call them once on a whole array. The two agree to an ulp or so:
+array ``np.exp``/``np.log`` match their scalar counterparts bit for bit,
+while array ``**`` may round the last bit differently from the scalar
+power. Only the scan's signs feed the root finder, so such a difference
+can move a root only when a grid point sits within rounding of a zero.
 
 Volumetric families are encoded as small integers so the kernels stay
 monomorphic:
@@ -25,32 +24,7 @@ family parameter                h(J)
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-PURE_PYTHON = os.environ.get("NHCOMP_PURE_PYTHON", "") == "1"
-JIT_ENABLED = False
-
-if not PURE_PYTHON:
-    try:
-        from numba import njit as _njit
-
-        JIT_ENABLED = True
-    except ImportError:  # pragma: no cover - exercised only without numba
-        pass
-
-if not JIT_ENABLED:
-
-    def _njit(*args, **kwargs):
-        if args and callable(args[0]):
-            return args[0]
-
-        def wrap(f):
-            return f
-
-        return wrap
-
 
 FAMILY_HN = 0
 FAMILY_OGDEN = 1
@@ -67,9 +41,10 @@ KIND_MIXED = 0
 KIND_VOLISO = 1
 
 
-@_njit(cache=True)
 def h_tuple(family, par, J):
-    """(h, h', h'', J h', chi) for one volumetric function at one J > 0.
+    """(h, h', h'', J h', chi) for one volumetric function at J > 0.
+
+    ``J`` is a scalar or an array; the branches depend on the family only.
 
     ``J h'`` and ``chi = h' + J h''`` are computed from their own closed
     forms, not by multiplying, so they stay accurate at extreme J.
@@ -117,19 +92,12 @@ def h_tuple(family, par, J):
     return h, hp, hpp, jhp, chi
 
 
-@_njit(cache=True)
 def h_grid(family, par, Js, out):
-    """Fill ``out[k, :] = h_tuple(family, par, Js[k])`` for a 1-D grid."""
-    for k in range(Js.shape[0]):
-        h, hp, hpp, jhp, chi = h_tuple(family, par, Js[k])
-        out[k, 0] = h
-        out[k, 1] = hp
-        out[k, 2] = hpp
-        out[k, 3] = jhp
-        out[k, 4] = chi
+    """Fill ``out[k, :]`` with ``h_tuple(family, par, Js[k])`` for a 1-D grid."""
+    for col, values in enumerate(h_tuple(family, par, Js)):
+        out[:, col] = values
 
 
-@_njit(cache=True)
 def case_volume_ratio(case, lam, lamT):
     """J of the homogeneous load case (axial stretch lam, free stretch lamT)."""
     if case == CASE_UL:
@@ -139,7 +107,6 @@ def case_volume_ratio(case, lam, lamT):
     return lam * lamT
 
 
-@_njit(cache=True)
 def transverse_residual(kind, family, par, case, lam, lamT, mu, lame_lambda, K):
     """Traction residual in the free transverse direction.
 
@@ -147,7 +114,8 @@ def transverse_residual(kind, family, par, case, lam, lamT, mu, lame_lambda, K):
     Cauchy equilibrium multiplied through by J).
     Vol-iso kind: ``K h'(J) + (mu/3) J^(-5/3) g`` with the case-dependent
     deviator combination g.
-    Roots in lamT define the equilibrium transverse stretch.
+    Roots in lamT define the equilibrium transverse stretch; ``lamT`` may
+    be an array.
     """
     J = case_volume_ratio(case, lam, lamT)
     if kind == KIND_MIXED:
@@ -163,16 +131,13 @@ def transverse_residual(kind, family, par, case, lam, lamT, mu, lame_lambda, K):
     return K * hp + (mu / 3.0) * J ** (-5.0 / 3.0) * g
 
 
-@_njit(cache=True)
 def residual_scan(kind, family, par, case, lam, mu, lame_lambda, K, u_lo, u_hi, n, out):
     """Residual sampled on ``n`` points of a log(lamT) grid into ``out``."""
     du = (u_hi - u_lo) / (n - 1)
-    for k in range(n):
-        lamT = np.exp(u_lo + du * k)
-        out[k] = transverse_residual(kind, family, par, case, lam, lamT, mu, lame_lambda, K)
+    lamT = np.exp(u_lo + du * np.arange(n))
+    out[:] = transverse_residual(kind, family, par, case, lam, lamT, mu, lame_lambda, K)
 
 
-@_njit(cache=True)
 def bisect_log(kind, family, par, case, lam, mu, lame_lambda, K, u_a, u_b, f_a, max_iter):
     """Bisection for the residual root in u = ln(lamT) on a sign-change bracket.
 

@@ -14,7 +14,8 @@ table-repro    observed vs reference limit classes for tables 3, 4 and 6
 
 Output is CSV only: a header row, LF line endings, ``.`` as the decimal
 separator, and floats printed with 17 significant digits. A given argv
-produces byte-identical output on every run regardless of ``--jobs``.
+produces byte-identical output on every run. ``--jobs`` is accepted for
+compatibility and ignored: every subcommand runs its cells in order.
 
 Exit status: 0 on success, 1 on parameter errors (message on stderr),
 2 on solver non-convergence -- the partial CSV is still written, with the
@@ -26,7 +27,6 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -93,19 +93,6 @@ def _dump(fh, header, rows):
     writer.writerow(header)
     for row in rows:
         writer.writerow([_fmt(v) for v in row])
-
-
-def _parallel_map(fn, items, jobs):
-    """Order-preserving map; a thread pool when jobs > 1.
-
-    Every task is an independent pure computation, so the result is the
-    same list whatever the degree.
-    """
-    items = list(items)
-    if jobs <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
 
 
 # --------------------------------------------------------------------------
@@ -182,7 +169,7 @@ def _cmd_sweep(args):
         header = ["nu", *header]
 
     models = [(_model_from(args, nu), nu) for nu in nus]
-    sweeps = _parallel_map(lambda mn: hs.sweep(args.case, mn[0], grid, cfg), models, args.jobs)
+    sweeps = [hs.sweep(args.case, model, grid, cfg) for model, _ in models]
 
     rows, ok = [], True
     for (model, nu), results in zip(models, sweeps):
@@ -265,7 +252,7 @@ def _cmd_stability(args):
             st.classify_value(value, args.mu),
         ]
 
-    rows = _parallel_map(run, tasks, args.jobs)
+    rows = [run(task) for task in tasks]
     _write_csv(header, rows, args.out)
     return EXIT_OK
 
@@ -286,7 +273,7 @@ def _cmd_tangent_check(args):
         model = ModelSpec(kind, vf, params_from_mu_nu(args.mu, args.nu))
         return [kind, vid, st.tangent_fd_error(model, n_motions=args.motions)]
 
-    rows = _parallel_map(run, tasks, args.jobs)
+    rows = [run(task) for task in tasks]
     _write_csv(header, rows, args.out)
     return EXIT_OK
 
@@ -455,7 +442,7 @@ def _cmd_table_repro(args):
         model = ModelSpec(kind, cat[vid], params_from_mu_nu(args.mu, nu))
         return hs.limit_probe(case, model, direction)
 
-    probes = dict(zip(probe_keys, _parallel_map(run, probe_keys, args.jobs)))
+    probes = {key: run(key) for key in probe_keys}
 
     rows, ok = [], True
     for vid in vids:
@@ -507,6 +494,30 @@ def _cmd_table_repro(args):
 # parser
 
 
+def _bounded_int(lo, hi=None):
+    """argparse type: an integer in [lo, hi] (no upper bound when hi is None)."""
+
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if value < lo or (hi is not None and value > hi):
+            bounds = f">= {lo}" if hi is None else f"between {lo} and {hi}"
+            raise argparse.ArgumentTypeError(f"must be {bounds}, got {value}")
+        return value
+
+    return parse
+
+
+# each grid array holds n^3 3x3 matrices, about 72 MB at n = 100
+_GRID_N_MAX = 100
+
+
+def _add_jobs(p, help="ignored; kept for compatibility (cells always run in order)"):
+    p.add_argument("--jobs", type=_bounded_int(1), default=1, help=help)
+
+
 def _add_common(p, model=True, nu_set=False):
     p.add_argument("--mu", type=float, default=1.0, help="shear modulus (default 1.0)")
     p.add_argument("--E", type=float, default=None, help="Young's modulus; overrides --mu")
@@ -531,12 +542,7 @@ def _add_common(p, model=True, nu_set=False):
             help="volumetric function: catalog id 1..8, 'hn:q' or 'ogden:beta'",
         )
     p.add_argument("--out", default=None, help="write the CSV here instead of stdout")
-    p.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="parallelism degree for independent cells (output is identical)",
-    )
+    _add_jobs(p)
 
 
 def _build_parser():
@@ -548,7 +554,7 @@ def _build_parser():
 
     p = sub.add_parser("audit-volfun", help="five-constraint audit of the volfun catalog")
     p.add_argument("--out", default=None, help="write the CSV here instead of stdout")
-    p.add_argument("--jobs", type=int, default=1, help=argparse.SUPPRESS)
+    _add_jobs(p, help=argparse.SUPPRESS)
     p.set_defaults(func=_cmd_audit_volfun)
 
     p = sub.add_parser("sweep", help="solve a homogeneous case over a stretch grid")
@@ -588,7 +594,12 @@ def _build_parser():
         help="model kind(s) to scan",
     )
     p.add_argument("--volfun", default="all", help="catalog id, 'hn:q', 'ogden:beta' or 'all'")
-    p.add_argument("--grid-n", type=int, default=16, help="grid resolution per stretch axis")
+    p.add_argument(
+        "--grid-n",
+        type=_bounded_int(1, _GRID_N_MAX),
+        default=16,
+        help=f"grid resolution per stretch axis, 1..{_GRID_N_MAX}",
+    )
     p.add_argument("--mu", type=float, default=1.0, help="shear modulus (default 1.0)")
     p.add_argument("--nu", type=float, default=None, help="Poisson's ratio")
     p.add_argument(
@@ -598,7 +609,7 @@ def _build_parser():
         help="named Poisson-ratio preset",
     )
     p.add_argument("--out", default=None, help="write the CSV here instead of stdout")
-    p.add_argument("--jobs", type=int, default=1, help="parallelism degree")
+    _add_jobs(p)
     p.set_defaults(func=_cmd_stability)
 
     p = sub.add_parser("tangent-check", help="finite-difference tangent verification")
@@ -607,14 +618,14 @@ def _build_parser():
     p.add_argument("--mu", type=float, default=1.0, help="shear modulus (default 1.0)")
     p.add_argument("--nu", type=float, default=None, help="Poisson's ratio")
     p.add_argument("--out", default=None, help="write the CSV here instead of stdout")
-    p.add_argument("--jobs", type=int, default=1, help="parallelism degree")
+    _add_jobs(p)
     p.set_defaults(func=_cmd_tangent_check)
 
     p = sub.add_parser("table-repro", help="observed vs reference limit classes")
     p.add_argument("--table", type=int, choices=(3, 4, 6), required=True, help="table id")
     p.add_argument("--mu", type=float, default=1.0, help="shear modulus (default 1.0)")
     p.add_argument("--out", default=None, help="write the CSV here instead of stdout")
-    p.add_argument("--jobs", type=int, default=1, help="parallelism degree")
+    _add_jobs(p)
     p.set_defaults(func=_cmd_table_repro)
 
     return parser

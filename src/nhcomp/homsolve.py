@@ -254,16 +254,17 @@ def _residual_at(case_c, model, lam, lamT, log_approx):
 
 
 def _sign_brackets(us, fs):
-    """Sign-change intervals of fs over us; exact zeros become point brackets."""
-    out = []
-    for i in range(len(us) - 1):
-        a, b = fs[i], fs[i + 1]
-        if math.isnan(a) or math.isnan(b):
-            continue
-        if a == 0.0:
-            out.append((us[i], us[i], a))
-        elif b != 0.0 and (a > 0.0) != (b > 0.0):
-            out.append((us[i], us[i + 1], a))
+    """Sign-change intervals of fs over us; exact zeros become point brackets.
+
+    Returns ``(u_a, u_b, f_a)`` tuples in grid order. A pair with a NaN end
+    is skipped; an exact zero at the left end of a pair gives the point
+    bracket ``(u, u, 0)``, and so does an exact zero at the last point.
+    """
+    s = np.sign(fs)  # NaN stays NaN, and NaN * x < 0 is False
+    zero = (fs[:-1] == 0.0) & ~np.isnan(fs[1:])
+    idx = np.flatnonzero(zero | (s[:-1] * s[1:] < 0.0))
+    ends = np.where(zero[idx], idx, idx + 1)
+    out = list(zip(us[idx], us[ends], fs[idx]))
     if len(fs) and fs[-1] == 0.0:
         out.append((us[-1], us[-1], 0.0))
     return out

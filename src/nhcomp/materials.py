@@ -38,7 +38,6 @@ __all__ = [
     "params_from_mu_lam",
     "energy",
     "cauchy_stress",
-    "kirchhoff_stress",
     "linear_stress",
 ]
 
@@ -201,11 +200,6 @@ def cauchy_stress(model, F, p=None):
         first_pk=first_pk,
         mean_stress=float(np.trace(sigma)) / 3.0,
     )
-
-
-def kirchhoff_stress(model, F, p=None):
-    """Kirchhoff stress J * sigma (convenience for the rate checks)."""
-    return cauchy_stress(model, F, p).kirchhoff
 
 
 def linear_stress(params, eps, decoupled=False):

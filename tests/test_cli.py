@@ -163,6 +163,19 @@ class TestBadUsage:
         assert cli.main(["--help"]) == 0
         assert "audit-volfun" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("jobs", ("0", "-3"))
+    def test_jobs_below_one_exits_one(self, capsys, jobs):
+        code, rows, err = run(capsys, "tangent-check", "--volfun", "3", "--nu", "0.3", "--jobs", jobs)
+        assert code == 1 and rows == []
+        assert "--jobs: must be >= 1" in err
+
+    def test_jobs_is_ignored(self, capsys):
+        argv = ["tangent-check", "--volfun", "3", "--nu", "0.3"]
+        assert cli.main(argv) == 0
+        one = capsys.readouterr().out
+        assert cli.main([*argv, "--jobs", "3"]) == 0
+        assert capsys.readouterr().out == one
+
 
 class TestLimits:
     def test_quadratic_voliso_compression_plateau(self, capsys):
@@ -262,6 +275,12 @@ class TestStability:
             capsys, *"stability --model voliso --volfun 7 --nu-set paper --grid-n 4".split()
         )
         assert len(rows) == 12  # 6 ratios x 2 contraction kinds
+
+    @pytest.mark.parametrize("n", ("0", "-1", "101"))
+    def test_grid_n_out_of_range_exits_one(self, capsys, n):
+        code, rows, err = run(capsys, "stability", "--nu", "0.3", "--grid-n", n)
+        assert code == 1 and rows == []
+        assert f"--grid-n: must be between 1 and 100, got {n}" in err
 
 
 class TestTangentCheck:
