@@ -15,7 +15,7 @@ table-repro    observed vs reference limit classes for tables 3, 4 and 6
 Output is CSV only: a header row, LF line endings, ``.`` as the decimal
 separator, and floats printed with 17 significant digits. A given argv
 produces byte-identical output on every run. ``--jobs`` is accepted for
-compatibility and ignored: every subcommand runs its cells in order.
+compatibility and ignored: every subcommand runs its cells one at a time.
 
 Exit status: 0 on success, 1 on parameter errors (message on stderr),
 2 on solver non-convergence -- the partial CSV is still written, with the
@@ -252,7 +252,12 @@ def _cmd_stability(args):
             st.classify_value(value, args.mu),
         ]
 
-    rows = [run(task) for task in tasks]
+    # run the cells of one (kind, contraction) back to back so that they
+    # share one shear block (see st.min_coaxial_eig); rows keep task order
+    rows = [None] * len(tasks)
+    order = sorted(range(len(tasks)), key=lambda k: (tasks[k][0], tasks[k][4]))
+    for k in order:
+        rows[k] = run(tasks[k])
     _write_csv(header, rows, args.out)
     return EXIT_OK
 
@@ -514,7 +519,7 @@ def _bounded_int(lo, hi=None):
 _GRID_N_MAX = 100
 
 
-def _add_jobs(p, help="ignored; kept for compatibility (cells always run in order)"):
+def _add_jobs(p, help="ignored; kept for compatibility (cells always run one at a time)"):
     p.add_argument("--jobs", type=_bounded_int(1), default=1, help=help)
 
 
@@ -614,7 +619,9 @@ def _build_parser():
 
     p = sub.add_parser("tangent-check", help="finite-difference tangent verification")
     p.add_argument("--volfun", default="all", help="catalog id, 'hn:q', 'ogden:beta' or 'all'")
-    p.add_argument("--motions", type=int, default=10, help="number of deterministic motions")
+    p.add_argument(
+        "--motions", type=_bounded_int(1), default=10, help="number of deterministic motions, >= 1"
+    )
     p.add_argument("--mu", type=float, default=1.0, help="shear modulus (default 1.0)")
     p.add_argument("--nu", type=float, default=None, help="Poisson's ratio")
     p.add_argument("--out", default=None, help="write the CSV here instead of stdout")

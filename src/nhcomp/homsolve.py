@@ -450,6 +450,11 @@ class SweepSpec:
     log: bool = True
 
     def __post_init__(self):
+        if not (math.isfinite(self.lam_min) and math.isfinite(self.lam_max)):
+            raise ValueError(
+                f"stretch bounds must be finite, got lam_min = {self.lam_min}, "
+                f"lam_max = {self.lam_max}"
+            )
         if not (0.0 < self.lam_min <= self.lam_max):
             raise ValueError("need 0 < lam_min <= lam_max")
         if self.points < 1:

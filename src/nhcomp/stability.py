@@ -395,65 +395,6 @@ def stretch_grid(n, lo=-0.75, hi=0.75):
     return g.reshape(-1, 3)
 
 
-def _coaxial_split(kind, volfun, params, lams, contraction):
-    """The coaxial form as M = S + c * ones(3, 3), returned as (S, c).
-
-    Only ``c`` carries the volumetric factors (chi, h'') that explode at the
-    grid corners; the entries of ``S`` stay at the shear-modulus scale. The
-    split lets the minimum eigenvalue be computed without ever forming the
-    ill-conditioned sum.
-    """
-    lams = np.asarray(lams, dtype=float)
-    n = lams.shape[0]
-    lam2 = lams**2
-    J = np.prod(lams, axis=1)
-    tab = evaluate_grid(volfun, J)
-    hpp, chi = tab[:, 2], tab[:, 4]
-    mu = params.mu
-    MP = np.zeros((n, 3, 3))  # matrix of P
-    idx = np.arange(3)
-    MP[:, idx, idx] = 2.0 * lam2
-    MB = 0.5 * (lam2[:, :, None] + lam2[:, None, :])  # matrix of B
-    trc = lam2.sum(axis=1)
-    if contraction == "hill":
-        if kind == "mixed":
-            S = mu * MP
-            c = params.lam * chi * J
-        elif kind == "voliso":
-            w = mu * J ** (-2.0 / 3.0)
-            S = w[:, None, None] * (MP - (4.0 / 3.0) * MB)
-            c = params.K * chi * J + (2.0 / 9.0) * w * trc
-        else:
-            raise ValueError(f"unsupported kind {kind!r}")
-    elif contraction == "csp":
-        if kind == "mixed":
-            w = mu / J
-            S = w[:, None, None] * (MP - MB)
-            c = params.lam * J * hpp + w
-        elif kind == "voliso":
-            w = mu * J ** (-5.0 / 3.0)
-            S = w[:, None, None] * (MP - (7.0 / 3.0) * MB)
-            c = params.K * J * hpp + (5.0 / 9.0) * w * trc
-        else:
-            raise ValueError(f"unsupported kind {kind!r}")
-    else:
-        raise ValueError(f"unknown contraction {contraction!r}")
-    return S, c
-
-
-def coaxial_matrices(kind, volfun, params, lams, contraction="hill"):
-    """Batched 3x3 matrices of the contraction restricted to coaxial rates.
-
-    ``lams`` is (N, 3); row i describes the diagonal state F = diag(lams[i]).
-    The quadratic form in the diagonal rate components delta is
-    delta^T M delta. Off-diagonal (non-coaxial) rate components contribute
-    the separately nonnegative R term and never drive a violation, so the
-    minimum eigenvalue of M over the grid decides positivity.
-    """
-    S, c = _coaxial_split(kind, volfun, params, lams, contraction)
-    return S + c[:, None, None]
-
-
 # Orthonormal columns: the spherical direction, then two vectors whose dot
 # product with (1, 1, 1) is exactly zero in floating point (a - a and
 # 2b - 2b cancel with no rounding). Rotating by Q confines the c * ones
@@ -465,6 +406,123 @@ _TRACE_ROT = np.array(
         [3.0**-0.5, 0.0, -2.0 * 6.0**-0.5],
     ]
 )
+
+
+@dataclass(frozen=True)
+class _ShearBlock:
+    """The part of the coaxial form M = S + c * ones(3, 3) that depends only
+    on (kind, contraction, mu, grid), never on the volumetric function or nu.
+
+    ``shift`` is the shear-scale summand of ``c`` (None where ``c`` has
+    none). Every array is read-only, since one block serves many calls.
+    """
+
+    S: np.ndarray  # (n, 3, 3), entries at the shear-modulus scale
+    Sp: np.ndarray  # S rotated by _TRACE_ROT
+    s_scale: np.ndarray  # largest |entry| of Sp per state
+    J: np.ndarray
+    shift: np.ndarray | None
+
+
+# The last block built, as (key, private copy of the grid, block). A
+# stability scan runs every (volfun, nu) cell of one (kind, contraction) on
+# one grid back to back, so one slot is enough; a block at the largest grid
+# holds several MB, so more slots would cost peak memory for nothing.
+_block_slot = [None]
+
+
+def _build_shear_block(kind, contraction, mu, lams):
+    n = lams.shape[0]
+    lam2 = lams**2
+    J = np.prod(lams, axis=1)
+    MP = np.zeros((n, 3, 3))  # matrix of P
+    idx = np.arange(3)
+    MP[:, idx, idx] = 2.0 * lam2
+    MB = 0.5 * (lam2[:, :, None] + lam2[:, None, :])  # matrix of B
+    trc = lam2.sum(axis=1)
+    if contraction == "hill":
+        if kind == "mixed":
+            S = mu * MP
+            shift = None
+        elif kind == "voliso":
+            w = mu * J ** (-2.0 / 3.0)
+            S = w[:, None, None] * (MP - (4.0 / 3.0) * MB)
+            shift = (2.0 / 9.0) * w * trc
+        else:
+            raise ValueError(f"unsupported kind {kind!r}")
+    elif contraction == "csp":
+        if kind == "mixed":
+            w = mu / J
+            S = w[:, None, None] * (MP - MB)
+            shift = w
+        elif kind == "voliso":
+            w = mu * J ** (-5.0 / 3.0)
+            S = w[:, None, None] * (MP - (7.0 / 3.0) * MB)
+            shift = (5.0 / 9.0) * w * trc
+        else:
+            raise ValueError(f"unsupported kind {kind!r}")
+    else:
+        raise ValueError(f"unknown contraction {contraction!r}")
+    Q = _TRACE_ROT
+    Sp = np.einsum("ji,njk,kl->nil", Q, S, Q)
+    lower = [Sp[:, 0, 0], Sp[:, 1, 0], Sp[:, 2, 0], Sp[:, 1, 1], Sp[:, 2, 1], Sp[:, 2, 2]]
+    s_scale = np.max(np.abs(np.stack(lower, axis=-1)), axis=-1)
+    for a in (S, Sp, s_scale, J, shift):
+        if a is not None:
+            a.flags.writeable = False
+    return _ShearBlock(S=S, Sp=Sp, s_scale=s_scale, J=J, shift=shift)
+
+
+def _shear_block(kind, contraction, mu, lams):
+    """The shear block of one (kind, contraction, mu, grid), built at most
+    once for a run of calls on the same inputs.
+
+    The slot is matched by value (an equal copy of the grid, not the same
+    object), so a grid changed in place gets a fresh block. The old block
+    is dropped before the new one is built.
+    """
+    lams = np.asarray(lams, dtype=float)
+    key = (kind, contraction, float(mu))
+    entry = _block_slot[0]
+    if entry is not None and entry[0] == key and np.array_equal(entry[1], lams):
+        return entry[2]
+    # free the old block first: two blocks alive at once raise peak memory
+    del entry
+    _block_slot[0] = None
+    block = _build_shear_block(kind, contraction, float(mu), lams)
+    _block_slot[0] = (key, lams.copy(), block)
+    return block
+
+
+def _volumetric_coeff(kind, contraction, volfun, params, block):
+    """The coefficient c of ones(3, 3) in the coaxial form M = S + c * ones.
+
+    Only ``c`` carries the volumetric factors (chi, h'') that explode at the
+    grid corners; the entries of ``S`` stay at the shear-modulus scale. The
+    split lets the minimum eigenvalue be computed without ever forming the
+    ill-conditioned sum.
+    """
+    tab = evaluate_grid(volfun, block.J)
+    coef = params.lam if kind == "mixed" else params.K
+    if contraction == "hill":
+        c = coef * tab[:, 4] * block.J  # chi
+    else:
+        c = coef * block.J * tab[:, 2]  # h''
+    return c if block.shift is None else c + block.shift
+
+
+def coaxial_matrices(kind, volfun, params, lams, contraction="hill"):
+    """Batched 3x3 matrices of the contraction restricted to coaxial rates.
+
+    ``lams`` is (N, 3); row i describes the diagonal state F = diag(lams[i]).
+    The quadratic form in the diagonal rate components delta is
+    delta^T M delta. Off-diagonal (non-coaxial) rate components contribute
+    the separately nonnegative R term and never drive a violation, so the
+    minimum eigenvalue of M over the grid decides positivity.
+    """
+    block = _shear_block(kind, contraction, params.mu, lams)
+    c = _volumetric_coeff(kind, contraction, volfun, params, block)
+    return block.S + c[:, None, None]
 
 
 def _eig2_min(p, r, q):
@@ -481,20 +539,24 @@ def min_coaxial_eig(kind, volfun, params, lams, contraction="hill"):
     States where the volumetric coefficient dwarfs the shear-scale block are
     handled by deflating the spherical direction analytically; a plain
     eigendecomposition there would bury the true minimum (which lives in the
-    nearly-traceless subspace) under eps * |c| rounding noise.
+    nearly-traceless subspace) under eps * |c| rounding noise. Only the
+    other states are passed to ``eigh``.
+
+    The shear block (S rotated by Q, and its scale) does not depend on the
+    volumetric function or nu, so a run of calls on one (kind, contraction,
+    mu, grid) builds it once. The batched ``einsum`` rotation and ``eigh``
+    stay as they are: a matrix-product rotation or ``eigvalsh`` rounds
+    differently and would change the reported values in the last bits.
     """
-    S, c = _coaxial_split(kind, volfun, params, lams, contraction)
+    block = _shear_block(kind, contraction, params.mu, lams)
+    c = _volumetric_coeff(kind, contraction, volfun, params, block)
     Q = _TRACE_ROT
     qu = Q.T @ np.ones(3)  # (sqrt(3)-ish, exactly 0, exactly 0)
-    Sp = np.einsum("ji,njk,kl->nil", Q, S, Q)
+    Sp = block.Sp
     alpha = Sp[:, 0, 0] + c * qu[0] * qu[0]
     b1, b2 = Sp[:, 1, 0], Sp[:, 2, 0]
     p, r, q = Sp[:, 1, 1], Sp[:, 2, 1], Sp[:, 2, 2]
-
-    s_scale = np.max(
-        np.abs(np.stack([Sp[:, 0, 0], b1, b2, p, r, q], axis=-1)), axis=-1
-    )
-    graded = np.abs(alpha) > 1e3 * (s_scale + 1e-300)
+    graded = np.abs(alpha) > 1e3 * (block.s_scale + 1e-300)
 
     with np.errstate(divide="ignore", invalid="ignore"):
         den = np.where(alpha == 0.0, 1.0, alpha)
@@ -503,12 +565,13 @@ def min_coaxial_eig(kind, volfun, params, lams, contraction="hill"):
             den = np.where(alpha == x, 1.0, alpha - x)
             x = _eig2_min(p - b1 * b1 / den, r - b1 * b2 / den, q - b2 * b2 / den)
         big = alpha + (b1 * b1 + b2 * b2) / np.where(alpha == x, 1.0, alpha - x)
-        deflated = np.minimum(x, big)
+        mins = np.minimum(x, big)
 
-    Mp = Sp.copy()
-    Mp[:, 0, 0] = alpha
+    ungraded = ~graded
+    Mp = Sp[ungraded]
+    Mp[:, 0, 0] = alpha[ungraded]
     vals, vecs = np.linalg.eigh(Mp)
-    mins = np.where(graded, deflated, vals[:, 0])
+    mins[ungraded] = vals[:, 0]
 
     i = int(np.argmin(mins))
     value = float(mins[i])
@@ -527,7 +590,7 @@ def min_coaxial_eig(kind, volfun, params, lams, contraction="hill"):
     elif graded[i]:  # the spherical branch itself is the minimum (c < 0)
         vp = np.array([1.0, 0.0, 0.0])
     else:
-        vp = vecs[i, :, 0]
+        vp = vecs[np.count_nonzero(ungraded[:i]), :, 0]
     direction = Q @ vp
     return value, i, direction / np.linalg.norm(direction)
 

@@ -68,6 +68,8 @@ class VolFun:
         The q = 0 member is the (ln J)^2 / 2 limit; the branch switches at
         q < 1e-8 with no blending.
         """
+        if not np.isfinite(q):
+            raise ValueError(f"power-pair exponent q must be finite, got {q}")
         if q < 0:
             raise ValueError("power-pair exponent q must be >= 0")
         return cls(_k.FAMILY_HN, float(q), f"hn:{q:g}")
@@ -75,6 +77,8 @@ class VolFun:
     @classmethod
     def log_augmented(cls, beta):
         """Family (beta ln J + J^-beta - 1)/beta^2, beta != 0."""
+        if not np.isfinite(beta):
+            raise ValueError(f"log-augmented exponent beta must be finite, got {beta}")
         if beta == 0:
             raise ValueError("log-augmented exponent beta must be nonzero")
         return cls(_k.FAMILY_OGDEN, float(beta), f"ogden:{beta:g}")

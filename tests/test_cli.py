@@ -6,10 +6,12 @@ module entry point.
 """
 
 import csv
+import hashlib
 import io
 import math
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -25,6 +27,17 @@ def run(capsys, *argv):
     captured = capsys.readouterr()
     rows = list(csv.DictReader(io.StringIO(captured.out))) if captured.out else []
     return code, rows, captured.err
+
+
+def run_rejected(capsys, *argv):
+    """Invoke the CLI on a bad input; it must exit 1 cleanly. Returns stderr."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, rows, err = run(capsys, *argv)
+    assert code == 1 and rows == []
+    assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    assert "RuntimeWarning" not in err and "Traceback" not in err
+    return err
 
 
 class TestAuditVolfun:
@@ -135,6 +148,15 @@ class TestSweep:
         assert code == 1
         assert "incompressible" in err
 
+    def test_infinite_stretch_bound_exits_one(self, capsys):
+        err = run_rejected(
+            capsys,
+            *"sweep --case ul --model mixed --volfun 1 --nu 0.3 "
+            "--lam-min 0.5 --lam-max inf --points 3".split(),
+        )
+        assert "stretch bounds must be finite" in err
+        assert "positive" not in err
+
     def test_missing_volfun_for_mixed_exits_one(self, capsys):
         code, _, err = run(
             capsys,
@@ -168,6 +190,28 @@ class TestBadUsage:
         code, rows, err = run(capsys, "tangent-check", "--volfun", "3", "--nu", "0.3", "--jobs", jobs)
         assert code == 1 and rows == []
         assert "--jobs: must be >= 1" in err
+
+    @pytest.mark.parametrize(
+        "volfun, message",
+        (
+            ("hn:nan", "power-pair exponent q must be finite, got nan"),
+            ("hn:inf", "power-pair exponent q must be finite, got inf"),
+            ("ogden:inf", "log-augmented exponent beta must be finite, got inf"),
+            ("ogden:nan", "log-augmented exponent beta must be finite, got nan"),
+        ),
+    )
+    @pytest.mark.parametrize(
+        "argv",
+        (
+            ("stability", "--nu", "0.3", "--grid-n", "4"),
+            ("sweep", "--case", "ul", "--model", "voliso", "--nu", "0.3",
+             "--lam-min", "0.5", "--lam-max", "2", "--points", "3"),
+        ),
+        ids=("stability", "sweep"),
+    )
+    def test_non_finite_volfun_parameter_exits_one(self, capsys, argv, volfun, message):
+        err = run_rejected(capsys, *argv, "--volfun", volfun)
+        assert f"nhcomp: error: {message}" in err
 
     def test_jobs_is_ignored(self, capsys):
         argv = ["tangent-check", "--volfun", "3", "--nu", "0.3"]
@@ -283,6 +327,27 @@ class TestStability:
         assert f"--grid-n: must be between 1 and 100, got {n}" in err
 
 
+    # sha256 of the CSV bytes recorded before the shear block was shared
+    # between cells; the scan must reproduce them exactly
+    @pytest.mark.parametrize(
+        "argv, digest",
+        (
+            (
+                "stability --grid-n 6 --nu-set paper --mu 1.3",
+                "b87b7398021568c3aaa4ab762870e778388f041d6d68799b317efb076335e76d",
+            ),
+            (
+                "stability --grid-n 5 --volfun hn:0.5 --nu 0.3",
+                "aaf67581787d448840ca46cfd4a8d6ccda287d4ce84d90cc8a8349d3c0cbacd7",
+            ),
+        ),
+    )
+    def test_output_bytes_are_unchanged(self, capsys, argv, digest):
+        assert cli.main(argv.split()) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 class TestTangentCheck:
     def test_errors_are_small_for_both_kinds(self, capsys):
         code, rows, _ = run(capsys, *"tangent-check --volfun 3 --nu 0.3".split())
@@ -297,6 +362,12 @@ class TestTangentCheck:
 
     def test_nu_is_required(self, capsys):
         assert cli.main(["tangent-check"]) == 1
+
+    @pytest.mark.parametrize("motions", ("0", "-1"))
+    def test_motions_below_one_exits_one(self, capsys, motions):
+        code, rows, err = run(capsys, "tangent-check", "--nu", "0.3", "--motions", motions)
+        assert code == 1 and rows == []
+        assert f"--motions: must be >= 1, got {motions}" in err
 
 
 class TestTableRepro:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from nhcomp import stability
 from nhcomp.kinematics import kinematics_from_F, rate_from_motion
 from nhcomp.materials import ModelSpec, cauchy_stress, params_from_mu_nu
 from nhcomp.stability import (
@@ -23,7 +24,7 @@ from nhcomp.stability import (
     zj_rate,
 )
 from nhcomp.tensor3 import I3, apply4, ddot, outer, sym_outer
-from nhcomp.volfun import catalog, evaluate
+from nhcomp.volfun import catalog, evaluate, evaluate_grid
 from nhcomp.kinematics import DeformationState
 
 rng = np.random.default_rng(61205)
@@ -418,3 +419,157 @@ class TestGridSearch:
                 assert w.value < 0.0
                 rep = witness_report(w)
                 assert rep.value == pytest.approx(w.value, rel=1e-9)
+
+
+# --------------------------------------------------------------------------
+# the grid scan against the full-eigh implementation it replaced
+
+PAPER_NUS = (0.0, 0.25, 0.4, 0.45, 0.499, 0.4999)
+
+
+def reference_min_coaxial_eig(kind, volfun, params, lams, contraction):
+    """The scan as it was before the shear block was shared: every piece
+    rebuilt per call, and eigh run on every state, graded or not.
+
+    Returns (value, index, direction, branch), branch naming the path that
+    produced the minimum.
+    """
+    lams = np.asarray(lams, dtype=float)
+    n = lams.shape[0]
+    lam2 = lams**2
+    J = np.prod(lams, axis=1)
+    tab = evaluate_grid(volfun, J)
+    hpp, chi = tab[:, 2], tab[:, 4]
+    mu = params.mu
+    MP = np.zeros((n, 3, 3))
+    idx = np.arange(3)
+    MP[:, idx, idx] = 2.0 * lam2
+    MB = 0.5 * (lam2[:, :, None] + lam2[:, None, :])
+    trc = lam2.sum(axis=1)
+    if contraction == "hill":
+        if kind == "mixed":
+            S = mu * MP
+            c = params.lam * chi * J
+        else:
+            w = mu * J ** (-2.0 / 3.0)
+            S = w[:, None, None] * (MP - (4.0 / 3.0) * MB)
+            c = params.K * chi * J + (2.0 / 9.0) * w * trc
+    else:
+        if kind == "mixed":
+            w = mu / J
+            S = w[:, None, None] * (MP - MB)
+            c = params.lam * J * hpp + w
+        else:
+            w = mu * J ** (-5.0 / 3.0)
+            S = w[:, None, None] * (MP - (7.0 / 3.0) * MB)
+            c = params.K * J * hpp + (5.0 / 9.0) * w * trc
+
+    Q = stability._TRACE_ROT
+    qu = Q.T @ np.ones(3)
+    Sp = np.einsum("ji,njk,kl->nil", Q, S, Q)
+    alpha = Sp[:, 0, 0] + c * qu[0] * qu[0]
+    b1, b2 = Sp[:, 1, 0], Sp[:, 2, 0]
+    p, r, q = Sp[:, 1, 1], Sp[:, 2, 1], Sp[:, 2, 2]
+    s_scale = np.max(np.abs(np.stack([Sp[:, 0, 0], b1, b2, p, r, q], axis=-1)), axis=-1)
+    graded = np.abs(alpha) > 1e3 * (s_scale + 1e-300)
+    eig2 = stability._eig2_min
+    with np.errstate(divide="ignore", invalid="ignore"):
+        den = np.where(alpha == 0.0, 1.0, alpha)
+        x = eig2(p - b1 * b1 / den, r - b1 * b2 / den, q - b2 * b2 / den)
+        for _ in range(2):
+            den = np.where(alpha == x, 1.0, alpha - x)
+            x = eig2(p - b1 * b1 / den, r - b1 * b2 / den, q - b2 * b2 / den)
+        big = alpha + (b1 * b1 + b2 * b2) / np.where(alpha == x, 1.0, alpha - x)
+        deflated = np.minimum(x, big)
+
+    Mp = Sp.copy()
+    Mp[:, 0, 0] = alpha
+    vals, vecs = np.linalg.eigh(Mp)
+    mins = np.where(graded, deflated, vals[:, 0])
+
+    i = int(np.argmin(mins))
+    value = float(mins[i])
+    if graded[i] and value == x[i]:
+        d = value - alpha[i]
+        pp = p[i] - b1[i] * b1[i] / -d
+        qq = q[i] - b2[i] * b2[i] / -d
+        rr = r[i] - b1[i] * b2[i] / -d
+        cand1 = np.array([rr, value - pp])
+        cand2 = np.array([value - qq, rr])
+        v2 = cand1 if np.linalg.norm(cand1) >= np.linalg.norm(cand2) else cand2
+        if np.linalg.norm(v2) == 0.0:
+            v2 = np.array([1.0, 0.0])
+        v1 = (b1[i] * v2[0] + b2[i] * v2[1]) / d
+        vp = np.array([v1, v2[0], v2[1]])
+        branch = "deflated"
+    elif graded[i]:
+        vp = np.array([1.0, 0.0, 0.0])
+        branch = "spherical"
+    else:
+        vp = vecs[i, :, 0]
+        branch = "eigh"
+    direction = Q @ vp
+    return value, i, direction / np.linalg.norm(direction), branch
+
+
+def bits(result):
+    """(value, index, direction) as exactly comparable bytes."""
+    value, i, direction = result[:3]
+    return np.float64(value).tobytes(), i, np.asarray(direction, dtype=float).tobytes()
+
+
+class TestCoaxialScanBytes:
+    def test_matches_the_full_eigh_reference_bitwise(self):
+        grid = stretch_grid(8)
+        branches = set()
+        for kind in ("mixed", "voliso"):
+            for contraction in ("hill", "csp"):
+                for vid, vf in catalog().items():
+                    for nu in PAPER_NUS:
+                        params = params_from_mu_nu(1.0, nu)
+                        want = reference_min_coaxial_eig(kind, vf, params, grid, contraction)
+                        got = min_coaxial_eig(kind, vf, params, grid, contraction)
+                        assert bits(got) == bits(want), (kind, contraction, vid, nu)
+                        branches.add(want[3])
+        # the argmin comes from both eigh and the analytic deflation
+        assert {"eigh", "deflated"} <= branches
+
+    def test_reused_shear_block_is_invisible(self):
+        grids = [stretch_grid(5), stretch_grid(6, lo=-0.5, hi=0.9)]
+        mutated = stretch_grid(5)
+        calls = []
+        for mu in (1.0, 2.7):
+            for g in grids:
+                for kind in ("mixed", "voliso"):
+                    for contraction in ("hill", "csp", "hill"):
+                        for vid in (2, 7, 8):
+                            calls.append((kind, vid, mu, 0.45, g, contraction))
+        # alternate grids and mu between neighbouring calls too
+        calls += [
+            ("voliso", 3, 1.0, 0.25, grids[0], "csp"),
+            ("voliso", 3, 1.0, 0.25, grids[1], "csp"),
+            ("voliso", 3, 2.7, 0.25, grids[1], "csp"),
+            ("voliso", 3, 1.0, 0.25, grids[0], "csp"),
+            ("mixed", 5, 1.0, 0.4999, mutated, "hill"),
+        ]
+        seen = []
+        for kind, vid, mu, nu, g, contraction in calls:
+            args = (kind, catalog()[vid], params_from_mu_nu(mu, nu), g, contraction)
+            seen.append((args[:3] + (g.copy(), contraction), bits(min_coaxial_eig(*args))))
+        # the same grid object, changed in place, must not hit the slot
+        args = ("mixed", catalog()[5], params_from_mu_nu(1.0, 0.4999), mutated, "hill")
+        before = bits(min_coaxial_eig(*args))
+        mutated[:] = mutated[::-1] * 0.7
+        after = bits(min_coaxial_eig(*args))
+        assert after != before
+        seen.append((args[:3] + (mutated.copy(), "hill"), after))
+
+        for args, got in seen:
+            stability._block_slot[0] = None
+            assert got == bits(min_coaxial_eig(*args)), (args[0], args[2].mu, args[4])
+
+    def test_shear_block_arrays_are_read_only(self):
+        block = stability._shear_block("voliso", "csp", 1.0, stretch_grid(3))
+        for a in (block.S, block.Sp, block.s_scale, block.J, block.shift):
+            with pytest.raises(ValueError):
+                a[0] = 0.0

@@ -124,6 +124,14 @@ def test_domain_errors():
         VolFun.log_augmented(0.0)
 
 
+@pytest.mark.parametrize("value", (math.nan, math.inf, -math.inf))
+def test_non_finite_family_parameters_are_rejected(value):
+    with pytest.raises(ValueError, match="exponent q must be finite"):
+        VolFun.power_pair(value)
+    with pytest.raises(ValueError, match="exponent beta must be finite"):
+        VolFun.log_augmented(value)
+
+
 # --- audit: the five-constraint matrix -----------------------------------------
 
 EXPECTED_MATRIX = {
