@@ -92,12 +92,6 @@ def h_tuple(family, par, J):
     return h, hp, hpp, jhp, chi
 
 
-def h_grid(family, par, Js, out):
-    """Fill ``out[k, :]`` with ``h_tuple(family, par, Js[k])`` for a 1-D grid."""
-    for col, values in enumerate(h_tuple(family, par, Js)):
-        out[:, col] = values
-
-
 def case_volume_ratio(case, lam, lamT):
     """J of the homogeneous load case (axial stretch lam, free stretch lamT)."""
     if case == CASE_UL:
@@ -131,11 +125,11 @@ def transverse_residual(kind, family, par, case, lam, lamT, mu, lame_lambda, K):
     return K * hp + (mu / 3.0) * J ** (-5.0 / 3.0) * g
 
 
-def residual_scan(kind, family, par, case, lam, mu, lame_lambda, K, u_lo, u_hi, n, out):
-    """Residual sampled on ``n`` points of a log(lamT) grid into ``out``."""
+def residual_scan(kind, family, par, case, lam, mu, lame_lambda, K, u_lo, u_hi, n):
+    """Residual sampled on ``n`` evenly spaced points of u = ln(lamT) in [u_lo, u_hi]."""
     du = (u_hi - u_lo) / (n - 1)
     lamT = np.exp(u_lo + du * np.arange(n))
-    out[:] = transverse_residual(kind, family, par, case, lam, lamT, mu, lame_lambda, K)
+    return transverse_residual(kind, family, par, case, lam, lamT, mu, lame_lambda, K)
 
 
 def bisect_log(kind, family, par, case, lam, mu, lame_lambda, K, u_a, u_b, f_a, max_iter):

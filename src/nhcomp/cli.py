@@ -26,14 +26,16 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import sys
+from dataclasses import replace
 
 import numpy as np
 
 from nhcomp import homsolve as hs
 from nhcomp import stability as st
 from nhcomp.materials import ModelSpec, params_from_E_nu, params_from_mu_nu
-from nhcomp.volfun import audit, catalog, parse_volfun
+from nhcomp.volfun import VolFun, audit, catalog, parse_volfun
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -121,6 +123,23 @@ def _model_from(args, nu):
     return ModelSpec(args.model, vf, params)
 
 
+def _log_approx_model(model):
+    """The model ``--log-approx`` stands for: hn:1/12 in place of volfun 1.
+
+    The flag replaces ln J = J h'(J) of volfun 1 by 6 (J^(1/12) - J^(-1/12)),
+    which is J h'(J) of the power pair at q = 1/12; it names that model and
+    makes sense for volfun 1 only.
+    """
+    if model.kind == "inc":
+        raise ValueError("--log-approx does not apply to the incompressible kind")
+    if model.volfun != catalog()[1]:
+        raise ValueError(
+            f"--log-approx approximates ln J of volfun 1 and needs --volfun 1, "
+            f"got --volfun {model.volfun.label}"
+        )
+    return replace(model, volfun=VolFun.power_pair(1.0 / 12.0))
+
+
 def _nu_list(args):
     if getattr(args, "nu_set", None) is not None:
         if args.nu is not None:
@@ -161,7 +180,6 @@ def _cmd_audit_volfun(args):
 def _cmd_sweep(args):
     spec = hs.SweepSpec(args.lam_min, args.lam_max, args.points, log=args.log)
     grid = spec.grid()
-    cfg = hs.SolveConfig(log_approx=True) if args.log_approx else None
     nus = _nu_list(args)
     multi = getattr(args, "nu_set", None) is not None
     header = ["lambda_tilde", "lambda_T", "J", "sigma11", "sigma22", "P11", "P22", "converged"]
@@ -169,7 +187,9 @@ def _cmd_sweep(args):
         header = ["nu", *header]
 
     models = [(_model_from(args, nu), nu) for nu in nus]
-    sweeps = [hs.sweep(args.case, model, grid, cfg) for model, _ in models]
+    if args.log_approx:
+        models = [(_log_approx_model(model), nu) for model, nu in models]
+    sweeps = [hs.sweep(args.case, model, grid) for model, _ in models]
 
     rows, ok = [], True
     for (model, nu), results in zip(models, sweeps):
@@ -208,6 +228,11 @@ def _cmd_limits(args):
 
 def _cmd_dilatation(args):
     model = _model_from(args, args.nu)
+    if not (math.isfinite(args.k_min) and math.isfinite(args.k_max)):
+        raise ValueError(
+            f"dilatation stretch bounds must be finite, got k-min = {args.k_min}, "
+            f"k-max = {args.k_max}"
+        )
     if not 0.0 < args.k_min <= args.k_max:
         raise ValueError("need 0 < k-min <= k-max")
     if args.points < 1:
@@ -230,8 +255,10 @@ def _cmd_stability(args):
     grid = st.stretch_grid(args.grid_n)
     header = ["model", "volfun", "nu", "J", "contraction_kind", "value", "verdict"]
 
+    # building every ModelSpec first rejects an inadmissible (kind, nu)
+    # before any cell is scanned, with the same messages as sweep and limits
     tasks = [
-        (kind, vid, vf, nu, contraction)
+        (ModelSpec(kind, vf, params_from_mu_nu(args.mu, nu)), vid, contraction)
         for kind in kinds
         for vid, vf in _volfun_list(args)
         for nu in nus
@@ -239,13 +266,12 @@ def _cmd_stability(args):
     ]
 
     def run(task):
-        kind, vid, vf, nu, contraction = task
-        params = params_from_mu_nu(args.mu, nu)
-        value, i, _ = st.min_coaxial_eig(kind, vf, params, grid, contraction)
+        model, vid, contraction = task
+        value, i, _ = st.min_coaxial_eig(model.kind, model.volfun, model.params, grid, contraction)
         return [
-            kind,
+            model.kind,
             vid,
-            float(nu),
+            float(model.params.nu),
             float(np.prod(grid[i])),
             contraction,
             value,
@@ -255,7 +281,7 @@ def _cmd_stability(args):
     # run the cells of one (kind, contraction) back to back so that they
     # share one shear block (see st.min_coaxial_eig); rows keep task order
     rows = [None] * len(tasks)
-    order = sorted(range(len(tasks)), key=lambda k: (tasks[k][0], tasks[k][4]))
+    order = sorted(range(len(tasks)), key=lambda k: (tasks[k][0].kind, tasks[k][2]))
     for k in order:
         rows[k] = run(tasks[k])
     _write_csv(header, rows, args.out)
@@ -571,7 +597,8 @@ def _build_parser():
     p.add_argument(
         "--log-approx",
         action="store_true",
-        help="replace ln J by its two-point power approximation in the residual",
+        help="replace ln J of volfun 1 by 6 (J^(1/12) - J^(-1/12)), i.e. solve the power "
+        "pair at q = 1/12 (--volfun hn:0.08333333333333333); needs --volfun 1",
     )
     _add_common(p, nu_set=True)
     p.set_defaults(func=_cmd_sweep)

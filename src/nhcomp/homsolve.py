@@ -15,11 +15,12 @@ ulp   diag(lam, 1, lamT)        sigma33 = 0                lam * lamT
 uniaxial stress.)
 
 For compressible kinds the transverse equilibrium condition is a scalar
-root-finding problem in lamT, handled by a global sign-change scan over
-log(lamT) followed by bisection and a safeguarded Newton polish; sweeps
-seed each point's bracket choice from the previous root so the solver
-stays on one physical branch when several roots appear. The incompressible
-kind has closed-form solutions and skips the solver entirely.
+root-finding problem in lamT. Every model goes down one path: a global
+sign-change scan over log(lamT), bisection of the chosen bracket, and a
+safeguarded Newton polish on :func:`residual`. Sweeps seed each point's
+bracket choice from the previous root so the solver stays on one physical
+branch when several roots appear. The incompressible kind has closed-form
+solutions and skips the solver entirely.
 
 ``limit_probe`` pushes lam toward 0 or infinity and classifies the trend
 of each reported quantity, reproducing the qualitative limit tables;
@@ -101,15 +102,18 @@ class SolveResult:
 
 @dataclass(frozen=True)
 class SolveConfig:
-    """Root-finder knobs; the defaults handle every catalog model."""
+    """Scan range in lamT and continuation seed; the defaults suit every catalog model."""
 
     bracket_lo: float = 1e-9
     bracket_hi: float = 1e9
-    scan_points: int = 2001
     seed_lamT: float = 1.0
-    max_bisect: int = 200
-    newton_iters: int = 12
-    log_approx: bool = False
+
+
+# fixed root-finder effort: scan resolution over log(lamT), bisection
+# halvings, and Newton polish steps
+_SCAN_POINTS = 2001
+_MAX_BISECT = 200
+_NEWTON_ITERS = 12
 
 
 class SolveError(RuntimeError):
@@ -124,44 +128,25 @@ class SolveError(RuntimeError):
 # residual and closed forms
 
 
-def _log_approx(J):
-    # ln J ~= 6 (J^(1/12) - J^(-1/12)), exact through fifth order at J = 1
-    r = J ** (1.0 / 12.0)
-    return 6.0 * (r - 1.0 / r)
-
-
-def residual(case, model, lam, lamT, log_approx=False):
+def residual(case, model, lam, lamT):
     """Transverse-equilibrium residual whose root in lamT solves the case.
 
     Mixed kind: ``lam_e * J h'(J) - mu (1 - lamT^2)`` (transverse Cauchy
     balance multiplied by J). Vol-iso kind: ``K h'(J) + (mu/3) J^(-5/3) g``
-    with the case's deviator combination g. ``log_approx`` swaps ln J for
-    its power-function approximation (meaningful only for the logarithmic
-    volumetric function, catalog id 1).
+    with the case's deviator combination g. This is the scalar form of the
+    kernel the scan and the bisection evaluate, so the polish refines the
+    same function they bracketed.
     """
     if model.kind == "inc":
         raise ValueError("the incompressible kind fixes lamT kinematically; no residual")
     if not (lam > 0.0 and lamT > 0.0):
         raise ValueError("stretches must be positive")
-    code = _case_code(case)
     prm = model.params
-    if log_approx:
-        J = _k.case_volume_ratio(code, lam, lamT)
-        lnJ = _log_approx(J)
-        if model.kind == "mixed":
-            return prm.lam * lnJ - prm.mu * (1.0 - lamT * lamT)
-        if code == _k.CASE_UL:
-            g = lamT * lamT - lam * lam
-        elif code == _k.CASE_ELP:
-            g = 2.0 * (lamT * lamT - lam * lam)
-        else:
-            g = 2.0 * lamT * lamT - 1.0 - lam * lam
-        return prm.K * lnJ / J + (prm.mu / 3.0) * J ** (-5.0 / 3.0) * g
     return _k.transverse_residual(
         _KIND_CODE[model.kind],
         model.volfun.family,
         model.volfun.par,
-        code,
+        _case_code(case),
         float(lam),
         float(lamT),
         prm.mu,
@@ -223,34 +208,23 @@ def closed_form_quadratic_mixed(case, lam, params, volfun=None):
 # root finding
 
 
-def _scan(case_c, model, lam, u_lo, u_hi, n, log_approx):
-    us = np.linspace(u_lo, u_hi, n)
-    if log_approx:
-        with np.errstate(all="ignore"):
-            fs = np.array([_residual_at(case_c, model, lam, math.exp(u), True) for u in us])
-    else:
-        fs = np.empty(n)
-        prm = model.params
-        with np.errstate(all="ignore"):
-            _k.residual_scan(
-                _KIND_CODE[model.kind],
-                model.volfun.family,
-                model.volfun.par,
-                case_c,
-                float(lam),
-                prm.mu,
-                prm.lam,
-                prm.K,
-                u_lo,
-                u_hi,
-                n,
-                fs,
-            )
-    return us, fs
-
-
-def _residual_at(case_c, model, lam, lamT, log_approx):
-    return residual(CASES[case_c], model, lam, lamT, log_approx=log_approx)
+def _scan(case_c, model, lam, u_lo, u_hi):
+    prm = model.params
+    with np.errstate(all="ignore"):
+        fs = _k.residual_scan(
+            _KIND_CODE[model.kind],
+            model.volfun.family,
+            model.volfun.par,
+            case_c,
+            float(lam),
+            prm.mu,
+            prm.lam,
+            prm.K,
+            u_lo,
+            u_hi,
+            _SCAN_POINTS,
+        )
+    return np.linspace(u_lo, u_hi, _SCAN_POINTS), fs
 
 
 def _sign_brackets(us, fs):
@@ -287,11 +261,11 @@ def solve(case, model, lam, cfg=None):
     tol = 1e-12 * (prm.mu + prm.lam + prm.K)
 
     u_lo, u_hi = math.log(cfg.bracket_lo), math.log(cfg.bracket_hi)
-    us, fs = _scan(case_c, model, lam, u_lo, u_hi, cfg.scan_points, cfg.log_approx)
+    us, fs = _scan(case_c, model, lam, u_lo, u_hi)
     brackets = _sign_brackets(us, fs)
     if not brackets:
         u_lo, u_hi = u_lo - 3.0 * math.log(10.0), u_hi + 3.0 * math.log(10.0)
-        us, fs = _scan(case_c, model, lam, u_lo, u_hi, cfg.scan_points, cfg.log_approx)
+        us, fs = _scan(case_c, model, lam, u_lo, u_hi)
         brackets = _sign_brackets(us, fs)
     if not brackets:
         finite = fs[np.isfinite(fs)]
@@ -316,25 +290,10 @@ def solve(case, model, lam, cfg=None):
 
     def f(u):
         with np.errstate(all="ignore"):
-            return _residual_at(case_c, model, lam, math.exp(u), cfg.log_approx)
+            return residual(case, model, lam, math.exp(u))
 
     if ua == ub:
         u, width = ua, 0.0
-    elif cfg.log_approx:
-        fa_, a, b = fa, ua, ub
-        for _ in range(cfg.max_bisect):
-            mid = 0.5 * (a + b)
-            if mid == a or mid == b:
-                break
-            fm = f(mid)
-            if fm == 0.0:
-                a = b = mid
-                break
-            if (fm > 0.0) == (fa_ > 0.0):
-                a, fa_ = mid, fm
-            else:
-                b = mid
-        u, width = 0.5 * (a + b), b - a
     else:
         with np.errstate(all="ignore"):
             u, width, _ = _k.bisect_log(
@@ -349,13 +308,13 @@ def solve(case, model, lam, cfg=None):
                 ua,
                 ub,
                 fa,
-                cfg.max_bisect,
+                _MAX_BISECT,
             )
 
     # Newton polish inside the bracket; keep the iterate with the smallest
     # |residual| in case the derivative estimate is poor
     best_u, best_f = u, abs(f(u))
-    for _ in range(cfg.newton_iters):
+    for _ in range(_NEWTON_ITERS):
         fu = f(u)
         if abs(fu) < best_f:
             best_u, best_f = u, abs(fu)
@@ -409,7 +368,7 @@ def solve(case, model, lam, cfg=None):
                 s22 = mu * Jm53 * (1.0 - lamT * lamT)
                 P11, P22 = lamT * s11, J * s22
 
-    if model.kind == "voliso" and case_c != _k.CASE_ULP and not cfg.log_approx:
+    if model.kind == "voliso" and case_c != _k.CASE_ULP:
         # cross-check the trace shortcut against the full tensor evaluation
         # wherever the tensor path has the precision to be meaningful
         with np.errstate(all="ignore"):

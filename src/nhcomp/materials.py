@@ -62,8 +62,8 @@ class MaterialParams:
 
 def params_from_mu_nu(mu, nu):
     """Constants from the shear modulus and Poisson's ratio."""
-    if not mu > 0:
-        raise ValueError(f"shear modulus must be positive, got mu = {mu}")
+    if not 0 < mu < math.inf:
+        raise ValueError(f"shear modulus must be positive and finite, got mu = {mu}")
     if not -1.0 < nu <= 0.5:
         raise ValueError(f"Poisson's ratio must lie in (-1, 1/2], got nu = {nu}")
     if nu == 0.5:
@@ -77,8 +77,8 @@ def params_from_mu_nu(mu, nu):
 
 def params_from_E_nu(E, nu):
     """Constants from Young's modulus and Poisson's ratio."""
-    if not E > 0:
-        raise ValueError(f"Young's modulus must be positive, got E = {E}")
+    if not 0 < E < math.inf:
+        raise ValueError(f"Young's modulus must be positive and finite, got E = {E}")
     return params_from_mu_nu(E / (2.0 * (1.0 + nu)), nu)
 
 

@@ -151,9 +151,8 @@ def evaluate_grid(vf, Js):
         raise ValueError("expected a 1-D grid of volume ratios")
     if np.any(Js <= 0.0):
         raise ValueError("volume ratios must be positive")
-    out = np.empty((Js.shape[0], 5))
-    _k.h_grid(vf.family, vf.par, Js, out)
-    return out
+    # a constant column (h'' of the quadratic) comes back as a scalar
+    return np.column_stack(np.broadcast_arrays(*_k.h_tuple(vf.family, vf.par, Js)))
 
 
 @dataclass(frozen=True)

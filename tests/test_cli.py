@@ -17,6 +17,8 @@ import pytest
 
 from nhcomp import cli
 from nhcomp import homsolve as hs
+from nhcomp.materials import ModelSpec, cauchy_stress
+from nhcomp.volfun import VolFun
 
 E_CONST = math.e
 
@@ -166,6 +168,74 @@ class TestSweep:
         assert "--volfun" in err
 
 
+def csv_bytes(capsys, argv):
+    assert cli.main(argv.split()) == 0
+    return capsys.readouterr().out
+
+
+class TestLogApprox:
+    """``sweep --log-approx`` names the power pair hn:1/12 in place of volfun 1."""
+
+    SWEEP = "sweep --nu 0.3 --lam-min 0.1 --lam-max 50 --points 25 --log"
+
+    @pytest.mark.parametrize("kind", ("mixed", "voliso"))
+    @pytest.mark.parametrize("case", hs.CASES)
+    def test_is_the_power_pair_at_one_twelfth(self, capsys, case, kind):
+        argv = f"{self.SWEEP} --case {case} --model {kind}"
+        alias = csv_bytes(capsys, f"{argv} --volfun 1 --log-approx")
+        assert alias == csv_bytes(capsys, f"{argv} --volfun hn:0.08333333333333333")
+
+    # sha256 of the mixed-kind CSV recorded before --log-approx became an
+    # alias; the mixed rows of both forms agree on this grid
+    @pytest.mark.parametrize(
+        "case, digest",
+        (
+            ("ul", "fa5f0d36288e57eca048112dd1f6c901d0c329e3e136f38f21e2eb63a59a6271"),
+            ("elp", "9ae31fcb42d58142e31bdc3bfc4e4bd65464ff0418b7113932a562a96f5bf9db"),
+            ("ulp", "59796688a09759d139ace559e0cd9c61e9c26ac79050d170ffda093afeb229a1"),
+        ),
+    )
+    def test_mixed_output_bytes_are_unchanged(self, capsys, case, digest):
+        out = csv_bytes(
+            capsys,
+            f"sweep --case {case} --model mixed --volfun 1 --nu 0.3 "
+            "--lam-min 0.1 --lam-max 50 --points 11 --log-approx",
+        )
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("case", ("ul", "elp"))
+    def test_voliso_rows_are_equilibria_of_the_full_tensor_path(self, capsys, case):
+        _, rows, _ = run(
+            capsys, *f"{self.SWEEP} --case {case} --model voliso --volfun 1 --log-approx".split()
+        )
+        model = ModelSpec.vol_iso(VolFun.power_pair(1.0 / 12.0), 1.0, 0.3)
+        assert len(rows) == 25
+        for r in rows:
+            assert r["converged"] == "true"
+            lam, lamT, s11 = float(r["lambda_tilde"]), float(r["lambda_T"]), float(r["sigma11"])
+            sig = cauchy_stress(model, hs.case_F(case, lam, lamT)).cauchy
+            scale = max(abs(s11), model.params.mu)
+            assert abs(sig[2, 2]) <= 1e-10 * scale, (lam, sig[2, 2])
+            assert sig[0, 0] == pytest.approx(s11, rel=1e-8), lam
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        (
+            ("--model mixed --volfun 5 --nu 0.3", "needs --volfun 1, got --volfun 5"),
+            ("--model voliso --volfun hn:2 --nu 0.3", "needs --volfun 1, got --volfun hn:2"),
+            ("--model inc", "does not apply to the incompressible kind"),
+        ),
+        ids=("volfun-5", "volfun-hn2", "inc"),
+    )
+    def test_other_models_exit_one(self, capsys, flags, message):
+        err = run_rejected(
+            capsys,
+            *f"sweep --case ul --lam-min 0.5 --lam-max 2 --points 3 {flags} --log-approx".split(),
+        )
+        assert err.startswith("nhcomp: error: --log-approx ")
+        assert message in err
+
+
 class TestBadUsage:
     def test_unknown_subcommand(self, capsys):
         assert cli.main(["frobnicate"]) == 1
@@ -211,6 +281,34 @@ class TestBadUsage:
     )
     def test_non_finite_volfun_parameter_exits_one(self, capsys, argv, volfun, message):
         err = run_rejected(capsys, *argv, "--volfun", volfun)
+        assert f"nhcomp: error: {message}" in err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        (
+            (
+                "stability --mu inf --nu 0.3 --grid-n 3 --volfun 2",
+                "shear modulus must be positive and finite, got mu = inf",
+            ),
+            (
+                "sweep --case ul --model mixed --volfun 2 --nu 0.3 --mu inf "
+                "--lam-min 0.5 --lam-max 2 --points 3",
+                "shear modulus must be positive and finite, got mu = inf",
+            ),
+            (
+                "sweep --case ul --model voliso --volfun 2 --nu 0.3 --E inf "
+                "--lam-min 0.5 --lam-max 2 --points 3",
+                "Young's modulus must be positive and finite, got E = inf",
+            ),
+            (
+                "dilatation --model voliso --volfun 2 --nu 0.3 --k-max inf",
+                "dilatation stretch bounds must be finite, got k-min = 0.5, k-max = inf",
+            ),
+        ),
+        ids=("stability-mu", "sweep-mu", "sweep-E", "dilatation-k-max"),
+    )
+    def test_non_finite_modulus_or_bound_exits_one(self, capsys, argv, message):
+        err = run_rejected(capsys, *argv.split())
         assert f"nhcomp: error: {message}" in err
 
     def test_jobs_is_ignored(self, capsys):
@@ -319,6 +417,26 @@ class TestStability:
             capsys, *"stability --model voliso --volfun 7 --nu-set paper --grid-n 4".split()
         )
         assert len(rows) == 12  # 6 ratios x 2 contraction kinds
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        (
+            ("stability --nu 0.5 --grid-n 3", "nu = 1/2 is the incompressible limit"),
+            (
+                "stability --model mixed --volfun 2 --nu -0.3 --grid-n 3",
+                "mixed kind requires 0 <= nu < 1/2, got nu = -0.3",
+            ),
+        ),
+        ids=("incompressible-limit", "mixed-negative-nu"),
+    )
+    def test_inadmissible_model_exits_one(self, capsys, argv, message):
+        err = run_rejected(capsys, *argv.split())
+        assert f"nhcomp: error: {message}" in err
+
+    def test_voliso_accepts_negative_nu(self, capsys):
+        argv = "stability --model voliso --volfun 2 --nu -0.3 --grid-n 3"
+        code, rows, _ = run(capsys, *argv.split())
+        assert code == 0 and len(rows) == 2
 
     @pytest.mark.parametrize("n", ("0", "-1", "101"))
     def test_grid_n_out_of_range_exits_one(self, capsys, n):

@@ -5,7 +5,7 @@ import pytest
 
 from nhcomp import homsolve as hs
 from nhcomp.materials import ModelSpec, cauchy_stress, params_from_mu_nu
-from nhcomp.volfun import catalog, evaluate
+from nhcomp.volfun import VolFun, catalog, evaluate
 
 MU = 2.53
 NU = 0.34
@@ -255,9 +255,11 @@ class TestSolve:
         assert err.value.diagnostics["lam"] == 1.0
 
     def test_log_approx_mode_close_but_distinct(self):
-        model = voliso(1, nu=0.3)
-        exact = hs.solve("ul", model, 3.0)
-        approx = hs.solve("ul", model, 3.0, hs.SolveConfig(log_approx=True))
+        # J h' = 6 (J^(1/12) - J^(-1/12)) of the power pair at q = 1/12 is
+        # the two-point power approximation of ln J (sweep --log-approx)
+        exact = hs.solve("ul", voliso(1, nu=0.3), 3.0)
+        model = ModelSpec.vol_iso(VolFun.power_pair(1.0 / 12.0), MU, 0.3)
+        approx = hs.solve("ul", model, 3.0)
         assert approx.converged
         assert approx.lambda_T == pytest.approx(exact.lambda_T, rel=1e-2)
         assert approx.lambda_T != exact.lambda_T

@@ -7,7 +7,7 @@ import pytest
 
 from nhcomp import _kernels as _k
 from nhcomp import homsolve as hs
-from nhcomp.volfun import catalog
+from nhcomp.volfun import VolFun, catalog, evaluate_grid
 
 # the catalog covers all four families; (0, 5e-9) takes the power pair's
 # (ln J)^2 / 2 branch below q = 1e-8 with a nonzero parameter
@@ -18,8 +18,7 @@ _FAMILIES = [(vf.family, vf.par) for vf in catalog().values()] + [(_k.FAMILY_HN,
 def test_h_grid_agrees_with_h_tuple_within_4_ulp(family, par):
     # array ** may round the last bit differently from the scalar power
     Js = np.logspace(-6, 6, 241)
-    out = np.empty((Js.size, 5))
-    _k.h_grid(family, par, Js, out)
+    out = evaluate_grid(VolFun(family, par, "grid"), Js)
     want = np.array([_k.h_tuple(family, par, float(J)) for J in Js])
     np.testing.assert_array_max_ulp(out, want, maxulp=4)
 
@@ -33,9 +32,8 @@ def test_residual_scan_signs_match_scalar(kind, case):
     du = (u_hi - u_lo) / (n - 1)
     for family, par in _FAMILIES:
         for lam in (0.3, 1.7):
-            out = np.empty(n)
             with np.errstate(all="ignore"):
-                _k.residual_scan(kind, family, par, case, lam, mu, lame, K, u_lo, u_hi, n, out)
+                out = _k.residual_scan(kind, family, par, case, lam, mu, lame, K, u_lo, u_hi, n)
                 want = np.array(
                     [
                         _k.transverse_residual(
@@ -92,8 +90,7 @@ def test_sign_brackets_matches_the_loop(fs):
 
 def test_grid_kernel_matches_scalar():
     Js = np.logspace(-2, 2, 57)
-    out = np.empty((Js.size, 5))
-    _k.h_grid(1, -1.0, Js, out)
+    out = evaluate_grid(VolFun(1, -1.0, "grid"), Js)
     for i, J in enumerate(Js):
         np.testing.assert_array_equal(out[i], np.array(_k.h_tuple(1, -1.0, J)))
 
@@ -102,8 +99,7 @@ def test_residual_scan_matches_scalar():
     # array ** may round the last bit differently from the scalar power, so
     # compare tightly but not bitwise
     n = 33
-    out = np.empty(n)
-    _k.residual_scan(0, 0, 2.0, 0, 1.4, 1.0, 2.0, 3.0, -2.0, 2.0, n, out)
+    out = _k.residual_scan(0, 0, 2.0, 0, 1.4, 1.0, 2.0, 3.0, -2.0, 2.0, n)
     du = 4.0 / (n - 1)
     for i, got in enumerate(out):
         u = -2.0 + du * i
