@@ -22,6 +22,7 @@ formulas.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,6 +91,29 @@ def params_from_mu_lam(mu, lam):
     return params_from_mu_nu(mu, nu)
 
 
+def _check_scale(p):
+    """Reject compressible constants that overflow or lose precision.
+
+    Every stress, tolerance and stability matrix is a multiple of these
+    constants, so one that is infinite, or a subnormal mu, turns the
+    output into inf or NaN rows instead of an error.
+    """
+    for name, value in (
+        ("shear modulus mu", p.mu),
+        ("first Lame constant lam", p.lam),
+        ("bulk modulus K", p.K),
+        ("stress scale mu + lam + K", p.mu + p.lam + p.K),
+    ):
+        if not math.isfinite(value):
+            raise ValueError(
+                f"{name} overflows to {value} (mu = {p.mu}, nu = {p.nu}); use a smaller modulus"
+            )
+    if p.mu < sys.float_info.min:
+        raise ValueError(
+            f"shear modulus mu = {p.mu} is subnormal; it must be at least {sys.float_info.min}"
+        )
+
+
 @dataclass(frozen=True)
 class ModelSpec:
     """A model kind, its volumetric function (compressible kinds), and params.
@@ -121,6 +145,7 @@ class ModelSpec:
                 raise ValueError(f"mixed kind requires 0 <= nu < 1/2, got nu = {nu}")
             if self.kind == "voliso" and not -1.0 < nu < 0.5:
                 raise ValueError(f"vol-iso kind requires -1 < nu < 1/2, got nu = {nu}")
+            _check_scale(self.params)
 
     @classmethod
     def incompressible(cls, mu):

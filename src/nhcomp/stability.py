@@ -530,23 +530,71 @@ def _eig2_min(p, r, q):
     return 0.5 * (p + q) - np.hypot(0.5 * (p - q), r)
 
 
+def _lower_matrices(Sp, alpha, select):
+    """The matrices eigh is given: rows ``select`` of Sp, alpha at (0, 0)."""
+    Mp = Sp[select]
+    Mp[:, 0, 0] = alpha[select]
+    return Mp
+
+
+def _exceeds(upper, a00, a10, a20, a11, a21, a22):
+    """Which symmetric 3x3 matrices, given by their lower triangles, certainly
+    have an ``eigh`` minimum strictly above ``upper``.
+
+    The certificate is an unpivoted LDL^T of A - t I, t = upper + margin,
+    with all three pivots positive: floating-point Cholesky that completes
+    proves A - t I + E positive definite for some |E| of order eps * (|A| +
+    |t|) (Higham, Accuracy and Stability of Numerical Algorithms, 10.1), and
+    eigh's own error is of order eps * |A|. The margin, 1e-9 * (3 max|A| +
+    |upper|) plus a floor far above underflow, dwarfs both, so a certified
+    matrix's eigh value exceeds ``upper``. A NaN or inf entry, or a NaN
+    ``upper``, fails every pivot test.
+    """
+    lower = (a00, a10, a20, a11, a21, a22)
+    scale = np.max(np.abs(np.stack(lower)), axis=0)
+    with np.errstate(all="ignore"):
+        t = upper + (1e-9 * (3.0 * scale + abs(upper)) + 1e-300)
+        d0 = a00 - t
+        l10 = a10 / d0
+        l20 = a20 / d0
+        d1 = (a11 - t) - l10 * a10
+        e21 = a21 - l20 * a10
+        d2 = (a22 - t) - l20 * a20 - (e21 / d1) * e21
+        return (d0 > 0.0) & (d1 > 0.0) & (d2 > 0.0)
+
+
 def min_coaxial_eig(kind, volfun, params, lams, contraction="hill"):
     """Minimum coaxial-form eigenvalue over the grid, with its argmin data.
 
     Returns (min_value, index, direction) where direction is the minimizing
     diagonal rate (unit vector).
 
-    States where the volumetric coefficient dwarfs the shear-scale block are
-    handled by deflating the spherical direction analytically; a plain
-    eigendecomposition there would bury the true minimum (which lives in the
-    nearly-traceless subspace) under eps * |c| rounding noise. Only the
-    other states are passed to ``eigh``.
+    States where the volumetric coefficient dwarfs the shear-scale block
+    ("graded" states) are handled by deflating the spherical direction
+    analytically; a plain eigendecomposition there would bury the true
+    minimum (which lives in the nearly-traceless subspace) under eps * |c|
+    rounding noise.
+
+    Of the other states, ``eigh`` sees only those that could hold the
+    minimum. An upper bound U on the minimum is taken from values the scan
+    computes anyway: the smallest graded value, and the ``eigh`` value of
+    the ungraded state with the smallest diagonal entry. Every ungraded
+    state then gets a certificate (``_exceeds``): an unpivoted LDL^T of its
+    matrix minus (U + 1e-9 * (3 max|entry| + |U|)) times I with three
+    positive pivots, which proves its ``eigh`` value strictly above U, so it
+    cannot be the minimum and its value is set to +inf. A state whose value
+    lies within that margin of U, or that has a NaN or inf entry, fails the
+    certificate and goes to ``eigh``, so ties keep their first index.
 
     The shear block (S rotated by Q, and its scale) does not depend on the
     volumetric function or nu, so a run of calls on one (kind, contraction,
-    mu, grid) builds it once. The batched ``einsum`` rotation and ``eigh``
-    stay as they are: a matrix-product rotation or ``eigvalsh`` rounds
-    differently and would change the reported values in the last bits.
+    mu, grid) builds it once. The output bytes are those of running ``eigh``
+    on every state: batched ``eigh`` treats each matrix on its own, so a
+    subset gives the same bits for the rows it holds, and the argmin row's
+    eigenvector is taken from the subset. The batched ``einsum`` rotation
+    and ``eigh`` stay as they are: a matrix-product rotation or ``eigvalsh``
+    rounds differently and would change the reported values in the last
+    bits.
     """
     block = _shear_block(kind, contraction, params.mu, lams)
     c = _volumetric_coeff(kind, contraction, volfun, params, block)
@@ -567,11 +615,20 @@ def min_coaxial_eig(kind, volfun, params, lams, contraction="hill"):
         big = alpha + (b1 * b1 + b2 * b2) / np.where(alpha == x, 1.0, alpha - x)
         mins = np.minimum(x, big)
 
-    ungraded = ~graded
-    Mp = Sp[ungraded]
-    Mp[:, 0, 0] = alpha[ungraded]
-    vals, vecs = np.linalg.eigh(Mp)
-    mins[ungraded] = vals[:, 0]
+    kept = ~graded
+    cand = np.flatnonzero(kept)
+    if cand.size:
+        # the lower triangle eigh reads: Sp with alpha in place of Sp[0, 0]
+        lower = (alpha[cand], b1[cand], b2[cand], p[cand], r[cand], q[cand])
+        a00, _, _, a11, _, a22 = lower
+        k = cand[np.argmin(np.minimum(np.minimum(a00, a11), a22))]
+        upper = float(np.linalg.eigh(_lower_matrices(Sp, alpha, [k]))[0][0, 0])
+        if cand.size < len(mins):
+            upper = min(upper, float(np.min(mins[graded])))
+        kept[cand[_exceeds(upper, *lower)]] = False
+        mins[cand] = np.inf
+    vals, vecs = np.linalg.eigh(_lower_matrices(Sp, alpha, kept))
+    mins[kept] = vals[:, 0]
 
     i = int(np.argmin(mins))
     value = float(mins[i])
@@ -590,7 +647,7 @@ def min_coaxial_eig(kind, volfun, params, lams, contraction="hill"):
     elif graded[i]:  # the spherical branch itself is the minimum (c < 0)
         vp = np.array([1.0, 0.0, 0.0])
     else:
-        vp = vecs[np.count_nonzero(ungraded[:i]), :, 0]
+        vp = vecs[np.count_nonzero(kept[:i]), :, 0]
     direction = Q @ vp
     return value, i, direction / np.linalg.norm(direction)
 

@@ -304,8 +304,48 @@ class TestBadUsage:
                 "dilatation --model voliso --volfun 2 --nu 0.3 --k-max inf",
                 "dilatation stretch bounds must be finite, got k-min = 0.5, k-max = inf",
             ),
+            # finite moduli whose derived constants overflow or underflow
+            (
+                "stability --mu 1e308 --nu 0.3 --grid-n 3 --volfun 2",
+                "first Lame constant lam overflows to inf (mu = 1e+308, nu = 0.3)",
+            ),
+            (
+                "sweep --case ul --model mixed --volfun 2 --nu 0.3 --mu 1e308 "
+                "--lam-min 0.5 --lam-max 2 --points 3",
+                "first Lame constant lam overflows to inf (mu = 1e+308, nu = 0.3)",
+            ),
+            (
+                "sweep --case ul --model voliso --volfun 2 --nu 0.45 --E 1e308 "
+                "--lam-min 0.5 --lam-max 2 --points 3",
+                "first Lame constant lam overflows to inf",
+            ),
+            (
+                "sweep --case ul --model voliso --volfun 2 --nu 0.2 --mu 8e307 "
+                "--lam-min 0.5 --lam-max 2 --points 3",
+                "stress scale mu + lam + K overflows to inf",
+            ),
+            (
+                "stability --mu 1e-320 --nu 0.3 --grid-n 3 --volfun 2",
+                "shear modulus mu = 1e-320 is subnormal",
+            ),
+            (
+                "sweep --case ul --model mixed --volfun 2 --nu 0.3 --mu 1e-320 "
+                "--lam-min 0.5 --lam-max 2 --points 3",
+                "shear modulus mu = 1e-320 is subnormal",
+            ),
         ),
-        ids=("stability-mu", "sweep-mu", "sweep-E", "dilatation-k-max"),
+        ids=(
+            "stability-mu",
+            "sweep-mu",
+            "sweep-E",
+            "dilatation-k-max",
+            "stability-mu-overflow",
+            "sweep-mu-overflow",
+            "sweep-E-overflow",
+            "sweep-stress-scale-overflow",
+            "stability-mu-subnormal",
+            "sweep-mu-subnormal",
+        ),
     )
     def test_non_finite_modulus_or_bound_exits_one(self, capsys, argv, message):
         err = run_rejected(capsys, *argv.split())

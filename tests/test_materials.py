@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from nhcomp.materials import (
+    MaterialParams,
     ModelSpec,
     cauchy_stress,
     energy,
@@ -108,6 +109,22 @@ class TestModelSpec:
         ModelSpec.vol_iso(vf, 1.0, -0.5)
         with pytest.raises(ValueError):
             ModelSpec.mixed(vf, 1.0, -0.5)
+
+    def test_constants_must_stay_in_float_range(self):
+        vf = catalog()[1]
+        for kind in ("mixed", "voliso"):
+            for params, name in (
+                (MaterialParams(mu=math.nan, nu=0.3, lam=1.0, K=1.0, E=1.0), "shear modulus mu"),
+                (params_from_mu_nu(1e308, 0.3), "first Lame constant lam"),
+                (MaterialParams(mu=1.0, nu=0.3, lam=1.0, K=math.inf, E=1.0), "bulk modulus K"),
+                (params_from_mu_nu(8e307, 0.2), r"stress scale mu \+ lam \+ K"),
+                (params_from_mu_nu(1e-320, 0.3), "shear modulus mu = 1e-320 is subnormal"),
+            ):
+                with pytest.raises(ValueError, match=name):
+                    ModelSpec(kind, vf, params)
+            # the extremes of the normal range stay admissible
+            ModelSpec(kind, vf, params_from_mu_nu(2.2250738585072014e-308, 0.3))
+            ModelSpec(kind, vf, params_from_mu_nu(1e307, 0.3))
 
 
 class TestEnergy:

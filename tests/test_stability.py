@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as hst
 
 from nhcomp import stability
 from nhcomp.kinematics import kinematics_from_F, rate_from_motion
@@ -24,7 +26,7 @@ from nhcomp.stability import (
     zj_rate,
 )
 from nhcomp.tensor3 import I3, apply4, ddot, outer, sym_outer
-from nhcomp.volfun import catalog, evaluate, evaluate_grid
+from nhcomp.volfun import VolFun, catalog, evaluate, evaluate_grid
 from nhcomp.kinematics import DeformationState
 
 rng = np.random.default_rng(61205)
@@ -431,8 +433,9 @@ def reference_min_coaxial_eig(kind, volfun, params, lams, contraction):
     """The scan as it was before the shear block was shared: every piece
     rebuilt per call, and eigh run on every state, graded or not.
 
-    Returns (value, index, direction, branch), branch naming the path that
-    produced the minimum.
+    Returns (value, index, direction, branch, mins, graded): branch names
+    the path that produced the minimum, mins holds every state's value and
+    graded marks the states the analytic deflation covers.
     """
     lams = np.asarray(lams, dtype=float)
     n = lams.shape[0]
@@ -509,7 +512,7 @@ def reference_min_coaxial_eig(kind, volfun, params, lams, contraction):
         vp = vecs[i, :, 0]
         branch = "eigh"
     direction = Q @ vp
-    return value, i, direction / np.linalg.norm(direction), branch
+    return value, i, direction / np.linalg.norm(direction), branch, mins, graded
 
 
 def bits(result):
@@ -518,21 +521,104 @@ def bits(result):
     return np.float64(value).tobytes(), i, np.asarray(direction, dtype=float).tobytes()
 
 
+def volfuns():
+    """Catalog members and both parametric families over their useful range."""
+    cat = catalog()
+    return hst.one_of(
+        hst.sampled_from(sorted(cat)).map(cat.__getitem__),
+        hst.floats(0.0, 6.0).map(VolFun.power_pair),
+        hst.tuples(hst.floats(0.1, 4.0), hst.sampled_from((-1.0, 1.0))).map(
+            lambda t: VolFun.log_augmented(t[0] * t[1])
+        ),
+    )
+
+
 class TestCoaxialScanBytes:
     def test_matches_the_full_eigh_reference_bitwise(self):
-        grid = stretch_grid(8)
         branches = set()
-        for kind in ("mixed", "voliso"):
-            for contraction in ("hill", "csp"):
-                for vid, vf in catalog().items():
-                    for nu in PAPER_NUS:
-                        params = params_from_mu_nu(1.0, nu)
-                        want = reference_min_coaxial_eig(kind, vf, params, grid, contraction)
-                        got = min_coaxial_eig(kind, vf, params, grid, contraction)
-                        assert bits(got) == bits(want), (kind, contraction, vid, nu)
-                        branches.add(want[3])
+        # stretch_grid(16) is the size the stability command scans
+        for grid, mu in ((stretch_grid(8), 1.0), (stretch_grid(16), 2.2)):
+            for kind in ("mixed", "voliso"):
+                for contraction in ("hill", "csp"):
+                    for vid, vf in catalog().items():
+                        for nu in PAPER_NUS:
+                            params = params_from_mu_nu(mu, nu)
+                            want = reference_min_coaxial_eig(kind, vf, params, grid, contraction)
+                            got = min_coaxial_eig(kind, vf, params, grid, contraction)
+                            assert bits(got) == bits(want), (len(grid), kind, contraction, vid, nu)
+                            branches.add(want[3])
         # the argmin comes from both eigh and the analytic deflation
         assert {"eigh", "deflated"} <= branches
+
+    @given(
+        kind=hst.sampled_from(("mixed", "voliso")),
+        contraction=hst.sampled_from(("hill", "csp")),
+        volfun=volfuns(),
+        nu=hst.one_of(hst.sampled_from(PAPER_NUS), hst.floats(-0.99, 0.4999)),
+        mu=hst.floats(0.1, 10.0),
+        n=hst.integers(2, 12),
+        lo=hst.floats(-1.0, 1.0),
+        hi=hst.floats(-1.0, 1.0),
+    )
+    def test_pruned_scan_matches_the_reference(self, kind, contraction, volfun, nu, mu, n, lo, hi):
+        assume(kind == "voliso" or nu >= 0.0)
+        params = params_from_mu_nu(mu, nu)
+        grid = stretch_grid(n, lo, hi)
+        want = reference_min_coaxial_eig(kind, volfun, params, grid, contraction)
+        assert bits(min_coaxial_eig(kind, volfun, params, grid, contraction)) == bits(want)
+
+    @pytest.mark.parametrize(
+        "kind, contraction, vid, nu, grid, case",
+        (
+            ("mixed", "hill", 2, 0.4999, stretch_grid(3, -0.01, 0.01), "all graded"),
+            ("voliso", "csp", 2, 0.4999, stretch_grid(3, -0.01, 0.01), "all graded"),
+            ("mixed", "hill", 7, 0.4999, stretch_grid(8), "graded minimum"),
+            ("mixed", "csp", 5, 0.45, stretch_grid(8), "graded minimum"),
+            # stretch_grid holds every permutation of each triple, and the
+            # repeated rows make the minimum a tie, bit for bit
+            ("voliso", "hill", 3, 0.45, np.tile(stretch_grid(5), (2, 1)), "tie"),
+            ("mixed", "csp", 1, 0.0, np.tile(stretch_grid(4, -0.3, 0.6), (3, 1)), "tie"),
+        ),
+    )
+    def test_edge_cases_match_the_reference(self, kind, contraction, vid, nu, grid, case):
+        params = params_from_mu_nu(1.0, nu)
+        vf = catalog()[vid]
+        want = reference_min_coaxial_eig(kind, vf, params, grid, contraction)
+        value, _, _, branch, mins, graded = want
+        if case == "all graded":
+            assert graded.all()
+        elif case == "graded minimum":
+            assert branch != "eigh" and not graded.all()
+        else:
+            assert branch == "eigh" and np.count_nonzero(mins == value) >= 2
+        assert bits(min_coaxial_eig(kind, vf, params, grid, contraction)) == bits(want)
+
+    def test_eigh_of_a_subset_equals_the_same_rows_of_the_batch(self):
+        # the scan runs eigh on a subset of states and relies on batched
+        # eigh treating every matrix on its own
+        block = stability._shear_block("voliso", "hill", 1.0, stretch_grid(10))
+        sym = rng.standard_normal((500, 3, 3))
+        for batch in (block.Sp.copy(), sym + sym.transpose(0, 2, 1)):
+            vals, vecs = np.linalg.eigh(batch)
+            for keep in (rng.random(len(batch)) < 0.1, np.arange(len(batch)) == 7):
+                sub_vals, sub_vecs = np.linalg.eigh(batch[keep])
+                assert sub_vals.tobytes() == vals[keep].tobytes()
+                assert sub_vecs.tobytes() == vecs[keep].tobytes()
+
+    def test_most_ungraded_states_skip_eigh(self, monkeypatch):
+        grid = stretch_grid(16)
+        args = ("voliso", catalog()[3], params_from_mu_nu(1.0, 0.45), grid, "hill")
+        graded = reference_min_coaxial_eig(*args)[5]
+        seen = []
+        eigh = np.linalg.eigh
+
+        def counting_eigh(a):
+            seen.append(len(a))
+            return eigh(a)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        min_coaxial_eig(*args)
+        assert 0 < sum(seen) < np.count_nonzero(~graded) / 4
 
     def test_reused_shear_block_is_invisible(self):
         grids = [stretch_grid(5), stretch_grid(6, lo=-0.5, hi=0.9)]
