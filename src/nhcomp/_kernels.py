@@ -9,8 +9,9 @@ while array ``**`` may round the last bit differently from the scalar
 power. Only the scan's signs feed the root finder, so such a difference
 can move a root only when a grid point sits within rounding of a zero.
 
-Volumetric families are encoded as small integers so the kernels stay
-monomorphic:
+The model kind (``"mixed"`` or ``"voliso"``) and the load case (``"ul"``,
+``"elp"`` or ``"ulp"``) are the strings ``ModelSpec`` and ``homsolve``
+use. A volumetric function is a family code plus its parameter:
 
 ====== ======================= ==========================================
 family parameter                h(J)
@@ -32,13 +33,6 @@ FAMILY_QUADRATIC = 2
 FAMILY_EXP_LOG2 = 3
 
 _HN_LOG_BRANCH_Q = 1e-8
-
-CASE_UL = 0
-CASE_ELP = 1
-CASE_ULP = 2
-
-KIND_MIXED = 0
-KIND_VOLISO = 1
 
 
 def h_tuple(family, par, J):
@@ -94,14 +88,14 @@ def h_tuple(family, par, J):
 
 def case_volume_ratio(case, lam, lamT):
     """J of the homogeneous load case (axial stretch lam, free stretch lamT)."""
-    if case == CASE_UL:
+    if case == "ul":
         return lam * lamT * lamT
-    if case == CASE_ELP:
+    if case == "elp":
         return lam * lam * lamT
     return lam * lamT
 
 
-def transverse_residual(kind, family, par, case, lam, lamT, mu, lame_lambda, K):
+def transverse_residual(kind, family, par, case, lam, mu, lame_lambda, K, lamT):
     """Traction residual in the free transverse direction.
 
     Mixed kind: ``lambda * J h'(J) - mu * (1 - lamT^2)`` (the transverse
@@ -112,24 +106,29 @@ def transverse_residual(kind, family, par, case, lam, lamT, mu, lame_lambda, K):
     be an array.
     """
     J = case_volume_ratio(case, lam, lamT)
-    if kind == KIND_MIXED:
+    if kind == "mixed":
         _, _, _, jhp, _ = h_tuple(family, par, J)
         return lame_lambda * jhp - mu * (1.0 - lamT * lamT)
     _, hp, _, _, _ = h_tuple(family, par, J)
-    if case == CASE_UL:
+    if case == "ul":
         g = lamT * lamT - lam * lam
-    elif case == CASE_ELP:
+    elif case == "elp":
         g = 2.0 * (lamT * lamT - lam * lam)
     else:
         g = 2.0 * lamT * lamT - 1.0 - lam * lam
     return K * hp + (mu / 3.0) * J ** (-5.0 / 3.0) * g
 
 
-def residual_scan(kind, family, par, case, lam, mu, lame_lambda, K, u_lo, u_hi, n):
-    """Residual sampled on ``n`` evenly spaced points of u = ln(lamT) in [u_lo, u_hi]."""
+def scan_grid(u_lo, u_hi, n):
+    """``n`` evenly spaced points of u = ln(lamT) from u_lo to (about) u_hi."""
     du = (u_hi - u_lo) / (n - 1)
-    lamT = np.exp(u_lo + du * np.arange(n))
-    return transverse_residual(kind, family, par, case, lam, lamT, mu, lame_lambda, K)
+    return u_lo + du * np.arange(n)
+
+
+def residual_scan(kind, family, par, case, lam, mu, lame_lambda, K, u_lo, u_hi, n):
+    """Residual sampled at the points ``scan_grid(u_lo, u_hi, n)``."""
+    lamT = np.exp(scan_grid(u_lo, u_hi, n))
+    return transverse_residual(kind, family, par, case, lam, mu, lame_lambda, K, lamT)
 
 
 def bisect_log(kind, family, par, case, lam, mu, lame_lambda, K, u_a, u_b, f_a, max_iter):
@@ -147,7 +146,7 @@ def bisect_log(kind, family, par, case, lam, mu, lame_lambda, K, u_a, u_b, f_a, 
         mid = 0.5 * (a + b)
         if mid == a or mid == b:
             break
-        fm = transverse_residual(kind, family, par, case, lam, np.exp(mid), mu, lame_lambda, K)
+        fm = transverse_residual(kind, family, par, case, lam, mu, lame_lambda, K, np.exp(mid))
         if fm == 0.0:
             a = mid
             b = mid

@@ -20,6 +20,8 @@ compatibility and ignored: every subcommand runs its cells one at a time.
 Exit status: 0 on success, 1 on parameter errors (message on stderr),
 2 on solver non-convergence -- the partial CSV is still written, with the
 failed rows marked ``converged=false`` (or classes left unresolved).
+A stability value that leaves the float range at the given modulus has
+no verdict and also exits 1, naming the modulus.
 """
 
 from __future__ import annotations
@@ -292,19 +294,11 @@ def _cmd_tangent_check(args):
     if args.nu is None:
         raise ValueError("--nu is required")
     header = ["model", "volfun", "max_rel_error"]
-
-    tasks = [
-        (kind, vid, vf)
-        for kind in ("mixed", "voliso")
-        for vid, vf in _volfun_list(args)
-    ]
-
-    def run(task):
-        kind, vid, vf = task
-        model = ModelSpec(kind, vf, params_from_mu_nu(args.mu, args.nu))
-        return [kind, vid, st.tangent_fd_error(model, n_motions=args.motions)]
-
-    rows = [run(task) for task in tasks]
+    rows = []
+    for kind in ("mixed", "voliso"):
+        for vid, vf in _volfun_list(args):
+            model = ModelSpec(kind, vf, params_from_mu_nu(args.mu, args.nu))
+            rows.append([kind, vid, st.tangent_fd_error(model, n_motions=args.motions)])
     _write_csv(header, rows, args.out)
     return EXIT_OK
 
@@ -459,21 +453,13 @@ def _cmd_table_repro(args):
         "note",
     ]
     cat = catalog()
-
-    probe_keys = [
-        (vid, kind, nu, direction)
-        for vid in vids
-        for kind in ("mixed", "voliso")
-        for nu in _TABLE_NUS
-        for direction in ("to_zero", "to_infinity")
-    ]
-
-    def run(key):
-        vid, kind, nu, direction = key
-        model = ModelSpec(kind, cat[vid], params_from_mu_nu(args.mu, nu))
-        return hs.limit_probe(case, model, direction)
-
-    probes = {key: run(key) for key in probe_keys}
+    probes = {}
+    for vid in vids:
+        for kind in ("mixed", "voliso"):
+            for nu in _TABLE_NUS:
+                model = ModelSpec(kind, cat[vid], params_from_mu_nu(args.mu, nu))
+                for direction in ("to_zero", "to_infinity"):
+                    probes[vid, kind, nu, direction] = hs.limit_probe(case, model, direction)
 
     rows, ok = [], True
     for vid in vids:

@@ -16,11 +16,15 @@ uniaxial stress.)
 
 For compressible kinds the transverse equilibrium condition is a scalar
 root-finding problem in lamT. Every model goes down one path: a global
-sign-change scan over log(lamT), bisection of the chosen bracket, and a
-safeguarded Newton polish on :func:`residual`. Sweeps seed each point's
-bracket choice from the previous root so the solver stays on one physical
-branch when several roots appear. The incompressible kind has closed-form
-solutions and skips the solver entirely.
+sign-change scan over log(lamT) in [1e-9, 1e9] (widened by three decades
+each way when it finds no sign change), bisection of the chosen bracket,
+and a safeguarded Newton polish on :func:`residual`. The kernels in
+``_kernels`` take the model's kind and the case as the same strings
+``ModelSpec`` and :data:`CASES` use. ``solve`` picks the bracket nearest
+its ``seed_lamT``; ``sweep`` passes each point's root on as the next seed,
+so the solver stays on one physical branch when several roots appear. The
+incompressible kind has closed-form solutions and skips the solver
+entirely.
 
 ``limit_probe`` pushes lam toward 0 or infinity and classifies the trend
 of each reported quantity, reproducing the qualitative limit tables;
@@ -41,7 +45,6 @@ from nhcomp.volfun import evaluate
 __all__ = [
     "CASES",
     "SolveResult",
-    "SolveConfig",
     "SolveError",
     "SweepSpec",
     "LimitClass",
@@ -59,28 +62,23 @@ __all__ = [
 
 CASES = ("ul", "elp", "ulp")
 
-_CASE_CODE = {"ul": _k.CASE_UL, "elp": _k.CASE_ELP, "ulp": _k.CASE_ULP}
-_KIND_CODE = {"mixed": _k.KIND_MIXED, "voliso": _k.KIND_VOLISO}
 
-
-def _case_code(case):
-    try:
-        return _CASE_CODE[case]
-    except KeyError:
-        raise ValueError(f"load case must be one of {CASES}, got {case!r}") from None
+def _checked(case):
+    if case not in CASES:
+        raise ValueError(f"load case must be one of {CASES}, got {case!r}")
+    return case
 
 
 def volume_ratio(case, lam, lamT):
     """J of the load case at axial stretch lam and transverse stretch lamT."""
-    return _k.case_volume_ratio(_case_code(case), float(lam), float(lamT))
+    return _k.case_volume_ratio(_checked(case), float(lam), float(lamT))
 
 
 def case_F(case, lam, lamT):
     """Deformation gradient of the load case (principal axes fixed)."""
-    code = _case_code(case)
-    if code == _k.CASE_UL:
+    if _checked(case) == "ul":
         return np.diag([lam, lamT, lamT]).astype(float)
-    if code == _k.CASE_ELP:
+    if case == "elp":
         return np.diag([lam, lam, lamT]).astype(float)
     return np.diag([lam, 1.0, lamT]).astype(float)
 
@@ -100,17 +98,9 @@ class SolveResult:
     warning: str = ""
 
 
-@dataclass(frozen=True)
-class SolveConfig:
-    """Scan range in lamT and continuation seed; the defaults suit every catalog model."""
-
-    bracket_lo: float = 1e-9
-    bracket_hi: float = 1e9
-    seed_lamT: float = 1.0
-
-
-# fixed root-finder effort: scan resolution over log(lamT), bisection
-# halvings, and Newton polish steps
+# fixed root-finder effort: scan range and resolution over log(lamT),
+# bisection halvings, and Newton polish steps; they suit every catalog model
+_SCAN_LO, _SCAN_HI = 1e-9, 1e9
 _SCAN_POINTS = 2001
 _MAX_BISECT = 200
 _NEWTON_ITERS = 12
@@ -128,6 +118,13 @@ class SolveError(RuntimeError):
 # residual and closed forms
 
 
+def _kernel_args(case, model, lam):
+    """The leading kernel arguments ``(kind, family, par, case, lam, mu, lam_e, K)``."""
+    prm = model.params
+    vf = model.volfun
+    return (model.kind, vf.family, vf.par, _checked(case), float(lam), prm.mu, prm.lam, prm.K)
+
+
 def residual(case, model, lam, lamT):
     """Transverse-equilibrium residual whose root in lamT solves the case.
 
@@ -141,30 +138,18 @@ def residual(case, model, lam, lamT):
         raise ValueError("the incompressible kind fixes lamT kinematically; no residual")
     if not (lam > 0.0 and lamT > 0.0):
         raise ValueError("stretches must be positive")
-    prm = model.params
-    return _k.transverse_residual(
-        _KIND_CODE[model.kind],
-        model.volfun.family,
-        model.volfun.par,
-        _case_code(case),
-        float(lam),
-        float(lamT),
-        prm.mu,
-        prm.lam,
-        prm.K,
-    )
+    return _k.transverse_residual(*_kernel_args(case, model, lam), float(lamT))
 
 
 def solve_incompressible(case, lam, mu=1.0):
     """Closed-form solution of the load case for the incompressible model."""
     if not lam > 0.0:
         raise ValueError("axial stretch must be positive")
-    code = _case_code(case)
-    if code == _k.CASE_UL:
+    if _checked(case) == "ul":
         lamT = lam**-0.5
         s11 = mu * (lam**2 - 1.0 / lam)
         return SolveResult(lamT, 1.0, s11, 0.0, mu * (lam - lam**-2), 0.0, True, 0.0)
-    if code == _k.CASE_ELP:
+    if case == "elp":
         lamT = lam**-2.0
         s11 = mu * (lam**2 - lam**-4)
         P11 = mu * (lam - lam**-5)
@@ -185,16 +170,15 @@ def closed_form_quadratic_mixed(case, lam, params, volfun=None):
         raise ValueError("closed form exists only for the quadratic volumetric function")
     if not lam > 0.0:
         raise ValueError("axial stretch must be positive")
-    code = _case_code(case)
     mu, le = params.mu, params.lam
-    if code == _k.CASE_UL:
+    if _checked(case) == "ul":
         # le*lam^2 u^2 + (mu - le*lam) u - mu = 0 with u = lamT^2
         if le == 0.0:
             return 1.0
         b = mu - le * lam
         u = (-b + math.sqrt(b * b + 4.0 * le * lam**2 * mu)) / (2.0 * le * lam**2)
         return math.sqrt(u)
-    if code == _k.CASE_ELP:
+    if case == "elp":
         # (le*lam^4 + mu) lamT^2 - le*lam^2 lamT - mu = 0
         a = le * lam**4 + mu
         b = le * lam**2
@@ -208,23 +192,11 @@ def closed_form_quadratic_mixed(case, lam, params, volfun=None):
 # root finding
 
 
-def _scan(case_c, model, lam, u_lo, u_hi):
-    prm = model.params
+def _scan(args, u_lo, u_hi):
+    """The scan grid over u = ln(lamT) and the residual the kernel sampled there."""
     with np.errstate(all="ignore"):
-        fs = _k.residual_scan(
-            _KIND_CODE[model.kind],
-            model.volfun.family,
-            model.volfun.par,
-            case_c,
-            float(lam),
-            prm.mu,
-            prm.lam,
-            prm.K,
-            u_lo,
-            u_hi,
-            _SCAN_POINTS,
-        )
-    return np.linspace(u_lo, u_hi, _SCAN_POINTS), fs
+        fs = _k.residual_scan(*args, u_lo, u_hi, _SCAN_POINTS)
+    return _k.scan_grid(u_lo, u_hi, _SCAN_POINTS), fs
 
 
 def _sign_brackets(us, fs):
@@ -244,28 +216,27 @@ def _sign_brackets(us, fs):
     return out
 
 
-def solve(case, model, lam, cfg=None):
+def solve(case, model, lam, seed_lamT=1.0):
     """Equilibrium of the load case; routes incompressible to closed form.
 
     Raises :class:`SolveError` when no sign change exists even after one
     bracket expansion. Multiple sign changes pick the root nearest the
-    continuation seed and attach a warning.
+    continuation seed ``seed_lamT`` and attach a warning.
     """
     if model.kind == "inc":
         return solve_incompressible(case, lam, model.params.mu)
     if not lam > 0.0:
         raise ValueError("axial stretch must be positive")
-    cfg = cfg or SolveConfig()
-    case_c = _case_code(case)
+    args = _kernel_args(case, model, lam)
     prm = model.params
     tol = 1e-12 * (prm.mu + prm.lam + prm.K)
 
-    u_lo, u_hi = math.log(cfg.bracket_lo), math.log(cfg.bracket_hi)
-    us, fs = _scan(case_c, model, lam, u_lo, u_hi)
+    u_lo, u_hi = math.log(_SCAN_LO), math.log(_SCAN_HI)
+    us, fs = _scan(args, u_lo, u_hi)
     brackets = _sign_brackets(us, fs)
     if not brackets:
         u_lo, u_hi = u_lo - 3.0 * math.log(10.0), u_hi + 3.0 * math.log(10.0)
-        us, fs = _scan(case_c, model, lam, u_lo, u_hi)
+        us, fs = _scan(args, u_lo, u_hi)
         brackets = _sign_brackets(us, fs)
     if not brackets:
         finite = fs[np.isfinite(fs)]
@@ -282,57 +253,43 @@ def solve(case, model, lam, cfg=None):
             diag,
         )
 
-    seed_u = math.log(cfg.seed_lamT)
+    seed_u = math.log(seed_lamT)
     ua, ub, fa = min(brackets, key=lambda br: abs(0.5 * (br[0] + br[1]) - seed_u))
     warning = ""
     if len(brackets) > 1:
         warning = f"{len(brackets)} residual roots in scan; picked the branch nearest the seed"
 
     def f(u):
-        with np.errstate(all="ignore"):
-            return residual(case, model, lam, math.exp(u))
+        return residual(case, model, lam, math.exp(u))
 
-    if ua == ub:
-        u, width = ua, 0.0
-    else:
-        with np.errstate(all="ignore"):
-            u, width, _ = _k.bisect_log(
-                _KIND_CODE[model.kind],
-                model.volfun.family,
-                model.volfun.par,
-                case_c,
-                float(lam),
-                prm.mu,
-                prm.lam,
-                prm.K,
-                ua,
-                ub,
-                fa,
-                _MAX_BISECT,
-            )
+    with np.errstate(all="ignore"):
+        if ua == ub:
+            u, width = ua, 0.0
+        else:
+            u, width, _ = _k.bisect_log(*args, ua, ub, fa, _MAX_BISECT)
 
-    # Newton polish inside the bracket; keep the iterate with the smallest
-    # |residual| in case the derivative estimate is poor
-    best_u, best_f = u, abs(f(u))
-    for _ in range(_NEWTON_ITERS):
-        fu = f(u)
-        if abs(fu) < best_f:
-            best_u, best_f = u, abs(fu)
-        if abs(fu) <= tol:
-            break
-        du = 1e-7 * max(1.0, abs(u))
-        dfd = (f(u + du) - f(u - du)) / (2.0 * du)
-        if not math.isfinite(dfd) or dfd == 0.0:
-            break
-        u_new = u - fu / dfd
-        if not (min(ua, ub) - 1.0 <= u_new <= max(ua, ub) + 1.0) or u_new == u:
-            break
-        u = u_new
-    if abs(f(best_u)) < abs(f(u)):
-        u = best_u
+        # Newton polish inside the bracket, evaluating each iterate once;
+        # end on the iterate with the smallest |residual| in case the
+        # derivative estimate is poor (the last one wins a tie or a NaN)
+        res = f(u)
+        best = (u, res)
+        for _ in range(_NEWTON_ITERS):
+            if abs(res) <= tol:
+                break
+            du = 1e-7 * max(1.0, abs(u))
+            dfd = (f(u + du) - f(u - du)) / (2.0 * du)
+            if not math.isfinite(dfd) or dfd == 0.0:
+                break
+            u_new = u - res / dfd
+            if not (min(ua, ub) - 1.0 <= u_new <= max(ua, ub) + 1.0) or u_new == u:
+                break
+            u, res = u_new, f(u_new)
+            if abs(res) < abs(best[1]):
+                best = (u, res)
+        if abs(best[1]) < abs(res):
+            u, res = best
 
     lamT = math.exp(u)
-    res = f(u)
     converged = abs(res) <= tol or abs(width) <= 1e-12 * max(1.0, abs(u))
     J = volume_ratio(case, lam, lamT)
 
@@ -345,9 +302,9 @@ def solve(case, model, lam, cfg=None):
     with np.errstate(all="ignore"):
         if model.kind == "mixed":
             s11 = (mu / J) * (lam * lam - lamT * lamT)
-            if case_c == _k.CASE_UL:
+            if case == "ul":
                 s22, P11, P22 = 0.0, lamT**2 * s11, 0.0
-            elif case_c == _k.CASE_ELP:
+            elif case == "elp":
                 s22, P11 = s11, lam * lamT * s11
                 P22 = P11
             else:
@@ -355,10 +312,10 @@ def solve(case, model, lam, cfg=None):
                 P11, P22 = lamT * s11, J * s22
         else:
             hp = evaluate(model.volfun, J).hp
-            if case_c == _k.CASE_UL:
+            if case == "ul":
                 s11, s22 = 3.0 * prm.K * hp, 0.0
                 P11, P22 = lamT**2 * s11, 0.0
-            elif case_c == _k.CASE_ELP:
+            elif case == "elp":
                 s11 = 1.5 * prm.K * hp
                 s22, P11 = s11, lam * lamT * s11
                 P22 = P11
@@ -368,7 +325,7 @@ def solve(case, model, lam, cfg=None):
                 s22 = mu * Jm53 * (1.0 - lamT * lamT)
                 P11, P22 = lamT * s11, J * s22
 
-    if model.kind == "voliso" and case_c != _k.CASE_ULP:
+    if model.kind == "voliso" and case != "ulp":
         # cross-check the trace shortcut against the full tensor evaluation
         # wherever the tensor path has the precision to be meaningful
         with np.errstate(all="ignore"):
@@ -430,19 +387,18 @@ class SweepSpec:
 _NAN_RESULT = SolveResult(*([math.nan] * 6), converged=False, residual=math.nan)
 
 
-def sweep(case, model, lams, cfg=None):
+def sweep(case, model, lams):
     """Solve the case over a stretch grid with continuation seeding.
 
-    Returns one SolveResult per grid point in order. Points where the
-    solver fails are reported as unconverged NaN rows; the continuation
-    seed then stays at the last good root.
+    Returns one SolveResult per grid point in order. The first point is
+    seeded at lamT = 1 and each later one at the last converged root;
+    points where the solver fails are reported as unconverged NaN rows.
     """
-    cfg = cfg or SolveConfig()
     results = []
-    seed = cfg.seed_lamT
+    seed = 1.0
     for lam in np.asarray(lams, dtype=float):
         try:
-            res = solve(case, model, lam, replace(cfg, seed_lamT=seed))
+            res = solve(case, model, lam, seed)
         except SolveError as err:
             results.append(replace(_NAN_RESULT, warning=str(err)))
             continue
@@ -530,7 +486,7 @@ def limit_probe(case, model, direction):
     if direction not in _PROBES:
         raise ValueError("direction must be 'to_zero' or 'to_infinity'")
     quantities = ["lambda_T", "sigma11", "P11"]
-    if _case_code(case) == _k.CASE_ULP:
+    if _checked(case) == "ulp":
         quantities += ["sigma22", "P22"]
 
     lams = _LADDER[direction] + _PROBES[direction]

@@ -33,7 +33,7 @@ the sign analysis of the contractions nontrivial.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -162,8 +162,14 @@ def _verdict(value, scale):
 
 
 def classify_value(value, scale):
-    """Sign verdict ("positive" / "zero" / "negative") at tolerance 1e-12*scale."""
-    return _verdict(float(value), float(scale))
+    """Sign verdict ("positive" / "zero" / "negative") at tolerance 1e-12*scale.
+
+    A NaN or infinite value has no verdict and raises ``ValueError``.
+    """
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValueError(f"stability value {value} at modulus {scale} has no sign verdict")
+    return _verdict(value, float(scale))
 
 
 def _crosscheck_A(state, d, P, R):
@@ -586,6 +592,14 @@ def min_coaxial_eig(kind, volfun, params, lams, contraction="hill"):
     lies within that margin of U, or that has a NaN or inf entry, fails the
     certificate and goes to ``eigh``, so ties keep their first index.
 
+    The form is linear in (mu, lam, K), so the scan runs on the constants
+    divided by 2^e, where mu = m 2^e with 1/2 <= m < 1 (``math.frexp``),
+    and the minimum is scaled back by ``math.ldexp``. A power-of-two scale
+    is exact, so the result is the unscaled scan's, bit for bit, wherever
+    that scan stays in range; at a large modulus it keeps products such as
+    b1 * b1 from overflowing. A minimum beyond the float range raises
+    ``ValueError``.
+
     The shear block (S rotated by Q, and its scale) does not depend on the
     volumetric function or nu, so a run of calls on one (kind, contraction,
     mu, grid) builds it once. The output bytes are those of running ``eigh``
@@ -596,6 +610,15 @@ def min_coaxial_eig(kind, volfun, params, lams, contraction="hill"):
     rounds differently and would change the reported values in the last
     bits.
     """
+    mu = params.mu
+    m, e = math.frexp(mu)
+    params = replace(
+        params,
+        mu=m,
+        lam=math.ldexp(params.lam, -e),
+        K=math.ldexp(params.K, -e),
+        E=math.ldexp(params.E, -e),
+    )
     block = _shear_block(kind, contraction, params.mu, lams)
     c = _volumetric_coeff(kind, contraction, volfun, params, block)
     Q = _TRACE_ROT
@@ -649,6 +672,12 @@ def min_coaxial_eig(kind, volfun, params, lams, contraction="hill"):
     else:
         vp = vecs[np.count_nonzero(kept[:i]), :, 0]
     direction = Q @ vp
+    try:
+        value = math.ldexp(value, e)
+    except OverflowError:
+        raise ValueError(
+            f"the minimum {contraction} stability value overflows at modulus mu = {mu}"
+        ) from None
     return value, i, direction / np.linalg.norm(direction)
 
 

@@ -128,7 +128,7 @@ class TestSweep:
         assert b"\r" not in stdout_bytes
 
     def test_solver_failure_yields_exit_two_and_partial_csv(self, capsys, monkeypatch):
-        def explode(case, model, lam, cfg=None):
+        def explode(case, model, lam, seed_lamT=1.0):
             raise hs.SolveError("injected failure")
 
         monkeypatch.setattr(hs, "solve", explode)
@@ -484,6 +484,34 @@ class TestStability:
         assert code == 1 and rows == []
         assert f"--grid-n: must be between 1 and 100, got {n}" in err
 
+
+    @pytest.mark.parametrize(
+        "argv",
+        (
+            "stability --mu 1e300 --nu-set paper --grid-n 9",
+            "stability --mu 1e306 --nu 0.3 --grid-n 3 --volfun 2",
+        ),
+    )
+    def test_large_modulus_matches_its_mantissa_run(self, capsys, argv):
+        # the scan is exact under a power-of-two modulus scale: every value
+        # is the mantissa run's times 2^e, and every verdict is the same
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, rows, err = run(capsys, *argv.split())
+        assert code == 0 and err == ""
+        assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
+        mu = float(argv.split()[2])
+        m, e = math.frexp(mu)
+        _, want, _ = run(capsys, *argv.replace(f"--mu {argv.split()[2]}", f"--mu {m!r}").split())
+        assert len(rows) == len(want) > 0
+        for got, ref in zip(rows, want):
+            assert "nan" not in got.values()
+            assert float(got["value"]) == math.ldexp(float(ref["value"]), e)
+            assert got["verdict"] == ref["verdict"]
+
+    def test_stability_value_overflow_exits_one(self, capsys):
+        err = run_rejected(capsys, *"stability --mu 1e307 --nu 0.3 --grid-n 5".split())
+        assert "overflows at modulus mu = 1e+307" in err
 
     # sha256 of the CSV bytes recorded before the shear block was shared
     # between cells; the scan must reproduce them exactly

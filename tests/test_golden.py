@@ -1,0 +1,73 @@
+"""Golden CSV bytes: every pinned argv must reproduce its recorded sha256.
+
+The benchmark's seed-0 argv and their digests are read from
+``perfbench/digests.json``, the one record of those bytes (re-recorded
+with ``perfbench/record_digests.py`` after a declared change of output).
+``EXTRA`` pins argv the benchmark workloads do not run: the incompressible
+kind, ``--E``, other ``tangent-check`` and ``dilatation`` inputs, mixed
+``limits`` and ``sweep --log-approx``. Each argv runs in-process through
+``cli.main`` with ``--out`` and must exit 0.
+"""
+
+import hashlib
+import json
+from pathlib import Path
+
+import pytest
+
+from nhcomp import cli
+
+_DIGESTS = Path(__file__).resolve().parents[1] / "perfbench" / "digests.json"
+
+EXTRA = {
+    "sweep --case ul --model inc --lam-min 0.2 --lam-max 5 --points 7 --log":
+        "f33bf315433b9ddf5a7f4bb8482b63126c659fff4593eeb3391d5bb54b9a8e74",
+    "sweep --case elp --model inc --lam-min 0.2 --lam-max 5 --points 7 --log":
+        "40cfd6b311b8350fca822acb2eb827c8c5501920340c231df5b8e92511a65aad",
+    "sweep --case ulp --model inc --lam-min 0.2 --lam-max 5 --points 7 --E 3.3":
+        "9424da19e2f18d86487a1a4955183e72aaee5ee8f7fe5df0bbdb99132e65696d",
+    "sweep --case ul --model voliso --volfun 3 --nu 0.3 --E 2.5 --lam-min 0.4 --lam-max 3 "
+    "--points 6":
+        "2478549671e762d67516cedeb132bcd05f70abc374508846625a79f564041458",
+    "sweep --case ulp --model mixed --volfun 6 --nu-set paper --E 1.7 --lam-min 0.3 "
+    "--lam-max 4 --points 5 --log":
+        "025b3b4175554df6bc6df6390fbd3925021dc1c6ee14bacc653987003ceb598a",
+    "tangent-check --volfun all --nu 0.45 --motions 3":
+        "60495def6b399c5238c69574d47feb7e66371f4598ec844de09386576ad1ff1a",
+    "tangent-check --volfun ogden:-0.8 --nu 0.2 --mu 3.1":
+        "4c04787239cc78cd0ff0e985228c61f5411ac71c04bfb681c529e3db9b8153ec",
+    "dilatation --model mixed --volfun 4 --nu 0.3 --points 11":
+        "9ccd9adafcda0da3c51767d5b7f9039168337c85a1fea26310128a57f6943c95",
+    "dilatation --model mixed --volfun hn:2.5 --nu 0.45 --mu 1.3 --k-min 0.3 --k-max 3 "
+    "--points 9":
+        "2e0b7f9c5d01c74ee3c9cd3166a2e4d36ff6a09dd38fd2ed60534372967eb26c",
+    "sweep --case ul --model mixed --volfun 1 --nu 0.3 --log-approx --lam-min 0.3 "
+    "--lam-max 3 --points 6 --log":
+        "5cd8e6c1958c99fdfea06ce92f5e71d55ab7b333b0b98490e4cddd2bf224a055",
+    "sweep --case elp --model mixed --volfun 1 --nu-set paper --log-approx --lam-min 0.5 "
+    "--lam-max 2 --points 4":
+        "787a031daa3fec9d668b1f931d12ade3beb5dd982d765ee65ab15ec4d7043e04",
+    "limits --case ul --model mixed --volfun 5 --nu 0.3":
+        "243a5259b982e461a638d99ef9ccbef74fe8634fd1de5b34d34f914d6c229c3a",
+    "limits --case ulp --model mixed --volfun 1 --nu 0.45":
+        "6bc0ab536007a19d77b9eae93b11d11c7899ed5fa21ea7dcea644091b526eed2",
+}
+
+
+def _pinned():
+    with open(_DIGESTS) as fh:
+        pinned = json.load(fh)
+    assert pinned, "perfbench/digests.json holds no digests"
+    overlap = set(pinned) & set(EXTRA)
+    assert not overlap, f"argv pinned twice: {sorted(overlap)}"
+    return sorted({**pinned, **EXTRA}.items())
+
+
+_PINNED = _pinned()
+
+
+@pytest.mark.parametrize("argv, digest", _PINNED, ids=[argv for argv, _ in _PINNED])
+def test_csv_bytes_match_the_pinned_digest(argv, digest, tmp_path):
+    out = tmp_path / "out.csv"
+    assert cli.main([*argv.split(), "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest

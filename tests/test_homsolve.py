@@ -249,10 +249,27 @@ class TestSolve:
                         assert got.P11 == pytest.approx(want.P11, rel=0.01)
 
     def test_no_root_in_restricted_bracket(self):
-        cfg = hs.SolveConfig(bracket_lo=1e6, bracket_hi=1e9)
+        # at lam = 1e9 the equibiaxial root lies below lamT = 1e-12, outside
+        # even the widened scan range
+        model = ModelSpec.mixed(catalog()[1], 1.0, 0.3)
         with pytest.raises(hs.SolveError) as err:
-            hs.solve("ul", voliso(2), 1.0, cfg)
-        assert err.value.diagnostics["lam"] == 1.0
+            hs.solve("elp", model, 1e9)
+        assert err.value.diagnostics["lam"] == 1e9
+
+    def test_converged_bisection_evaluates_the_residual_once(self, monkeypatch):
+        calls = []
+        original = hs.residual
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(hs, "residual", counted)
+        model = mixed(3)
+        r = hs.solve("ul", model, 2.0)
+        prm = model.params
+        assert abs(r.residual) <= 1e-12 * (prm.mu + prm.lam + prm.K)
+        assert len(calls) == 1
 
     def test_log_approx_mode_close_but_distinct(self):
         # J h' = 6 (J^(1/12) - J^(-1/12)) of the power pair at q = 1/12 is

@@ -23,8 +23,9 @@ def test_h_grid_agrees_with_h_tuple_within_4_ulp(family, par):
     np.testing.assert_array_max_ulp(out, want, maxulp=4)
 
 
-@pytest.mark.parametrize("kind", (_k.KIND_MIXED, _k.KIND_VOLISO))
-@pytest.mark.parametrize("case", (_k.CASE_UL, _k.CASE_ELP, _k.CASE_ULP))
+# ids are the positions in each tuple, which keeps the test ids stable
+@pytest.mark.parametrize("kind", ("mixed", "voliso"), ids=("0", "1"))
+@pytest.mark.parametrize("case", hs.CASES, ids=("0", "1", "2"))
 def test_residual_scan_signs_match_scalar(kind, case):
     # mu, lambda, K of mu = 1, nu = 0.3
     mu, lame, K = 1.0, 1.5, 2.1666666666666665
@@ -37,7 +38,7 @@ def test_residual_scan_signs_match_scalar(kind, case):
                 want = np.array(
                     [
                         _k.transverse_residual(
-                            kind, family, par, case, lam, np.exp(u_lo + du * k), mu, lame, K
+                            kind, family, par, case, lam, mu, lame, K, np.exp(u_lo + du * k)
                         )
                         for k in range(n)
                     ]
@@ -99,15 +100,28 @@ def test_residual_scan_matches_scalar():
     # array ** may round the last bit differently from the scalar power, so
     # compare tightly but not bitwise
     n = 33
-    out = _k.residual_scan(0, 0, 2.0, 0, 1.4, 1.0, 2.0, 3.0, -2.0, 2.0, n)
+    out = _k.residual_scan("mixed", 0, 2.0, "ul", 1.4, 1.0, 2.0, 3.0, -2.0, 2.0, n)
     du = 4.0 / (n - 1)
     for i, got in enumerate(out):
         u = -2.0 + du * i
-        want = _k.transverse_residual(0, 0, 2.0, 0, 1.4, float(np.exp(u)), 1.0, 2.0, 3.0)
+        want = _k.transverse_residual("mixed", 0, 2.0, "ul", 1.4, 1.0, 2.0, 3.0, float(np.exp(u)))
         assert got == pytest.approx(want, rel=1e-12)
 
 
 def test_case_volume_ratio():
-    assert _k.case_volume_ratio(0, 2.0, 3.0) == 18.0
-    assert _k.case_volume_ratio(1, 2.0, 3.0) == 12.0
-    assert _k.case_volume_ratio(2, 2.0, 3.0) == 6.0
+    assert _k.case_volume_ratio("ul", 2.0, 3.0) == 18.0
+    assert _k.case_volume_ratio("elp", 2.0, 3.0) == 12.0
+    assert _k.case_volume_ratio("ulp", 2.0, 3.0) == 6.0
+
+
+def test_solver_brackets_come_from_the_points_the_scan_evaluated():
+    # bisection starts from the grid _scan returns, so it must hold exactly
+    # the points whose residual the kernel sampled (np.linspace ends an ulp
+    # away from that grid)
+    args = ("voliso", 1, -0.5, "elp", 0.7, 1.0, 1.5, 2.1666666666666665)
+    u_lo, u_hi = math.log(1e-9), math.log(1e9)
+    us, fs = hs._scan(args, u_lo, u_hi)
+    with np.errstate(all="ignore"):
+        want = _k.transverse_residual(*args, np.exp(us))
+    np.testing.assert_array_equal(fs, want)
+    assert us[0] == u_lo and abs(us[-1] - u_hi) <= 4 * np.spacing(u_hi)

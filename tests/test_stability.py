@@ -593,6 +593,38 @@ class TestCoaxialScanBytes:
             assert branch == "eigh" and np.count_nonzero(mins == value) >= 2
         assert bits(min_coaxial_eig(kind, vf, params, grid, contraction)) == bits(want)
 
+    @given(
+        kind=hst.sampled_from(("mixed", "voliso")),
+        contraction=hst.sampled_from(("hill", "csp")),
+        volfun=volfuns(),
+        nu=hst.one_of(hst.sampled_from(PAPER_NUS), hst.floats(-0.99, 0.4999)),
+        mu=hst.floats(0.5, 4.0),
+        k=hst.integers(-1000, 1000),
+        n=hst.integers(2, 6),
+    )
+    def test_power_of_two_modulus_scales_the_minimum_exactly(
+        self, kind, contraction, volfun, nu, mu, k, n
+    ):
+        # the form is linear in (mu, lam, K): mu 2^k gives the minimum at mu
+        # times 2^k, bit for bit, with the same argmin and direction, even
+        # where the unscaled form would overflow or underflow
+        assume(kind == "voliso" or nu >= 0.0)
+        grid = stretch_grid(n)
+        base = min_coaxial_eig(kind, volfun, params_from_mu_nu(mu, nu), grid, contraction)
+        scaled = params_from_mu_nu(math.ldexp(mu, k), nu)
+        value, i, direction = min_coaxial_eig(kind, volfun, scaled, grid, contraction)
+        assert bits((value, i, direction)) == bits((math.ldexp(base[0], k), *base[1:]))
+
+    def test_minimum_beyond_the_float_range_raises(self):
+        params = params_from_mu_nu(1e307, 0.3)
+        with pytest.raises(ValueError, match="overflows at modulus mu = 1e"):
+            min_coaxial_eig("voliso", catalog()[1], params, stretch_grid(5), "csp")
+
+    @pytest.mark.parametrize("value", (math.nan, math.inf, -math.inf))
+    def test_classify_value_rejects_a_non_finite_value(self, value):
+        with pytest.raises(ValueError, match="no sign verdict"):
+            stability.classify_value(value, 1.0)
+
     def test_eigh_of_a_subset_equals_the_same_rows_of_the_batch(self):
         # the scan runs eigh on a subset of states and relies on batched
         # eigh treating every matrix on its own
