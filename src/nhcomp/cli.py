@@ -21,7 +21,8 @@ Exit status: 0 on success, 1 on parameter errors (message on stderr),
 2 on solver non-convergence -- the partial CSV is still written, with the
 failed rows marked ``converged=false`` (or classes left unresolved).
 A stability value that leaves the float range at the given modulus has
-no verdict and also exits 1, naming the modulus.
+no verdict and also exits 1, naming the modulus, and so does an ``--out``
+path that cannot be opened.
 """
 
 from __future__ import annotations
@@ -83,12 +84,14 @@ def _fmt(value):
 
 
 def _write_csv(header, rows, out):
-    if not rows:
-        print("no rows produced for this flag combination", file=sys.stderr)
     if out is None:
         _dump(sys.stdout, header, rows)
         return
-    with open(out, "w", newline="") as fh:
+    try:
+        fh = open(out, "w", newline="")
+    except OSError as err:
+        raise ValueError(f"cannot write --out {out}: {err.strerror}") from None
+    with fh:
         _dump(fh, header, rows)
 
 
@@ -103,26 +106,29 @@ def _dump(fh, header, rows):
 # shared flag handling
 
 
-def _model_from(args, nu):
-    mu = args.mu
-    if args.model == "inc":
+def _model(args, kind, volfun, nu):
+    """The ModelSpec of one cell: ``kind``, ``volfun`` (a VolFun, the text
+    of ``--volfun``, or None) and ``nu``, at the modulus ``--E`` or ``--mu``.
+
+    Every subcommand states its models here, so the ``--nu``, ``--volfun``
+    and ``--E`` rules are the same everywhere.
+    """
+    E = getattr(args, "E", None)
+    if kind == "inc":
         if nu is not None:
             raise ValueError("--nu does not apply to the incompressible kind")
-        if getattr(args, "volfun", None) is not None:
+        if volfun is not None:
             raise ValueError("--volfun does not apply to the incompressible kind")
-        if args.E is not None:
-            mu = args.E / 3.0
-        return ModelSpec.incompressible(mu)
+        return ModelSpec.incompressible(args.mu if E is None else E / 3.0)
     if nu is None:
-        raise ValueError(f"--nu (or --nu-set) is required for the {args.model!r} kind")
-    if getattr(args, "volfun", None) is None:
-        raise ValueError(f"--volfun is required for the {args.model!r} kind")
-    vf = parse_volfun(args.volfun)
-    if args.E is not None:
-        params = params_from_E_nu(args.E, nu)
-    else:
-        params = params_from_mu_nu(mu, nu)
-    return ModelSpec(args.model, vf, params)
+        flag = "--nu (or --nu-set)" if hasattr(args, "nu_set") else "--nu"
+        raise ValueError(f"{flag} is required for the {kind!r} kind")
+    if volfun is None:
+        raise ValueError(f"--volfun is required for the {kind!r} kind")
+    if isinstance(volfun, str):
+        volfun = parse_volfun(volfun)
+    params = params_from_mu_nu(args.mu, nu) if E is None else params_from_E_nu(E, nu)
+    return ModelSpec(kind, volfun, params)
 
 
 def _log_approx_model(model):
@@ -143,7 +149,7 @@ def _log_approx_model(model):
 
 
 def _nu_list(args):
-    if getattr(args, "nu_set", None) is not None:
+    if args.nu_set is not None:
         if args.nu is not None:
             raise ValueError("give either --nu or --nu-set, not both")
         return NU_PRESETS[args.nu_set]
@@ -182,19 +188,18 @@ def _cmd_audit_volfun(args):
 def _cmd_sweep(args):
     spec = hs.SweepSpec(args.lam_min, args.lam_max, args.points, log=args.log)
     grid = spec.grid()
-    nus = _nu_list(args)
-    multi = getattr(args, "nu_set", None) is not None
+    multi = args.nu_set is not None
     header = ["lambda_tilde", "lambda_T", "J", "sigma11", "sigma22", "P11", "P22", "converged"]
     if multi:
         header = ["nu", *header]
 
-    models = [(_model_from(args, nu), nu) for nu in nus]
+    models = [_model(args, args.model, args.volfun, nu) for nu in _nu_list(args)]
     if args.log_approx:
-        models = [(_log_approx_model(model), nu) for model, nu in models]
-    sweeps = [hs.sweep(args.case, model, grid) for model, _ in models]
+        models = [_log_approx_model(model) for model in models]
+    sweeps = [hs.sweep(args.case, model, grid) for model in models]
 
     rows, ok = [], True
-    for (model, nu), results in zip(models, sweeps):
+    for model, results in zip(models, sweeps):
         for lam, res in zip(grid, results):
             ok = ok and res.converged
             row = [
@@ -207,15 +212,13 @@ def _cmd_sweep(args):
                 res.P22,
                 res.converged,
             ]
-            if multi:
-                row = [float(nu), *row]
-            rows.append(row)
+            rows.append([model.params.nu, *row] if multi else row)
     _write_csv(header, rows, args.out)
     return EXIT_OK if ok else EXIT_NO_CONVERGENCE
 
 
 def _cmd_limits(args):
-    model = _model_from(args, args.nu)
+    model = _model(args, args.model, args.volfun, args.nu)
     header = ["quantity", "direction", "class", "constant"]
     rows, ok = [], True
     for direction in ("to_zero", "to_infinity"):
@@ -229,7 +232,7 @@ def _cmd_limits(args):
 
 
 def _cmd_dilatation(args):
-    model = _model_from(args, args.nu)
+    model = _model(args, args.model, args.volfun, args.nu)
     if not (math.isfinite(args.k_min) and math.isfinite(args.k_max)):
         raise ValueError(
             f"dilatation stretch bounds must be finite, got k-min = {args.k_min}, "
@@ -252,15 +255,13 @@ def _cmd_dilatation(args):
 def _cmd_stability(args):
     kinds = ("mixed", "voliso") if args.model == "both" else (args.model,)
     nus = _nu_list(args)
-    if nus == (None,):
-        raise ValueError("--nu (or --nu-set) is required")
     grid = st.stretch_grid(args.grid_n)
     header = ["model", "volfun", "nu", "J", "contraction_kind", "value", "verdict"]
 
     # building every ModelSpec first rejects an inadmissible (kind, nu)
     # before any cell is scanned, with the same messages as sweep and limits
     tasks = [
-        (ModelSpec(kind, vf, params_from_mu_nu(args.mu, nu)), vid, contraction)
+        (_model(args, kind, vf, nu), vid, contraction)
         for kind in kinds
         for vid, vf in _volfun_list(args)
         for nu in nus
@@ -277,7 +278,7 @@ def _cmd_stability(args):
             float(np.prod(grid[i])),
             contraction,
             value,
-            st.classify_value(value, args.mu),
+            st.classify_value(value, model.params.mu),
         ]
 
     # run the cells of one (kind, contraction) back to back so that they
@@ -291,13 +292,11 @@ def _cmd_stability(args):
 
 
 def _cmd_tangent_check(args):
-    if args.nu is None:
-        raise ValueError("--nu is required")
     header = ["model", "volfun", "max_rel_error"]
     rows = []
     for kind in ("mixed", "voliso"):
         for vid, vf in _volfun_list(args):
-            model = ModelSpec(kind, vf, params_from_mu_nu(args.mu, args.nu))
+            model = _model(args, kind, vf, args.nu)
             rows.append([kind, vid, st.tangent_fd_error(model, n_motions=args.motions)])
     _write_csv(header, rows, args.out)
     return EXIT_OK
@@ -411,12 +410,12 @@ _CORRECTION_REASONS = {
 }
 
 
-def _finite_target(token, mu, nu):
-    p = params_from_mu_nu(mu, nu)
+def _finite_target(token, p):
+    """The value of a finite reference token for the constants ``p``."""
     return {
         "1": 1.0,
         "1/sqrt2": 0.5**0.5,
-        "+mu": mu,
+        "+mu": p.mu,
         "-lambda": -p.lam,
         "-3K": -3.0 * p.K,
         "-3K/2": -1.5 * p.K,
@@ -424,15 +423,15 @@ def _finite_target(token, mu, nu):
     }[token]
 
 
-def _token_match(token, lc, mu, nu):
-    """Does one observed LimitClass reproduce a reference token at this nu?"""
+def _token_match(token, lc, params):
+    """Does one observed LimitClass reproduce a reference token for these constants?"""
     if token in ("+inf", "-inf", "0"):
         return lc.label == token
     if token == "+-inf":
         return lc.label in ("+inf", "-inf")
     if lc.label != "finite":
         return False
-    target = _finite_target(token, mu, nu)
+    target = _finite_target(token, params)
     return abs(lc.constant - target) <= 0.01 * abs(target)
 
 
@@ -453,11 +452,11 @@ def _cmd_table_repro(args):
         "note",
     ]
     cat = catalog()
-    probes = {}
+    models, probes = {}, {}
     for vid in vids:
         for kind in ("mixed", "voliso"):
             for nu in _TABLE_NUS:
-                model = ModelSpec(kind, cat[vid], params_from_mu_nu(args.mu, nu))
+                model = models[vid, kind, nu] = _model(args, kind, cat[vid], nu)
                 for direction in ("to_zero", "to_infinity"):
                     probes[vid, kind, nu, direction] = hs.limit_probe(case, model, direction)
 
@@ -486,7 +485,8 @@ def _cmd_table_repro(args):
                         if token == "*":
                             match = ""
                         else:
-                            match = "yes" if _token_match(token, lc, args.mu, nu) else "no"
+                            params = models[vid, kind, nu].params
+                            match = "yes" if _token_match(token, lc, params) else "no"
                         rows.append(
                             [
                                 args.table,

@@ -39,7 +39,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from nhcomp import _kernels as _k
-from nhcomp.materials import cauchy_stress
+from nhcomp.materials import cauchy_stress, mantissa_params
 from nhcomp.volfun import evaluate
 
 __all__ = [
@@ -222,13 +222,19 @@ def solve(case, model, lam, seed_lamT=1.0):
     Raises :class:`SolveError` when no sign change exists even after one
     bracket expansion. Multiple sign changes pick the root nearest the
     continuation seed ``seed_lamT`` and attach a warning.
+
+    The root is found with the constants divided by 2^e, where mu = m 2^e
+    (:func:`materials.mantissa_params`), and the stresses and the residual
+    are scaled back by 2^e. So the root and ``converged`` do not depend on
+    the modulus scale, and a stress beyond the float range is +-inf.
     """
     if model.kind == "inc":
         return solve_incompressible(case, lam, model.params.mu)
     if not lam > 0.0:
         raise ValueError("axial stretch must be positive")
+    prm, e = mantissa_params(model.params)
+    model = replace(model, params=prm)
     args = _kernel_args(case, model, lam)
-    prm = model.params
     tol = 1e-12 * (prm.mu + prm.lam + prm.K)
 
     u_lo, u_hi = math.log(_SCAN_LO), math.log(_SCAN_HI)
@@ -240,10 +246,12 @@ def solve(case, model, lam, seed_lamT=1.0):
         brackets = _sign_brackets(us, fs)
     if not brackets:
         finite = fs[np.isfinite(fs)]
+        with np.errstate(over="ignore"):  # the scan ran at the mantissa of mu
+            min_res = float(np.ldexp(np.min(np.abs(finite)), e)) if finite.size else math.nan
         diag = {
             "lam": lam,
             "u_range": (u_lo, u_hi),
-            "min_residual": float(np.min(np.abs(finite))) if finite.size else math.nan,
+            "min_residual": min_res,
             "sign_lo": float(np.sign(fs[0])),
             "sign_hi": float(np.sign(fs[-1])),
         }
@@ -300,30 +308,21 @@ def solve(case, model, lam, seed_lamT=1.0):
     # of lam under strong compression).
     mu = prm.mu
     with np.errstate(all="ignore"):
-        if model.kind == "mixed":
-            s11 = (mu / J) * (lam * lam - lamT * lamT)
-            if case == "ul":
-                s22, P11, P22 = 0.0, lamT**2 * s11, 0.0
-            elif case == "elp":
-                s22, P11 = s11, lam * lamT * s11
-                P22 = P11
-            else:
-                s22 = (mu / J) * (1.0 - lamT * lamT)
-                P11, P22 = lamT * s11, J * s22
+        if model.kind == "voliso" and case != "ulp":
+            # the trace of the vol-iso stress: sigma11 = (3 or 3/2) K h'(J)
+            s11 = (3.0 if case == "ul" else 1.5) * prm.K * evaluate(model.volfun, J).hp
         else:
-            hp = evaluate(model.volfun, J).hp
-            if case == "ul":
-                s11, s22 = 3.0 * prm.K * hp, 0.0
-                P11, P22 = lamT**2 * s11, 0.0
-            elif case == "elp":
-                s11 = 1.5 * prm.K * hp
-                s22, P11 = s11, lam * lamT * s11
-                P22 = P11
-            else:
-                Jm53 = J ** (-5.0 / 3.0)
-                s11 = mu * Jm53 * (lam * lam - lamT * lamT)
-                s22 = mu * Jm53 * (1.0 - lamT * lamT)
-                P11, P22 = lamT * s11, J * s22
+            # the shear factor of the stress: mu / J (mixed), mu J^(-5/3) (vol-iso)
+            w = mu / J if model.kind == "mixed" else mu * J ** (-5.0 / 3.0)
+            s11 = w * (lam * lam - lamT * lamT)
+        if case == "ul":
+            s22, P11, P22 = 0.0, lamT**2 * s11, 0.0
+        elif case == "elp":
+            s22 = s11
+            P11 = P22 = lam * lamT * s11
+        else:
+            s22 = w * (1.0 - lamT * lamT)
+            P11, P22 = lamT * s11, J * s22
 
     if model.kind == "voliso" and case != "ulp":
         # cross-check the trace shortcut against the full tensor evaluation
@@ -339,17 +338,14 @@ def solve(case, model, lam, seed_lamT=1.0):
                     {"sigma11": direct, "shortcut": s11, "lam": lam},
                 )
 
-    return SolveResult(
-        lambda_T=lamT,
-        J=J,
-        sigma11=float(s11),
-        sigma22=float(s22),
-        P11=float(P11),
-        P22=float(P22),
-        converged=bool(converged),
-        residual=float(res),
-        warning=warning,
-    )
+    # back to the modulus scale; a stress beyond the float range is +-inf
+    scaled = (s11, s22, P11, P22, res)
+    try:
+        s11, s22, P11, P22, res = (math.ldexp(v, e) for v in scaled)
+    except OverflowError:
+        with np.errstate(over="ignore"):
+            s11, s22, P11, P22, res = (float(np.ldexp(v, e)) for v in scaled)
+    return SolveResult(lamT, J, s11, s22, P11, P22, bool(converged), res, warning)
 
 
 # --------------------------------------------------------------------------
@@ -460,7 +456,8 @@ def _classify(vals):
             return LimitClass("unresolved", note="sign flip between probes")
         return LimitClass("+inf" if v3 > 0.0 else "-inf")
     a1, a2, a3 = abs(v1), abs(v2), abs(v3)
-    same_sign = v1 * v2 > 0.0 and v2 * v3 > 0.0
+    # signs compared directly: a product of two tiny probes underflows to 0
+    same_sign = (v1 > 0.0 and v2 > 0.0 and v3 > 0.0) or (v1 < 0.0 and v2 < 0.0 and v3 < 0.0)
     if abs(v3 - v2) <= 0.01 * max(a2, a3):
         return LimitClass("finite", constant=v3)
     if same_sign and a2 >= 10.0 * a1 and a3 >= 10.0 * a2:

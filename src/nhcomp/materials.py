@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -37,6 +37,7 @@ __all__ = [
     "params_from_mu_nu",
     "params_from_E_nu",
     "params_from_mu_lam",
+    "mantissa_params",
     "energy",
     "cauchy_stress",
     "linear_stress",
@@ -89,6 +90,26 @@ def params_from_mu_lam(mu, lam):
         raise ValueError(f"shear modulus must be positive, got mu = {mu}")
     nu = lam / (2.0 * (lam + mu))
     return params_from_mu_nu(mu, nu)
+
+
+def mantissa_params(params):
+    """The constants divided by 2^e, where mu = m 2^e with 1/2 <= m < 1, and e.
+
+    Stresses, residuals and stability forms are linear in (mu, lam, K, E),
+    and scaling by a power of two is exact. So a computation at the
+    returned constants, scaled back by ``ldexp(x, e)``, gives the bits of
+    the unscaled one wherever that stays in the float range, and keeps its
+    intermediate products in range at any admissible modulus.
+    """
+    m, e = math.frexp(params.mu)
+    scaled = replace(
+        params,
+        mu=m,
+        lam=math.ldexp(params.lam, -e),
+        K=math.ldexp(params.K, -e),
+        E=math.ldexp(params.E, -e),
+    )
+    return scaled, e
 
 
 def _check_scale(p):

@@ -33,14 +33,14 @@ the sign analysis of the contractions nontrivial.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from nhcomp.kinematics import DeformationState, RateState, kinematics_from_F, rate_from_motion
-from nhcomp.materials import ModelSpec, cauchy_stress, params_from_mu_nu
+from nhcomp.materials import ModelSpec, cauchy_stress, mantissa_params, params_from_mu_nu
 from nhcomp.tensor3 import I3, SuperSymTensor4, apply4, ddot, dev, outer, sym_outer
-from nhcomp.volfun import catalog, evaluate, evaluate_grid, parse_volfun
+from nhcomp.volfun import VolFun, evaluate, evaluate_grid
 
 __all__ = [
     "ContractionReport",
@@ -382,11 +382,14 @@ def tangent_fd_error(model, n_motions=10, h=1e-5, seed=913):
 
 @dataclass(frozen=True)
 class Witness:
-    """A (state, coaxial rate) pair with the contraction value found there."""
+    """A (state, coaxial rate) pair with the contraction value found there.
+
+    The search runs at mu = 1; ``volfun`` and ``nu`` state the model.
+    """
 
     contraction: str
     kind: str
-    volfun_label: str
+    volfun: VolFun
     nu: float
     lams: tuple
     J: float
@@ -593,12 +596,12 @@ def min_coaxial_eig(kind, volfun, params, lams, contraction="hill"):
     certificate and goes to ``eigh``, so ties keep their first index.
 
     The form is linear in (mu, lam, K), so the scan runs on the constants
-    divided by 2^e, where mu = m 2^e with 1/2 <= m < 1 (``math.frexp``),
-    and the minimum is scaled back by ``math.ldexp``. A power-of-two scale
-    is exact, so the result is the unscaled scan's, bit for bit, wherever
-    that scan stays in range; at a large modulus it keeps products such as
-    b1 * b1 from overflowing. A minimum beyond the float range raises
-    ``ValueError``.
+    divided by 2^e, where mu = m 2^e with 1/2 <= m < 1
+    (:func:`materials.mantissa_params`), and the minimum is scaled back by
+    ``math.ldexp``. A power-of-two scale is exact, so the result is the
+    unscaled scan's, bit for bit, wherever that scan stays in range; at a
+    large modulus it keeps products such as b1 * b1 from overflowing. A
+    minimum beyond the float range raises ``ValueError``.
 
     The shear block (S rotated by Q, and its scale) does not depend on the
     volumetric function or nu, so a run of calls on one (kind, contraction,
@@ -611,14 +614,7 @@ def min_coaxial_eig(kind, volfun, params, lams, contraction="hill"):
     bits.
     """
     mu = params.mu
-    m, e = math.frexp(mu)
-    params = replace(
-        params,
-        mu=m,
-        lam=math.ldexp(params.lam, -e),
-        K=math.ldexp(params.K, -e),
-        E=math.ldexp(params.E, -e),
-    )
+    params, e = mantissa_params(params)
     block = _shear_block(kind, contraction, params.mu, lams)
     c = _volumetric_coeff(kind, contraction, volfun, params, block)
     Q = _TRACE_ROT
@@ -685,20 +681,17 @@ _NUS_DESC = (0.4999, 0.499, 0.45, 0.4, 0.25, 0.0)
 _NUS_ASC = tuple(reversed(_NUS_DESC))
 
 
-def _search(contraction, kind, volfun, label, nus, grid):
+def _search(contraction, kind, volfun, nus, grid):
     for nu in nus:
-        if kind == "mixed" and nu < 0.0:
-            continue
         params = params_from_mu_nu(1.0, nu)
         value, i, direction = min_coaxial_eig(kind, volfun, params, grid, contraction)
         if value < 0.0:
-            lams = tuple(float(x) for x in grid[i])
             return Witness(
                 contraction=contraction,
                 kind=kind,
-                volfun_label=label,
+                volfun=volfun,
                 nu=nu,
-                lams=lams,
+                lams=tuple(float(x) for x in grid[i]),
                 J=float(np.prod(grid[i])),
                 direction=tuple(float(x) for x in direction),
                 value=value,
@@ -706,35 +699,27 @@ def _search(contraction, kind, volfun, label, nus, grid):
     return None
 
 
-def find_hill_violation(kind, volfun, label="", n=16):
+def find_hill_violation(kind, volfun, n=16):
     """Search a deterministic grid for a Hill-contraction violation.
 
     Poisson ratios are tried from the near-incompressible end downward,
     where the volumetric term dominates.
     """
-    return _search("hill", kind, volfun, label, _NUS_DESC, stretch_grid(n))
+    return _search("hill", kind, volfun, _NUS_DESC, stretch_grid(n))
 
 
-def find_csp_violation(kind, volfun, label="", n=16):
+def find_csp_violation(kind, volfun, n=16):
     """Search a deterministic grid for a corotational-contraction violation.
 
     Poisson ratios are tried from nu = 0 upward, where the isochoric term
-    dominates (nu = 0 is skipped for kinds that reject it).
+    dominates.
     """
-    return _search("csp", kind, volfun, label, _NUS_ASC, stretch_grid(n))
+    return _search("csp", kind, volfun, _NUS_ASC, stretch_grid(n))
 
 
-def witness_report(witness, mu=1.0):
+def witness_report(witness):
     """Re-evaluate a grid witness through the full contraction machinery."""
-    params = params_from_mu_nu(mu, witness.nu)
-    vf = None
-    for vid, cand in catalog().items():
-        if cand.label == witness.volfun_label:
-            vf = cand
-            break
-    if vf is None:
-        vf = parse_volfun(witness.volfun_label)
-    model = ModelSpec(witness.kind, vf, params)
+    model = ModelSpec(witness.kind, witness.volfun, params_from_mu_nu(1.0, witness.nu))
     F = np.diag(witness.lams)
     d = np.diag(witness.direction)
     state, rate = rate_from_motion(F, d @ F)

@@ -375,7 +375,7 @@ def test_criterion_09_stability_postulates():
 
     # (b) the quadratic member violates Hill in strong compression
     for kind in KINDS:
-        witness = find_hill_violation(kind, CAT[7], label="7")
+        witness = find_hill_violation(kind, CAT[7])
         assert witness is not None
         assert witness.J < 0.5
         assert witness.value < 0.0
@@ -391,7 +391,7 @@ def test_criterion_09_stability_postulates():
     # (d) every compressible catalog model admits a CSP violation
     for kind in KINDS:
         for vid in ALL_VIDS:
-            witness = find_csp_violation(kind, CAT[vid], label=str(vid), n=12)
+            witness = find_csp_violation(kind, CAT[vid], n=12)
             assert witness is not None, (kind, vid)
             assert witness.value < 0.0
 

@@ -351,6 +351,19 @@ class TestBadUsage:
         err = run_rejected(capsys, *argv.split())
         assert f"nhcomp: error: {message}" in err
 
+    @pytest.mark.parametrize(
+        "argv", ("audit-volfun", "limits --case ul --model mixed --volfun 2 --nu 0.3")
+    )
+    @pytest.mark.parametrize(
+        "where, reason",
+        ((("missing", "x.csv"), "No such file or directory"), ((), "Is a directory")),
+        ids=("missing-dir", "a-directory"),
+    )
+    def test_out_that_cannot_be_opened_exits_one(self, capsys, tmp_path, argv, where, reason):
+        path = tmp_path.joinpath(*where)
+        err = run_rejected(capsys, *argv.split(), "--out", str(path))
+        assert err == f"nhcomp: error: cannot write --out {path}: {reason}\n"
+
     def test_jobs_is_ignored(self, capsys):
         argv = ["tangent-check", "--volfun", "3", "--nu", "0.3"]
         assert cli.main(argv) == 0
@@ -378,6 +391,26 @@ class TestLimits:
         )
         names = {r["quantity"] for r in rows}
         assert names == {"lambda_T", "sigma11", "P11", "sigma22", "P22"}
+
+    @pytest.mark.parametrize("mu", ("1e300", "1e-300"))
+    def test_extreme_modulus_prints_the_mantissa_classes(self, capsys, mu):
+        # the solver works at the mantissa m of mu = m 2^e, so the classes
+        # are those of any modulus with no overflow, and every finite
+        # constant is the mantissa run's times 2^e
+        argv = "limits --case ul --model voliso --volfun 2 --nu 0.3 --mu"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, rows, err = run(capsys, *argv.split(), mu)
+        assert code == 0 and err == ""
+        assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
+        assert [r["class"] for r in rows] == ["+inf", "-inf", "-inf", "+inf", "finite", "+inf"]
+        _, mantissa_of_1e300, _ = run(capsys, *argv.split(), "0.7466108948025751")
+        assert [r["class"] for r in rows] == [r["class"] for r in mantissa_of_1e300]
+        m, e = math.frexp(float(mu))
+        _, want, _ = run(capsys, *argv.split(), repr(m))
+        for got, ref in zip(rows, want):
+            if ref["constant"]:
+                assert float(got["constant"]) == math.ldexp(float(ref["constant"]), e)
 
     def test_incompressible_model_is_rejected(self, capsys):
         code, _, err = run(capsys, *"limits --case ul --model inc".split())

@@ -5,8 +5,9 @@ The benchmark's seed-0 argv and their digests are read from
 with ``perfbench/record_digests.py`` after a declared change of output).
 ``EXTRA`` pins argv the benchmark workloads do not run: the incompressible
 kind, ``--E``, other ``tangent-check`` and ``dilatation`` inputs, mixed
-``limits`` and ``sweep --log-approx``. Each argv runs in-process through
-``cli.main`` with ``--out`` and must exit 0.
+``limits``, ``sweep --log-approx``, and ``table-repro`` at moduli whose
+finite targets (``+mu``, ``-lambda``, ``-3K``) depend on mu. Each argv
+runs in-process through ``cli.main`` with ``--out`` and must exit 0.
 """
 
 import hashlib
@@ -51,6 +52,12 @@ EXTRA = {
         "243a5259b982e461a638d99ef9ccbef74fe8634fd1de5b34d34f914d6c229c3a",
     "limits --case ulp --model mixed --volfun 1 --nu 0.45":
         "6bc0ab536007a19d77b9eae93b11d11c7899ed5fa21ea7dcea644091b526eed2",
+    "table-repro --table 6 --mu 2.2":
+        "7fcab9975649d492f098950ded8963d4718bd8751d2e02122143da4549371219",
+    "table-repro --table 3 --mu 0.7":
+        "872a2c7d66d8c5349b1d9405961026b9513af7733903d3da59c4abf29dec972c",
+    "tangent-check --volfun 5 --nu 0.3":
+        "f7ec5042819fa2deb3f862c113d7cfeafc6f4832b1c08c112cf5aa56bc82701b",
 }
 
 

@@ -340,6 +340,15 @@ class TestLimitClassifier:
         assert cl((5.0, math.inf, math.inf)).label == "+inf"
         assert cl((5.0, -math.inf, math.inf)).label == "unresolved"
 
+    @pytest.mark.parametrize(
+        "vals", ((1.0, 3.0, 9.0), (-2.0, -30.0, -400.0), (0.4, 0.03, 0.002), (1.0, -2.0, 4.0))
+    )
+    @pytest.mark.parametrize("k", (-1000, -600, 0, 600))
+    def test_class_does_not_depend_on_a_power_of_two_scale(self, vals, k):
+        # probes near 1e-300 must not read their signs from an underflowing product
+        got = hs._classify([math.ldexp(v, k) for v in vals])
+        assert got.label == hs._classify(vals).label
+
     def test_finite_wins_over_trend(self):
         # slow monotone approach to a constant must not read as growth
         assert hs._classify((3.0, 3.02, 3.021)).label == "finite"

@@ -405,7 +405,7 @@ class TestGridSearch:
 
     def test_hill_violation_found_for_7(self):
         for kind in ("mixed", "voliso"):
-            w = find_hill_violation(kind, catalog()[7], label="7", n=12)
+            w = find_hill_violation(kind, catalog()[7], n=12)
             assert w is not None
             assert w.value < 0.0
             assert w.J < 0.5
@@ -416,11 +416,28 @@ class TestGridSearch:
     def test_csp_violation_found_everywhere(self):
         for vid, vf in catalog().items():
             for kind in ("mixed", "voliso"):
-                w = find_csp_violation(kind, vf, label=str(vid), n=12)
+                w = find_csp_violation(kind, vf, n=12)
                 assert w is not None, (kind, vid)
                 assert w.value < 0.0
                 rep = witness_report(w)
                 assert rep.value == pytest.approx(w.value, rel=1e-9)
+
+    @pytest.mark.parametrize(
+        "find, volfun",
+        (
+            (find_hill_violation, catalog()[7]),
+            (find_csp_violation, VolFun.power_pair(2.5)),
+        ),
+        ids=("hill-7", "csp-hn2.5"),
+    )
+    def test_witness_carries_its_volfun(self, find, volfun):
+        # the witness states its own model, so the report needs nothing else
+        for kind in ("mixed", "voliso"):
+            w = find(kind, volfun, n=12)
+            assert w is not None and w.volfun == volfun
+            rep = witness_report(w)
+            assert rep.value == pytest.approx(w.value, rel=1e-9)
+            assert rep.verdict == "negative"
 
 
 # --------------------------------------------------------------------------
