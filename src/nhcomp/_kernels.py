@@ -16,11 +16,15 @@ use. A volumetric function is a family code plus its parameter:
 ====== ======================= ==========================================
 family parameter                h(J)
 ====== ======================= ==========================================
-0      q >= 0                   (J^q + J^-q - 2) / (2 q^2), log limit at q=0
+0      q >= 0                   (J^q + J^-q - 2) / (2 q^2)
 1      beta != 0                (beta ln J + J^-beta - 1) / beta^2
 2      --                       (J - 1)^2 / 2
 3      --                       (exp(ln^2 J) - 1) / 2
 ====== ======================= ==========================================
+
+Both parametric families tend to (ln J)^2 / 2 as the parameter goes to 0,
+and below |parameter| < 1e-8 both are evaluated as that limit: the closed
+forms divide by the parameter and would cancel, or divide 0 by 0.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ FAMILY_OGDEN = 1
 FAMILY_QUADRATIC = 2
 FAMILY_EXP_LOG2 = 3
 
-_HN_LOG_BRANCH_Q = 1e-8
+_LOG_LIMIT_PAR = 1e-8
 
 
 def h_tuple(family, par, J):
@@ -43,23 +47,22 @@ def h_tuple(family, par, J):
     ``J h'`` and ``chi = h' + J h''`` are computed from their own closed
     forms, not by multiplying, so they stay accurate at extreme J.
     """
-    if family == FAMILY_HN:
+    if family in (FAMILY_HN, FAMILY_OGDEN) and abs(par) < _LOG_LIMIT_PAR:
+        lnJ = np.log(J)
+        h = 0.5 * lnJ * lnJ
+        hp = lnJ / J
+        hpp = (1.0 - lnJ) / (J * J)
+        jhp = lnJ
+        chi = 1.0 / J
+    elif family == FAMILY_HN:
         q = par
-        if q < _HN_LOG_BRANCH_Q:
-            lnJ = np.log(J)
-            h = 0.5 * lnJ * lnJ
-            hp = lnJ / J
-            hpp = (1.0 - lnJ) / (J * J)
-            jhp = lnJ
-            chi = 1.0 / J
-        else:
-            Jq = J**q
-            Jmq = 1.0 / Jq
-            h = (Jq + Jmq - 2.0) / (2.0 * q * q)
-            hp = (Jq - Jmq) / (2.0 * q * J)
-            hpp = ((q - 1.0) * Jq + (q + 1.0) * Jmq) / (2.0 * q * J * J)
-            jhp = (Jq - Jmq) / (2.0 * q)
-            chi = (Jq + Jmq) / (2.0 * J)
+        Jq = J**q
+        Jmq = 1.0 / Jq
+        h = (Jq + Jmq - 2.0) / (2.0 * q * q)
+        hp = (Jq - Jmq) / (2.0 * q * J)
+        hpp = ((q - 1.0) * Jq + (q + 1.0) * Jmq) / (2.0 * q * J * J)
+        jhp = (Jq - Jmq) / (2.0 * q)
+        chi = (Jq + Jmq) / (2.0 * J)
     elif family == FAMILY_OGDEN:
         b = par
         Jmb = J ** (-b)

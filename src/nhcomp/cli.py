@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import math
 import sys
 from dataclasses import replace
 
@@ -224,8 +223,7 @@ def _cmd_limits(args):
     for direction in ("to_zero", "to_infinity"):
         classes = hs.limit_probe(args.case, model, direction)
         for name, lc in classes.items():
-            if lc.label == "unresolved" and "solver failed" in lc.note:
-                ok = False
+            ok = ok and not lc.solver_failed
             rows.append([name, direction, lc.label, "" if lc.constant is None else lc.constant])
     _write_csv(header, rows, args.out)
     return EXIT_OK if ok else EXIT_NO_CONVERGENCE
@@ -233,16 +231,7 @@ def _cmd_limits(args):
 
 def _cmd_dilatation(args):
     model = _model(args, args.model, args.volfun, args.nu)
-    if not (math.isfinite(args.k_min) and math.isfinite(args.k_max)):
-        raise ValueError(
-            f"dilatation stretch bounds must be finite, got k-min = {args.k_min}, "
-            f"k-max = {args.k_max}"
-        )
-    if not 0.0 < args.k_min <= args.k_max:
-        raise ValueError("need 0 < k-min <= k-max")
-    if args.points < 1:
-        raise ValueError("need at least one dilatation point")
-    ks = np.linspace(args.k_min, args.k_max, args.points)
+    ks = hs.SweepSpec(args.k_min, args.k_max, args.points, log=False).grid()
     header = ["k", "sigma_m", "p"]
     rows = []
     for k in ks:
@@ -480,8 +469,7 @@ def _cmd_table_repro(args):
                         note = ""
                     for nu in _TABLE_NUS:
                         lc = probes[(vid, kind, nu, direction)][q]
-                        if lc.label == "unresolved" and "solver failed" in lc.note:
-                            ok = False
+                        ok = ok and not lc.solver_failed
                         if token == "*":
                             match = ""
                         else:
@@ -527,8 +515,12 @@ def _bounded_int(lo, hi=None):
     return parse
 
 
-# each grid array holds n^3 3x3 matrices, about 72 MB at n = 100
+# a stability scan holds several arrays of n^3 3x3 matrices: at n = 100 it
+# peaks at about 475 MB RSS (148 MB at n = 64)
 _GRID_N_MAX = 100
+
+# the most points of a sweep or dilatation grid; 10^6 points are an 8 MB grid
+_POINTS_MAX = 10**6
 
 
 def _add_jobs(p, help="ignored; kept for compatibility (cells always run one at a time)"):
@@ -578,7 +570,12 @@ def _build_parser():
     p.add_argument("--case", choices=hs.CASES, required=True, help="loading case")
     p.add_argument("--lam-min", type=float, required=True, help="smallest axial stretch")
     p.add_argument("--lam-max", type=float, required=True, help="largest axial stretch")
-    p.add_argument("--points", type=int, required=True, help="number of grid points")
+    p.add_argument(
+        "--points",
+        type=_bounded_int(1, _POINTS_MAX),
+        required=True,
+        help=f"number of grid points, 1..{_POINTS_MAX}",
+    )
     p.add_argument("--log", action="store_true", help="log-spaced grid (default linear)")
     p.add_argument(
         "--log-approx",
@@ -597,7 +594,12 @@ def _build_parser():
     p = sub.add_parser("dilatation", help="mean stress under pure dilatation F = k I")
     p.add_argument("--k-min", type=float, default=0.5, help="smallest dilatation stretch")
     p.add_argument("--k-max", type=float, default=1.5, help="largest dilatation stretch")
-    p.add_argument("--points", type=int, default=101, help="number of grid points")
+    p.add_argument(
+        "--points",
+        type=_bounded_int(1, _POINTS_MAX),
+        default=101,
+        help=f"number of grid points, 1..{_POINTS_MAX} (default 101)",
+    )
     _add_common(p)
     p.set_defaults(func=_cmd_dilatation)
 

@@ -34,6 +34,7 @@ of each reported quantity, reproducing the qualitative limit tables;
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -138,26 +139,32 @@ def residual(case, model, lam, lamT):
         raise ValueError("the incompressible kind fixes lamT kinematically; no residual")
     if not (lam > 0.0 and lamT > 0.0):
         raise ValueError("stretches must be positive")
-    return _k.transverse_residual(*_kernel_args(case, model, lam), float(lamT))
+    # np.float64, as in the scan: a power past the float range is inf, not OverflowError
+    return _k.transverse_residual(*_kernel_args(case, model, lam), np.float64(lamT))
 
 
 def solve_incompressible(case, lam, mu=1.0):
-    """Closed-form solution of the load case for the incompressible model."""
+    """Closed-form solution of the load case for the incompressible model.
+
+    A value beyond the float range is +-inf, as in :func:`solve`.
+    """
     if not lam > 0.0:
         raise ValueError("axial stretch must be positive")
-    if _checked(case) == "ul":
-        lamT = lam**-0.5
-        s11 = mu * (lam**2 - 1.0 / lam)
-        return SolveResult(lamT, 1.0, s11, 0.0, mu * (lam - lam**-2), 0.0, True, 0.0)
-    if case == "elp":
-        lamT = lam**-2.0
-        s11 = mu * (lam**2 - lam**-4)
-        P11 = mu * (lam - lam**-5)
-        return SolveResult(lamT, 1.0, s11, s11, P11, P11, True, 0.0)
-    lamT = 1.0 / lam
-    s11 = mu * (lam**2 - lam**-2)
-    s22 = mu * (1.0 - lam**-2)
-    return SolveResult(lamT, 1.0, s11, s22, mu * (lam - lam**-3), s22, True, 0.0)
+    lam = np.float64(lam)
+    with np.errstate(over="ignore"):
+        if _checked(case) == "ul":
+            lamT = lam**-0.5
+            s11 = mu * (lam**2 - 1.0 / lam)
+            return SolveResult(lamT, 1.0, s11, 0.0, mu * (lam - lam**-2), 0.0, True, 0.0)
+        if case == "elp":
+            lamT = lam**-2.0
+            s11 = mu * (lam**2 - lam**-4)
+            P11 = mu * (lam - lam**-5)
+            return SolveResult(lamT, 1.0, s11, s11, P11, P11, True, 0.0)
+        lamT = 1.0 / lam
+        s11 = mu * (lam**2 - lam**-2)
+        s22 = mu * (1.0 - lam**-2)
+        return SolveResult(lamT, 1.0, s11, s22, mu * (lam - lam**-3), s22, True, 0.0)
 
 
 def closed_form_quadratic_mixed(case, lam, params, volfun=None):
@@ -299,7 +306,7 @@ def solve(case, model, lam, seed_lamT=1.0):
 
     lamT = math.exp(u)
     converged = abs(res) <= tol or abs(width) <= 1e-12 * max(1.0, abs(u))
-    J = volume_ratio(case, lam, lamT)
+    J = np.float64(volume_ratio(case, lam, lamT))  # so J ** (-5/3) may overflow to inf
 
     # Stresses come from the per-case closed forms obtained by substituting
     # the transverse balance back into the constitutive law. These stay
@@ -354,7 +361,7 @@ def solve(case, model, lam, seed_lamT=1.0):
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """Axial-stretch grid for a sweep; log-spaced by default."""
+    """Stretch grid of a sweep or a dilatation; log-spaced by default."""
 
     lam_min: float
     lam_max: float
@@ -364,13 +371,16 @@ class SweepSpec:
     def __post_init__(self):
         if not (math.isfinite(self.lam_min) and math.isfinite(self.lam_max)):
             raise ValueError(
-                f"stretch bounds must be finite, got lam_min = {self.lam_min}, "
-                f"lam_max = {self.lam_max}"
+                f"stretch bounds must be finite, got {self.lam_min} and {self.lam_max}"
             )
         if not (0.0 < self.lam_min <= self.lam_max):
-            raise ValueError("need 0 < lam_min <= lam_max")
+            raise ValueError("need 0 < smallest stretch <= largest stretch")
+        # a subnormal stretch loses digits, and stress factors such as mu / J
+        # overflow where the exact result is 0
+        if self.lam_min < sys.float_info.min:
+            raise ValueError(f"stretch {self.lam_min} is subnormal (below 2.2e-308)")
         if self.points < 1:
-            raise ValueError("need at least one sweep point")
+            raise ValueError("need at least one grid point")
 
     def grid(self):
         if self.points == 1:
@@ -404,15 +414,15 @@ def sweep(case, model, lams):
     return results
 
 
-def non_monotone_quantities(results, quantities=("lambda_T", "sigma11", "P11", "P22")):
-    """Names of reported quantities that change direction over the sweep.
+def non_monotone_quantities(results):
+    """Names of lambda_T, sigma11, P11 and P22 that change direction over the sweep.
 
     Only converged points participate; direction changes below 1e-9 of the
     quantity's magnitude are treated as noise.
     """
     hits = []
     good = [r for r in results if r.converged]
-    for name in quantities:
+    for name in ("lambda_T", "sigma11", "P11", "P22"):
         ys = np.array([getattr(r, name) for r in good])
         if len(ys) < 3:
             continue
@@ -434,6 +444,7 @@ class LimitClass:
     label: str  # '+inf' | '-inf' | '0' | 'finite' | 'unresolved'
     constant: float | None = None
     note: str = ""
+    solver_failed: bool = False  # unresolved because a probe solve failed
 
     def __str__(self):
         if self.label == "finite":
@@ -491,7 +502,9 @@ def limit_probe(case, model, direction):
     probe_rows = results[-3:]
     bad = next((r for r in probe_rows if not r.converged), None)
     if bad is not None:
-        mark = LimitClass("unresolved", note=f"solver failed at a probe: {bad.warning}")
+        mark = LimitClass(
+            "unresolved", note=f"solver failed at a probe: {bad.warning}", solver_failed=True
+        )
         return {q: mark for q in quantities}
     return {q: _classify([getattr(r, q) for r in probe_rows]) for q in quantities}
 
@@ -500,14 +513,25 @@ def dilatation_response(model, k):
     """Mean Cauchy stress under pure dilatation F = k I.
 
     Mixed kind: (mu/J)(k^2 - 1) + lam_e h'(J); vol-iso kind: K h'(J), both
-    with J = k^3. Matches the mean stress of the full stress evaluation.
+    with J = k^3. Matches the mean stress of the full stress evaluation. A
+    stress beyond the float range is +-inf. A k whose J is not a positive
+    finite float, or whose h'(J) is nan (its closed form divides inf by
+    inf), raises ``ValueError``.
     """
     if model.kind == "inc":
         raise ValueError("dilatation requires a compressible kind")
     if not k > 0.0:
         raise ValueError("dilatation stretch must be positive")
-    J = k**3
+    with np.errstate(over="ignore", under="ignore"):
+        J = np.float64(k) ** 3
+    if not 0.0 < J < math.inf:
+        raise ValueError(f"dilatation stretch k = {k:g} puts J = k^3 outside the float range")
     hp = evaluate(model.volfun, J).hp
-    if model.kind == "mixed":
-        return (model.params.mu / J) * (k * k - 1.0) + model.params.lam * hp
-    return model.params.K * hp
+    if math.isnan(hp):
+        raise ValueError(f"h'(J) of volfun {model.volfun.label} is not a number at J = {J:g}")
+    with np.errstate(over="ignore", divide="ignore"):
+        if model.kind == "voliso":
+            return model.params.K * hp
+        # lam_e = 0 (nu = 0) drops the volumetric term, even where h' is inf
+        vol = model.params.lam * hp if model.params.lam else 0.0
+        return (model.params.mu / J) * (k * k - 1.0) + vol

@@ -75,7 +75,7 @@ class RateState:
     lamdot: tuple
 
 
-def kinematics_from_F(F, rel_tol=1e-8):
+def kinematics_from_F(F):
     """Build a :class:`DeformationState` from a deformation gradient.
 
     Raises ``ValueError`` if ``det F <= 0`` (inverted or degenerate
@@ -86,7 +86,7 @@ def kinematics_from_F(F, rel_tol=1e-8):
     if not J > 0.0:
         raise ValueError(f"deformation gradient must have positive determinant, got det F = {J}")
     c = F @ F.T
-    dec = spectral(c, rel_tol)
+    dec = spectral(c)
     stretches = tuple(float(np.sqrt(max(v, 0.0))) for v in dec.values)
     Jcbrt = J ** (1.0 / 3.0)
     mod = tuple(s / Jcbrt for s in stretches)
@@ -109,7 +109,7 @@ def deviatoric_modified(state):
     return cbar - (np.trace(cbar) / 3.0) * I3
 
 
-def rate_from_motion(F, Fdot, rel_tol=1e-8):
+def rate_from_motion(F, Fdot):
     """Velocity gradient data from (F, Fdot) along a motion.
 
     The spatial velocity gradient is ``l = Fdot F^(-1)``; its symmetric part
@@ -117,7 +117,7 @@ def rate_from_motion(F, Fdot, rel_tol=1e-8):
     follow from projecting d: ``lamdot_i = lam_i * (d : V_i) / mult_i``,
     which for a coaxial motion reduces to the diagonal rates.
     """
-    state = kinematics_from_F(F, rel_tol)
+    state = kinematics_from_F(F)
     l = np.asarray(Fdot, dtype=float) @ np.linalg.inv(state.F)
     d = sym(l)
     w = skew(l)

@@ -68,6 +68,9 @@ def params_from_mu_nu(mu, nu):
         raise ValueError(f"shear modulus must be positive and finite, got mu = {mu}")
     if not -1.0 < nu <= 0.5:
         raise ValueError(f"Poisson's ratio must lie in (-1, 1/2], got nu = {nu}")
+    if 0.0 < abs(nu) < sys.float_info.min:
+        # lam would be subnormal, and products such as lam * J underflow to 0
+        raise ValueError(f"Poisson's ratio nu = {nu} is subnormal; use 0 or |nu| >= 2.2e-308")
     if nu == 0.5:
         lam = math.inf
         K = math.inf

@@ -349,13 +349,19 @@ def tangents(model, state):
     return TangentPair(c_tr=c_tr, c_bh=c_bh)
 
 
-def tangent_fd_error(model, n_motions=10, h=1e-5, seed=913):
+# the central-difference step of tangent_fd_error and the seed of its
+# motions; the seed fixes the motions, so tangent-check bytes repeat
+_FD_STEP, _FD_SEED = 1e-5, 913
+
+
+def tangent_fd_error(model, n_motions=10):
     """Max relative error of c_tr : d against a finite-difference Oldroyd rate.
 
     Deterministic motions F(t) = F0 + t Fdot0; the Oldroyd rate is formed as
     tau-dot - l tau - tau l^T by central differences of the Kirchhoff stress.
+    Raises ``ValueError`` when a stress or tangent leaves the float range.
     """
-    rng = np.random.default_rng(seed)
+    h, rng = _FD_STEP, np.random.default_rng(_FD_SEED)
     worst = 0.0
     for _ in range(n_motions):
         while True:
@@ -364,15 +370,22 @@ def tangent_fd_error(model, n_motions=10, h=1e-5, seed=913):
                 break
         Fdot = 0.5 * rng.standard_normal((3, 3))
         state, rate = rate_from_motion(F0, Fdot)
-        tau_p = cauchy_stress(model, F0 + h * Fdot).kirchhoff
-        tau_m = cauchy_stress(model, F0 - h * Fdot).kirchhoff
-        tau_dot = (tau_p - tau_m) / (2.0 * h)
-        tau = cauchy_stress(model, F0).kirchhoff
-        old_fd = tau_dot - rate.l @ tau - tau @ rate.l.T
-        pair = tangents(model, state)
-        pred = apply4(pair.c_tr, rate.d) * state.J
-        scale = max(float(np.abs(old_fd).max()), 1e-12)
-        worst = max(worst, float(np.abs(pred - old_fd).max()) / scale)
+        with np.errstate(all="ignore"):
+            tau_p = cauchy_stress(model, F0 + h * Fdot).kirchhoff
+            tau_m = cauchy_stress(model, F0 - h * Fdot).kirchhoff
+            tau_dot = (tau_p - tau_m) / (2.0 * h)
+            tau = cauchy_stress(model, F0).kirchhoff
+            old_fd = tau_dot - rate.l @ tau - tau @ rate.l.T
+            pair = tangents(model, state)
+            pred = apply4(pair.c_tr, rate.d) * state.J
+            scale = max(float(np.abs(old_fd).max()), 1e-12)
+            error = float(np.abs(pred - old_fd).max()) / scale
+        if not math.isfinite(error):
+            raise ValueError(
+                f"the {model.kind} kind with volfun {model.volfun.label} has a stress or "
+                f"tangent beyond the float range at J = {state.J:.6g}"
+            )
+        worst = max(worst, error)
     return worst
 
 
@@ -513,10 +526,13 @@ def _volumetric_coeff(kind, contraction, volfun, params, block):
     """
     tab = evaluate_grid(volfun, block.J)
     coef = params.lam if kind == "mixed" else params.K
-    if contraction == "hill":
-        c = coef * tab[:, 4] * block.J  # chi
-    else:
-        c = coef * block.J * tab[:, 2]  # h''
+    with np.errstate(over="ignore"):  # c may be inf at the grid corners
+        if coef == 0.0:  # mixed at nu = 0: no volumetric term, even where chi is inf
+            c = np.zeros_like(block.J)
+        elif contraction == "hill":
+            c = coef * tab[:, 4] * block.J  # chi
+        else:
+            c = coef * block.J * tab[:, 2]  # h''
     return c if block.shift is None else c + block.shift
 
 

@@ -164,7 +164,7 @@ def spectral(S, rel_tol=1e-8):
     return SpectralDecomp(2, (s_pair, s_iso), (2, 1), (P_pair, P_iso))
 
 
-def coaxial_orthogonal_split(S, H, rel_tol=1e-8):
+def coaxial_orthogonal_split(S, H):
     """Split H into parts coaxial and orthogonal to the eigenbasis of S.
 
     Returns ``(Hhat, Htilde)`` with ``Hhat = sum_i S_i H S_i`` and
@@ -174,7 +174,7 @@ def coaxial_orthogonal_split(S, H, rel_tol=1e-8):
     ``S`` may be a symmetric tensor or an already-computed
     :class:`SpectralDecomp` (useful when the same basis splits many tensors).
     """
-    dec = S if isinstance(S, SpectralDecomp) else spectral(S, rel_tol)
+    dec = S if isinstance(S, SpectralDecomp) else spectral(S)
     Hs = sym(np.asarray(H, dtype=float))
     Hhat = np.zeros((3, 3))
     for P in dec.projections:

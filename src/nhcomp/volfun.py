@@ -49,6 +49,23 @@ __all__ = [
 ]
 
 
+# Largest |q| and |beta| the parametric families take. Near J = 1 one ulp of
+# J moves J^q by q * 2.2e-16 relative; up to 1e6 that stays below 2.2e-10,
+# while from about 1e8 on a vol-iso root is no longer resolved to the
+# solver's 1e-8 stress cross-check.
+_FAMILY_PAR_MAX = 1e6
+
+
+def _family_par(name, value):
+    if not np.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
+    if abs(value) > _FAMILY_PAR_MAX:
+        raise ValueError(
+            f"{name} must be at most {_FAMILY_PAR_MAX:g} in absolute value, got {value}"
+        )
+    return float(value)
+
+
 @dataclass(frozen=True)
 class VolFun:
     """One volumetric function: a family code plus its parameter.
@@ -66,20 +83,20 @@ class VolFun:
         """Symmetric power family (J^q + J^-q - 2)/(2 q^2), q >= 0.
 
         The q = 0 member is the (ln J)^2 / 2 limit; the branch switches at
-        q < 1e-8 with no blending.
+        q < 1e-8 with no blending. q is at most 1e6.
         """
-        if not np.isfinite(q):
-            raise ValueError(f"power-pair exponent q must be finite, got {q}")
-        if q < 0:
+        if _family_par("power-pair exponent q", q) < 0:
             raise ValueError("power-pair exponent q must be >= 0")
         return cls(_k.FAMILY_HN, float(q), f"hn:{q:g}")
 
     @classmethod
     def log_augmented(cls, beta):
-        """Family (beta ln J + J^-beta - 1)/beta^2, beta != 0."""
-        if not np.isfinite(beta):
-            raise ValueError(f"log-augmented exponent beta must be finite, got {beta}")
-        if beta == 0:
+        """Family (beta ln J + J^-beta - 1)/beta^2, 0 < |beta| <= 1e6.
+
+        Below |beta| < 1e-8 it is evaluated as its (ln J)^2 / 2 limit, like
+        the power pair below q < 1e-8.
+        """
+        if _family_par("log-augmented exponent beta", beta) == 0:
             raise ValueError("log-augmented exponent beta must be nonzero")
         return cls(_k.FAMILY_OGDEN, float(beta), f"ogden:{beta:g}")
 
@@ -137,10 +154,16 @@ class VolFunEval:
 
 
 def evaluate(vf, J):
-    """Evaluate one volumetric function at a single J > 0."""
+    """Evaluate one volumetric function at a single J > 0.
+
+    Far from J = 1 a closed form can leave the float range: its value is
+    then +-inf, or nan where it divides inf by inf, and no warning is
+    raised. The same holds for :func:`evaluate_grid`.
+    """
     if not J > 0.0:
         raise ValueError(f"volume ratio must be positive, got J = {J}")
-    h, hp, hpp, jhp, chi = _k.h_tuple(vf.family, vf.par, float(J))
+    with np.errstate(all="ignore"):
+        h, hp, hpp, jhp, chi = _k.h_tuple(vf.family, vf.par, np.float64(J))
     return VolFunEval(h=h, hp=hp, hpp=hpp, jhp=jhp, chi=chi)
 
 
@@ -152,7 +175,9 @@ def evaluate_grid(vf, Js):
     if np.any(Js <= 0.0):
         raise ValueError("volume ratios must be positive")
     # a constant column (h'' of the quadratic) comes back as a scalar
-    return np.column_stack(np.broadcast_arrays(*_k.h_tuple(vf.family, vf.par, Js)))
+    with np.errstate(all="ignore"):
+        cols = _k.h_tuple(vf.family, vf.par, Js)
+    return np.column_stack(np.broadcast_arrays(*cols))
 
 
 @dataclass(frozen=True)
@@ -180,18 +205,19 @@ class PropertyReport:
 _DIVERGENCE_PROBES = (1e-6, 1e6)
 _DIVERGENCE_THRESHOLD = 1.0
 
+# the J grid of the sign constraints (2)-(4)
+_AUDIT_GRID = np.logspace(-4, 4, 801)
 
-def audit(vf, grid=None):
-    """Check the five structural constraints on a J grid.
+
+def audit(vf):
+    """Check the five structural constraints of one volumetric function.
 
     The normalization (1) is checked analytically at J = 1; the sign
-    constraints (2)-(4) by evaluating on the grid (log-spaced over at least
-    [1e-4, 1e4], 801 points by default); the divergence constraint (5) at
-    fixed probes far in each tail.
+    constraints (2)-(4) by evaluating on 801 log-spaced points over
+    [1e-4, 1e4]; the divergence constraint (5) at fixed probes far in each
+    tail.
     """
-    if grid is None:
-        grid = np.logspace(-4, 4, 801)
-    grid = np.asarray(grid, dtype=float)
+    grid = _AUDIT_GRID
     vals = evaluate_grid(vf, grid)
     at_one = evaluate(vf, 1.0)
 

@@ -5,6 +5,7 @@ captured cheaply; one test goes through a real subprocess to cover the
 module entry point.
 """
 
+import contextlib
 import csv
 import hashlib
 import io
@@ -14,6 +15,8 @@ import sys
 import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from nhcomp import cli
 from nhcomp import homsolve as hs
@@ -31,14 +34,20 @@ def run(capsys, *argv):
     return code, rows, captured.err
 
 
-def run_rejected(capsys, *argv):
-    """Invoke the CLI on a bad input; it must exit 1 cleanly. Returns stderr."""
+def run_clean(capsys, *argv):
+    """Invoke the CLI; it must exit with no traceback and no RuntimeWarning."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         code, rows, err = run(capsys, *argv)
-    assert code == 1 and rows == []
     assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
-    assert "RuntimeWarning" not in err and "Traceback" not in err
+    assert "Warning" not in err and "Traceback" not in err
+    return code, rows, err
+
+
+def run_rejected(capsys, *argv):
+    """Invoke the CLI on a bad input; it must exit 1 cleanly. Returns stderr."""
+    code, rows, err = run_clean(capsys, *argv)
+    assert code == 1 and rows == []
     return err
 
 
@@ -173,6 +182,18 @@ def csv_bytes(capsys, argv):
     return capsys.readouterr().out
 
 
+def fail_at_probes(monkeypatch):
+    """Make every solve at a middle limit probe (lam = 1e-5 or 1e5) fail."""
+    real = hs.solve
+
+    def solve(case, model, lam, seed_lamT=1.0):
+        if lam in (1e-5, 1e5):
+            raise hs.SolveError("injected failure")
+        return real(case, model, lam, seed_lamT)
+
+    monkeypatch.setattr(hs, "solve", solve)
+
+
 class TestLogApprox:
     """``sweep --log-approx`` names the power pair hn:1/12 in place of volfun 1."""
 
@@ -302,7 +323,7 @@ class TestBadUsage:
             ),
             (
                 "dilatation --model voliso --volfun 2 --nu 0.3 --k-max inf",
-                "dilatation stretch bounds must be finite, got k-min = 0.5, k-max = inf",
+                "stretch bounds must be finite, got 0.5 and inf",
             ),
             # finite moduli whose derived constants overflow or underflow
             (
@@ -411,6 +432,13 @@ class TestLimits:
         for got, ref in zip(rows, want):
             if ref["constant"]:
                 assert float(got["constant"]) == math.ldexp(float(ref["constant"]), e)
+
+    def test_solver_failure_at_a_probe_exits_two_with_unresolved_rows(self, capsys, monkeypatch):
+        fail_at_probes(monkeypatch)
+        code, rows, err = run(capsys, *"limits --case ul --model mixed --volfun 2 --nu 0.3".split())
+        assert code == 2 and err == ""
+        assert len(rows) == 6
+        assert all(r["class"] == "unresolved" and r["constant"] == "" for r in rows)
 
     def test_incompressible_model_is_rejected(self, capsys):
         code, _, err = run(capsys, *"limits --case ul --model inc".split())
@@ -634,8 +662,184 @@ class TestTableRepro:
         assert stars and all(r["match"] == "" for r in stars)
         assert all(r["model"] == "mixed" and r["quantity"] == "sigma22" for r in stars)
 
+    def test_solver_failure_at_a_probe_exits_two_with_unresolved_rows(self, capsys, monkeypatch):
+        fail_at_probes(monkeypatch)
+        code, rows, err = run(capsys, "table-repro", "--table", "4")
+        assert code == 2 and err == ""
+        assert len(rows) == 144
+        assert all(r["observed"] == "unresolved" for r in rows)
+        assert {r["match"] for r in rows} <= {"no", ""}
+
     def test_bad_table_id(self, capsys):
         assert cli.main(["table-repro", "--table", "5"]) == 1
+
+
+class TestExtremeInputs:
+    """Each ends with exit 0 and +-inf where a value leaves the float range,
+    or with exit 1 and a message naming the input."""
+
+    @pytest.mark.parametrize("kind", ("mixed", "voliso"))
+    def test_family_parameter_beyond_one_million_exits_one(self, capsys, kind):
+        err = run_rejected(
+            capsys,
+            *f"sweep --case ul --model {kind} --volfun hn:1e300 --nu 0.3 "
+            "--lam-min 0.5 --lam-max 2 --points 2".split(),
+        )
+        assert "power-pair exponent q must be at most 1e+06 in absolute value, got 1e+300" in err
+
+    def test_dilatation_stress_beyond_the_float_range_is_inf(self, capsys):
+        code, rows, _ = run_clean(
+            capsys, *"dilatation --model voliso --volfun hn:400 --nu 0.3 --points 3".split()
+        )
+        assert code == 0
+        assert [(r["k"], r["sigma_m"], r["p"]) for r in rows[:2]] == [
+            ("0.5", "-inf", "inf"),
+            ("1", "0", "0"),
+        ]
+        assert math.isfinite(float(rows[2]["sigma_m"]))
+
+    def test_stability_with_an_overflowing_volumetric_factor_is_quiet(self, capsys):
+        code, rows, _ = run_clean(capsys, *"stability --grid-n 3 --volfun hn:400 --nu 0.3".split())
+        assert code == 0 and len(rows) == 4
+        assert all(r["verdict"] in ("positive", "negative") for r in rows)
+
+    @pytest.mark.parametrize("bounds, k", ((("0.5", "1e200"), "5e+199"), (("1e-200", "0.5"), "1e-200")))
+    def test_dilatation_volume_ratio_outside_the_float_range_exits_one(self, capsys, bounds, k):
+        err = run_rejected(
+            capsys,
+            "dilatation", *"--model mixed --volfun 2 --nu 0.3 --points 3".split(),
+            "--k-min", bounds[0], "--k-max", bounds[1],
+        )
+        assert f"nhcomp: error: dilatation stretch k = {k} puts J = k^3 outside the float range" in err
+
+    @pytest.mark.parametrize("beta", ("1e-300", "-1e-300"))
+    @pytest.mark.parametrize("kind", ("mixed", "voliso"))
+    def test_tiny_log_augmented_beta_is_volfun_one(self, capsys, kind, beta):
+        argv = f"sweep --case ul --model {kind} --nu 0.3 --lam-min 0.5 --lam-max 2 --points 5 --volfun"
+        code, _, _ = run_clean(capsys, *argv.split(), f"ogden:{beta}")
+        assert code == 0
+        assert csv_bytes(capsys, f"{argv} ogden:{beta}") == csv_bytes(capsys, f"{argv} 1")
+
+    @pytest.mark.parametrize("points", ("1000001", "100000000000"))
+    @pytest.mark.parametrize(
+        "argv",
+        (
+            "sweep --case ul --model mixed --volfun 2 --nu 0.3 --lam-min 0.5 --lam-max 2",
+            "dilatation --model mixed --volfun 2 --nu 0.3",
+        ),
+        ids=("sweep", "dilatation"),
+    )
+    def test_points_beyond_one_million_exit_one(self, capsys, argv, points):
+        err = run_rejected(capsys, *argv.split(), "--points", points)
+        assert f"argument --points: must be between 1 and 1000000, got {points}" in err
+
+    def test_incompressible_stress_beyond_the_float_range_is_inf(self, capsys):
+        code, rows, _ = run_clean(
+            capsys,
+            *"sweep --case ul --model inc --lam-min 1e-200 --lam-max 1e200 --points 3 --log".split(),
+        )
+        assert code == 0
+        assert [(r["sigma11"], r["P11"]) for r in rows] == [
+            ("-9.9999999999999997e+199", "-inf"),
+            ("0", "0"),
+            ("inf", "9.9999999999999997e+199"),
+        ]
+
+    @pytest.mark.parametrize(
+        "argv",
+        (
+            "sweep --case ul --model mixed --volfun 2 --lam-min 0.5 --lam-max 2 --points 2",
+            "stability --grid-n 2 --volfun 2",
+        ),
+        ids=("sweep", "stability"),
+    )
+    def test_subnormal_inputs_exit_one(self, capsys, argv):
+        err = run_rejected(capsys, *argv.split(), "--nu", "5e-324")
+        assert "Poisson's ratio nu = 5e-324 is subnormal" in err
+        if argv.startswith("sweep"):
+            err = run_rejected(capsys, *argv.replace("0.5", "1e-310").split(), "--nu", "0.3")
+            assert "stretch 1e-310 is subnormal" in err
+
+
+# ±0, subnormals, the ends of the float range, nan, inf and any other float
+_NUMBERS = hst.one_of(
+    hst.sampled_from(
+        ("0", "-0", "5e-324", "-5e-324", "2.2250738585072014e-308", "1e-300", "1e300",
+         "-1e300", "nan", "inf", "-inf")
+    ),
+    hst.floats().map(repr),
+)
+
+
+def _number(*admissible):
+    """One of ``admissible`` three times in four, otherwise any number."""
+    return hst.integers(0, 3).flatmap(
+        lambda i: _NUMBERS if i == 0 else hst.sampled_from(admissible)
+    )
+
+
+_NU = _number("0", "0.3", "0.45", "0.4999", "-0.5")
+_STRETCH = _number("1e-300", "1e-6", "0.5", "1", "2", "1e6", "1e300")
+_MODULUS = _number("1", "2.5", "1e-300", "1e300")
+_VOLFUNS = hst.one_of(
+    hst.sampled_from(("1", "2", "5", "7", "8", "hn:400", "hn:1e6", "ogden:-1e6", "ogden:1e-300")),
+    _number("0", "1e-300", "0.5", "3", "400", "1e6").map("hn:{}".format),
+    _number("-1e-300", "1e-12", "-2", "0.5", "-400", "1e6").map("ogden:{}".format),
+)
+
+
+@hst.composite
+def _argvs(draw):
+    """One subcommand with drawn numeric flags, small grids and few points."""
+    sub = draw(hst.sampled_from(("sweep", "limits", "dilatation", "stability", "tangent-check")))
+    argv = [sub]
+    if sub in ("sweep", "limits"):
+        argv.append("--case=" + draw(hst.sampled_from(hs.CASES)))
+    if sub == "stability":
+        argv += [f"--model={draw(hst.sampled_from(('mixed', 'voliso', 'both')))}",
+                 f"--grid-n={draw(hst.integers(1, 3))}"]
+    elif sub == "tangent-check":
+        argv.append(f"--motions={draw(hst.integers(1, 2))}")
+    else:
+        kinds = ("mixed", "voliso") if sub == "limits" else ("inc", "mixed", "voliso")
+        argv.append("--model=" + draw(hst.sampled_from(kinds)))
+    if argv[-1] != "--model=inc":
+        argv += [f"--volfun={draw(_VOLFUNS)}", f"--nu={draw(_NU)}"]
+    if sub in ("sweep", "dilatation"):
+        lo, hi = sorted(draw(hst.lists(_STRETCH, min_size=2, max_size=2)), key=_as_float)
+        flag = "lam" if sub == "sweep" else "k"
+        argv += [f"--{flag}-min={lo}", f"--{flag}-max={hi}", f"--points={draw(hst.integers(1, 3))}"]
+        if sub == "sweep" and draw(hst.booleans()):
+            argv.append("--log")
+    moduli = ("--mu", "--E", None) if sub in ("sweep", "limits", "dilatation") else ("--mu", None)
+    modulus = draw(hst.sampled_from(moduli))
+    if modulus:
+        argv.append(f"{modulus}={draw(_MODULUS)}")
+    return argv
+
+
+def _as_float(text):
+    value = float(text)
+    return -math.inf if math.isnan(value) else value
+
+
+@settings(max_examples=200)
+@given(argv=_argvs())
+def test_cli_fuzz_exits_cleanly(argv):
+    """Exit 0, 1 or 2 with no traceback and no RuntimeWarning; no converged
+    row holds a nan, and no verdict is nan."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+    assert code in (0, 1, 2)
+    assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    assert "Traceback" not in err.getvalue()
+    for row in csv.DictReader(io.StringIO(out.getvalue())):
+        if row.get("converged") == "true":
+            assert "nan" not in row.values(), row
+        assert row.get("verdict") != "nan"
 
 
 def test_module_entry_point_runs_in_a_subprocess():

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -75,6 +76,14 @@ class TestIncompressibleClosedForms:
             s = cauchy_stress(model, F, p=p)
             assert r.sigma11 == pytest.approx(s.cauchy[0, 0], rel=1e-12)
             assert r.P11 == pytest.approx(s.first_pk[0, 0], rel=1e-12)
+
+
+    @pytest.mark.parametrize("lam", (1e-200, 1e200, 5e-324))
+    def test_stresses_beyond_the_float_range_are_inf(self, lam):
+        for case in hs.CASES:
+            r = hs.solve_incompressible(case, lam, mu=MU)
+            assert r.converged and not any(map(math.isnan, (r.sigma11, r.sigma22, r.P11, r.P22)))
+            assert math.isinf(r.P11) or math.isinf(r.sigma11)
 
 
 class TestResidual:
@@ -188,6 +197,19 @@ class TestSolve:
                 direct = cauchy_stress(model, hs.case_F(case, 1.8, r.lambda_T)).cauchy
                 assert r.sigma11 == pytest.approx(float(direct[0, 0]), rel=1e-8)
 
+    def test_failed_trace_cross_check_raises(self, monkeypatch):
+        class Doubled:
+            def __init__(self, stress):
+                self.cauchy = 2.0 * stress.cauchy
+
+        monkeypatch.setattr(hs, "cauchy_stress", lambda model, F: Doubled(cauchy_stress(model, F)))
+        with pytest.raises(hs.SolveError, match="failed the cross-check") as err:
+            hs.solve("ul", voliso(2), 1.8)
+        assert err.value.diagnostics["lam"] == 1.8
+        # the mixed kind and the ulp case never take the shortcut
+        assert hs.solve("ul", mixed(2), 1.8).converged
+        assert hs.solve("ulp", voliso(2), 1.8).converged
+
     def test_assembly_matches_tensor_evaluation(self):
         for vid in (1, 6):
             for model in (mixed(vid), voliso(vid)):
@@ -293,6 +315,16 @@ class TestSweep:
         with pytest.raises(ValueError):
             hs.SweepSpec(1.0, 2.0, 0)
 
+    def test_grid_messages_name_no_flag(self):
+        # SweepSpec checks the stretch grids of sweep and dilatation alike
+        with pytest.raises(ValueError, match=r"^stretch bounds must be finite, got 0.5 and inf$"):
+            hs.SweepSpec(0.5, math.inf, 3)
+        with pytest.raises(ValueError, match=r"^need 0 < smallest stretch <= largest stretch$"):
+            hs.SweepSpec(2.0, 1.0, 3, log=False)
+        with pytest.raises(ValueError, match=r"^stretch 5e-324 is subnormal \(below 2.2e-308\)$"):
+            hs.SweepSpec(5e-324, 1.0, 3)
+        np.testing.assert_array_equal(hs.SweepSpec(0.7, 0.9, 1, log=False).grid(), [0.7])
+
     def test_continuation_produces_converged_rows(self):
         lams = hs.SweepSpec(0.2, 5.0, 25).grid()
         results = hs.sweep("ul", voliso(4), lams)
@@ -387,6 +419,23 @@ class TestLimitProbe:
         with pytest.raises(ValueError):
             hs.limit_probe("ul", mixed(1), "sideways")
 
+    def test_failed_probe_marks_every_quantity(self, monkeypatch):
+        real = hs.solve
+
+        def solve(case, model, lam, seed_lamT=1.0):
+            if lam == 1e-6:
+                raise hs.SolveError("injected failure")
+            return real(case, model, lam, seed_lamT)
+
+        monkeypatch.setattr(hs, "solve", solve)
+        out = hs.limit_probe("ulp", mixed(2), "to_zero")
+        assert set(out) == {"lambda_T", "sigma11", "P11", "sigma22", "P22"}
+        for lc in out.values():
+            assert (lc.label, lc.constant, lc.solver_failed) == ("unresolved", None, True)
+            assert lc.note == "solver failed at a probe: injected failure"
+        healthy = hs.limit_probe("ulp", mixed(2), "to_infinity")
+        assert not any(lc.solver_failed for lc in healthy.values())
+
 
 class TestDilatation:
     def test_undeformed(self):
@@ -415,6 +464,24 @@ class TestDilatation:
     def test_rejects_incompressible(self):
         with pytest.raises(ValueError):
             hs.dilatation_response(ModelSpec.incompressible(MU), 1.1)
+
+    @pytest.mark.parametrize("k", (1e-200, 1e-110, 1e103, 1e200))
+    def test_volume_ratio_outside_the_float_range_is_rejected(self, k):
+        with pytest.raises(ValueError, match=re.escape(f"k = {k:g} puts J = k^3 outside the float")):
+            hs.dilatation_response(mixed(2), k)
+
+    def test_stress_beyond_the_float_range_is_inf(self):
+        # h'(1/8) of hn:400 is about -8^400 / 100; nu = 0 drops the mixed
+        # volumetric term instead of multiplying 0 by inf
+        hn400 = VolFun.power_pair(400.0)
+        assert hs.dilatation_response(ModelSpec.vol_iso(hn400, MU, 0.3), 0.5) == -math.inf
+        assert hs.dilatation_response(ModelSpec.mixed(hn400, MU, 0.3), 0.5) == -math.inf
+        assert hs.dilatation_response(ModelSpec.mixed(hn400, MU, 0.0), 0.5) == MU * 8.0 * -0.75
+
+    def test_nan_volumetric_derivative_is_rejected(self):
+        # hn:1e6 at J = 1e303: J^q is inf and so is 2 q J, and h' is inf / inf
+        with pytest.raises(ValueError, match="h'\\(J\\) of volfun hn:1e\\+06 is not a number"):
+            hs.dilatation_response(ModelSpec.vol_iso(VolFun.power_pair(1e6), MU, 0.3), 1e101)
 
 
 class TestScanHelpers:

@@ -126,6 +126,13 @@ class TestModelSpec:
             ModelSpec(kind, vf, params_from_mu_nu(2.2250738585072014e-308, 0.3))
             ModelSpec(kind, vf, params_from_mu_nu(1e307, 0.3))
 
+    @pytest.mark.parametrize("nu", (5e-324, -5e-324, 1e-310))
+    def test_subnormal_poisson_ratio_is_rejected(self, nu):
+        with pytest.raises(ValueError, match=f"Poisson's ratio nu = {nu} is subnormal"):
+            params_from_mu_nu(1.0, nu)
+        for nu_ok in (0.0, -0.0, 2.2250738585072014e-308):
+            assert params_from_mu_nu(1.0, nu_ok).nu == nu_ok
+
 
 class TestEnergy:
     def test_zero_at_identity(self):

@@ -367,6 +367,16 @@ class TestTangents:
         assert tangent_fd_error(ModelSpec.mixed(catalog()[3], MU, NU), n_motions=4) < 1e-6
         assert tangent_fd_error(ModelSpec.vol_iso(catalog()[8], MU, NU), n_motions=4) < 1e-6
 
+    def test_fd_error_beyond_the_float_range_raises(self):
+        # J^q of hn:1e5 overflows at the motions' J; a NaN error used to be
+        # dropped by max(), so the check reported the other motions' error
+        for model in (
+            ModelSpec.mixed(VolFun.power_pair(1e5), MU, NU),
+            ModelSpec.vol_iso(VolFun.log_augmented(-1e5), MU, NU),
+        ):
+            with pytest.raises(ValueError, match="beyond the float range at J = "):
+                tangent_fd_error(model, n_motions=2)
+
     def test_incompressible_unsupported(self):
         with pytest.raises(ValueError):
             tangents(ModelSpec.incompressible(MU), kinematics_from_F(I3))
@@ -402,6 +412,22 @@ class TestGridSearch:
             for kind in ("mixed", "voliso"):
                 value, _, _ = min_coaxial_eig(kind, vf, params_from_mu_nu(1.0, 0.3), grid)
                 assert value > 0.0
+
+    def test_search_without_a_violation_returns_none(self):
+        for kind in ("mixed", "voliso"):
+            assert find_hill_violation(kind, catalog()[2], n=4) is None
+
+    @pytest.mark.parametrize("contraction", ("hill", "csp"))
+    def test_overflowing_volumetric_factor_at_nu_zero_drops_out(self, contraction):
+        # chi and h'' of hn:400 are inf at the grid corners; at nu = 0 the
+        # mixed form has no volumetric term, so every h gives the same scan
+        grid, prm = stretch_grid(4), params_from_mu_nu(1.0, 0.0)
+        got = min_coaxial_eig("mixed", VolFun.power_pair(400.0), prm, grid, contraction)
+        want = min_coaxial_eig("mixed", catalog()[2], prm, grid, contraction)
+        assert got[:2] == want[:2] and math.isfinite(got[0])
+        prm = params_from_mu_nu(1.0, 0.3)
+        value, _, _ = min_coaxial_eig("voliso", VolFun.power_pair(400.0), prm, grid, contraction)
+        assert math.isfinite(value)
 
     def test_hill_violation_found_for_7(self):
         for kind in ("mixed", "voliso"):

@@ -132,6 +132,40 @@ def test_non_finite_family_parameters_are_rejected(value):
         VolFun.log_augmented(value)
 
 
+def test_family_parameters_beyond_one_million_are_rejected():
+    assert VolFun.power_pair(1e6).par == 1e6
+    assert VolFun.log_augmented(-1e6).par == -1e6
+    with pytest.raises(ValueError, match=r"q must be at most 1e\+06 in absolute value, got 1e\+300"):
+        VolFun.power_pair(1e300)
+    with pytest.raises(ValueError, match=r"beta must be at most 1e\+06 in absolute value"):
+        VolFun.log_augmented(-1.5e6)
+
+
+@pytest.mark.parametrize("beta", (1e-12, -1e-12, 1e-300, -1e-300, 5e-324))
+def test_log_augmented_small_beta_takes_the_log_limit(beta):
+    # (beta ln J + J^-beta - 1) / beta^2 cancels as beta -> 0; its limit
+    # (ln J)^2 / 2 is catalog id 1, and h' = -expm1(-beta ln J) / (beta J)
+    # is within |beta ln J| of it
+    vf, limit = VolFun.log_augmented(beta), catalog()[1]
+    Js = np.array([1e-3, 0.5, 2.0, 1e3])
+    np.testing.assert_array_equal(evaluate_grid(vf, Js), evaluate_grid(limit, Js))
+    for J in Js:
+        got = evaluate(vf, J)
+        assert got == evaluate(limit, J)
+        if abs(beta) >= 1e-300:  # a subnormal beta has too few digits for the expm1 form
+            exact_hp = -math.expm1(-beta * math.log(J)) / (beta * J)
+            assert got.hp == pytest.approx(exact_hp, rel=1e-8)
+
+
+def test_values_beyond_the_float_range_are_inf_without_a_warning():
+    # pyproject turns a RuntimeWarning into an error, so this also checks
+    # that none is raised
+    e = evaluate(VolFun.power_pair(400.0), 0.125)
+    assert (e.h, e.hp, e.jhp, e.chi) == (math.inf, -math.inf, -math.inf, math.inf)
+    table = evaluate_grid(VolFun.log_augmented(-400.0), np.array([1e-3, 1.0, 1e3]))
+    assert table[2, 1] == math.inf and table[1, 1] == 0.0
+
+
 # --- audit: the five-constraint matrix -----------------------------------------
 
 EXPECTED_MATRIX = {
