@@ -30,21 +30,20 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
-from dataclasses import replace
 
 import numpy as np
 
 from nhcomp import homsolve as hs
 from nhcomp import stability as st
-from nhcomp.materials import ModelSpec, params_from_E_nu, params_from_mu_nu
-from nhcomp.volfun import VolFun, audit, catalog, parse_volfun
+from nhcomp.materials import PAPER_NUS, ModelSpec, params_from_E_nu, params_from_mu_nu
+from nhcomp.volfun import audit, catalog, parse_volfun
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_NO_CONVERGENCE = 2
 
 # the named --nu-set preset: one flag for the whole family of published curves
-NU_PRESETS = {"paper": (0.0, 0.25, 0.4, 0.45, 0.499, 0.4999)}
+NU_PRESETS = {"paper": PAPER_NUS}
 
 # Poisson ratios swept when reproducing the reference tables; the printed
 # classes mix asymptotic regimes, so a cell counts as reproduced when any
@@ -130,23 +129,6 @@ def _model(args, kind, volfun, nu):
     return ModelSpec(kind, volfun, params)
 
 
-def _log_approx_model(model):
-    """The model ``--log-approx`` stands for: hn:1/12 in place of volfun 1.
-
-    The flag replaces ln J = J h'(J) of volfun 1 by 6 (J^(1/12) - J^(-1/12)),
-    which is J h'(J) of the power pair at q = 1/12; it names that model and
-    makes sense for volfun 1 only.
-    """
-    if model.kind == "inc":
-        raise ValueError("--log-approx does not apply to the incompressible kind")
-    if model.volfun != catalog()[1]:
-        raise ValueError(
-            f"--log-approx approximates ln J of volfun 1 and needs --volfun 1, "
-            f"got --volfun {model.volfun.label}"
-        )
-    return replace(model, volfun=VolFun.power_pair(1.0 / 12.0))
-
-
 def _nu_list(args):
     if args.nu_set is not None:
         if args.nu is not None:
@@ -157,9 +139,8 @@ def _nu_list(args):
 
 def _volfun_list(args):
     if args.volfun == "all":
-        return [(vid, vf) for vid, vf in sorted(catalog().items())]
-    vf = parse_volfun(args.volfun)
-    return [(vf.label, vf)]
+        return [vf for _, vf in sorted(catalog().items())]
+    return [parse_volfun(args.volfun)]
 
 
 # --------------------------------------------------------------------------
@@ -177,9 +158,9 @@ def _cmd_audit_volfun(args):
         "witness",
     ]
     rows = []
-    for vid, vf in sorted(catalog().items()):
+    for _, vf in sorted(catalog().items()):
         flags, witness = audit(vf).as_row()
-        rows.append([vid, *flags, "" if witness is None else float(witness)])
+        rows.append([vf.label, *flags, "" if witness is None else float(witness)])
     _write_csv(header, rows, args.out)
     return EXIT_OK
 
@@ -193,8 +174,6 @@ def _cmd_sweep(args):
         header = ["nu", *header]
 
     models = [_model(args, args.model, args.volfun, nu) for nu in _nu_list(args)]
-    if args.log_approx:
-        models = [_log_approx_model(model) for model in models]
     sweeps = [hs.sweep(args.case, model, grid) for model in models]
 
     rows, ok = [], True
@@ -250,19 +229,19 @@ def _cmd_stability(args):
     # building every ModelSpec first rejects an inadmissible (kind, nu)
     # before any cell is scanned, with the same messages as sweep and limits
     tasks = [
-        (_model(args, kind, vf, nu), vid, contraction)
+        (_model(args, kind, vf, nu), contraction)
         for kind in kinds
-        for vid, vf in _volfun_list(args)
+        for vf in _volfun_list(args)
         for nu in nus
         for contraction in ("hill", "csp")
     ]
 
     def run(task):
-        model, vid, contraction = task
+        model, contraction = task
         value, i, _ = st.min_coaxial_eig(model.kind, model.volfun, model.params, grid, contraction)
         return [
             model.kind,
-            vid,
+            model.volfun.label,
             float(model.params.nu),
             float(np.prod(grid[i])),
             contraction,
@@ -273,7 +252,7 @@ def _cmd_stability(args):
     # run the cells of one (kind, contraction) back to back so that they
     # share one shear block (see st.min_coaxial_eig); rows keep task order
     rows = [None] * len(tasks)
-    order = sorted(range(len(tasks)), key=lambda k: (tasks[k][0].kind, tasks[k][2]))
+    order = sorted(range(len(tasks)), key=lambda k: (tasks[k][0].kind, tasks[k][1]))
     for k in order:
         rows[k] = run(tasks[k])
     _write_csv(header, rows, args.out)
@@ -284,9 +263,9 @@ def _cmd_tangent_check(args):
     header = ["model", "volfun", "max_rel_error"]
     rows = []
     for kind in ("mixed", "voliso"):
-        for vid, vf in _volfun_list(args):
+        for vf in _volfun_list(args):
             model = _model(args, kind, vf, args.nu)
-            rows.append([kind, vid, st.tangent_fd_error(model, n_motions=args.motions)])
+            rows.append([kind, vf.label, st.tangent_fd_error(model, n_motions=args.motions)])
     _write_csv(header, rows, args.out)
     return EXIT_OK
 
@@ -523,11 +502,16 @@ _GRID_N_MAX = 100
 _POINTS_MAX = 10**6
 
 
-def _add_jobs(p, help="ignored; kept for compatibility (cells always run one at a time)"):
-    p.add_argument("--jobs", type=_bounded_int(1), default=1, help=help)
+def _add_jobs(p):
+    p.add_argument(
+        "--jobs",
+        type=_bounded_int(1),
+        default=1,
+        help="ignored; kept for compatibility (cells always run one at a time)",
+    )
 
 
-def _add_common(p, model=True, nu_set=False):
+def _add_common(p, nu_set=False):
     p.add_argument("--mu", type=float, default=1.0, help="shear modulus (default 1.0)")
     p.add_argument("--E", type=float, default=None, help="Young's modulus; overrides --mu")
     p.add_argument("--nu", type=float, default=None, help="Poisson's ratio")
@@ -536,20 +520,14 @@ def _add_common(p, model=True, nu_set=False):
             "--nu-set",
             choices=sorted(NU_PRESETS),
             default=None,
-            help="named Poisson-ratio preset: 'paper' = 0, 0.25, 0.4, 0.45, 0.499, 0.4999",
+            help=f"named Poisson-ratio preset: 'paper' = {', '.join(map(str, PAPER_NUS))}",
         )
-    if model:
-        p.add_argument(
-            "--model",
-            choices=("inc", "mixed", "voliso"),
-            required=True,
-            help="model kind",
-        )
-        p.add_argument(
-            "--volfun",
-            default=None,
-            help="volumetric function: catalog id 1..8, 'hn:q' or 'ogden:beta'",
-        )
+    p.add_argument("--model", choices=("inc", "mixed", "voliso"), required=True, help="model kind")
+    p.add_argument(
+        "--volfun",
+        default=None,
+        help="volumetric function: catalog id 1..8, 'hn:q' or 'ogden:beta'",
+    )
     p.add_argument("--out", default=None, help="write the CSV here instead of stdout")
     _add_jobs(p)
 
@@ -563,7 +541,7 @@ def _build_parser():
 
     p = sub.add_parser("audit-volfun", help="five-constraint audit of the volfun catalog")
     p.add_argument("--out", default=None, help="write the CSV here instead of stdout")
-    _add_jobs(p, help=argparse.SUPPRESS)
+    _add_jobs(p)
     p.set_defaults(func=_cmd_audit_volfun)
 
     p = sub.add_parser("sweep", help="solve a homogeneous case over a stretch grid")
@@ -577,12 +555,6 @@ def _build_parser():
         help=f"number of grid points, 1..{_POINTS_MAX}",
     )
     p.add_argument("--log", action="store_true", help="log-spaced grid (default linear)")
-    p.add_argument(
-        "--log-approx",
-        action="store_true",
-        help="replace ln J of volfun 1 by 6 (J^(1/12) - J^(-1/12)), i.e. solve the power "
-        "pair at q = 1/12 (--volfun hn:0.08333333333333333); needs --volfun 1",
-    )
     _add_common(p, nu_set=True)
     p.set_defaults(func=_cmd_sweep)
 

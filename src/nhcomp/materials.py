@@ -31,6 +31,7 @@ from nhcomp.tensor3 import I3, dev, sym
 from nhcomp.volfun import VolFun, evaluate
 
 __all__ = [
+    "PAPER_NUS",
     "MaterialParams",
     "ModelSpec",
     "StressResult",
@@ -44,6 +45,9 @@ __all__ = [
 ]
 
 KINDS = ("inc", "mixed", "voliso")
+
+# the Poisson ratios of the paper's published curves, in ascending order
+PAPER_NUS = (0.0, 0.25, 0.4, 0.45, 0.499, 0.4999)
 
 
 @dataclass(frozen=True)

@@ -37,8 +37,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from nhcomp.kinematics import DeformationState, RateState, kinematics_from_F, rate_from_motion
-from nhcomp.materials import ModelSpec, cauchy_stress, mantissa_params, params_from_mu_nu
+from nhcomp.kinematics import rate_from_motion
+from nhcomp.materials import PAPER_NUS, ModelSpec, cauchy_stress, mantissa_params, params_from_mu_nu
 from nhcomp.tensor3 import I3, SuperSymTensor4, apply4, ddot, dev, outer, sym_outer
 from nhcomp.volfun import VolFun, evaluate, evaluate_grid
 
@@ -693,10 +693,6 @@ def min_coaxial_eig(kind, volfun, params, lams, contraction="hill"):
     return value, i, direction / np.linalg.norm(direction)
 
 
-_NUS_DESC = (0.4999, 0.499, 0.45, 0.4, 0.25, 0.0)
-_NUS_ASC = tuple(reversed(_NUS_DESC))
-
-
 def _search(contraction, kind, volfun, nus, grid):
     for nu in nus:
         params = params_from_mu_nu(1.0, nu)
@@ -721,7 +717,7 @@ def find_hill_violation(kind, volfun, n=16):
     Poisson ratios are tried from the near-incompressible end downward,
     where the volumetric term dominates.
     """
-    return _search("hill", kind, volfun, _NUS_DESC, stretch_grid(n))
+    return _search("hill", kind, volfun, PAPER_NUS[::-1], stretch_grid(n))
 
 
 def find_csp_violation(kind, volfun, n=16):
@@ -730,7 +726,7 @@ def find_csp_violation(kind, volfun, n=16):
     Poisson ratios are tried from nu = 0 upward, where the isochoric term
     dominates.
     """
-    return _search("csp", kind, volfun, _NUS_ASC, stretch_grid(n))
+    return _search("csp", kind, volfun, PAPER_NUS, stretch_grid(n))
 
 
 def witness_report(witness):

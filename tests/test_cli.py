@@ -7,7 +7,6 @@ module entry point.
 
 import contextlib
 import csv
-import hashlib
 import io
 import math
 import subprocess
@@ -195,39 +194,19 @@ def fail_at_probes(monkeypatch):
 
 
 class TestLogApprox:
-    """``sweep --log-approx`` names the power pair hn:1/12 in place of volfun 1."""
+    """The power pair hn:1/12, the two-point power approximation of ln J.
+
+    Its J h'(J) = 6 (J^(1/12) - J^(-1/12)); ``--volfun hn:0.08333333333333333``
+    is its one spelling, and the retired ``sweep --log-approx`` is rejected.
+    """
 
     SWEEP = "sweep --nu 0.3 --lam-min 0.1 --lam-max 50 --points 25 --log"
-
-    @pytest.mark.parametrize("kind", ("mixed", "voliso"))
-    @pytest.mark.parametrize("case", hs.CASES)
-    def test_is_the_power_pair_at_one_twelfth(self, capsys, case, kind):
-        argv = f"{self.SWEEP} --case {case} --model {kind}"
-        alias = csv_bytes(capsys, f"{argv} --volfun 1 --log-approx")
-        assert alias == csv_bytes(capsys, f"{argv} --volfun hn:0.08333333333333333")
-
-    # sha256 of the mixed-kind CSV recorded before --log-approx became an
-    # alias; the mixed rows of both forms agree on this grid
-    @pytest.mark.parametrize(
-        "case, digest",
-        (
-            ("ul", "fa5f0d36288e57eca048112dd1f6c901d0c329e3e136f38f21e2eb63a59a6271"),
-            ("elp", "9ae31fcb42d58142e31bdc3bfc4e4bd65464ff0418b7113932a562a96f5bf9db"),
-            ("ulp", "59796688a09759d139ace559e0cd9c61e9c26ac79050d170ffda093afeb229a1"),
-        ),
-    )
-    def test_mixed_output_bytes_are_unchanged(self, capsys, case, digest):
-        out = csv_bytes(
-            capsys,
-            f"sweep --case {case} --model mixed --volfun 1 --nu 0.3 "
-            "--lam-min 0.1 --lam-max 50 --points 11 --log-approx",
-        )
-        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     @pytest.mark.parametrize("case", ("ul", "elp"))
     def test_voliso_rows_are_equilibria_of_the_full_tensor_path(self, capsys, case):
         _, rows, _ = run(
-            capsys, *f"{self.SWEEP} --case {case} --model voliso --volfun 1 --log-approx".split()
+            capsys,
+            *f"{self.SWEEP} --case {case} --model voliso --volfun hn:0.08333333333333333".split(),
         )
         model = ModelSpec.vol_iso(VolFun.power_pair(1.0 / 12.0), 1.0, 0.3)
         assert len(rows) == 25
@@ -239,22 +218,13 @@ class TestLogApprox:
             assert abs(sig[2, 2]) <= 1e-10 * scale, (lam, sig[2, 2])
             assert sig[0, 0] == pytest.approx(s11, rel=1e-8), lam
 
-    @pytest.mark.parametrize(
-        "flags, message",
-        (
-            ("--model mixed --volfun 5 --nu 0.3", "needs --volfun 1, got --volfun 5"),
-            ("--model voliso --volfun hn:2 --nu 0.3", "needs --volfun 1, got --volfun hn:2"),
-            ("--model inc", "does not apply to the incompressible kind"),
-        ),
-        ids=("volfun-5", "volfun-hn2", "inc"),
-    )
-    def test_other_models_exit_one(self, capsys, flags, message):
+    def test_retired_flag_exits_one(self, capsys):
         err = run_rejected(
             capsys,
-            *f"sweep --case ul --lam-min 0.5 --lam-max 2 --points 3 {flags} --log-approx".split(),
+            *"sweep --case ul --model mixed --volfun 1 --nu 0.3 --lam-min 0.5 --lam-max 2 "
+            "--points 3 --log-approx".split(),
         )
-        assert err.startswith("nhcomp: error: --log-approx ")
-        assert message in err
+        assert "unrecognized arguments: --log-approx" in err
 
 
 class TestBadUsage:
@@ -391,6 +361,34 @@ class TestBadUsage:
         one = capsys.readouterr().out
         assert cli.main([*argv, "--jobs", "3"]) == 0
         assert capsys.readouterr().out == one
+
+    @pytest.mark.parametrize(
+        "subcommand",
+        ("audit-volfun", "sweep", "limits", "dilatation", "stability", "tangent-check",
+         "table-repro"),
+    )
+    def test_every_subcommand_lists_jobs(self, capsys, subcommand):
+        assert cli.main([subcommand, "--help"]) == 0
+        assert "--jobs JOBS" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        (
+            (
+                "sweep --case ul --model inc --nu 0.3 --lam-min 0.5 --lam-max 2 --points 3",
+                "nhcomp: error: --nu does not apply to the incompressible kind\n",
+            ),
+            (
+                "sweep --case ul --model mixed --volfun 2 --nu 0.3 --nu-set paper "
+                "--lam-min 0.5 --lam-max 2 --points 3",
+                "nhcomp: error: give either --nu or --nu-set, not both\n",
+            ),
+            ("stability --grid-n abc", "argument --grid-n: expected an integer, got 'abc'\n"),
+        ),
+        ids=("inc-nu", "nu-and-nu-set", "grid-n-not-an-integer"),
+    )
+    def test_conflicting_or_malformed_flags_exit_one(self, capsys, argv, message):
+        assert run_rejected(capsys, *argv.split()).endswith(message)
 
 
 class TestLimits:
@@ -573,26 +571,6 @@ class TestStability:
     def test_stability_value_overflow_exits_one(self, capsys):
         err = run_rejected(capsys, *"stability --mu 1e307 --nu 0.3 --grid-n 5".split())
         assert "overflows at modulus mu = 1e+307" in err
-
-    # sha256 of the CSV bytes recorded before the shear block was shared
-    # between cells; the scan must reproduce them exactly
-    @pytest.mark.parametrize(
-        "argv, digest",
-        (
-            (
-                "stability --grid-n 6 --nu-set paper --mu 1.3",
-                "b87b7398021568c3aaa4ab762870e778388f041d6d68799b317efb076335e76d",
-            ),
-            (
-                "stability --grid-n 5 --volfun hn:0.5 --nu 0.3",
-                "aaf67581787d448840ca46cfd4a8d6ccda287d4ce84d90cc8a8349d3c0cbacd7",
-            ),
-        ),
-    )
-    def test_output_bytes_are_unchanged(self, capsys, argv, digest):
-        assert cli.main(argv.split()) == 0
-        out = capsys.readouterr().out
-        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestTangentCheck:

@@ -5,8 +5,9 @@ The benchmark's seed-0 argv and their digests are read from
 with ``perfbench/record_digests.py`` after a declared change of output).
 ``EXTRA`` pins argv the benchmark workloads do not run: the incompressible
 kind, ``--E``, other ``tangent-check`` and ``dilatation`` inputs, mixed
-``limits``, ``sweep --log-approx``, and ``table-repro`` at moduli whose
-finite targets (``+mu``, ``-lambda``, ``-3K``) depend on mu. Each argv
+``limits``, mixed ``sweep`` of the power pair at q = 1/12, small
+``stability`` scans, and ``table-repro`` at moduli whose finite targets
+(``+mu``, ``-lambda``, ``-3K``) depend on mu. Each argv
 runs in-process through ``cli.main`` with ``--out`` and must exit 0.
 """
 
@@ -42,12 +43,26 @@ EXTRA = {
     "dilatation --model mixed --volfun hn:2.5 --nu 0.45 --mu 1.3 --k-min 0.3 --k-max 3 "
     "--points 9":
         "2e0b7f9c5d01c74ee3c9cd3166a2e4d36ff6a09dd38fd2ed60534372967eb26c",
-    "sweep --case ul --model mixed --volfun 1 --nu 0.3 --log-approx --lam-min 0.3 "
+    # mixed sweeps of the power pair at q = 1/12, the two-point power approximation of ln J
+    "sweep --case ul --model mixed --volfun hn:0.08333333333333333 --nu 0.3 --lam-min 0.3 "
     "--lam-max 3 --points 6 --log":
         "5cd8e6c1958c99fdfea06ce92f5e71d55ab7b333b0b98490e4cddd2bf224a055",
-    "sweep --case elp --model mixed --volfun 1 --nu-set paper --log-approx --lam-min 0.5 "
-    "--lam-max 2 --points 4":
+    "sweep --case elp --model mixed --volfun hn:0.08333333333333333 --nu-set paper "
+    "--lam-min 0.5 --lam-max 2 --points 4":
         "787a031daa3fec9d668b1f931d12ade3beb5dd982d765ee65ab15ec4d7043e04",
+    "sweep --case ul --model mixed --volfun hn:0.08333333333333333 --nu 0.3 --lam-min 0.1 "
+    "--lam-max 50 --points 11":
+        "fa5f0d36288e57eca048112dd1f6c901d0c329e3e136f38f21e2eb63a59a6271",
+    "sweep --case elp --model mixed --volfun hn:0.08333333333333333 --nu 0.3 --lam-min 0.1 "
+    "--lam-max 50 --points 11":
+        "9ae31fcb42d58142e31bdc3bfc4e4bd65464ff0418b7113932a562a96f5bf9db",
+    "sweep --case ulp --model mixed --volfun hn:0.08333333333333333 --nu 0.3 --lam-min 0.1 "
+    "--lam-max 50 --points 11":
+        "59796688a09759d139ace559e0cd9c61e9c26ac79050d170ffda093afeb229a1",
+    "stability --grid-n 6 --nu-set paper --mu 1.3":
+        "b87b7398021568c3aaa4ab762870e778388f041d6d68799b317efb076335e76d",
+    "stability --grid-n 5 --volfun hn:0.5 --nu 0.3":
+        "aaf67581787d448840ca46cfd4a8d6ccda287d4ce84d90cc8a8349d3c0cbacd7",
     "limits --case ul --model mixed --volfun 5 --nu 0.3":
         "243a5259b982e461a638d99ef9ccbef74fe8634fd1de5b34d34f914d6c229c3a",
     "limits --case ulp --model mixed --volfun 1 --nu 0.45":

@@ -295,7 +295,7 @@ class TestSolve:
 
     def test_log_approx_mode_close_but_distinct(self):
         # J h' = 6 (J^(1/12) - J^(-1/12)) of the power pair at q = 1/12 is
-        # the two-point power approximation of ln J (sweep --log-approx)
+        # the two-point power approximation of ln J (--volfun hn:0.08333333333333333)
         exact = hs.solve("ul", voliso(1, nu=0.3), 3.0)
         model = ModelSpec.vol_iso(VolFun.power_pair(1.0 / 12.0), MU, 0.3)
         approx = hs.solve("ul", model, 3.0)

@@ -85,11 +85,21 @@ def test_a_converged_row_is_an_equilibrium(model, case, lam):
 
 @settings(max_examples=150)
 @given(model=models(), case=cases, lam=stretches)
+# both are converged roots whose tensor-path sigma33 exceeds 1e-10 (|sigma11| + mu)
+# but stays within a few times the rounding noise of cauchy_stress
+@example(ModelSpec.vol_iso(catalog()[7], 1.0, 0.0), "ul", 1e-3)
+@example(ModelSpec.vol_iso(catalog()[7], 1.0202840608681036, 0.25), "elp", 0.0012106301729350667)
 def test_eliminated_stresses_vanish_through_the_tensor_path(model, case, lam):
     r = solved(case, model, lam)
     assume(r is not None and r.converged)
     sig = cauchy_stress(model, hs.case_F(case, lam, r.lambda_T)).cauchy
-    bound = 1e-10 * (abs(r.sigma11) + model.params.mu)
+    # the rounding noise of the tensor path: its shear factor (mu/J mixed,
+    # mu J^(-5/3) vol-iso) times one ulp of the largest squared stretch, as
+    # in the solver's own cross-check
+    mu, J = model.params.mu, r.J
+    shear = mu / J if model.kind == "mixed" else mu * J ** (-5.0 / 3.0)
+    noise = shear * np.spacing(max(lam, r.lambda_T) ** 2)
+    bound = 1e-10 * (abs(r.sigma11) + mu) + 8.0 * noise
     assert abs(sig[2, 2]) <= bound
     if case == "ul":
         assert abs(sig[1, 1]) <= bound

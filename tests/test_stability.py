@@ -7,7 +7,7 @@ from hypothesis import strategies as hst
 
 from nhcomp import stability
 from nhcomp.kinematics import kinematics_from_F, rate_from_motion
-from nhcomp.materials import ModelSpec, cauchy_stress, params_from_mu_nu
+from nhcomp.materials import PAPER_NUS, ModelSpec, cauchy_stress, params_from_mu_nu
 from nhcomp.stability import (
     bh_rate,
     coaxial_matrices,
@@ -468,8 +468,6 @@ class TestGridSearch:
 
 # --------------------------------------------------------------------------
 # the grid scan against the full-eigh implementation it replaced
-
-PAPER_NUS = (0.0, 0.25, 0.4, 0.45, 0.499, 0.4999)
 
 
 def reference_min_coaxial_eig(kind, volfun, params, lams, contraction):
