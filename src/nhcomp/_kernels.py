@@ -9,6 +9,23 @@ while array ``**`` may round the last bit differently from the scalar
 power. Only the scan's signs feed the root finder, so such a difference
 can move a root only when a grid point sits within rounding of a zero.
 
+The residual computes only the volumetric term it uses: J h'(J) for the
+mixed kind, h'(J) for vol-iso, from the closed forms of :func:`h_tuple`
+term by term. The scan grid and its ``np.exp`` are built once per range
+(:func:`scan_nodes`).
+
+``bisect_log`` runs on Python floats, where a numpy scalar would spend
+most of each midpoint on dispatch. It returns the bits of the same loop
+on np.float64: Python ``+ - * /`` are the same IEEE operations, and
+Python ``**`` calls the same C ``pow``. ``np.exp`` still maps each
+midpoint to lamT, because ``math.exp`` rounds differently on a few
+percent of inputs. The one difference is that Python raises where numpy
+returns +-inf: ``OverflowError`` when a power leaves the float range,
+``ZeroDivisionError`` when a division or a negative power meets 0 (1 / J^q
+once J^q underflows). On ``ArithmeticError`` the midpoint is evaluated
+again at ``np.float64(lamT)``, the numpy-scalar path with its inf and NaN
+values.
+
 The model kind (``"mixed"`` or ``"voliso"``) and the load case (``"ul"``,
 ``"elp"`` or ``"ulp"``) are the strings ``ModelSpec`` and ``homsolve``
 use. A volumetric function is a family code plus its parameter:
@@ -28,6 +45,8 @@ forms divide by the parameter and would cancel, or divide 0 by 0.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -98,6 +117,33 @@ def case_volume_ratio(case, lam, lamT):
     return lam * lamT
 
 
+def _volumetric_term(kind, family, par, J):
+    """J h'(J) for the mixed kind, h'(J) for vol-iso.
+
+    The one column of :func:`h_tuple` the residual uses, from the same
+    closed forms term by term.
+    """
+    mixed = kind == "mixed"
+    if family in (FAMILY_HN, FAMILY_OGDEN) and abs(par) < _LOG_LIMIT_PAR:
+        lnJ = np.log(J)
+        return lnJ if mixed else lnJ / J
+    if family == FAMILY_HN:
+        q = par
+        Jq = J**q
+        Jmq = 1.0 / Jq
+        return (Jq - Jmq) / (2.0 * q) if mixed else (Jq - Jmq) / (2.0 * q * J)
+    if family == FAMILY_OGDEN:
+        b = par
+        Jmb = J ** (-b)
+        return (1.0 - Jmb) / b if mixed else (1.0 / J - Jmb / J) / b
+    if family == FAMILY_QUADRATIC:
+        return J * (J - 1.0) if mixed else J - 1.0
+    # FAMILY_EXP_LOG2
+    lnJ = np.log(J)
+    e = np.exp(lnJ * lnJ)
+    return e * lnJ if mixed else e * lnJ / J
+
+
 def transverse_residual(kind, family, par, case, lam, mu, lame_lambda, K, lamT):
     """Traction residual in the free transverse direction.
 
@@ -109,17 +155,16 @@ def transverse_residual(kind, family, par, case, lam, mu, lame_lambda, K, lamT):
     be an array.
     """
     J = case_volume_ratio(case, lam, lamT)
+    vol = _volumetric_term(kind, family, par, J)
     if kind == "mixed":
-        _, _, _, jhp, _ = h_tuple(family, par, J)
-        return lame_lambda * jhp - mu * (1.0 - lamT * lamT)
-    _, hp, _, _, _ = h_tuple(family, par, J)
+        return lame_lambda * vol - mu * (1.0 - lamT * lamT)
     if case == "ul":
         g = lamT * lamT - lam * lam
     elif case == "elp":
         g = 2.0 * (lamT * lamT - lam * lam)
     else:
         g = 2.0 * lamT * lamT - 1.0 - lam * lam
-    return K * hp + (mu / 3.0) * J ** (-5.0 / 3.0) * g
+    return K * vol + (mu / 3.0) * J ** (-5.0 / 3.0) * g
 
 
 def scan_grid(u_lo, u_hi, n):
@@ -128,9 +173,22 @@ def scan_grid(u_lo, u_hi, n):
     return u_lo + du * np.arange(n)
 
 
+@functools.lru_cache(maxsize=8)
+def scan_nodes(u_lo, u_hi, n):
+    """``scan_grid(u_lo, u_hi, n)`` and its ``np.exp``, built once per range.
+
+    Both arrays are read-only: every solve shares them.
+    """
+    us = scan_grid(u_lo, u_hi, n)
+    lamT = np.exp(us)
+    us.flags.writeable = False
+    lamT.flags.writeable = False
+    return us, lamT
+
+
 def residual_scan(kind, family, par, case, lam, mu, lame_lambda, K, u_lo, u_hi, n):
     """Residual sampled at the points ``scan_grid(u_lo, u_hi, n)``."""
-    lamT = np.exp(scan_grid(u_lo, u_hi, n))
+    _, lamT = scan_nodes(u_lo, u_hi, n)
     return transverse_residual(kind, family, par, case, lam, mu, lame_lambda, K, lamT)
 
 
@@ -139,17 +197,24 @@ def bisect_log(kind, family, par, case, lam, mu, lame_lambda, K, u_a, u_b, f_a, 
 
     Runs until the bracket width reaches a few ulps of u or ``max_iter``
     halvings; returns (u_root, width, iterations). Infinite residual values
-    at the endpoints are fine -- only signs are used.
+    at the endpoints are fine -- only signs are used. The loop runs on
+    Python floats; a midpoint whose Python arithmetic raises is evaluated
+    again as np.float64 (see the module docstring).
     """
-    a = u_a
-    b = u_b
-    fa = f_a
+    a = float(u_a)
+    b = float(u_b)
+    fa = float(f_a)
     it = 0
     while it < max_iter:
         mid = 0.5 * (a + b)
         if mid == a or mid == b:
             break
-        fm = transverse_residual(kind, family, par, case, lam, mu, lame_lambda, K, np.exp(mid))
+        x = float(np.exp(mid))
+        try:
+            fm = transverse_residual(kind, family, par, case, lam, mu, lame_lambda, K, x)
+        except ArithmeticError:
+            x = np.float64(x)
+            fm = transverse_residual(kind, family, par, case, lam, mu, lame_lambda, K, x)
         if fm == 0.0:
             a = mid
             b = mid

@@ -203,7 +203,7 @@ def _scan(args, u_lo, u_hi):
     """The scan grid over u = ln(lamT) and the residual the kernel sampled there."""
     with np.errstate(all="ignore"):
         fs = _k.residual_scan(*args, u_lo, u_hi, _SCAN_POINTS)
-    return _k.scan_grid(u_lo, u_hi, _SCAN_POINTS), fs
+    return _k.scan_nodes(u_lo, u_hi, _SCAN_POINTS)[0], fs
 
 
 def _sign_brackets(us, fs):

@@ -66,6 +66,15 @@ def _family_par(name, value):
     return float(value)
 
 
+def _par_label(prefix, par):
+    """``prefix:par`` in ``%g`` when that reads back as ``par``, else in full.
+
+    So every label parses back to the parameter of its own model.
+    """
+    short = f"{par:g}"
+    return f"{prefix}:{short if float(short) == par else repr(par)}"
+
+
 @dataclass(frozen=True)
 class VolFun:
     """One volumetric function: a family code plus its parameter.
@@ -85,9 +94,10 @@ class VolFun:
         The q = 0 member is the (ln J)^2 / 2 limit; the branch switches at
         q < 1e-8 with no blending. q is at most 1e6.
         """
-        if _family_par("power-pair exponent q", q) < 0:
+        q = _family_par("power-pair exponent q", q)
+        if q < 0:
             raise ValueError("power-pair exponent q must be >= 0")
-        return cls(_k.FAMILY_HN, float(q), f"hn:{q:g}")
+        return cls(_k.FAMILY_HN, q, _par_label("hn", q))
 
     @classmethod
     def log_augmented(cls, beta):
@@ -96,9 +106,10 @@ class VolFun:
         Below |beta| < 1e-8 it is evaluated as its (ln J)^2 / 2 limit, like
         the power pair below q < 1e-8.
         """
-        if _family_par("log-augmented exponent beta", beta) == 0:
+        beta = _family_par("log-augmented exponent beta", beta)
+        if beta == 0:
             raise ValueError("log-augmented exponent beta must be nonzero")
-        return cls(_k.FAMILY_OGDEN, float(beta), f"ogden:{beta:g}")
+        return cls(_k.FAMILY_OGDEN, beta, _par_label("ogden", beta))
 
     @classmethod
     def quadratic(cls):

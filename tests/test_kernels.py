@@ -125,3 +125,118 @@ def test_solver_brackets_come_from_the_points_the_scan_evaluated():
         want = _k.transverse_residual(*args, np.exp(us))
     np.testing.assert_array_equal(fs, want)
     assert us[0] == u_lo and abs(us[-1] - u_hi) <= 4 * np.spacing(u_hi)
+
+
+@pytest.mark.parametrize("family, par", _FAMILIES)
+def test_volumetric_term_is_its_h_tuple_column_bit_for_bit(family, par):
+    # the residual's J h' (mixed) and h' (vol-iso) come from the closed
+    # forms of h_tuple term by term, for a Python float, a numpy scalar
+    # and an array
+    Js = np.logspace(-6, 6, 241)
+    for kind, col in (("mixed", 3), ("voliso", 1)):
+        want = _k.h_tuple(family, par, Js)[col]
+        np.testing.assert_array_equal(_k._volumetric_term(kind, family, par, Js), want)
+        for J in Js:
+            want = _k.h_tuple(family, par, J)[col]
+            assert _k._volumetric_term(kind, family, par, J).hex() == want.hex()
+            assert _k._volumetric_term(kind, family, par, float(J)).hex() == want.hex()
+
+
+def _bisect_log_numpy(kind, family, par, case, lam, mu, lame_lambda, K, u_a, u_b, f_a, max_iter):
+    # the bisection on np.float64 scalars that the Python-float loop replaces
+    a = np.float64(u_a)
+    b = np.float64(u_b)
+    fa = np.float64(f_a)
+    it = 0
+    while it < max_iter:
+        mid = 0.5 * (a + b)
+        if mid == a or mid == b:
+            break
+        fm = _k.transverse_residual(kind, family, par, case, lam, mu, lame_lambda, K, np.exp(mid))
+        if fm == 0.0:
+            a = mid
+            b = mid
+            break
+        if (fm > 0.0) == (fa > 0.0):
+            a = mid
+            fa = fm
+        else:
+            b = mid
+        it += 1
+    return 0.5 * (a + b), b - a, it
+
+
+def _same_bits(got, want):
+    u, width, it = got
+    u_ref, width_ref, it_ref = want
+    return (float(u).hex(), float(width).hex(), it) == (
+        float(u_ref).hex(),
+        float(width_ref).hex(),
+        it_ref,
+    )
+
+
+@pytest.mark.parametrize("kind", ("mixed", "voliso"), ids=("0", "1"))
+@pytest.mark.parametrize("case", hs.CASES, ids=("0", "1", "2"))
+def test_bisect_log_matches_the_numpy_scalar_loop(kind, case):
+    u_lo, u_hi = math.log(1e-9), math.log(1e9)
+    n_brackets = 0
+    for vf in catalog().values():
+        for lam in (0.3, 1.7):
+            args = (kind, vf.family, vf.par, case, lam, 1.0, 1.5, 2.1666666666666665)
+            us, fs = hs._scan(args, u_lo, u_hi)
+            for u_a, u_b, f_a in hs._sign_brackets(us, fs):
+                if u_a == u_b:
+                    continue
+                with np.errstate(all="ignore"):
+                    got = _k.bisect_log(*args, u_a, u_b, f_a, 200)
+                    want = _bisect_log_numpy(*args, u_a, u_b, f_a, 200)
+                assert _same_bits(got, want), (vf.label, lam, u_a, u_b)
+                n_brackets += 1
+    assert n_brackets >= 16
+
+
+@pytest.mark.parametrize(
+    "u_a, u_b, error, iterations",
+    ((-3.0, 3.0, ZeroDivisionError, 56), (-1.0, 5.0, OverflowError, 57)),
+    ids=("underflow", "overflow"),
+)
+def test_bisect_log_falls_back_to_numpy_where_python_raises(
+    monkeypatch, u_a, u_b, error, iterations
+):
+    # at two midpoints J^1000 underflows to 0, so 1 / J^q divides by zero,
+    # or J^1000 leaves the float range; numpy gives +-inf there instead
+    args = ("mixed", _k.FAMILY_HN, 1000.0, "ul", 2.0, 1.0, 1.5, 2.1666666666666665)
+    with np.errstate(all="ignore"):
+        f_a = _k.transverse_residual(*args, np.exp(np.float64(u_a)))
+        want = _bisect_log_numpy(*args, u_a, u_b, f_a, 200)
+    real, raised, numpy_calls = _k.transverse_residual, [], []
+
+    def recorded(*a):
+        if isinstance(a[-1], np.float64):
+            numpy_calls.append(a[-1])
+        try:
+            return real(*a)
+        except ArithmeticError as exc:
+            raised.append(type(exc))
+            raise
+
+    monkeypatch.setattr(_k, "transverse_residual", recorded)
+    with np.errstate(all="ignore"):
+        got = _k.bisect_log(*args, u_a, u_b, f_a, 200)
+    assert raised == [error, error] and len(numpy_calls) == 2
+    assert got[2] == iterations and _same_bits(got, want)
+
+
+@pytest.mark.parametrize("widen", (0.0, 3.0), ids=("default", "widened"))
+def test_scan_nodes_are_a_read_only_fresh_grid(widen):
+    u_lo = math.log(1e-9) - widen * math.log(10.0)
+    u_hi = math.log(1e9) + widen * math.log(10.0)
+    us, lamT = _k.scan_nodes(u_lo, u_hi, 2001)
+    fresh = _k.scan_grid(u_lo, u_hi, 2001)
+    np.testing.assert_array_equal(us, fresh)
+    np.testing.assert_array_equal(lamT, np.exp(fresh))
+    assert _k.scan_nodes(u_lo, u_hi, 2001)[0] is us
+    for arr in (us, lamT):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0

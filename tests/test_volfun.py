@@ -222,3 +222,27 @@ def test_parse_volfun():
         parse_volfun("9")
     with pytest.raises(ValueError):
         parse_volfun("spam")
+
+
+@pytest.mark.parametrize(
+    "text, label",
+    (
+        ("hn:2", "hn:2"),
+        ("hn:1e6", "hn:1e+06"),
+        ("hn:0.0833333", "hn:0.0833333"),
+        ("hn:0.08333333333333333", "hn:0.08333333333333333"),
+        ("ogden:-0.8", "ogden:-0.8"),
+        ("ogden:1e-300", "ogden:1e-300"),
+        ("ogden:-1.2345678", "ogden:-1.2345678"),
+    ),
+)
+def test_label_parses_back_to_its_own_model(text, label):
+    # %g keeps six digits, so it is used only where it reads back exactly
+    vf = parse_volfun(text)
+    assert vf.label == label
+    assert parse_volfun(vf.label) == vf
+
+
+def test_nearby_parameters_print_different_labels():
+    a, b = parse_volfun("hn:0.08333333333333333"), parse_volfun("hn:0.0833333")
+    assert a.par != b.par and a.label != b.label
