@@ -42,9 +42,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_NO_CONVERGENCE = 2
 
-# the named --nu-set preset: one flag for the whole family of published curves
-NU_PRESETS = {"paper": PAPER_NUS}
-
 # Poisson ratios swept when reproducing the reference tables; the printed
 # classes mix asymptotic regimes, so a cell counts as reproduced when any
 # swept ratio yields the reference class (the per-row match column records
@@ -133,7 +130,7 @@ def _nu_list(args):
     if args.nu_set is not None:
         if args.nu is not None:
             raise ValueError("give either --nu or --nu-set, not both")
-        return NU_PRESETS[args.nu_set]
+        return PAPER_NUS
     return (args.nu,)
 
 
@@ -161,8 +158,7 @@ def _cmd_audit_volfun(args):
     for _, vf in sorted(catalog().items()):
         flags, witness = audit(vf).as_row()
         rows.append([vf.label, *flags, "" if witness is None else float(witness)])
-    _write_csv(header, rows, args.out)
-    return EXIT_OK
+    return header, rows, True
 
 
 def _cmd_sweep(args):
@@ -191,8 +187,7 @@ def _cmd_sweep(args):
                 res.converged,
             ]
             rows.append([model.params.nu, *row] if multi else row)
-    _write_csv(header, rows, args.out)
-    return EXIT_OK if ok else EXIT_NO_CONVERGENCE
+    return header, rows, ok
 
 
 def _cmd_limits(args):
@@ -204,8 +199,7 @@ def _cmd_limits(args):
         for name, lc in classes.items():
             ok = ok and not lc.solver_failed
             rows.append([name, direction, lc.label, "" if lc.constant is None else lc.constant])
-    _write_csv(header, rows, args.out)
-    return EXIT_OK if ok else EXIT_NO_CONVERGENCE
+    return header, rows, ok
 
 
 def _cmd_dilatation(args):
@@ -216,8 +210,7 @@ def _cmd_dilatation(args):
     for k in ks:
         sigma_m = hs.dilatation_response(model, float(k))
         rows.append([float(k), sigma_m, -sigma_m + 0.0])
-    _write_csv(header, rows, args.out)
-    return EXIT_OK
+    return header, rows, True
 
 
 def _cmd_stability(args):
@@ -255,8 +248,7 @@ def _cmd_stability(args):
     order = sorted(range(len(tasks)), key=lambda k: (tasks[k][0].kind, tasks[k][1]))
     for k in order:
         rows[k] = run(tasks[k])
-    _write_csv(header, rows, args.out)
-    return EXIT_OK
+    return header, rows, True
 
 
 def _cmd_tangent_check(args):
@@ -266,8 +258,7 @@ def _cmd_tangent_check(args):
         for vf in _volfun_list(args):
             model = _model(args, kind, vf, args.nu)
             rows.append([kind, vf.label, st.tangent_fd_error(model, n_motions=args.motions)])
-    _write_csv(header, rows, args.out)
-    return EXIT_OK
+    return header, rows, True
 
 
 # --------------------------------------------------------------------------
@@ -470,8 +461,7 @@ def _cmd_table_repro(args):
                                 note,
                             ]
                         )
-    _write_csv(header, rows, args.out)
-    return EXIT_OK if ok else EXIT_NO_CONVERGENCE
+    return header, rows, ok
 
 
 # --------------------------------------------------------------------------
@@ -502,34 +492,33 @@ _GRID_N_MAX = 100
 _POINTS_MAX = 10**6
 
 
-def _add_jobs(p):
-    p.add_argument(
-        "--jobs",
-        type=_bounded_int(1),
-        default=1,
-        help="ignored; kept for compatibility (cells always run one at a time)",
-    )
+# the modulus and Poisson-ratio flags; each subcommand takes the subset it uses
+_MODULUS_FLAGS = {
+    "--mu": {"type": float, "default": 1.0, "help": "shear modulus (default 1.0)"},
+    "--E": {"type": float, "help": "Young's modulus; overrides --mu"},
+    "--nu": {"type": float, "help": "Poisson's ratio"},
+    "--nu-set": {
+        "choices": ("paper",),
+        "help": f"named Poisson-ratio preset: 'paper' = {', '.join(map(str, PAPER_NUS))}",
+    },
+}
 
 
-def _add_common(p, nu_set=False):
-    p.add_argument("--mu", type=float, default=1.0, help="shear modulus (default 1.0)")
-    p.add_argument("--E", type=float, default=None, help="Young's modulus; overrides --mu")
-    p.add_argument("--nu", type=float, default=None, help="Poisson's ratio")
-    if nu_set:
-        p.add_argument(
-            "--nu-set",
-            choices=sorted(NU_PRESETS),
-            default=None,
-            help=f"named Poisson-ratio preset: 'paper' = {', '.join(map(str, PAPER_NUS))}",
-        )
+def _add_moduli(p, *flags):
+    """Add the named ``_MODULUS_FLAGS`` to ``p`` in the order given."""
+    for flag in flags:
+        p.add_argument(flag, **_MODULUS_FLAGS[flag])
+
+
+def _add_model(p, *moduli):
+    """Add the flags of one model: the ``moduli``, ``--model`` and ``--volfun``."""
+    _add_moduli(p, *moduli)
     p.add_argument("--model", choices=("inc", "mixed", "voliso"), required=True, help="model kind")
     p.add_argument(
         "--volfun",
         default=None,
         help="volumetric function: catalog id 1..8, 'hn:q' or 'ogden:beta'",
     )
-    p.add_argument("--out", default=None, help="write the CSV here instead of stdout")
-    _add_jobs(p)
 
 
 def _build_parser():
@@ -540,8 +529,6 @@ def _build_parser():
     sub = parser.add_subparsers(dest="subcommand", required=True, parser_class=_Parser)
 
     p = sub.add_parser("audit-volfun", help="five-constraint audit of the volfun catalog")
-    p.add_argument("--out", default=None, help="write the CSV here instead of stdout")
-    _add_jobs(p)
     p.set_defaults(func=_cmd_audit_volfun)
 
     p = sub.add_parser("sweep", help="solve a homogeneous case over a stretch grid")
@@ -555,12 +542,12 @@ def _build_parser():
         help=f"number of grid points, 1..{_POINTS_MAX}",
     )
     p.add_argument("--log", action="store_true", help="log-spaced grid (default linear)")
-    _add_common(p, nu_set=True)
+    _add_model(p, "--mu", "--E", "--nu", "--nu-set")
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("limits", help="classify the stretch-extreme trends of one model")
     p.add_argument("--case", choices=hs.CASES, required=True, help="loading case")
-    _add_common(p)
+    _add_model(p, "--mu", "--E", "--nu")
     p.set_defaults(func=_cmd_limits)
 
     p = sub.add_parser("dilatation", help="mean stress under pure dilatation F = k I")
@@ -572,7 +559,7 @@ def _build_parser():
         default=101,
         help=f"number of grid points, 1..{_POINTS_MAX} (default 101)",
     )
-    _add_common(p)
+    _add_model(p, "--mu", "--E", "--nu")
     p.set_defaults(func=_cmd_dilatation)
 
     p = sub.add_parser(
@@ -592,16 +579,7 @@ def _build_parser():
         default=16,
         help=f"grid resolution per stretch axis, 1..{_GRID_N_MAX}",
     )
-    p.add_argument("--mu", type=float, default=1.0, help="shear modulus (default 1.0)")
-    p.add_argument("--nu", type=float, default=None, help="Poisson's ratio")
-    p.add_argument(
-        "--nu-set",
-        choices=sorted(NU_PRESETS),
-        default=None,
-        help="named Poisson-ratio preset",
-    )
-    p.add_argument("--out", default=None, help="write the CSV here instead of stdout")
-    _add_jobs(p)
+    _add_moduli(p, "--mu", "--nu", "--nu-set")
     p.set_defaults(func=_cmd_stability)
 
     p = sub.add_parser("tangent-check", help="finite-difference tangent verification")
@@ -609,18 +587,23 @@ def _build_parser():
     p.add_argument(
         "--motions", type=_bounded_int(1), default=10, help="number of deterministic motions, >= 1"
     )
-    p.add_argument("--mu", type=float, default=1.0, help="shear modulus (default 1.0)")
-    p.add_argument("--nu", type=float, default=None, help="Poisson's ratio")
-    p.add_argument("--out", default=None, help="write the CSV here instead of stdout")
-    _add_jobs(p)
+    _add_moduli(p, "--mu", "--nu")
     p.set_defaults(func=_cmd_tangent_check)
 
     p = sub.add_parser("table-repro", help="observed vs reference limit classes")
     p.add_argument("--table", type=int, choices=(3, 4, 6), required=True, help="table id")
-    p.add_argument("--mu", type=float, default=1.0, help="shear modulus (default 1.0)")
-    p.add_argument("--out", default=None, help="write the CSV here instead of stdout")
-    _add_jobs(p)
+    _add_moduli(p, "--mu")
     p.set_defaults(func=_cmd_table_repro)
+
+    # added last, so that every --help ends with these two
+    for p in sub.choices.values():
+        p.add_argument("--out", help="write the CSV here instead of stdout")
+        p.add_argument(
+            "--jobs",
+            type=_bounded_int(1),
+            default=1,
+            help="ignored; kept for compatibility (cells always run one at a time)",
+        )
 
     return parser
 
@@ -632,10 +615,12 @@ def main(argv=None):
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        header, rows, ok = args.func(args)
+        _write_csv(header, rows, args.out)
     except ValueError as err:
         print(f"nhcomp: error: {err}", file=sys.stderr)
         return EXIT_USAGE
+    return EXIT_OK if ok else EXIT_NO_CONVERGENCE
 
 
 if __name__ == "__main__":

@@ -9,6 +9,8 @@ import contextlib
 import csv
 import io
 import math
+import os
+import re
 import subprocess
 import sys
 import warnings
@@ -17,6 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
+import nhcomp
 from nhcomp import cli
 from nhcomp import homsolve as hs
 from nhcomp.materials import ModelSpec, cauchy_stress
@@ -135,20 +138,29 @@ class TestSweep:
         assert out.read_bytes() == stdout_bytes
         assert b"\r" not in stdout_bytes
 
-    def test_solver_failure_yields_exit_two_and_partial_csv(self, capsys, monkeypatch):
+    def test_solver_failure_yields_exit_two_and_partial_csv(self, capsys, monkeypatch, tmp_path):
         def explode(case, model, lam, seed_lamT=1.0):
             raise hs.SolveError("injected failure")
 
         monkeypatch.setattr(hs, "solve", explode)
-        code, rows, _ = run(
-            capsys,
-            *"sweep --case ul --model mixed --volfun 2 --nu 0.3 "
-            "--lam-min 0.5 --lam-max 2 --points 3".split(),
-        )
-        assert code == 2
+        argv = (
+            "sweep --case ul --model mixed --volfun 2 --nu 0.3 --lam-min 0.5 --lam-max 2 --points 3"
+        ).split()
+        assert cli.main(argv) == 2
+        stdout = capsys.readouterr().out
+        rows = list(csv.DictReader(io.StringIO(stdout)))
         assert len(rows) == 3
         assert all(r["converged"] == "false" for r in rows)
         assert all(r["lambda_T"] == "nan" for r in rows)
+
+        # the partial CSV goes to --out byte for byte; an --out that cannot
+        # be opened turns the exit 2 into a usage error with no CSV
+        out = tmp_path / "partial.csv"
+        assert cli.main([*argv, "--out", str(out)]) == 2
+        assert out.read_bytes() == stdout.encode()
+        missing = tmp_path / "missing" / "partial.csv"
+        err = run_rejected(capsys, *argv, "--out", str(missing))
+        assert err.startswith(f"nhcomp: error: cannot write --out {missing}: ")
 
     def test_volfun_flag_rejected_for_incompressible(self, capsys):
         code, _, err = run(
@@ -369,7 +381,12 @@ class TestBadUsage:
     )
     def test_every_subcommand_lists_jobs(self, capsys, subcommand):
         assert cli.main([subcommand, "--help"]) == 0
-        assert "--jobs JOBS" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "--jobs JOBS" in out
+        options = re.findall(r"^  (-[-\w]+)", out, flags=re.MULTILINE)
+        assert options[-2:] == ["--out", "--jobs"]
+        for flag in ("--mu", "--E", "--nu", "--nu-set"):
+            assert options.count(flag) <= 1, flag
 
     @pytest.mark.parametrize(
         "argv, message",
@@ -821,11 +838,15 @@ def test_cli_fuzz_exits_cleanly(argv):
 
 
 def test_module_entry_point_runs_in_a_subprocess():
+    # the child imports the same nhcomp package as this process, installed or not
+    src = os.path.dirname(os.path.dirname(nhcomp.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-m", "nhcomp.cli", "audit-volfun"],
         capture_output=True,
         text=True,
         timeout=120,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0].startswith("volfun,")

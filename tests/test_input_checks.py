@@ -2,6 +2,8 @@
 its message, before any arithmetic can warn (RuntimeWarning is an error
 under the suite's ``filterwarnings``)."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -31,6 +33,10 @@ CHECKS = {
     "dilatation-stretch": (
         lambda: hs.dilatation_response(MIXED, 0.0),
         "dilatation stretch must be positive",
+    ),
+    "voliso-nu": (
+        lambda: ModelSpec("voliso", QUAD, replace(PARAMS, nu=-1.0)),
+        "vol-iso kind requires -1 < nu < 1/2, got nu = -1.0",
     ),
     "params_from_mu_lam-mu": (
         lambda: params_from_mu_lam(0.0, 1.0),
