@@ -317,6 +317,13 @@ class TangentPair:
     c_bh: SuperSymTensor4
 
 
+# the two constant fourth-order tensors of every tangent, built once
+_II = outer(I3, I3)
+_IsI = sym_outer(I3, I3)
+_II.a.flags.writeable = False
+_IsI.a.flags.writeable = False
+
+
 def tangents(model, state):
     """Spatial tangents: c_tr : d = Oldroyd[tau]/J, c_bh = c_tr + stress terms.
 
@@ -327,21 +334,19 @@ def tangents(model, state):
     J = state.J
     mu = model.params.mu
     ev = evaluate(model.volfun, J)
-    II = outer(I3, I3)
-    IsI = sym_outer(I3, I3)
     if model.kind == "mixed":
         lam = model.params.lam
-        c_tr = lam * ev.chi * II + (2.0 / J) * (mu - lam * J * ev.hp) * IsI
+        c_tr = lam * ev.chi * _II + (2.0 / J) * (mu - lam * J * ev.hp) * _IsI
     else:
         K = model.params.K
         c = state.c
         trc = float(np.trace(c))
         w = mu * J ** (-5.0 / 3.0)
         c_tr = (
-            K * ev.chi * II
-            - 2.0 * K * ev.hp * IsI
-            + (2.0 / 3.0) * w * trc * IsI
-            - (2.0 / 9.0) * w * trc * II
+            K * ev.chi * _II
+            - 2.0 * K * ev.hp * _IsI
+            + (2.0 / 3.0) * w * trc * _IsI
+            - (2.0 / 9.0) * w * trc * _II
             - (4.0 / 3.0) * w * outer(dev(c), I3)  # symmetrized dyad: (dev c (x) I + I (x) dev c)/2
         )
     sigma = cauchy_stress(model, state.F).cauchy
@@ -435,64 +440,100 @@ class _ShearBlock:
     """The part of the coaxial form M = S + c * ones(3, 3) that depends only
     on (kind, contraction, mu, grid), never on the volumetric function or nu.
 
-    ``shift`` is the shear-scale summand of ``c`` (None where ``c`` has
-    none). Every array is read-only, since one block serves many calls.
+    ``lower`` holds the six lower-triangle entries of S rotated by
+    _TRACE_ROT, in the order of ``_LOWER``, each a C-contiguous length-n
+    vector; nothing reads the upper triangle. ``shift`` is the shear-scale
+    summand of ``c`` (None where ``c`` has none). Every array is read-only,
+    since one block serves many calls.
     """
 
     S: np.ndarray  # (n, 3, 3), entries at the shear-modulus scale
-    Sp: np.ndarray  # S rotated by _TRACE_ROT
-    s_scale: np.ndarray  # largest |entry| of Sp per state
+    lower: tuple  # (Sp00, Sp10, Sp20, Sp11, Sp21, Sp22), Sp = Q^T S Q
+    s_scale: np.ndarray  # largest |entry| of ``lower`` per state
     J: np.ndarray
     shift: np.ndarray | None
 
 
+# the (row, column) of each lower-triangle entry, in the order eigh's
+# lower triangle and _ShearBlock.lower list them
+_LOWER = ((0, 0), (1, 0), (2, 0), (1, 1), (2, 1), (2, 2))
+
 # The last block built, as (key, private copy of the grid, block). A
 # stability scan runs every (volfun, nu) cell of one (kind, contraction) on
-# one grid back to back, so one slot is enough; a block at the largest grid
-# holds several MB, so more slots would cost peak memory for nothing.
+# one grid back to back, so one slot is enough; a block and its grid copy
+# hold up to 21 doubles per state (168 MB at n = 100), so more slots would
+# cost peak memory for nothing.
 _block_slot = [None]
+
+
+def _rotate_lower(S):
+    """The six lower-triangle entries of Q^T S Q, Q = _TRACE_ROT, for a batch
+    S of 3x3 matrices, as contiguous length-n vectors in ``_LOWER`` order.
+
+    Entry (i, l) adds (Q[j, i] * S[:, j, k]) * Q[k, l] onto 0.0, j outer and
+    k inner: the order and rounding of ``np.einsum("ji,njk,kl->nil", Q, S,
+    Q)``, so every result matches it bit for bit, at a fraction of its time.
+    Only the sign bit of a NaN may differ, where two NaNs meet in one sum.
+    """
+    Q = _TRACE_ROT
+    n = S.shape[0]
+    term = np.empty(n)
+    lower = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, l in _LOWER:
+            acc = np.zeros(n)
+            for j in range(3):
+                for k in range(3):
+                    np.multiply(Q[j, i], S[:, j, k], out=term)
+                    term *= Q[k, l]
+                    np.add(term, acc, out=acc)
+            lower.append(acc)
+    return tuple(lower)
 
 
 def _build_shear_block(kind, contraction, mu, lams):
     n = lams.shape[0]
-    lam2 = lams**2
+    lam2 = np.ascontiguousarray((lams**2).T)  # (3, n)
     J = np.prod(lams, axis=1)
-    MP = np.zeros((n, 3, 3))  # matrix of P
-    idx = np.arange(3)
-    MP[:, idx, idx] = 2.0 * lam2
-    MB = 0.5 * (lam2[:, :, None] + lam2[:, None, :])  # matrix of B
-    trc = lam2.sum(axis=1)
+    trc = lam2[0] + lam2[1] + lam2[2]
+    # S = w (MP - a MB), with MP = diag(2 lam2) the matrix of P and
+    # MB_jk = (lam2_j + lam2_k) / 2 that of B; a = None drops the MB term
     if contraction == "hill":
         if kind == "mixed":
-            S = mu * MP
-            shift = None
+            w, a, shift = mu, None, None
         elif kind == "voliso":
             w = mu * J ** (-2.0 / 3.0)
-            S = w[:, None, None] * (MP - (4.0 / 3.0) * MB)
-            shift = (2.0 / 9.0) * w * trc
+            a, shift = 4.0 / 3.0, (2.0 / 9.0) * w * trc
         else:
             raise ValueError(f"unsupported kind {kind!r}")
     elif contraction == "csp":
         if kind == "mixed":
             w = mu / J
-            S = w[:, None, None] * (MP - MB)
-            shift = w
+            a, shift = 1.0, w
         elif kind == "voliso":
             w = mu * J ** (-5.0 / 3.0)
-            S = w[:, None, None] * (MP - (7.0 / 3.0) * MB)
-            shift = (5.0 / 9.0) * w * trc
+            a, shift = 7.0 / 3.0, (5.0 / 9.0) * w * trc
         else:
             raise ValueError(f"unsupported kind {kind!r}")
     else:
         raise ValueError(f"unknown contraction {contraction!r}")
-    Q = _TRACE_ROT
-    Sp = np.einsum("ji,njk,kl->nil", Q, S, Q)
-    lower = [Sp[:, 0, 0], Sp[:, 1, 0], Sp[:, 2, 0], Sp[:, 1, 1], Sp[:, 2, 1], Sp[:, 2, 2]]
-    s_scale = np.max(np.abs(np.stack(lower, axis=-1)), axis=-1)
-    for a in (S, Sp, s_scale, J, shift):
-        if a is not None:
-            a.flags.writeable = False
-    return _ShearBlock(S=S, Sp=Sp, s_scale=s_scale, J=J, shift=shift)
+    # S is stored column by column, so each S[:, j, k] is contiguous
+    cols = np.empty((3, 3, n))
+    for j in range(3):
+        for k in range(3):
+            col = 2.0 * lam2[j] if j == k else 0.0
+            if a is not None:
+                col = col - a * (0.5 * (lam2[j] + lam2[k]))
+            np.multiply(w, col, out=cols[j, k])
+    S = cols.transpose(2, 0, 1)
+    lower = _rotate_lower(S)
+    s_scale = np.abs(lower[0])
+    for v in lower[1:]:
+        np.maximum(s_scale, np.abs(v), out=s_scale)
+    for v in (cols, S, *lower, s_scale, J, shift):
+        if v is not None:
+            v.flags.writeable = False
+    return _ShearBlock(S=S, lower=lower, s_scale=s_scale, J=J, shift=shift)
 
 
 def _shear_block(kind, contraction, mu, lams):
@@ -555,11 +596,16 @@ def _eig2_min(p, r, q):
     return 0.5 * (p + q) - np.hypot(0.5 * (p - q), r)
 
 
-def _lower_matrices(Sp, alpha, select):
-    """The matrices eigh is given: rows ``select`` of Sp, alpha at (0, 0)."""
-    Mp = Sp[select]
-    Mp[:, 0, 0] = alpha[select]
-    return Mp
+def _lower_matrices(lower, select):
+    """The symmetric 3x3 matrices eigh is given, rows ``select`` of the six
+    lower-triangle vectors ``lower`` (in ``_LOWER`` order) mirrored across
+    the diagonal."""
+    rows = [v[select] for v in lower]
+    M = np.empty((len(rows[0]), 3, 3))
+    for (i, l), v in zip(_LOWER, rows):
+        M[:, i, l] = v
+        M[:, l, i] = v
+    return M
 
 
 def _exceeds(upper, a00, a10, a20, a11, a21, a22):
@@ -619,15 +665,16 @@ def min_coaxial_eig(kind, volfun, params, lams, contraction="hill"):
     large modulus it keeps products such as b1 * b1 from overflowing. A
     minimum beyond the float range raises ``ValueError``.
 
-    The shear block (S rotated by Q, and its scale) does not depend on the
-    volumetric function or nu, so a run of calls on one (kind, contraction,
-    mu, grid) builds it once. The output bytes are those of running ``eigh``
-    on every state: batched ``eigh`` treats each matrix on its own, so a
-    subset gives the same bits for the rows it holds, and the argmin row's
-    eigenvector is taken from the subset. The batched ``einsum`` rotation
-    and ``eigh`` stay as they are: a matrix-product rotation or ``eigvalsh``
-    rounds differently and would change the reported values in the last
-    bits.
+    The shear block (the lower triangle of S rotated by Q, and its scale)
+    does not depend on the volumetric function or nu, so a run of calls on
+    one (kind, contraction, mu, grid) builds it once. The output bytes are
+    those of running ``eigh`` on every state: batched ``eigh`` treats each
+    matrix on its own, so a subset gives the same bits for the rows it
+    holds, and the argmin row's eigenvector is taken from the subset. The
+    rotation (:func:`_rotate_lower`) adds its products in the order of the
+    batched ``einsum`` it replaced, and ``eigh`` stays as it is: a
+    matrix-product rotation or ``eigvalsh`` rounds differently and would
+    change the reported values in the last bits.
     """
     mu = params.mu
     params, e = mantissa_params(params)
@@ -635,10 +682,10 @@ def min_coaxial_eig(kind, volfun, params, lams, contraction="hill"):
     c = _volumetric_coeff(kind, contraction, volfun, params, block)
     Q = _TRACE_ROT
     qu = Q.T @ np.ones(3)  # (sqrt(3)-ish, exactly 0, exactly 0)
-    Sp = block.Sp
-    alpha = Sp[:, 0, 0] + c * qu[0] * qu[0]
-    b1, b2 = Sp[:, 1, 0], Sp[:, 2, 0]
-    p, r, q = Sp[:, 1, 1], Sp[:, 2, 1], Sp[:, 2, 2]
+    s00, b1, b2, p, r, q = block.lower
+    alpha = s00 + c * qu[0] * qu[0]
+    # the lower triangle eigh reads: Sp with alpha in place of Sp[0, 0]
+    lower = (alpha, b1, b2, p, r, q)
     graded = np.abs(alpha) > 1e3 * (block.s_scale + 1e-300)
 
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -653,16 +700,15 @@ def min_coaxial_eig(kind, volfun, params, lams, contraction="hill"):
     kept = ~graded
     cand = np.flatnonzero(kept)
     if cand.size:
-        # the lower triangle eigh reads: Sp with alpha in place of Sp[0, 0]
-        lower = (alpha[cand], b1[cand], b2[cand], p[cand], r[cand], q[cand])
-        a00, _, _, a11, _, a22 = lower
+        sub = [v[cand] for v in lower]
+        a00, _, _, a11, _, a22 = sub
         k = cand[np.argmin(np.minimum(np.minimum(a00, a11), a22))]
-        upper = float(np.linalg.eigh(_lower_matrices(Sp, alpha, [k]))[0][0, 0])
+        upper = float(np.linalg.eigh(_lower_matrices(lower, [k]))[0][0, 0])
         if cand.size < len(mins):
             upper = min(upper, float(np.min(mins[graded])))
-        kept[cand[_exceeds(upper, *lower)]] = False
+        kept[cand[_exceeds(upper, *sub)]] = False
         mins[cand] = np.inf
-    vals, vecs = np.linalg.eigh(_lower_matrices(Sp, alpha, kept))
+    vals, vecs = np.linalg.eigh(_lower_matrices(lower, kept))
     mins[kept] = vals[:, 0]
 
     i = int(np.argmin(mins))

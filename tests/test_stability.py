@@ -670,10 +670,14 @@ class TestCoaxialScanBytes:
         # the scan runs eigh on a subset of states and relies on batched
         # eigh treating every matrix on its own
         block = stability._shear_block("voliso", "hill", 1.0, stretch_grid(10))
+        scan = stability._lower_matrices(block.lower, np.ones(len(block.J), dtype=bool))
         sym = rng.standard_normal((500, 3, 3))
-        for batch in (block.Sp.copy(), sym + sym.transpose(0, 2, 1)):
+        for batch in (scan, sym + sym.transpose(0, 2, 1)):
             vals, vecs = np.linalg.eigh(batch)
             for keep in (rng.random(len(batch)) < 0.1, np.arange(len(batch)) == 7):
+                if batch is scan:
+                    sub = stability._lower_matrices(block.lower, keep)
+                    assert sub.tobytes() == batch[keep].tobytes()
                 sub_vals, sub_vecs = np.linalg.eigh(batch[keep])
                 assert sub_vals.tobytes() == vals[keep].tobytes()
                 assert sub_vecs.tobytes() == vecs[keep].tobytes()
@@ -729,6 +733,81 @@ class TestCoaxialScanBytes:
 
     def test_shear_block_arrays_are_read_only(self):
         block = stability._shear_block("voliso", "csp", 1.0, stretch_grid(3))
-        for a in (block.S, block.Sp, block.s_scale, block.J, block.shift):
+        assert len(block.lower) == 6
+        for v in block.lower:
+            assert v.shape == block.J.shape and v.flags.c_contiguous
+        for a in (block.S, *block.lower, block.s_scale, block.J, block.shift):
             with pytest.raises(ValueError):
                 a[0] = 0.0
+
+
+def nan_blind_bits(x):
+    """Exactly comparable bits, with every NaN as numpy's positive NaN.
+
+    A NaN's sign bit is no property of the rotation: numpy's own ``add``
+    keeps the left operand's NaN in its vector loop and the right one's in
+    its scalar tail, so NaN + NaN can come out either way in one array.
+    """
+    return np.where(np.isnan(x), np.nan, x).view(np.int64)
+
+
+def exact_bits(x):
+    return np.ascontiguousarray(x).view(np.int64)
+
+
+def einsum_rotation(S):
+    """Q^T S Q for a batch S, the way the scan rotated it before."""
+    Q = stability._TRACE_ROT
+    return np.einsum("ji,njk,kl->nil", Q, S, Q)
+
+
+class TestShearRotation:
+    """``_rotate_lower`` against the einsum rotation it replaced."""
+
+    @staticmethod
+    def assert_matches_einsum(S, lower, bits=exact_bits):
+        want = einsum_rotation(S)
+        for (i, l), v in zip(stability._LOWER, lower):
+            assert v.flags.c_contiguous and v.shape == (len(S),)
+            assert bits(v).tobytes() == bits(want[:, i, l]).tobytes(), (i, l)
+
+    @pytest.mark.parametrize("n", (16, 32))
+    def test_every_block_matches_einsum_bitwise(self, n):
+        grid = stretch_grid(n)
+        for kind in ("mixed", "voliso"):
+            for contraction in ("hill", "csp"):
+                block = stability._build_shear_block(kind, contraction, 1.0, grid)
+                self.assert_matches_einsum(block.S, block.lower)
+                # the C-ordered S the scan gave einsum before: same bits
+                S = np.ascontiguousarray(block.S)
+                self.assert_matches_einsum(S, stability._rotate_lower(S))
+
+    @pytest.mark.parametrize("n", (1, 7, 8, 17, 1000, 4099))
+    def test_wide_exponents_match_einsum_bitwise(self, n):
+        gen = np.random.default_rng(n)
+        S = gen.standard_normal((n, 3, 3)) * 10.0 ** gen.uniform(-300, 300, (n, 3, 3))
+        self.assert_matches_einsum(S, stability._rotate_lower(S))
+
+    @pytest.mark.parametrize("n", (9, 64, 1001))
+    @pytest.mark.parametrize("specials", ("inf", "nan", "inf and nan"))
+    def test_non_finite_and_signed_zero_entries_match_einsum(self, n, specials):
+        gen = np.random.default_rng(n)
+        S = gen.standard_normal((n, 3, 3))
+        u = gen.random((n, 3, 3))
+        S[u < 0.2] = -0.0
+        if "inf" in specials:
+            S[(u >= 0.2) & (u < 0.3)] = np.inf
+            S[(u >= 0.3) & (u < 0.4)] = -np.inf
+        if "nan" in specials:
+            S[(u >= 0.4) & (u < 0.5)] = np.nan
+        # with one kind of NaN only (numpy's, or the invalid-operation NaN of
+        # inf - inf and 0 * inf) even the sign bits agree
+        bits = nan_blind_bits if specials == "inf and nan" else exact_bits
+        self.assert_matches_einsum(S, stability._rotate_lower(S), bits)
+
+    def test_all_negative_zero_rotates_to_positive_zero(self):
+        # einsum sums onto +0.0, and so does the rotation
+        S = np.full((5, 3, 3), -0.0)
+        lower = stability._rotate_lower(S)
+        self.assert_matches_einsum(S, lower)
+        assert not any(np.signbit(v).any() for v in lower)
