@@ -11,7 +11,9 @@ the stretching d:
 Each contraction is computed two independent ways -- a basis-free tensor
 contraction and a recomposition from spectral quadratic forms (the letters
 P, R, B, C, ... below) -- and the report carries both so that callers can
-verify they agree.
+verify they agree. A report's ``breakdown`` is the glossary below. Every
+compressible contraction recomposes as ``w (P + R - a B) + (c + shift) F``,
+and the coaxial grid scan reads the same (w, a, shift) and c per state.
 
 Letter glossary (state with eigenprojections V_a of c, stretches lam_a,
 rate d):
@@ -136,13 +138,31 @@ def _letters(state, d):
     return P, R, B, C, F
 
 
+def _crosscheck_A(state, d, P, R):
+    # Remark-style identity: the full quadratic form A equals 2 |F^T d|^2
+    Ftd = state.F.T @ d
+    free = 2.0 * float(np.tensordot(Ftd, Ftd, axes=2))
+    scale = max(abs(free), abs(P) + abs(R), 1e-300)
+    if abs(P + R - free) > 1e-8 * scale:
+        raise AssertionError(f"spectral P + R = {P + R!r} disagrees with 2|F^T d|^2 = {free!r}")
+    return free
+
+
+def _glossary(P, R, B, C, F):
+    """The module docstring's glossary, from its five independent letters."""
+    E = P - (4.0 / 3.0) * B + (2.0 / 9.0) * C
+    return {"P": P, "R": R, "A": P + R, "B": B, "C": C, "F": F, "E": E, "D": E + R, "G": P + F - B}
+
+
 @dataclass(frozen=True)
 class ContractionReport:
     """One stability contraction at one (state, rate) point.
 
     ``value`` is the basis-free contraction; ``recomposed`` rebuilds it from
-    the spectral breakdown. They agree to 1e-10 relative by construction
-    (this is checked in the test suite, not enforced here).
+    the spectral breakdown, which is the module docstring's glossary (P, R,
+    A, B, C, F, E, D, G). They agree to 1e-10 relative by construction
+    (this is checked in the test suite, not enforced here). ``verdict`` is
+    :func:`classify_value`'s, so a NaN or infinite value raises ValueError.
     """
 
     kind: str  # "hill" or "csp"
@@ -152,15 +172,6 @@ class ContractionReport:
     verdict: str
 
 
-def _verdict(value, scale):
-    tol = 1e-12 * max(scale, 1.0e-300)
-    if value > tol:
-        return "positive"
-    if value < -tol:
-        return "negative"
-    return "zero"
-
-
 def classify_value(value, scale):
     """Sign verdict ("positive" / "zero" / "negative") at tolerance 1e-12*scale.
 
@@ -168,20 +179,61 @@ def classify_value(value, scale):
     """
     value = float(value)
     if not math.isfinite(value):
-        raise ValueError(f"stability value {value} at modulus {scale} has no sign verdict")
-    return _verdict(value, float(scale))
+        raise ValueError(f"stability value {value} at scale {scale} has no sign verdict")
+    tol = 1e-12 * max(float(scale), 1.0e-300)
+    if value > tol:
+        return "positive"
+    if value < -tol:
+        return "negative"
+    return "zero"
 
 
-def _crosscheck_A(state, d, P, R):
-    # Remark-style identity: the full quadratic form A equals 2 |F^T d|^2
-    Ftd = state.F.T @ d
-    free = 2.0 * float(np.tensordot(Ftd, Ftd, axes=2))
-    scale = max(abs(free), abs(P) + abs(R), 1e-300)
-    if abs(P + R - free) > 1e-8 * scale:
-        raise AssertionError(
-            f"spectral split P + R = {P + R!r} disagrees with 2|F^T d|^2 = {free!r}"
-        )
-    return free
+def _coaxial_form(kind, contraction, mu, J, trc):
+    """(w, a, shift) of a compressible contraction ``w (P + R - a B) + (c +
+    shift) F``, on scalars or per-state arrays of J and tr c; w and shift are
+    at the shear-modulus scale, and c is :func:`_volumetric_c`'s."""
+    if contraction not in ("hill", "csp"):
+        raise ValueError(f"unknown contraction {contraction!r}")
+    if kind not in ("mixed", "voliso"):
+        raise ValueError(f"unsupported kind {kind!r}")
+    if contraction == "hill":
+        if kind == "mixed":
+            return mu, 0.0, 0.0
+        w = mu * J ** (-2.0 / 3.0)
+        return w, 4.0 / 3.0, (2.0 / 9.0) * w * trc
+    if kind == "mixed":
+        w = mu / J
+        return w, 1.0, w
+    w = mu * J ** (-5.0 / 3.0)
+    return w, 7.0 / 3.0, (5.0 / 9.0) * w * trc
+
+
+def _volumetric_c(kind, contraction, params, J, chi, hpp):
+    """The volumetric coefficient c: lam or K times chi J for Hill, times
+    J h'' for CSP, on scalars or per-state arrays. A zero lam (mixed at
+    nu = 0) gives c = 0, even where chi or h'' is inf."""
+    coef = params.lam if kind == "mixed" else params.K
+    with np.errstate(over="ignore"):  # c may be inf at the grid corners
+        if coef == 0.0:
+            return np.zeros_like(J)
+        if contraction == "hill":
+            return coef * chi * J
+        return coef * J * hpp
+
+
+def _report(contraction, model, state, d, value):
+    """The report of a compressible contraction ``value`` at (state, d), judged
+    at the scale of its recomposition's terms. Call under an errstate."""
+    P, R, B, C, F = _letters(state, d)
+    _crosscheck_A(state, d, P, R)
+    J, prm = state.J, model.params
+    ev = evaluate(model.volfun, J)
+    w, a, shift = _coaxial_form(model.kind, contraction, prm.mu, J, float(np.trace(state.c)))
+    c = _volumetric_c(model.kind, contraction, prm, J, ev.chi, ev.hpp)
+    reco = w * (P + R - a * B) + (c + shift) * F
+    scale = w * (P + R + a * abs(B)) + (abs(c) + shift) * F
+    verdict = classify_value(value, scale)
+    return ContractionReport(contraction, value, _glossary(P, R, B, C, F), reco, verdict)
 
 
 def hill_contraction(model, state, rate):
@@ -191,63 +243,26 @@ def hill_contraction(model, state, rate):
     tensors and the contraction reduces to ``mu A``.
     """
     d = rate.d
-    if model.kind == "inc":
+    with np.errstate(all="ignore"):
+        if model.kind != "inc":
+            return _report("hill", model, state, d, ddot(zj_rate(model, state, rate), d))
         dt = d - (np.trace(d) / 3.0) * I3
         P, R, B, C, F = _letters(state, dt)
-        A = _crosscheck_A(state, dt, P, R)
         mu = model.params.mu
-        value = mu * A
-        reco = mu * (P + R)
-        return ContractionReport(
-            "hill", value, {"A": P + R, "P": P, "R": R}, reco, _verdict(value, abs(value))
-        )
-    P, R, B, C, F = _letters(state, d)
-    _crosscheck_A(state, d, P, R)
-    value = ddot(zj_rate(model, state, rate), d)
-    J = state.J
-    ev = evaluate(model.volfun, J)
-    mu = model.params.mu
-    if model.kind == "mixed":
-        lam = model.params.lam
-        reco = mu * (P + R) + lam * ev.chi * J * F
-        scale = mu * (P + R) + abs(lam * ev.chi * J) * F
-        breakdown = {"A": P + R, "P": P, "R": R, "F": F}
-    else:
-        K = model.params.K
-        E = P - (4.0 / 3.0) * B + (2.0 / 9.0) * C
-        D = E + R
-        w = mu * J ** (-2.0 / 3.0)
-        reco = K * ev.chi * J * F + w * D
-        scale = abs(K * ev.chi * J) * F + w * (P + R + abs(B) + C)
-        breakdown = {"P": P, "R": R, "B": B, "C": C, "E": E, "D": D, "F": F}
-    return ContractionReport("hill", value, breakdown, reco, _verdict(value, scale))
+        value = mu * _crosscheck_A(state, dt, P, R)
+        verdict = classify_value(value, abs(value))
+        return ContractionReport("hill", value, _glossary(P, R, B, C, F), mu * (P + R), verdict)
 
 
 def csp_contraction(model, state, rate):
     """Corotational contraction ZJ[sigma]:d = (1/J) ZJ[tau]:d - (sigma:d) tr d."""
     if model.kind == "inc":
         raise ValueError("the corotational contraction is defined here for compressible kinds")
-    d = rate.d
-    J = state.J
-    sigma = cauchy_stress(model, state.F).cauchy
-    value = ddot(zj_rate(model, state, rate), d) / J - ddot(sigma, d) * float(np.trace(d))
-    P, R, B, C, F = _letters(state, d)
-    _crosscheck_A(state, d, P, R)
-    ev = evaluate(model.volfun, J)
-    mu = model.params.mu
-    if model.kind == "mixed":
-        lam = model.params.lam
-        G = P + F - B
-        reco = lam * J * ev.hpp * F + (mu / J) * (G + R)
-        scale = abs(lam * J * ev.hpp) * F + (mu / J) * (P + R + F + abs(B))
-        breakdown = {"P": P, "R": R, "B": B, "F": F, "G": G}
-    else:
-        K = model.params.K
-        w = mu * J ** (-5.0 / 3.0)
-        reco = K * J * ev.hpp * F + w * (P + R - (7.0 / 3.0) * B + (5.0 / 9.0) * C)
-        scale = abs(K * J * ev.hpp) * F + w * (P + R + (7.0 / 3.0) * abs(B) + (5.0 / 9.0) * C)
-        breakdown = {"P": P, "R": R, "B": B, "C": C, "F": F}
-    return ContractionReport("csp", value, breakdown, reco, _verdict(value, scale))
+    d, J = rate.d, state.J
+    with np.errstate(all="ignore"):
+        sigma = cauchy_stress(model, state.F).cauchy
+        value = ddot(zj_rate(model, state, rate), d) / J - ddot(sigma, d) * float(np.trace(d))
+        return _report("csp", model, state, d, value)
 
 
 # --------------------------------------------------------------------------
@@ -443,15 +458,15 @@ class _ShearBlock:
     ``lower`` holds the six lower-triangle entries of S rotated by
     _TRACE_ROT, in the order of ``_LOWER``, each a C-contiguous length-n
     vector; nothing reads the upper triangle. ``shift`` is the shear-scale
-    summand of ``c`` (None where ``c`` has none). Every array is read-only,
-    since one block serves many calls.
+    summand of the coefficient of ones (0.0 for the mixed Hill form, which
+    has none). Every array is read-only, since one block serves many calls.
     """
 
     S: np.ndarray  # (n, 3, 3), entries at the shear-modulus scale
     lower: tuple  # (Sp00, Sp10, Sp20, Sp11, Sp21, Sp22), Sp = Q^T S Q
     s_scale: np.ndarray  # largest |entry| of ``lower`` per state
     J: np.ndarray
-    shift: np.ndarray | None
+    shift: np.ndarray | float
 
 
 # the (row, column) of each lower-triangle entry, in the order eigh's
@@ -491,47 +506,35 @@ def _rotate_lower(S):
     return tuple(lower)
 
 
+def _max_abs(vectors):
+    """Per-state largest |entry| of equal-length vectors (NaN if one is NaN)."""
+    scale = np.abs(vectors[0])
+    for v in vectors[1:]:
+        np.maximum(scale, np.abs(v), out=scale)
+    return scale
+
+
 def _build_shear_block(kind, contraction, mu, lams):
     n = lams.shape[0]
     lam2 = np.ascontiguousarray((lams**2).T)  # (3, n)
     J = np.prod(lams, axis=1)
     trc = lam2[0] + lam2[1] + lam2[2]
+    w, a, shift = _coaxial_form(kind, contraction, mu, J, trc)
     # S = w (MP - a MB), with MP = diag(2 lam2) the matrix of P and
-    # MB_jk = (lam2_j + lam2_k) / 2 that of B; a = None drops the MB term
-    if contraction == "hill":
-        if kind == "mixed":
-            w, a, shift = mu, None, None
-        elif kind == "voliso":
-            w = mu * J ** (-2.0 / 3.0)
-            a, shift = 4.0 / 3.0, (2.0 / 9.0) * w * trc
-        else:
-            raise ValueError(f"unsupported kind {kind!r}")
-    elif contraction == "csp":
-        if kind == "mixed":
-            w = mu / J
-            a, shift = 1.0, w
-        elif kind == "voliso":
-            w = mu * J ** (-5.0 / 3.0)
-            a, shift = 7.0 / 3.0, (5.0 / 9.0) * w * trc
-        else:
-            raise ValueError(f"unsupported kind {kind!r}")
-    else:
-        raise ValueError(f"unknown contraction {contraction!r}")
+    # MB_jk = (lam2_j + lam2_k) / 2 that of B; a = 0 skips the MB term.
     # S is stored column by column, so each S[:, j, k] is contiguous
     cols = np.empty((3, 3, n))
     for j in range(3):
         for k in range(3):
             col = 2.0 * lam2[j] if j == k else 0.0
-            if a is not None:
+            if a:
                 col = col - a * (0.5 * (lam2[j] + lam2[k]))
             np.multiply(w, col, out=cols[j, k])
     S = cols.transpose(2, 0, 1)
     lower = _rotate_lower(S)
-    s_scale = np.abs(lower[0])
-    for v in lower[1:]:
-        np.maximum(s_scale, np.abs(v), out=s_scale)
+    s_scale = _max_abs(lower)
     for v in (cols, S, *lower, s_scale, J, shift):
-        if v is not None:
+        if isinstance(v, np.ndarray):
             v.flags.writeable = False
     return _ShearBlock(S=S, lower=lower, s_scale=s_scale, J=J, shift=shift)
 
@@ -549,6 +552,11 @@ def _shear_block(kind, contraction, mu, lams):
     entry = _block_slot[0]
     if entry is not None and entry[0] == key and np.array_equal(entry[1], lams):
         return entry[2]
+    # the grid is checked only here: a slot hit equals a copy that passed
+    if lams.ndim != 2 or lams.shape[1] != 3 or lams.shape[0] == 0:
+        raise ValueError(f"the stretch grid must be a nonempty (n, 3) array, got {lams.shape}")
+    if not (np.all(lams > 0.0) and np.all(np.isfinite(lams))):
+        raise ValueError("the stretch grid must hold positive finite stretches")
     # free the old block first: two blocks alive at once raise peak memory
     del entry
     _block_slot[0] = None
@@ -558,7 +566,7 @@ def _shear_block(kind, contraction, mu, lams):
 
 
 def _volumetric_coeff(kind, contraction, volfun, params, block):
-    """The coefficient c of ones(3, 3) in the coaxial form M = S + c * ones.
+    """The coefficient of ones(3, 3) in the coaxial form M = S + (c + shift) * ones.
 
     Only ``c`` carries the volumetric factors (chi, h'') that explode at the
     grid corners; the entries of ``S`` stay at the shear-modulus scale. The
@@ -566,15 +574,7 @@ def _volumetric_coeff(kind, contraction, volfun, params, block):
     ill-conditioned sum.
     """
     tab = evaluate_grid(volfun, block.J)
-    coef = params.lam if kind == "mixed" else params.K
-    with np.errstate(over="ignore"):  # c may be inf at the grid corners
-        if coef == 0.0:  # mixed at nu = 0: no volumetric term, even where chi is inf
-            c = np.zeros_like(block.J)
-        elif contraction == "hill":
-            c = coef * tab[:, 4] * block.J  # chi
-        else:
-            c = coef * block.J * tab[:, 2]  # h''
-    return c if block.shift is None else c + block.shift
+    return _volumetric_c(kind, contraction, params, block.J, tab[:, 4], tab[:, 2]) + block.shift
 
 
 def coaxial_matrices(kind, volfun, params, lams, contraction="hill"):
@@ -621,8 +621,7 @@ def _exceeds(upper, a00, a10, a20, a11, a21, a22):
     matrix's eigh value exceeds ``upper``. A NaN or inf entry, or a NaN
     ``upper``, fails every pivot test.
     """
-    lower = (a00, a10, a20, a11, a21, a22)
-    scale = np.max(np.abs(np.stack(lower)), axis=0)
+    scale = _max_abs((a00, a10, a20, a11, a21, a22))
     with np.errstate(all="ignore"):
         t = upper + (1e-9 * (3.0 * scale + abs(upper)) + 1e-300)
         d0 = a00 - t

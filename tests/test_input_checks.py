@@ -67,6 +67,26 @@ CHECKS = {
         lambda: st.min_coaxial_eig("mixed", QUAD, PARAMS, st.stretch_grid(2), "oldroyd"),
         "unknown contraction 'oldroyd'",
     ),
+    "min_coaxial_eig-empty-grid": (
+        lambda: st.min_coaxial_eig("mixed", QUAD, PARAMS, np.empty((0, 3)), "hill"),
+        "the stretch grid must be a nonempty \\(n, 3\\) array, got \\(0, 3\\)",
+    ),
+    "find_hill_violation-n0": (
+        lambda: st.find_hill_violation("voliso", QUAD, n=0),
+        "the stretch grid must be a nonempty",
+    ),
+    "min_coaxial_eig-1d-grid": (
+        lambda: st.min_coaxial_eig("mixed", QUAD, PARAMS, np.ones(3), "csp"),
+        "the stretch grid must be a nonempty \\(n, 3\\) array, got \\(3,\\)",
+    ),
+    "min_coaxial_eig-inf-stretch": (
+        lambda: st.min_coaxial_eig("voliso", QUAD, PARAMS, [[np.inf, 1.0, 1.0]], "hill"),
+        "the stretch grid must hold positive finite stretches",
+    ),
+    "min_coaxial_eig-negative-stretches": (
+        lambda: st.min_coaxial_eig("mixed", QUAD, PARAMS, [[-1.0, -1.0, 1.0]], "hill"),
+        "the stretch grid must hold positive finite stretches",
+    ),
     "evaluate_grid-2d": (
         lambda: evaluate_grid(QUAD, np.ones((2, 2))),
         "expected a 1-D grid of volume ratios",

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -50,6 +51,15 @@ def random_rate(F, scale=0.6):
 def make_rate(F, d):
     """State and rate for a prescribed stretching d (zero spin)."""
     return rate_from_motion(F, np.asarray(d, float) @ F)
+
+
+def assert_glossary_identities(rep):
+    """The breakdown is the module glossary, its derived letters exact."""
+    b = rep.breakdown
+    assert list(b) == ["P", "R", "A", "B", "C", "F", "E", "D", "G"]
+    assert b["A"] == b["P"] + b["R"]
+    assert b["D"] == b["E"] + b["R"]
+    assert b["G"] == b["P"] + b["F"] - b["B"]
 
 
 class TestZJRate:
@@ -188,6 +198,7 @@ class TestHill:
                     rep = hill_contraction(model, state, rate)
                     scale = max(abs(rep.value), abs(rep.recomposed), 1e-12)
                     assert abs(rep.value - rep.recomposed) <= 1e-10 * scale
+                    assert_glossary_identities(rep)
 
     def test_voliso_spherical_keeps_only_volumetric_term(self):
         k, alpha = 1.4, 0.6
@@ -249,6 +260,7 @@ class TestCSP:
                     rep = csp_contraction(model, state, rate)
                     scale = max(abs(rep.value), abs(rep.recomposed), 1e-12)
                     assert abs(rep.value - rep.recomposed) <= 1e-10 * scale
+                    assert_glossary_identities(rep)
 
     def test_voliso_family_negative(self):
         # stretched plane states lose corotational positivity even at nu = 0
@@ -262,6 +274,20 @@ class TestCSP:
         state, rate = make_rate(I3, np.diag([1.0, -1.0, 0.0]))
         with pytest.raises(ValueError):
             csp_contraction(model, state, rate)
+
+
+@pytest.mark.parametrize("kind", ("mixed", "voliso"))
+@pytest.mark.parametrize("contraction", (hill_contraction, csp_contraction))
+def test_a_non_finite_contraction_raises_without_a_warning(kind, contraction):
+    # J^q overflows at q = 1e6, J = 2 and meets tr d = 0: the value is
+    # NaN, which has no verdict, and the report leaks no RuntimeWarning
+    model = ModelSpec(kind, VolFun.power_pair(1e6), params_from_mu_nu(1.0, 0.3))
+    state, rate = make_rate(np.diag([2.0, 1.0, 1.0]), np.diag([1.0, -1.0, 0.0]))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ValueError, match="no sign verdict"):
+            contraction(model, state, rate)
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 class TestQuadFormE:
