@@ -23,12 +23,16 @@ failed rows marked ``converged=false`` (or classes left unresolved).
 A stability value that leaves the float range at the given modulus has
 no verdict and also exits 1, naming the modulus, and so does an ``--out``
 path that cannot be opened.
+
+``main(argv)`` can be called repeatedly in one process: it builds its
+argument parser once per process, and every call recomputes its results.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import sys
 
 import numpy as np
@@ -521,7 +525,16 @@ def _add_model(p, *moduli):
     )
 
 
+@functools.cache
 def _build_parser():
+    """The argparse tree of every subcommand, built once per process.
+
+    The tree does not depend on argv, and nothing mutates it after the
+    build: every default is immutable, the ``type=`` callables hold no
+    state, and ``sys.stdout``, ``sys.stderr`` and the terminal width are
+    read when help or usage is printed. Each ``parse_args`` call fills a
+    fresh namespace, so :func:`main` can share the tree between calls.
+    """
     parser = _Parser(
         prog="nhcomp",
         description="Compressible neo-Hookean model tables and curve data as CSV.",

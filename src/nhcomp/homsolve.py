@@ -213,9 +213,9 @@ def _sign_brackets(us, fs):
     is skipped; an exact zero at the left end of a pair gives the point
     bracket ``(u, u, 0)``, and so does an exact zero at the last point.
     """
-    s = np.sign(fs)  # NaN stays NaN, and NaN * x < 0 is False
+    pos, neg = fs > 0.0, fs < 0.0  # both False at NaN and at +-0
     zero = (fs[:-1] == 0.0) & ~np.isnan(fs[1:])
-    idx = np.flatnonzero(zero | (s[:-1] * s[1:] < 0.0))
+    idx = np.flatnonzero(zero | (pos[:-1] & neg[1:]) | (neg[:-1] & pos[1:]))
     ends = np.where(zero[idx], idx, idx + 1)
     out = list(zip(us[idx], us[ends], fs[idx]))
     if len(fs) and fs[-1] == 0.0:

@@ -240,8 +240,10 @@ def cauchy_stress(model, F, p=None):
     if model.kind == "inc":
         sigma = mu * (c - I3) - p * I3
     elif model.kind == "mixed":
-        hp = evaluate(model.volfun, J).hp
-        sigma = (mu / J) * (c - I3) + model.params.lam * hp * I3
+        hp, lam = evaluate(model.volfun, J).hp, model.params.lam
+        # lam = 0 (nu = 0) has no volumetric term: skip 0 * h' where h' is not finite
+        vol = lam * hp if lam or math.isfinite(hp) else 0.0
+        sigma = (mu / J) * (c - I3) + vol * I3
     else:
         hp = evaluate(model.volfun, J).hp
         sigma = mu * J ** (-5.0 / 3.0) * dev(c) + model.params.K * hp * I3

@@ -87,7 +87,10 @@ def zj_rate(model, state, rate, pdot=None):
     trd = float(np.trace(d))
     ev = evaluate(model.volfun, J)
     if model.kind == "mixed":
-        return mu * dc_cd + model.params.lam * ev.chi * J * trd * I3
+        lam = model.params.lam
+        # lam = 0 (nu = 0) has no volumetric term: skip 0 * chi where chi is not finite
+        vol = lam * ev.chi if lam or math.isfinite(ev.chi) else 0.0
+        return mu * dc_cd + vol * J * trd * I3
     iso = dc_cd - (2.0 / 3.0) * (dev(c) * trd + ddot(c, d) * I3)
     return model.params.K * ev.chi * J * trd * I3 + mu * J ** (-2.0 / 3.0) * iso
 

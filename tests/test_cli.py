@@ -851,3 +851,64 @@ def test_module_entry_point_runs_in_a_subprocess():
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0].startswith("volfun,")
     assert len(proc.stdout.splitlines()) == 9
+
+
+class TestSharedParser:
+    """``main`` builds its parser once per process; no call leaks into the next."""
+
+    SWEEP = "sweep --case ul --model mixed --volfun 4 --nu 0.3 --lam-min 0.5 --lam-max 2 --points 5"
+
+    @pytest.fixture(scope="class")
+    def child_sweep(self):
+        """The CSV bytes of SWEEP from ``python -m nhcomp.cli`` in a fresh process."""
+        src = os.path.dirname(os.path.dirname(nhcomp.__file__))
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        proc = subprocess.run(
+            [sys.executable, "-m", "nhcomp.cli", *self.SWEEP.split()],
+            capture_output=True,
+            timeout=120,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        assert proc.returncode == 0
+        return proc.stdout
+
+    def test_the_parser_is_built_once(self):
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_in_process_bytes_equal_the_module_entry_point(self, capsys, child_sweep):
+        assert csv_bytes(capsys, self.SWEEP).encode() == child_sweep
+
+    def test_a_usage_error_leaves_nothing_behind(self, capsys, child_sweep):
+        bad = self.SWEEP.replace("--points 5", "--log --nu-set paper --points 0")
+        assert cli.main(bad.split()) == 1
+        capsys.readouterr()
+        assert csv_bytes(capsys, self.SWEEP).encode() == child_sweep
+
+    def test_a_given_flag_does_not_become_the_next_default(self, capsys):
+        base = "dilatation --model mixed --volfun 1 --nu 0.3"
+        code, rows, _ = run(capsys, *base.split(), "--points", "3")
+        assert code == 0 and len(rows) == 3
+        code, rows, _ = run(capsys, *base.split())
+        assert code == 0 and len(rows) == 101
+
+    def test_help_text_is_the_same_twice(self, capsys):
+        texts = []
+        for _ in range(2):
+            assert cli.main(["sweep", "--help"]) == 0
+            texts.append(capsys.readouterr().out)
+        assert texts[0] == texts[1] and "--lam-min" in texts[0]
+
+    def test_later_calls_construct_no_parser(self, capsys, monkeypatch):
+        cli._build_parser()
+        built = []
+        real_init = cli._Parser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            real_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cli._Parser, "__init__", counting_init)
+        csv_bytes(capsys, self.SWEEP)
+        assert cli.main(["audit-volfun"]) == 0
+        capsys.readouterr()
+        assert built == []

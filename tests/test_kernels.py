@@ -89,6 +89,42 @@ def test_sign_brackets_matches_the_loop(fs):
     assert [tuple(map(type, br)) for br in got] == [tuple(map(type, br)) for br in want]
 
 
+def _sign_brackets_by_product(us, fs):
+    # the np.sign-product form that the boolean masks replaced
+    s = np.sign(fs)  # NaN stays NaN, and NaN * x < 0 is False
+    zero = (fs[:-1] == 0.0) & ~np.isnan(fs[1:])
+    idx = np.flatnonzero(zero | (s[:-1] * s[1:] < 0.0))
+    ends = np.where(zero[idx], idx, idx + 1)
+    out = list(zip(us[idx], us[ends], fs[idx]))
+    if len(fs) and fs[-1] == 0.0:
+        out.append((us[-1], us[-1], 0.0))
+    return out
+
+
+def _typed_bits(brackets):
+    # type and exact bits of every entry, so -0.0 and 0.0 differ
+    return [tuple((type(v), np.float64(v).tobytes()) for v in br) for br in brackets]
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_sign_brackets_masks_match_the_sign_product(seed):
+    rng = np.random.default_rng(seed)
+    specials = np.array([math.nan, 0.0, -0.0, math.inf, -math.inf])
+    for size in (*range(7), 33, 2001):
+        for _ in range(20):
+            fs = rng.normal(size=size) * 10.0 ** rng.integers(-300, 300, size=size)
+            hit = rng.random(size) < 0.3
+            fs[hit] = rng.choice(specials, size=hit.sum())
+            if size and rng.random() < 0.5:  # zeros at the first and last point
+                fs[[0, -1]] = rng.choice(specials[1:3], size=2)
+            if size > 3 and rng.random() < 0.5:  # a run of adjacent zeros
+                k = rng.integers(size - 2)
+                fs[k : k + 3] = rng.choice(specials[1:3], size=3)
+            us = np.linspace(-1.0, 1.0, size)
+            got = hs._sign_brackets(us, fs)
+            assert _typed_bits(got) == _typed_bits(_sign_brackets_by_product(us, fs))
+
+
 def test_grid_kernel_matches_scalar():
     Js = np.logspace(-2, 2, 57)
     out = evaluate_grid(VolFun(1, -1.0, "grid"), Js)

@@ -14,7 +14,7 @@ from nhcomp.materials import (
     params_from_mu_nu,
 )
 from nhcomp.tensor3 import I3
-from nhcomp.volfun import catalog, evaluate
+from nhcomp.volfun import VolFun, catalog, evaluate
 
 rng = np.random.default_rng(52408)
 
@@ -196,6 +196,17 @@ class TestCauchyStress:
         assert s.cauchy[1, 1] == pytest.approx(0.0, abs=1e-14)
         assert s.cauchy[0, 0] == pytest.approx(MU * (lam**2 - 1.0 / lam), rel=1e-14)
         assert s.first_pk[0, 0] == pytest.approx(MU * (lam - lam**-2), rel=1e-14)
+
+    def test_mixed_at_nu_zero_has_no_volumetric_term(self):
+        # h' of hn:400 is inf at J = 10, and lam = 0 must drop it, not make NaN
+        F = np.diag([10.0, 1.0, 1.0])
+        prm = params_from_mu_nu(1.0, 0.0)
+        with np.errstate(all="raise"):
+            s = cauchy_stress(ModelSpec("mixed", VolFun.power_pair(400.0), prm), F)
+        assert np.isfinite(s.cauchy).all() and np.isfinite(s.first_pk).all()
+        np.testing.assert_allclose(s.cauchy, (F @ F.T - I3) / 10.0, rtol=1e-15)
+        want = cauchy_stress(ModelSpec("mixed", catalog()[2], prm), F)
+        np.testing.assert_array_equal(s.cauchy, want.cauchy)
 
     def test_mixed_spherical_mean(self):
         # F = k I with the quadratic term, k = 2:

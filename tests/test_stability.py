@@ -455,6 +455,39 @@ class TestGridSearch:
         value, _, _ = min_coaxial_eig("voliso", VolFun.power_pair(400.0), prm, grid, contraction)
         assert math.isfinite(value)
 
+    @pytest.mark.parametrize("contraction", (hill_contraction, csp_contraction))
+    def test_pointwise_forms_at_nu_zero_drop_the_volumetric_term(self, contraction):
+        # J h' and chi of hn:400 are inf at J = 10; at nu = 0 the mixed model
+        # has no volumetric term, so the report is that of any other h
+        prm = params_from_mu_nu(1.0, 0.0)
+        state, rate = make_rate(np.diag([10.0, 1.0, 1.0]), np.diag([1.0, 0.5, 0.0]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = contraction(ModelSpec("mixed", VolFun.power_pair(400.0), prm), state, rate)
+        want = contraction(ModelSpec("mixed", catalog()[2], prm), state, rate)
+        assert math.isfinite(got.value) and got.verdict == "positive"
+        assert (got.value, got.recomposed) == (want.value, want.recomposed)
+
+    def test_csp_witness_at_nu_zero_is_reported(self):
+        volfun, grid = VolFun.power_pair(400.0), np.array([[10.0, 1.0, 1.0]])
+        value, i, direction = min_coaxial_eig(
+            "mixed", volfun, params_from_mu_nu(1.0, 0.0), grid, "csp"
+        )
+        w = stability.Witness(
+            contraction="csp",
+            kind="mixed",
+            volfun=volfun,
+            nu=0.0,
+            lams=tuple(float(x) for x in grid[i]),
+            J=float(np.prod(grid[i])),
+            direction=tuple(float(x) for x in direction),
+            value=value,
+        )
+        rep = witness_report(w)
+        assert value < 0.0
+        assert rep.value == pytest.approx(value, rel=1e-9)
+        assert rep.verdict == "negative"
+
     def test_hill_violation_found_for_7(self):
         for kind in ("mixed", "voliso"):
             w = find_hill_violation(kind, catalog()[7], n=12)
