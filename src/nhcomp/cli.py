@@ -488,8 +488,9 @@ def _bounded_int(lo, hi=None):
     return parse
 
 
-# a stability scan holds several arrays of n^3 3x3 matrices: at n = 100 it
-# peaks at about 475 MB RSS (148 MB at n = 64)
+# a stability scan holds tens of doubles per state of its n^3 grid: at
+# n = 100 a one-volfun run (--volfun 1 --nu 0.3) peaks at about 322 MB RSS
+# (110 MB at n = 64)
 _GRID_N_MAX = 100
 
 # the most points of a sweep or dilatation grid; 10^6 points are an 8 MB grid

@@ -2,8 +2,7 @@
 
 Everything downstream works with Eulerian measures: the left Cauchy-Green
 tensor ``c = F F^T``, principal stretches (square roots of its eigenvalues)
-with their eigenprojections, the isochoric modified tensor
-``cbar = J^(-2/3) c``, and strain rates split into parts coaxial and
+with their eigenprojections, and strain rates split into parts coaxial and
 orthogonal to the current stretch directions. The right stretch tensor and
 rotation are never formed; no formula here needs them.
 """
@@ -14,17 +13,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from nhcomp.tensor3 import I3, SpectralDecomp, coaxial_orthogonal_split, skew, spectral, sym
+from nhcomp.tensor3 import SpectralDecomp, coaxial_orthogonal_split, skew, spectral, sym
 
 __all__ = [
     "DeformationState",
     "RateState",
     "kinematics_from_F",
-    "finger_strain",
-    "modified_tensor",
-    "deviatoric_modified",
     "rate_from_motion",
-    "hencky",
 ]
 
 
@@ -34,8 +29,7 @@ class DeformationState:
 
     ``stretches`` holds the distinct principal stretches (ascending) and
     ``decomp`` the spectral decomposition of ``c`` whose eigenprojections are
-    shared by the left stretch tensor V. ``mod_stretches`` are the
-    volume-preserving modified stretches, whose product is 1.
+    shared by the left stretch tensor V.
     """
 
     F: np.ndarray
@@ -43,11 +37,6 @@ class DeformationState:
     c: np.ndarray
     decomp: SpectralDecomp
     stretches: tuple
-    mod_stretches: tuple
-
-    @property
-    def m(self):
-        return self.decomp.m
 
     @property
     def mults(self):
@@ -88,25 +77,7 @@ def kinematics_from_F(F):
     c = F @ F.T
     dec = spectral(c)
     stretches = tuple(float(np.sqrt(max(v, 0.0))) for v in dec.values)
-    Jcbrt = J ** (1.0 / 3.0)
-    mod = tuple(s / Jcbrt for s in stretches)
-    return DeformationState(F=F, J=J, c=c, decomp=dec, stretches=stretches, mod_stretches=mod)
-
-
-def finger_strain(state):
-    """Eulerian finite-strain tensor (c - I)/2."""
-    return 0.5 * (state.c - I3)
-
-
-def modified_tensor(state):
-    """Isochoric modified tensor cbar = J^(-2/3) c; det(cbar) = 1."""
-    return state.J ** (-2.0 / 3.0) * state.c
-
-
-def deviatoric_modified(state):
-    """Deviator of the modified tensor; traceless by construction."""
-    cbar = modified_tensor(state)
-    return cbar - (np.trace(cbar) / 3.0) * I3
+    return DeformationState(F=F, J=J, c=c, decomp=dec, stretches=stretches)
 
 
 def rate_from_motion(F, Fdot):
@@ -127,11 +98,3 @@ def rate_from_motion(F, Fdot):
         for lam, mult, P in zip(state.stretches, state.mults, state.projections)
     )
     return state, RateState(l=l, d=d, w=w, dhat=dhat, dtilde=dtilde, lamdot=lamdot)
-
-
-def hencky(state):
-    """Logarithmic (Hencky) tensor log V = (1/2) log c, for diagnostics."""
-    out = np.zeros((3, 3))
-    for lam, P in zip(state.stretches, state.projections):
-        out += np.log(lam) * P
-    return out

@@ -37,7 +37,6 @@ __all__ = [
     "StressResult",
     "params_from_mu_nu",
     "params_from_E_nu",
-    "params_from_mu_lam",
     "mantissa_params",
     "energy",
     "cauchy_stress",
@@ -89,14 +88,6 @@ def params_from_E_nu(E, nu):
     if not 0 < E < math.inf:
         raise ValueError(f"Young's modulus must be positive and finite, got E = {E}")
     return params_from_mu_nu(E / (2.0 * (1.0 + nu)), nu)
-
-
-def params_from_mu_lam(mu, lam):
-    """Constants from the two Lame constants."""
-    if not mu > 0:
-        raise ValueError(f"shear modulus must be positive, got mu = {mu}")
-    nu = lam / (2.0 * (lam + mu))
-    return params_from_mu_nu(mu, nu)
 
 
 def mantissa_params(params):

@@ -455,17 +455,18 @@ _TRACE_ROT = np.array(
 
 @dataclass(frozen=True)
 class _ShearBlock:
-    """The part of the coaxial form M = S + c * ones(3, 3) that depends only
-    on (kind, contraction, mu, grid), never on the volumetric function or nu.
+    """What the scan reads of the part of the coaxial form M = S + c * ones(3, 3)
+    that depends only on (kind, contraction, mu, grid), never on the
+    volumetric function or nu.
 
-    ``lower`` holds the six lower-triangle entries of S rotated by
-    _TRACE_ROT, in the order of ``_LOWER``, each a C-contiguous length-n
-    vector; nothing reads the upper triangle. ``shift`` is the shear-scale
-    summand of the coefficient of ones (0.0 for the mixed Hill form, which
-    has none). Every array is read-only, since one block serves many calls.
+    ``lower`` holds the six lower-triangle entries of S (from
+    :func:`_shear_matrices`) rotated by _TRACE_ROT, in the order of
+    ``_LOWER``, each a C-contiguous length-n vector; nothing reads the upper
+    triangle, and S itself is not kept. ``shift`` is the shear-scale summand
+    of the coefficient of ones (0.0 for the mixed Hill form, which has
+    none). Every array is read-only, since one block serves many calls.
     """
 
-    S: np.ndarray  # (n, 3, 3), entries at the shear-modulus scale
     lower: tuple  # (Sp00, Sp10, Sp20, Sp11, Sp21, Sp22), Sp = Q^T S Q
     s_scale: np.ndarray  # largest |entry| of ``lower`` per state
     J: np.ndarray
@@ -479,7 +480,7 @@ _LOWER = ((0, 0), (1, 0), (2, 0), (1, 1), (2, 1), (2, 2))
 # The last block built, as (key, private copy of the grid, block). A
 # stability scan runs every (volfun, nu) cell of one (kind, contraction) on
 # one grid back to back, so one slot is enough; a block and its grid copy
-# hold up to 21 doubles per state (168 MB at n = 100), so more slots would
+# hold up to 12 doubles per state (96 MB at n = 100), so more slots would
 # cost peak memory for nothing.
 _block_slot = [None]
 
@@ -517,7 +518,20 @@ def _max_abs(vectors):
     return scale
 
 
-def _build_shear_block(kind, contraction, mu, lams):
+def _shear_matrices(kind, contraction, mu, lams):
+    """The shear part S of the coaxial form M = S + (c + shift) * ones(3, 3)
+    of every state of a stretch grid, with its J and ``shift``.
+
+    S is (n, 3, 3), its entries at the shear-modulus scale, and is stored
+    column by column, so each S[:, j, k] is contiguous. Raises
+    ``ValueError`` for a grid that is empty, not (n, 3), or holds a stretch
+    that is not positive and finite.
+    """
+    lams = np.asarray(lams, dtype=float)
+    if lams.ndim != 2 or lams.shape[1] != 3 or lams.shape[0] == 0:
+        raise ValueError(f"the stretch grid must be a nonempty (n, 3) array, got {lams.shape}")
+    if not (np.all(lams > 0.0) and np.all(np.isfinite(lams))):
+        raise ValueError("the stretch grid must hold positive finite stretches")
     n = lams.shape[0]
     lam2 = np.ascontiguousarray((lams**2).T)  # (3, n)
     J = np.prod(lams, axis=1)
@@ -525,7 +539,6 @@ def _build_shear_block(kind, contraction, mu, lams):
     w, a, shift = _coaxial_form(kind, contraction, mu, J, trc)
     # S = w (MP - a MB), with MP = diag(2 lam2) the matrix of P and
     # MB_jk = (lam2_j + lam2_k) / 2 that of B; a = 0 skips the MB term.
-    # S is stored column by column, so each S[:, j, k] is contiguous
     cols = np.empty((3, 3, n))
     for j in range(3):
         for k in range(3):
@@ -533,13 +546,17 @@ def _build_shear_block(kind, contraction, mu, lams):
             if a:
                 col = col - a * (0.5 * (lam2[j] + lam2[k]))
             np.multiply(w, col, out=cols[j, k])
-    S = cols.transpose(2, 0, 1)
+    return cols.transpose(2, 0, 1), J, shift
+
+
+def _build_shear_block(kind, contraction, mu, lams):
+    S, J, shift = _shear_matrices(kind, contraction, mu, lams)
     lower = _rotate_lower(S)
     s_scale = _max_abs(lower)
-    for v in (cols, S, *lower, s_scale, J, shift):
+    for v in (*lower, s_scale, J, shift):
         if isinstance(v, np.ndarray):
             v.flags.writeable = False
-    return _ShearBlock(S=S, lower=lower, s_scale=s_scale, J=J, shift=shift)
+    return _ShearBlock(lower=lower, s_scale=s_scale, J=J, shift=shift)
 
 
 def _shear_block(kind, contraction, mu, lams):
@@ -555,12 +572,8 @@ def _shear_block(kind, contraction, mu, lams):
     entry = _block_slot[0]
     if entry is not None and entry[0] == key and np.array_equal(entry[1], lams):
         return entry[2]
-    # the grid is checked only here: a slot hit equals a copy that passed
-    if lams.ndim != 2 or lams.shape[1] != 3 or lams.shape[0] == 0:
-        raise ValueError(f"the stretch grid must be a nonempty (n, 3) array, got {lams.shape}")
-    if not (np.all(lams > 0.0) and np.all(np.isfinite(lams))):
-        raise ValueError("the stretch grid must hold positive finite stretches")
-    # free the old block first: two blocks alive at once raise peak memory
+    # free the old block first: two blocks alive at once raise peak memory;
+    # the build checks the grid, and a slot hit equals a copy that passed
     del entry
     _block_slot[0] = None
     block = _build_shear_block(kind, contraction, float(mu), lams)
@@ -568,7 +581,7 @@ def _shear_block(kind, contraction, mu, lams):
     return block
 
 
-def _volumetric_coeff(kind, contraction, volfun, params, block):
+def _volumetric_coeff(kind, contraction, volfun, params, J, shift):
     """The coefficient of ones(3, 3) in the coaxial form M = S + (c + shift) * ones.
 
     Only ``c`` carries the volumetric factors (chi, h'') that explode at the
@@ -576,8 +589,8 @@ def _volumetric_coeff(kind, contraction, volfun, params, block):
     split lets the minimum eigenvalue be computed without ever forming the
     ill-conditioned sum.
     """
-    tab = evaluate_grid(volfun, block.J)
-    return _volumetric_c(kind, contraction, params, block.J, tab[:, 4], tab[:, 2]) + block.shift
+    tab = evaluate_grid(volfun, J)
+    return _volumetric_c(kind, contraction, params, J, tab[:, 4], tab[:, 2]) + shift
 
 
 def coaxial_matrices(kind, volfun, params, lams, contraction="hill"):
@@ -589,9 +602,8 @@ def coaxial_matrices(kind, volfun, params, lams, contraction="hill"):
     the separately nonnegative R term and never drive a violation, so the
     minimum eigenvalue of M over the grid decides positivity.
     """
-    block = _shear_block(kind, contraction, params.mu, lams)
-    c = _volumetric_coeff(kind, contraction, volfun, params, block)
-    return block.S + c[:, None, None]
+    S, J, shift = _shear_matrices(kind, contraction, params.mu, lams)
+    return S + _volumetric_coeff(kind, contraction, volfun, params, J, shift)[:, None, None]
 
 
 def _eig2_min(p, r, q):
@@ -681,7 +693,7 @@ def min_coaxial_eig(kind, volfun, params, lams, contraction="hill"):
     mu = params.mu
     params, e = mantissa_params(params)
     block = _shear_block(kind, contraction, params.mu, lams)
-    c = _volumetric_coeff(kind, contraction, volfun, params, block)
+    c = _volumetric_coeff(kind, contraction, volfun, params, block.J, block.shift)
     Q = _TRACE_ROT
     qu = Q.T @ np.ones(3)  # (sqrt(3)-ish, exactly 0, exactly 0)
     s00, b1, b2, p, r, q = block.lower

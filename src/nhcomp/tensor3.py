@@ -11,7 +11,8 @@ The one genuinely delicate operation is :func:`spectral`: eigenvalues of a
 symmetric tensor must be *clustered* before eigenprojections are formed,
 because the projection formulas change discontinuously with the number of
 distinct eigenvalues. Clustering is controlled by an explicit relative
-tolerance rather than whatever ``numpy.linalg.eigh`` happens to return.
+tolerance, ``_REL_TOL``, rather than whatever ``numpy.linalg.eigh`` happens
+to return.
 """
 
 from __future__ import annotations
@@ -38,9 +39,7 @@ __all__ = [
     "apply4",
     "quad_form",
     "voigt_strain_vec",
-    "voigt_stress_vec",
     "voigt_mat",
-    "voigt_roundtrip",
 ]
 
 
@@ -98,33 +97,36 @@ class SpectralDecomp:
         return out
 
 
-def _cluster(vals, rel_tol):
+# relative clustering tolerance that decides eigenvalue multiplicity
+_REL_TOL = 1e-8
+
+
+def _cluster(vals):
     """Group ascending eigenvalues whose gaps fall below the tolerance.
 
     Two eigenvalues belong to one cluster when
-    ``|s_a - s_b| <= rel_tol * max(1, |s_a|, |s_b|)``. Returns a list of
+    ``|s_a - s_b| <= _REL_TOL * max(1, |s_a|, |s_b|)``. Returns a list of
     index lists.
     """
     groups = [[0]]
     for k in (1, 2):
         prev = vals[groups[-1][0]]
         cur = vals[k]
-        if abs(cur - prev) <= rel_tol * max(1.0, abs(cur), abs(prev)):
+        if abs(cur - prev) <= _REL_TOL * max(1.0, abs(cur), abs(prev)):
             groups[-1].append(k)
         else:
             groups.append([k])
     return groups
 
 
-def spectral(S, rel_tol=1e-8):
+def spectral(S):
     """Eigenvalues and eigenprojections of a symmetric tensor.
 
     Parameters
     ----------
     S : (3, 3) ndarray
-        Symmetric input.
-    rel_tol : float
-        Relative clustering tolerance for deciding eigenvalue multiplicity.
+        Symmetric input. Eigenvalues closer than ``_REL_TOL`` relative are
+        one repeated eigenvalue.
 
     Notes
     -----
@@ -133,11 +135,9 @@ def spectral(S, rel_tol=1e-8):
     dyads, whose mutual orthogonality is numerically unreliable. For a fully
     clustered spectrum the single projection is ``I``.
     """
-    if rel_tol <= 0.0:
-        raise ValueError("rel_tol must be positive")
     Ssym = sym(np.asarray(S, dtype=float))
     vals, vecs = np.linalg.eigh(Ssym)
-    groups = _cluster(vals, rel_tol)
+    groups = _cluster(vals)
     m = len(groups)
 
     if m == 1:
@@ -257,11 +257,11 @@ def quad_form(X4, H):
 
 # --- Voigt mapping -----------------------------------------------------------
 #
-# Index pair order (11, 22, 33, 23, 13, 12). Strain-kind vectors double the
-# shear entries, stress-kind vectors do not, and the 6x6 matrix of a
-# supersymmetric fourth-order tensor carries no extra factors; the identity
+# Index pair order (11, 22, 33, 23, 13, 12). The strain vector doubles the
+# shear entries and the 6x6 matrix of a supersymmetric fourth-order tensor
+# carries no extra factors; the identity
 #     vec_strain(H)^T  mat(X)  vec_strain(H)  ==  H : X : H
-# then holds exactly.
+# then holds up to rounding.
 
 _VOIGT_PAIRS = ((0, 0), (1, 1), (2, 2), (1, 2), (0, 2), (0, 1))
 
@@ -272,12 +272,6 @@ def voigt_strain_vec(H):
     return np.array([H[0, 0], H[1, 1], H[2, 2], 2 * H[1, 2], 2 * H[0, 2], 2 * H[0, 1]])
 
 
-def voigt_stress_vec(H):
-    """6-vector of a symmetric tensor with shear components as stored."""
-    H = sym(np.asarray(H, dtype=float))
-    return np.array([H[0, 0], H[1, 1], H[2, 2], H[1, 2], H[0, 2], H[0, 1]])
-
-
 def voigt_mat(X4):
     """6x6 matrix of a supersymmetric fourth-order tensor."""
     M = np.empty((6, 6))
@@ -285,15 +279,3 @@ def voigt_mat(X4):
         for J, (k, l) in enumerate(_VOIGT_PAIRS):
             M[I, J] = X4.a[i, j, k, l]
     return M
-
-
-def voigt_roundtrip(X4, H):
-    """Evaluate H : X : H along the tensor path and the matrix-vector path.
-
-    Returns the pair ``(tensor_value, matrix_value)``; the two agree to
-    rounding for any supersymmetric X.
-    """
-    t = quad_form(X4, H)
-    v = voigt_strain_vec(H)
-    m = float(v @ voigt_mat(X4) @ v)
-    return t, m

@@ -45,7 +45,6 @@ __all__ = [
     "evaluate",
     "evaluate_grid",
     "audit",
-    "symmetry_check",
 ]
 
 
@@ -263,9 +262,3 @@ def audit(vf):
             break
 
     return PropertyReport(passed=tuple(passed), witness=tuple(witness))
-
-
-def symmetry_check(q, J):
-    """Evaluate the power-pair function at J and 1/J; the two are equal."""
-    vf = VolFun.power_pair(q)
-    return evaluate(vf, J).h, evaluate(vf, 1.0 / J).h

@@ -1,15 +1,8 @@
 import numpy as np
 import pytest
 
-from nhcomp.kinematics import (
-    deviatoric_modified,
-    finger_strain,
-    hencky,
-    kinematics_from_F,
-    modified_tensor,
-    rate_from_motion,
-)
-from nhcomp.tensor3 import I3, fnorm
+from nhcomp.kinematics import kinematics_from_F, rate_from_motion
+from nhcomp.tensor3 import I3
 
 rng = np.random.default_rng(77123)
 
@@ -28,9 +21,7 @@ def test_identity_state():
     assert st.J == 1.0
     np.testing.assert_allclose(st.c, I3, atol=0)
     assert st.stretches == (1.0,)
-    assert st.m == 1
-    np.testing.assert_allclose(finger_strain(st), np.zeros((3, 3)), atol=0)
-    np.testing.assert_allclose(deviatoric_modified(st), np.zeros((3, 3)), atol=1e-15)
+    assert st.mults == (3,)
 
 
 def test_uniaxial_stretch_state():
@@ -38,8 +29,6 @@ def test_uniaxial_stretch_state():
     assert st.J == pytest.approx(2.0)
     assert st.stretches == pytest.approx((1.0, 2.0))
     assert st.mults == (2, 1)
-    cbrt2 = 2.0 ** (1.0 / 3.0)
-    assert st.mod_stretches == pytest.approx((1.0 / cbrt2, 2.0 / cbrt2))
 
 
 def test_transversely_isotropic_c():
@@ -52,50 +41,6 @@ def test_negative_determinant_rejected():
     F = np.diag([1.0, 1.0, -1.0])
     with pytest.raises(ValueError):
         kinematics_from_F(F)
-
-
-def test_uniaxial_deviatoric_modified():
-    # axisymmetric state diag(lam, lamT, lamT): dev cbar is diagonal with
-    # entries (2(lam^2-lamT^2), lamT^2-lam^2, lamT^2-lam^2) * J^(-2/3)/3
-    lam, lamT = 1.7, 0.8
-    st = kinematics_from_F(np.diag([lam, lamT, lamT]))
-    pref = st.J ** (-2.0 / 3.0) / 3.0
-    expected = pref * np.diag(
-        [2 * (lam**2 - lamT**2), lamT**2 - lam**2, lamT**2 - lam**2]
-    )
-    np.testing.assert_allclose(deviatoric_modified(st), expected, rtol=1e-13)
-
-
-def test_plane_strain_deviatoric_modified():
-    # diag(lam, 1, lamT): diagonal entries (2lam^2-1-lamT^2, 2-lam^2-lamT^2,
-    # 2lamT^2-lam^2-1) * J^(-2/3)/3
-    lam, lamT = 1.4, 0.75
-    st = kinematics_from_F(np.diag([lam, 1.0, lamT]))
-    pref = st.J ** (-2.0 / 3.0) / 3.0
-    expected = pref * np.diag(
-        [
-            2 * lam**2 - 1 - lamT**2,
-            2 - lam**2 - lamT**2,
-            2 * lamT**2 - lam**2 - 1,
-        ]
-    )
-    np.testing.assert_allclose(deviatoric_modified(st), expected, rtol=1e-13)
-
-
-def test_modified_stretch_product_is_one():
-    for _ in range(100):
-        st = kinematics_from_F(random_F())
-        prod = 1.0
-        for lam_bar, mult in zip(st.mod_stretches, st.mults):
-            prod *= lam_bar**mult
-        assert prod == pytest.approx(1.0, rel=1e-12)
-
-
-def test_modified_tensor_unit_determinant_and_traceless_deviator():
-    for _ in range(50):
-        st = kinematics_from_F(random_F())
-        assert np.linalg.det(modified_tensor(st)) == pytest.approx(1.0, rel=1e-12)
-        assert abs(np.trace(deviatoric_modified(st))) <= 1e-13 * max(np.trace(st.c), 1.0)
 
 
 def test_rate_pure_scaling_flow():
@@ -144,7 +89,7 @@ def test_dhat_reconstruction_from_eigen_rates():
     for _ in range(20):
         F0 = random_F()
         state0 = kinematics_from_F(F0)
-        if state0.m != 3:
+        if len(state0.stretches) != 3:
             continue
         F1 = 0.2 * rng.normal(size=(3, 3))
         h = 1e-6
@@ -165,13 +110,3 @@ def test_split_parts_sum_to_d():
     _, rate = rate_from_motion(F, Fdot)
     np.testing.assert_allclose(rate.dhat + rate.dtilde, rate.d, atol=1e-13)
     np.testing.assert_allclose(rate.l, rate.d + rate.w, atol=1e-14)
-
-
-def test_hencky_trace_is_log_volume():
-    for _ in range(20):
-        st = kinematics_from_F(random_F())
-        assert np.trace(hencky(st)) == pytest.approx(np.log(st.J), rel=1e-10)
-    # unimodular part of V has traceless logarithm
-    st = kinematics_from_F(random_F())
-    logV = hencky(st)
-    assert np.trace(logV - (np.log(st.J) / 3.0) * I3) == pytest.approx(0.0, abs=1e-12)

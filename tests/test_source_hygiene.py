@@ -5,15 +5,31 @@ its own module, and a module-level ``_private`` function, class or constant
 must be referenced somewhere in the package; a name listed in ``__all__``
 counts as used. A refactor that moves a computation elsewhere then cannot
 leave the old helper or its import behind.
+
+A name listed in ``__all__`` must in turn be used by more than unit tests:
+by package code, ``tests/test_acceptance.py`` or a backticked span of
+``README.md``. Only the names in ``_TEST_REFERENCES`` are exempt.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
-_SRC = Path(__file__).resolve().parents[1] / "src" / "nhcomp"
+_ROOT = Path(__file__).resolve().parents[1]
+_SRC = _ROOT / "src" / "nhcomp"
 _MODULES = {path.name: ast.parse(path.read_text(), str(path)) for path in sorted(_SRC.glob("*.py"))}
+
+# exported names only unit tests call, each kept as the reference of the
+# test named beside it
+_TEST_REFERENCES = {
+    "oldroyd_rate": "tests/test_stability.py::TestRateIdentities::test_oldroyd_vs_fd",
+    "bh_rate": "tests/test_stability.py::TestRateIdentities::test_bh_rate_vs_fd",
+    "coaxial_matrices": (
+        "tests/test_stability.py::TestGridSearch::test_coaxial_matrix_matches_contractions"
+    ),
+}
 
 
 def _exported(tree):
@@ -93,3 +109,41 @@ def test_every_private_module_level_name_is_referenced():
                 if d.startswith("_") and not d.startswith("__") and d not in referenced
             ]
     assert not dead, f"private module-level names nothing in the package references: {dead}"
+
+
+def _readme_identifiers():
+    """Every identifier inside a backticked span of README.md, code fences
+    left out."""
+    text = re.sub(r"```.*?```", "", (_ROOT / "README.md").read_text(), flags=re.S)
+    return {
+        word
+        for span in re.findall(r"`([^`]+)`", text)
+        for word in re.findall(r"[A-Za-z_]\w*", span)
+    }
+
+
+def test_every_exported_name_is_used_beyond_its_unit_tests():
+    acceptance = ast.parse((_ROOT / "tests" / "test_acceptance.py").read_text())
+    used = _referenced(acceptance) | _readme_identifiers()
+    for tree in _MODULES.values():
+        used |= _referenced(tree)
+    test_only = sorted(
+        f"{name}:{n}" for name, tree in _MODULES.items() for n in _exported(tree) if n not in used
+    )
+    assert {t.split(":")[1] for t in test_only} == set(_TEST_REFERENCES), (
+        f"exported names only unit tests use: {test_only}; "
+        f"of these only {sorted(_TEST_REFERENCES)} may stay, as test references"
+    )
+
+
+@pytest.mark.parametrize("name", sorted(_TEST_REFERENCES))
+def test_each_kept_test_reference_is_read_by_its_test(name):
+    path, *scope = _TEST_REFERENCES[name].split("::")
+    node = ast.parse((_ROOT / path).read_text())
+    for part in scope:
+        node = next(
+            n
+            for n in node.body
+            if isinstance(n, (ast.ClassDef, ast.FunctionDef)) and n.name == part
+        )
+    assert name in _loaded(node)

@@ -791,11 +791,14 @@ class TestCoaxialScanBytes:
             assert got == bits(min_coaxial_eig(*args)), (args[0], args[2].mu, args[4])
 
     def test_shear_block_arrays_are_read_only(self):
-        block = stability._shear_block("voliso", "csp", 1.0, stretch_grid(3))
+        grid = stretch_grid(3)
+        block = stability._shear_block("voliso", "csp", 1.0, grid)
+        S = stability._shear_matrices("voliso", "csp", 1.0, grid)[0]
         assert len(block.lower) == 6
         for v in block.lower:
             assert v.shape == block.J.shape and v.flags.c_contiguous
-        for a in (block.S, *block.lower, block.s_scale, block.J, block.shift):
+        TestShearRotation.assert_matches_einsum(S, block.lower)
+        for a in (*block.lower, block.s_scale, block.J, block.shift):
             with pytest.raises(ValueError):
                 a[0] = 0.0
 
@@ -836,9 +839,10 @@ class TestShearRotation:
         for kind in ("mixed", "voliso"):
             for contraction in ("hill", "csp"):
                 block = stability._build_shear_block(kind, contraction, 1.0, grid)
-                self.assert_matches_einsum(block.S, block.lower)
+                S = stability._shear_matrices(kind, contraction, 1.0, grid)[0]
+                self.assert_matches_einsum(S, block.lower)
                 # the C-ordered S the scan gave einsum before: same bits
-                S = np.ascontiguousarray(block.S)
+                S = np.ascontiguousarray(S)
                 self.assert_matches_einsum(S, stability._rotate_lower(S))
 
     @pytest.mark.parametrize("n", (1, 7, 8, 17, 1000, 4099))

@@ -10,7 +10,6 @@ from nhcomp.volfun import (
     evaluate,
     evaluate_grid,
     parse_volfun,
-    symmetry_check,
 )
 
 ALL_IDS = list(range(1, 9))
@@ -205,13 +204,13 @@ def test_audit_all_pass_for_id4():
 
 
 def test_symmetry_of_power_pair():
-    a, b = symmetry_check(2.0, 3.0)
-    assert a == pytest.approx(b, rel=1e-12)
-    a, b = symmetry_check(0.0, math.e)
-    assert a == pytest.approx(0.5, rel=1e-14)
-    assert b == pytest.approx(0.5, rel=1e-14)
-    a, b = symmetry_check(1.0, 1.0)
-    assert a == 0.0 and b == 0.0
+    def h(q, J):
+        return evaluate(VolFun.power_pair(q), J).h
+
+    assert h(2.0, 3.0) == pytest.approx(h(2.0, 1.0 / 3.0), rel=1e-12)
+    assert h(0.0, math.e) == pytest.approx(0.5, rel=1e-14)
+    assert h(0.0, 1.0 / math.e) == pytest.approx(0.5, rel=1e-14)
+    assert h(1.0, 1.0) == 0.0
 
 
 def test_parse_volfun():
