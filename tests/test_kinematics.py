@@ -110,3 +110,28 @@ def test_split_parts_sum_to_d():
     _, rate = rate_from_motion(F, Fdot)
     np.testing.assert_allclose(rate.dhat + rate.dtilde, rate.d, atol=1e-13)
     np.testing.assert_allclose(rate.l, rate.d + rate.w, atol=1e-14)
+
+
+def test_modified_stretch_product_is_one():
+    # the isochoric stretches lam J^(-1/3), counted with multiplicity,
+    # multiply to one: the distinct stretches carry the whole volume change
+    for _ in range(100):
+        st = kinematics_from_F(random_F())
+        prod = 1.0
+        for lam, mult in zip(st.stretches, st.mults):
+            prod *= (lam * st.J ** (-1.0 / 3.0)) ** mult
+        assert prod == pytest.approx(1.0, rel=1e-12)
+
+
+def test_hencky_trace_is_log_volume():
+    for _ in range(20):
+        st = kinematics_from_F(random_F())
+        logV = sum(np.log(lam) * P for lam, P in zip(st.stretches, st.projections))
+        assert np.trace(logV) == pytest.approx(np.log(st.J), rel=1e-10)
+        # the same eigenprojections rebuild c from the squared stretches
+        c = sum(lam**2 * P for lam, P in zip(st.stretches, st.projections))
+        np.testing.assert_allclose(c, st.c, rtol=0, atol=1e-12 * np.abs(st.c).max())
+    # unimodular part of V has traceless logarithm
+    st = kinematics_from_F(random_F())
+    logV = sum(np.log(lam) * P for lam, P in zip(st.stretches, st.projections))
+    assert np.trace(logV - (np.log(st.J) / 3.0) * I3) == pytest.approx(0.0, abs=1e-12)

@@ -230,6 +230,29 @@ class TestCauchyStress:
             s = cauchy_stress(model, F)
             assert s.mean_stress == pytest.approx(K_REF * evaluate(model.volfun, J).hp, rel=1e-12)
 
+    def test_voliso_uniaxial_deviator(self):
+        # diag(lam, lamT, lamT): the deviator of sigma is mu/J times dev of
+        # J^(-2/3) c, diagonal with entries
+        # (2(lam^2-lamT^2), lamT^2-lam^2, lamT^2-lam^2) * J^(-2/3)/3
+        lam, lamT = 1.7, 0.8
+        J = lam * lamT**2
+        s = cauchy_stress(ModelSpec.vol_iso(catalog()[4], MU, NU), np.diag([lam, lamT, lamT]))
+        pref = MU / J * J ** (-2.0 / 3.0) / 3.0
+        expected = pref * np.diag([2 * (lam**2 - lamT**2), lamT**2 - lam**2, lamT**2 - lam**2])
+        np.testing.assert_allclose(s.cauchy - s.mean_stress * I3, expected, rtol=1e-13, atol=1e-15)
+
+    def test_voliso_plane_strain_deviator(self):
+        # diag(lam, 1, lamT): diagonal deviator entries
+        # (2lam^2-1-lamT^2, 2-lam^2-lamT^2, 2lamT^2-lam^2-1) * mu J^(-5/3)/3
+        lam, lamT = 1.4, 0.75
+        J = lam * lamT
+        s = cauchy_stress(ModelSpec.vol_iso(catalog()[7], MU, NU), np.diag([lam, 1.0, lamT]))
+        pref = MU / J * J ** (-2.0 / 3.0) / 3.0
+        expected = pref * np.diag(
+            [2 * lam**2 - 1 - lamT**2, 2 - lam**2 - lamT**2, 2 * lamT**2 - lam**2 - 1]
+        )
+        np.testing.assert_allclose(s.cauchy - s.mean_stress * I3, expected, rtol=1e-13, atol=1e-15)
+
     def test_stress_measure_relations(self):
         model = ModelSpec.mixed(catalog()[2], MU, NU)
         F = random_F()
