@@ -9,22 +9,30 @@ while array ``**`` may round the last bit differently from the scalar
 power. Only the scan's signs feed the root finder, so such a difference
 can move a root only when a grid point sits within rounding of a zero.
 
-The residual computes only the volumetric term it uses: J h'(J) for the
-mixed kind, h'(J) for vol-iso, from the closed forms of :func:`h_tuple`
-term by term. The scan grid and its ``np.exp`` are built once per range
-(:func:`scan_nodes`).
+One factory, :func:`residual_fn`, states the residual. It resolves the
+kind, the volumetric family and the load case and binds the constants
+once, and returns a closure of lamT alone; the scan, the bisection, the
+polish (``homsolve.residual``) and :func:`transverse_residual` all call
+such a closure. It computes only the volumetric term the residual uses:
+J h'(J) for the mixed kind, h'(J) for vol-iso, from the closed forms of
+:func:`h_tuple` term by term. The scan grid and its ``np.exp`` are built
+once per range (:func:`scan_nodes`).
 
-``bisect_log`` runs on Python floats, where a numpy scalar would spend
-most of each midpoint on dispatch. It returns the bits of the same loop
-on np.float64: Python ``+ - * /`` are the same IEEE operations, and
-Python ``**`` calls the same C ``pow``. ``np.exp`` still maps each
-midpoint to lamT, because ``math.exp`` rounds differently on a few
-percent of inputs. The one difference is that Python raises where numpy
-returns +-inf: ``OverflowError`` when a power leaves the float range,
-``ZeroDivisionError`` when a division or a negative power meets 0 (1 / J^q
-once J^q underflows). On ``ArithmeticError`` the midpoint is evaluated
-again at ``np.float64(lamT)``, the numpy-scalar path with its inf and NaN
-values.
+The closures run on two lanes. The numpy lane takes an array or an
+np.float64 and keeps numpy's inf and NaN values. ``bisect_log`` builds
+one Python-float closure per bracket (``scalar=True``), where a numpy
+scalar would spend most of each midpoint on dispatch; the log and exp
+families there take ``float()`` of ``np.log``/``np.exp``, so the
+arithmetic after those calls stays on Python floats too. It returns the
+bits of the same loop on np.float64: Python ``+ - * /`` are the same IEEE
+operations, and Python ``**`` calls the same C ``pow``. ``np.exp`` still
+maps each midpoint to lamT, because ``math.exp`` rounds differently on a
+few percent of inputs. The one difference is that Python raises where
+numpy returns +-inf: ``OverflowError`` when a power leaves the float
+range, ``ZeroDivisionError`` when a division or a negative power meets 0
+(1 / J^q once J^q underflows, ln J / J once J underflows). On
+``ArithmeticError`` the midpoint is evaluated again on the numpy lane at
+``np.float64(lamT)``, with its inf and NaN values.
 
 The model kind (``"mixed"`` or ``"voliso"``) and the load case (``"ul"``,
 ``"elp"`` or ``"ulp"``) are the strings ``ModelSpec`` and ``homsolve``
@@ -108,63 +116,135 @@ def h_tuple(family, par, J):
     return h, hp, hpp, jhp, chi
 
 
+def _volume_fn(case, lam):
+    """lamT -> J of the homogeneous load case at axial stretch lam."""
+    if case == "ul":
+        return lambda lamT: lam * lamT * lamT
+    if case == "elp":
+        lam2 = lam * lam
+        return lambda lamT: lam2 * lamT
+    return lambda lamT: lam * lamT
+
+
 def case_volume_ratio(case, lam, lamT):
     """J of the homogeneous load case (axial stretch lam, free stretch lamT)."""
-    if case == "ul":
-        return lam * lamT * lamT
-    if case == "elp":
-        return lam * lam * lamT
-    return lam * lamT
+    return _volume_fn(case, lam)(lamT)
 
 
-def _volumetric_term(kind, family, par, J):
-    """J h'(J) for the mixed kind, h'(J) for vol-iso.
+def _keep(x):
+    return x
+
+
+def _volumetric_fn(kind, family, par, scalar=False):
+    """J -> J h'(J) for the mixed kind, h'(J) for vol-iso.
 
     The one column of :func:`h_tuple` the residual uses, from the same
-    closed forms term by term.
+    closed forms term by term. With ``scalar=True`` each ``np.log`` and
+    ``np.exp`` is cast to ``float``, so the arithmetic after it stays on
+    Python floats.
     """
     mixed = kind == "mixed"
+    cast = float if scalar else _keep
     if family in (FAMILY_HN, FAMILY_OGDEN) and abs(par) < _LOG_LIMIT_PAR:
-        lnJ = np.log(J)
-        return lnJ if mixed else lnJ / J
+        if mixed:
+            return lambda J: cast(np.log(J))
+        return lambda J: cast(np.log(J)) / J
     if family == FAMILY_HN:
-        q = par
-        Jq = J**q
-        Jmq = 1.0 / Jq
-        return (Jq - Jmq) / (2.0 * q) if mixed else (Jq - Jmq) / (2.0 * q * J)
+        q, q2 = par, 2.0 * par
+        if mixed:
+
+            def term(J):
+                Jq = J**q
+                return (Jq - 1.0 / Jq) / q2
+
+        else:
+
+            def term(J):
+                Jq = J**q
+                return (Jq - 1.0 / Jq) / (q2 * J)
+
+        return term
     if family == FAMILY_OGDEN:
-        b = par
-        Jmb = J ** (-b)
-        return (1.0 - Jmb) / b if mixed else (1.0 / J - Jmb / J) / b
+        b, mb = par, -par
+        if mixed:
+            return lambda J: (1.0 - J**mb) / b
+
+        def term(J):
+            Jmb = J**mb
+            return (1.0 / J - Jmb / J) / b
+
+        return term
     if family == FAMILY_QUADRATIC:
-        return J * (J - 1.0) if mixed else J - 1.0
+        if mixed:
+            return lambda J: J * (J - 1.0)
+        return lambda J: J - 1.0
+
     # FAMILY_EXP_LOG2
-    lnJ = np.log(J)
-    e = np.exp(lnJ * lnJ)
-    return e * lnJ if mixed else e * lnJ / J
+    if mixed:
+
+        def term(J):
+            lnJ = cast(np.log(J))
+            return cast(np.exp(lnJ * lnJ)) * lnJ
+
+    else:
+
+        def term(J):
+            lnJ = cast(np.log(J))
+            return cast(np.exp(lnJ * lnJ)) * lnJ / J
+
+    return term
 
 
-def transverse_residual(kind, family, par, case, lam, mu, lame_lambda, K, lamT):
-    """Traction residual in the free transverse direction.
+_M53 = -5.0 / 3.0
+
+
+def residual_fn(kind, family, par, case, lam, mu, lame_lambda, K, scalar=False):
+    """The transverse traction residual as a function of lamT alone.
 
     Mixed kind: ``lambda * J h'(J) - mu * (1 - lamT^2)`` (the transverse
     Cauchy equilibrium multiplied through by J).
     Vol-iso kind: ``K h'(J) + (mu/3) J^(-5/3) g`` with the case-dependent
     deviator combination g.
-    Roots in lamT define the equilibrium transverse stretch; ``lamT`` may
-    be an array.
+    Roots in lamT define the equilibrium transverse stretch. The kind,
+    family and case are resolved here, once; the returned closure takes a
+    scalar or an array. ``scalar=True`` binds the Python-float lane: the
+    log and exp families take ``float()`` of ``np.log``/``np.exp`` (see the
+    module docstring).
     """
-    J = case_volume_ratio(case, lam, lamT)
-    vol = _volumetric_term(kind, family, par, J)
+    volume = _volume_fn(case, lam)
+    term = _volumetric_fn(kind, family, par, scalar)
     if kind == "mixed":
-        return lame_lambda * vol - mu * (1.0 - lamT * lamT)
+
+        def residual(lamT):
+            return lame_lambda * term(volume(lamT)) - mu * (1.0 - lamT * lamT)
+
+        return residual
+    lam2 = lam * lam
+    mu3 = mu / 3.0
     if case == "ul":
-        g = lamT * lamT - lam * lam
+
+        def residual(lamT):
+            J = volume(lamT)
+            return K * term(J) + mu3 * J**_M53 * (lamT * lamT - lam2)
+
     elif case == "elp":
-        g = 2.0 * (lamT * lamT - lam * lam)
+
+        def residual(lamT):
+            J = volume(lamT)
+            return K * term(J) + mu3 * J**_M53 * (2.0 * (lamT * lamT - lam2))
+
     else:
-        g = 2.0 * lamT * lamT - 1.0 - lam * lam
-    return K * vol + (mu / 3.0) * J ** (-5.0 / 3.0) * g
+
+        def residual(lamT):
+            J = volume(lamT)
+            return K * term(J) + mu3 * J**_M53 * (2.0 * lamT * lamT - 1.0 - lam2)
+
+    return residual
+
+
+def transverse_residual(kind, family, par, case, lam, mu, lame_lambda, K, lamT):
+    """:func:`residual_fn` evaluated at ``lamT`` (a scalar or an array)."""
+    return residual_fn(kind, family, par, case, lam, mu, lame_lambda, K)(lamT)
 
 
 def scan_grid(u_lo, u_hi, n):
@@ -189,7 +269,7 @@ def scan_nodes(u_lo, u_hi, n):
 def residual_scan(kind, family, par, case, lam, mu, lame_lambda, K, u_lo, u_hi, n):
     """Residual sampled at the points ``scan_grid(u_lo, u_hi, n)``."""
     _, lamT = scan_nodes(u_lo, u_hi, n)
-    return transverse_residual(kind, family, par, case, lam, mu, lame_lambda, K, lamT)
+    return residual_fn(kind, family, par, case, lam, mu, lame_lambda, K)(lamT)
 
 
 def bisect_log(kind, family, par, case, lam, mu, lame_lambda, K, u_a, u_b, f_a, max_iter):
@@ -201,6 +281,9 @@ def bisect_log(kind, family, par, case, lam, mu, lame_lambda, K, u_a, u_b, f_a, 
     Python floats; a midpoint whose Python arithmetic raises is evaluated
     again as np.float64 (see the module docstring).
     """
+    consts = (kind, family, par, case, lam, mu, lame_lambda, K)
+    f = residual_fn(*consts, scalar=True)
+    exp = np.exp
     a = float(u_a)
     b = float(u_b)
     fa = float(f_a)
@@ -209,12 +292,11 @@ def bisect_log(kind, family, par, case, lam, mu, lame_lambda, K, u_a, u_b, f_a, 
         mid = 0.5 * (a + b)
         if mid == a or mid == b:
             break
-        x = float(np.exp(mid))
+        x = float(exp(mid))
         try:
-            fm = transverse_residual(kind, family, par, case, lam, mu, lame_lambda, K, x)
+            fm = f(x)
         except ArithmeticError:
-            x = np.float64(x)
-            fm = transverse_residual(kind, family, par, case, lam, mu, lame_lambda, K, x)
+            fm = residual_fn(*consts)(np.float64(x))
         if fm == 0.0:
             a = mid
             b = mid

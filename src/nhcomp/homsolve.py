@@ -140,7 +140,7 @@ def residual(case, model, lam, lamT):
     if not (lam > 0.0 and lamT > 0.0):
         raise ValueError("stretches must be positive")
     # np.float64, as in the scan: a power past the float range is inf, not OverflowError
-    return _k.transverse_residual(*_kernel_args(case, model, lam), np.float64(lamT))
+    return _k.residual_fn(*_kernel_args(case, model, lam))(np.float64(lamT))
 
 
 def solve_incompressible(case, lam, mu=1.0):
@@ -212,12 +212,20 @@ def _sign_brackets(us, fs):
     Returns ``(u_a, u_b, f_a)`` tuples in grid order. A pair with a NaN end
     is skipped; an exact zero at the left end of a pair gives the point
     bracket ``(u, u, 0)``, and so does an exact zero at the last point.
+
+    Every such pair has ``fs > 0`` change across it or a zero at its left
+    end, so one mask picks the few candidates and the rule runs on those.
     """
-    pos, neg = fs > 0.0, fs < 0.0  # both False at NaN and at +-0
-    zero = (fs[:-1] == 0.0) & ~np.isnan(fs[1:])
-    idx = np.flatnonzero(zero | (pos[:-1] & neg[1:]) | (neg[:-1] & pos[1:]))
-    ends = np.where(zero[idx], idx, idx + 1)
-    out = list(zip(us[idx], us[ends], fs[idx]))
+    pos = fs > 0.0
+    out = []
+    for i in np.flatnonzero((pos[:-1] != pos[1:]) | (fs[:-1] == 0.0)).tolist():
+        a, b = fs[i], fs[i + 1]
+        if a != a or b != b:  # NaN
+            continue
+        if a == 0.0:
+            out.append((us[i], us[i], a))
+        elif b != 0.0 and (a > 0.0) != (b > 0.0):
+            out.append((us[i], us[i + 1], a))
     if len(fs) and fs[-1] == 0.0:
         out.append((us[-1], us[-1], 0.0))
     return out
@@ -226,19 +234,24 @@ def _sign_brackets(us, fs):
 def solve(case, model, lam, seed_lamT=1.0):
     """Equilibrium of the load case; routes incompressible to closed form.
 
-    Raises :class:`SolveError` when no sign change exists even after one
-    bracket expansion. Multiple sign changes pick the root nearest the
-    continuation seed ``seed_lamT`` and attach a warning.
+    Raises ``ValueError`` unless ``lam`` and ``seed_lamT`` are positive
+    finite stretches, and :class:`SolveError` when no sign change exists
+    even after one bracket expansion. Multiple sign changes pick the root
+    nearest the continuation seed ``seed_lamT`` and attach a warning.
 
     The root is found with the constants divided by 2^e, where mu = m 2^e
     (:func:`materials.mantissa_params`), and the stresses and the residual
     are scaled back by 2^e. So the root and ``converged`` do not depend on
     the modulus scale, and a stress beyond the float range is +-inf.
     """
+    if not 0.0 < lam < math.inf:
+        raise ValueError(f"axial stretch must be positive and finite, got lam = {lam}")
+    if not 0.0 < seed_lamT < math.inf:
+        raise ValueError(
+            f"continuation seed must be a positive finite stretch, got seed_lamT = {seed_lamT}"
+        )
     if model.kind == "inc":
         return solve_incompressible(case, lam, model.params.mu)
-    if not lam > 0.0:
-        raise ValueError("axial stretch must be positive")
     prm, e = mantissa_params(model.params)
     model = replace(model, params=prm)
     args = _kernel_args(case, model, lam)

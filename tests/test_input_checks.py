@@ -30,6 +30,34 @@ CHECKS = {
         "axial stretch must be positive",
     ),
     "solve-stretch": (lambda: hs.solve("elp", MIXED, 0.0), "axial stretch must be positive"),
+    "solve-inf-stretch": (
+        lambda: hs.solve("ul", MIXED, np.inf),
+        "axial stretch must be positive and finite, got lam = inf",
+    ),
+    "solve-nan-stretch": (
+        lambda: hs.solve("ul", MIXED, np.nan),
+        "axial stretch must be positive and finite, got lam = nan",
+    ),
+    "solve-inc-inf-stretch": (
+        lambda: hs.solve("ul", INC, np.inf),
+        "axial stretch must be positive and finite, got lam = inf",
+    ),
+    "solve-zero-seed": (
+        lambda: hs.solve("ul", MIXED, 2.0, seed_lamT=0.0),
+        "continuation seed must be a positive finite stretch, got seed_lamT = 0.0",
+    ),
+    "solve-negative-seed": (
+        lambda: hs.solve("ul", MIXED, 2.0, seed_lamT=-1.0),
+        "got seed_lamT = -1.0",
+    ),
+    "solve-nan-seed": (
+        lambda: hs.solve("ul", MIXED, 2.0, seed_lamT=np.nan),
+        "got seed_lamT = nan",
+    ),
+    "solve-inf-seed": (
+        lambda: hs.solve("ul", MIXED, 2.0, seed_lamT=np.inf),
+        "got seed_lamT = inf",
+    ),
     "dilatation-stretch": (
         lambda: hs.dilatation_response(MIXED, 0.0),
         "dilatation stretch must be positive",

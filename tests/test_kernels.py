@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as hst
 
 from nhcomp import _kernels as _k
 from nhcomp import homsolve as hs
@@ -12,6 +14,96 @@ from nhcomp.volfun import VolFun, catalog, evaluate_grid
 # the catalog covers all four families; (0, 5e-9) takes the power pair's
 # (ln J)^2 / 2 branch below q = 1e-8 with a nonzero parameter
 _FAMILIES = [(vf.family, vf.par) for vf in catalog().values()] + [(_k.FAMILY_HN, 5e-9)]
+
+
+def _volumetric_term_reference(kind, family, par, J):
+    # the per-call branch chain that residual_fn's closures replace
+    mixed = kind == "mixed"
+    if family in (_k.FAMILY_HN, _k.FAMILY_OGDEN) and abs(par) < 1e-8:
+        lnJ = np.log(J)
+        return lnJ if mixed else lnJ / J
+    if family == _k.FAMILY_HN:
+        q = par
+        Jq = J**q
+        Jmq = 1.0 / Jq
+        return (Jq - Jmq) / (2.0 * q) if mixed else (Jq - Jmq) / (2.0 * q * J)
+    if family == _k.FAMILY_OGDEN:
+        b = par
+        Jmb = J ** (-b)
+        return (1.0 - Jmb) / b if mixed else (1.0 / J - Jmb / J) / b
+    if family == _k.FAMILY_QUADRATIC:
+        return J * (J - 1.0) if mixed else J - 1.0
+    lnJ = np.log(J)
+    e = np.exp(lnJ * lnJ)
+    return e * lnJ if mixed else e * lnJ / J
+
+
+def _transverse_residual_reference(kind, family, par, case, lam, mu, lame_lambda, K, lamT):
+    # the residual as one function of every argument, re-resolving the kind,
+    # family and case at each point; the oracle for residual_fn's closures
+    if case == "ul":
+        J = lam * lamT * lamT
+    elif case == "elp":
+        J = lam * lam * lamT
+    else:
+        J = lam * lamT
+    vol = _volumetric_term_reference(kind, family, par, J)
+    if kind == "mixed":
+        return lame_lambda * vol - mu * (1.0 - lamT * lamT)
+    if case == "ul":
+        g = lamT * lamT - lam * lam
+    elif case == "elp":
+        g = 2.0 * (lamT * lamT - lam * lam)
+    else:
+        g = 2.0 * lamT * lamT - 1.0 - lam * lam
+    return K * vol + (mu / 3.0) * J ** (-5.0 / 3.0) * g
+
+
+def _outcome(f, x):
+    # the hex bits of f(x), or the class of the ArithmeticError it raises
+    try:
+        return float(f(x)).hex()
+    except ArithmeticError as exc:
+        return type(exc)
+
+
+# a power pair and a log-augmented function whose powers leave the float
+# range, or underflow to 0, inside the lamT range below
+_RAISING = [(_k.FAMILY_HN, 1000.0), (_k.FAMILY_OGDEN, -400.0)]
+
+
+@pytest.mark.parametrize("kind", ("mixed", "voliso"), ids=("0", "1"))
+@pytest.mark.parametrize("case", hs.CASES, ids=("0", "1", "2"))
+def test_residual_fn_matches_the_reference_bit_for_bit(kind, case):
+    # mu, lambda, K of mu = 1, nu = 0.3
+    consts = (1.0, 1.5, 2.1666666666666665)
+    lamTs = np.logspace(-12, 12, 97)
+    # J = 0 (underflow) and a J^(-5/3) past the float range, at lam = 1e-6
+    extremes = np.array([1e-200, 1e-170, 1e-120])
+    n_raised = 0
+    for family, par in _FAMILIES + _RAISING:
+        for lam in (1e-6, 0.3, 1.7, 1e6):
+            args = (kind, family, par, case, lam, *consts)
+            python_lane = _k.residual_fn(*args, scalar=True)
+            numpy_lane = _k.residual_fn(*args)
+            with np.errstate(all="ignore"):
+                for x in np.concatenate([lamTs, extremes]):
+                    want = _transverse_residual_reference(*args, x)
+                    assert numpy_lane(x).hex() == want.hex(), (family, par, lam, x)
+                    got = _outcome(python_lane, float(x))
+                    if isinstance(got, type):
+                        # bisect_log evaluates such a point again on the numpy lane;
+                        # the reference raises only where the closure does
+                        n_raised += 1
+                        continue
+                    assert got == _outcome(
+                        lambda t: _transverse_residual_reference(*args, t), float(x)
+                    ), (family, par, lam, x)
+                    assert got == want.hex()
+                got = numpy_lane(lamTs)
+                want = _transverse_residual_reference(*args, lamTs)
+            assert [v.hex() for v in got.tolist()] == [v.hex() for v in want.tolist()]
+    assert n_raised > 0
 
 
 @pytest.mark.parametrize("family, par", _FAMILIES)
@@ -37,7 +129,7 @@ def test_residual_scan_signs_match_scalar(kind, case):
                 out = _k.residual_scan(kind, family, par, case, lam, mu, lame, K, u_lo, u_hi, n)
                 want = np.array(
                     [
-                        _k.transverse_residual(
+                        _transverse_residual_reference(
                             kind, family, par, case, lam, mu, lame, K, np.exp(u_lo + du * k)
                         )
                         for k in range(n)
@@ -89,6 +181,25 @@ def test_sign_brackets_matches_the_loop(fs):
     assert [tuple(map(type, br)) for br in got] == [tuple(map(type, br)) for br in want]
 
 
+def _typed_bits(brackets):
+    # type and exact bits of every entry, so -0.0 and 0.0 differ
+    return [tuple((type(v), np.float64(v).tobytes()) for v in br) for br in brackets]
+
+
+_SPECIALS = (math.nan, 0.0, -0.0, math.inf, -math.inf, 5e-324, -5e-324, 1.0, -1.0, 1e300, -1e300)
+
+
+@given(fs=hst.lists(hst.sampled_from(_SPECIALS), max_size=60))
+@example(fs=[1.0, -1.0, 0.0])  # a zero at the last point
+@example(fs=[1.0, 0.0, math.nan, -1.0])  # a zero just before a NaN
+@example(fs=[1.0, math.nan, math.nan, -1.0, math.nan, 1.0])  # NaN runs between opposite signs
+def test_sign_brackets_equals_the_loop_in_types_and_bits(fs):
+    fs = np.array(fs, dtype=float)
+    us = np.linspace(-1.0, 1.0, fs.size)
+    got = hs._sign_brackets(us, fs)
+    assert _typed_bits(got) == _typed_bits(_sign_brackets_loop(us, fs))
+
+
 def _sign_brackets_by_product(us, fs):
     # the np.sign-product form that the boolean masks replaced
     s = np.sign(fs)  # NaN stays NaN, and NaN * x < 0 is False
@@ -99,11 +210,6 @@ def _sign_brackets_by_product(us, fs):
     if len(fs) and fs[-1] == 0.0:
         out.append((us[-1], us[-1], 0.0))
     return out
-
-
-def _typed_bits(brackets):
-    # type and exact bits of every entry, so -0.0 and 0.0 differ
-    return [tuple((type(v), np.float64(v).tobytes()) for v in br) for br in brackets]
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -140,7 +246,8 @@ def test_residual_scan_matches_scalar():
     du = 4.0 / (n - 1)
     for i, got in enumerate(out):
         u = -2.0 + du * i
-        want = _k.transverse_residual("mixed", 0, 2.0, "ul", 1.4, 1.0, 2.0, 3.0, float(np.exp(u)))
+        args = ("mixed", 0, 2.0, "ul", 1.4, 1.0, 2.0, 3.0)
+        want = _transverse_residual_reference(*args, float(np.exp(u)))
         assert got == pytest.approx(want, rel=1e-12)
 
 
@@ -158,7 +265,7 @@ def test_solver_brackets_come_from_the_points_the_scan_evaluated():
     u_lo, u_hi = math.log(1e-9), math.log(1e9)
     us, fs = hs._scan(args, u_lo, u_hi)
     with np.errstate(all="ignore"):
-        want = _k.transverse_residual(*args, np.exp(us))
+        want = _transverse_residual_reference(*args, np.exp(us))
     np.testing.assert_array_equal(fs, want)
     assert us[0] == u_lo and abs(us[-1] - u_hi) <= 4 * np.spacing(u_hi)
 
@@ -166,16 +273,18 @@ def test_solver_brackets_come_from_the_points_the_scan_evaluated():
 @pytest.mark.parametrize("family, par", _FAMILIES)
 def test_volumetric_term_is_its_h_tuple_column_bit_for_bit(family, par):
     # the residual's J h' (mixed) and h' (vol-iso) come from the closed
-    # forms of h_tuple term by term, for a Python float, a numpy scalar
-    # and an array
+    # forms of h_tuple term by term, for a numpy scalar, an array and, on
+    # the Python-float lane, a Python float
     Js = np.logspace(-6, 6, 241)
     for kind, col in (("mixed", 3), ("voliso", 1)):
+        term = _k._volumetric_fn(kind, family, par)
+        python_term = _k._volumetric_fn(kind, family, par, scalar=True)
         want = _k.h_tuple(family, par, Js)[col]
-        np.testing.assert_array_equal(_k._volumetric_term(kind, family, par, Js), want)
+        np.testing.assert_array_equal(term(Js), want)
         for J in Js:
             want = _k.h_tuple(family, par, J)[col]
-            assert _k._volumetric_term(kind, family, par, J).hex() == want.hex()
-            assert _k._volumetric_term(kind, family, par, float(J)).hex() == want.hex()
+            assert term(J).hex() == want.hex()
+            assert python_term(float(J)).hex() == want.hex()
 
 
 def _bisect_log_numpy(kind, family, par, case, lam, mu, lame_lambda, K, u_a, u_b, f_a, max_iter):
@@ -188,7 +297,8 @@ def _bisect_log_numpy(kind, family, par, case, lam, mu, lame_lambda, K, u_a, u_b
         mid = 0.5 * (a + b)
         if mid == a or mid == b:
             break
-        fm = _k.transverse_residual(kind, family, par, case, lam, mu, lame_lambda, K, np.exp(mid))
+        args = (kind, family, par, case, lam, mu, lame_lambda, K)
+        fm = _transverse_residual_reference(*args, np.exp(mid))
         if fm == 0.0:
             a = mid
             b = mid
@@ -244,20 +354,27 @@ def test_bisect_log_falls_back_to_numpy_where_python_raises(
     # or J^1000 leaves the float range; numpy gives +-inf there instead
     args = ("mixed", _k.FAMILY_HN, 1000.0, "ul", 2.0, 1.0, 1.5, 2.1666666666666665)
     with np.errstate(all="ignore"):
-        f_a = _k.transverse_residual(*args, np.exp(np.float64(u_a)))
+        f_a = _transverse_residual_reference(*args, np.exp(np.float64(u_a)))
         want = _bisect_log_numpy(*args, u_a, u_b, f_a, 200)
-    real, raised, numpy_calls = _k.transverse_residual, [], []
+    real, raised, numpy_calls = _k.residual_fn, [], []
 
-    def recorded(*a):
-        if isinstance(a[-1], np.float64):
-            numpy_calls.append(a[-1])
-        try:
-            return real(*a)
-        except ArithmeticError as exc:
-            raised.append(type(exc))
-            raise
+    def observed(*consts, **lane):
+        # the closure the factory returns, recording numpy-lane arguments
+        # and the errors it raises
+        f = real(*consts, **lane)
 
-    monkeypatch.setattr(_k, "transverse_residual", recorded)
+        def recorded(lamT):
+            if isinstance(lamT, np.float64):
+                numpy_calls.append(lamT)
+            try:
+                return f(lamT)
+            except ArithmeticError as exc:
+                raised.append(type(exc))
+                raise
+
+        return recorded
+
+    monkeypatch.setattr(_k, "residual_fn", observed)
     with np.errstate(all="ignore"):
         got = _k.bisect_log(*args, u_a, u_b, f_a, 200)
     assert raised == [error, error] and len(numpy_calls) == 2
