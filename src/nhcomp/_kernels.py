@@ -202,7 +202,8 @@ def residual_fn(kind, family, par, case, lam, mu, lame_lambda, K, scalar=False):
     """The transverse traction residual as a function of lamT alone.
 
     Mixed kind: ``lambda * J h'(J) - mu * (1 - lamT^2)`` (the transverse
-    Cauchy equilibrium multiplied through by J).
+    Cauchy equilibrium multiplied through by J); at lambda = 0 (nu = 0) the
+    closure has no volumetric term, so an infinite J h' gives no NaN.
     Vol-iso kind: ``K h'(J) + (mu/3) J^(-5/3) g`` with the case-dependent
     deviator combination g.
     Roots in lamT define the equilibrium transverse stretch. The kind,
@@ -214,6 +215,8 @@ def residual_fn(kind, family, par, case, lam, mu, lame_lambda, K, scalar=False):
     volume = _volume_fn(case, lam)
     term = _volumetric_fn(kind, family, par, scalar)
     if kind == "mixed":
+        if lame_lambda == 0.0:  # nu = 0: no 0 * J h' where J h' is not finite
+            return lambda lamT: -mu * (1.0 - lamT * lamT)
 
         def residual(lamT):
             return lame_lambda * term(volume(lamT)) - mu * (1.0 - lamT * lamT)

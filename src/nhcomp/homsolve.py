@@ -133,12 +133,15 @@ def residual(case, model, lam, lamT):
     balance multiplied by J). Vol-iso kind: ``K h'(J) + (mu/3) J^(-5/3) g``
     with the case's deviator combination g. This is the scalar form of the
     kernel the scan and the bisection evaluate, so the polish refines the
-    same function they bracketed.
+    same function they bracketed. Raises ``ValueError`` unless ``lam`` and
+    ``lamT`` are positive finite stretches.
     """
     if model.kind == "inc":
         raise ValueError("the incompressible kind fixes lamT kinematically; no residual")
-    if not (lam > 0.0 and lamT > 0.0):
-        raise ValueError("stretches must be positive")
+    if not 0.0 < lam < math.inf:
+        raise ValueError(f"axial stretch must be positive and finite, got lam = {lam}")
+    if not 0.0 < lamT < math.inf:
+        raise ValueError(f"transverse stretch must be positive and finite, got lamT = {lamT}")
     # np.float64, as in the scan: a power past the float range is inf, not OverflowError
     return _k.residual_fn(*_kernel_args(case, model, lam))(np.float64(lamT))
 
@@ -243,6 +246,11 @@ def solve(case, model, lam, seed_lamT=1.0):
     (:func:`materials.mantissa_params`), and the stresses and the residual
     are scaled back by 2^e. So the root and ``converged`` do not depend on
     the modulus scale, and a stress beyond the float range is +-inf.
+
+    ``converged`` means |residual| <= 1e-12 (mu + lam + K) or a bracket at
+    most 1e-12 max(1, |u|) wide in u = ln lamT. Bisection ends at adjacent
+    floats or after 200 halvings, far inside that width, so it says only
+    that the scan found a sign change and bisection closed it.
     """
     if not 0.0 < lam < math.inf:
         raise ValueError(f"axial stretch must be positive and finite, got lam = {lam}")

@@ -41,7 +41,7 @@ import numpy as np
 
 from nhcomp.kinematics import rate_from_motion
 from nhcomp.materials import PAPER_NUS, ModelSpec, cauchy_stress, mantissa_params, params_from_mu_nu
-from nhcomp.tensor3 import I3, SuperSymTensor4, apply4, ddot, dev, outer, sym_outer
+from nhcomp.tensor3 import I3, apply4, ddot, dev, outer, sym_outer
 from nhcomp.volfun import VolFun, evaluate, evaluate_grid
 
 __all__ = [
@@ -329,46 +329,61 @@ def detA_identity(a, b, c):
 
 @dataclass(frozen=True)
 class TangentPair:
-    """Spatial tangent stiffness tensors for the two rate pairings."""
+    """Spatial tangents of the two rate pairings: supersymmetric (3, 3, 3, 3) ndarrays."""
 
-    c_tr: SuperSymTensor4
-    c_bh: SuperSymTensor4
+    c_tr: np.ndarray
+    c_bh: np.ndarray
 
 
 # the two constant fourth-order tensors of every tangent, built once
 _II = outer(I3, I3)
 _IsI = sym_outer(I3, I3)
-_II.a.flags.writeable = False
-_IsI.a.flags.writeable = False
+_II.flags.writeable = False
+_IsI.flags.writeable = False
+
+
+def _beyond_float_range(model, J):
+    return ValueError(
+        f"the {model.kind} kind with volfun {model.volfun.label} has a stress or "
+        f"tangent beyond the float range at J = {J:.6g}"
+    )
 
 
 def tangents(model, state):
     """Spatial tangents: c_tr : d = Oldroyd[tau]/J, c_bh = c_tr + stress terms.
 
-    Not available for the incompressible kind.
+    Not available for the incompressible kind. Raises ``ValueError`` when an
+    entry is not finite.
     """
     if model.kind == "inc":
         raise ValueError("tangent tensors are unsupported for the incompressible kind")
     J = state.J
     mu = model.params.mu
     ev = evaluate(model.volfun, J)
-    if model.kind == "mixed":
-        lam = model.params.lam
-        c_tr = lam * ev.chi * _II + (2.0 / J) * (mu - lam * J * ev.hp) * _IsI
-    else:
-        K = model.params.K
-        c = state.c
-        trc = float(np.trace(c))
-        w = mu * J ** (-5.0 / 3.0)
-        c_tr = (
-            K * ev.chi * _II
-            - 2.0 * K * ev.hp * _IsI
-            + (2.0 / 3.0) * w * trc * _IsI
-            - (2.0 / 9.0) * w * trc * _II
-            - (4.0 / 3.0) * w * outer(dev(c), I3)  # symmetrized dyad: (dev c (x) I + I (x) dev c)/2
-        )
-    sigma = cauchy_stress(model, state.F).cauchy
-    c_bh = c_tr + sym_outer(I3, sigma) + sym_outer(sigma, I3)
+    with np.errstate(all="ignore"):
+        if model.kind == "mixed":
+            lam = model.params.lam
+            # lam = 0 (nu = 0) has no volumetric term: skip 0 * chi, 0 * h' where not finite
+            vol_chi = lam * ev.chi if lam or math.isfinite(ev.chi) else 0.0
+            vol_hp = lam * J * ev.hp if lam or math.isfinite(ev.hp) else 0.0
+            c_tr = vol_chi * _II + (2.0 / J) * (mu - vol_hp) * _IsI
+        else:
+            K = model.params.K
+            c = state.c
+            trc = float(np.trace(c))
+            w = mu * J ** (-5.0 / 3.0)
+            # outer(dev(c), I3) is the symmetrized dyad (dev c (x) I + I (x) dev c)/2
+            c_tr = (
+                K * ev.chi * _II
+                - 2.0 * K * ev.hp * _IsI
+                + (2.0 / 3.0) * w * trc * _IsI
+                - (2.0 / 9.0) * w * trc * _II
+                - (4.0 / 3.0) * w * outer(dev(c), I3)
+            )
+        sigma = cauchy_stress(model, state.F).cauchy
+        c_bh = c_tr + sym_outer(I3, sigma) + sym_outer(sigma, I3)
+    if not np.isfinite(c_bh).all():  # c_bh is not finite wherever its summand c_tr is not
+        raise _beyond_float_range(model, J)
     return TangentPair(c_tr=c_tr, c_bh=c_bh)
 
 
@@ -404,10 +419,7 @@ def tangent_fd_error(model, n_motions=10):
             scale = max(float(np.abs(old_fd).max()), 1e-12)
             error = float(np.abs(pred - old_fd).max()) / scale
         if not math.isfinite(error):
-            raise ValueError(
-                f"the {model.kind} kind with volfun {model.volfun.label} has a stress or "
-                f"tangent beyond the float range at J = {state.J:.6g}"
-            )
+            raise _beyond_float_range(model, state.J)
         worst = max(worst, error)
     return worst
 

@@ -3,9 +3,11 @@
 Second-order tensors are plain ``(3, 3)`` float ndarrays. Symmetric tensors
 are ndarrays that happen to be symmetric; nothing here stores packed 6-vectors
 except the Voigt mapping layer at the bottom of the module. Fourth-order
-tensors with full (major plus both minor) symmetry get a thin wrapper class,
-:class:`SuperSymTensor4`, that symmetrizes on construction so downstream code
-never has to reason about index ordering.
+tensors are plain ``(3, 3, 3, 3)`` float ndarrays with the major and both
+minor symmetries. :func:`sym_outer` and :func:`outer` average their result
+once over those symmetries; sums, differences and scalar multiples of such
+arrays keep every symmetry bit for bit (IEEE ``+`` and ``*`` commute), so
+nothing averages again.
 
 The one genuinely delicate operation is :func:`spectral`: eigenvalues of a
 symmetric tensor must be *clustered* before eigenprojections are formed,
@@ -26,7 +28,6 @@ I3 = np.eye(3)
 __all__ = [
     "I3",
     "SpectralDecomp",
-    "SuperSymTensor4",
     "sym",
     "skew",
     "ddot",
@@ -182,77 +183,46 @@ def coaxial_orthogonal_split(S, H):
     return Hhat, Hs - Hhat
 
 
-class SuperSymTensor4:
-    """Dense fourth-order tensor with major and both minor symmetries.
-
-    The 81 components are stored as a ``(3, 3, 3, 3)`` ndarray and the full
-    symmetry group is enforced by averaging at construction time, so any
-    arithmetic that produces an asymmetric intermediate is repaired here.
-    """
-
-    __slots__ = ("a",)
-
-    def __init__(self, a):
-        a = np.asarray(a, dtype=float).reshape(3, 3, 3, 3)
-        a = 0.5 * (a + a.transpose(1, 0, 2, 3))
-        a = 0.5 * (a + a.transpose(0, 1, 3, 2))
-        a = 0.5 * (a + a.transpose(2, 3, 0, 1))
-        self.a = a
-
-    def __add__(self, other):
-        return SuperSymTensor4(self.a + other.a)
-
-    def __sub__(self, other):
-        return SuperSymTensor4(self.a - other.a)
-
-    def __mul__(self, scalar):
-        return SuperSymTensor4(self.a * scalar)
-
-    __rmul__ = __mul__
-
-    def symmetry_error(self):
-        """Max deviation from each of the three defining symmetries (is 0)."""
-        a = self.a
-        return max(
-            float(np.max(np.abs(a - a.transpose(1, 0, 2, 3)))),
-            float(np.max(np.abs(a - a.transpose(0, 1, 3, 2)))),
-            float(np.max(np.abs(a - a.transpose(2, 3, 0, 1)))),
-        )
+def _supersym(a):
+    """Average a (3, 3, 3, 3) array over the two minor and the major symmetry."""
+    a = 0.5 * (a + a.transpose(1, 0, 2, 3))
+    a = 0.5 * (a + a.transpose(0, 1, 3, 2))
+    return 0.5 * (a + a.transpose(2, 3, 0, 1))
 
 
 def sym_outer(A, B):
     """Symmetrized tensor product with action (A o B) : X = A sym(X) B^T.
 
-    Componentwise ``(A o B)_ijkl = (A_ik B_jl + A_il B_jk) / 2`` before the
-    constructor's full symmetrization. For symmetric A, B the quadratic form
+    Componentwise ``(A o B)_ijkl = (A_ik B_jl + A_il B_jk) / 2``, then
+    averaged over the major and both minor symmetries; returns a
+    ``(3, 3, 3, 3)`` ndarray. For symmetric A, B the quadratic form
     ``H : (A o B) : H`` equals ``H : (A sym(H) B)``.
     """
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
-    core = 0.5 * (np.einsum("ik,jl->ijkl", A, B) + np.einsum("il,jk->ijkl", A, B))
-    return SuperSymTensor4(core)
+    return _supersym(0.5 * (np.einsum("ik,jl->ijkl", A, B) + np.einsum("il,jk->ijkl", A, B)))
 
 
 def outer(A, B):
-    """Plain dyadic product (A x B)_ijkl = A_ij B_kl, supersymmetrized.
+    """Dyadic product (A x B)_ijkl = A_ij B_kl, averaged over the major and
+    both minor symmetries; returns a ``(3, 3, 3, 3)`` ndarray.
 
-    Note the constructor averages in the major transpose, so for A != B this
-    returns ``(A x B + B x A) / 2``; callers building tangent tensors pass the
-    symmetric combinations they actually mean (for example ``outer(c, I3)``
-    already yields the (c x I + I x c)/2 pairing).
+    For symmetric A != B the major average makes this ``(A x B + B x A) / 2``,
+    so ``outer(c, I3)`` is already the (c x I + I x c)/2 pairing a tangent
+    uses.
     """
-    return SuperSymTensor4(np.einsum("ij,kl->ijkl", np.asarray(A, float), np.asarray(B, float)))
+    return _supersym(np.einsum("ij,kl->ijkl", np.asarray(A, float), np.asarray(B, float)))
 
 
 def apply4(X4, H):
     """Contraction (X : H)_ij = X_ijkl H_kl."""
-    return np.einsum("ijkl,kl->ij", X4.a, np.asarray(H, dtype=float))
+    return np.einsum("ijkl,kl->ij", X4, np.asarray(H, dtype=float))
 
 
 def quad_form(X4, H):
     """Quadratic form H : X : H."""
     H = np.asarray(H, dtype=float)
-    return float(np.einsum("ij,ijkl,kl->", H, X4.a, H))
+    return float(np.einsum("ij,ijkl,kl->", H, X4, H))
 
 
 # --- Voigt mapping -----------------------------------------------------------
@@ -277,5 +247,5 @@ def voigt_mat(X4):
     M = np.empty((6, 6))
     for I, (i, j) in enumerate(_VOIGT_PAIRS):
         for J, (k, l) in enumerate(_VOIGT_PAIRS):
-            M[I, J] = X4.a[i, j, k, l]
+            M[I, J] = X4[i, j, k, l]
     return M

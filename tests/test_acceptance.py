@@ -350,8 +350,8 @@ def test_criterion_08_tangent_contraction_and_bh_shift():
             pair = tangents(model, state)
             sigma = cauchy_stress(model, F).cauchy
             shifted = pair.c_tr + sym_outer(I3, sigma) + sym_outer(sigma, I3)
-            scale = float(np.abs(pair.c_bh.a).max()) + model.params.mu
-            assert float(np.abs(pair.c_bh.a - shifted.a).max()) <= 1e-14 * scale
+            scale = float(np.abs(pair.c_bh).max()) + model.params.mu
+            assert float(np.abs(pair.c_bh - shifted).max()) <= 1e-14 * scale
 
 
 # --------------------------------------------------------------------------

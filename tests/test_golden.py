@@ -5,10 +5,11 @@ The benchmark's seed-0 argv and their digests are read from
 with ``perfbench/record_digests.py`` after a declared change of output).
 ``EXTRA`` pins argv the benchmark workloads do not run: the incompressible
 kind, ``--E``, other ``tangent-check`` and ``dilatation`` inputs, mixed
-``limits``, mixed ``sweep`` of the power pair at q = 1/12, small
-``stability`` scans, and ``table-repro`` at moduli whose finite targets
-(``+mu``, ``-lambda``, ``-3K``) depend on mu. Each argv
-runs in-process through ``cli.main`` with ``--out`` and must exit 0.
+``limits``, mixed ``sweep`` of the power pair at q = 1/12 and at nu = 0
+where J h' overflows, small ``stability`` scans, and ``table-repro`` at
+moduli whose finite targets (``+mu``, ``-lambda``, ``-3K``) depend on mu.
+Each argv runs in-process through ``cli.main`` with ``--out`` and must
+exit 0.
 """
 
 import hashlib
@@ -73,6 +74,10 @@ EXTRA = {
         "872a2c7d66d8c5349b1d9405961026b9513af7733903d3da59c4abf29dec972c",
     "tangent-check --volfun 5 --nu 0.3":
         "f7ec5042819fa2deb3f862c113d7cfeafc6f4832b1c08c112cf5aa56bc82701b",
+    # mixed at nu = 0 has no volumetric term, even where J h' overflows
+    "sweep --case ul --model mixed --volfun 4 --nu 0 --lam-min 1e100 --lam-max 1e100 "
+    "--points 1":
+        "b709a5e0f1c8f1ce2eeef4affa32fe0f7abe86cc50ff0740fb5ecbd1d9cc54ec",
 }
 
 

@@ -9,9 +9,9 @@ import pytest
 
 from nhcomp import homsolve as hs
 from nhcomp import stability as st
-from nhcomp.kinematics import rate_from_motion
+from nhcomp.kinematics import kinematics_from_F, rate_from_motion
 from nhcomp.materials import ModelSpec, cauchy_stress, params_from_mu_nu
-from nhcomp.volfun import catalog, evaluate_grid
+from nhcomp.volfun import VolFun, catalog, evaluate_grid
 
 QUAD = catalog()[7]
 MIXED = ModelSpec.mixed(QUAD, 1.0, 0.3)
@@ -58,6 +58,22 @@ CHECKS = {
         lambda: hs.solve("ul", MIXED, 2.0, seed_lamT=np.inf),
         "got seed_lamT = inf",
     ),
+    "residual-inf-stretch": (
+        lambda: hs.residual("ul", MIXED, np.inf, 1.0),
+        "axial stretch must be positive and finite, got lam = inf",
+    ),
+    "residual-inf-lamT": (
+        lambda: hs.residual("ul", MIXED, 2.0, np.inf),
+        "transverse stretch must be positive and finite, got lamT = inf",
+    ),
+    "residual-nan-lamT": (
+        lambda: hs.residual("ul", MIXED, 2.0, np.nan),
+        "transverse stretch must be positive and finite, got lamT = nan",
+    ),
+    "residual-zero-lamT": (
+        lambda: hs.residual("ul", MIXED, 2.0, 0.0),
+        "transverse stretch must be positive and finite, got lamT = 0.0",
+    ),
     "dilatation-stretch": (
         lambda: hs.dilatation_response(MIXED, 0.0),
         "dilatation stretch must be positive",
@@ -79,6 +95,13 @@ CHECKS = {
         "bh_rate is defined here for compressible kinds",
     ),
     "detA_identity-ratio": (lambda: st.detA_identity(1.0, 0.0, 2.0), "ratios must be positive"),
+    "tangents-beyond-float-range": (
+        lambda: st.tangents(
+            ModelSpec.vol_iso(VolFun.power_pair(1000), 1.0, 0.3),
+            kinematics_from_F(np.diag([0.8, 0.8, 0.75])),
+        ),
+        "the voliso kind with volfun hn:1000 has a stress or tangent beyond the float range",
+    ),
     "min_coaxial_eig-inc-hill": (
         lambda: st.min_coaxial_eig("inc", QUAD, PARAMS, st.stretch_grid(2), "hill"),
         "unsupported kind 'inc'",

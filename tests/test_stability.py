@@ -48,6 +48,16 @@ def random_rate(F, scale=0.6):
     return rate_from_motion(F, Fdot)
 
 
+_TRANSPOSES = ((1, 0, 2, 3), (0, 1, 3, 2), (2, 3, 0, 1))
+
+
+def symmetry_error(a):
+    """Number of entries of a fourth-order array whose bits differ from the
+    same entry of its two minor or its major transpose (0: supersymmetric)."""
+    bits = a.view(np.uint64)
+    return sum(int(np.count_nonzero(bits != bits.transpose(p))) for p in _TRANSPOSES)
+
+
 def make_rate(F, d):
     """State and rate for a prescribed stretching d (zero spin)."""
     return rate_from_motion(F, np.asarray(d, float) @ F)
@@ -349,7 +359,7 @@ class TestTangents:
             vf = catalog()[vid]
             for kind in ("mixed", "voliso"):
                 pair = tangents(ModelSpec(kind, vf, prm), state)
-                np.testing.assert_allclose(pair.c_tr.a, expect.a, rtol=0, atol=1e-13 * MU)
+                np.testing.assert_allclose(pair.c_tr, expect, rtol=0, atol=1e-13 * MU)
 
     def test_mixed_log_volfun_closed_form(self):
         # for the log-squared volumetric function chi(J) J = 1
@@ -362,14 +372,20 @@ class TestTangents:
             2.0 * (MU - lam * math.log(J)) * sym_outer(I3, I3) + lam * outer(I3, I3)
         )
         pair = tangents(model, state)
-        np.testing.assert_allclose(pair.c_tr.a, expect.a, rtol=1e-12, atol=1e-14)
+        np.testing.assert_allclose(pair.c_tr, expect, rtol=1e-12, atol=1e-14)
 
-    def test_full_symmetry(self):
-        model = ModelSpec.vol_iso(catalog()[6], MU, NU)
-        state = kinematics_from_F(random_F())
-        pair = tangents(model, state)
-        assert pair.c_tr.symmetry_error() == 0.0
-        assert pair.c_bh.symmetry_error() == 0.0
+    def test_every_fourth_order_result_equals_its_transposes(self):
+        results = []
+        for vf in catalog().values():
+            for kind in ("mixed", "voliso"):
+                model = ModelSpec(kind, vf, params_from_mu_nu(MU, NU))
+                for _ in range(3):
+                    pair = tangents(model, kinematics_from_F(random_F()))
+                    results += [pair.c_tr, pair.c_bh]
+        for _ in range(10):
+            A, B = rng.standard_normal((2, 3, 3))
+            results += [sym_outer(A, B), outer(A, B)]
+        assert all(symmetry_error(a) == 0 for a in results)
 
     def test_tr_contraction_equals_oldroyd(self):
         for vid in (2, 7):
@@ -388,6 +404,10 @@ class TestTangents:
         lhs = apply4(pair.c_bh, rate.d)
         rhs = zj_rate(model, state, rate) / state.J
         np.testing.assert_allclose(lhs, rhs, rtol=0, atol=1e-13 * max(1.0, np.abs(rhs).max()))
+
+    def test_fd_error_mixed_nu_zero_ignores_infinite_volumetric_terms(self):
+        # lam = 0: the infinite chi and J h' of hn:1000 at small J must not give 0 * inf
+        assert tangent_fd_error(ModelSpec.mixed(VolFun.power_pair(1000), 1.0, 0.0)) < 1e-6
 
     def test_fd_error_small(self):
         assert tangent_fd_error(ModelSpec.mixed(catalog()[3], MU, NU), n_motions=4) < 1e-6
