@@ -623,6 +623,25 @@ def _eig2_min(p, r, q):
     return 0.5 * (p + q) - np.hypot(0.5 * (p - q), r)
 
 
+def _deflate(alpha, b1, b2, p, r, q):
+    """(x, big) of graded states given by their rotated lower triangles.
+
+    x is the smallest eigenvalue of the trace-free 2x2 block after the
+    spherical direction is deflated, from three fixed-point passes of the
+    Schur complement; big is the spherical branch. Every state has |alpha|
+    far above its other entries, so alpha is never 0 and the first pass
+    divides by alpha itself.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        b11, b12, b22 = b1 * b1, b1 * b2, b2 * b2
+        x = _eig2_min(p - b11 / alpha, r - b12 / alpha, q - b22 / alpha)
+        for _ in range(2):
+            den = np.where(alpha == x, 1.0, alpha - x)
+            x = _eig2_min(p - b11 / den, r - b12 / den, q - b22 / den)
+        big = alpha + (b11 + b22) / np.where(alpha == x, 1.0, alpha - x)
+    return x, big
+
+
 def _lower_matrices(lower, select):
     """The symmetric 3x3 matrices eigh is given, rows ``select`` of the six
     lower-triangle vectors ``lower`` (in ``_LOWER`` order) mirrored across
@@ -633,6 +652,19 @@ def _lower_matrices(lower, select):
         M[:, i, l] = v
         M[:, l, i] = v
     return M
+
+
+def _candidates(a00, a10, a20, a11, a21, a22):
+    """Positions of two symmetric 3x3 matrices, given by their lower
+    triangles, whose smallest eigenvalues are likely near the smallest of
+    all: the one with the smallest diagonal entry (an upper bound on its
+    eigenvalue) and the one with the smallest Gershgorin lower bound
+    min_i (a_ii - sum_{j != i} |a_ij|)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        g10, g20, g21 = np.abs(a10), np.abs(a20), np.abs(a21)
+        low = np.minimum(np.minimum(a00 - g10 - g20, a11 - g10 - g21), a22 - g20 - g21)
+        diag = np.minimum(np.minimum(a00, a11), a22)
+    return [np.argmin(diag), np.argmin(low)]
 
 
 def _exceeds(upper, a00, a10, a20, a11, a21, a22):
@@ -666,22 +698,25 @@ def min_coaxial_eig(kind, volfun, params, lams, contraction="hill"):
     Returns (min_value, index, direction) where direction is the minimizing
     diagonal rate (unit vector).
 
-    States where the volumetric coefficient dwarfs the shear-scale block
-    ("graded" states) are handled by deflating the spherical direction
-    analytically; a plain eigendecomposition there would bury the true
-    minimum (which lives in the nearly-traceless subspace) under eps * |c|
-    rounding noise.
+    Each state's value comes from one of three routes, and a state pays
+    only for the route that decides it:
 
-    Of the other states, ``eigh`` sees only those that could hold the
-    minimum. An upper bound U on the minimum is taken from values the scan
-    computes anyway: the smallest graded value, and the ``eigh`` value of
-    the ungraded state with the smallest diagonal entry. Every ungraded
-    state then gets a certificate (``_exceeds``): an unpivoted LDL^T of its
-    matrix minus (U + 1e-9 * (3 max|entry| + |U|)) times I with three
-    positive pivots, which proves its ``eigh`` value strictly above U, so it
-    cannot be the minimum and its value is set to +inf. A state whose value
-    lies within that margin of U, or that has a NaN or inf entry, fails the
-    certificate and goes to ``eigh``, so ties keep their first index.
+    * the deflation (:func:`_deflate`), on the "graded" states alone, where
+      the volumetric coefficient dwarfs the shear-scale block. It removes
+      the spherical direction analytically; a plain eigendecomposition there
+      would bury the true minimum (which lives in the nearly-traceless
+      subspace) under eps * |c| rounding noise;
+    * the certificate (:func:`_exceeds`), on every ungraded state, against
+      an upper bound U on the minimum: the smallest graded value and the
+      ``eigh`` values of two candidate states, decomposed in one call
+      (:func:`_candidates`: the smallest diagonal entry and the smallest
+      Gershgorin lower bound). An unpivoted LDL^T of the state's matrix
+      minus (U + 1e-9 * (3 max|entry| + |U|)) times I with three positive
+      pivots proves its ``eigh`` value strictly above U, so it cannot be the
+      minimum and its value is set to +inf;
+    * ``eigh``, on the states that fail the certificate: those whose value
+      lies within that margin of U, or that have a NaN or inf entry, so
+      ties keep their first index.
 
     The form is linear in (mu, lam, K), so the scan runs on the constants
     divided by 2^e, where mu = m 2^e with 1/2 <= m < 1
@@ -693,14 +728,20 @@ def min_coaxial_eig(kind, volfun, params, lams, contraction="hill"):
 
     The shear block (the lower triangle of S rotated by Q, and its scale)
     does not depend on the volumetric function or nu, so a run of calls on
-    one (kind, contraction, mu, grid) builds it once. The output bytes are
-    those of running ``eigh`` on every state: batched ``eigh`` treats each
+    one (kind, contraction, mu, grid) builds it once. The values, the argmin
+    and the direction are bit for bit those of deflating every graded state
+    and running ``eigh`` on every other one. U is the value of a real state,
+    so it is at least the minimum, and a certified state's value is above
+    it. The deflation is element-wise and batched ``eigh`` treats each
     matrix on its own, so a subset gives the same bits for the rows it
-    holds, and the argmin row's eigenvector is taken from the subset. The
-    rotation (:func:`_rotate_lower`) adds its products in the order of the
-    batched ``einsum`` it replaced, and ``eigh`` stays as it is: a
-    matrix-product rotation or ``eigvalsh`` rounds differently and would
-    change the reported values in the last bits.
+    holds, and the argmin row's eigenvector or deflated direction is taken
+    from the subset. Only the sign bit of a NaN may differ, where two NaNs
+    meet in one operation: numpy's vector and scalar loops may keep
+    different ones, and nothing prints that sign. The rotation
+    (:func:`_rotate_lower`) adds its products in the order of the batched
+    ``einsum`` it replaced, and ``eigh`` stays as it is: a matrix-product
+    rotation or ``eigvalsh`` rounds differently and would change the
+    reported values in the last bits.
     """
     mu = params.mu
     params, e = mantissa_params(params)
@@ -713,33 +754,29 @@ def min_coaxial_eig(kind, volfun, params, lams, contraction="hill"):
     # the lower triangle eigh reads: Sp with alpha in place of Sp[0, 0]
     lower = (alpha, b1, b2, p, r, q)
     graded = np.abs(alpha) > 1e3 * (block.s_scale + 1e-300)
-
-    with np.errstate(divide="ignore", invalid="ignore"):
-        den = np.where(alpha == 0.0, 1.0, alpha)
-        x = _eig2_min(p - b1 * b1 / den, r - b1 * b2 / den, q - b2 * b2 / den)
-        for _ in range(2):
-            den = np.where(alpha == x, 1.0, alpha - x)
-            x = _eig2_min(p - b1 * b1 / den, r - b1 * b2 / den, q - b2 * b2 / den)
-        big = alpha + (b1 * b1 + b2 * b2) / np.where(alpha == x, 1.0, alpha - x)
-        mins = np.minimum(x, big)
+    mins = np.full(len(alpha), np.inf)
+    rows = np.flatnonzero(graded)
+    if rows.size:
+        x, big = _deflate(*(v[rows] for v in lower))
+        deflated = np.minimum(x, big)
+        mins[rows] = deflated
 
     kept = ~graded
     cand = np.flatnonzero(kept)
     if cand.size:
-        sub = [v[cand] for v in lower]
-        a00, _, _, a11, _, a22 = sub
-        k = cand[np.argmin(np.minimum(np.minimum(a00, a11), a22))]
-        upper = float(np.linalg.eigh(_lower_matrices(lower, [k]))[0][0, 0])
-        if cand.size < len(mins):
-            upper = min(upper, float(np.min(mins[graded])))
+        # with no graded state, the certificate reads the lower triangle itself
+        sub = [v[cand] for v in lower] if rows.size else lower
+        pair = cand[_candidates(*sub)]
+        upper = float(np.min(np.linalg.eigh(_lower_matrices(lower, pair))[0][:, 0]))
+        if rows.size:
+            upper = min(upper, float(np.min(deflated)))
         kept[cand[_exceeds(upper, *sub)]] = False
-        mins[cand] = np.inf
     vals, vecs = np.linalg.eigh(_lower_matrices(lower, kept))
     mins[kept] = vals[:, 0]
 
     i = int(np.argmin(mins))
     value = float(mins[i])
-    if graded[i] and value == x[i]:
+    if graded[i] and value == x[np.searchsorted(rows, i)]:
         d = value - alpha[i]
         pp = p[i] - b1[i] * b1[i] / -d
         qq = q[i] - b2[i] * b2[i] / -d

@@ -30,6 +30,7 @@ in both the compression and expansion limits.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -163,17 +164,105 @@ class VolFunEval:
     chi: float
 
 
+# h_tuple forms powers of J (J^q, J^-q, J^-beta, exp(ln^2 J), J * J) and
+# their products and quotients. While |ln J| (|par| + 2) stays within this
+# span (|ln J| (|ln J| + 2) for the exp family), every one of them lies
+# within e^+-680 (5e-296 .. 2e295), so no intermediate overflows, underflows
+# or loses bits as a subnormal, with room for the factors 2 q and 1 / q^2.
+_DIRECT_SPAN = 680.0
+
+
+def _direct_span(vf):
+    """The largest |ln J| at which the closed forms of ``h_tuple`` are used."""
+    if vf.family == _k.FAMILY_QUADRATIC:
+        return math.inf  # its only powers are J - 1, J (J - 1) and 2 J
+    if vf.family == _k.FAMILY_EXP_LOG2:
+        return math.sqrt(_DIRECT_SPAN + 1.0) - 1.0
+    return _DIRECT_SPAN / (abs(vf.par) + 2.0)
+
+
+def _signed_exp(sign, log_abs):
+    """The value whose sign and log |value| are given (0 where log_abs = -inf)."""
+    return sign * np.exp(log_abs)
+
+
+def _log_abs_expm1(x):
+    """log |e^x - 1| (-inf at x = 0), accurate at every x."""
+    return np.where(x > 0.0, x + np.log(-np.expm1(-x)), np.log(-np.expm1(x)))
+
+
+def _log_tuple(family, par, J):
+    """(h, h', h'', J h', chi) of ``h_tuple``, each as sign * exp(log |value|).
+
+    The log of each closed form is a sum of terms of size |ln J| and
+    |par ln J|, so no intermediate leaves the float range: a value beyond
+    it comes out +-inf with its sign, and one below it as 0 or a subnormal.
+    Not used for the quadratic family, whose closed forms never need it.
+    """
+    L = np.log(J)
+    if family in (_k.FAMILY_HN, _k.FAMILY_OGDEN) and abs(par) < _k._LOG_LIMIT_PAR:
+        hp = _signed_exp(np.sign(L), np.log(np.abs(L)) - L)
+        hpp = _signed_exp(np.sign(1.0 - L), np.log(np.abs(1.0 - L)) - 2.0 * L)
+        return 0.5 * L * L, hp, hpp, L, np.exp(-L)
+    if family == _k.FAMILY_HN:
+        # a = q ln J: J^q + J^-q = 2 cosh a and J^q - J^-q = 2 sinh a
+        q = par
+        A, s = np.abs(q * L), np.sign(L)
+        log_2q = math.log(2.0 * q)
+        log_sinh = A + np.log(-np.expm1(-2.0 * A))  # log |2 sinh a|
+        log_cosh = A + np.log1p(np.exp(-2.0 * A))  # log 2 cosh a
+        h = np.exp(A + 2.0 * np.log(-np.expm1(-A)) - math.log(2.0 * q * q))
+        # (q - 1) J^q + (q + 1) J^-q = e^A ((q - s) + (q + s) e^(-2A))
+        br = (q - s) + (q + s) * np.exp(-2.0 * A)
+        hpp = _signed_exp(np.sign(br), A + np.log(np.abs(br)) - log_2q - 2.0 * L)
+        hp = _signed_exp(s, log_sinh - log_2q - L)
+        return h, hp, hpp, _signed_exp(s, log_sinh - log_2q), np.exp(log_cosh - math.log(2.0) - L)
+    if family == _k.FAMILY_OGDEN:
+        # a = -beta ln J, J^-beta = e^a
+        b = par
+        a = -b * L
+        log_b, sb = math.log(abs(b)), math.copysign(1.0, b)
+        # h = (e^a - 1 - a) / beta^2, which is positive
+        log_g = np.where(
+            a > 1.0, a + np.log1p(-(1.0 + a) * np.exp(-a)), np.log(np.expm1(a) - a)
+        )
+        log_em1, s = _log_abs_expm1(a), -sb * np.sign(a)  # 1 - e^a over beta
+        # h'' = ((beta + 1) e^a - 1) / (beta J^2)
+        if b == -1.0:
+            log_br, s_br = np.zeros_like(a), -1.0
+        elif b > -1.0:
+            la = a + math.log(b + 1.0)
+            log_br, s_br = _log_abs_expm1(la), np.sign(la)
+        else:
+            log_br, s_br = np.logaddexp(a + math.log(-(b + 1.0)), 0.0), -1.0
+        hpp = _signed_exp(s_br * sb, log_br - log_b - 2.0 * L)
+        h = np.exp(log_g - 2.0 * log_b)
+        hp = _signed_exp(s, log_em1 - log_b - L)
+        return h, hp, hpp, _signed_exp(s, log_em1 - log_b), np.exp(a - L)
+    # FAMILY_EXP_LOG2, e = exp(ln^2 J)
+    L2 = L * L
+    h = np.exp(L2 + np.log(-np.expm1(-L2)) - math.log(2.0))
+    hp = _signed_exp(np.sign(L), L2 + np.log(np.abs(L)) - L)
+    hpp = np.exp(L2 - 2.0 * L + np.log(2.0 * L2 + 1.0 - L))
+    jhp = _signed_exp(np.sign(L), L2 + np.log(np.abs(L)))
+    return h, hp, hpp, jhp, np.exp(L2 - L + np.log1p(2.0 * L2))
+
+
 def evaluate(vf, J):
     """Evaluate one volumetric function at a single J > 0.
 
-    Far from J = 1 a closed form can leave the float range: its value is
-    then +-inf, or nan where it divides inf by inf, and no warning is
-    raised. The same holds for :func:`evaluate_grid`.
+    Each column comes out finite wherever its exact value is within the
+    float range, and +-inf beyond it, with no warning raised; the same
+    holds for :func:`evaluate_grid`. Near J = 1 these are the closed forms
+    of ``_kernels.h_tuple``; farther out than ``_direct_span`` allows, where
+    a power of J inside a closed form would leave the float range, all five
+    columns are evaluated in log space (``_log_tuple``).
     """
     if not J > 0.0:
         raise ValueError(f"volume ratio must be positive, got J = {J}")
+    form = _k.h_tuple if abs(math.log(J)) <= _direct_span(vf) else _log_tuple
     with np.errstate(all="ignore"):
-        h, hp, hpp, jhp, chi = _k.h_tuple(vf.family, vf.par, np.float64(J))
+        h, hp, hpp, jhp, chi = form(vf.family, vf.par, np.float64(J))
     return VolFunEval(h=h, hp=hp, hpp=hpp, jhp=jhp, chi=chi)
 
 
@@ -184,10 +273,14 @@ def evaluate_grid(vf, Js):
         raise ValueError("expected a 1-D grid of volume ratios")
     if np.any(Js <= 0.0):
         raise ValueError("volume ratios must be positive")
+    span = _direct_span(vf)
     # a constant column (h'' of the quadratic) comes back as a scalar
     with np.errstate(all="ignore"):
-        cols = _k.h_tuple(vf.family, vf.par, Js)
-    return np.column_stack(np.broadcast_arrays(*cols))
+        table = np.column_stack(np.broadcast_arrays(*_k.h_tuple(vf.family, vf.par, Js)))
+        if Js.size and (Js.min() < math.exp(-span) or Js.max() > math.exp(span)):
+            far = np.abs(np.log(Js)) > span
+            table[far] = np.column_stack(_log_tuple(vf.family, vf.par, Js[far]))
+    return table
 
 
 @dataclass(frozen=True)

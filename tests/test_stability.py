@@ -687,6 +687,25 @@ class TestCoaxialScanBytes:
         want = reference_min_coaxial_eig(kind, volfun, params, grid, contraction)
         assert bits(min_coaxial_eig(kind, volfun, params, grid, contraction)) == bits(want)
 
+    @staticmethod
+    def record_routes(monkeypatch):
+        """Lists that fill, while the scan runs, with the number of states of
+        each ``_eig2_min`` pass and the batch of each ``eigh`` call."""
+        passes, batches = [], []
+        eig2, eigh = stability._eig2_min, np.linalg.eigh
+
+        def counting_eig2(p, r, q):
+            passes.append(len(p))
+            return eig2(p, r, q)
+
+        def recording_eigh(a):
+            batches.append(a.copy())
+            return eigh(a)
+
+        monkeypatch.setattr(stability, "_eig2_min", counting_eig2)
+        monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
+        return passes, batches
+
     @pytest.mark.parametrize(
         "kind, contraction, vid, nu, grid, case",
         (
@@ -698,20 +717,35 @@ class TestCoaxialScanBytes:
             # repeated rows make the minimum a tie, bit for bit
             ("voliso", "hill", 3, 0.45, np.tile(stretch_grid(5), (2, 1)), "tie"),
             ("mixed", "csp", 1, 0.0, np.tile(stretch_grid(4, -0.3, 0.6), (3, 1)), "tie"),
+            ("mixed", "hill", 1, 0.25, stretch_grid(8), "no graded"),
+            ("mixed", "csp", 1, 0.4, stretch_grid(8), "one graded"),
+            ("mixed", "csp", 1, 0.499, stretch_grid(8), "same candidates"),
         ),
     )
-    def test_edge_cases_match_the_reference(self, kind, contraction, vid, nu, grid, case):
+    def test_edge_cases_match_the_reference(
+        self, kind, contraction, vid, nu, grid, case, monkeypatch
+    ):
         params = params_from_mu_nu(1.0, nu)
         vf = catalog()[vid]
         want = reference_min_coaxial_eig(kind, vf, params, grid, contraction)
         value, _, _, branch, mins, graded = want
+        passes, batches = self.record_routes(monkeypatch)
+        got = min_coaxial_eig(kind, vf, params, grid, contraction)
         if case == "all graded":
             assert graded.all()
         elif case == "graded minimum":
             assert branch != "eigh" and not graded.all()
-        else:
+        elif case == "tie":
             assert branch == "eigh" and np.count_nonzero(mins == value) >= 2
-        assert bits(min_coaxial_eig(kind, vf, params, grid, contraction)) == bits(want)
+        elif case == "no graded":
+            assert not graded.any()
+        elif case == "one graded":
+            assert np.count_nonzero(graded) == 1
+        else:  # the smallest diagonal and the smallest Gershgorin bound share a state
+            assert len(batches[0]) == 2 and batches[0][0].tobytes() == batches[0][1].tobytes()
+        # the deflation runs on the graded states alone, three passes each
+        assert passes == ([np.count_nonzero(graded)] * 3 if graded.any() else [])
+        assert bits(got) == bits(want)
 
     @given(
         kind=hst.sampled_from(("mixed", "voliso")),
@@ -761,20 +795,37 @@ class TestCoaxialScanBytes:
                 assert sub_vals.tobytes() == vals[keep].tobytes()
                 assert sub_vecs.tobytes() == vecs[keep].tobytes()
 
+    @pytest.mark.parametrize(
+        "kind, contraction, vid, nu",
+        (("voliso", "csp", 7, 0.25), ("mixed", "hill", 1, 0.25)),  # 96 and no graded states
+    )
+    def test_the_deflation_sees_only_the_graded_states(
+        self, kind, contraction, vid, nu, monkeypatch
+    ):
+        args = (kind, catalog()[vid], params_from_mu_nu(1.0, nu), stretch_grid(16), contraction)
+        graded = reference_min_coaxial_eig(*args)[5]
+        passes, _ = self.record_routes(monkeypatch)
+        min_coaxial_eig(*args)
+        assert passes == ([np.count_nonzero(graded)] * 3 if graded.any() else [])
+
+    def test_eigh_budget_of_one_cell(self, monkeypatch):
+        # 4000 ungraded states; eigh sees the two candidates of the upper
+        # bound, then at most the six permutations of the minimizing stretch
+        # triple, whose values agree to rounding, so none is certified
+        args = ("voliso", catalog()[7], params_from_mu_nu(1.0, 0.25), stretch_grid(16), "csp")
+        _, batches = self.record_routes(monkeypatch)
+        min_coaxial_eig(*args)
+        assert len(batches[0]) == 2 and sum(map(len, batches)) <= 2 + 6
+
     def test_most_ungraded_states_skip_eigh(self, monkeypatch):
         grid = stretch_grid(16)
-        args = ("voliso", catalog()[3], params_from_mu_nu(1.0, 0.45), grid, "hill")
-        graded = reference_min_coaxial_eig(*args)[5]
-        seen = []
-        eigh = np.linalg.eigh
-
-        def counting_eigh(a):
-            seen.append(len(a))
-            return eigh(a)
-
-        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
-        min_coaxial_eig(*args)
-        assert 0 < sum(seen) < np.count_nonzero(~graded) / 4
+        params = params_from_mu_nu(1.0, 0.25)
+        cells = [("voliso", vf, params, grid, "csp") for vf in catalog().values()]
+        ungraded = sum(np.count_nonzero(~reference_min_coaxial_eig(*args)[5]) for args in cells)
+        _, batches = self.record_routes(monkeypatch)
+        for args in cells:
+            min_coaxial_eig(*args)
+        assert 0 < sum(map(len, batches)) < ungraded / 25
 
     def test_reused_shear_block_is_invisible(self):
         grids = [stretch_grid(5), stretch_grid(6, lo=-0.5, hi=0.9)]

@@ -1,7 +1,11 @@
 import math
+import sys
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as hst
 
 from nhcomp.volfun import (
     VolFun,
@@ -163,6 +167,106 @@ def test_values_beyond_the_float_range_are_inf_without_a_warning():
     assert (e.h, e.hp, e.jhp, e.chi) == (math.inf, -math.inf, -math.inf, math.inf)
     table = evaluate_grid(VolFun.log_augmented(-400.0), np.array([1e-3, 1.0, 1e3]))
     assert table[2, 1] == math.inf and table[1, 1] == 0.0
+
+
+# --- every column against 50-digit arithmetic, far out in J ------------------
+
+# one member of each family and branch. The parametric families are sampled
+# at 0 (their log limit) and at |par| >= 0.5: nearer the limit a closed form
+# such as (J^q + J^-q - 2) / (2 q^2) cancels when |par ln J| is small, as it
+# does near J = 1, and |J - 1| >= 9 / 10 below keeps |par ln J| >= 1.15.
+ORACLE_VOLFUNS = (
+    *(VolFun.power_pair(q) for q in (0.0, 0.5, 1.0, 1.5, 2.0, 5.0, 40.0, 1e6)),
+    *(VolFun.log_augmented(b) for b in (-1e6, -40.0, -2.0, -1.5, -1.0, -0.5)),
+    *(VolFun.log_augmented(b) for b in (0.5, 1.0, 2.0, 40.0, 1e6)),
+    VolFun.quadratic(),
+    VolFun.exp_log_squared(),
+)
+
+# The relative bound of a representable value. Far out, a column is
+# sign * exp(log |value|), and the log is a sum of terms such as a ln J with
+# a = par, 2 or ln J; wherever the value is representable these terms stay
+# below about 2100, so a few ulp of them give a relative error of about
+# 2100 * 4 * 1.1e-16 = 1e-12.
+_RTOL = 1e-12
+
+
+def exact_columns(vf, J):
+    """(h, h', h'', J h', chi) of ``vf`` at J from 50-digit arithmetic, each
+    from its own closed form, written out apart from the library code."""
+    with mpmath.workdps(50):
+        J = mpmath.mpf(J)
+        L = mpmath.log(J)
+        p = mpmath.mpf(vf.par)
+        if vf.label == "7":
+            return (J - 1) ** 2 / 2, J - 1, mpmath.mpf(1), J * (J - 1), 2 * J - 1
+        if vf.label == "8":
+            e = mpmath.exp(L * L)
+            hpp = e * (2 * L * L - L + 1) / J**2
+            return (e - 1) / 2, e * L / J, hpp, e * L, e * (1 + 2 * L * L) / J
+        if p == 0:
+            return L * L / 2, L / J, (1 - L) / J**2, L, 1 / J
+        if vf.label.startswith("hn:"):
+            return (
+                (J**p + J**-p - 2) / (2 * p * p),
+                (J ** (p - 1) - J ** (-p - 1)) / (2 * p),
+                ((p - 1) * J ** (p - 2) + (p + 1) * J ** (-p - 2)) / (2 * p),
+                (J**p - J**-p) / (2 * p),
+                (J ** (p - 1) + J ** (-p - 1)) / 2,
+            )
+        return (
+            (p * L + J**-p - 1) / p**2,
+            (1 / J - J ** (-p - 1)) / p,
+            ((p + 1) * J ** (-p - 2) - J**-2) / p,
+            (1 - J**-p) / p,
+            J ** (-p - 1),
+        )
+
+
+def assert_rounds_to(value, exact):
+    """A representable ``exact`` within _RTOL, one beyond the float range as
+    +-inf with its sign, and one below the normal range as at most the
+    smallest normal double in size."""
+    value, size = float(value), abs(exact)
+    big, tiny = sys.float_info.max, sys.float_info.min
+    if size > big * (1 + mpmath.mpf(_RTOL)):
+        assert value == math.copysign(math.inf, exact)
+    elif size < tiny:
+        assert abs(value) <= tiny
+    elif math.isinf(value):  # allowed only within rounding of the largest double
+        assert size >= big * (1 - mpmath.mpf(_RTOL)) and value == math.copysign(math.inf, exact)
+    else:
+        assert abs(value - exact) <= _RTOL * size, (value, exact)
+
+
+@given(
+    vf=hst.sampled_from(ORACLE_VOLFUNS),
+    decades=hst.one_of(hst.floats(-300.0, -1.0), hst.floats(1.0, 300.0)),
+)
+def test_every_column_rounds_the_exact_value(vf, decades):
+    # J from 1e-300 to 1e300, at least a decade from J = 1
+    J = 10.0**decades
+    e = evaluate(vf, J)
+    row = evaluate_grid(vf, np.array([0.5, J, 2.0]))[1]
+    columns = (e.h, e.hp, e.hpp, e.jhp, e.chi)
+    for value, grid_value, exact in zip(columns, row, exact_columns(vf, J)):
+        assert_rounds_to(value, exact)
+        assert_rounds_to(grid_value, exact)
+
+
+@pytest.mark.parametrize(
+    "vf, J, column, exact",
+    (
+        # the closed form divides J^2 = inf by J * J = inf
+        (catalog()[5], 1e300, "hpp", 0.5),
+        (catalog()[5], 1e300, "hp", 5e299),
+        (VolFun.power_pair(4.0), 1e100, "hp", 1.25e299),
+        # J * J overflows while J^q does not, and h'' came out as -0.0
+        (VolFun.power_pair(0.5), 1e200, "hpp", -5e-301),
+    ),
+)
+def test_far_columns_are_finite_where_the_exact_value_is(vf, J, column, exact):
+    assert getattr(evaluate(vf, J), column) == pytest.approx(exact, rel=_RTOL, abs=0.0)
 
 
 # --- audit: the five-constraint matrix -----------------------------------------
