@@ -489,12 +489,16 @@ def _bounded_int(lo, hi=None):
 
 
 # a stability scan holds tens of doubles per state of its n^3 grid: at
-# n = 100 a one-volfun run (--volfun 1 --nu 0.3) peaks at about 322 MB RSS
-# (110 MB at n = 64)
+# n = 100 a one-volfun run (--volfun 1 --nu 0.3) peaks at about 254 MB RSS
+# (92 MB at n = 64)
 _GRID_N_MAX = 100
 
 # the most points of a sweep or dilatation grid; 10^6 points are an 8 MB grid
 _POINTS_MAX = 10**6
+
+# the most tangent-check motions; the motion set is held for the run, about
+# 3.4 KB a motion (tracemalloc), so 3.4 MB at the bound
+_MOTIONS_MAX = 1000
 
 
 # the modulus and Poisson-ratio flags; each subcommand takes the subset it uses
@@ -599,7 +603,10 @@ def _build_parser():
     p = sub.add_parser("tangent-check", help="finite-difference tangent verification")
     p.add_argument("--volfun", default="all", help="catalog id, 'hn:q', 'ogden:beta' or 'all'")
     p.add_argument(
-        "--motions", type=_bounded_int(1), default=10, help="number of deterministic motions, >= 1"
+        "--motions",
+        type=_bounded_int(1, _MOTIONS_MAX),
+        default=10,
+        help=f"number of deterministic motions, 1..{_MOTIONS_MAX} (default 10)",
     )
     _add_moduli(p, "--mu", "--nu")
     p.set_defaults(func=_cmd_tangent_check)

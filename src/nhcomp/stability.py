@@ -34,8 +34,9 @@ the sign analysis of the contractions nontrivial.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -357,6 +358,14 @@ def tangents(model, state):
     """
     if model.kind == "inc":
         raise ValueError("tangent tensors are unsupported for the incompressible kind")
+    return _tangent_pair(model, state)
+
+
+def _tangent_pair(model, state, sigma=None):
+    """:func:`tangents` of a compressible model. ``sigma`` is the Cauchy
+    stress at ``state.F`` when the caller already holds it; None evaluates
+    it here, after the volumetric function, so every error comes in the
+    order :func:`tangents` has always raised it."""
     J = state.J
     mu = model.params.mu
     ev = evaluate(model.volfun, J)
@@ -380,7 +389,8 @@ def tangents(model, state):
                 - (2.0 / 9.0) * w * trc * _II
                 - (4.0 / 3.0) * w * outer(dev(c), I3)
             )
-        sigma = cauchy_stress(model, state.F).cauchy
+        if sigma is None:
+            sigma = cauchy_stress(model, state.F).cauchy
         c_bh = c_tr + sym_outer(I3, sigma) + sym_outer(sigma, I3)
     if not np.isfinite(c_bh).all():  # c_bh is not finite wherever its summand c_tr is not
         raise _beyond_float_range(model, J)
@@ -392,15 +402,19 @@ def tangents(model, state):
 _FD_STEP, _FD_SEED = 1e-5, 913
 
 
-def tangent_fd_error(model, n_motions=10):
-    """Max relative error of c_tr : d against a finite-difference Oldroyd rate.
+@functools.lru_cache(maxsize=1)
+def _fd_motions(n_motions):
+    """The first ``n_motions`` motions of :func:`tangent_fd_error`, as
+    (F0, F0 + h Fdot, F0 - h Fdot, state, rate) tuples with every array
+    read-only.
 
-    Deterministic motions F(t) = F0 + t Fdot0; the Oldroyd rate is formed as
-    tau-dot - l tau - tau l^T by central differences of the Kirchhoff stress.
-    Raises ``ValueError`` when a stress or tangent leaves the float range.
+    They depend on nothing but the seed and the count, so one set serves
+    every model of a ``tangent-check`` run. F0 = I + 0.3 N and Fdot = 0.5 N
+    are drawn in turn from one seeded stream, and a draw of F0 with
+    det F0 <= 0.4 is rejected and redrawn.
     """
     h, rng = _FD_STEP, np.random.default_rng(_FD_SEED)
-    worst = 0.0
+    motions = []
     for _ in range(n_motions):
         while True:
             F0 = I3 + 0.3 * rng.standard_normal((3, 3))
@@ -408,13 +422,39 @@ def tangent_fd_error(model, n_motions=10):
                 break
         Fdot = 0.5 * rng.standard_normal((3, 3))
         state, rate = rate_from_motion(F0, Fdot)
+        F_p, F_m = F0 + h * Fdot, F0 - h * Fdot
+        for a in (F0, F_p, F_m, state.F, state.c, *state.projections):
+            a.flags.writeable = False
+        for a in (rate.l, rate.d, rate.w, rate.dhat, rate.dtilde):
+            a.flags.writeable = False
+        motions.append((F0, F_p, F_m, state, rate))
+    return tuple(motions)
+
+
+def tangent_fd_error(model, n_motions=10):
+    """Max relative error of c_tr : d against a finite-difference Oldroyd rate.
+
+    Deterministic motions F(t) = F0 + t Fdot0 (:func:`_fd_motions`); the
+    Oldroyd rate is formed as tau-dot - l tau - tau l^T by central
+    differences of the Kirchhoff stress. The error is a ratio of two
+    quantities linear in (mu, lam, K), so it runs at the constants divided
+    by 2^e, where mu = m 2^e with 1/2 <= m < 1
+    (:func:`materials.mantissa_params`): a power-of-two scale is exact, so
+    the result is the same at every modulus m 2^e. Raises ``ValueError``
+    when a stress or tangent leaves the float range.
+    """
+    model = replace(model, params=mantissa_params(model.params)[0])
+    h = _FD_STEP
+    worst = 0.0
+    for F0, F_p, F_m, state, rate in _fd_motions(n_motions):
         with np.errstate(all="ignore"):
-            tau_p = cauchy_stress(model, F0 + h * Fdot).kirchhoff
-            tau_m = cauchy_stress(model, F0 - h * Fdot).kirchhoff
+            tau_p = cauchy_stress(model, F_p).kirchhoff
+            tau_m = cauchy_stress(model, F_m).kirchhoff
             tau_dot = (tau_p - tau_m) / (2.0 * h)
-            tau = cauchy_stress(model, F0).kirchhoff
+            stress = cauchy_stress(model, F0)
+            tau = stress.kirchhoff
             old_fd = tau_dot - rate.l @ tau - tau @ rate.l.T
-            pair = tangents(model, state)
+            pair = _tangent_pair(model, state, stress.cauchy)
             pred = apply4(pair.c_tr, rate.d) * state.J
             scale = max(float(np.abs(old_fd).max()), 1e-12)
             error = float(np.abs(pred - old_fd).max()) / scale
@@ -489,11 +529,13 @@ class _ShearBlock:
 # lower triangle and _ShearBlock.lower list them
 _LOWER = ((0, 0), (1, 0), (2, 0), (1, 1), (2, 1), (2, 2))
 
-# The last block built, as (key, private copy of the grid, block). A
-# stability scan runs every (volfun, nu) cell of one (kind, contraction) on
-# one grid back to back, so one slot is enough; a block and its grid copy
-# hold up to 12 doubles per state (96 MB at n = 100), so more slots would
-# cost peak memory for nothing.
+# The last block built, as [key, private copy of the grid, block, column].
+# column is ((volfun, evaluate_grid column), values): the one volumetric
+# column last read on the block's J, or None. A stability scan runs every
+# (volfun, nu) cell of one (kind, contraction) on one grid back to back,
+# volfun by volfun, so one slot and one column are enough; a block and its
+# grid copy hold up to 12 doubles per state (96 MB at n = 100), so more
+# slots would cost peak memory for nothing. The column goes with its block.
 _block_slot = [None]
 
 
@@ -576,8 +618,8 @@ def _shear_block(kind, contraction, mu, lams):
     once for a run of calls on the same inputs.
 
     The slot is matched by value (an equal copy of the grid, not the same
-    object), so a grid changed in place gets a fresh block. The old block
-    is dropped before the new one is built.
+    object), so a grid changed in place gets a fresh block. The old block,
+    with its column, is dropped before the new one is built.
     """
     lams = np.asarray(lams, dtype=float)
     key = (kind, contraction, float(mu))
@@ -589,20 +631,46 @@ def _shear_block(kind, contraction, mu, lams):
     del entry
     _block_slot[0] = None
     block = _build_shear_block(kind, contraction, float(mu), lams)
-    _block_slot[0] = (key, lams.copy(), block)
+    _block_slot[0] = [key, lams.copy(), block, None]
     return block
 
 
-def _volumetric_coeff(kind, contraction, volfun, params, J, shift):
-    """The coefficient of ones(3, 3) in the coaxial form M = S + (c + shift) * ones.
+# the evaluate_grid column that each contraction's volumetric coefficient
+# reads: chi for Hill, h'' for CSP
+_VOLUMETRIC_COLUMN = {"hill": 4, "csp": 2}
+
+
+def _volumetric_column(contraction, volfun, J):
+    """chi (Hill) or h'' (CSP) of ``volfun`` at every J, as a contiguous vector."""
+    return np.ascontiguousarray(evaluate_grid(volfun, J)[:, _VOLUMETRIC_COLUMN[contraction]])
+
+
+def _slot_column(contraction, volfun):
+    """The volumetric column of ``volfun`` on the J of the block in the slot
+    (the one :func:`_shear_block` just returned), evaluated once for a run
+    of calls with one volfun. It is read-only, since it serves every nu of
+    that run."""
+    entry = _block_slot[0]
+    key = (volfun, _VOLUMETRIC_COLUMN[contraction])
+    if entry[3] is not None and entry[3][0] == key:
+        return entry[3][1]
+    entry[3] = None  # free the old column before the table of the new one
+    column = _volumetric_column(contraction, volfun, entry[2].J)
+    column.flags.writeable = False
+    entry[3] = (key, column)
+    return column
+
+
+def _volumetric_coeff(kind, contraction, params, J, column, shift):
+    """The coefficient of ones(3, 3) in the coaxial form M = S + (c + shift) * ones,
+    from the volumetric ``column`` (:func:`_volumetric_column`) at every J.
 
     Only ``c`` carries the volumetric factors (chi, h'') that explode at the
     grid corners; the entries of ``S`` stay at the shear-modulus scale. The
     split lets the minimum eigenvalue be computed without ever forming the
     ill-conditioned sum.
     """
-    tab = evaluate_grid(volfun, J)
-    return _volumetric_c(kind, contraction, params, J, tab[:, 4], tab[:, 2]) + shift
+    return _volumetric_c(kind, contraction, params, J, chi=column, hpp=column) + shift
 
 
 def coaxial_matrices(kind, volfun, params, lams, contraction="hill"):
@@ -615,7 +683,8 @@ def coaxial_matrices(kind, volfun, params, lams, contraction="hill"):
     minimum eigenvalue of M over the grid decides positivity.
     """
     S, J, shift = _shear_matrices(kind, contraction, params.mu, lams)
-    return S + _volumetric_coeff(kind, contraction, volfun, params, J, shift)[:, None, None]
+    column = _volumetric_column(contraction, volfun, J)
+    return S + _volumetric_coeff(kind, contraction, params, J, column, shift)[:, None, None]
 
 
 def _eig2_min(p, r, q):
@@ -728,7 +797,10 @@ def min_coaxial_eig(kind, volfun, params, lams, contraction="hill"):
 
     The shear block (the lower triangle of S rotated by Q, and its scale)
     does not depend on the volumetric function or nu, so a run of calls on
-    one (kind, contraction, mu, grid) builds it once. The values, the argmin
+    one (kind, contraction, mu, grid) builds it once. Its slot also holds
+    one volumetric column (chi for Hill, h'' for CSP) of the last volfun
+    read on the block's J, so a run of calls with one volfun evaluates it
+    once, whatever nu; the column goes with the block. The values, the argmin
     and the direction are bit for bit those of deflating every graded state
     and running ``eigh`` on every other one. U is the value of a real state,
     so it is at least the minimum, and a certified state's value is above
@@ -746,11 +818,16 @@ def min_coaxial_eig(kind, volfun, params, lams, contraction="hill"):
     mu = params.mu
     params, e = mantissa_params(params)
     block = _shear_block(kind, contraction, params.mu, lams)
-    c = _volumetric_coeff(kind, contraction, volfun, params, block.J, block.shift)
+    column = _slot_column(contraction, volfun)
+    c = _volumetric_coeff(kind, contraction, params, block.J, column, block.shift)
     Q = _TRACE_ROT
     qu = Q.T @ np.ones(3)  # (sqrt(3)-ish, exactly 0, exactly 0)
     s00, b1, b2, p, r, q = block.lower
-    alpha = s00 + c * qu[0] * qu[0]
+    # alpha = s00 + c * qu0 * qu0, in the same order, over c's own buffer:
+    # the held column already costs one vector, so no new one is made here
+    alpha = np.multiply(c, qu[0], out=c)
+    alpha *= qu[0]
+    np.add(s00, alpha, out=alpha)
     # the lower triangle eigh reads: Sp with alpha in place of Sp[0, 0]
     lower = (alpha, b1, b2, p, r, q)
     graded = np.abs(alpha) > 1e3 * (block.s_scale + 1e-300)

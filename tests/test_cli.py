@@ -22,6 +22,7 @@ from hypothesis import strategies as hst
 import nhcomp
 from nhcomp import cli
 from nhcomp import homsolve as hs
+from nhcomp import stability as st
 from nhcomp.materials import ModelSpec, cauchy_stress
 from nhcomp.volfun import VolFun
 
@@ -585,6 +586,23 @@ class TestStability:
             assert float(got["value"]) == math.ldexp(float(ref["value"]), e)
             assert got["verdict"] == ref["verdict"]
 
+    def test_paper_scan_reads_one_volumetric_table_per_block_and_volfun(
+        self, capsys, monkeypatch
+    ):
+        # 2 kinds x 2 contractions x 8 volfuns; the parent read one per cell (192)
+        calls = []
+        original = st.evaluate_grid
+
+        def counting(vf, Js):
+            calls.append(len(Js))
+            return original(vf, Js)
+
+        monkeypatch.setattr(st, "evaluate_grid", counting)
+        st._block_slot[0] = None
+        code, rows, _ = run(capsys, *"stability --grid-n 4 --nu-set paper".split())
+        assert code == 0 and len(rows) == 192
+        assert calls == [64] * 32
+
     def test_stability_value_overflow_exits_one(self, capsys):
         err = run_rejected(capsys, *"stability --mu 1e307 --nu 0.3 --grid-n 5".split())
         assert "overflows at modulus mu = 1e+307" in err
@@ -609,7 +627,36 @@ class TestTangentCheck:
     def test_motions_below_one_exits_one(self, capsys, motions):
         code, rows, err = run(capsys, "tangent-check", "--nu", "0.3", "--motions", motions)
         assert code == 1 and rows == []
-        assert f"--motions: must be >= 1, got {motions}" in err
+        assert f"--motions: must be between 1 and 1000, got {motions}" in err
+
+    def test_motions_above_one_thousand_exits_one(self, capsys):
+        # every motion is held for the run, so the count is bounded
+        err = run_rejected(capsys, *"tangent-check --nu 0.3 --motions 1001".split())
+        assert "--motions: must be between 1 and 1000, got 1001" in err
+
+    def test_error_does_not_depend_on_the_modulus_scale(self, capsys):
+        # mu = m 2^e: the parent printed about 1e-299 at mu = 1e-300
+        argv = "tangent-check --volfun 1 --nu 0.3 --motions 2 --mu".split()
+        m = math.frexp(1e-300)[0]
+        _, tiny, _ = run(capsys, *argv, "1e-300")
+        _, mantissa, _ = run(capsys, *argv, repr(m))
+        assert tiny == mantissa
+        assert all(1e-14 < float(r["max_rel_error"]) < 1e-6 for r in tiny)
+
+    def test_all_volfuns_share_one_motion_set(self, capsys, monkeypatch):
+        # the parent drew and decomposed the same 10 motions for each of 16 models
+        calls = []
+        original = st.rate_from_motion
+
+        def counting(F, Fdot):
+            calls.append(1)
+            return original(F, Fdot)
+
+        monkeypatch.setattr(st, "rate_from_motion", counting)
+        st._fd_motions.cache_clear()
+        code, rows, _ = run(capsys, *"tangent-check --volfun all --nu 0.3".split())
+        assert code == 0 and len(rows) == 16
+        assert len(calls) == 10
 
 
 class TestTableRepro:

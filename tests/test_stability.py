@@ -8,7 +8,7 @@ from hypothesis import strategies as hst
 
 from nhcomp import stability
 from nhcomp.kinematics import kinematics_from_F, rate_from_motion
-from nhcomp.materials import PAPER_NUS, ModelSpec, cauchy_stress, params_from_mu_nu
+from nhcomp.materials import PAPER_NUS, ModelSpec, cauchy_stress, mantissa_params, params_from_mu_nu
 from nhcomp.stability import (
     bh_rate,
     coaxial_matrices,
@@ -26,7 +26,7 @@ from nhcomp.stability import (
     witness_report,
     zj_rate,
 )
-from nhcomp.tensor3 import I3, apply4, ddot, outer, sym_outer
+from nhcomp.tensor3 import I3, apply4, ddot, dev, outer, sym_outer
 from nhcomp.volfun import VolFun, catalog, evaluate, evaluate_grid
 from nhcomp.kinematics import DeformationState
 
@@ -426,6 +426,142 @@ class TestTangents:
     def test_incompressible_unsupported(self):
         with pytest.raises(ValueError):
             tangents(ModelSpec.incompressible(MU), kinematics_from_F(I3))
+
+    @pytest.mark.parametrize("e", (-996, -1, 1, 996))
+    def test_fd_error_is_the_same_at_every_power_of_two_modulus(self, e):
+        # the error is a ratio of two stresses, so m 2^e must give m's bits
+        for kind, vid in (("mixed", 1), ("voliso", 3), ("voliso", 8)):
+            base, scaled = (
+                tangent_fd_error(
+                    ModelSpec(kind, catalog()[vid], params_from_mu_nu(mu, 0.3)), n_motions=3
+                )
+                for mu in (0.75, math.ldexp(0.75, e))
+            )
+            assert np.float64(scaled).tobytes() == np.float64(base).tobytes(), (kind, vid)
+
+
+def reference_tangents(model, state):
+    """``tangents`` as it was before the stress could come from the caller."""
+    if model.kind == "inc":
+        raise ValueError("tangent tensors are unsupported for the incompressible kind")
+    J = state.J
+    mu = model.params.mu
+    ev = evaluate(model.volfun, J)
+    II, IsI = outer(I3, I3), sym_outer(I3, I3)
+    with np.errstate(all="ignore"):
+        if model.kind == "mixed":
+            lam = model.params.lam
+            vol_chi = lam * ev.chi if lam or math.isfinite(ev.chi) else 0.0
+            vol_hp = lam * J * ev.hp if lam or math.isfinite(ev.hp) else 0.0
+            c_tr = vol_chi * II + (2.0 / J) * (mu - vol_hp) * IsI
+        else:
+            K = model.params.K
+            c = state.c
+            trc = float(np.trace(c))
+            w = mu * J ** (-5.0 / 3.0)
+            c_tr = (
+                K * ev.chi * II
+                - 2.0 * K * ev.hp * IsI
+                + (2.0 / 3.0) * w * trc * IsI
+                - (2.0 / 9.0) * w * trc * II
+                - (4.0 / 3.0) * w * outer(dev(c), I3)
+            )
+        sigma = cauchy_stress(model, state.F).cauchy
+        c_bh = c_tr + sym_outer(I3, sigma) + sym_outer(sigma, I3)
+    if not np.isfinite(c_bh).all():
+        raise ValueError(
+            f"the {model.kind} kind with volfun {model.volfun.label} has a stress or "
+            f"tangent beyond the float range at J = {J:.6g}"
+        )
+    return c_tr
+
+
+def reference_fd_error(model, n_motions):
+    """``tangent_fd_error`` as it was before its motions were shared: every
+    motion drawn and decomposed again on each call, the stress at F0
+    evaluated twice, and the model taken as given."""
+    h, gen = 1e-5, np.random.default_rng(913)
+    worst = 0.0
+    for _ in range(n_motions):
+        while True:
+            F0 = I3 + 0.3 * gen.standard_normal((3, 3))
+            if np.linalg.det(F0) > 0.4:
+                break
+        Fdot = 0.5 * gen.standard_normal((3, 3))
+        state, rate = rate_from_motion(F0, Fdot)
+        with np.errstate(all="ignore"):
+            tau_p = cauchy_stress(model, F0 + h * Fdot).kirchhoff
+            tau_m = cauchy_stress(model, F0 - h * Fdot).kirchhoff
+            tau_dot = (tau_p - tau_m) / (2.0 * h)
+            tau = cauchy_stress(model, F0).kirchhoff
+            old_fd = tau_dot - rate.l @ tau - tau @ rate.l.T
+            pred = apply4(reference_tangents(model, state), rate.d) * state.J
+            scale = max(float(np.abs(old_fd).max()), 1e-12)
+            error = float(np.abs(pred - old_fd).max()) / scale
+        if not math.isfinite(error):
+            raise ValueError(
+                f"the {model.kind} kind with volfun {model.volfun.label} has a stress or "
+                f"tangent beyond the float range at J = {state.J:.6g}"
+            )
+        worst = max(worst, error)
+    return worst
+
+
+def outcome(fn, *args):
+    """The bits of fn's float result, or the type and message of its error."""
+    try:
+        return np.float64(fn(*args)).tobytes()
+    except Exception as err:  # noqa: BLE001 - the error itself is compared
+        return type(err), str(err)
+
+
+class TestSharedMotions:
+    @staticmethod
+    def models():
+        vfs = [*catalog().values(), VolFun.power_pair(1e-6), VolFun.power_pair(1e6)]
+        vfs += [VolFun.log_augmented(1e6), VolFun.log_augmented(-1e6)]
+        for mu in (1.0, 3.1, 1e-300):
+            yield ModelSpec.incompressible(mu)
+            for kind in ("mixed", "voliso"):
+                for vf in vfs:
+                    for nu in (0.0, 0.3, 0.4999):
+                        yield ModelSpec(kind, vf, params_from_mu_nu(mu, nu))
+
+    def test_matches_the_unshared_loop_bitwise(self):
+        # the reference runs at the mantissa of mu, which a power-of-two
+        # scale leaves with the same bits wherever the unscaled loop is in
+        # range; errors must keep their type, message and order
+        errors = set()
+        for n_motions in (3, 2):
+            stability._fd_motions.cache_clear()
+            for model in self.models():
+                scaled = ModelSpec(model.kind, model.volfun, mantissa_params(model.params)[0])
+                want = outcome(reference_fd_error, scaled, n_motions)
+                assert outcome(tangent_fd_error, model, n_motions) == want, model
+                if isinstance(want, tuple):
+                    errors.add(want[1].split(" with volfun ")[0])
+        # the multiplier check and the float-range check of both kinds are reached
+        assert errors == {
+            "the incompressible kind requires the multiplier p",
+            "the mixed kind",
+            "the voliso kind",
+        }
+
+    def test_every_cached_array_is_read_only(self):
+        stability._fd_motions.cache_clear()
+        motions = stability._fd_motions(3)
+        assert stability._fd_motions(3) is motions and len(motions) == 3
+        arrays = []
+        for F0, F_p, F_m, state, rate in motions:
+            arrays += [F0, F_p, F_m, state.F, state.c, *state.projections]
+            arrays += [rate.l, rate.d, rate.w, rate.dhat, rate.dtilde]
+        stability._block_slot[0] = None
+        min_coaxial_eig("voliso", catalog()[2], params_from_mu_nu(1.0, 0.3), stretch_grid(4), "csp")
+        column = stability._block_slot[0][3][1]
+        assert column.flags.c_contiguous and column.shape == (64,)
+        for a in (*arrays, column):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0.0
 
 
 class TestGridSearch:
@@ -860,6 +996,46 @@ class TestCoaxialScanBytes:
         for args, got in seen:
             stability._block_slot[0] = None
             assert got == bits(min_coaxial_eig(*args)), (args[0], args[2].mu, args[4])
+
+    def test_the_volumetric_column_follows_volfun_contraction_and_grid(self, monkeypatch):
+        grid, other = stretch_grid(6), stretch_grid(6, lo=-0.5, hi=0.9)
+        reads = []
+        original = stability.evaluate_grid
+
+        def counting(vf, Js):
+            reads.append(vf.label)
+            return original(vf, Js)
+
+        monkeypatch.setattr(stability, "evaluate_grid", counting)
+        hn = VolFun.power_pair(1.5)
+        # (kind, volfun, nu, grid, contraction, volfuns read by the call)
+        calls = [
+            ("voliso", catalog()[3], 0.25, grid, "csp", ["3"]),
+            ("voliso", catalog()[3], 0.45, grid, "csp", []),  # one column, every nu
+            ("voliso", catalog()[7], 0.25, grid, "csp", ["7"]),  # alternating volfuns
+            ("voliso", catalog()[3], 0.25, grid, "csp", ["3"]),
+            ("voliso", catalog()[3], 0.25, grid, "hill", ["3"]),  # alternating contractions
+            ("voliso", catalog()[3], 0.25, grid, "csp", ["3"]),
+            ("mixed", catalog()[3], 0.25, grid, "csp", ["3"]),  # alternating kinds
+            ("mixed", catalog()[3], 0.25, other, "csp", ["3"]),  # alternating grids
+            ("mixed", hn, 0.4, other, "csp", [hn.label]),
+            ("mixed", VolFun.power_pair(1.5), 0.0, other, "csp", []),  # an equal volfun
+            ("mixed", hn, 0.4, grid, "csp", [hn.label]),
+        ]
+        stability._block_slot[0] = None
+        for kind, vf, nu, g, contraction, read in calls:
+            reads.clear()
+            params = params_from_mu_nu(1.0, nu)
+            got = min_coaxial_eig(kind, vf, params, g, contraction)
+            want = reference_min_coaxial_eig(kind, vf, params, g, contraction)
+            assert bits(got) == bits(want) and reads == read, (kind, vf.label, nu, contraction)
+        # the same grid object, changed in place, gets a fresh block and column
+        grid[:] = grid[::-1] * 0.7
+        reads.clear()
+        params = params_from_mu_nu(1.0, 0.4)
+        got = min_coaxial_eig("mixed", hn, params, grid, "csp")
+        assert reads == [hn.label]
+        assert bits(got) == bits(reference_min_coaxial_eig("mixed", hn, params, grid, "csp"))
 
     def test_shear_block_arrays_are_read_only(self):
         grid = stretch_grid(3)
