@@ -27,7 +27,10 @@ incompressible kind has closed-form solutions and skips the solver
 entirely.
 
 ``limit_probe`` pushes lam toward 0 or infinity and classifies the trend
-of each reported quantity, reproducing the qualitative limit tables;
+of each reported quantity, reproducing the qualitative limit tables. It
+solves the three probe stretches on their own first, and walks the
+continuation ladder of intermediate stretches only when a probe's scan
+finds several roots, since the seed picks among roots and nothing else.
 ``dilatation_response`` evaluates the mean stress under pure dilatation.
 """
 
@@ -86,7 +89,14 @@ def case_F(case, lam, lamT):
 
 @dataclass(frozen=True)
 class SolveResult:
-    """Equilibrium state of one load case at one axial stretch."""
+    """Equilibrium state of one load case at one axial stretch.
+
+    ``roots_found`` is the number of sign-change brackets the scan offered
+    ``solve`` to choose from, after any expansion; ``warning`` is set
+    exactly when it exceeds 1. The incompressible closed form reports 1,
+    and a failed solve in :func:`sweep` reports the count its
+    :class:`SolveError` carries (0 when no sign change was found).
+    """
 
     lambda_T: float
     J: float
@@ -97,6 +107,7 @@ class SolveResult:
     converged: bool
     residual: float
     warning: str = ""
+    roots_found: int = 1
 
 
 # fixed root-finder effort: scan range and resolution over log(lamT),
@@ -240,7 +251,8 @@ def solve(case, model, lam, seed_lamT=1.0):
     Raises ``ValueError`` unless ``lam`` and ``seed_lamT`` are positive
     finite stretches, and :class:`SolveError` when no sign change exists
     even after one bracket expansion. Multiple sign changes pick the root
-    nearest the continuation seed ``seed_lamT`` and attach a warning.
+    nearest the continuation seed ``seed_lamT`` and attach a warning; the
+    result's ``roots_found`` counts them. The seed matters nowhere else.
 
     The root is found with the constants divided by 2^e, where mu = m 2^e
     (:func:`materials.mantissa_params`), and the stresses and the residual
@@ -282,6 +294,7 @@ def solve(case, model, lam, seed_lamT=1.0):
             "min_residual": min_res,
             "sign_lo": float(np.sign(fs[0])),
             "sign_hi": float(np.sign(fs[-1])),
+            "roots_found": 0,
         }
         raise SolveError(
             f"no sign change of the transverse residual for lam={lam:g} "
@@ -363,7 +376,8 @@ def solve(case, model, lam, seed_lamT=1.0):
             if abs(direct - s11) > 1e-8 * scale:
                 raise SolveError(
                     "volumetric trace shortcut failed the cross-check",
-                    {"sigma11": direct, "shortcut": s11, "lam": lam},
+                    # raised after a bracket was picked, so it counts the scan's roots
+                    dict(sigma11=direct, shortcut=s11, lam=lam, roots_found=len(brackets)),
                 )
 
     # back to the modulus scale; a stress beyond the float range is +-inf
@@ -373,7 +387,7 @@ def solve(case, model, lam, seed_lamT=1.0):
     except OverflowError:
         with np.errstate(over="ignore"):
             s11, s22, P11, P22, res = (float(np.ldexp(v, e)) for v in scaled)
-    return SolveResult(lamT, J, s11, s22, P11, P22, bool(converged), res, warning)
+    return SolveResult(lamT, J, s11, s22, P11, P22, bool(converged), res, warning, len(brackets))
 
 
 # --------------------------------------------------------------------------
@@ -411,7 +425,7 @@ class SweepSpec:
         return np.linspace(self.lam_min, self.lam_max, self.points)
 
 
-_NAN_RESULT = SolveResult(*([math.nan] * 6), converged=False, residual=math.nan)
+_NAN_RESULT = SolveResult(*([math.nan] * 6), converged=False, residual=math.nan, roots_found=0)
 
 
 def sweep(case, model, lams):
@@ -419,7 +433,8 @@ def sweep(case, model, lams):
 
     Returns one SolveResult per grid point in order. The first point is
     seeded at lamT = 1 and each later one at the last converged root;
-    points where the solver fails are reported as unconverged NaN rows.
+    points where the solver fails are reported as unconverged NaN rows
+    that carry the error's message and ``roots_found``.
     """
     results = []
     seed = 1.0
@@ -427,7 +442,8 @@ def sweep(case, model, lams):
         try:
             res = solve(case, model, lam, seed)
         except SolveError as err:
-            results.append(replace(_NAN_RESULT, warning=str(err)))
+            roots = err.diagnostics.get("roots_found", 0)
+            results.append(replace(_NAN_RESULT, warning=str(err), roots_found=roots))
             continue
         results.append(res)
         if res.converged:
@@ -506,9 +522,12 @@ def _classify(vals):
 def limit_probe(case, model, direction):
     """Classify lambda_T, sigma11, P11 (plus sigma22, P22 for ulp) trends.
 
-    ``direction`` is 'to_zero' or 'to_infinity'. The solver walks a ladder
-    of intermediate stretches for continuation before the three probe
-    decades; an unconverged probe marks every quantity unresolved.
+    ``direction`` is 'to_zero' or 'to_infinity'. The three probe decades
+    are solved first. Only when a probe's scan finds several roots does
+    the solver walk a ladder of intermediate stretches for continuation
+    before the probes, so that the seed picks the branch; with at most one
+    root per probe the seed changes nothing. An unconverged probe marks
+    every quantity unresolved.
     """
     if model.kind == "inc":
         raise ValueError("limits of the incompressible model follow from closed forms")
@@ -518,9 +537,9 @@ def limit_probe(case, model, direction):
     if _checked(case) == "ulp":
         quantities += ["sigma22", "P22"]
 
-    lams = _LADDER[direction] + _PROBES[direction]
-    results = sweep(case, model, lams)
-    probe_rows = results[-3:]
+    probe_rows = sweep(case, model, _PROBES[direction])
+    if any(r.roots_found > 1 for r in probe_rows):
+        probe_rows = sweep(case, model, _LADDER[direction] + _PROBES[direction])[-3:]
     bad = next((r for r in probe_rows if not r.converged), None)
     if bad is not None:
         mark = LimitClass(

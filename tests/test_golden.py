@@ -6,8 +6,9 @@ with ``perfbench/record_digests.py`` after a declared change of output).
 ``EXTRA`` pins argv the benchmark workloads do not run: the incompressible
 kind, ``--E``, other ``tangent-check`` and ``dilatation`` inputs, mixed
 ``limits``, mixed ``sweep`` of the power pair at q = 1/12 and at nu = 0
-where J h' overflows, small ``stability`` scans, and ``table-repro`` at
-moduli whose finite targets (``+mu``, ``-lambda``, ``-3K``) depend on mu.
+where J h' overflows, small ``stability`` scans, ``table-repro`` at
+moduli whose finite targets (``+mu``, ``-lambda``, ``-3K``) depend on mu,
+and vol-iso ``limits`` whose probes need the continuation ladder.
 Each argv runs in-process through ``cli.main`` with ``--out`` and must
 exit 0.
 """
@@ -68,6 +69,12 @@ EXTRA = {
         "243a5259b982e461a638d99ef9ccbef74fe8634fd1de5b34d34f914d6c229c3a",
     "limits --case ulp --model mixed --volfun 1 --nu 0.45":
         "6bc0ab536007a19d77b9eae93b11d11c7899ed5fa21ea7dcea644091b526eed2",
+    # vol-iso #7 near incompressibility: the uniaxial compression probes find
+    # three roots, and these bytes hold only if limit_probe walks its ladder
+    "limits --case ul --model voliso --volfun 7 --nu 0.499999":
+        "eed74b15e2214703c3816e1661a4e76bddcdb64b777005831ff6d5a0def7794f",
+    "limits --case ul --model voliso --volfun 7 --nu 0.4999999":
+        "3fa25ff44091671b882296f91d47d18eb63d0478d0c687e6a411556ef565a29e",
     "table-repro --table 6 --mu 2.2":
         "7fcab9975649d492f098950ded8963d4718bd8751d2e02122143da4549371219",
     "table-repro --table 3 --mu 0.7":

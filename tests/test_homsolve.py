@@ -1,8 +1,11 @@
+import itertools
 import math
 import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as hst
 
 from nhcomp import homsolve as hs
 from nhcomp.materials import ModelSpec, cauchy_stress, params_from_mu_nu
@@ -22,6 +25,46 @@ def mixed(vid, mu=MU, nu=NU):
 
 def voliso(vid, mu=MU, nu=NU):
     return ModelSpec.vol_iso(catalog()[vid], mu, nu)
+
+
+# the continuation ladder and the probe stretches of limit_probe, frozen
+LADDER = {"to_zero": (0.5, 0.1, 1e-2, 1e-3), "to_infinity": (2.0, 10.0, 1e2, 1e3)}
+PROBES = {"to_zero": (1e-4, 1e-5, 1e-6), "to_infinity": (1e4, 1e5, 1e6)}
+
+
+def full_ladder_limit_probe(case, model, direction):
+    """Reference ``limit_probe`` that always walks the continuation ladder.
+
+    A frozen copy of the classification before the ladder became
+    conditional: every probe is seeded by the ladder's roots.
+    """
+    quantities = ["lambda_T", "sigma11", "P11"]
+    if case == "ulp":
+        quantities += ["sigma22", "P22"]
+    rows = hs.sweep(case, model, LADDER[direction] + PROBES[direction])[-3:]
+    bad = next((r for r in rows if not r.converged), None)
+    if bad is not None:
+        mark = hs.LimitClass(
+            "unresolved", note=f"solver failed at a probe: {bad.warning}", solver_failed=True
+        )
+        return {q: mark for q in quantities}
+    return {q: hs._classify([getattr(r, q) for r in rows]) for q in quantities}
+
+
+def class_bits(classes):
+    """Each quantity's label, constant (as its exact bits), note and failure flag."""
+    out = {}
+    for q, lc in classes.items():
+        constant = None if lc.constant is None else float(lc.constant).hex()
+        out[q] = (lc.label, constant, lc.note, lc.solver_failed)
+    return out
+
+
+def three_root_model():
+    """Vol-iso quadratic (#7) at nu = 0.499999: its uniaxial compression
+    probes at lam = 1e-4 and 1e-5 find three roots each, so the branch
+    they report depends on the continuation seed."""
+    return ModelSpec.vol_iso(catalog()[7], 1.0, 0.499999)
 
 
 class TestIncompressibleClosedForms:
@@ -206,6 +249,14 @@ class TestSolve:
         with pytest.raises(hs.SolveError, match="failed the cross-check") as err:
             hs.solve("ul", voliso(2), 1.8)
         assert err.value.diagnostics["lam"] == 1.8
+        # raised after a bracket was picked: it counts the scan's brackets,
+        # and sweep's NaN row copies the count
+        for model, lam, roots in ((voliso(2), 1.8, 1), (three_root_model(), 1e-4, 3)):
+            with pytest.raises(hs.SolveError, match="failed the cross-check") as err:
+                hs.solve("ul", model, lam)
+            assert err.value.diagnostics["roots_found"] == roots
+            (row,) = hs.sweep("ul", model, [lam])
+            assert (row.converged, row.roots_found) == (False, roots)
         # the mixed kind and the ulp case never take the shortcut
         assert hs.solve("ul", mixed(2), 1.8).converged
         assert hs.solve("ulp", voliso(2), 1.8).converged
@@ -302,6 +353,51 @@ class TestSolve:
         assert approx.converged
         assert approx.lambda_T == pytest.approx(exact.lambda_T, rel=1e-2)
         assert approx.lambda_T != exact.lambda_T
+
+
+class TestRootsFound:
+    def test_three_roots_in_uniaxial_compression_near_incompressibility(self):
+        r = hs.solve("ul", three_root_model(), 1e-4)
+        assert r.converged
+        assert r.roots_found == 3
+        assert r.warning == "3 residual roots in scan; picked the branch nearest the seed"
+
+    def test_a_typical_solve_finds_one_root(self):
+        r = hs.solve("ul", mixed(3), 2.0)
+        assert (r.roots_found, r.warning) == (1, "")
+
+    def test_incompressible_reports_one_root(self):
+        model = ModelSpec.incompressible(MU)
+        for case in hs.CASES:
+            assert hs.solve(case, model, 0.3).roots_found == 1
+            assert hs.solve_incompressible(case, 3.0, mu=MU).roots_found == 1
+
+    def test_a_failed_sweep_row_reports_no_root(self):
+        # the equibiaxial root at lam = 1e9 lies outside even the widened scan
+        model = ModelSpec.mixed(catalog()[1], 1.0, 0.3)
+        with pytest.raises(hs.SolveError, match="no sign change") as err:
+            hs.solve("elp", model, 1e9)
+        assert err.value.diagnostics["roots_found"] == 0
+        row, ok = hs.sweep("elp", model, [1e9, 2.0])
+        assert (row.converged, row.roots_found) == (False, 0)
+        assert row.warning.startswith("no sign change")
+        assert (ok.converged, ok.roots_found) == (True, 1)
+
+    def test_a_warning_exactly_when_several_roots(self):
+        counts = set()
+        for vid, kind, nu in itertools.product(range(1, 9), ("mixed", "voliso"), (0.3, 0.499999)):
+            model = ModelSpec(kind, catalog()[vid], params_from_mu_nu(1.0, nu))
+            for case in hs.CASES:
+                for lam in (*LADDER["to_zero"], *PROBES["to_zero"], *PROBES["to_infinity"]):
+                    try:
+                        r = hs.solve(case, model, lam)
+                    except hs.SolveError as err:
+                        assert err.diagnostics["roots_found"] == 0
+                        continue
+                    assert r.roots_found >= 1
+                    assert (r.warning != "") == (r.roots_found > 1), (vid, kind, nu, case, lam)
+                    counts.add(r.roots_found)
+        assert {1, 3} <= counts
 
 
 class TestSweep:
@@ -418,6 +514,68 @@ class TestLimitProbe:
     def test_rejects_bad_direction(self):
         with pytest.raises(ValueError):
             hs.limit_probe("ul", mixed(1), "sideways")
+
+    def test_walks_the_ladder_only_when_a_probe_finds_several_roots(self, monkeypatch):
+        calls = []
+        real = hs.sweep
+
+        def sweep(case, model, lams):
+            calls.append(tuple(lams))
+            return real(case, model, lams)
+
+        monkeypatch.setattr(hs, "sweep", sweep)
+        got = hs.limit_probe("ul", three_root_model(), "to_zero")
+        assert calls == [PROBES["to_zero"], LADDER["to_zero"] + PROBES["to_zero"]]
+        monkeypatch.undo()
+        want = full_ladder_limit_probe("ul", three_root_model(), "to_zero")
+        assert class_bits(got) == class_bits(want)
+        # the seed matters here: without the ladder the first probe takes
+        # another branch, and the classification would change
+        alone = hs.sweep("ul", three_root_model(), PROBES["to_zero"])
+        walked = hs.sweep("ul", three_root_model(), LADDER["to_zero"] + PROBES["to_zero"])
+        assert alone[0].lambda_T != walked[4].lambda_T
+
+        calls.clear()
+        monkeypatch.setattr(hs, "sweep", sweep)
+        hs.limit_probe("ul", mixed(4), "to_zero")
+        assert calls == [PROBES["to_zero"]]
+
+    def test_matches_the_full_ladder(self):
+        # the catalog and both parametric families, both kinds, every case
+        # and direction; only the three-root model above needs the ladder
+        volfuns = [
+            *catalog().values(),
+            *map(VolFun.power_pair, (0.25, 2.0, 5.0)),
+            *map(VolFun.log_augmented, (0.5, -0.5, 2.0, -2.0)),
+        ]
+        for vf, kind, nu in itertools.product(
+            volfuns, ("mixed", "voliso"), (0.0, 0.25, 0.45, 0.4999, 0.499999)
+        ):
+            model = ModelSpec(kind, vf, params_from_mu_nu(1.0, nu))
+            for case, direction in itertools.product(hs.CASES, PROBES):
+                got = hs.limit_probe(case, model, direction)
+                want = full_ladder_limit_probe(case, model, direction)
+                assert class_bits(got) == class_bits(want), (vf.label, kind, nu, case, direction)
+
+    @settings(max_examples=100)
+    @given(
+        volfun=hst.one_of(
+            hst.just(catalog()[7]),
+            hst.floats(0.25, 6.0).map(VolFun.power_pair),
+            hst.tuples(hst.floats(0.1, 4.0), hst.sampled_from((-1.0, 1.0))).map(
+                lambda t: VolFun.log_augmented(t[0] * t[1])
+            ),
+        ),
+        # 0.5 - nu log-uniform in [1e-7, 1e-2]: three roots need nu >= 0.49999
+        nu=hst.floats(-7.0, -2.0).map(lambda x: 0.5 - 10.0**x),
+        case=hst.sampled_from(hs.CASES),
+        direction=hst.sampled_from(tuple(PROBES)),
+    )
+    @example(catalog()[7], 0.499999, "ul", "to_zero")
+    def test_matches_the_full_ladder_near_incompressibility(self, volfun, nu, case, direction):
+        model = ModelSpec.vol_iso(volfun, 1.0, nu)
+        got = hs.limit_probe(case, model, direction)
+        assert class_bits(got) == class_bits(full_ladder_limit_probe(case, model, direction))
 
     def test_failed_probe_marks_every_quantity(self, monkeypatch):
         real = hs.solve
