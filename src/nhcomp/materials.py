@@ -65,12 +65,16 @@ class MaterialParams:
     E: float
 
 
+def _check_nu(nu):
+    if not -1.0 < nu <= 0.5:
+        raise ValueError(f"Poisson's ratio must lie in (-1, 1/2], got nu = {nu}")
+
+
 def params_from_mu_nu(mu, nu):
     """Constants from the shear modulus and Poisson's ratio."""
     if not 0 < mu < math.inf:
         raise ValueError(f"shear modulus must be positive and finite, got mu = {mu}")
-    if not -1.0 < nu <= 0.5:
-        raise ValueError(f"Poisson's ratio must lie in (-1, 1/2], got nu = {nu}")
+    _check_nu(nu)
     if 0.0 < abs(nu) < sys.float_info.min:
         # lam would be subnormal, and products such as lam * J underflow to 0
         raise ValueError(f"Poisson's ratio nu = {nu} is subnormal; use 0 or |nu| >= 2.2e-308")
@@ -87,6 +91,7 @@ def params_from_E_nu(E, nu):
     """Constants from Young's modulus and Poisson's ratio."""
     if not 0 < E < math.inf:
         raise ValueError(f"Young's modulus must be positive and finite, got E = {E}")
+    _check_nu(nu)  # before 1 + nu divides: nu = -1 would divide by zero
     return params_from_mu_nu(E / (2.0 * (1.0 + nu)), nu)
 
 

@@ -212,17 +212,23 @@ def _coaxial_form(kind, contraction, mu, J, trc):
     return w, 7.0 / 3.0, (5.0 / 9.0) * w * trc
 
 
-def _volumetric_c(kind, contraction, params, J, chi, hpp):
+def _volumetric_c(kind, contraction, params, J, column):
     """The volumetric coefficient c: lam or K times chi J for Hill, times
-    J h'' for CSP, on scalars or per-state arrays. A zero lam (mixed at
-    nu = 0) gives c = 0, even where chi or h'' is inf."""
+    J h'' for CSP, on scalars or per-state arrays; ``column`` is the chi
+    (Hill) or h'' (CSP) it reads. A zero lam (mixed at nu = 0) gives c = 0,
+    even where that column is inf.
+
+    Only c carries the volumetric factors that explode at the grid corners;
+    the coaxial form's shear part stays at the shear-modulus scale, so the
+    scan finds the minimum eigenvalue without forming the ill-conditioned
+    sum."""
     coef = params.lam if kind == "mixed" else params.K
     with np.errstate(over="ignore"):  # c may be inf at the grid corners
         if coef == 0.0:
             return np.zeros_like(J)
         if contraction == "hill":
-            return coef * chi * J
-        return coef * J * hpp
+            return coef * column * J
+        return coef * J * column
 
 
 def _report(contraction, model, state, d, value):
@@ -233,7 +239,8 @@ def _report(contraction, model, state, d, value):
     J, prm = state.J, model.params
     ev = evaluate(model.volfun, J)
     w, a, shift = _coaxial_form(model.kind, contraction, prm.mu, J, float(np.trace(state.c)))
-    c = _volumetric_c(model.kind, contraction, prm, J, ev.chi, ev.hpp)
+    column = ev.chi if contraction == "hill" else ev.hpp
+    c = _volumetric_c(model.kind, contraction, prm, J, column)
     reco = w * (P + R - a * B) + (c + shift) * F
     scale = w * (P + R + a * abs(B)) + (abs(c) + shift) * F
     verdict = classify_value(value, scale)
@@ -354,18 +361,23 @@ def tangents(model, state):
     """Spatial tangents: c_tr : d = Oldroyd[tau]/J, c_bh = c_tr + stress terms.
 
     Not available for the incompressible kind. Raises ``ValueError`` when an
-    entry is not finite.
+    entry of c_bh is not finite (c_bh is not finite wherever its summand
+    c_tr or the stress is not). :func:`tangent_fd_error` reads only c_tr.
     """
     if model.kind == "inc":
         raise ValueError("tangent tensors are unsupported for the incompressible kind")
-    return _tangent_pair(model, state)
+    c_tr = _c_tr(model, state)
+    with np.errstate(all="ignore"):
+        sigma = cauchy_stress(model, state.F).cauchy
+        c_bh = c_tr + sym_outer(I3, sigma) + sym_outer(sigma, I3)
+    if not np.isfinite(c_bh).all():
+        raise _beyond_float_range(model, state.J)
+    return TangentPair(c_tr=c_tr, c_bh=c_bh)
 
 
-def _tangent_pair(model, state, sigma=None):
-    """:func:`tangents` of a compressible model. ``sigma`` is the Cauchy
-    stress at ``state.F`` when the caller already holds it; None evaluates
-    it here, after the volumetric function, so every error comes in the
-    order :func:`tangents` has always raised it."""
+def _c_tr(model, state):
+    """The Truesdell tangent c_tr of a compressible model, unchecked: an
+    entry beyond the float range is inf or NaN."""
     J = state.J
     mu = model.params.mu
     ev = evaluate(model.volfun, J)
@@ -375,26 +387,19 @@ def _tangent_pair(model, state, sigma=None):
             # lam = 0 (nu = 0) has no volumetric term: skip 0 * chi, 0 * h' where not finite
             vol_chi = lam * ev.chi if lam or math.isfinite(ev.chi) else 0.0
             vol_hp = lam * J * ev.hp if lam or math.isfinite(ev.hp) else 0.0
-            c_tr = vol_chi * _II + (2.0 / J) * (mu - vol_hp) * _IsI
-        else:
-            K = model.params.K
-            c = state.c
-            trc = float(np.trace(c))
-            w = mu * J ** (-5.0 / 3.0)
-            # outer(dev(c), I3) is the symmetrized dyad (dev c (x) I + I (x) dev c)/2
-            c_tr = (
-                K * ev.chi * _II
-                - 2.0 * K * ev.hp * _IsI
-                + (2.0 / 3.0) * w * trc * _IsI
-                - (2.0 / 9.0) * w * trc * _II
-                - (4.0 / 3.0) * w * outer(dev(c), I3)
-            )
-        if sigma is None:
-            sigma = cauchy_stress(model, state.F).cauchy
-        c_bh = c_tr + sym_outer(I3, sigma) + sym_outer(sigma, I3)
-    if not np.isfinite(c_bh).all():  # c_bh is not finite wherever its summand c_tr is not
-        raise _beyond_float_range(model, J)
-    return TangentPair(c_tr=c_tr, c_bh=c_bh)
+            return vol_chi * _II + (2.0 / J) * (mu - vol_hp) * _IsI
+        K = model.params.K
+        c = state.c
+        trc = float(np.trace(c))
+        w = mu * J ** (-5.0 / 3.0)
+        # outer(dev(c), I3) is the symmetrized dyad (dev c (x) I + I (x) dev c)/2
+        return (
+            K * ev.chi * _II
+            - 2.0 * K * ev.hp * _IsI
+            + (2.0 / 3.0) * w * trc * _IsI
+            - (2.0 / 9.0) * w * trc * _II
+            - (4.0 / 3.0) * w * outer(dev(c), I3)
+        )
 
 
 # the central-difference step of tangent_fd_error and the seed of its
@@ -440,8 +445,9 @@ def tangent_fd_error(model, n_motions=10):
     quantities linear in (mu, lam, K), so it runs at the constants divided
     by 2^e, where mu = m 2^e with 1/2 <= m < 1
     (:func:`materials.mantissa_params`): a power-of-two scale is exact, so
-    the result is the same at every modulus m 2^e. Raises ``ValueError``
-    when a stress or tangent leaves the float range.
+    the result is the same at every modulus m 2^e. The check reads only
+    c_tr, never the c_bh of :func:`tangents`. Raises ``ValueError`` when a
+    stress or c_tr leaves the float range, which makes the error not finite.
     """
     model = replace(model, params=mantissa_params(model.params)[0])
     h = _FD_STEP
@@ -451,11 +457,9 @@ def tangent_fd_error(model, n_motions=10):
             tau_p = cauchy_stress(model, F_p).kirchhoff
             tau_m = cauchy_stress(model, F_m).kirchhoff
             tau_dot = (tau_p - tau_m) / (2.0 * h)
-            stress = cauchy_stress(model, F0)
-            tau = stress.kirchhoff
+            tau = cauchy_stress(model, F0).kirchhoff
             old_fd = tau_dot - rate.l @ tau - tau @ rate.l.T
-            pair = _tangent_pair(model, state, stress.cauchy)
-            pred = apply4(pair.c_tr, rate.d) * state.J
+            pred = apply4(_c_tr(model, state), rate.d) * state.J
             scale = max(float(np.abs(old_fd).max()), 1e-12)
             error = float(np.abs(pred - old_fd).max()) / scale
         if not math.isfinite(error):
@@ -529,13 +533,14 @@ class _ShearBlock:
 # lower triangle and _ShearBlock.lower list them
 _LOWER = ((0, 0), (1, 0), (2, 0), (1, 1), (2, 1), (2, 2))
 
-# The last block built, as [key, private copy of the grid, block, column].
-# column is ((volfun, evaluate_grid column), values): the one volumetric
-# column last read on the block's J, or None. A stability scan runs every
-# (volfun, nu) cell of one (kind, contraction) on one grid back to back,
-# volfun by volfun, so one slot and one column are enough; a block and its
-# grid copy hold up to 12 doubles per state (96 MB at n = 100), so more
-# slots would cost peak memory for nothing. The column goes with its block.
+# The shared scan data of _shared: the last block built, as [key, private
+# copy of the grid, block, column]. column is (volfun, values): the one
+# volumetric column last read on the block's J, or None; the contraction in
+# the key fixes which column it is. A stability scan runs every (volfun, nu)
+# cell of one (kind, contraction) on one grid back to back, volfun by
+# volfun, so one slot and one column are enough; a block and its grid copy
+# hold up to 12 doubles per state (96 MB at n = 100), so more slots would
+# cost peak memory for nothing. The column goes with its block.
 _block_slot = [None]
 
 
@@ -613,28 +618,6 @@ def _build_shear_block(kind, contraction, mu, lams):
     return _ShearBlock(lower=lower, s_scale=s_scale, J=J, shift=shift)
 
 
-def _shear_block(kind, contraction, mu, lams):
-    """The shear block of one (kind, contraction, mu, grid), built at most
-    once for a run of calls on the same inputs.
-
-    The slot is matched by value (an equal copy of the grid, not the same
-    object), so a grid changed in place gets a fresh block. The old block,
-    with its column, is dropped before the new one is built.
-    """
-    lams = np.asarray(lams, dtype=float)
-    key = (kind, contraction, float(mu))
-    entry = _block_slot[0]
-    if entry is not None and entry[0] == key and np.array_equal(entry[1], lams):
-        return entry[2]
-    # free the old block first: two blocks alive at once raise peak memory;
-    # the build checks the grid, and a slot hit equals a copy that passed
-    del entry
-    _block_slot[0] = None
-    block = _build_shear_block(kind, contraction, float(mu), lams)
-    _block_slot[0] = [key, lams.copy(), block, None]
-    return block
-
-
 # the evaluate_grid column that each contraction's volumetric coefficient
 # reads: chi for Hill, h'' for CSP
 _VOLUMETRIC_COLUMN = {"hill": 4, "csp": 2}
@@ -645,32 +628,33 @@ def _volumetric_column(contraction, volfun, J):
     return np.ascontiguousarray(evaluate_grid(volfun, J)[:, _VOLUMETRIC_COLUMN[contraction]])
 
 
-def _slot_column(contraction, volfun):
-    """The volumetric column of ``volfun`` on the J of the block in the slot
-    (the one :func:`_shear_block` just returned), evaluated once for a run
-    of calls with one volfun. It is read-only, since it serves every nu of
-    that run."""
-    entry = _block_slot[0]
-    key = (volfun, _VOLUMETRIC_COLUMN[contraction])
-    if entry[3] is not None and entry[3][0] == key:
-        return entry[3][1]
-    entry[3] = None  # free the old column before the table of the new one
-    column = _volumetric_column(contraction, volfun, entry[2].J)
-    column.flags.writeable = False
-    entry[3] = (key, column)
-    return column
+def _shared(kind, contraction, mu, lams, volfun):
+    """(block, column): the shear block of one (kind, contraction, mu, grid)
+    and the volumetric column of ``volfun`` on its J (:func:`_volumetric_column`),
+    each built at most once for a run of calls on the same inputs.
 
-
-def _volumetric_coeff(kind, contraction, params, J, column, shift):
-    """The coefficient of ones(3, 3) in the coaxial form M = S + (c + shift) * ones,
-    from the volumetric ``column`` (:func:`_volumetric_column`) at every J.
-
-    Only ``c`` carries the volumetric factors (chi, h'') that explode at the
-    grid corners; the entries of ``S`` stay at the shear-modulus scale. The
-    split lets the minimum eigenvalue be computed without ever forming the
-    ill-conditioned sum.
+    The slot is matched by value (an equal copy of the grid, not the same
+    object, and an equal volfun), so a grid changed in place gets a fresh
+    block. The old block, with its column, is dropped before the new one is
+    built, and the old column before the new one is read. Both are
+    read-only, since they serve many calls.
     """
-    return _volumetric_c(kind, contraction, params, J, chi=column, hpp=column) + shift
+    lams = np.asarray(lams, dtype=float)
+    key = (kind, contraction, float(mu))
+    entry = _block_slot[0]
+    if entry is None or entry[0] != key or not np.array_equal(entry[1], lams):
+        # free the old block first: two blocks alive at once raise peak memory;
+        # the build checks the grid, and a slot hit equals a copy that passed
+        del entry
+        _block_slot[0] = None
+        block = _build_shear_block(kind, contraction, float(mu), lams)
+        entry = _block_slot[0] = [key, lams.copy(), block, None]
+    if entry[3] is None or entry[3][0] != volfun:
+        entry[3] = None  # free the old column before the table of the new one
+        column = _volumetric_column(contraction, volfun, entry[2].J)
+        column.flags.writeable = False
+        entry[3] = (volfun, column)
+    return entry[2], entry[3][1]
 
 
 def coaxial_matrices(kind, volfun, params, lams, contraction="hill"):
@@ -684,7 +668,7 @@ def coaxial_matrices(kind, volfun, params, lams, contraction="hill"):
     """
     S, J, shift = _shear_matrices(kind, contraction, params.mu, lams)
     column = _volumetric_column(contraction, volfun, J)
-    return S + _volumetric_coeff(kind, contraction, params, J, column, shift)[:, None, None]
+    return S + (_volumetric_c(kind, contraction, params, J, column) + shift)[:, None, None]
 
 
 def _eig2_min(p, r, q):
@@ -797,17 +781,17 @@ def min_coaxial_eig(kind, volfun, params, lams, contraction="hill"):
 
     The shear block (the lower triangle of S rotated by Q, and its scale)
     does not depend on the volumetric function or nu, so a run of calls on
-    one (kind, contraction, mu, grid) builds it once. Its slot also holds
-    one volumetric column (chi for Hill, h'' for CSP) of the last volfun
-    read on the block's J, so a run of calls with one volfun evaluates it
-    once, whatever nu; the column goes with the block. The values, the argmin
-    and the direction are bit for bit those of deflating every graded state
-    and running ``eigh`` on every other one. U is the value of a real state,
-    so it is at least the minimum, and a certified state's value is above
-    it. The deflation is element-wise and batched ``eigh`` treats each
-    matrix on its own, so a subset gives the same bits for the rows it
-    holds, and the argmin row's eigenvector or deflated direction is taken
-    from the subset. Only the sign bit of a NaN may differ, where two NaNs
+    one (kind, contraction, mu, grid) builds it once (:func:`_shared`). The
+    same slot also holds one volumetric column (chi for Hill, h'' for CSP)
+    of the last volfun read on the block's J, so a run of calls with one
+    volfun evaluates it once, whatever nu; the column goes with the block.
+    The values, the argmin and the direction are bit for bit those of
+    deflating every graded state and running ``eigh`` on every other one.
+    U is the value of a real state, so it is at least the minimum, and a
+    certified state's value is above it. The deflation is element-wise and
+    batched ``eigh`` treats each matrix on its own, so a subset gives the
+    same bits for the rows it holds, and the argmin row's eigenvector or
+    deflated direction is taken from the subset. Only the sign bit of a NaN may differ, where two NaNs
     meet in one operation: numpy's vector and scalar loops may keep
     different ones, and nothing prints that sign. The rotation
     (:func:`_rotate_lower`) adds its products in the order of the batched
@@ -817,9 +801,8 @@ def min_coaxial_eig(kind, volfun, params, lams, contraction="hill"):
     """
     mu = params.mu
     params, e = mantissa_params(params)
-    block = _shear_block(kind, contraction, params.mu, lams)
-    column = _slot_column(contraction, volfun)
-    c = _volumetric_coeff(kind, contraction, params, block.J, column, block.shift)
+    block, column = _shared(kind, contraction, params.mu, lams, volfun)
+    c = _volumetric_c(kind, contraction, params, block.J, column) + block.shift
     Q = _TRACE_ROT
     qu = Q.T @ np.ones(3)  # (sqrt(3)-ish, exactly 0, exactly 0)
     s00, b1, b2, p, r, q = block.lower

@@ -139,10 +139,16 @@ def catalog():
 def parse_volfun(text):
     """Parse a CLI volumetric-function label: '1'..'8', 'hn:q' or 'ogden:beta'."""
     text = text.strip()
-    if text.startswith("hn:"):
-        return VolFun.power_pair(float(text[3:]))
-    if text.startswith("ogden:"):
-        return VolFun.log_augmented(float(text[6:]))
+    for prefix, family in (("hn:", VolFun.power_pair), ("ogden:", VolFun.log_augmented)):
+        if text.startswith(prefix):
+            try:
+                par = float(text[len(prefix):])
+            except ValueError:
+                raise ValueError(
+                    f"volumetric function {text!r}: the parameter after {prefix!r} "
+                    "must be a number"
+                ) from None
+            return family(par)
     try:
         ident = int(text)
     except ValueError:

@@ -4,9 +4,11 @@
 ``TARGETS`` and reads some of their positional arguments and results;
 ``perfbench/run.py`` imports the library to verify sweep rows. A rename
 here would break the benchmark, not the library, so tier-1 checks the
-bindings. ``spans.py`` is read from its file and executed in a fresh
-namespace, as ``test_golden.py`` reads ``digests.json``; nothing is
-written under ``perfbench/``.
+bindings, and that the CLI still reaches the stability bindings once per
+cell or model, so that their counts cannot silently fall to zero.
+``spans.py`` is read from its file and executed in a fresh namespace, as
+``test_golden.py`` reads ``digests.json``; nothing is written under
+``perfbench/``.
 """
 
 import importlib
@@ -20,7 +22,7 @@ import pytest
 
 from nhcomp import _kernels as _k
 from nhcomp import homsolve as hs
-from nhcomp import materials, volfun
+from nhcomp import cli, materials, stability, volfun
 from nhcomp.stability import min_coaxial_eig
 
 _SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
@@ -91,3 +93,38 @@ def test_sweep_verification_imports():
     )
     r = hs.solve("elp", model, 0.5)
     assert math.isfinite(hs.residual("elp", model, 0.5, r.lambda_T))
+
+
+def _record_calls(monkeypatch, module, attr):
+    """Wrap ``module.attr`` as perfbench does and return the list of the
+    positional arguments of each call."""
+    real, calls = getattr(module, attr), []
+
+    def recorded(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, attr, recorded)
+    return calls
+
+
+def _cli_rows(capsys, argv):
+    assert cli.main(argv) == 0
+    return capsys.readouterr().out.splitlines()[1:]
+
+
+def test_stability_scans_each_cell_through_min_coaxial_eig(capsys, monkeypatch):
+    # the stability layer counts calls and len(args[3]) states of this binding
+    calls = _record_calls(monkeypatch, stability, "min_coaxial_eig")
+    rows = _cli_rows(capsys, "stability --grid-n 2 --nu-set paper".split())
+    assert len(calls) == len(rows) == 2 * 8 * 6 * 2  # kinds, volfuns, nus, contractions
+    assert all(np.shape(args[3]) == (8, 3) for args in calls)
+
+
+def test_tangent_check_calls_tangent_fd_error_once_per_model(capsys, monkeypatch):
+    calls = _record_calls(monkeypatch, stability, "tangent_fd_error")
+    rows = _cli_rows(capsys, "tangent-check --volfun all --nu 0.3".split())
+    assert len(calls) == len(rows) > 0
+    assert [(m.kind, m.volfun.label) for (m,) in calls] == [
+        tuple(row.split(",")[:2]) for row in rows
+    ]

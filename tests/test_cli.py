@@ -272,6 +272,10 @@ class TestBadUsage:
             ("hn:inf", "power-pair exponent q must be finite, got inf"),
             ("ogden:inf", "log-augmented exponent beta must be finite, got inf"),
             ("ogden:nan", "log-augmented exponent beta must be finite, got nan"),
+            *(
+                (vf, f"volumetric function '{vf}': the parameter after '{pre}' must be a number")
+                for vf, pre in (("hn:abc", "hn:"), ("hn:", "hn:"), ("ogden:x", "ogden:"))
+            ),
         ),
     )
     @pytest.mark.parametrize(
@@ -308,6 +312,21 @@ class TestBadUsage:
                 "dilatation --model voliso --volfun 2 --nu 0.3 --k-max inf",
                 "stretch bounds must be finite, got 0.5 and inf",
             ),
+            # nu is checked before E / (2 (1 + nu)) divides by zero at nu = -1
+            # or gives a shear modulus that takes the blame for a bad nu
+            (
+                "sweep --case ul --model mixed --volfun 2 --E 1 --nu -1 "
+                "--lam-min 0.5 --lam-max 2 --points 3",
+                "Poisson's ratio must lie in (-1, 1/2], got nu = -1.0",
+            ),
+            (
+                "limits --case ul --model voliso --volfun 2 --E 1 --nu -1.5",
+                "Poisson's ratio must lie in (-1, 1/2], got nu = -1.5",
+            ),
+            (
+                "dilatation --model mixed --volfun 2 --E 1 --nu nan",
+                "Poisson's ratio must lie in (-1, 1/2], got nu = nan",
+            ),
             # finite moduli whose derived constants overflow or underflow
             (
                 "stability --mu 1e308 --nu 0.3 --grid-n 3 --volfun 2",
@@ -343,6 +362,9 @@ class TestBadUsage:
             "sweep-mu",
             "sweep-E",
             "dilatation-k-max",
+            "sweep-E-nu-minus-one",
+            "limits-E-nu-below-minus-one",
+            "dilatation-E-nu-nan",
             "stability-mu-overflow",
             "sweep-mu-overflow",
             "sweep-E-overflow",

@@ -10,7 +10,7 @@ import pytest
 from nhcomp import homsolve as hs
 from nhcomp import stability as st
 from nhcomp.kinematics import kinematics_from_F, rate_from_motion
-from nhcomp.materials import ModelSpec, cauchy_stress, params_from_mu_nu
+from nhcomp.materials import ModelSpec, cauchy_stress, params_from_E_nu, params_from_mu_nu
 from nhcomp.volfun import VolFun, catalog, evaluate_grid
 
 QUAD = catalog()[7]
@@ -78,6 +78,15 @@ CHECKS = {
         lambda: hs.dilatation_response(MIXED, 0.0),
         "dilatation stretch must be positive",
     ),
+    # nu is checked before E / (2 (1 + nu)) is formed, so nu = -1 divides
+    # by nothing and no derived shear modulus takes the blame
+    **{
+        f"params_from_E_nu-nu={nu}": (
+            lambda nu=nu: params_from_E_nu(1.0, nu),
+            f"Poisson's ratio must lie in \\(-1, 1/2\\], got nu = {nu}",
+        )
+        for nu in (-1.0, -1.5, np.nan, np.inf)
+    },
     "voliso-nu": (
         lambda: ModelSpec("voliso", QUAD, replace(PARAMS, nu=-1.0)),
         "vol-iso kind requires -1 < nu < 1/2, got nu = -1.0",

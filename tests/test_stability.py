@@ -397,13 +397,34 @@ class TestTangents:
                 rhs = oldroyd_rate(model, state, rate) / state.J
                 np.testing.assert_allclose(lhs, rhs, rtol=0, atol=1e-11 * max(1.0, np.abs(rhs).max()))
 
-    def test_bh_correction_machine_precision(self):
-        model = ModelSpec.mixed(catalog()[5], MU, NU)
-        state, rate = random_rate(random_F())
-        pair = tangents(model, state)
-        lhs = apply4(pair.c_bh, rate.d)
-        rhs = zj_rate(model, state, rate) / state.J
-        np.testing.assert_allclose(lhs, rhs, rtol=0, atol=1e-13 * max(1.0, np.abs(rhs).max()))
+    @pytest.mark.parametrize("kind", ("mixed", "voliso"))
+    def test_bh_correction_machine_precision(self, kind):
+        # c_bh : d = ZJ[tau]/J holds only with the Cauchy stress in c_bh's
+        # stress terms (the Kirchhoff stress differs from it by the factor J)
+        for vf in catalog().values():
+            for nu in (0.0, 0.3, 0.4999):
+                model = ModelSpec(kind, vf, params_from_mu_nu(MU, nu))
+                state, rate = random_rate(random_F())
+                lhs = apply4(tangents(model, state).c_bh, rate.d)
+                rhs = zj_rate(model, state, rate) / state.J
+                atol = 1e-13 * max(1.0, np.abs(rhs).max())
+                np.testing.assert_allclose(lhs, rhs, rtol=0, atol=atol, err_msg=vf.label)
+
+    def test_fd_error_reads_no_c_bh(self, monkeypatch):
+        models = [
+            ModelSpec(kind, catalog()[vid], params_from_mu_nu(MU, NU))
+            for kind in ("mixed", "voliso")
+            for vid in (2, 7)
+        ]
+        want = [tangent_fd_error(model, n_motions=3) for model in models]
+
+        def no_stress_terms(*args):
+            raise AssertionError("c_bh is built")
+
+        monkeypatch.setattr(stability, "sym_outer", no_stress_terms)
+        assert [tangent_fd_error(model, n_motions=3) for model in models] == want
+        with pytest.raises(AssertionError, match="c_bh is built"):
+            tangents(models[0], kinematics_from_F(I3))
 
     def test_fd_error_mixed_nu_zero_ignores_infinite_volumetric_terms(self):
         # lam = 0: the infinite chi and J h' of hn:1000 at small J must not give 0 * inf
@@ -520,11 +541,14 @@ class TestSharedMotions:
     def models():
         vfs = [*catalog().values(), VolFun.power_pair(1e-6), VolFun.power_pair(1e6)]
         vfs += [VolFun.log_augmented(1e6), VolFun.log_augmented(-1e6)]
-        for mu in (1.0, 3.1, 1e-300):
+        # where the stress or c_tr leaves the float range at the motions' J
+        vfs += [VolFun.power_pair(1e4), VolFun.power_pair(1e5)]
+        vfs += [VolFun.log_augmented(1e3), VolFun.log_augmented(-1e3)]
+        for mu in (1.0, 3.1, 1e-300, 1e300):
             yield ModelSpec.incompressible(mu)
-            for kind in ("mixed", "voliso"):
+            for kind, nus in (("mixed", (0.0, 0.3, 0.4999)), ("voliso", (-0.5, 0.0, 0.3, 0.4999))):
                 for vf in vfs:
-                    for nu in (0.0, 0.3, 0.4999):
+                    for nu in nus:
                         yield ModelSpec(kind, vf, params_from_mu_nu(mu, nu))
 
     def test_matches_the_unshared_loop_bitwise(self):
@@ -918,7 +942,7 @@ class TestCoaxialScanBytes:
     def test_eigh_of_a_subset_equals_the_same_rows_of_the_batch(self):
         # the scan runs eigh on a subset of states and relies on batched
         # eigh treating every matrix on its own
-        block = stability._shear_block("voliso", "hill", 1.0, stretch_grid(10))
+        block = stability._shared("voliso", "hill", 1.0, stretch_grid(10), catalog()[7])[0]
         scan = stability._lower_matrices(block.lower, np.ones(len(block.J), dtype=bool))
         sym = rng.standard_normal((500, 3, 3))
         for batch in (scan, sym + sym.transpose(0, 2, 1)):
@@ -1037,15 +1061,15 @@ class TestCoaxialScanBytes:
         assert reads == [hn.label]
         assert bits(got) == bits(reference_min_coaxial_eig("mixed", hn, params, grid, "csp"))
 
-    def test_shear_block_arrays_are_read_only(self):
+    def test_shared_arrays_are_read_only(self):
         grid = stretch_grid(3)
-        block = stability._shear_block("voliso", "csp", 1.0, grid)
+        block, column = stability._shared("voliso", "csp", 1.0, grid, catalog()[2])
         S = stability._shear_matrices("voliso", "csp", 1.0, grid)[0]
         assert len(block.lower) == 6
-        for v in block.lower:
+        for v in (*block.lower, column):
             assert v.shape == block.J.shape and v.flags.c_contiguous
         TestShearRotation.assert_matches_einsum(S, block.lower)
-        for a in (*block.lower, block.s_scale, block.J, block.shift):
+        for a in (*block.lower, block.s_scale, block.J, block.shift, column):
             with pytest.raises(ValueError):
                 a[0] = 0.0
 

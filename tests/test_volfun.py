@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 
 import mpmath
@@ -325,6 +326,10 @@ def test_parse_volfun():
         parse_volfun("9")
     with pytest.raises(ValueError):
         parse_volfun("spam")
+    for text, prefix in (("hn:abc", "hn:"), ("hn:", "hn:"), ("ogden:x", "ogden:")):
+        message = f"volumetric function '{text}': the parameter after '{prefix}' must be a number"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            parse_volfun(text)
 
 
 @pytest.mark.parametrize(
