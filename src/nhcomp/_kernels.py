@@ -1,9 +1,9 @@
 """Numeric kernels shared by the volumetric catalog and the 1-D solvers.
 
 The closed forms are numpy expressions written once for a scalar or an
-array argument. The root finders call them point by point (``bisect_log``
-and the Newton polish in ``homsolve``); the sign-change scan and the grid
-evaluation call them once on a whole array. The two agree to an ulp or so:
+array argument. The bisection (``bisect_log``) and ``homsolve.residual``
+call them point by point; the sign-change scan and the grid evaluation
+call them once on a whole array. The two agree to an ulp or so:
 array ``np.exp``/``np.log`` match their scalar counterparts bit for bit,
 while array ``**`` may round the last bit differently from the scalar
 power. Only the scan's signs feed the root finder, so such a difference
@@ -11,8 +11,8 @@ can move a root only when a grid point sits within rounding of a zero.
 
 One factory, :func:`residual_fn`, states the residual. It resolves the
 kind, the volumetric family and the load case and binds the constants
-once, and returns a closure of lamT alone; the scan, the bisection, the
-polish (``homsolve.residual``) and :func:`transverse_residual` all call
+once, and returns a closure of lamT alone; the scan, the bisection and
+``homsolve.residual`` (once per solve, at the bisection's root) all call
 such a closure. It computes only the volumetric term the residual uses:
 J h'(J) for the mixed kind, h'(J) for vol-iso, from the closed forms of
 :func:`h_tuple` term by term. The scan grid and its ``np.exp`` are built
@@ -116,7 +116,7 @@ def h_tuple(family, par, J):
     return h, hp, hpp, jhp, chi
 
 
-def _volume_fn(case, lam):
+def volume_fn(case, lam):
     """lamT -> J of the homogeneous load case at axial stretch lam."""
     if case == "ul":
         return lambda lamT: lam * lamT * lamT
@@ -124,11 +124,6 @@ def _volume_fn(case, lam):
         lam2 = lam * lam
         return lambda lamT: lam2 * lamT
     return lambda lamT: lam * lamT
-
-
-def case_volume_ratio(case, lam, lamT):
-    """J of the homogeneous load case (axial stretch lam, free stretch lamT)."""
-    return _volume_fn(case, lam)(lamT)
 
 
 def _keep(x):
@@ -212,7 +207,7 @@ def residual_fn(kind, family, par, case, lam, mu, lame_lambda, K, scalar=False):
     log and exp families take ``float()`` of ``np.log``/``np.exp`` (see the
     module docstring).
     """
-    volume = _volume_fn(case, lam)
+    volume = volume_fn(case, lam)
     term = _volumetric_fn(kind, family, par, scalar)
     if kind == "mixed":
         if lame_lambda == 0.0:  # nu = 0: no 0 * J h' where J h' is not finite
@@ -243,11 +238,6 @@ def residual_fn(kind, family, par, case, lam, mu, lame_lambda, K, scalar=False):
             return K * term(J) + mu3 * J**_M53 * (2.0 * lamT * lamT - 1.0 - lam2)
 
     return residual
-
-
-def transverse_residual(kind, family, par, case, lam, mu, lame_lambda, K, lamT):
-    """:func:`residual_fn` evaluated at ``lamT`` (a scalar or an array)."""
-    return residual_fn(kind, family, par, case, lam, mu, lame_lambda, K)(lamT)
 
 
 def scan_grid(u_lo, u_hi, n):

@@ -118,11 +118,11 @@ def _model(args, kind, volfun, nu):
             raise ValueError("--nu does not apply to the incompressible kind")
         if volfun is not None:
             raise ValueError("--volfun does not apply to the incompressible kind")
-        return ModelSpec.incompressible(args.mu if E is None else E / 3.0)
-    if nu is None:
+        nu = 0.5  # the moduli of the incompressible kind, from --mu or --E
+    elif nu is None:
         flag = "--nu (or --nu-set)" if hasattr(args, "nu_set") else "--nu"
         raise ValueError(f"{flag} is required for the {kind!r} kind")
-    if volfun is None:
+    elif volfun is None:
         raise ValueError(f"--volfun is required for the {kind!r} kind")
     if isinstance(volfun, str):
         volfun = parse_volfun(volfun)

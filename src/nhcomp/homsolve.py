@@ -16,15 +16,17 @@ uniaxial stress.)
 
 For compressible kinds the transverse equilibrium condition is a scalar
 root-finding problem in lamT. Every model goes down one path: a global
-sign-change scan over log(lamT) in [1e-9, 1e9] (widened by three decades
-each way when it finds no sign change), bisection of the chosen bracket,
-and a safeguarded Newton polish on :func:`residual`. The kernels in
-``_kernels`` take the model's kind and the case as the same strings
-``ModelSpec`` and :data:`CASES` use. ``solve`` picks the bracket nearest
-its ``seed_lamT``; ``sweep`` passes each point's root on as the next seed,
-so the solver stays on one physical branch when several roots appear. The
-incompressible kind has closed-form solutions and skips the solver
-entirely.
+sign-change scan over u = log(lamT) in [1e-9, 1e9] (widened by three
+decades each way when it finds no sign change), then bisection of the
+chosen bracket down to adjacent floats. lamT is exp(u) at the end of the
+bisection's last bracket, so the residual changes sign between u and a
+neighbouring float; :func:`residual` is evaluated there once. The
+kernels in ``_kernels`` take the model's kind and the case as the same
+strings ``ModelSpec`` and :data:`CASES` use. ``solve`` picks the bracket
+nearest its ``seed_lamT``; ``sweep`` passes each point's root on as the
+next seed, so the solver stays on one physical branch when several roots
+appear. The incompressible kind has closed-form solutions and skips the
+solver entirely.
 
 ``limit_probe`` pushes lam toward 0 or infinity and classifies the trend
 of each reported quantity, reproducing the qualitative limit tables. It
@@ -75,7 +77,7 @@ def _checked(case):
 
 def volume_ratio(case, lam, lamT):
     """J of the load case at axial stretch lam and transverse stretch lamT."""
-    return _k.case_volume_ratio(_checked(case), float(lam), float(lamT))
+    return _k.volume_fn(_checked(case), float(lam))(float(lamT))
 
 
 def case_F(case, lam, lamT):
@@ -110,12 +112,11 @@ class SolveResult:
     roots_found: int = 1
 
 
-# fixed root-finder effort: scan range and resolution over log(lamT),
-# bisection halvings, and Newton polish steps; they suit every catalog model
+# fixed root-finder effort: scan range and resolution over log(lamT) and
+# bisection halvings; they suit every catalog model
 _SCAN_LO, _SCAN_HI = 1e-9, 1e9
 _SCAN_POINTS = 2001
 _MAX_BISECT = 200
-_NEWTON_ITERS = 12
 
 
 class SolveError(RuntimeError):
@@ -142,10 +143,10 @@ def residual(case, model, lam, lamT):
 
     Mixed kind: ``lam_e * J h'(J) - mu (1 - lamT^2)`` (transverse Cauchy
     balance multiplied by J). Vol-iso kind: ``K h'(J) + (mu/3) J^(-5/3) g``
-    with the case's deviator combination g. This is the scalar form of the
-    kernel the scan and the bisection evaluate, so the polish refines the
-    same function they bracketed. Raises ``ValueError`` unless ``lam`` and
-    ``lamT`` are positive finite stretches.
+    with the case's deviator combination g. This is the numpy-scalar form
+    of the kernel the scan and the bisection evaluate; :func:`solve`
+    reports it at the root it bisected. Raises ``ValueError`` unless
+    ``lam`` and ``lamT`` are positive finite stretches.
     """
     if model.kind == "inc":
         raise ValueError("the incompressible kind fixes lamT kinematically; no residual")
@@ -259,10 +260,13 @@ def solve(case, model, lam, seed_lamT=1.0):
     are scaled back by 2^e. So the root and ``converged`` do not depend on
     the modulus scale, and a stress beyond the float range is +-inf.
 
-    ``converged`` means |residual| <= 1e-12 (mu + lam + K) or a bracket at
-    most 1e-12 max(1, |u|) wide in u = ln lamT. Bisection ends at adjacent
-    floats or after 200 halvings, far inside that width, so it says only
-    that the scan found a sign change and bisection closed it.
+    ``lambda_T`` is exp(u) for the u the bisection returns: an end of its
+    last bracket once the ends are adjacent floats, so the residual changes
+    sign between u and a neighbouring float. ``residual`` is the residual
+    at that lamT. ``converged`` means |residual| <= 1e-12 (mu + lam + K) or
+    a bracket at most 1e-12 max(1, |u|) wide in u = ln lamT. Bisection ends
+    at adjacent floats or after 200 halvings, far inside that width, so it
+    says only that the scan found a sign change and bisection closed it.
     """
     if not 0.0 < lam < math.inf:
         raise ValueError(f"axial stretch must be positive and finite, got lam = {lam}")
@@ -308,35 +312,9 @@ def solve(case, model, lam, seed_lamT=1.0):
     if len(brackets) > 1:
         warning = f"{len(brackets)} residual roots in scan; picked the branch nearest the seed"
 
-    def f(u):
-        return residual(case, model, lam, math.exp(u))
-
     with np.errstate(all="ignore"):
-        if ua == ub:
-            u, width = ua, 0.0
-        else:
-            u, width, _ = _k.bisect_log(*args, ua, ub, fa, _MAX_BISECT)
-
-        # Newton polish inside the bracket, evaluating each iterate once;
-        # end on the iterate with the smallest |residual| in case the
-        # derivative estimate is poor (the last one wins a tie or a NaN)
-        res = f(u)
-        best = (u, res)
-        for _ in range(_NEWTON_ITERS):
-            if abs(res) <= tol:
-                break
-            du = 1e-7 * max(1.0, abs(u))
-            dfd = (f(u + du) - f(u - du)) / (2.0 * du)
-            if not math.isfinite(dfd) or dfd == 0.0:
-                break
-            u_new = u - res / dfd
-            if not (min(ua, ub) - 1.0 <= u_new <= max(ua, ub) + 1.0) or u_new == u:
-                break
-            u, res = u_new, f(u_new)
-            if abs(res) < abs(best[1]):
-                best = (u, res)
-        if abs(best[1]) < abs(res):
-            u, res = best
+        u, width, _ = _k.bisect_log(*args, ua, ub, fa, _MAX_BISECT)
+        res = residual(case, model, lam, math.exp(u))
 
     lamT = math.exp(u)
     converged = abs(res) <= tol or abs(width) <= 1e-12 * max(1.0, abs(u))

@@ -92,7 +92,18 @@ def params_from_E_nu(E, nu):
     if not 0 < E < math.inf:
         raise ValueError(f"Young's modulus must be positive and finite, got E = {E}")
     _check_nu(nu)  # before 1 + nu divides: nu = -1 would divide by zero
-    return params_from_mu_nu(E / (2.0 * (1.0 + nu)), nu)
+    mu = E / (2.0 * (1.0 + nu))
+    # checked here, so that the message names the E and nu that were given
+    if mu == math.inf:
+        raise ValueError(
+            f"Young's modulus E = {E} at nu = {nu} gives shear modulus mu = inf; use a smaller E"
+        )
+    if mu < sys.float_info.min:
+        raise ValueError(
+            f"Young's modulus E = {E} at nu = {nu} gives a subnormal shear modulus mu = {mu}; "
+            "use a larger E"
+        )
+    return params_from_mu_nu(mu, nu)
 
 
 def mantissa_params(params):
@@ -132,9 +143,14 @@ def _check_scale(p):
             raise ValueError(
                 f"{name} overflows to {value} (mu = {p.mu}, nu = {p.nu}); use a smaller modulus"
             )
-    if p.mu < sys.float_info.min:
+    _check_normal_mu(p.mu)
+
+
+def _check_normal_mu(mu):
+    """Reject a subnormal shear modulus, whose stresses lose digits."""
+    if mu < sys.float_info.min:
         raise ValueError(
-            f"shear modulus mu = {p.mu} is subnormal; it must be at least {sys.float_info.min}"
+            f"shear modulus mu = {mu} is subnormal; it must be at least {sys.float_info.min}"
         )
 
 
@@ -158,6 +174,7 @@ class ModelSpec:
         if self.kind == "inc":
             if self.volfun is not None:
                 raise ValueError("the incompressible kind takes no volumetric function")
+            _check_normal_mu(self.params.mu)
         else:
             if self.volfun is None:
                 raise ValueError(f"the {self.kind!r} kind requires a volumetric function")

@@ -63,8 +63,9 @@ def test_bisect_log_returns_root_width_and_iteration_count():
     prm = materials.params_from_mu_nu(1.0, 0.3)
     args = ("mixed", vf.family, vf.par, "ul", 2.0, prm.mu, prm.lam, prm.K)
     u_a, u_b = -2.0, 0.5
-    f_a = _k.transverse_residual(*args, np.exp(u_a))
-    assert f_a * _k.transverse_residual(*args, np.exp(u_b)) < 0.0
+    f = _k.residual_fn(*args)
+    f_a = f(np.exp(u_a))
+    assert f_a * f(np.exp(u_b)) < 0.0
     result = _k.bisect_log(*args, u_a, u_b, f_a, 200)
     assert len(result) == 3
     u, width, iterations = result

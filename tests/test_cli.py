@@ -356,6 +356,24 @@ class TestBadUsage:
                 "--lam-min 0.5 --lam-max 2 --points 3",
                 "shear modulus mu = 1e-320 is subnormal",
             ),
+            (
+                "sweep --case ul --model inc --mu 1e-320 --lam-min 1 --lam-max 2 --points 2",
+                "shear modulus mu = 1e-320 is subnormal",
+            ),
+            # a shear modulus out of range from E / (2 (1 + nu)) is blamed on E and nu
+            (
+                "limits --case ul --model voliso --volfun 2 --E 1e308 --nu -0.9",
+                "Young's modulus E = 1e+308 at nu = -0.9 gives shear modulus mu = inf",
+            ),
+            (
+                "sweep --case ul --model voliso --volfun 2 --E 1e-320 --nu 0.3 "
+                "--lam-min 0.5 --lam-max 2 --points 3",
+                "Young's modulus E = 1e-320 at nu = 0.3 gives a subnormal shear modulus",
+            ),
+            (
+                "sweep --case ul --model inc --E 1e-320 --lam-min 1 --lam-max 2 --points 2",
+                "Young's modulus E = 1e-320 at nu = 0.5 gives a subnormal shear modulus",
+            ),
         ),
         ids=(
             "stability-mu",
@@ -371,6 +389,10 @@ class TestBadUsage:
             "sweep-stress-scale-overflow",
             "stability-mu-subnormal",
             "sweep-mu-subnormal",
+            "sweep-inc-mu-subnormal",
+            "limits-E-mu-overflow",
+            "sweep-E-mu-subnormal",
+            "sweep-inc-E-mu-subnormal",
         ),
     )
     def test_non_finite_modulus_or_bound_exits_one(self, capsys, argv, message):

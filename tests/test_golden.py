@@ -8,7 +8,8 @@ kind, ``--E``, other ``tangent-check`` and ``dilatation`` inputs, mixed
 ``limits``, mixed ``sweep`` of the power pair at q = 1/12 and at nu = 0
 where J h' overflows, small ``stability`` scans, ``table-repro`` at
 moduli whose finite targets (``+mu``, ``-lambda``, ``-3K``) depend on mu,
-and vol-iso ``limits`` whose probes need the continuation ladder.
+vol-iso ``limits`` whose probes need the continuation ladder, and a
+vol-iso ``limits`` whose finite constant is the bisection's root.
 Each argv runs in-process through ``cli.main`` with ``--out`` and must
 exit 0.
 """
@@ -75,6 +76,10 @@ EXTRA = {
         "eed74b15e2214703c3816e1661a4e76bddcdb64b777005831ff6d5a0def7794f",
     "limits --case ul --model voliso --volfun 7 --nu 0.4999999":
         "3fa25ff44091671b882296f91d47d18eb63d0478d0c687e6a411556ef565a29e",
+    # the to_zero lamT constant is the bisection's root at lam = 1e-6, where
+    # the residual changes sign between u = ln lamT and a neighbouring float
+    "limits --case ulp --model voliso --volfun 7 --nu 0":
+        "37cb766f3af674cd842c189fe7ad7ab092f892d4c15d48ebfb86c80e890eb8c5",
     "table-repro --table 6 --mu 2.2":
         "7fcab9975649d492f098950ded8963d4718bd8751d2e02122143da4549371219",
     "table-repro --table 3 --mu 0.7":

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
+from nhcomp import _kernels as _k
 from nhcomp import homsolve as hs
 from nhcomp.materials import ModelSpec, cauchy_stress, params_from_mu_nu
 from nhcomp.volfun import VolFun, catalog, evaluate
@@ -58,6 +59,22 @@ def class_bits(classes):
         constant = None if lc.constant is None else float(lc.constant).hex()
         out[q] = (lc.label, constant, lc.note, lc.solver_failed)
     return out
+
+
+# every kind, case and catalog function at four stretches, after a vol-iso
+# solve whose residual is rounding noise (about -3.6e-12) for tens of ulps
+# of u = ln lamT below the float where it changes sign
+BISECTION_GRID = [
+    ("elp", ModelSpec.vol_iso(VolFun.power_pair(0.5), 1.0, 0.3), 0.03827494478516307),
+    *(
+        (case, ModelSpec(kind, vf, params_from_mu_nu(1.0, 0.3)), lam)
+        for kind in ("mixed", "voliso")
+        for case in hs.CASES
+        for vf in catalog().values()
+        for lam in (1e-5, 0.04, 3.0, 1e5)
+    ),
+]
+BISECTION_IDS = [f"{c}-{m.kind}-{m.volfun.label}-{x:g}" for c, m, x in BISECTION_GRID]
 
 
 def three_root_model():
@@ -343,6 +360,42 @@ class TestSolve:
         prm = model.params
         assert abs(r.residual) <= 1e-12 * (prm.mu + prm.lam + prm.K)
         assert len(calls) == 1
+        # every solve of the grid is bracketed and reports the residual at
+        # its root, and only there
+        for case, model, lam in BISECTION_GRID:
+            calls.clear()
+            hs.solve(case, model, lam)
+            assert len(calls) == 1, (case, model, lam)
+
+    @pytest.mark.parametrize("case, model, lam", BISECTION_GRID, ids=BISECTION_IDS)
+    def test_lambda_T_is_the_bisection_root_at_a_sign_change(self, monkeypatch, case, model, lam):
+        roots = []
+        original = _k.bisect_log
+
+        def recorded(*args):
+            result = original(*args)
+            roots.append((args, result))
+            return result
+
+        monkeypatch.setattr(_k, "bisect_log", recorded)
+        r = hs.solve(case, model, lam)
+        ((args, (u, width, _)),) = roots
+        assert r.lambda_T == math.exp(u)
+        # the scalar lane the bisection runs on, at the (mantissa) constants it got
+        f = _k.residual_fn(*args[:8], scalar=True)
+
+        def sign(x):
+            v = f(float(np.exp(x)))
+            assert not math.isnan(v)
+            return (v > 0.0) - (v < 0.0)
+
+        below, above = np.nextafter(u, -math.inf), np.nextafter(u, math.inf)
+        if width == 0.0:  # an exact zero
+            assert sign(u) == 0
+        else:
+            # the bracket closed at adjacent floats, and u is one of its ends
+            assert width in (u - below, above - u)
+            assert sign(u) == 0 or sign(below) != sign(u) or sign(u) != sign(above)
 
     def test_log_approx_mode_close_but_distinct(self):
         # J h' = 6 (J^(1/12) - J^(-1/12)) of the power pair at q = 1/12 is

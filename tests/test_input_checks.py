@@ -87,6 +87,28 @@ CHECKS = {
         )
         for nu in (-1.0, -1.5, np.nan, np.inf)
     },
+    # a shear modulus out of range from E / (2 (1 + nu)) is blamed on E and nu
+    "params_from_E_nu-mu-overflows": (
+        lambda: params_from_E_nu(1e308, -0.9),
+        "Young's modulus E = 1e\\+308 at nu = -0.9 gives shear modulus mu = inf",
+    ),
+    "params_from_E_nu-mu-subnormal": (
+        lambda: params_from_E_nu(1e-320, 0.3),
+        "Young's modulus E = 1e-320 at nu = 0.3 gives a subnormal shear modulus mu = 3.844e-321",
+    ),
+    "params_from_E_nu-inc-mu-subnormal": (
+        lambda: params_from_E_nu(1e-320, 0.5),
+        "Young's modulus E = 1e-320 at nu = 0.5 gives a subnormal shear modulus",
+    ),
+    **{
+        f"{kind}-mu-subnormal": (
+            lambda kind=kind: ModelSpec(
+                kind, None if kind == "inc" else QUAD, params_from_mu_nu(1e-320, nu)
+            ),
+            "shear modulus mu = 1e-320 is subnormal; it must be at least 2.2250738585072014e-308",
+        )
+        for kind, nu in (("inc", 0.5), ("mixed", 0.3), ("voliso", 0.3))
+    },
     "voliso-nu": (
         lambda: ModelSpec("voliso", QUAD, replace(PARAMS, nu=-1.0)),
         "vol-iso kind requires -1 < nu < 1/2, got nu = -1.0",

@@ -252,9 +252,9 @@ def test_residual_scan_matches_scalar():
 
 
 def test_case_volume_ratio():
-    assert _k.case_volume_ratio("ul", 2.0, 3.0) == 18.0
-    assert _k.case_volume_ratio("elp", 2.0, 3.0) == 12.0
-    assert _k.case_volume_ratio("ulp", 2.0, 3.0) == 6.0
+    assert hs.volume_ratio("ul", 2.0, 3.0) == 18.0
+    assert hs.volume_ratio("elp", 2.0, 3.0) == 12.0
+    assert hs.volume_ratio("ulp", 2.0, 3.0) == 6.0
 
 
 def test_solver_brackets_come_from_the_points_the_scan_evaluated():
