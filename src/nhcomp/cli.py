@@ -75,10 +75,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _fmt(value):
-    if isinstance(value, bool) or isinstance(value, np.bool_):
-        return "true" if value else "false"
-    if isinstance(value, float):
+    if isinstance(value, float):  # most cells; neither bool type is a float
         return format(value, ".17g")
+    if isinstance(value, (bool, np.bool_)):
+        return "true" if value else "false"
     return str(value)
 
 

@@ -45,7 +45,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from nhcomp import _kernels as _k
-from nhcomp.materials import cauchy_stress, mantissa_params
+from nhcomp.materials import ModelSpec, cauchy_stress, mantissa_params
 from nhcomp.volfun import evaluate
 
 __all__ = [
@@ -82,11 +82,15 @@ def volume_ratio(case, lam, lamT):
 
 def case_F(case, lam, lamT):
     """Deformation gradient of the load case (principal axes fixed)."""
+    F = np.zeros((3, 3))
+    F[0, 0] = lam
     if _checked(case) == "ul":
-        return np.diag([lam, lamT, lamT]).astype(float)
-    if case == "elp":
-        return np.diag([lam, lam, lamT]).astype(float)
-    return np.diag([lam, 1.0, lamT]).astype(float)
+        F[1, 1] = F[2, 2] = lamT
+    elif case == "elp":
+        F[1, 1], F[2, 2] = lam, lamT
+    else:
+        F[1, 1], F[2, 2] = 1.0, lamT
+    return F
 
 
 @dataclass(frozen=True)
@@ -229,11 +233,14 @@ def _sign_brackets(us, fs):
     bracket ``(u, u, 0)``, and so does an exact zero at the last point.
 
     Every such pair has ``fs > 0`` change across it or a zero at its left
-    end, so one mask picks the few candidates and the rule runs on those.
+    end, so one mask, built in place, picks the few candidates and the rule
+    runs on those.
     """
     pos = fs > 0.0
+    candidates = pos[:-1] != pos[1:]
+    candidates |= fs[:-1] == 0.0
     out = []
-    for i in np.flatnonzero((pos[:-1] != pos[1:]) | (fs[:-1] == 0.0)).tolist():
+    for i in candidates.nonzero()[0].tolist():
         a, b = fs[i], fs[i + 1]
         if a != a or b != b:  # NaN
             continue
@@ -276,57 +283,57 @@ def solve(case, model, lam, seed_lamT=1.0):
         )
     if model.kind == "inc":
         return solve_incompressible(case, lam, model.params.mu)
-    prm, e = mantissa_params(model.params)
-    model = replace(model, params=prm)
-    args = _kernel_args(case, model, lam)
-    tol = 1e-12 * (prm.mu + prm.lam + prm.K)
+    # one error state for the whole solve: the scan, the bisection and the
+    # stresses pass through inf and NaN by design, and the result reports them
+    with np.errstate(all="ignore"):
+        prm, e = mantissa_params(model.params)
+        model = ModelSpec(model.kind, model.volfun, prm)
+        args = _kernel_args(case, model, lam)
+        tol = 1e-12 * (prm.mu + prm.lam + prm.K)
 
-    u_lo, u_hi = math.log(_SCAN_LO), math.log(_SCAN_HI)
-    us, fs = _scan(args, u_lo, u_hi)
-    brackets = _sign_brackets(us, fs)
-    if not brackets:
-        u_lo, u_hi = u_lo - 3.0 * math.log(10.0), u_hi + 3.0 * math.log(10.0)
+        u_lo, u_hi = math.log(_SCAN_LO), math.log(_SCAN_HI)
         us, fs = _scan(args, u_lo, u_hi)
         brackets = _sign_brackets(us, fs)
-    if not brackets:
-        finite = fs[np.isfinite(fs)]
-        with np.errstate(over="ignore"):  # the scan ran at the mantissa of mu
+        if not brackets:
+            u_lo, u_hi = u_lo - 3.0 * math.log(10.0), u_hi + 3.0 * math.log(10.0)
+            us, fs = _scan(args, u_lo, u_hi)
+            brackets = _sign_brackets(us, fs)
+        if not brackets:
+            finite = fs[np.isfinite(fs)]
+            # the scan ran at the mantissa of mu
             min_res = float(np.ldexp(np.min(np.abs(finite)), e)) if finite.size else math.nan
-        diag = {
-            "lam": lam,
-            "u_range": (u_lo, u_hi),
-            "min_residual": min_res,
-            "sign_lo": float(np.sign(fs[0])),
-            "sign_hi": float(np.sign(fs[-1])),
-            "roots_found": 0,
-        }
-        raise SolveError(
-            f"no sign change of the transverse residual for lam={lam:g} "
-            f"({model.kind} kind, volfun {model.volfun.label})",
-            diag,
-        )
+            diag = {
+                "lam": lam,
+                "u_range": (u_lo, u_hi),
+                "min_residual": min_res,
+                "sign_lo": float(np.sign(fs[0])),
+                "sign_hi": float(np.sign(fs[-1])),
+                "roots_found": 0,
+            }
+            raise SolveError(
+                f"no sign change of the transverse residual for lam={lam:g} "
+                f"({model.kind} kind, volfun {model.volfun.label})",
+                diag,
+            )
 
-    seed_u = math.log(seed_lamT)
-    ua, ub, fa = min(brackets, key=lambda br: abs(0.5 * (br[0] + br[1]) - seed_u))
-    warning = ""
-    if len(brackets) > 1:
-        warning = f"{len(brackets)} residual roots in scan; picked the branch nearest the seed"
+        seed_u = math.log(seed_lamT)
+        ua, ub, fa = min(brackets, key=lambda br: abs(0.5 * (br[0] + br[1]) - seed_u))
+        warning = ""
+        if len(brackets) > 1:
+            warning = f"{len(brackets)} residual roots in scan; picked the branch nearest the seed"
 
-    with np.errstate(all="ignore"):
         u, width, _ = _k.bisect_log(*args, ua, ub, fa, _MAX_BISECT)
-        res = residual(case, model, lam, math.exp(u))
+        lamT = math.exp(u)
+        res = residual(case, model, lam, lamT)
+        converged = abs(res) <= tol or abs(width) <= 1e-12 * max(1.0, abs(u))
+        J = np.float64(volume_ratio(case, lam, lamT))  # so J ** (-5/3) may overflow to inf
 
-    lamT = math.exp(u)
-    converged = abs(res) <= tol or abs(width) <= 1e-12 * max(1.0, abs(u))
-    J = np.float64(volume_ratio(case, lam, lamT))  # so J ** (-5/3) may overflow to inf
-
-    # Stresses come from the per-case closed forms obtained by substituting
-    # the transverse balance back into the constitutive law. These stay
-    # accurate at extreme stretches where the raw tensor evaluation loses
-    # the root to cancellation (the equilibrium lamT can sit within one ulp
-    # of lam under strong compression).
-    mu = prm.mu
-    with np.errstate(all="ignore"):
+        # Stresses come from the per-case closed forms obtained by substituting
+        # the transverse balance back into the constitutive law. These stay
+        # accurate at extreme stretches where the raw tensor evaluation loses
+        # the root to cancellation (the equilibrium lamT can sit within one ulp
+        # of lam under strong compression).
+        mu = prm.mu
         if model.kind == "voliso" and case != "ulp":
             # the trace of the vol-iso stress: sigma11 = (3 or 3/2) K h'(J)
             s11 = (3.0 if case == "ul" else 1.5) * prm.K * evaluate(model.volfun, J).hp
@@ -343,27 +350,25 @@ def solve(case, model, lam, seed_lamT=1.0):
             s22 = w * (1.0 - lamT * lamT)
             P11, P22 = lamT * s11, J * s22
 
-    if model.kind == "voliso" and case != "ulp":
-        # cross-check the trace shortcut against the full tensor evaluation
-        # wherever the tensor path has the precision to be meaningful
-        with np.errstate(all="ignore"):
+        if model.kind == "voliso" and case != "ulp":
+            # cross-check the trace shortcut against the full tensor evaluation
+            # wherever the tensor path has the precision to be meaningful
             direct = float(cauchy_stress(model, case_F(case, lam, lamT)).cauchy[0, 0])
-        noise = mu * J ** (-5.0 / 3.0) * np.spacing(max(lam, lamT) ** 2)
-        scale = max(abs(s11), abs(direct), mu)
-        if math.isfinite(direct) and noise <= 1e-10 * scale:
-            if abs(direct - s11) > 1e-8 * scale:
-                raise SolveError(
-                    "volumetric trace shortcut failed the cross-check",
-                    # raised after a bracket was picked, so it counts the scan's roots
-                    dict(sigma11=direct, shortcut=s11, lam=lam, roots_found=len(brackets)),
-                )
+            noise = mu * J ** (-5.0 / 3.0) * np.spacing(max(lam, lamT) ** 2)
+            scale = max(abs(s11), abs(direct), mu)
+            if math.isfinite(direct) and noise <= 1e-10 * scale:
+                if abs(direct - s11) > 1e-8 * scale:
+                    raise SolveError(
+                        "volumetric trace shortcut failed the cross-check",
+                        # raised after a bracket was picked, so it counts the scan's roots
+                        dict(sigma11=direct, shortcut=s11, lam=lam, roots_found=len(brackets)),
+                    )
 
-    # back to the modulus scale; a stress beyond the float range is +-inf
-    scaled = (s11, s22, P11, P22, res)
-    try:
-        s11, s22, P11, P22, res = (math.ldexp(v, e) for v in scaled)
-    except OverflowError:
-        with np.errstate(over="ignore"):
+        # back to the modulus scale; a stress beyond the float range is +-inf
+        scaled = (s11, s22, P11, P22, res)
+        try:
+            s11, s22, P11, P22, res = (math.ldexp(v, e) for v in scaled)
+        except OverflowError:
             s11, s22, P11, P22, res = (float(np.ldexp(v, e)) for v in scaled)
     return SolveResult(lamT, J, s11, s22, P11, P22, bool(converged), res, warning, len(brackets))
 

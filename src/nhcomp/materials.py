@@ -21,13 +21,14 @@ formulas.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from nhcomp.tensor3 import I3, dev, sym
+from nhcomp.tensor3 import I3, dev, sym, trace
 from nhcomp.volfun import VolFun, evaluate
 
 __all__ = [
@@ -93,7 +94,7 @@ def params_from_E_nu(E, nu):
         raise ValueError(f"Young's modulus must be positive and finite, got E = {E}")
     _check_nu(nu)  # before 1 + nu divides: nu = -1 would divide by zero
     mu = E / (2.0 * (1.0 + nu))
-    # checked here, so that the message names the E and nu that were given
+    # every check here names the E and nu that were given, not a derived mu
     if mu == math.inf:
         raise ValueError(
             f"Young's modulus E = {E} at nu = {nu} gives shear modulus mu = inf; use a smaller E"
@@ -103,7 +104,12 @@ def params_from_E_nu(E, nu):
             f"Young's modulus E = {E} at nu = {nu} gives a subnormal shear modulus mu = {mu}; "
             "use a larger E"
         )
-    return params_from_mu_nu(mu, nu)
+    params = params_from_mu_nu(mu, nu)
+    # at nu = 1/2, lam and K are infinite by definition
+    bad = None if nu == 0.5 else _first_overflow(params)
+    if bad is not None:
+        raise ValueError(f"{bad[0]} overflows to {bad[1]} (E = {E}, nu = {nu}); use a smaller E")
+    return params
 
 
 def mantissa_params(params):
@@ -116,14 +122,28 @@ def mantissa_params(params):
     intermediate products in range at any admissible modulus.
     """
     m, e = math.frexp(params.mu)
-    scaled = replace(
-        params,
+    scaled = MaterialParams(
         mu=m,
+        nu=params.nu,
         lam=math.ldexp(params.lam, -e),
         K=math.ldexp(params.K, -e),
         E=math.ldexp(params.E, -e),
     )
     return scaled, e
+
+
+def _first_overflow(p):
+    """``(name, value)`` of the first of mu, lam, K and mu + lam + K that is
+    not finite, or None."""
+    for name, value in (
+        ("shear modulus mu", p.mu),
+        ("first Lame constant lam", p.lam),
+        ("bulk modulus K", p.K),
+        ("stress scale mu + lam + K", p.mu + p.lam + p.K),
+    ):
+        if not math.isfinite(value):
+            return name, value
+    return None
 
 
 def _check_scale(p):
@@ -133,16 +153,11 @@ def _check_scale(p):
     constants, so one that is infinite, or a subnormal mu, turns the
     output into inf or NaN rows instead of an error.
     """
-    for name, value in (
-        ("shear modulus mu", p.mu),
-        ("first Lame constant lam", p.lam),
-        ("bulk modulus K", p.K),
-        ("stress scale mu + lam + K", p.mu + p.lam + p.K),
-    ):
-        if not math.isfinite(value):
-            raise ValueError(
-                f"{name} overflows to {value} (mu = {p.mu}, nu = {p.nu}); use a smaller modulus"
-            )
+    bad = _first_overflow(p)
+    if bad is not None:
+        raise ValueError(
+            f"{bad[0]} overflows to {bad[1]} (mu = {p.mu}, nu = {p.nu}); use a smaller modulus"
+        )
     _check_normal_mu(p.mu)
 
 
@@ -203,12 +218,26 @@ class ModelSpec:
 
 @dataclass(frozen=True)
 class StressResult:
-    """Cauchy, Kirchhoff and first Piola-Kirchhoff stress at one state."""
+    """Cauchy, Kirchhoff and first Piola-Kirchhoff stress at one state.
+
+    :func:`cauchy_stress` computes ``cauchy`` and ``kirchhoff`` and stores
+    a copy of the deformation gradient ``F``. ``first_pk`` (tau F^-T) and
+    ``mean_stress`` (tr sigma / 3) are computed from ``F``, ``kirchhoff``
+    and ``cauchy`` on first read and kept; most callers read only one
+    tensor.
+    """
 
     cauchy: np.ndarray
     kirchhoff: np.ndarray
-    first_pk: np.ndarray
-    mean_stress: float
+    F: np.ndarray
+
+    @functools.cached_property
+    def first_pk(self):
+        return self.kirchhoff @ np.linalg.inv(self.F).T
+
+    @functools.cached_property
+    def mean_stress(self):
+        return float(trace(self.cauchy)) / 3.0
 
 
 def _check_p(model, p):
@@ -244,7 +273,7 @@ def energy(model, F, p=None):
 def cauchy_stress(model, F, p=None):
     """Total-form Cauchy stress, with Kirchhoff and first P-K derived."""
     _check_p(model, p)
-    F = np.asarray(F, dtype=float)
+    F = np.array(F, dtype=float)  # a copy: first_pk reads it later
     J = float(np.linalg.det(F))
     if not J > 0.0:
         raise ValueError(f"deformation gradient must have positive determinant, got {J}")
@@ -260,14 +289,7 @@ def cauchy_stress(model, F, p=None):
     else:
         hp = evaluate(model.volfun, J).hp
         sigma = mu * J ** (-5.0 / 3.0) * dev(c) + model.params.K * hp * I3
-    tau = J * sigma
-    first_pk = tau @ np.linalg.inv(F).T
-    return StressResult(
-        cauchy=sigma,
-        kirchhoff=tau,
-        first_pk=first_pk,
-        mean_stress=float(np.trace(sigma)) / 3.0,
-    )
+    return StressResult(cauchy=sigma, kirchhoff=J * sigma, F=F)
 
 
 def linear_stress(params, eps, decoupled=False):

@@ -32,6 +32,7 @@ __all__ = [
     "skew",
     "ddot",
     "fnorm",
+    "trace",
     "dev",
     "spectral",
     "coaxial_orthogonal_split",
@@ -64,9 +65,15 @@ def fnorm(A):
     return float(np.linalg.norm(A))
 
 
+def trace(A):
+    """Trace of a ``(3, 3)`` array, summed as ``np.trace`` sums it: onto
+    +0.0 in index order, so its bits match (a -0.0 diagonal gives +0.0)."""
+    return ((0.0 + A[0, 0]) + A[1, 1]) + A[2, 2]
+
+
 def dev(A):
     """Deviatoric part ``A - (tr A / 3) I``."""
-    return A - (np.trace(A) / 3.0) * I3
+    return A - (trace(A) / 3.0) * I3
 
 
 @dataclass(frozen=True)

@@ -129,3 +129,29 @@ def test_tangent_check_calls_tangent_fd_error_once_per_model(capsys, monkeypatch
     assert [(m.kind, m.volfun.label) for (m,) in calls] == [
         tuple(row.split(",")[:2]) for row in rows
     ]
+
+
+_SOLVE_LAYERS = (
+    (_k, "residual_scan"),
+    (_k, "bisect_log"),
+    (hs, "residual"),
+    (hs, "evaluate"),
+    (hs, "cauchy_stress"),
+)
+
+
+@pytest.mark.parametrize(
+    "kind, calls",
+    (("voliso", [1, 1, 1, 1, 1]), ("mixed", [1, 1, 1, 0, 0])),
+)
+def test_one_solve_reaches_each_counted_layer(monkeypatch, kind, calls):
+    # perfbench counts these bindings; a vol-iso ul solve scans, bisects,
+    # reports the residual, evaluates h' for sigma11 and cross-checks it
+    # against the full stress tensor once each, and a mixed solve has no
+    # trace shortcut to check
+    recorded = [_record_calls(monkeypatch, module, attr) for module, attr in _SOLVE_LAYERS]
+    model = materials.ModelSpec(
+        kind, volfun.catalog()[2], materials.params_from_mu_nu(1.7, 0.45)
+    )
+    assert hs.solve("ul", model, 1.7).converged
+    assert [len(c) for c in recorded] == calls

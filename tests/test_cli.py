@@ -15,6 +15,7 @@ import subprocess
 import sys
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
@@ -52,6 +53,24 @@ def run_rejected(capsys, *argv):
     code, rows, err = run_clean(capsys, *argv)
     assert code == 1 and rows == []
     return err
+
+
+@pytest.mark.parametrize(
+    "value, text",
+    (
+        (0.1, "0.10000000000000001"),
+        (-0.0, "-0"),
+        (math.inf, "inf"),
+        (np.float64(1.0) / 3.0, "0.33333333333333331"),
+        (True, "true"),
+        (np.False_, "false"),
+        (7, "7"),
+        (np.int64(-2), "-2"),
+        ("finite(1.5)", "finite(1.5)"),
+    ),
+)
+def test_csv_cell_format(value, text):
+    assert cli._fmt(value) == text
 
 
 class TestAuditVolfun:
@@ -398,6 +417,17 @@ class TestBadUsage:
     def test_non_finite_modulus_or_bound_exits_one(self, capsys, argv, message):
         err = run_rejected(capsys, *argv.split())
         assert f"nhcomp: error: {message}" in err
+
+    def test_overflow_from_E_names_E_and_not_a_derived_mu(self, capsys):
+        argv = (
+            "sweep --case ul --model voliso --volfun 2 --nu 0.45 --E 1e308 "
+            "--lam-min 0.5 --lam-max 2 --points 3"
+        )
+        err = run_rejected(capsys, *argv.split())
+        assert err == (
+            "nhcomp: error: first Lame constant lam overflows to inf (E = 1e+308, nu = 0.45); "
+            "use a smaller E\n"
+        )
 
     @pytest.mark.parametrize(
         "argv", ("audit-volfun", "limits --case ul --model mixed --volfun 2 --nu 0.3")

@@ -8,8 +8,10 @@ kind, ``--E``, other ``tangent-check`` and ``dilatation`` inputs, mixed
 ``limits``, mixed ``sweep`` of the power pair at q = 1/12 and at nu = 0
 where J h' overflows, small ``stability`` scans, ``table-repro`` at
 moduli whose finite targets (``+mu``, ``-lambda``, ``-3K``) depend on mu,
-vol-iso ``limits`` whose probes need the continuation ladder, and a
-vol-iso ``limits`` whose finite constant is the bisection's root.
+vol-iso ``limits`` whose probes need the continuation ladder, a
+vol-iso ``limits`` whose finite constant is the bisection's root, and
+vol-iso ``ul``/``elp`` sweeps at extreme moduli and stretches, whose every
+point also evaluates the full stress tensor.
 Each argv runs in-process through ``cli.main`` with ``--out`` and must
 exit 0.
 """
@@ -90,6 +92,18 @@ EXTRA = {
     "sweep --case ul --model mixed --volfun 4 --nu 0 --lam-min 1e100 --lam-max 1e100 "
     "--points 1":
         "b709a5e0f1c8f1ce2eeef4affa32fe0f7abe86cc50ff0740fb5ecbd1d9cc54ec",
+    # vol-iso sweeps whose every point runs the tensor cross-check: a modulus
+    # near the float range, stretches to 1e+-4 near incompressibility, and
+    # stretches to 1e+-5 at every paper nu
+    "sweep --case ul --model voliso --volfun 2 --nu 0.3 --mu 1e300 --lam-min 1e-3 "
+    "--lam-max 1e3 --points 5":
+        "d5af614dfd2fcf4a59c21d81cce4efdfbe0716f5fb50ade2aa831ca1bf941dbf",
+    "sweep --case elp --model voliso --volfun 4 --nu 0.4999 --lam-min 1e-4 --lam-max 1e4 "
+    "--points 5":
+        "6443e9cd909b50fd806c1cd5e4021779b6ab2354c61a99449d34a75e8f6ddd9b",
+    "sweep --case ul --model voliso --volfun 8 --nu-set paper --lam-min 1e-5 --lam-max 1e5 "
+    "--points 4":
+        "0d27cb72ca263987dac1609f7191f1c47c520c3533066859787d48f0f3360026",
 }
 
 

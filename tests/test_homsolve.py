@@ -705,3 +705,13 @@ class TestScanHelpers:
         fs = np.array([2.0, 0.0, -3.0, math.nan])
         br = hs._sign_brackets(us, fs)
         assert br[0][0] == br[0][1] == 1.0
+
+    @pytest.mark.parametrize("case", hs.CASES)
+    def test_case_F_matches_the_astype_built_diagonal(self, case):
+        # the diag(...).astype(float) form it replaces, in bits and layout
+        for lam, lamT in ((1.7, 0.8), (np.float64(1e-6), 5e300), (3, 2), (1e308, 5e-324)):
+            diagonal = {"ul": (lam, lamT, lamT), "elp": (lam, lam, lamT), "ulp": (lam, 1.0, lamT)}
+            want = np.diag(diagonal[case]).astype(float)
+            got = hs.case_F(case, lam, lamT)
+            assert got.dtype == want.dtype and got.flags.c_contiguous
+            assert got.tobytes() == want.tobytes()

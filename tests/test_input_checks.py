@@ -2,6 +2,7 @@
 its message, before any arithmetic can warn (RuntimeWarning is an error
 under the suite's ``filterwarnings``)."""
 
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -100,6 +101,18 @@ CHECKS = {
         lambda: params_from_E_nu(1e-320, 0.5),
         "Young's modulus E = 1e-320 at nu = 0.5 gives a subnormal shear modulus",
     ),
+    # so is a lam, K or mu + lam + K that overflows, though mu is finite
+    **{
+        f"params_from_E_nu-{key}-overflows": (
+            lambda E=E: params_from_E_nu(E, 0.45),
+            "^" + re.escape(f"{name} overflows to inf (E = {E}, nu = 0.45); use a smaller E") + "$",
+        )
+        for key, name, E in (
+            ("lam", "first Lame constant lam", 1e308),
+            ("K", "bulk modulus K", 5.5e307),
+            ("stress-scale", "stress scale mu + lam + K", 3.5e307),
+        )
+    },
     **{
         f"{kind}-mu-subnormal": (
             lambda kind=kind: ModelSpec(

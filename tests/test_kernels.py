@@ -231,6 +231,38 @@ def test_sign_brackets_masks_match_the_sign_product(seed):
             assert _typed_bits(got) == _typed_bits(_sign_brackets_by_product(us, fs))
 
 
+def _sign_brackets_flatnonzero(us, fs):
+    # the body before the candidate mask was built in place
+    pos = fs > 0.0
+    out = []
+    for i in np.flatnonzero((pos[:-1] != pos[1:]) | (fs[:-1] == 0.0)).tolist():
+        a, b = fs[i], fs[i + 1]
+        if a != a or b != b:  # NaN
+            continue
+        if a == 0.0:
+            out.append((us[i], us[i], a))
+        elif b != 0.0 and (a > 0.0) != (b > 0.0):
+            out.append((us[i], us[i + 1], a))
+    if len(fs) and fs[-1] == 0.0:
+        out.append((us[-1], us[-1], 0.0))
+    return out
+
+
+@given(
+    fs=hst.lists(hst.one_of(hst.sampled_from(_SPECIALS), hst.floats()), max_size=200),
+    zero_last=hst.booleans(),
+)
+@example(fs=[1.0, -1.0], zero_last=True)
+@example(fs=[0.0, -0.0, math.nan, math.inf, -math.inf], zero_last=False)
+def test_sign_brackets_equals_the_flatnonzero_body_in_types_and_bits(fs, zero_last):
+    if zero_last:
+        fs = [*fs, 0.0]
+    fs = np.array(fs, dtype=float)
+    us = np.linspace(-1.0, 1.0, fs.size)
+    got = hs._sign_brackets(us, fs)
+    assert _typed_bits(got) == _typed_bits(_sign_brackets_flatnonzero(us, fs))
+
+
 def test_grid_kernel_matches_scalar():
     Js = np.logspace(-2, 2, 57)
     out = evaluate_grid(VolFun(1, -1.0, "grid"), Js)

@@ -1,14 +1,17 @@
 import math
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from nhcomp.materials import (
+    PAPER_NUS,
     MaterialParams,
     ModelSpec,
     cauchy_stress,
     energy,
     linear_stress,
+    mantissa_params,
     params_from_E_nu,
     params_from_mu_nu,
 )
@@ -85,6 +88,29 @@ class TestParams:
             params_from_mu_nu(1.0, 0.6)
         with pytest.raises(ValueError):
             params_from_E_nu(0.0, 0.3)
+
+
+def _hex(values):
+    return [float.hex(float(v)) for v in np.ravel(values)]
+
+
+class TestMantissaParams:
+    @pytest.mark.parametrize("nu", (*PAPER_NUS, 0.5, -0.9, 0.3))
+    @pytest.mark.parametrize("mu", (1.0, 0.75, 2.53, 1e-300, 3e-308, 1e300, 1.7e308))
+    def test_matches_the_replace_built_constants_field_by_field(self, mu, nu):
+        params = params_from_mu_nu(mu, nu)
+        got, e = mantissa_params(params)
+        m, e_want = math.frexp(params.mu)
+        want = replace(
+            params,
+            mu=m,
+            lam=math.ldexp(params.lam, -e_want),
+            K=math.ldexp(params.K, -e_want),
+            E=math.ldexp(params.E, -e_want),
+        )
+        assert type(got) is MaterialParams and e == e_want
+        for field in fields(MaterialParams):
+            assert float.hex(getattr(got, field.name)) == float.hex(getattr(want, field.name))
 
 
 class TestModelSpec:
@@ -176,6 +202,34 @@ class TestEnergy:
 
 
 class TestCauchyStress:
+    @pytest.mark.parametrize("kind", ("inc", "mixed", "voliso"))
+    def test_derived_stresses_match_the_eager_formulas_bit_for_bit(self, kind):
+        # first_pk and mean_stress are computed on first read; they keep the
+        # bits of tau @ inv(F).T and float(np.trace(sigma)) / 3
+        for vid in (1, 2, 5, 7, 8) if kind != "inc" else (None,):
+            model = (
+                ModelSpec.incompressible(MU)
+                if kind == "inc"
+                else ModelSpec(kind, catalog()[vid], params_from_mu_nu(MU, NU))
+            )
+            for _ in range(40):
+                F = random_F(0.6)
+                s = cauchy_stress(model, F, p=0.7 if kind == "inc" else None)
+                tau = s.kirchhoff
+                assert _hex(tau) == _hex(float(np.linalg.det(F)) * s.cauchy)
+                assert _hex(s.first_pk) == _hex(tau @ np.linalg.inv(F).T)
+                assert _hex([s.mean_stress]) == _hex([float(np.trace(s.cauchy)) / 3.0])
+                assert type(s.mean_stress) is float
+                assert s.first_pk is s.first_pk  # computed once, then kept
+
+    def test_first_pk_reads_the_deformation_gradient_of_the_call(self):
+        model = ModelSpec.vol_iso(catalog()[2], MU, NU)
+        F = random_F()
+        want = cauchy_stress(model, F).first_pk
+        s = cauchy_stress(model, F)
+        F[0, 0] += 1.0  # the result holds its own copy
+        np.testing.assert_array_equal(s.first_pk, want)
+
     def test_zero_at_identity(self):
         for vid in (1, 4, 7, 8):
             vf = catalog()[vid]

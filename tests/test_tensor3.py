@@ -12,6 +12,7 @@ from nhcomp.tensor3 import (
     spectral,
     sym,
     sym_outer,
+    trace,
     voigt_mat,
     voigt_strain_vec,
 )
@@ -216,3 +217,23 @@ def test_voigt_roundtrip_random_supersym():
 def test_dev_is_traceless():
     A = random_sym(4.0)
     assert np.trace(dev(A)) == pytest.approx(0.0, abs=1e-13)
+
+
+def _hex(values):
+    return [float.hex(float(v)) for v in np.ravel(values)]
+
+
+def _trace_test_matrices():
+    yield from rng.standard_normal((2000, 3, 3)) * 10.0 ** rng.integers(-300, 300, (2000, 3, 3))
+    specials = (0.0, -0.0, np.inf, -np.inf, np.nan, 1.0, -1.0, 1e308, 5e-324)
+    for diagonal in np.array(np.meshgrid(specials, specials, specials)).T.reshape(-1, 3):
+        yield np.diag(diagonal) + np.triu(rng.standard_normal((3, 3)), 1)
+    yield np.diag([-0.0, -0.0, -0.0])  # np.trace sums onto +0.0
+
+
+def test_trace_and_dev_match_np_trace_bit_for_bit():
+    # the eager forms they replace: np.trace(A) and A - (np.trace(A) / 3) I
+    with np.errstate(all="ignore"):
+        for A in _trace_test_matrices():
+            assert _hex([trace(A)]) == _hex([np.trace(A)])
+            assert _hex(dev(A)) == _hex(A - (np.trace(A) / 3.0) * I3)
