@@ -142,6 +142,7 @@ def _kernel_args(case, model, lam):
     return (model.kind, vf.family, vf.par, _checked(case), float(lam), prm.mu, prm.lam, prm.K)
 
 
+@np.errstate(all="ignore")
 def residual(case, model, lam, lamT):
     """Transverse-equilibrium residual whose root in lamT solves the case.
 
@@ -150,7 +151,8 @@ def residual(case, model, lam, lamT):
     with the case's deviator combination g. This is the numpy-scalar form
     of the kernel the scan and the bisection evaluate; :func:`solve`
     reports it at the root it bisected. Raises ``ValueError`` unless
-    ``lam`` and ``lamT`` are positive finite stretches.
+    ``lam`` and ``lamT`` are positive finite stretches. A residual beyond
+    the float range is +-inf or NaN (inf - inf), with no numpy warning.
     """
     if model.kind == "inc":
         raise ValueError("the incompressible kind fixes lamT kinematically; no residual")
@@ -326,20 +328,18 @@ def solve(case, model, lam, seed_lamT=1.0):
         lamT = math.exp(u)
         res = residual(case, model, lam, lamT)
         converged = abs(res) <= tol or abs(width) <= 1e-12 * max(1.0, abs(u))
-        J = np.float64(volume_ratio(case, lam, lamT))  # so J ** (-5/3) may overflow to inf
+        J = np.float64(volume_ratio(case, lam, lamT))
 
         # Stresses come from the per-case closed forms obtained by substituting
         # the transverse balance back into the constitutive law. These stay
         # accurate at extreme stretches where the raw tensor evaluation loses
         # the root to cancellation (the equilibrium lamT can sit within one ulp
         # of lam under strong compression).
-        mu = prm.mu
+        w = model.shear_factor(J)
         if model.kind == "voliso" and case != "ulp":
             # the trace of the vol-iso stress: sigma11 = (3 or 3/2) K h'(J)
             s11 = (3.0 if case == "ul" else 1.5) * prm.K * evaluate(model.volfun, J).hp
         else:
-            # the shear factor of the stress: mu / J (mixed), mu J^(-5/3) (vol-iso)
-            w = mu / J if model.kind == "mixed" else mu * J ** (-5.0 / 3.0)
             s11 = w * (lam * lam - lamT * lamT)
         if case == "ul":
             s22, P11, P22 = 0.0, lamT**2 * s11, 0.0
@@ -354,8 +354,8 @@ def solve(case, model, lam, seed_lamT=1.0):
             # cross-check the trace shortcut against the full tensor evaluation
             # wherever the tensor path has the precision to be meaningful
             direct = float(cauchy_stress(model, case_F(case, lam, lamT)).cauchy[0, 0])
-            noise = mu * J ** (-5.0 / 3.0) * np.spacing(max(lam, lamT) ** 2)
-            scale = max(abs(s11), abs(direct), mu)
+            noise = w * np.spacing(max(lam, lamT) ** 2)
+            scale = max(abs(s11), abs(direct), prm.mu)
             if math.isfinite(direct) and noise <= 1e-10 * scale:
                 if abs(direct - s11) > 1e-8 * scale:
                     raise SolveError(
@@ -532,26 +532,23 @@ def limit_probe(case, model, direction):
     return {q: _classify([getattr(r, q) for r in probe_rows]) for q in quantities}
 
 
+@np.errstate(all="ignore")
 def dilatation_response(model, k):
     """Mean Cauchy stress under pure dilatation F = k I.
 
     Mixed kind: (mu/J)(k^2 - 1) + lam_e h'(J); vol-iso kind: K h'(J), both
     with J = k^3. Matches the mean stress of the full stress evaluation. A
-    stress beyond the float range is +-inf. A k whose J is not a positive
-    finite float raises ``ValueError``.
+    stress beyond the float range is +-inf, with no numpy warning. A k
+    whose J is not a positive finite float raises ``ValueError``.
     """
     if model.kind == "inc":
         raise ValueError("dilatation requires a compressible kind")
     if not k > 0.0:
         raise ValueError("dilatation stretch must be positive")
-    with np.errstate(over="ignore", under="ignore"):
-        J = np.float64(k) ** 3
+    J = np.float64(k) ** 3
     if not 0.0 < J < math.inf:
         raise ValueError(f"dilatation stretch k = {k:g} puts J = k^3 outside the float range")
-    hp = evaluate(model.volfun, J).hp
-    with np.errstate(over="ignore", divide="ignore"):
-        if model.kind == "voliso":
-            return model.params.K * hp
-        # lam_e = 0 (nu = 0) drops the volumetric term, even where h' is inf
-        vol = model.params.lam * hp if model.params.lam else 0.0
-        return (model.params.mu / J) * (k * k - 1.0) + vol
+    vol = model.volumetric_term(evaluate(model.volfun, J).hp)
+    if model.kind == "voliso":
+        return vol
+    return model.shear_factor(J) * (k * k - 1.0) + vol

@@ -176,6 +176,8 @@ class ModelSpec:
     Admissibility is validated here once: the mixed kind needs lam >= 0
     (0 <= nu < 1/2), the vol-iso kind only K > 0 (-1 < nu < 1/2), and
     nu = 1/2 is rejected for both with a pointer to the incompressible kind.
+    The compressible kinds differ in two scalar factors, stated once here:
+    :meth:`shear_factor` and :meth:`volumetric_term` (callers hold the errstate).
     """
 
     kind: str
@@ -215,6 +217,21 @@ class ModelSpec:
     def vol_iso(cls, volfun, mu, nu):
         return cls("voliso", volfun, params_from_mu_nu(mu, nu))
 
+    def shear_factor(self, J):
+        """mu / J (mixed) or mu J^(-5/3) (vol-iso), the factor of c - I or dev c
+        in the Cauchy stress; inf past the float range, never OverflowError."""
+        if self.kind == "mixed":
+            return self.params.mu / J
+        return self.params.mu * np.float64(J) ** (-5.0 / 3.0)
+
+    def volumetric_term(self, column):
+        """lam or K times a scalar column of h (h, h', chi, ...); 0.0 for the mixed
+        kind at nu = 0, which has no volumetric term, even where the column is not finite."""
+        if self.kind == "mixed":
+            lam = self.params.lam
+            return lam * column if lam or math.isfinite(column) else 0.0
+        return self.params.K * column
+
 
 @dataclass(frozen=True)
 class StressResult:
@@ -245,13 +262,15 @@ def _check_p(model, p):
         raise ValueError("the incompressible kind requires the multiplier p")
 
 
+@np.errstate(all="ignore")
 def energy(model, F, p=None):
     """Strain energy density W(F) (per reference volume).
 
     For the incompressible kind the multiplier enters as the conjugate of
     (J - 1); the energy is written so that its F-gradient reproduces the
     ``mu (c - I) - p I`` stress parameterization on the J = 1 manifold:
-    ``W = mu (|F|^2 - 3)/2 - (mu + p)(J - 1)``.
+    ``W = mu (|F|^2 - 3)/2 - (mu + p)(J - 1)``. An energy beyond the float
+    range is inf, with no numpy warning; det F <= 0 raises ``ValueError``.
     """
     _check_p(model, p)
     F = np.asarray(F, dtype=float)
@@ -262,33 +281,30 @@ def energy(model, F, p=None):
     norm2 = float(np.tensordot(F, F, axes=2))
     if model.kind == "inc":
         return 0.5 * mu * (norm2 - 3.0) - (mu + p) * (J - 1.0)
-    h = evaluate(model.volfun, J).h
+    vol = model.volumetric_term(evaluate(model.volfun, J).h)
     if model.kind == "mixed":
-        return 0.5 * mu * (norm2 - 3.0 - 2.0 * math.log(J)) + model.params.lam * h
+        return 0.5 * mu * (norm2 - 3.0 - 2.0 * math.log(J)) + vol
     # voliso: |Fbar|^2 = J^(-2/3) |F|^2; the log of the modified volume
     # ratio is identically zero and contributes nothing
-    return 0.5 * mu * (J ** (-2.0 / 3.0) * norm2 - 3.0) + model.params.K * h
+    return 0.5 * mu * (J ** (-2.0 / 3.0) * norm2 - 3.0) + vol
 
 
+@np.errstate(all="ignore")
 def cauchy_stress(model, F, p=None):
-    """Total-form Cauchy stress, with Kirchhoff and first P-K derived."""
+    """Total-form Cauchy stress, with Kirchhoff and first P-K derived. An
+    entry beyond the float range is +-inf or NaN (inf * 0), with no numpy
+    warning; det F <= 0 raises ``ValueError``."""
     _check_p(model, p)
     F = np.array(F, dtype=float)  # a copy: first_pk reads it later
     J = float(np.linalg.det(F))
     if not J > 0.0:
         raise ValueError(f"deformation gradient must have positive determinant, got {J}")
-    mu = model.params.mu
     c = F @ F.T
     if model.kind == "inc":
-        sigma = mu * (c - I3) - p * I3
-    elif model.kind == "mixed":
-        hp, lam = evaluate(model.volfun, J).hp, model.params.lam
-        # lam = 0 (nu = 0) has no volumetric term: skip 0 * h' where h' is not finite
-        vol = lam * hp if lam or math.isfinite(hp) else 0.0
-        sigma = (mu / J) * (c - I3) + vol * I3
+        sigma = model.params.mu * (c - I3) - p * I3
     else:
-        hp = evaluate(model.volfun, J).hp
-        sigma = mu * J ** (-5.0 / 3.0) * dev(c) + model.params.K * hp * I3
+        shear = model.shear_factor(J) * (c - I3 if model.kind == "mixed" else dev(c))
+        sigma = shear + model.volumetric_term(evaluate(model.volfun, J).hp) * I3
     return StressResult(cauchy=sigma, kirchhoff=J * sigma, F=F)
 
 
@@ -300,7 +316,7 @@ def linear_stress(params, eps, decoupled=False):
     K = lam + 2 mu / 3.
     """
     eps = sym(np.asarray(eps, dtype=float))
-    tr = float(np.trace(eps))
+    tr = float(trace(eps))
     if decoupled:
         return 2.0 * params.mu * dev(eps) + params.K * tr * I3
     return params.lam * tr * I3 + 2.0 * params.mu * eps

@@ -42,7 +42,7 @@ import numpy as np
 
 from nhcomp.kinematics import rate_from_motion
 from nhcomp.materials import PAPER_NUS, ModelSpec, cauchy_stress, mantissa_params, params_from_mu_nu
-from nhcomp.tensor3 import I3, apply4, ddot, dev, outer, sym_outer
+from nhcomp.tensor3 import I3, apply4, ddot, dev, outer, sym_outer, trace
 from nhcomp.volfun import VolFun, evaluate, evaluate_grid
 
 __all__ = [
@@ -70,13 +70,15 @@ __all__ = [
 # objective rates
 
 
+@np.errstate(all="ignore")
 def zj_rate(model, state, rate, pdot=None):
     """Zaremba-Jaumann rate of the stress response, in closed form.
 
     Returns the ZJ rate of the Kirchhoff stress for the compressible kinds.
     For the incompressible kind it returns the ZJ rate of the Cauchy stress,
     ``-pdot I + mu (dc + cd)``, and ``pdot`` is required; the formula is
-    meaningful on isochoric rates (tr d = 0).
+    meaningful on isochoric rates (tr d = 0). An entry beyond the float
+    range is +-inf or NaN (inf * 0), with no numpy warning.
     """
     c, d, J = state.c, rate.d, state.J
     mu = model.params.mu
@@ -85,15 +87,12 @@ def zj_rate(model, state, rate, pdot=None):
         if pdot is None:
             raise ValueError("the incompressible kind requires pdot")
         return -pdot * I3 + mu * dc_cd
-    trd = float(np.trace(d))
-    ev = evaluate(model.volfun, J)
+    trd = float(trace(d))
+    vol = model.volumetric_term(evaluate(model.volfun, J).chi) * J * trd * I3
     if model.kind == "mixed":
-        lam = model.params.lam
-        # lam = 0 (nu = 0) has no volumetric term: skip 0 * chi where chi is not finite
-        vol = lam * ev.chi if lam or math.isfinite(ev.chi) else 0.0
-        return mu * dc_cd + vol * J * trd * I3
+        return mu * dc_cd + vol
     iso = dc_cd - (2.0 / 3.0) * (dev(c) * trd + ddot(c, d) * I3)
-    return model.params.K * ev.chi * J * trd * I3 + mu * J ** (-2.0 / 3.0) * iso
+    return vol + mu * J ** (-2.0 / 3.0) * iso
 
 
 def oldroyd_rate(model, state, rate):
@@ -123,7 +122,7 @@ def bh_rate(model, state, rate):
 def _letters(state, d):
     lam2 = np.asarray(state.stretches) ** 2
     projections = state.projections
-    trd = float(np.trace(d))
+    trd = float(trace(d))
     P = 0.0
     R = 0.0
     n = len(projections)
@@ -236,9 +235,9 @@ def _report(contraction, model, state, d, value):
     at the scale of its recomposition's terms. Call under an errstate."""
     P, R, B, C, F = _letters(state, d)
     _crosscheck_A(state, d, P, R)
-    J, prm = state.J, model.params
+    J, prm = np.float64(state.J), model.params  # so a power past the float range is inf
     ev = evaluate(model.volfun, J)
-    w, a, shift = _coaxial_form(model.kind, contraction, prm.mu, J, float(np.trace(state.c)))
+    w, a, shift = _coaxial_form(model.kind, contraction, prm.mu, J, trace(state.c))
     column = ev.chi if contraction == "hill" else ev.hpp
     c = _volumetric_c(model.kind, contraction, prm, J, column)
     reco = w * (P + R - a * B) + (c + shift) * F
@@ -247,6 +246,7 @@ def _report(contraction, model, state, d, value):
     return ContractionReport(contraction, value, _glossary(P, R, B, C, F), reco, verdict)
 
 
+@np.errstate(all="ignore")
 def hill_contraction(model, state, rate):
     """Hill-type contraction ZJ[tau]:d with spectral breakdown.
 
@@ -254,26 +254,25 @@ def hill_contraction(model, state, rate):
     tensors and the contraction reduces to ``mu A``.
     """
     d = rate.d
-    with np.errstate(all="ignore"):
-        if model.kind != "inc":
-            return _report("hill", model, state, d, ddot(zj_rate(model, state, rate), d))
-        dt = d - (np.trace(d) / 3.0) * I3
-        P, R, B, C, F = _letters(state, dt)
-        mu = model.params.mu
-        value = mu * _crosscheck_A(state, dt, P, R)
-        verdict = classify_value(value, abs(value))
-        return ContractionReport("hill", value, _glossary(P, R, B, C, F), mu * (P + R), verdict)
+    if model.kind != "inc":
+        return _report("hill", model, state, d, ddot(zj_rate(model, state, rate), d))
+    dt = d - (trace(d) / 3.0) * I3
+    P, R, B, C, F = _letters(state, dt)
+    mu = model.params.mu
+    value = mu * _crosscheck_A(state, dt, P, R)
+    verdict = classify_value(value, abs(value))
+    return ContractionReport("hill", value, _glossary(P, R, B, C, F), mu * (P + R), verdict)
 
 
+@np.errstate(all="ignore")
 def csp_contraction(model, state, rate):
     """Corotational contraction ZJ[sigma]:d = (1/J) ZJ[tau]:d - (sigma:d) tr d."""
     if model.kind == "inc":
         raise ValueError("the corotational contraction is defined here for compressible kinds")
     d, J = rate.d, state.J
-    with np.errstate(all="ignore"):
-        sigma = cauchy_stress(model, state.F).cauchy
-        value = ddot(zj_rate(model, state, rate), d) / J - ddot(sigma, d) * float(np.trace(d))
-        return _report("csp", model, state, d, value)
+    sigma = cauchy_stress(model, state.F).cauchy
+    value = ddot(zj_rate(model, state, rate), d) / J - ddot(sigma, d) * float(trace(d))
+    return _report("csp", model, state, d, value)
 
 
 # --------------------------------------------------------------------------
@@ -357,6 +356,7 @@ def _beyond_float_range(model, J):
     )
 
 
+@np.errstate(all="ignore")
 def tangents(model, state):
     """Spatial tangents: c_tr : d = Oldroyd[tau]/J, c_bh = c_tr + stress terms.
 
@@ -367,9 +367,8 @@ def tangents(model, state):
     if model.kind == "inc":
         raise ValueError("tangent tensors are unsupported for the incompressible kind")
     c_tr = _c_tr(model, state)
-    with np.errstate(all="ignore"):
-        sigma = cauchy_stress(model, state.F).cauchy
-        c_bh = c_tr + sym_outer(I3, sigma) + sym_outer(sigma, I3)
+    sigma = cauchy_stress(model, state.F).cauchy
+    c_bh = c_tr + sym_outer(I3, sigma) + sym_outer(sigma, I3)
     if not np.isfinite(c_bh).all():
         raise _beyond_float_range(model, state.J)
     return TangentPair(c_tr=c_tr, c_bh=c_bh)
@@ -377,29 +376,24 @@ def tangents(model, state):
 
 def _c_tr(model, state):
     """The Truesdell tangent c_tr of a compressible model, unchecked: an
-    entry beyond the float range is inf or NaN."""
+    entry beyond the float range is inf or NaN. Call under an errstate."""
     J = state.J
-    mu = model.params.mu
     ev = evaluate(model.volfun, J)
-    with np.errstate(all="ignore"):
-        if model.kind == "mixed":
-            lam = model.params.lam
-            # lam = 0 (nu = 0) has no volumetric term: skip 0 * chi, 0 * h' where not finite
-            vol_chi = lam * ev.chi if lam or math.isfinite(ev.chi) else 0.0
-            vol_hp = lam * J * ev.hp if lam or math.isfinite(ev.hp) else 0.0
-            return vol_chi * _II + (2.0 / J) * (mu - vol_hp) * _IsI
-        K = model.params.K
-        c = state.c
-        trc = float(np.trace(c))
-        w = mu * J ** (-5.0 / 3.0)
-        # outer(dev(c), I3) is the symmetrized dyad (dev c (x) I + I (x) dev c)/2
-        return (
-            K * ev.chi * _II
-            - 2.0 * K * ev.hp * _IsI
-            + (2.0 / 3.0) * w * trc * _IsI
-            - (2.0 / 9.0) * w * trc * _II
-            - (4.0 / 3.0) * w * outer(dev(c), I3)
-        )
+    vol_chi = model.volumetric_term(ev.chi) * _II
+    if model.kind == "mixed":
+        lam = model.params.lam
+        vol_hp = lam * J * ev.hp if lam or math.isfinite(ev.hp) else 0.0
+        return vol_chi + (2.0 / J) * (model.params.mu - vol_hp) * _IsI
+    c, w = state.c, model.shear_factor(J)
+    trc = float(trace(c))
+    # outer(dev(c), I3) is the symmetrized dyad (dev c (x) I + I (x) dev c)/2
+    return (
+        vol_chi
+        - 2.0 * model.params.K * ev.hp * _IsI
+        + (2.0 / 3.0) * w * trc * _IsI
+        - (2.0 / 9.0) * w * trc * _II
+        - (4.0 / 3.0) * w * outer(dev(c), I3)
+    )
 
 
 # the central-difference step of tangent_fd_error and the seed of its
@@ -436,6 +430,7 @@ def _fd_motions(n_motions):
     return tuple(motions)
 
 
+@np.errstate(all="ignore")
 def tangent_fd_error(model, n_motions=10):
     """Max relative error of c_tr : d against a finite-difference Oldroyd rate.
 
@@ -453,15 +448,14 @@ def tangent_fd_error(model, n_motions=10):
     h = _FD_STEP
     worst = 0.0
     for F0, F_p, F_m, state, rate in _fd_motions(n_motions):
-        with np.errstate(all="ignore"):
-            tau_p = cauchy_stress(model, F_p).kirchhoff
-            tau_m = cauchy_stress(model, F_m).kirchhoff
-            tau_dot = (tau_p - tau_m) / (2.0 * h)
-            tau = cauchy_stress(model, F0).kirchhoff
-            old_fd = tau_dot - rate.l @ tau - tau @ rate.l.T
-            pred = apply4(_c_tr(model, state), rate.d) * state.J
-            scale = max(float(np.abs(old_fd).max()), 1e-12)
-            error = float(np.abs(pred - old_fd).max()) / scale
+        tau_p = cauchy_stress(model, F_p).kirchhoff
+        tau_m = cauchy_stress(model, F_m).kirchhoff
+        tau_dot = (tau_p - tau_m) / (2.0 * h)
+        tau = cauchy_stress(model, F0).kirchhoff
+        old_fd = tau_dot - rate.l @ tau - tau @ rate.l.T
+        pred = apply4(_c_tr(model, state), rate.d) * state.J
+        scale = max(float(np.abs(old_fd).max()), 1e-12)
+        error = float(np.abs(pred - old_fd).max()) / scale
         if not math.isfinite(error):
             raise _beyond_float_range(model, state.J)
         worst = max(worst, error)

@@ -3,6 +3,8 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from nhcomp.materials import (
     PAPER_NUS,
@@ -16,7 +18,7 @@ from nhcomp.materials import (
     params_from_mu_nu,
 )
 from nhcomp.tensor3 import I3
-from nhcomp.volfun import VolFun, catalog, evaluate
+from nhcomp.volfun import VolFun, catalog, evaluate, parse_volfun
 
 rng = np.random.default_rng(52408)
 
@@ -157,7 +159,77 @@ class TestModelSpec:
             assert params_from_mu_nu(1.0, nu_ok).nu == nu_ok
 
 
+# The per-site expressions the two ModelSpec methods replaced, kept as the
+# reference: the volumetric term with the mixed nu = 0 rule of the stress,
+# zj_rate and _c_tr, and the shear factor of cauchy_stress (Python float J,
+# which raised OverflowError past the float range) and solve (np.float64 J).
+def _old_volumetric_term(model, column):
+    if model.kind == "mixed":
+        lam = model.params.lam
+        return lam * column if lam or math.isfinite(column) else 0.0
+    return model.params.K * column
+
+
+def _old_shear_factor(model, J):
+    mu = model.params.mu
+    return mu / J if model.kind == "mixed" else mu * J ** (-5.0 / 3.0)
+
+
+_COLUMNS = hst.one_of(
+    hst.sampled_from((math.inf, -math.inf, math.nan, 0.0, -0.0)),
+    hst.floats(allow_nan=True, allow_infinity=True),
+)
+_KIND_NU = [("mixed", nu) for nu in PAPER_NUS] + [("voliso", nu) for nu in (*PAPER_NUS, -0.5)]
+
+
+class TestScalarFactors:
+    @settings(max_examples=400)
+    @given(
+        kind_nu=hst.sampled_from(_KIND_NU),
+        mu=hst.floats(0.5, 3.0),
+        log10_J=hst.floats(-300.0, 300.0),
+        column=_COLUMNS,
+    )
+    def test_methods_match_the_inline_forms_bit_for_bit(self, kind_nu, mu, log10_J, column):
+        kind, nu = kind_nu
+        model = ModelSpec(kind, catalog()[2], params_from_mu_nu(mu, nu))
+        got, want = [], []
+        with np.errstate(all="ignore"):
+            for col in (column, np.float64(column)):
+                got.append(model.volumetric_term(col))
+                want.append(_old_volumetric_term(model, col))
+            for J in (10.0**log10_J, np.float64(10.0**log10_J)):
+                got.append(model.shear_factor(J))
+                try:
+                    want.append(_old_shear_factor(model, J))
+                except OverflowError:  # the Python-float power; the method gives inf
+                    want.append(math.inf)
+        assert _hex(got) == _hex(want)
+
+    def test_mixed_nu_zero_drops_a_non_finite_column(self):
+        model = ModelSpec.mixed(catalog()[2], 1.0, 0.0)
+        for column in (math.inf, -math.inf, math.nan):
+            assert float.hex(model.volumetric_term(column)) == float.hex(0.0)
+        voliso = ModelSpec.vol_iso(catalog()[2], 1.0, 0.0)
+        assert voliso.volumetric_term(math.inf) == math.inf
+
+    def test_voliso_shear_factor_overflows_to_inf(self):
+        model = ModelSpec.vol_iso(catalog()[2], 1.0, 0.3)
+        with np.errstate(over="ignore"):
+            assert model.shear_factor(1e-200) == math.inf
+
+
 class TestEnergy:
+    @pytest.mark.parametrize("s", (1e-70, 1e70))
+    def test_mixed_nu_zero_energy_is_its_shear_part(self, s):
+        # h of hn:5 overflows at J = 1e-+70; nu = 0 has no volumetric term
+        model = ModelSpec.mixed(parse_volfun("hn:5"), 1.0, 0.0)
+        F = np.diag([s, 1.0, 1.0])
+        assert evaluate(model.volfun, s).h == math.inf
+        norm2 = float(np.tensordot(F, F, axes=2))
+        shear = 0.5 * 1.0 * (norm2 - 3.0 - 2.0 * math.log(s))
+        assert float.hex(energy(model, F)) == float.hex(shear)
+
     def test_zero_at_identity(self):
         vf = catalog()[3]
         assert energy(ModelSpec.incompressible(MU), I3, p=0.37) == pytest.approx(0.0, abs=1e-15)

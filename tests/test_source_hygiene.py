@@ -9,6 +9,9 @@ leave the old helper or its import behind.
 A name listed in ``__all__`` must in turn be used by more than unit tests:
 by package code, ``tests/test_acceptance.py`` or a backticked span of
 ``README.md``. Only the names in ``_TEST_REFERENCES`` are exempt.
+
+No module calls ``np.trace``: ``tensor3.trace`` gives its bits on a 3x3
+array at a fraction of its cost.
 """
 
 import ast
@@ -147,3 +150,17 @@ def test_each_kept_test_reference_is_read_by_its_test(name):
             if isinstance(n, (ast.ClassDef, ast.FunctionDef)) and n.name == part
         )
     assert name in _loaded(node)
+
+
+@pytest.mark.parametrize("name", sorted(_MODULES))
+def test_no_module_calls_np_trace(name):
+    lines = [
+        node.lineno
+        for node in ast.walk(_MODULES[name])
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "trace"
+        and isinstance(node.func.value, ast.Name)
+        and node.func.value.id in ("np", "numpy")
+    ]
+    assert not lines, f"{name} calls np.trace on lines {lines}; use tensor3.trace"
