@@ -12,6 +12,14 @@ stability      minimum coaxial contraction eigenvalue per model over a
 tangent-check  finite-difference verification of the spatial tangent
 table-repro    observed vs reference limit classes for tables 3, 4 and 6
 
+Importing this module loads numpy, ``materials`` and ``volfun``, which every
+subcommand uses. Each subcommand imports the layer it runs when it runs:
+``sweep``, ``limits``, ``dilatation`` and ``table-repro`` import the solver
+(``homsolve``); ``stability`` and ``tangent-check`` import ``stability``
+(and with it ``kinematics``); ``audit-volfun`` and ``--help`` import
+neither. Every call of the command starts a fresh interpreter, so this keeps
+each command from paying for the other layer.
+
 Output is CSV only: a header row, LF line endings, ``.`` as the decimal
 separator, and floats printed with 17 significant digits. A given argv
 produces byte-identical output on every run. ``--jobs`` is accepted for
@@ -37,9 +45,7 @@ import sys
 
 import numpy as np
 
-from nhcomp import homsolve as hs
-from nhcomp import stability as st
-from nhcomp.materials import PAPER_NUS, ModelSpec, params_from_E_nu, params_from_mu_nu
+from nhcomp.materials import CASES, PAPER_NUS, ModelSpec, params_from_E_nu, params_from_mu_nu
 from nhcomp.volfun import audit, catalog, parse_volfun
 
 EXIT_OK = 0
@@ -166,6 +172,8 @@ def _cmd_audit_volfun(args):
 
 
 def _cmd_sweep(args):
+    from nhcomp import homsolve as hs
+
     spec = hs.SweepSpec(args.lam_min, args.lam_max, args.points, log=args.log)
     grid = spec.grid()
     multi = args.nu_set is not None
@@ -195,6 +203,8 @@ def _cmd_sweep(args):
 
 
 def _cmd_limits(args):
+    from nhcomp import homsolve as hs
+
     model = _model(args, args.model, args.volfun, args.nu)
     header = ["quantity", "direction", "class", "constant"]
     rows, ok = [], True
@@ -207,6 +217,8 @@ def _cmd_limits(args):
 
 
 def _cmd_dilatation(args):
+    from nhcomp import homsolve as hs
+
     model = _model(args, args.model, args.volfun, args.nu)
     ks = hs.SweepSpec(args.k_min, args.k_max, args.points, log=False).grid()
     header = ["k", "sigma_m", "p"]
@@ -218,6 +230,8 @@ def _cmd_dilatation(args):
 
 
 def _cmd_stability(args):
+    from nhcomp import stability as st
+
     kinds = ("mixed", "voliso") if args.model == "both" else (args.model,)
     nus = _nu_list(args)
     grid = st.stretch_grid(args.grid_n)
@@ -256,6 +270,8 @@ def _cmd_stability(args):
 
 
 def _cmd_tangent_check(args):
+    from nhcomp import stability as st
+
     header = ["model", "volfun", "max_rel_error"]
     rows = []
     for kind in ("mixed", "voliso"):
@@ -399,6 +415,8 @@ def _token_match(token, lc, params):
 
 
 def _cmd_table_repro(args):
+    from nhcomp import homsolve as hs
+
     case, vids, quantities, cells = _reference_cells(args.table)
     header = [
         "table",
@@ -550,7 +568,7 @@ def _build_parser():
     p.set_defaults(func=_cmd_audit_volfun)
 
     p = sub.add_parser("sweep", help="solve a homogeneous case over a stretch grid")
-    p.add_argument("--case", choices=hs.CASES, required=True, help="loading case")
+    p.add_argument("--case", choices=CASES, required=True, help="loading case")
     p.add_argument("--lam-min", type=float, required=True, help="smallest axial stretch")
     p.add_argument("--lam-max", type=float, required=True, help="largest axial stretch")
     p.add_argument(
@@ -564,7 +582,7 @@ def _build_parser():
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("limits", help="classify the stretch-extreme trends of one model")
-    p.add_argument("--case", choices=hs.CASES, required=True, help="loading case")
+    p.add_argument("--case", choices=CASES, required=True, help="loading case")
     _add_model(p, "--mu", "--E", "--nu")
     p.set_defaults(func=_cmd_limits)
 

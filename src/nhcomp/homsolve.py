@@ -45,7 +45,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from nhcomp import _kernels as _k
-from nhcomp.materials import ModelSpec, cauchy_stress, mantissa_params
+from nhcomp.materials import CASES, ModelSpec, cauchy_stress, mantissa_params
 from nhcomp.volfun import evaluate
 
 __all__ = [
@@ -65,8 +65,6 @@ __all__ = [
     "limit_probe",
     "dilatation_response",
 ]
-
-CASES = ("ul", "elp", "ulp")
 
 
 def _checked(case):

@@ -68,14 +68,17 @@ def kinematics_from_F(F):
     """Build a :class:`DeformationState` from a deformation gradient.
 
     Raises ``ValueError`` if ``det F <= 0`` (inverted or degenerate
-    deformation).
+    deformation). An entry of ``c`` past the float range is inf, and the
+    spectral data of a ``c`` at or near that range are NaN, with no numpy
+    warning.
     """
     F = np.asarray(F, dtype=float)
     J = float(np.linalg.det(F))
     if not J > 0.0:
         raise ValueError(f"deformation gradient must have positive determinant, got det F = {J}")
-    c = F @ F.T
-    dec = spectral(c)
+    with np.errstate(over="ignore"):  # F F^T, and sym(c) in spectral
+        c = F @ F.T
+        dec = spectral(c)
     stretches = tuple(float(np.sqrt(max(v, 0.0))) for v in dec.values)
     return DeformationState(F=F, J=J, c=c, decomp=dec, stretches=stretches)
 

@@ -46,6 +46,10 @@ __all__ = [
 
 KINDS = ("inc", "mixed", "voliso")
 
+# the homogeneous load cases of ``homsolve``; stated here so that the CLI
+# parser can list them without importing the solver
+CASES = ("ul", "elp", "ulp")
+
 # the Poisson ratios of the paper's published curves, in ascending order
 PAPER_NUS = (0.0, 0.25, 0.4, 0.45, 0.499, 0.4999)
 
@@ -289,11 +293,22 @@ def energy(model, F, p=None):
     return 0.5 * mu * (J ** (-2.0 / 3.0) * norm2 - 3.0) + vol
 
 
+def _scaled(factor, tensor):
+    """factor * tensor, where an exact zero of the tensor stays 0 at a factor
+    that is not finite (inf * 0 would be NaN). Call under an errstate."""
+    out = factor * tensor
+    if not math.isfinite(factor):
+        out[tensor == 0.0] = 0.0
+    return out
+
+
 @np.errstate(all="ignore")
 def cauchy_stress(model, F, p=None):
     """Total-form Cauchy stress, with Kirchhoff and first P-K derived. An
-    entry beyond the float range is +-inf or NaN (inf * 0), with no numpy
-    warning; det F <= 0 raises ``ValueError``."""
+    entry beyond the float range is +-inf, or NaN where two infinite terms
+    cancel (inf - inf); an infinite factor times an exact zero of c - I,
+    dev c or I gives 0, not NaN. No numpy warning leaks; det F <= 0 raises
+    ``ValueError``."""
     _check_p(model, p)
     F = np.array(F, dtype=float)  # a copy: first_pk reads it later
     J = float(np.linalg.det(F))
@@ -303,8 +318,8 @@ def cauchy_stress(model, F, p=None):
     if model.kind == "inc":
         sigma = model.params.mu * (c - I3) - p * I3
     else:
-        shear = model.shear_factor(J) * (c - I3 if model.kind == "mixed" else dev(c))
-        sigma = shear + model.volumetric_term(evaluate(model.volfun, J).hp) * I3
+        shear = _scaled(model.shear_factor(J), c - I3 if model.kind == "mixed" else dev(c))
+        sigma = shear + _scaled(model.volumetric_term(evaluate(model.volfun, J).hp), I3)
     return StressResult(cauchy=sigma, kirchhoff=J * sigma, F=F)
 
 

@@ -1,13 +1,14 @@
 """End-to-end checks of the command-line front end.
 
 Subcommands run in-process through ``cli.main`` so stdout/stderr can be
-captured cheaply; one test goes through a real subprocess to cover the
-module entry point.
+captured cheaply; a few tests go through a real subprocess to cover the
+module entry point and the modules that a fresh interpreter imports.
 """
 
 import contextlib
 import csv
 import io
+import json
 import math
 import os
 import re
@@ -21,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 import nhcomp
-from nhcomp import cli
+from nhcomp import cli, materials
 from nhcomp import homsolve as hs
 from nhcomp import stability as st
 from nhcomp.materials import ModelSpec, cauchy_stress
@@ -972,6 +973,60 @@ def test_module_entry_point_runs_in_a_subprocess():
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0].startswith("volfun,")
     assert len(proc.stdout.splitlines()) == 9
+
+
+# Run in a fresh interpreter: import nhcomp.cli, run one argv (if any), and
+# print which of the package's layers and numpy are loaded.
+_LOADED_AFTER = """
+import contextlib, io, json, sys
+import nhcomp.cli
+argv = json.loads(sys.argv[1])
+if argv:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert nhcomp.cli.main(argv) == 0
+names = ("numpy", "materials", "volfun", "homsolve", "stability", "kinematics")
+print(" ".join(n for n in names if ("" if n == "numpy" else "nhcomp.") + n in sys.modules))
+"""
+
+_BASE = "numpy materials volfun"
+_SOLVER = f"{_BASE} homsolve"
+_STABILITY = f"{_BASE} stability kinematics"
+_SWEEP = "sweep --case ul --model mixed --volfun 4 --nu 0.3 --lam-min 0.5 --lam-max 2 --points 3"
+_LAYERS_LOADED = {
+    "import": ("", _BASE),
+    "audit-volfun": ("audit-volfun", _BASE),
+    "sweep": (_SWEEP, _SOLVER),
+    "limits": ("limits --case elp --model voliso --volfun 2 --nu 0.3", _SOLVER),
+    "dilatation": ("dilatation --model voliso --volfun 2 --nu 0.3 --points 3", _SOLVER),
+    "table-repro": ("table-repro --table 4", _SOLVER),
+    "stability": ("stability --volfun 1 --nu 0.3 --grid-n 2", _STABILITY),
+    "tangent-check": ("tangent-check --volfun 1 --nu 0.3 --motions 1", _STABILITY),
+}
+
+
+@pytest.mark.parametrize("argv, loaded", _LAYERS_LOADED.values(), ids=_LAYERS_LOADED.keys())
+def test_each_subcommand_imports_only_the_layers_it_runs(argv, loaded):
+    # the solver and the stability layer load in the subcommands that run
+    # them, so neither is paid for by the other's commands or by --help
+    src = os.path.dirname(os.path.dirname(nhcomp.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-c", _LOADED_AFTER, json.dumps(argv.split())],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == loaded.split()
+
+
+def test_the_case_names_are_stated_once():
+    sub = next(a for a in cli._build_parser()._actions if a.dest == "subcommand")
+    for name in ("sweep", "limits"):
+        case = next(a for a in sub.choices[name]._actions if a.dest == "case")
+        assert case.choices is materials.CASES
+    assert hs.CASES is materials.CASES
 
 
 class TestSharedParser:

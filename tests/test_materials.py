@@ -3,7 +3,7 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as hst
 
 from nhcomp.materials import (
@@ -17,7 +17,7 @@ from nhcomp.materials import (
     params_from_E_nu,
     params_from_mu_nu,
 )
-from nhcomp.tensor3 import I3
+from nhcomp.tensor3 import I3, dev
 from nhcomp.volfun import VolFun, catalog, evaluate, parse_volfun
 
 rng = np.random.default_rng(52408)
@@ -301,6 +301,46 @@ class TestCauchyStress:
         s = cauchy_stress(model, F)
         F[0, 0] += 1.0  # the result holds its own copy
         np.testing.assert_array_equal(s.first_pk, want)
+
+    @settings(max_examples=200)
+    @given(
+        kind=hst.sampled_from(("mixed", "voliso")),
+        vid=hst.sampled_from(sorted(catalog())),
+        nu=hst.sampled_from(PAPER_NUS),
+        log10_s=hst.floats(-150.0, 150.0),
+        shear=hst.floats(-1.0, 1.0),
+    )
+    def test_finite_factors_give_the_plain_products_bit_for_bit(
+        self, kind, vid, nu, log10_s, shear
+    ):
+        # the zero-keeping branch runs only at a factor that is not finite
+        model = ModelSpec(kind, catalog()[vid], params_from_mu_nu(MU, nu))
+        F = np.array([[10.0**log10_s, shear, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+        J = float(np.linalg.det(F))
+        with np.errstate(all="ignore"):
+            factor = model.shear_factor(J)
+            vol = model.volumetric_term(evaluate(model.volfun, J).hp)
+            c = F @ F.T
+            want = factor * (c - I3 if kind == "mixed" else dev(c)) + vol * I3
+        assume(math.isfinite(factor) and math.isfinite(vol))
+        assert _hex(cauchy_stress(model, F).cauchy) == _hex(want)
+
+    @pytest.mark.parametrize("kind", ("mixed", "voliso"))
+    @pytest.mark.parametrize("nu", PAPER_NUS)
+    def test_an_infinite_factor_keeps_the_exact_zeros(self, kind, nu):
+        # at F = diag(1e-200, 1, 1) mu J^(-5/3), and K h' or lam h' of some
+        # catalog members, overflow; every off-diagonal entry is exactly 0
+        F = np.diag([1e-200, 1.0, 1.0])
+        off = ~np.eye(3, dtype=bool)
+        for vid, vf in sorted(catalog().items()):
+            s = cauchy_stress(ModelSpec(kind, vf, params_from_mu_nu(1.0, nu)), F)
+            assert (s.cauchy[off] == 0.0).all() and (s.kirchhoff[off] == 0.0).all(), vid
+            assert s.cauchy[0, 0] < -1e199, vid
+        # vol-iso 2: an inf shear and a -inf volumetric term; the transverse
+        # diagonal is a genuine inf - inf
+        s = cauchy_stress(ModelSpec.vol_iso(catalog()[2], 1.0, 0.3), F)
+        assert s.cauchy[0, 0] == -math.inf and np.isnan(s.cauchy[1, 1])
+        assert (s.cauchy[off] == 0.0).all()
 
     def test_zero_at_identity(self):
         for vid in (1, 4, 7, 8):

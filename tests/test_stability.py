@@ -300,6 +300,26 @@ def test_a_non_finite_contraction_raises_without_a_warning(kind, contraction):
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
+@pytest.mark.parametrize("kind", ("mixed", "voliso"))
+@pytest.mark.parametrize("vid", sorted(catalog()))
+def test_contractions_at_a_vanishing_stretch_reach_a_verdict_or_no_verdict(kind, vid):
+    # F = diag(1e-200, 1, 1): the shear factor or the volumetric term may be
+    # infinite; each contraction returns a verdict or raises its documented
+    # ValueError (a value that is NaN or infinite has no verdict)
+    model = ModelSpec(kind, catalog()[vid], params_from_mu_nu(1.0, 0.3))
+    F = np.diag([1e-200, 1.0, 1.0])
+    shear = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    for d in (np.diag([1.0, 0.5, 0.0]), I3, shear):
+        state, rate = rate_from_motion(F, d @ F)
+        for contraction in (hill_contraction, csp_contraction):
+            try:
+                verdict = contraction(model, state, rate).verdict
+            except ValueError as err:
+                assert "has no sign verdict" in str(err)
+            else:
+                assert verdict in ("positive", "zero", "negative")
+
+
 class TestQuadFormE:
     def test_frozen_example(self):
         assert quad_form_E((1.0, 1.0, 1.0), (1.0, -1.0, 0.0)) == 18.0
