@@ -219,9 +219,9 @@ def closed_form_quadratic_mixed(case, lam, params, volfun=None):
 
 
 def _scan(args, u_lo, u_hi):
-    """The scan grid over u = ln(lamT) and the residual the kernel sampled there."""
-    with np.errstate(all="ignore"):
-        fs = _k.residual_scan(*args, u_lo, u_hi, _SCAN_POINTS)
+    """The scan grid over u = ln(lamT) and the residual the kernel sampled
+    there. Call under an errstate."""
+    fs = _k.residual_scan(*args, u_lo, u_hi, _SCAN_POINTS)
     return _k.scan_nodes(u_lo, u_hi, _SCAN_POINTS)[0], fs
 
 
@@ -432,11 +432,13 @@ def sweep(case, model, lams):
     return results
 
 
+@np.errstate(all="ignore")
 def non_monotone_quantities(results):
     """Names of lambda_T, sigma11, P11 and P22 that change direction over the sweep.
 
     Only converged points participate; direction changes below 1e-9 of the
-    quantity's magnitude are treated as noise.
+    quantity's magnitude are treated as noise. A step between infinite
+    values (NaN) counts as no change, with no numpy warning.
     """
     hits = []
     good = [r for r in results if r.converged]

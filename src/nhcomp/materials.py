@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from nhcomp.tensor3 import I3, dev, sym, trace
+from nhcomp.tensor3 import I3, dev, scaled, sym, trace
 from nhcomp.volfun import VolFun, evaluate
 
 __all__ = [
@@ -245,7 +245,8 @@ class StressResult:
     a copy of the deformation gradient ``F``. ``first_pk`` (tau F^-T) and
     ``mean_stress`` (tr sigma / 3) are computed from ``F``, ``kirchhoff``
     and ``cauchy`` on first read and kept; most callers read only one
-    tensor.
+    tensor. Neither leaks a numpy warning, and in ``first_pk`` an infinite
+    entry times an exact zero adds 0, as in :func:`cauchy_stress`.
     """
 
     cauchy: np.ndarray
@@ -253,10 +254,17 @@ class StressResult:
     F: np.ndarray
 
     @functools.cached_property
+    @np.errstate(all="ignore")
     def first_pk(self):
-        return self.kirchhoff @ np.linalg.inv(self.F).T
+        tau, inv_ft = self.kirchhoff, np.linalg.inv(self.F).T
+        if np.isfinite(tau).all() and np.isfinite(inv_ft).all():
+            return tau @ inv_ft
+        terms = tau[:, :, None] * inv_ft  # tau_ij (F^-T)_jk, summed over j
+        terms[(tau == 0.0)[:, :, None] | (inv_ft == 0.0)] = 0.0
+        return terms.sum(axis=1)
 
     @functools.cached_property
+    @np.errstate(all="ignore")
     def mean_stress(self):
         return float(trace(self.cauchy)) / 3.0
 
@@ -293,15 +301,6 @@ def energy(model, F, p=None):
     return 0.5 * mu * (J ** (-2.0 / 3.0) * norm2 - 3.0) + vol
 
 
-def _scaled(factor, tensor):
-    """factor * tensor, where an exact zero of the tensor stays 0 at a factor
-    that is not finite (inf * 0 would be NaN). Call under an errstate."""
-    out = factor * tensor
-    if not math.isfinite(factor):
-        out[tensor == 0.0] = 0.0
-    return out
-
-
 @np.errstate(all="ignore")
 def cauchy_stress(model, F, p=None):
     """Total-form Cauchy stress, with Kirchhoff and first P-K derived. An
@@ -318,20 +317,22 @@ def cauchy_stress(model, F, p=None):
     if model.kind == "inc":
         sigma = model.params.mu * (c - I3) - p * I3
     else:
-        shear = _scaled(model.shear_factor(J), c - I3 if model.kind == "mixed" else dev(c))
-        sigma = shear + _scaled(model.volumetric_term(evaluate(model.volfun, J).hp), I3)
+        shear = scaled(model.shear_factor(J), c - I3 if model.kind == "mixed" else dev(c))
+        sigma = shear + scaled(model.volumetric_term(evaluate(model.volfun, J).hp), I3)
     return StressResult(cauchy=sigma, kirchhoff=J * sigma, F=F)
 
 
+@np.errstate(all="ignore")
 def linear_stress(params, eps, decoupled=False):
     """Small-strain isotropic stress in coupled or decoupled form.
 
     Coupled: ``lam tr(eps) I + 2 mu eps``. Decoupled:
     ``2 mu dev(eps) + K tr(eps) I``. The two agree identically because
-    K = lam + 2 mu / 3.
+    K = lam + 2 mu / 3. An entry beyond the float range is +-inf, with no
+    numpy warning; an infinite factor times an exact zero of I gives 0.
     """
     eps = sym(np.asarray(eps, dtype=float))
     tr = float(trace(eps))
     if decoupled:
-        return 2.0 * params.mu * dev(eps) + params.K * tr * I3
-    return params.lam * tr * I3 + 2.0 * params.mu * eps
+        return 2.0 * params.mu * dev(eps) + scaled(params.K * tr, I3)
+    return scaled(params.lam * tr, I3) + 2.0 * params.mu * eps

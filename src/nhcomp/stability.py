@@ -42,7 +42,7 @@ import numpy as np
 
 from nhcomp.kinematics import rate_from_motion
 from nhcomp.materials import PAPER_NUS, ModelSpec, cauchy_stress, mantissa_params, params_from_mu_nu
-from nhcomp.tensor3 import I3, apply4, ddot, dev, outer, sym_outer, trace
+from nhcomp.tensor3 import I3, apply4, ddot, dev, outer, scaled, sym_outer, trace
 from nhcomp.volfun import VolFun, evaluate, evaluate_grid
 
 __all__ = [
@@ -78,7 +78,8 @@ def zj_rate(model, state, rate, pdot=None):
     For the incompressible kind it returns the ZJ rate of the Cauchy stress,
     ``-pdot I + mu (dc + cd)``, and ``pdot`` is required; the formula is
     meaningful on isochoric rates (tr d = 0). An entry beyond the float
-    range is +-inf or NaN (inf * 0), with no numpy warning.
+    range is +-inf or NaN, with no numpy warning; the volumetric part is 0
+    where tr d or the entry of I is 0, even at an infinite chi J.
     """
     c, d, J = state.c, rate.d, state.J
     mu = model.params.mu
@@ -88,13 +89,14 @@ def zj_rate(model, state, rate, pdot=None):
             raise ValueError("the incompressible kind requires pdot")
         return -pdot * I3 + mu * dc_cd
     trd = float(trace(d))
-    vol = model.volumetric_term(evaluate(model.volfun, J).chi) * J * trd * I3
+    vol = scaled(model.volumetric_term(evaluate(model.volfun, J).chi) * J, trd * I3)
     if model.kind == "mixed":
         return mu * dc_cd + vol
     iso = dc_cd - (2.0 / 3.0) * (dev(c) * trd + ddot(c, d) * I3)
     return vol + mu * J ** (-2.0 / 3.0) * iso
 
 
+@np.errstate(all="ignore")
 def oldroyd_rate(model, state, rate):
     """Oldroyd rate of the Kirchhoff stress: the ZJ rate minus d tau + tau d.
 
@@ -108,6 +110,7 @@ def oldroyd_rate(model, state, rate):
     return zj - rate.d @ tau - tau @ rate.d
 
 
+@np.errstate(all="ignore")
 def bh_rate(model, state, rate):
     """Rate pairing sigma-dot + (tr d) sigma; equals ZJ[tau]/J identically."""
     if model.kind == "inc":
@@ -220,14 +223,13 @@ def _volumetric_c(kind, contraction, params, J, column):
     Only c carries the volumetric factors that explode at the grid corners;
     the coaxial form's shear part stays at the shear-modulus scale, so the
     scan finds the minimum eigenvalue without forming the ill-conditioned
-    sum."""
+    sum. Call under an errstate."""
     coef = params.lam if kind == "mixed" else params.K
-    with np.errstate(over="ignore"):  # c may be inf at the grid corners
-        if coef == 0.0:
-            return np.zeros_like(J)
-        if contraction == "hill":
-            return coef * column * J
-        return coef * J * column
+    if coef == 0.0:
+        return np.zeros_like(J)
+    if contraction == "hill":
+        return coef * column * J
+    return coef * J * column
 
 
 def _report(contraction, model, state, d, value):
@@ -240,8 +242,10 @@ def _report(contraction, model, state, d, value):
     w, a, shift = _coaxial_form(model.kind, contraction, prm.mu, J, trace(state.c))
     column = ev.chi if contraction == "hill" else ev.hpp
     c = _volumetric_c(model.kind, contraction, prm, J, column)
-    reco = w * (P + R - a * B) + (c + shift) * F
-    scale = w * (P + R + a * abs(B)) + (abs(c) + shift) * F
+    # at tr d = 0 (F = 0) the volumetric part is 0, even where c is not finite
+    vol, vol_scale = ((c + shift) * F, (abs(c) + shift) * F) if F else (0.0, 0.0)
+    reco = w * (P + R - a * B) + vol
+    scale = w * (P + R + a * abs(B)) + vol_scale
     verdict = classify_value(value, scale)
     return ContractionReport(contraction, value, _glossary(P, R, B, C, F), reco, verdict)
 
@@ -269,9 +273,10 @@ def csp_contraction(model, state, rate):
     """Corotational contraction ZJ[sigma]:d = (1/J) ZJ[tau]:d - (sigma:d) tr d."""
     if model.kind == "inc":
         raise ValueError("the corotational contraction is defined here for compressible kinds")
-    d, J = rate.d, state.J
-    sigma = cauchy_stress(model, state.F).cauchy
-    value = ddot(zj_rate(model, state, rate), d) / J - ddot(sigma, d) * float(trace(d))
+    d, J, trd = rate.d, state.J, float(trace(rate.d))
+    # (sigma : d) tr d is 0 at tr d = 0, even where sigma is not finite
+    power = ddot(cauchy_stress(model, state.F).cauchy, d) * trd if trd else 0.0
+    value = ddot(zj_rate(model, state, rate), d) / J - power
     return _report("csp", model, state, d, value)
 
 
@@ -465,6 +470,8 @@ def tangent_fd_error(model, n_motions=10):
 # --------------------------------------------------------------------------
 # grid searches for violations
 
+_GRID_LO, _GRID_HI = -0.75, 0.75  # log10 of the smallest and largest grid stretch
+
 
 @dataclass(frozen=True)
 class Witness:
@@ -483,9 +490,9 @@ class Witness:
     value: float
 
 
-def stretch_grid(n, lo=-0.75, hi=0.75):
+def stretch_grid(n):
     """Deterministic log-spaced grid of n^3 diagonal stretch triples."""
-    axis = np.logspace(lo, hi, n)
+    axis = np.logspace(_GRID_LO, _GRID_HI, n)
     g = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1)
     return g.reshape(-1, 3)
 
@@ -509,12 +516,12 @@ class _ShearBlock:
     that depends only on (kind, contraction, mu, grid), never on the
     volumetric function or nu.
 
-    ``lower`` holds the six lower-triangle entries of S (from
-    :func:`_shear_matrices`) rotated by _TRACE_ROT, in the order of
-    ``_LOWER``, each a C-contiguous length-n vector; nothing reads the upper
-    triangle, and S itself is not kept. ``shift`` is the shear-scale summand
-    of the coefficient of ones (0.0 for the mixed Hill form, which has
-    none). Every array is read-only, since one block serves many calls.
+    ``lower`` holds the six lower-triangle entries of S rotated by
+    _TRACE_ROT (:func:`_rotate_lower`), in ``_LOWER`` order, each a
+    C-contiguous length-n vector; nothing reads the upper triangle. ``shift``
+    is the shear-scale summand of the coefficient of ones (0.0 for the mixed
+    Hill form, which has none). Every array is read-only, since one block
+    serves many calls.
     """
 
     lower: tuple  # (Sp00, Sp10, Sp20, Sp11, Sp21, Sp22), Sp = Q^T S Q
@@ -538,29 +545,25 @@ _LOWER = ((0, 0), (1, 0), (2, 0), (1, 1), (2, 1), (2, 2))
 _block_slot = [None]
 
 
-def _rotate_lower(S):
-    """The six lower-triangle entries of Q^T S Q, Q = _TRACE_ROT, for a batch
-    S of 3x3 matrices, as contiguous length-n vectors in ``_LOWER`` order.
+def _rotate_lower(entry, n):
+    """The six lower-triangle entries of Q^T S Q, Q = _TRACE_ROT, for n 3x3
+    matrices S whose S[:, j, k] is ``entry(j, k)`` (a vector or a scalar),
+    as contiguous length-n vectors in ``_LOWER`` order. Call under an errstate.
 
-    Entry (i, l) adds (Q[j, i] * S[:, j, k]) * Q[k, l] onto 0.0, j outer and
-    k inner: the order and rounding of ``np.einsum("ji,njk,kl->nil", Q, S,
-    Q)``, so every result matches it bit for bit, at a fraction of its time.
-    Only the sign bit of a NaN may differ, where two NaNs meet in one sum.
-    """
+    Each entry is formed once and S is never stored. Entry (i, l) adds
+    (Q[j, i] * S[:, j, k]) * Q[k, l] onto 0.0, j outer and k inner, so it
+    has the bits of ``np.einsum("ji,njk,kl->nil", Q, S, Q)``; only the sign
+    of a NaN may differ, where two NaNs meet in one sum."""
     Q = _TRACE_ROT
-    n = S.shape[0]
     term = np.empty(n)
-    lower = []
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i, l in _LOWER:
-            acc = np.zeros(n)
-            for j in range(3):
-                for k in range(3):
-                    np.multiply(Q[j, i], S[:, j, k], out=term)
-                    term *= Q[k, l]
-                    np.add(term, acc, out=acc)
-            lower.append(acc)
-    return tuple(lower)
+    lower = tuple(np.zeros(n) for _ in _LOWER)
+    for j, k in np.ndindex(3, 3):  # j outer, k inner
+        s_jk = entry(j, k)
+        for (i, l), acc in zip(_LOWER, lower):
+            np.multiply(Q[j, i], s_jk, out=term)
+            term *= Q[k, l]
+            np.add(term, acc, out=acc)
+    return lower
 
 
 def _max_abs(vectors):
@@ -571,40 +574,35 @@ def _max_abs(vectors):
     return scale
 
 
-def _shear_matrices(kind, contraction, mu, lams):
-    """The shear part S of the coaxial form M = S + (c + shift) * ones(3, 3)
-    of every state of a stretch grid, with its J and ``shift``.
-
-    S is (n, 3, 3), its entries at the shear-modulus scale, and is stored
-    column by column, so each S[:, j, k] is contiguous. Raises
-    ``ValueError`` for a grid that is empty, not (n, 3), or holds a stretch
-    that is not positive and finite.
-    """
+def _shear_form(kind, contraction, mu, lams):
+    """(entry, J, shift) of a stretch grid, where ``entry(j, k)`` forms S[:, j, k]
+    of the shear part S = w (MP - a MB) of its coaxial forms M = S + (c +
+    shift) * ones(3, 3): MP = diag(2 lam2) is the matrix of P and MB_jk =
+    (lam2_j + lam2_k) / 2 that of B, and a = 0 skips MB, so an off-diagonal
+    entry of the mixed Hill form is the scalar 0. Raises ``ValueError`` for
+    a grid that is empty, not (n, 3), or holds a stretch that is not
+    positive and finite."""
     lams = np.asarray(lams, dtype=float)
     if lams.ndim != 2 or lams.shape[1] != 3 or lams.shape[0] == 0:
         raise ValueError(f"the stretch grid must be a nonempty (n, 3) array, got {lams.shape}")
     if not (np.all(lams > 0.0) and np.all(np.isfinite(lams))):
         raise ValueError("the stretch grid must hold positive finite stretches")
-    n = lams.shape[0]
     lam2 = np.ascontiguousarray((lams**2).T)  # (3, n)
     J = np.prod(lams, axis=1)
-    trc = lam2[0] + lam2[1] + lam2[2]
-    w, a, shift = _coaxial_form(kind, contraction, mu, J, trc)
-    # S = w (MP - a MB), with MP = diag(2 lam2) the matrix of P and
-    # MB_jk = (lam2_j + lam2_k) / 2 that of B; a = 0 skips the MB term.
-    cols = np.empty((3, 3, n))
-    for j in range(3):
-        for k in range(3):
-            col = 2.0 * lam2[j] if j == k else 0.0
-            if a:
-                col = col - a * (0.5 * (lam2[j] + lam2[k]))
-            np.multiply(w, col, out=cols[j, k])
-    return cols.transpose(2, 0, 1), J, shift
+    w, a, shift = _coaxial_form(kind, contraction, mu, J, lam2[0] + lam2[1] + lam2[2])
+
+    def entry(j, k):
+        col = 2.0 * lam2[j] if j == k else 0.0
+        if a:
+            col = col - a * (0.5 * (lam2[j] + lam2[k]))
+        return np.multiply(w, col)
+
+    return entry, J, shift
 
 
 def _build_shear_block(kind, contraction, mu, lams):
-    S, J, shift = _shear_matrices(kind, contraction, mu, lams)
-    lower = _rotate_lower(S)
+    entry, J, shift = _shear_form(kind, contraction, mu, lams)
+    lower = _rotate_lower(entry, len(J))
     s_scale = _max_abs(lower)
     for v in (*lower, s_scale, J, shift):
         if isinstance(v, np.ndarray):
@@ -651,6 +649,7 @@ def _shared(kind, contraction, mu, lams, volfun):
     return entry[2], entry[3][1]
 
 
+@np.errstate(all="ignore")
 def coaxial_matrices(kind, volfun, params, lams, contraction="hill"):
     """Batched 3x3 matrices of the contraction restricted to coaxial rates.
 
@@ -658,9 +657,13 @@ def coaxial_matrices(kind, volfun, params, lams, contraction="hill"):
     The quadratic form in the diagonal rate components delta is
     delta^T M delta. Off-diagonal (non-coaxial) rate components contribute
     the separately nonnegative R term and never drive a violation, so the
-    minimum eigenvalue of M over the grid decides positivity.
+    minimum eigenvalue of M over the grid decides positivity. An entry
+    beyond the float range is +-inf or NaN, with no numpy warning.
     """
-    S, J, shift = _shear_matrices(kind, contraction, params.mu, lams)
+    entry, J, shift = _shear_form(kind, contraction, params.mu, lams)
+    S = np.empty((len(J), 3, 3))
+    for j, k in np.ndindex(3, 3):
+        S[:, j, k] = entry(j, k)
     column = _volumetric_column(contraction, volfun, J)
     return S + (_volumetric_c(kind, contraction, params, J, column) + shift)[:, None, None]
 
@@ -677,15 +680,14 @@ def _deflate(alpha, b1, b2, p, r, q):
     spherical direction is deflated, from three fixed-point passes of the
     Schur complement; big is the spherical branch. Every state has |alpha|
     far above its other entries, so alpha is never 0 and the first pass
-    divides by alpha itself.
+    divides by alpha itself. Call under an errstate.
     """
-    with np.errstate(divide="ignore", invalid="ignore"):
-        b11, b12, b22 = b1 * b1, b1 * b2, b2 * b2
-        x = _eig2_min(p - b11 / alpha, r - b12 / alpha, q - b22 / alpha)
-        for _ in range(2):
-            den = np.where(alpha == x, 1.0, alpha - x)
-            x = _eig2_min(p - b11 / den, r - b12 / den, q - b22 / den)
-        big = alpha + (b11 + b22) / np.where(alpha == x, 1.0, alpha - x)
+    b11, b12, b22 = b1 * b1, b1 * b2, b2 * b2
+    x = _eig2_min(p - b11 / alpha, r - b12 / alpha, q - b22 / alpha)
+    for _ in range(2):
+        den = np.where(alpha == x, 1.0, alpha - x)
+        x = _eig2_min(p - b11 / den, r - b12 / den, q - b22 / den)
+    big = alpha + (b11 + b22) / np.where(alpha == x, 1.0, alpha - x)
     return x, big
 
 
@@ -706,11 +708,10 @@ def _candidates(a00, a10, a20, a11, a21, a22):
     triangles, whose smallest eigenvalues are likely near the smallest of
     all: the one with the smallest diagonal entry (an upper bound on its
     eigenvalue) and the one with the smallest Gershgorin lower bound
-    min_i (a_ii - sum_{j != i} |a_ij|)."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        g10, g20, g21 = np.abs(a10), np.abs(a20), np.abs(a21)
-        low = np.minimum(np.minimum(a00 - g10 - g20, a11 - g10 - g21), a22 - g20 - g21)
-        diag = np.minimum(np.minimum(a00, a11), a22)
+    min_i (a_ii - sum_{j != i} |a_ij|). Call under an errstate."""
+    g10, g20, g21 = np.abs(a10), np.abs(a20), np.abs(a21)
+    low = np.minimum(np.minimum(a00 - g10 - g20, a11 - g10 - g21), a22 - g20 - g21)
+    diag = np.minimum(np.minimum(a00, a11), a22)
     return [np.argmin(diag), np.argmin(low)]
 
 
@@ -725,20 +726,20 @@ def _exceeds(upper, a00, a10, a20, a11, a21, a22):
     eigh's own error is of order eps * |A|. The margin, 1e-9 * (3 max|A| +
     |upper|) plus a floor far above underflow, dwarfs both, so a certified
     matrix's eigh value exceeds ``upper``. A NaN or inf entry, or a NaN
-    ``upper``, fails every pivot test.
+    ``upper``, fails every pivot test. Call under an errstate.
     """
     scale = _max_abs((a00, a10, a20, a11, a21, a22))
-    with np.errstate(all="ignore"):
-        t = upper + (1e-9 * (3.0 * scale + abs(upper)) + 1e-300)
-        d0 = a00 - t
-        l10 = a10 / d0
-        l20 = a20 / d0
-        d1 = (a11 - t) - l10 * a10
-        e21 = a21 - l20 * a10
-        d2 = (a22 - t) - l20 * a20 - (e21 / d1) * e21
-        return (d0 > 0.0) & (d1 > 0.0) & (d2 > 0.0)
+    t = upper + (1e-9 * (3.0 * scale + abs(upper)) + 1e-300)
+    d0 = a00 - t
+    l10 = a10 / d0
+    l20 = a20 / d0
+    d1 = (a11 - t) - l10 * a10
+    e21 = a21 - l20 * a10
+    d2 = (a22 - t) - l20 * a20 - (e21 / d1) * e21
+    return (d0 > 0.0) & (d1 > 0.0) & (d2 > 0.0)
 
 
+@np.errstate(all="ignore")
 def min_coaxial_eig(kind, volfun, params, lams, contraction="hill"):
     """Minimum coaxial-form eigenvalue over the grid, with its argmin data.
 
@@ -771,27 +772,25 @@ def min_coaxial_eig(kind, volfun, params, lams, contraction="hill"):
     ``math.ldexp``. A power-of-two scale is exact, so the result is the
     unscaled scan's, bit for bit, wherever that scan stays in range; at a
     large modulus it keeps products such as b1 * b1 from overflowing. A
-    minimum beyond the float range raises ``ValueError``.
+    minimum beyond the float range raises ``ValueError``. The whole scan runs
+    under one error state, so no numpy warning leaks.
 
-    The shear block (the lower triangle of S rotated by Q, and its scale)
-    does not depend on the volumetric function or nu, so a run of calls on
-    one (kind, contraction, mu, grid) builds it once (:func:`_shared`). The
-    same slot also holds one volumetric column (chi for Hill, h'' for CSP)
-    of the last volfun read on the block's J, so a run of calls with one
-    volfun evaluates it once, whatever nu; the column goes with the block.
+    A run of calls on one (kind, contraction, mu, grid) builds the shear
+    block (the rotated lower triangle of S, and its scale) once, and a run
+    with one volfun reads its volumetric column once, whatever nu
+    (:func:`_shared`).
     The values, the argmin and the direction are bit for bit those of
-    deflating every graded state and running ``eigh`` on every other one.
-    U is the value of a real state, so it is at least the minimum, and a
-    certified state's value is above it. The deflation is element-wise and
-    batched ``eigh`` treats each matrix on its own, so a subset gives the
-    same bits for the rows it holds, and the argmin row's eigenvector or
-    deflated direction is taken from the subset. Only the sign bit of a NaN may differ, where two NaNs
-    meet in one operation: numpy's vector and scalar loops may keep
-    different ones, and nothing prints that sign. The rotation
-    (:func:`_rotate_lower`) adds its products in the order of the batched
-    ``einsum`` it replaced, and ``eigh`` stays as it is: a matrix-product
-    rotation or ``eigvalsh`` rounds differently and would change the
-    reported values in the last bits.
+    deflating every graded state and running ``eigh`` on every other one. U is
+    the value of a real state, so it is at least the minimum, and a certified
+    state's value is above it. The deflation is element-wise and batched
+    ``eigh`` treats each matrix on its own, so a subset gives the same bits
+    for the rows it holds, and the argmin row's eigenvector or deflated
+    direction is taken from the subset. Only the sign bit of a NaN may differ,
+    where two NaNs meet in one operation: numpy's vector and scalar loops may
+    keep different ones, and nothing prints that sign. The rotation
+    (:func:`_rotate_lower`) keeps the bits of the batched ``einsum`` it
+    replaced, and ``eigh`` stays as it is: ``eigvalsh`` rounds differently and
+    would change the reported values in the last bits.
     """
     mu = params.mu
     params, e = mantissa_params(params)

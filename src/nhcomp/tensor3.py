@@ -19,6 +19,7 @@ to return.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +35,7 @@ __all__ = [
     "fnorm",
     "trace",
     "dev",
+    "scaled",
     "spectral",
     "coaxial_orthogonal_split",
     "sym_outer",
@@ -74,6 +76,15 @@ def trace(A):
 def dev(A):
     """Deviatoric part ``A - (tr A / 3) I``."""
     return A - (trace(A) / 3.0) * I3
+
+
+def scaled(factor, tensor):
+    """factor * tensor, where an exact zero of the tensor stays 0 at a factor
+    that is not finite (inf * 0 would be NaN). Call under an errstate."""
+    out = factor * tensor
+    if not math.isfinite(factor):
+        out[tensor == 0.0] = 0.0
+    return out
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,7 @@ warning."""
 
 import re
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from nhcomp.materials import (
     ModelSpec,
     cauchy_stress,
     energy,
+    linear_stress,
     params_from_E_nu,
     params_from_mu_nu,
 )
@@ -30,6 +32,7 @@ MIXED = ModelSpec.mixed(QUAD, 1.0, 0.3)
 INC = ModelSpec.incompressible(1.0)
 PARAMS = params_from_mu_nu(1.0, 0.3)
 STATE, RATE = rate_from_motion(np.diag([1.2, 0.9, 1.0]), np.diag([0.1, -0.2, 0.3]))
+SHEAR = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])  # e1 e2 + e2 e1
 
 CHECKS = {
     "unknown-case": (lambda: hs.volume_ratio("uniaxial", 1.5, 0.9), "load case must be one of"),
@@ -227,25 +230,49 @@ def test_non_monotone_needs_three_converged_rows(converged):
     case=hst.sampled_from(hs.CASES),
 )
 def test_pointwise_functions_leak_no_warning_at_extreme_states(kind, nu, volfun, log10_s, case):
-    # F = diag(s, 1, 1): each call returns (inf and NaN allowed) or raises
-    # ValueError; a numpy warning fails the test through the suite's filter
+    # F = diag(s, 1, 1), with a stretching and a shear rate: each call
+    # returns (inf and NaN allowed) or raises ValueError; a numpy warning
+    # fails the test through the suite's filter
     model = ModelSpec(kind, volfun, params_from_mu_nu(1.0, nu))
     s = 10.0**log10_s
     F = np.diag([s, 1.0, 1.0])
     state, rate = rate_from_motion(F, np.diag([1.0, 0.5, 0.0]) @ F)
-    calls = (
+    shear = rate_from_motion(F, SHEAR @ F)[1]
+    stress = cauchy_stress(model, F)
+    rows = [hs.SolveResult(1.0, 1.0, *stress.cauchy[[0, 1], [0, 1]], 1.0, 1.0, True, 0.0)] * 3
+    calls = [
         lambda: energy(model, F),
-        lambda: cauchy_stress(model, F),
-        lambda: st.zj_rate(model, state, rate),
-        lambda: st.hill_contraction(model, state, rate),
-        lambda: st.csp_contraction(model, state, rate),
+        lambda: stress.first_pk,
+        lambda: stress.mean_stress,
+        lambda: linear_stress(params_from_mu_nu(1e300, nu), s * np.eye(3), kind == "voliso"),
         lambda: st.tangents(model, state),
         lambda: hs.residual(case, model, s, 1.0),
         lambda: hs.residual(case, model, 1.0, s),
         lambda: hs.dilatation_response(model, s),
-    )
+        lambda: hs.non_monotone_quantities(rows),
+    ]
+    for fn in (st.zj_rate, st.oldroyd_rate, st.bh_rate, st.hill_contraction, st.csp_contraction):
+        calls += [partial(fn, model, state, rate), partial(fn, model, state, shear)]
     for call in calls:
         try:
             call()
         except ValueError:
             pass
+
+
+@pytest.mark.parametrize("kind", ("mixed", "voliso"))
+@pytest.mark.parametrize("contraction", ("hill", "csp"))
+@pytest.mark.parametrize("mu", (1.0, 1e300))
+def test_grid_scans_leak_no_warning_at_extreme_stretches(kind, contraction, mu):
+    # stretches of 1e-150 and 1e150 beside a rest state: a scan returns
+    # (inf and NaN allowed in coaxial_matrices) or raises ValueError
+    grid = np.array([[1e-150, 1.0, 1.0], [1e150, 1.0, 1.0], [1.0, 1.0, 1.0]])
+    nus = PAPER_NUS if kind == "mixed" else (-0.9, *PAPER_NUS)
+    for nu in nus:
+        params = params_from_mu_nu(mu, nu)
+        for volfun in (*catalog().values(), parse_volfun("hn:5")):
+            for scan in (st.min_coaxial_eig, st.coaxial_matrices):
+                try:
+                    scan(kind, volfun, params, grid, contraction)
+                except ValueError:
+                    pass

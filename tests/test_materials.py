@@ -342,6 +342,19 @@ class TestCauchyStress:
         assert s.cauchy[0, 0] == -math.inf and np.isnan(s.cauchy[1, 1])
         assert (s.cauchy[off] == 0.0).all()
 
+    @pytest.mark.parametrize("kind", ("mixed", "voliso"))
+    def test_first_pk_keeps_the_exact_zeros(self, kind):
+        # an infinite Kirchhoff entry meets the exact zeros of F^-T = diag(1e200,
+        # 1, 1); as in the Cauchy stress, every off-diagonal entry is exactly 0
+        F = np.diag([1e-200, 1.0, 1.0])
+        off = ~np.eye(3, dtype=bool)
+        for vid, vf in sorted(catalog().items()):
+            s = cauchy_stress(ModelSpec(kind, vf, params_from_mu_nu(1.0, 0.3)), F)
+            assert (s.first_pk[off] == 0.0).all(), vid
+            assert s.first_pk[0, 0] < -1e199, vid
+        s = cauchy_stress(ModelSpec.vol_iso(catalog()[2], 1.0, 0.3), F)
+        assert s.first_pk[0].tolist() == [-math.inf, 0.0, 0.0]
+
     def test_zero_at_identity(self):
         for vid in (1, 4, 7, 8):
             vf = catalog()[vid]

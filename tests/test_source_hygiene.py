@@ -11,7 +11,9 @@ by package code, ``tests/test_acceptance.py`` or a backticked span of
 ``README.md``. Only the names in ``_TEST_REFERENCES`` are exempt.
 
 No module calls ``np.trace``: ``tensor3.trace`` gives its bits on a 3x3
-array at a fraction of its cost.
+array at a fraction of its cost. No private function enters a numpy error
+state: each public entry point holds one for its whole body, and the
+helpers it calls run under it.
 """
 
 import ast
@@ -152,15 +154,31 @@ def test_each_kept_test_reference_is_read_by_its_test(name):
     assert name in _loaded(node)
 
 
+def _np_calls(node, attr):
+    """Line numbers of the ``np.<attr>(...)`` calls inside ``node``."""
+    return [
+        call.lineno
+        for call in ast.walk(node)
+        if isinstance(call, ast.Call)
+        and isinstance(call.func, ast.Attribute)
+        and call.func.attr == attr
+        and isinstance(call.func.value, ast.Name)
+        and call.func.value.id in ("np", "numpy")
+    ]
+
+
 @pytest.mark.parametrize("name", sorted(_MODULES))
 def test_no_module_calls_np_trace(name):
-    lines = [
-        node.lineno
-        for node in ast.walk(_MODULES[name])
-        if isinstance(node, ast.Call)
-        and isinstance(node.func, ast.Attribute)
-        and node.func.attr == "trace"
-        and isinstance(node.func.value, ast.Name)
-        and node.func.value.id in ("np", "numpy")
-    ]
+    lines = _np_calls(_MODULES[name], "trace")
     assert not lines, f"{name} calls np.trace on lines {lines}; use tensor3.trace"
+
+
+@pytest.mark.parametrize("name", sorted(_MODULES))
+def test_no_private_function_enters_an_error_state(name):
+    entered = [
+        f"{node.name} (line {line})"
+        for node in ast.walk(_MODULES[name])
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("_")
+        for line in _np_calls(node, "errstate")
+    ]
+    assert not entered, f"{name}: private functions call np.errstate: {entered}"

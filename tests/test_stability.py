@@ -289,15 +289,50 @@ class TestCSP:
 @pytest.mark.parametrize("kind", ("mixed", "voliso"))
 @pytest.mark.parametrize("contraction", (hill_contraction, csp_contraction))
 def test_a_non_finite_contraction_raises_without_a_warning(kind, contraction):
-    # J^q overflows at q = 1e6, J = 2 and meets tr d = 0: the value is
-    # NaN, which has no verdict, and the report leaks no RuntimeWarning
+    # J^q overflows at q = 1e6, J = 2 and meets tr d = 1.5: the value is
+    # inf or NaN, which has no verdict, and the report leaks no RuntimeWarning
     model = ModelSpec(kind, VolFun.power_pair(1e6), params_from_mu_nu(1.0, 0.3))
-    state, rate = make_rate(np.diag([2.0, 1.0, 1.0]), np.diag([1.0, -1.0, 0.0]))
+    state, rate = make_rate(np.diag([2.0, 1.0, 1.0]), np.diag([1.0, 0.5, 0.0]))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         with pytest.raises(ValueError, match="no sign verdict"):
             contraction(model, state, rate)
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+@pytest.mark.parametrize("kind", ("mixed", "voliso"))
+@pytest.mark.parametrize("contraction", (hill_contraction, csp_contraction))
+def test_an_isochoric_rate_drops_an_overflowing_volumetric_term(kind, contraction):
+    # J^q overflows at q = 1e6, J = 2, but meets tr d = 0: the volumetric
+    # terms of the rate, the stress power and the recomposition are 0, so the
+    # report is the quadratic's, verdict and all
+    state, rate = make_rate(np.diag([2.0, 1.0, 1.0]), np.diag([1.0, -1.0, 0.0]))
+    got, want = (
+        contraction(ModelSpec(kind, vf, params_from_mu_nu(1.0, 0.3)), state, rate)
+        for vf in (VolFun.power_pair(1e6), catalog()[7])
+    )
+    assert got == want and got.verdict == "positive"
+
+
+@pytest.mark.parametrize("kind", ("mixed", "voliso"))
+def test_a_shear_rate_at_a_vanishing_stretch_drops_every_volumetric_term(kind):
+    # F = diag(1e-200, 1, 1) and d = e1 e2 + e2 e1: chi J, sigma and the
+    # volumetric coefficient may be inf or NaN, but each meets tr d = 0, so
+    # every catalog member gives one report; only the vol-iso CSP value,
+    # (1/J) ZJ[tau] : d, overflows to +inf and has no verdict
+    F = np.diag([1e-200, 1.0, 1.0])
+    shear = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    state, rate = rate_from_motion(F, shear @ F)
+    for contraction in (hill_contraction, csp_contraction):
+        reports = []
+        for vid, vf in sorted(catalog().items()):
+            model = ModelSpec(kind, vf, params_from_mu_nu(1.0, 0.3))
+            if kind == "voliso" and contraction is csp_contraction:
+                with pytest.raises(ValueError, match="value inf at scale inf has no sign"):
+                    contraction(model, state, rate)
+            else:
+                reports.append(contraction(model, state, rate))
+        assert all(r == reports[0] and r.verdict == "positive" for r in reports)
 
 
 @pytest.mark.parametrize("kind", ("mixed", "voliso"))
@@ -729,6 +764,12 @@ class TestGridSearch:
 # the grid scan against the full-eigh implementation it replaced
 
 
+def log_grid(n, lo, hi):
+    """The grid of ``stretch_grid(n)``, with each axis from 10^lo to 10^hi."""
+    axis = np.logspace(lo, hi, n)
+    return np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
+
+
 def reference_min_coaxial_eig(kind, volfun, params, lams, contraction):
     """The scan as it was before the shear block was shared: every piece
     rebuilt per call, and eigh run on every state, graded or not.
@@ -863,7 +904,7 @@ class TestCoaxialScanBytes:
     def test_pruned_scan_matches_the_reference(self, kind, contraction, volfun, nu, mu, n, lo, hi):
         assume(kind == "voliso" or nu >= 0.0)
         params = params_from_mu_nu(mu, nu)
-        grid = stretch_grid(n, lo, hi)
+        grid = log_grid(n, lo, hi)
         want = reference_min_coaxial_eig(kind, volfun, params, grid, contraction)
         assert bits(min_coaxial_eig(kind, volfun, params, grid, contraction)) == bits(want)
 
@@ -889,14 +930,14 @@ class TestCoaxialScanBytes:
     @pytest.mark.parametrize(
         "kind, contraction, vid, nu, grid, case",
         (
-            ("mixed", "hill", 2, 0.4999, stretch_grid(3, -0.01, 0.01), "all graded"),
-            ("voliso", "csp", 2, 0.4999, stretch_grid(3, -0.01, 0.01), "all graded"),
+            ("mixed", "hill", 2, 0.4999, log_grid(3, -0.01, 0.01), "all graded"),
+            ("voliso", "csp", 2, 0.4999, log_grid(3, -0.01, 0.01), "all graded"),
             ("mixed", "hill", 7, 0.4999, stretch_grid(8), "graded minimum"),
             ("mixed", "csp", 5, 0.45, stretch_grid(8), "graded minimum"),
             # stretch_grid holds every permutation of each triple, and the
             # repeated rows make the minimum a tie, bit for bit
             ("voliso", "hill", 3, 0.45, np.tile(stretch_grid(5), (2, 1)), "tie"),
-            ("mixed", "csp", 1, 0.0, np.tile(stretch_grid(4, -0.3, 0.6), (3, 1)), "tie"),
+            ("mixed", "csp", 1, 0.0, np.tile(log_grid(4, -0.3, 0.6), (3, 1)), "tie"),
             ("mixed", "hill", 1, 0.25, stretch_grid(8), "no graded"),
             ("mixed", "csp", 1, 0.4, stretch_grid(8), "one graded"),
             ("mixed", "csp", 1, 0.499, stretch_grid(8), "same candidates"),
@@ -1008,7 +1049,7 @@ class TestCoaxialScanBytes:
         assert 0 < sum(map(len, batches)) < ungraded / 25
 
     def test_reused_shear_block_is_invisible(self):
-        grids = [stretch_grid(5), stretch_grid(6, lo=-0.5, hi=0.9)]
+        grids = [stretch_grid(5), log_grid(6, -0.5, 0.9)]
         mutated = stretch_grid(5)
         calls = []
         for mu in (1.0, 2.7):
@@ -1042,7 +1083,7 @@ class TestCoaxialScanBytes:
             assert got == bits(min_coaxial_eig(*args)), (args[0], args[2].mu, args[4])
 
     def test_the_volumetric_column_follows_volfun_contraction_and_grid(self, monkeypatch):
-        grid, other = stretch_grid(6), stretch_grid(6, lo=-0.5, hi=0.9)
+        grid, other = stretch_grid(6), log_grid(6, -0.5, 0.9)
         reads = []
         original = stability.evaluate_grid
 
@@ -1084,7 +1125,7 @@ class TestCoaxialScanBytes:
     def test_shared_arrays_are_read_only(self):
         grid = stretch_grid(3)
         block, column = stability._shared("voliso", "csp", 1.0, grid, catalog()[2])
-        S = stability._shear_matrices("voliso", "csp", 1.0, grid)[0]
+        S = shear_matrices("voliso", "csp", 1.0, grid)
         assert len(block.lower) == 6
         for v in (*block.lower, column):
             assert v.shape == block.J.shape and v.flags.c_contiguous
@@ -1106,6 +1147,23 @@ def nan_blind_bits(x):
 
 def exact_bits(x):
     return np.ascontiguousarray(x).view(np.int64)
+
+
+def shear_matrices(kind, contraction, mu, grid):
+    """The shear parts S of a grid's coaxial forms, stacked from the entries
+    that the scan rotates without storing them."""
+    entry, J, _ = stability._shear_form(kind, contraction, mu, grid)
+    S = np.empty((len(J), 3, 3))
+    for j, k in np.ndindex(3, 3):
+        S[:, j, k] = entry(j, k)
+    return S
+
+
+def rotate(S):
+    """``_rotate_lower`` fed the entries of a stored batch S, under the error
+    state its callers hold."""
+    with np.errstate(all="ignore"):
+        return stability._rotate_lower(lambda j, k: S[:, j, k], len(S))
 
 
 def einsum_rotation(S):
@@ -1130,17 +1188,14 @@ class TestShearRotation:
         for kind in ("mixed", "voliso"):
             for contraction in ("hill", "csp"):
                 block = stability._build_shear_block(kind, contraction, 1.0, grid)
-                S = stability._shear_matrices(kind, contraction, 1.0, grid)[0]
+                S = shear_matrices(kind, contraction, 1.0, grid)
                 self.assert_matches_einsum(S, block.lower)
-                # the C-ordered S the scan gave einsum before: same bits
-                S = np.ascontiguousarray(S)
-                self.assert_matches_einsum(S, stability._rotate_lower(S))
 
     @pytest.mark.parametrize("n", (1, 7, 8, 17, 1000, 4099))
     def test_wide_exponents_match_einsum_bitwise(self, n):
         gen = np.random.default_rng(n)
         S = gen.standard_normal((n, 3, 3)) * 10.0 ** gen.uniform(-300, 300, (n, 3, 3))
-        self.assert_matches_einsum(S, stability._rotate_lower(S))
+        self.assert_matches_einsum(S, rotate(S))
 
     @pytest.mark.parametrize("n", (9, 64, 1001))
     @pytest.mark.parametrize("specials", ("inf", "nan", "inf and nan"))
@@ -1157,11 +1212,11 @@ class TestShearRotation:
         # with one kind of NaN only (numpy's, or the invalid-operation NaN of
         # inf - inf and 0 * inf) even the sign bits agree
         bits = nan_blind_bits if specials == "inf and nan" else exact_bits
-        self.assert_matches_einsum(S, stability._rotate_lower(S), bits)
+        self.assert_matches_einsum(S, rotate(S), bits)
 
     def test_all_negative_zero_rotates_to_positive_zero(self):
         # einsum sums onto +0.0, and so does the rotation
         S = np.full((5, 3, 3), -0.0)
-        lower = stability._rotate_lower(S)
+        lower = rotate(S)
         self.assert_matches_einsum(S, lower)
         assert not any(np.signbit(v).any() for v in lower)
