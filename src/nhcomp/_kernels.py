@@ -1,22 +1,24 @@
-"""Numeric kernels shared by the volumetric catalog and the 1-D solvers.
+"""Numeric kernels of the volumetric catalog and the 1-D solvers.
 
 The closed forms are numpy expressions written once for a scalar or an
-array argument. The bisection (``bisect_log``) and ``homsolve.residual``
-call them point by point; the sign-change scan and the grid evaluation
-call them once on a whole array. The two agree to an ulp or so:
-array ``np.exp``/``np.log`` match their scalar counterparts bit for bit,
-while array ``**`` may round the last bit differently from the scalar
-power. Only the scan's signs feed the root finder, so such a difference
-can move a root only when a grid point sits within rounding of a zero.
+array argument. :func:`h_tuple` gives all five columns (h, h', h'', J h',
+chi) and serves ``volfun`` alone, which calls it on one J (``evaluate``)
+or on a whole array (``evaluate_grid``).
 
 One factory, :func:`residual_fn`, states the residual. It resolves the
 kind, the volumetric family and the load case and binds the constants
-once, and returns a closure of lamT alone; the scan, the bisection and
-``homsolve.residual`` (once per solve, at the bisection's root) all call
-such a closure. It computes only the volumetric term the residual uses:
-J h'(J) for the mixed kind, h'(J) for vol-iso, from the closed forms of
-:func:`h_tuple` term by term. The scan grid and its ``np.exp`` are built
-once per range (:func:`scan_nodes`).
+once, and returns a closure of lamT alone. Its volumetric term restates
+the one column of :func:`h_tuple` the residual uses, term by term from
+the same closed forms: J h'(J) for the mixed kind, h'(J) for vol-iso.
+The bisection (``bisect_log``) and ``homsolve.residual`` (once per solve,
+at the bisection's root) call such a closure point by point, and the
+sign-change scan (:func:`residual_scan`) calls it once on the grid of
+:func:`scan_nodes`, built once per range, and returns that grid with the
+residual. The two agree to an ulp or so: array ``np.exp``/``np.log``
+match their scalar counterparts bit for bit, while array ``**`` may
+round the last bit differently from the scalar power. Only the scan's
+signs feed the root finder, so such a difference can move a root only
+when a grid point sits within rounding of a zero.
 
 The closures run on two lanes. The numpy lane takes an array or an
 np.float64 and keeps numpy's inf and NaN values. ``bisect_log`` builds
@@ -240,19 +242,14 @@ def residual_fn(kind, family, par, case, lam, mu, lame_lambda, K, scalar=False):
     return residual
 
 
-def scan_grid(u_lo, u_hi, n):
-    """``n`` evenly spaced points of u = ln(lamT) from u_lo to (about) u_hi."""
-    du = (u_hi - u_lo) / (n - 1)
-    return u_lo + du * np.arange(n)
-
-
 @functools.lru_cache(maxsize=8)
 def scan_nodes(u_lo, u_hi, n):
-    """``scan_grid(u_lo, u_hi, n)`` and its ``np.exp``, built once per range.
+    """``n`` evenly spaced points of u = ln(lamT) from u_lo to (about) u_hi,
+    and their ``np.exp``, built once per range.
 
     Both arrays are read-only: every solve shares them.
     """
-    us = scan_grid(u_lo, u_hi, n)
+    us = u_lo + (u_hi - u_lo) / (n - 1) * np.arange(n)
     lamT = np.exp(us)
     us.flags.writeable = False
     lamT.flags.writeable = False
@@ -260,9 +257,10 @@ def scan_nodes(u_lo, u_hi, n):
 
 
 def residual_scan(kind, family, par, case, lam, mu, lame_lambda, K, u_lo, u_hi, n):
-    """Residual sampled at the points ``scan_grid(u_lo, u_hi, n)``."""
-    _, lamT = scan_nodes(u_lo, u_hi, n)
-    return residual_fn(kind, family, par, case, lam, mu, lame_lambda, K)(lamT)
+    """``(us, fs)``: the grid ``scan_nodes(u_lo, u_hi, n)`` over u = ln(lamT)
+    and the residual sampled there. Call under an errstate."""
+    us, lamT = scan_nodes(u_lo, u_hi, n)
+    return us, residual_fn(kind, family, par, case, lam, mu, lame_lambda, K)(lamT)
 
 
 def bisect_log(kind, family, par, case, lam, mu, lame_lambda, K, u_a, u_b, f_a, max_iter):

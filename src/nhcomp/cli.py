@@ -70,11 +70,6 @@ class _Parser(argparse.ArgumentParser):
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
 
-    def exit(self, status=0, message=None):
-        if message:
-            sys.stderr.write(message)
-        raise SystemExit(EXIT_USAGE if status else 0)
-
 
 # --------------------------------------------------------------------------
 # CSV plumbing

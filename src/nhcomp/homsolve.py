@@ -218,13 +218,6 @@ def closed_form_quadratic_mixed(case, lam, params, volfun=None):
 # root finding
 
 
-def _scan(args, u_lo, u_hi):
-    """The scan grid over u = ln(lamT) and the residual the kernel sampled
-    there. Call under an errstate."""
-    fs = _k.residual_scan(*args, u_lo, u_hi, _SCAN_POINTS)
-    return _k.scan_nodes(u_lo, u_hi, _SCAN_POINTS)[0], fs
-
-
 def _sign_brackets(us, fs):
     """Sign-change intervals of fs over us; exact zeros become point brackets.
 
@@ -292,11 +285,11 @@ def solve(case, model, lam, seed_lamT=1.0):
         tol = 1e-12 * (prm.mu + prm.lam + prm.K)
 
         u_lo, u_hi = math.log(_SCAN_LO), math.log(_SCAN_HI)
-        us, fs = _scan(args, u_lo, u_hi)
+        us, fs = _k.residual_scan(*args, u_lo, u_hi, _SCAN_POINTS)
         brackets = _sign_brackets(us, fs)
         if not brackets:
             u_lo, u_hi = u_lo - 3.0 * math.log(10.0), u_hi + 3.0 * math.log(10.0)
-            us, fs = _scan(args, u_lo, u_hi)
+            us, fs = _k.residual_scan(*args, u_lo, u_hi, _SCAN_POINTS)
             brackets = _sign_brackets(us, fs)
         if not brackets:
             finite = fs[np.isfinite(fs)]

@@ -2,9 +2,9 @@
 
 Everything downstream works with Eulerian measures: the left Cauchy-Green
 tensor ``c = F F^T``, principal stretches (square roots of its eigenvalues)
-with their eigenprojections, and strain rates split into parts coaxial and
-orthogonal to the current stretch directions. The right stretch tensor and
-rotation are never formed; no formula here needs them.
+with their eigenprojections, and the velocity gradient with its symmetric
+and skew parts. The right stretch tensor and rotation are never formed; no
+formula here needs them.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from nhcomp.tensor3 import SpectralDecomp, coaxial_orthogonal_split, skew, spectral, sym
+from nhcomp.tensor3 import SpectralDecomp, skew, spectral, sym
 
 __all__ = [
     "DeformationState",
@@ -49,19 +49,12 @@ class DeformationState:
 
 @dataclass(frozen=True)
 class RateState:
-    """Velocity-gradient data at a deformation state.
-
-    ``dhat``/``dtilde`` are the parts of the stretching tensor d coaxial and
-    orthogonal to the principal directions; ``lamdot`` are the rates of the
-    distinct principal stretches, aligned with ``state.stretches``.
-    """
+    """Velocity gradient ``l`` with its stretching ``d = sym(l)`` and spin
+    ``w = skew(l)``."""
 
     l: np.ndarray
     d: np.ndarray
     w: np.ndarray
-    dhat: np.ndarray
-    dtilde: np.ndarray
-    lamdot: tuple
 
 
 def kinematics_from_F(F):
@@ -84,20 +77,8 @@ def kinematics_from_F(F):
 
 
 def rate_from_motion(F, Fdot):
-    """Velocity gradient data from (F, Fdot) along a motion.
-
-    The spatial velocity gradient is ``l = Fdot F^(-1)``; its symmetric part
-    d is split against the eigenbasis of ``c = F F^T``. The stretch rates
-    follow from projecting d: ``lamdot_i = lam_i * (d : V_i) / mult_i``,
-    which for a coaxial motion reduces to the diagonal rates.
-    """
+    """The state at F and the velocity gradient ``l = Fdot F^(-1)`` of a
+    motion through it, with its symmetric and skew parts."""
     state = kinematics_from_F(F)
     l = np.asarray(Fdot, dtype=float) @ np.linalg.inv(state.F)
-    d = sym(l)
-    w = skew(l)
-    dhat, dtilde = coaxial_orthogonal_split(state.decomp, d)
-    lamdot = tuple(
-        lam * float(np.tensordot(d, P, axes=2)) / mult
-        for lam, mult, P in zip(state.stretches, state.mults, state.projections)
-    )
-    return state, RateState(l=l, d=d, w=w, dhat=dhat, dtilde=dtilde, lamdot=lamdot)
+    return state, RateState(l=l, d=sym(l), w=skew(l))

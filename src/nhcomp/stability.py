@@ -181,12 +181,14 @@ class ContractionReport:
 def classify_value(value, scale):
     """Sign verdict ("positive" / "zero" / "negative") at tolerance 1e-12*scale.
 
-    A NaN or infinite value has no verdict and raises ``ValueError``.
+    A NaN or infinite value or scale has no verdict and raises
+    ``ValueError``: at such a scale the tolerance is inf or NaN, and every
+    finite value would read "zero".
     """
-    value = float(value)
-    if not math.isfinite(value):
+    value, scale = float(value), float(scale)
+    if not (math.isfinite(value) and math.isfinite(scale)):
         raise ValueError(f"stability value {value} at scale {scale} has no sign verdict")
-    tol = 1e-12 * max(float(scale), 1.0e-300)
+    tol = 1e-12 * max(scale, 1.0e-300)
     if value > tol:
         return "positive"
     if value < -tol:
@@ -427,9 +429,7 @@ def _fd_motions(n_motions):
         Fdot = 0.5 * rng.standard_normal((3, 3))
         state, rate = rate_from_motion(F0, Fdot)
         F_p, F_m = F0 + h * Fdot, F0 - h * Fdot
-        for a in (F0, F_p, F_m, state.F, state.c, *state.projections):
-            a.flags.writeable = False
-        for a in (rate.l, rate.d, rate.w, rate.dhat, rate.dtilde):
+        for a in (F0, F_p, F_m, state.F, state.c, *state.projections, rate.l, rate.d, rate.w):
             a.flags.writeable = False
         motions.append((F0, F_p, F_m, state, rate))
     return tuple(motions)
@@ -772,8 +772,9 @@ def min_coaxial_eig(kind, volfun, params, lams, contraction="hill"):
     ``math.ldexp``. A power-of-two scale is exact, so the result is the
     unscaled scan's, bit for bit, wherever that scan stays in range; at a
     large modulus it keeps products such as b1 * b1 from overflowing. A
-    minimum beyond the float range raises ``ValueError``. The whole scan runs
-    under one error state, so no numpy warning leaks.
+    minimum beyond the float range, or a NaN form at any state, raises
+    ``ValueError``. The whole scan runs under one error state, so no numpy
+    warning leaks.
 
     A run of calls on one (kind, contraction, mu, grid) builds the shear
     block (the rotated lower triangle of S, and its scale) once, and a run
@@ -827,8 +828,10 @@ def min_coaxial_eig(kind, volfun, params, lams, contraction="hill"):
     vals, vecs = np.linalg.eigh(_lower_matrices(lower, kept))
     mins[kept] = vals[:, 0]
 
-    i = int(np.argmin(mins))
+    i = int(np.argmin(mins))  # the first NaN, if any
     value = float(mins[i])
+    if value != value:
+        raise ValueError(f"the {contraction} stability form is NaN at grid state {i}")
     if graded[i] and value == x[np.searchsorted(rows, i)]:
         d = value - alpha[i]
         pp = p[i] - b1[i] * b1[i] / -d

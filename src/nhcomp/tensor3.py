@@ -37,7 +37,6 @@ __all__ = [
     "dev",
     "scaled",
     "spectral",
-    "coaxial_orthogonal_split",
     "sym_outer",
     "outer",
     "apply4",
@@ -93,10 +92,9 @@ class SpectralDecomp:
 
     Attributes
     ----------
-    m : int
-        Number of distinct eigenvalues after clustering (1, 2 or 3).
     values : tuple of float
-        The ``m`` distinct eigenvalues, ascending.
+        The distinct eigenvalues after clustering (one, two or three),
+        ascending.
     mults : tuple of int
         Multiplicities, summing to 3.
     projections : tuple of ndarray
@@ -104,16 +102,9 @@ class SpectralDecomp:
         ``sum(values[i] * projections[i])`` reconstructs the input.
     """
 
-    m: int
     values: tuple
     mults: tuple
     projections: tuple
-
-    def reconstruct(self):
-        out = np.zeros((3, 3))
-        for s, P in zip(self.values, self.projections):
-            out += s * P
-        return out
 
 
 # relative clustering tolerance that decides eigenvalue multiplicity
@@ -161,11 +152,11 @@ def spectral(S):
 
     if m == 1:
         values = (float(np.mean(vals)),)
-        return SpectralDecomp(1, values, (3,), (I3.copy(),))
+        return SpectralDecomp(values, (3,), (I3.copy(),))
 
     if m == 3:
         projs = tuple(np.outer(vecs[:, k], vecs[:, k]) for k in range(3))
-        return SpectralDecomp(3, tuple(float(v) for v in vals), (1, 1, 1), projs)
+        return SpectralDecomp(tuple(float(v) for v in vals), (1, 1, 1), projs)
 
     # m == 2: one isolated eigenvalue, one repeated pair. Build the isolated
     # dyad directly and take the complement for the pair.
@@ -179,26 +170,8 @@ def spectral(S):
     s_iso = float(vals[k_iso])
     s_pair = float(np.mean([vals[k] for k in pair_group]))
     if s_iso < s_pair:
-        return SpectralDecomp(2, (s_iso, s_pair), (1, 2), (P_iso, P_pair))
-    return SpectralDecomp(2, (s_pair, s_iso), (2, 1), (P_pair, P_iso))
-
-
-def coaxial_orthogonal_split(S, H):
-    """Split H into parts coaxial and orthogonal to the eigenbasis of S.
-
-    Returns ``(Hhat, Htilde)`` with ``Hhat = sum_i S_i H S_i`` and
-    ``Htilde = sum_{i != j} S_i H S_j``; the parts satisfy
-    ``Hhat + Htilde = H`` and ``Hhat : Htilde = 0``.
-
-    ``S`` may be a symmetric tensor or an already-computed
-    :class:`SpectralDecomp` (useful when the same basis splits many tensors).
-    """
-    dec = S if isinstance(S, SpectralDecomp) else spectral(S)
-    Hs = sym(np.asarray(H, dtype=float))
-    Hhat = np.zeros((3, 3))
-    for P in dec.projections:
-        Hhat += P @ Hs @ P
-    return Hhat, Hs - Hhat
+        return SpectralDecomp((s_iso, s_pair), (1, 2), (P_iso, P_pair))
+    return SpectralDecomp((s_pair, s_iso), (2, 1), (P_pair, P_iso))
 
 
 def _supersym(a):

@@ -126,7 +126,7 @@ def test_residual_scan_signs_match_scalar(kind, case):
     for family, par in _FAMILIES:
         for lam in (0.3, 1.7):
             with np.errstate(all="ignore"):
-                out = _k.residual_scan(kind, family, par, case, lam, mu, lame, K, u_lo, u_hi, n)
+                _, out = _k.residual_scan(kind, family, par, case, lam, mu, lame, K, u_lo, u_hi, n)
                 want = np.array(
                     [
                         _transverse_residual_reference(
@@ -274,7 +274,7 @@ def test_residual_scan_matches_scalar():
     # array ** may round the last bit differently from the scalar power, so
     # compare tightly but not bitwise
     n = 33
-    out = _k.residual_scan("mixed", 0, 2.0, "ul", 1.4, 1.0, 2.0, 3.0, -2.0, 2.0, n)
+    _, out = _k.residual_scan("mixed", 0, 2.0, "ul", 1.4, 1.0, 2.0, 3.0, -2.0, 2.0, n)
     du = 4.0 / (n - 1)
     for i, got in enumerate(out):
         u = -2.0 + du * i
@@ -290,13 +290,13 @@ def test_case_volume_ratio():
 
 
 def test_solver_brackets_come_from_the_points_the_scan_evaluated():
-    # bisection starts from the grid _scan returns, so it must hold exactly
-    # the points whose residual the kernel sampled (np.linspace ends an ulp
-    # away from that grid)
+    # bisection starts from the grid residual_scan returns, so it must hold
+    # exactly the points whose residual the kernel sampled (np.linspace ends
+    # an ulp away from that grid)
     args = ("voliso", 1, -0.5, "elp", 0.7, 1.0, 1.5, 2.1666666666666665)
     u_lo, u_hi = math.log(1e-9), math.log(1e9)
-    with np.errstate(all="ignore"):  # solve's error state, which _scan runs under
-        us, fs = hs._scan(args, u_lo, u_hi)
+    with np.errstate(all="ignore"):  # solve's error state, which the scan runs under
+        us, fs = _k.residual_scan(*args, u_lo, u_hi, hs._SCAN_POINTS)
         want = _transverse_residual_reference(*args, np.exp(us))
     np.testing.assert_array_equal(fs, want)
     assert us[0] == u_lo and abs(us[-1] - u_hi) <= 4 * np.spacing(u_hi)
@@ -363,7 +363,7 @@ def test_bisect_log_matches_the_numpy_scalar_loop(kind, case):
         for lam in (0.3, 1.7):
             args = (kind, vf.family, vf.par, case, lam, 1.0, 1.5, 2.1666666666666665)
             with np.errstate(all="ignore"):
-                us, fs = hs._scan(args, u_lo, u_hi)
+                us, fs = _k.residual_scan(*args, u_lo, u_hi, hs._SCAN_POINTS)
             for u_a, u_b, f_a in hs._sign_brackets(us, fs):
                 if u_a == u_b:
                     continue
@@ -419,7 +419,7 @@ def test_scan_nodes_are_a_read_only_fresh_grid(widen):
     u_lo = math.log(1e-9) - widen * math.log(10.0)
     u_hi = math.log(1e9) + widen * math.log(10.0)
     us, lamT = _k.scan_nodes(u_lo, u_hi, 2001)
-    fresh = _k.scan_grid(u_lo, u_hi, 2001)
+    fresh = u_lo + (u_hi - u_lo) / 2000 * np.arange(2001)
     np.testing.assert_array_equal(us, fresh)
     np.testing.assert_array_equal(lamT, np.exp(fresh))
     assert _k.scan_nodes(u_lo, u_hi, 2001)[0] is us

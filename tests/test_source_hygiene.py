@@ -8,7 +8,10 @@ leave the old helper or its import behind.
 
 A name listed in ``__all__`` must in turn be used by more than unit tests:
 by package code, ``tests/test_acceptance.py`` or a backticked span of
-``README.md``. Only the names in ``_TEST_REFERENCES`` are exempt.
+``README.md``. Only the names in ``_TEST_REFERENCES`` are exempt. The same
+holds for every field of a ``@dataclass`` in the package: package code reads
+it as an attribute, or as a string in a function that calls ``getattr``.
+Only the fields in ``_TEST_FIELDS`` are exempt.
 
 No module calls ``np.trace``: ``tensor3.trace`` gives its bits on a 3x3
 array at a fraction of its cost. No private function enters a numpy error
@@ -34,6 +37,16 @@ _TEST_REFERENCES = {
     "coaxial_matrices": (
         "tests/test_stability.py::TestGridSearch::test_coaxial_matrix_matches_contractions"
     ),
+}
+
+
+# dataclass fields only unit tests read, each kept as the reference of the
+# test named beside it
+_TEST_FIELDS = {
+    "ContractionReport.recomposed": (
+        "tests/test_stability.py::TestHill::test_recomposition_invariant"
+    ),
+    "VolFunEval.jhp": "tests/test_volfun.py::test_internal_consistency_jhp_and_chi",
 }
 
 
@@ -141,9 +154,9 @@ def test_every_exported_name_is_used_beyond_its_unit_tests():
     )
 
 
-@pytest.mark.parametrize("name", sorted(_TEST_REFERENCES))
-def test_each_kept_test_reference_is_read_by_its_test(name):
-    path, *scope = _TEST_REFERENCES[name].split("::")
+def _test_node(reference):
+    """The class or function a ``path::Class::test`` reference names."""
+    path, *scope = reference.split("::")
     node = ast.parse((_ROOT / path).read_text())
     for part in scope:
         node = next(
@@ -151,7 +164,66 @@ def test_each_kept_test_reference_is_read_by_its_test(name):
             for n in node.body
             if isinstance(n, (ast.ClassDef, ast.FunctionDef)) and n.name == part
         )
-    assert name in _loaded(node)
+    return node
+
+
+@pytest.mark.parametrize("name", sorted(_TEST_REFERENCES))
+def test_each_kept_test_reference_is_read_by_its_test(name):
+    assert name in _loaded(_test_node(_TEST_REFERENCES[name]))
+
+
+def _fields(tree):
+    """``Class.field`` for every annotated field of a ``@dataclass`` class."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef) and any(
+            getattr(d.func if isinstance(d, ast.Call) else d, "id", None) == "dataclass"
+            for d in node.decorator_list
+        ):
+            for item in node.body:
+                if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                    yield f"{node.name}.{item.target.id}"
+
+
+def _attributes_read(tree):
+    return {
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+
+
+def _getattr_strings(tree):
+    """The strings inside each function that calls ``getattr``: the names it
+    can look up, such as the quantities ``homsolve`` reads off a result."""
+    return {
+        const.value
+        for fn in ast.walk(tree)
+        if isinstance(fn, ast.FunctionDef) and "getattr" in _loaded(fn)
+        for const in ast.walk(fn)
+        if isinstance(const, ast.Constant) and isinstance(const.value, str)
+    }
+
+
+def test_every_dataclass_field_is_read_beyond_its_unit_tests():
+    acceptance = ast.parse((_ROOT / "tests" / "test_acceptance.py").read_text())
+    read = _referenced(acceptance) | _readme_identifiers()
+    for tree in _MODULES.values():
+        read |= _attributes_read(tree) | _getattr_strings(tree)
+    test_only = sorted(
+        field
+        for tree in _MODULES.values()
+        for field in _fields(tree)
+        if field.split(".")[1] not in read
+    )
+    assert test_only == sorted(_TEST_FIELDS), (
+        f"dataclass fields only unit tests read: {test_only}; "
+        f"of these only {sorted(_TEST_FIELDS)} may stay, as test references"
+    )
+
+
+@pytest.mark.parametrize("field", sorted(_TEST_FIELDS))
+def test_each_kept_test_field_is_read_by_its_test(field):
+    assert field.split(".")[1] in _attributes_read(_test_node(_TEST_FIELDS[field]))
 
 
 def _np_calls(node, attr):

@@ -300,6 +300,18 @@ def test_a_non_finite_contraction_raises_without_a_warning(kind, contraction):
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
+def test_a_finite_value_at_an_infinite_scale_has_no_verdict():
+    # mixed nu = 0.25, volfun 1, F = diag(1e-300, 1, 1): the CSP value is
+    # finite (1.56e303) but its recomposition, and so its scale, is inf, and
+    # a tolerance of 1e-12 * inf would call every finite value "zero"
+    model = ModelSpec("mixed", catalog()[1], params_from_mu_nu(1.0, 0.25))
+    state, rate = make_rate(np.diag([1e-300, 1.0, 1.0]), np.diag([1.0, 0.5, 0.0]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"value 1\.55.*e\+303 at scale inf has no sign"):
+            csp_contraction(model, state, rate)
+
+
 @pytest.mark.parametrize("kind", ("mixed", "voliso"))
 @pytest.mark.parametrize("contraction", (hill_contraction, csp_contraction))
 def test_an_isochoric_rate_drops_an_overflowing_volumetric_term(kind, contraction):
@@ -633,7 +645,7 @@ class TestSharedMotions:
         arrays = []
         for F0, F_p, F_m, state, rate in motions:
             arrays += [F0, F_p, F_m, state.F, state.c, *state.projections]
-            arrays += [rate.l, rate.d, rate.w, rate.dhat, rate.dtilde]
+            arrays += [rate.l, rate.d, rate.w]
         stability._block_slot[0] = None
         min_coaxial_eig("voliso", catalog()[2], params_from_mu_nu(1.0, 0.3), stretch_grid(4), "csp")
         column = stability._block_slot[0][3][1]
@@ -999,6 +1011,21 @@ class TestCoaxialScanBytes:
     def test_classify_value_rejects_a_non_finite_value(self, value):
         with pytest.raises(ValueError, match="no sign verdict"):
             stability.classify_value(value, 1.0)
+
+    @pytest.mark.parametrize("scale", (math.nan, math.inf))
+    def test_classify_value_rejects_a_non_finite_scale(self, scale):
+        with pytest.raises(ValueError, match="no sign verdict"):
+            stability.classify_value(1.0, scale)
+
+    def test_a_nan_form_raises_naming_the_contraction(self):
+        # the vol-iso CSP form of volfun 2 at nu = -0.9 is NaN at the first of
+        # these stretches, where np.argmin lands
+        grid = [[1e-150, 1.0, 1.0], [1e150, 1.0, 1.0], [1.0, 1.0, 1.0]]
+        params = params_from_mu_nu(1.0, -0.9)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="the csp stability form is NaN at grid state 0"):
+                min_coaxial_eig("voliso", catalog()[2], params, grid, "csp")
 
     def test_eigh_of_a_subset_equals_the_same_rows_of_the_batch(self):
         # the scan runs eigh on a subset of states and relies on batched

@@ -4,8 +4,6 @@ import pytest
 from nhcomp.tensor3 import (
     I3,
     apply4,
-    coaxial_orthogonal_split,
-    ddot,
     dev,
     fnorm,
     quad_form,
@@ -38,7 +36,7 @@ def random_supersym():
 
 def test_spectral_identity_is_m1():
     dec = spectral(I3)
-    assert dec.m == 1
+    assert len(dec.values) == 1
     assert dec.mults == (3,)
     assert dec.values[0] == pytest.approx(1.0, abs=1e-15)
     np.testing.assert_allclose(dec.projections[0], I3, atol=1e-15)
@@ -48,7 +46,7 @@ def test_spectral_transverse_pair_is_m2_with_complement():
     lam_axial, lam_trans = 1.7, 0.9
     S = np.diag([lam_axial, lam_trans, lam_trans])
     dec = spectral(S)
-    assert dec.m == 2
+    assert len(dec.values) == 2
     assert sorted(dec.mults) == [1, 2]
     # the isolated direction carries a rank-one projection e1 x e1 and the
     # repeated pair gets the complement I - e1 x e1
@@ -64,7 +62,7 @@ def test_spectral_transverse_pair_is_m2_with_complement():
 def test_spectral_distinct_diagonal():
     S = np.diag([1.0, 2.0, 3.0])
     dec = spectral(S)
-    assert dec.m == 3
+    assert len(dec.values) == 3
     assert dec.values == pytest.approx((1.0, 2.0, 3.0))
     for k, P in enumerate(dec.projections):
         expected = np.zeros((3, 3))
@@ -91,51 +89,15 @@ def test_reconstruction_bound():
     for _ in range(50):
         S = random_sym(5.0)
         dec = spectral(S)
-        err = fnorm(dec.reconstruct() - S)
+        recon = sum(s * P for s, P in zip(dec.values, dec.projections))
+        err = fnorm(recon - S)
         assert err <= 10 * 1e-8 * max(fnorm(S), 1e-30)
 
 
 def test_clustering_uses_relative_tolerance():
     # gap of 1e-6 on eigenvalues of order 1e2: relative gap 1e-8-ish
     S = np.diag([100.0, 100.0 + 1e-7, 50.0])
-    assert spectral(S).m == 2
-
-
-# --- coaxial / orthogonal split ------------------------------------------------
-
-
-def test_split_identity_basis_collapses():
-    H = random_sym()
-    Hhat, Htilde = coaxial_orthogonal_split(I3, H)
-    np.testing.assert_allclose(Hhat, H, atol=1e-14)
-    np.testing.assert_allclose(Htilde, 0 * H, atol=1e-14)
-
-
-def test_split_m2_pure_offdiagonal():
-    S = np.diag([1.0, 2.0, 2.0])
-    H = np.zeros((3, 3))
-    H[0, 1] = H[1, 0] = 0.3
-    H[0, 2] = H[2, 0] = -0.7
-    Hhat, Htilde = coaxial_orthogonal_split(S, H)
-    np.testing.assert_allclose(Hhat, np.zeros((3, 3)), atol=1e-14)
-    np.testing.assert_allclose(Htilde, H, atol=1e-14)
-
-
-def test_split_distinct_eigenvalues_is_diagonal_split():
-    S = np.diag([1.3, 0.7, 2.1])
-    H = random_sym()
-    Hhat, Htilde = coaxial_orthogonal_split(S, H)
-    np.testing.assert_allclose(Hhat, np.diag(np.diag(H)), atol=1e-12)
-    np.testing.assert_allclose(Htilde, H - np.diag(np.diag(H)), atol=1e-12)
-
-
-def test_split_parts_recompose_and_are_orthogonal():
-    for _ in range(50):
-        S = random_sym(3.0)
-        H = random_sym(2.0)
-        Hhat, Htilde = coaxial_orthogonal_split(S, H)
-        np.testing.assert_allclose(Hhat + Htilde, H, atol=1e-13)
-        assert abs(ddot(Hhat, Htilde)) <= 1e-12 * max(fnorm(H) ** 2, 1e-30)
+    assert len(spectral(S).values) == 2
 
 
 # --- fourth-order tensors -------------------------------------------------------
