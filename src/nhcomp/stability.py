@@ -519,15 +519,15 @@ class _ShearBlock:
     ``lower`` holds the six lower-triangle entries of S rotated by
     _TRACE_ROT (:func:`_rotate_lower`), in ``_LOWER`` order, each a
     C-contiguous length-n vector; nothing reads the upper triangle. ``shift``
-    is the shear-scale summand of the coefficient of ones (0.0 for the mixed
-    Hill form, which has none). Every array is read-only, since one block
-    serves many calls.
+    is the shear-scale summand of the coefficient of ones per state (all 0.0
+    for the mixed Hill form, which has none). Every array is read-only, since
+    one block serves many calls.
     """
 
     lower: tuple  # (Sp00, Sp10, Sp20, Sp11, Sp21, Sp22), Sp = Q^T S Q
     s_scale: np.ndarray  # largest |entry| of ``lower`` per state
     J: np.ndarray
-    shift: np.ndarray | float
+    shift: np.ndarray
 
 
 # the (row, column) of each lower-triangle entry, in the order eigh's
@@ -544,26 +544,40 @@ _LOWER = ((0, 0), (1, 0), (2, 0), (1, 1), (2, 1), (2, 2))
 # cost peak memory for nothing. The column goes with its block.
 _block_slot = [None]
 
+# The number of grid states that the scan, the shear-block build and the
+# column read each take at a time (_blocks). Every temporary of a call is at
+# most this long, so a call's transient memory does not grow with the grid;
+# only the arrays _shared keeps do. In a sweep from 1024 to 65536 states
+# (BENCH_29.json), 4096 gave the lowest stability-grid peak RSS (43.2-43.3
+# MB, against 43.4-43.6 at 2048 and 44.0-44.2 at 8192); smaller blocks split
+# the 4096-state scans of `stability --grid-n 16` and ran slower.
+_SCAN_BLOCK = 4096
 
-def _rotate_lower(entry, n):
-    """The six lower-triangle entries of Q^T S Q, Q = _TRACE_ROT, for n 3x3
-    matrices S whose S[:, j, k] is ``entry(j, k)`` (a vector or a scalar),
-    as contiguous length-n vectors in ``_LOWER`` order. Call under an errstate.
+
+def _blocks(n):
+    """Slices of at most _SCAN_BLOCK consecutive states, in order, that cover
+    n states."""
+    return [slice(s, min(s + _SCAN_BLOCK, n)) for s in range(0, n, _SCAN_BLOCK)]
+
+
+def _rotate_lower(entry, lower):
+    """Fill ``lower``, six zeroed vectors of one length n, with the six
+    lower-triangle entries of Q^T S Q, Q = _TRACE_ROT, in ``_LOWER`` order,
+    for n 3x3 matrices S whose S[:, j, k] is ``entry(j, k)`` (a vector or a
+    scalar). Call under an errstate.
 
     Each entry is formed once and S is never stored. Entry (i, l) adds
     (Q[j, i] * S[:, j, k]) * Q[k, l] onto 0.0, j outer and k inner, so it
     has the bits of ``np.einsum("ji,njk,kl->nil", Q, S, Q)``; only the sign
     of a NaN may differ, where two NaNs meet in one sum."""
     Q = _TRACE_ROT
-    term = np.empty(n)
-    lower = tuple(np.zeros(n) for _ in _LOWER)
+    term = np.empty(len(lower[0]))
     for j, k in np.ndindex(3, 3):  # j outer, k inner
         s_jk = entry(j, k)
         for (i, l), acc in zip(_LOWER, lower):
             np.multiply(Q[j, i], s_jk, out=term)
             term *= Q[k, l]
             np.add(term, acc, out=acc)
-    return lower
 
 
 def _max_abs(vectors):
@@ -574,19 +588,25 @@ def _max_abs(vectors):
     return scale
 
 
-def _shear_form(kind, contraction, mu, lams):
-    """(entry, J, shift) of a stretch grid, where ``entry(j, k)`` forms S[:, j, k]
-    of the shear part S = w (MP - a MB) of its coaxial forms M = S + (c +
-    shift) * ones(3, 3): MP = diag(2 lam2) is the matrix of P and MB_jk =
-    (lam2_j + lam2_k) / 2 that of B, and a = 0 skips MB, so an off-diagonal
-    entry of the mixed Hill form is the scalar 0. Raises ``ValueError`` for
-    a grid that is empty, not (n, 3), or holds a stretch that is not
-    positive and finite."""
+def _checked_grid(lams):
+    """``lams`` as a float array, once it is known to be a stretch grid.
+    Raises ``ValueError`` for a grid that is empty, not (n, 3), or holds a
+    stretch that is not positive and finite."""
     lams = np.asarray(lams, dtype=float)
     if lams.ndim != 2 or lams.shape[1] != 3 or lams.shape[0] == 0:
         raise ValueError(f"the stretch grid must be a nonempty (n, 3) array, got {lams.shape}")
     if not (np.all(lams > 0.0) and np.all(np.isfinite(lams))):
         raise ValueError("the stretch grid must hold positive finite stretches")
+    return lams
+
+
+def _shear_form(kind, contraction, mu, lams):
+    """(entry, J, shift) of a checked stretch grid (:func:`_checked_grid`), or
+    of consecutive rows of one, where ``entry(j, k)`` forms S[:, j, k] of the
+    shear part S = w (MP - a MB) of its coaxial forms M = S + (c + shift) *
+    ones(3, 3): MP = diag(2 lam2) is the matrix of P and MB_jk = (lam2_j +
+    lam2_k) / 2 that of B, and a = 0 skips MB, so an off-diagonal entry of
+    the mixed Hill form is the scalar 0, and so is its shift."""
     lam2 = np.ascontiguousarray((lams**2).T)  # (3, n)
     J = np.prod(lams, axis=1)
     w, a, shift = _coaxial_form(kind, contraction, mu, J, lam2[0] + lam2[1] + lam2[2])
@@ -601,12 +621,20 @@ def _shear_form(kind, contraction, mu, lams):
 
 
 def _build_shear_block(kind, contraction, mu, lams):
-    entry, J, shift = _shear_form(kind, contraction, mu, lams)
-    lower = _rotate_lower(entry, len(J))
-    s_scale = _max_abs(lower)
+    """The read-only _ShearBlock of a stretch grid, whose full-size arrays are
+    filled block by block (:func:`_blocks`), so no temporary of the build
+    outgrows one block. Raises :func:`_checked_grid`'s ``ValueError``."""
+    lams = _checked_grid(lams)
+    n = len(lams)
+    lower = tuple(np.zeros(n) for _ in _LOWER)
+    s_scale, J, shift = np.empty(n), np.empty(n), np.empty(n)
+    for part in _blocks(n):
+        entry, J[part], shift[part] = _shear_form(kind, contraction, mu, lams[part])
+        rows = tuple(v[part] for v in lower)
+        _rotate_lower(entry, rows)
+        s_scale[part] = _max_abs(rows)
     for v in (*lower, s_scale, J, shift):
-        if isinstance(v, np.ndarray):
-            v.flags.writeable = False
+        v.flags.writeable = False
     return _ShearBlock(lower=lower, s_scale=s_scale, J=J, shift=shift)
 
 
@@ -616,8 +644,13 @@ _VOLUMETRIC_COLUMN = {"hill": 4, "csp": 2}
 
 
 def _volumetric_column(contraction, volfun, J):
-    """chi (Hill) or h'' (CSP) of ``volfun`` at every J, as a contiguous vector."""
-    return np.ascontiguousarray(evaluate_grid(volfun, J)[:, _VOLUMETRIC_COLUMN[contraction]])
+    """chi (Hill) or h'' (CSP) of ``volfun`` at every J, as a contiguous vector
+    read one block of J at a time (:func:`_blocks`): ``evaluate_grid`` works
+    point by point, so the blocks give the bits of one call on every J."""
+    column = np.empty(len(J))
+    for part in _blocks(len(J)):
+        column[part] = evaluate_grid(volfun, J[part])[:, _VOLUMETRIC_COLUMN[contraction]]
+    return column
 
 
 def _shared(kind, contraction, mu, lams, volfun):
@@ -628,8 +661,9 @@ def _shared(kind, contraction, mu, lams, volfun):
     The slot is matched by value (an equal copy of the grid, not the same
     object, and an equal volfun), so a grid changed in place gets a fresh
     block. The old block, with its column, is dropped before the new one is
-    built, and the old column before the new one is read. Both are
-    read-only, since they serve many calls.
+    built, and the old column before the new one is read. Both are full-size
+    arrays filled one block of states at a time (:func:`_blocks`), and both
+    are read-only, since they serve many calls.
     """
     lams = np.asarray(lams, dtype=float)
     key = (kind, contraction, float(mu))
@@ -642,7 +676,7 @@ def _shared(kind, contraction, mu, lams, volfun):
         block = _build_shear_block(kind, contraction, float(mu), lams)
         entry = _block_slot[0] = [key, lams.copy(), block, None]
     if entry[3] is None or entry[3][0] != volfun:
-        entry[3] = None  # free the old column before the table of the new one
+        entry[3] = None  # free the old column before the new one is allocated
         column = _volumetric_column(contraction, volfun, entry[2].J)
         column.flags.writeable = False
         entry[3] = (volfun, column)
@@ -660,7 +694,7 @@ def coaxial_matrices(kind, volfun, params, lams, contraction="hill"):
     minimum eigenvalue of M over the grid decides positivity. An entry
     beyond the float range is +-inf or NaN, with no numpy warning.
     """
-    entry, J, shift = _shear_form(kind, contraction, params.mu, lams)
+    entry, J, shift = _shear_form(kind, contraction, params.mu, _checked_grid(lams))
     S = np.empty((len(J), 3, 3))
     for j, k in np.ndindex(3, 3):
         S[:, j, k] = entry(j, k)
@@ -756,15 +790,26 @@ def min_coaxial_eig(kind, volfun, params, lams, contraction="hill"):
       subspace) under eps * |c| rounding noise;
     * the certificate (:func:`_exceeds`), on every ungraded state, against
       an upper bound U on the minimum: the smallest graded value and the
-      ``eigh`` values of two candidate states, decomposed in one call
-      (:func:`_candidates`: the smallest diagonal entry and the smallest
-      Gershgorin lower bound). An unpivoted LDL^T of the state's matrix
+      ``eigh`` values of two candidate states of each block, decomposed in
+      one call (:func:`_candidates`: the smallest diagonal entry and the
+      smallest Gershgorin lower bound). An unpivoted LDL^T of the state's matrix
       minus (U + 1e-9 * (3 max|entry| + |U|)) times I with three positive
       pivots proves its ``eigh`` value strictly above U, so it cannot be the
       minimum and its value is set to +inf;
     * ``eigh``, on the states that fail the certificate: those whose value
       lies within that margin of U, or that have a NaN or inf entry, so
       ties keep their first index.
+
+    The grid is scanned in blocks of ``_SCAN_BLOCK`` consecutive states
+    (:func:`_blocks`), in order, and each block takes all three routes on its
+    own states, so no temporary outgrows a block. U runs across the blocks:
+    a block lowers it by its own graded values and candidates, and certifies
+    its states against the lowest U so far, which is still the value of a
+    real state and so at least the minimum. The merge keeps a block's
+    minimum only when it is strictly below the best of the blocks before,
+    so a tie keeps its first index, and a block whose minimum is NaN raises
+    at once, naming its first NaN state by its grid index: no earlier block
+    held a NaN, so that is the grid's first NaN state.
 
     The form is linear in (mu, lam, K), so the scan runs on the constants
     divided by 2^e, where mu = m 2^e with 1/2 <= m < 1
@@ -781,73 +826,83 @@ def min_coaxial_eig(kind, volfun, params, lams, contraction="hill"):
     with one volfun reads its volumetric column once, whatever nu
     (:func:`_shared`).
     The values, the argmin and the direction are bit for bit those of
-    deflating every graded state and running ``eigh`` on every other one. U is
-    the value of a real state, so it is at least the minimum, and a certified
-    state's value is above it. The deflation is element-wise and batched
-    ``eigh`` treats each matrix on its own, so a subset gives the same bits
-    for the rows it holds, and the argmin row's eigenvector or deflated
-    direction is taken from the subset. Only the sign bit of a NaN may differ,
-    where two NaNs meet in one operation: numpy's vector and scalar loops may
-    keep different ones, and nothing prints that sign. The rotation
-    (:func:`_rotate_lower`) keeps the bits of the batched ``einsum`` it
-    replaced, and ``eigh`` stays as it is: ``eigvalsh`` rounds differently and
-    would change the reported values in the last bits.
+    deflating every graded state and running ``eigh`` on every other one,
+    whatever the block size. U is the value of a real state, so it is at
+    least the minimum, and a certified state's value is above it. The
+    deflation is element-wise and batched ``eigh`` treats each matrix on its
+    own, so a subset gives the same bits for the rows it holds, and the
+    argmin row's eigenvector or deflated direction is taken from the subset.
+    Only the sign bit of a NaN may differ, where two NaNs meet in one
+    operation: numpy's vector and scalar loops may keep different ones, and
+    nothing prints that sign. The rotation (:func:`_rotate_lower`) keeps the
+    bits of the batched ``einsum`` it replaced, and ``eigh`` stays as it is:
+    ``eigvalsh`` rounds differently and would change the reported values in
+    the last bits.
     """
     mu = params.mu
     params, e = mantissa_params(params)
     block, column = _shared(kind, contraction, params.mu, lams, volfun)
-    c = _volumetric_c(kind, contraction, params, block.J, column) + block.shift
     Q = _TRACE_ROT
     qu = Q.T @ np.ones(3)  # (sqrt(3)-ish, exactly 0, exactly 0)
-    s00, b1, b2, p, r, q = block.lower
-    # alpha = s00 + c * qu0 * qu0, in the same order, over c's own buffer:
-    # the held column already costs one vector, so no new one is made here
-    alpha = np.multiply(c, qu[0], out=c)
-    alpha *= qu[0]
-    np.add(s00, alpha, out=alpha)
-    # the lower triangle eigh reads: Sp with alpha in place of Sp[0, 0]
-    lower = (alpha, b1, b2, p, r, q)
-    graded = np.abs(alpha) > 1e3 * (block.s_scale + 1e-300)
-    mins = np.full(len(alpha), np.inf)
-    rows = np.flatnonzero(graded)
-    if rows.size:
-        x, big = _deflate(*(v[rows] for v in lower))
-        deflated = np.minimum(x, big)
-        mins[rows] = deflated
-
-    kept = ~graded
-    cand = np.flatnonzero(kept)
-    if cand.size:
-        # with no graded state, the certificate reads the lower triangle itself
-        sub = [v[cand] for v in lower] if rows.size else lower
-        pair = cand[_candidates(*sub)]
-        upper = float(np.min(np.linalg.eigh(_lower_matrices(lower, pair))[0][:, 0]))
+    upper, best = math.inf, None
+    for part in _blocks(len(block.J)):
+        c = _volumetric_c(kind, contraction, params, block.J[part], column[part])
+        c += block.shift[part]
+        s00, b1, b2, p, r, q = (v[part] for v in block.lower)
+        # alpha = s00 + c * qu0 * qu0, in the same order, over c's own buffer
+        alpha = np.multiply(c, qu[0], out=c)
+        alpha *= qu[0]
+        np.add(s00, alpha, out=alpha)
+        # the lower triangle eigh reads: Sp with alpha in place of Sp[0, 0]
+        lower = (alpha, b1, b2, p, r, q)
+        graded = np.abs(alpha) > 1e3 * (block.s_scale[part] + 1e-300)
+        mins = np.full(len(alpha), np.inf)
+        rows = np.flatnonzero(graded)
         if rows.size:
+            x, big = _deflate(*(v[rows] for v in lower))
+            deflated = np.minimum(x, big)
+            mins[rows] = deflated
             upper = min(upper, float(np.min(deflated)))
-        kept[cand[_exceeds(upper, *sub)]] = False
-    vals, vecs = np.linalg.eigh(_lower_matrices(lower, kept))
-    mins[kept] = vals[:, 0]
 
-    i = int(np.argmin(mins))  # the first NaN, if any
-    value = float(mins[i])
-    if value != value:
-        raise ValueError(f"the {contraction} stability form is NaN at grid state {i}")
-    if graded[i] and value == x[np.searchsorted(rows, i)]:
-        d = value - alpha[i]
-        pp = p[i] - b1[i] * b1[i] / -d
-        qq = q[i] - b2[i] * b2[i] / -d
-        rr = r[i] - b1[i] * b2[i] / -d
-        cand1 = np.array([rr, value - pp])
-        cand2 = np.array([value - qq, rr])
-        v2 = cand1 if np.linalg.norm(cand1) >= np.linalg.norm(cand2) else cand2
-        if np.linalg.norm(v2) == 0.0:  # isotropic small block
-            v2 = np.array([1.0, 0.0])
-        v1 = (b1[i] * v2[0] + b2[i] * v2[1]) / d
-        vp = np.array([v1, v2[0], v2[1]])
-    elif graded[i]:  # the spherical branch itself is the minimum (c < 0)
-        vp = np.array([1.0, 0.0, 0.0])
-    else:
-        vp = vecs[np.count_nonzero(kept[:i]), :, 0]
+        kept = ~graded
+        cand = np.flatnonzero(kept)
+        if cand.size:
+            # with no graded state, the certificate reads the lower triangle itself
+            sub = [v[cand] for v in lower] if rows.size else lower
+            pair = cand[_candidates(*sub)]
+            pair_min = float(np.min(np.linalg.eigh(_lower_matrices(lower, pair))[0][:, 0]))
+            upper = min(upper, pair_min)
+            kept[cand[_exceeds(upper, *sub)]] = False
+        vals, vecs = np.linalg.eigh(_lower_matrices(lower, kept))
+        mins[kept] = vals[:, 0]
+
+        i = int(np.argmin(mins))  # the block's first NaN, if any
+        value = float(mins[i])
+        if value != value:
+            raise ValueError(
+                f"the {contraction} stability form is NaN at grid state {part.start + i}"
+            )
+        if best is not None and not value < best[0]:
+            continue  # a tie keeps the earlier block's state
+        if graded[i] and value == x[np.searchsorted(rows, i)]:
+            d = value - alpha[i]
+            pp = p[i] - b1[i] * b1[i] / -d
+            qq = q[i] - b2[i] * b2[i] / -d
+            rr = r[i] - b1[i] * b2[i] / -d
+            cand1 = np.array([rr, value - pp])
+            cand2 = np.array([value - qq, rr])
+            v2 = cand1 if np.linalg.norm(cand1) >= np.linalg.norm(cand2) else cand2
+            if np.linalg.norm(v2) == 0.0:  # isotropic small block
+                v2 = np.array([1.0, 0.0])
+            v1 = (b1[i] * v2[0] + b2[i] * v2[1]) / d
+            vp = np.array([v1, v2[0], v2[1]])
+        elif graded[i]:  # the spherical branch itself is the minimum (c < 0)
+            vp = np.array([1.0, 0.0, 0.0])
+        else:
+            vp = vecs[np.count_nonzero(kept[:i]), :, 0]
+        best = (value, part.start + i, vp)
+
+    value, i, vp = best
     direction = Q @ vp
     try:
         value = math.ldexp(value, e)

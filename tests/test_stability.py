@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -796,6 +797,9 @@ def reference_min_coaxial_eig(kind, volfun, params, lams, contraction):
     J = np.prod(lams, axis=1)
     tab = evaluate_grid(volfun, J)
     hpp, chi = tab[:, 2], tab[:, 4]
+    if kind == "mixed" and params.lam == 0.0:
+        # the mixed kind at nu = 0 has no volumetric term, even where chi or h'' is inf
+        hpp = chi = np.zeros(n)
     mu = params.mu
     MP = np.zeros((n, 3, 3))
     idx = np.arange(3)
@@ -1162,6 +1166,189 @@ class TestCoaxialScanBytes:
                 a[0] = 0.0
 
 
+def scan_outcome(kind, volfun, params, grid, contraction):
+    """The bits of a scan's (value, index, direction), or its error message."""
+    try:
+        return bits(min_coaxial_eig(kind, volfun, params, grid, contraction))
+    except ValueError as err:
+        return str(err)
+
+
+def reference_outcome(kind, volfun, params, grid, contraction):
+    """:func:`scan_outcome` of the reference, run at the mantissa of mu and
+    scaled back the way the scan is, with the scan's two error messages."""
+    scaled, e = mantissa_params(params)
+    value, i, direction = reference_min_coaxial_eig(kind, volfun, scaled, grid, contraction)[:3]
+    if value != value:
+        return f"the {contraction} stability form is NaN at grid state {i}"
+    try:
+        return bits((math.ldexp(value, e), i, direction))
+    except OverflowError:
+        return f"the minimum {contraction} stability value overflows at modulus mu = {params.mu}"
+
+
+def shared_arrays(block, column):
+    """The arrays of ``_shared``'s (block, column), named."""
+    names = [f"lower{i}{l}" for i, l in stability._LOWER] + ["s_scale", "J", "shift", "column"]
+    return dict(zip(names, (*block.lower, block.s_scale, block.J, block.shift, column)))
+
+
+def one_shot_shared(kind, contraction, mu, grid, volfun):
+    """:func:`shared_arrays` of ``_shared``, each built in one pass over the
+    whole grid."""
+    entry, J, shift = stability._shear_form(kind, contraction, mu, grid)
+    lower = tuple(np.zeros(len(J)) for _ in stability._LOWER)
+    with np.errstate(all="ignore"):
+        stability._rotate_lower(entry, lower)
+    block = stability._ShearBlock(lower, stability._max_abs(lower), J, np.broadcast_to(shift, J.shape))
+    column = evaluate_grid(volfun, J)[:, stability._VOLUMETRIC_COLUMN[contraction]]
+    return shared_arrays(block, column)
+
+
+# the scan's catalog plus a steep power pair, one whose table leaves the
+# direct forms on the grid, and an Ogden member
+_BLOCK_VOLFUNS = (
+    *catalog().values(),
+    VolFun.power_pair(5.0),
+    VolFun.power_pair(400.0),
+    VolFun.log_augmented(-2.0),
+)
+
+
+class TestScanBlocks:
+    """The scan and the shared data, streamed over blocks of _SCAN_BLOCK
+    states, against one pass over the whole grid."""
+
+    # the small blocks run on the smaller grid only, since every block costs
+    # the scan's fixed work: stretch_grid(9) is 729 blocks of 1 state and 105
+    # of 7, against 12 of 64
+    @pytest.mark.parametrize("block, n", ((1, 5), (7, 5), (64, 5), (64, 9)))
+    def test_every_block_size_matches_the_reference_bitwise(self, block, n, monkeypatch):
+        monkeypatch.setattr(stability, "_SCAN_BLOCK", block)
+        grid = stretch_grid(n)
+        assert len(stability._blocks(len(grid))) > 1
+        for kind in ("mixed", "voliso"):
+            for contraction in ("hill", "csp"):
+                for mu in (1.0, 1e300):
+                    for vf in _BLOCK_VOLFUNS:
+                        for nu in PAPER_NUS:
+                            args = (kind, vf, params_from_mu_nu(mu, nu), grid, contraction)
+                            want = reference_outcome(*args)
+                            assert scan_outcome(*args) == want, (kind, contraction, mu, vf, nu)
+
+    @pytest.mark.parametrize("block", (1, 7, 64))
+    def test_a_tie_keeps_its_first_block(self, block, monkeypatch):
+        # both copies of the minimizing state tie bit for bit, and they lie
+        # in different blocks
+        args = ("voliso", catalog()[3], params_from_mu_nu(1.0, 0.45))
+        grid = np.tile(stretch_grid(5), (2, 1))
+        value, i, _, _, mins, _ = reference_min_coaxial_eig(*args, grid, "hill")
+        ties = np.flatnonzero(mins == value)
+        assert ties[0] == i and len({k // block for k in ties}) >= 2
+        monkeypatch.setattr(stability, "_SCAN_BLOCK", block)
+        assert scan_outcome(*args, grid, "hill") == reference_outcome(*args, grid, "hill")
+
+    @pytest.mark.parametrize("block", (1, 7, 64))
+    def test_a_nan_in_a_later_block_raises_after_a_finite_minimum(self, block, monkeypatch):
+        # the vol-iso CSP form of volfun 2 at nu = -0.9 is NaN at a stretch
+        # of 1e-150 and finite on stretch_grid(5), whose minimum lies in an
+        # earlier block than the first NaN state, 125
+        args = ("voliso", catalog()[2], params_from_mu_nu(1.0, -0.9))
+        nan_state = [[1e-150, 1.0, 1.0]]
+        grid = np.concatenate([stretch_grid(5), nan_state, stretch_grid(2), nan_state])
+        monkeypatch.setattr(stability, "_SCAN_BLOCK", block)
+        finite = reference_min_coaxial_eig(*args, grid[:125], "csp")[1]
+        assert finite // block < 125 // block
+        assert scan_outcome(*args, grid[:125], "csp") == reference_outcome(*args, grid[:125], "csp")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="the csp stability form is NaN at grid state 125$"):
+                min_coaxial_eig(*args, grid, "csp")
+
+    @pytest.mark.parametrize("block", (1, 7, 64))
+    def test_an_all_graded_block_next_to_an_ungraded_one(self, block, monkeypatch):
+        # blocks of graded, ungraded and graded states, in that order; the
+        # deflation runs block by block, on the graded blocks alone
+        args = ("mixed", catalog()[2], params_from_mu_nu(1.0, 0.4999))
+        states = stretch_grid(8)
+        graded = reference_min_coaxial_eig(*args, states, "hill")[5]
+        grid = np.concatenate(
+            [states[graded][:block], states[~graded][:block], states[graded][block : 2 * block]]
+        )
+        mask = reference_min_coaxial_eig(*args, grid, "hill")[5]
+        assert mask[:block].all() and not mask[block : 2 * block].any() and mask[2 * block :].all()
+        want = reference_outcome(*args, grid, "hill")
+        monkeypatch.setattr(stability, "_SCAN_BLOCK", block)
+        passes, _ = TestCoaxialScanBytes.record_routes(monkeypatch)
+        assert scan_outcome(*args, grid, "hill") == want
+        assert passes == [block] * 6
+
+    @pytest.mark.parametrize("block", (1, 7, 64))
+    def test_streamed_shared_data_equals_a_one_shot_build(self, block, monkeypatch):
+        grid = log_grid(5, -0.9, 0.8)
+        monkeypatch.setattr(stability, "_SCAN_BLOCK", block)
+        for kind in ("mixed", "voliso"):
+            for contraction in ("hill", "csp"):
+                for vf in (catalog()[2], catalog()[7], VolFun.power_pair(400.0)):
+                    stability._block_slot[0] = None
+                    got = shared_arrays(*stability._shared(kind, contraction, 0.6, grid, vf))
+                    want = one_shot_shared(kind, contraction, 0.6, grid, vf)
+                    assert list(got) == list(want)
+                    for name, a in got.items():
+                        assert a.tobytes() == want[name].tobytes(), (kind, contraction, vf, name)
+                        assert a.shape == (len(grid),) and a.flags.c_contiguous
+                        with pytest.raises(ValueError, match="read-only"):
+                            a[0] = 0.0
+
+    def test_the_old_block_and_column_are_freed_before_the_new_ones(self, monkeypatch):
+        build, read = stability._build_shear_block, stability._volumetric_column
+        seen = []
+
+        def checked_build(*args):
+            seen.append(("block", stability._block_slot[0]))
+            return build(*args)
+
+        def checked_read(*args):
+            entry = stability._block_slot[0]
+            seen.append(("column", entry[3]))
+            return read(*args)
+
+        monkeypatch.setattr(stability, "_build_shear_block", checked_build)
+        monkeypatch.setattr(stability, "_volumetric_column", checked_read)
+        params = params_from_mu_nu(1.0, 0.3)
+        for vid, n in ((2, 4), (7, 4), (7, 5)):
+            min_coaxial_eig("voliso", catalog()[vid], params, stretch_grid(n), "csp")
+        assert seen[1:] == [("column", None)] * 2 + [("block", None), ("column", None)]
+
+    def test_a_scan_holds_a_few_blocks_of_temporaries(self):
+        # numpy reports its buffers to tracemalloc. stretch_grid(32) is
+        # eight blocks; scanning it whole made about 19 temporaries of the
+        # grid's size, 150 blocks, warm or cold
+        args = ("voliso", catalog()[7], stretch_grid(32), "csp")
+        limit = 32 * stability._SCAN_BLOCK * 8
+        stability._block_slot[0] = None
+        started = not tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            min_coaxial_eig(args[0], args[1], params_from_mu_nu(1.0, 0.25), *args[2:])
+            cold = tracemalloc.get_traced_memory()[1] - base
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            min_coaxial_eig(args[0], args[1], params_from_mu_nu(1.0, 0.4), *args[2:])
+            warm = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if started:
+                tracemalloc.stop()
+        _, grid_copy, block, (_, column) = stability._block_slot[0]
+        resident = sum(
+            a.nbytes for a in (grid_copy, *block.lower, block.s_scale, block.J, block.shift, column)
+        )
+        assert warm < limit, warm
+        assert cold < resident + limit, (cold, resident)
+
+
 def nan_blind_bits(x):
     """Exactly comparable bits, with every NaN as numpy's positive NaN.
 
@@ -1189,8 +1376,10 @@ def shear_matrices(kind, contraction, mu, grid):
 def rotate(S):
     """``_rotate_lower`` fed the entries of a stored batch S, under the error
     state its callers hold."""
+    lower = tuple(np.zeros(len(S)) for _ in stability._LOWER)
     with np.errstate(all="ignore"):
-        return stability._rotate_lower(lambda j, k: S[:, j, k], len(S))
+        stability._rotate_lower(lambda j, k: S[:, j, k], lower)
+    return lower
 
 
 def einsum_rotation(S):
