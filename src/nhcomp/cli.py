@@ -22,8 +22,10 @@ each command from paying for the other layer.
 
 Output is CSV only: a header row, LF line endings, ``.`` as the decimal
 separator, and floats printed with 17 significant digits. A given argv
-produces byte-identical output on every run. ``--jobs`` is accepted for
-compatibility and ignored: every subcommand runs its cells one at a time.
+produces byte-identical output on every run. Every subcommand runs its
+cells one at a time. ``table-repro`` alone accepts ``--jobs`` and ignores
+it, since the benchmark's limit-tables argv passes it there; any other
+subcommand given ``--jobs`` exits 1.
 
 Exit status: 0 on success, 1 on parameter errors (message on stderr),
 2 on solver non-convergence -- the partial CSV is still written, with the
@@ -108,12 +110,15 @@ def _dump(fh, header, rows):
 
 def _model(args, kind, volfun, nu):
     """The ModelSpec of one cell: ``kind``, ``volfun`` (a VolFun, the text
-    of ``--volfun``, or None) and ``nu``, at the modulus ``--E`` or ``--mu``.
+    of ``--volfun``, or None) and ``nu``, at the modulus ``--E`` or ``--mu``
+    (default 1.0), never both.
 
-    Every subcommand states its models here, so the ``--nu``, ``--volfun``
-    and ``--E`` rules are the same everywhere.
+    Every subcommand states its models here, so the ``--nu``, ``--volfun``,
+    ``--mu`` and ``--E`` rules are the same everywhere.
     """
-    E = getattr(args, "E", None)
+    E, mu = getattr(args, "E", None), args.mu
+    if E is not None and mu is not None:
+        raise ValueError("give either --mu or --E, not both")
     if kind == "inc":
         if nu is not None:
             raise ValueError("--nu does not apply to the incompressible kind")
@@ -127,7 +132,10 @@ def _model(args, kind, volfun, nu):
         raise ValueError(f"--volfun is required for the {kind!r} kind")
     if isinstance(volfun, str):
         volfun = parse_volfun(volfun)
-    params = params_from_mu_nu(args.mu, nu) if E is None else params_from_E_nu(E, nu)
+    if E is None:
+        params = params_from_mu_nu(1.0 if mu is None else mu, nu)
+    else:
+        params = params_from_E_nu(E, nu)
     return ModelSpec(kind, volfun, params)
 
 
@@ -501,9 +509,9 @@ def _bounded_int(lo, hi=None):
     return parse
 
 
-# a stability scan holds tens of doubles per state of its n^3 grid: at
-# n = 100 a one-volfun run (--volfun 1 --nu 0.3) peaks at about 254 MB RSS
-# (92 MB at n = 64)
+# a stability run keeps 13 doubles per state of its n^3 grid from cell to
+# cell: at n = 100 a one-volfun run (--volfun 1 --nu 0.3) peaks at about
+# 153 MB RSS (63 MB at n = 64)
 _GRID_N_MAX = 100
 
 # the most points of a sweep or dilatation grid; 10^6 points are an 8 MB grid
@@ -516,8 +524,8 @@ _MOTIONS_MAX = 1000
 
 # the modulus and Poisson-ratio flags; each subcommand takes the subset it uses
 _MODULUS_FLAGS = {
-    "--mu": {"type": float, "default": 1.0, "help": "shear modulus (default 1.0)"},
-    "--E": {"type": float, "help": "Young's modulus; overrides --mu"},
+    "--mu": {"type": float, "help": "shear modulus (default 1.0)"},
+    "--E": {"type": float, "help": "Young's modulus, in place of --mu"},
     "--nu": {"type": float, "help": "Poisson's ratio"},
     "--nu-set": {
         "choices": ("paper",),
@@ -629,15 +637,15 @@ def _build_parser():
     _add_moduli(p, "--mu")
     p.set_defaults(func=_cmd_table_repro)
 
-    # added last, so that every --help ends with these two
+    # added last, so that every --help ends with --out (table-repro's with --jobs)
     for p in sub.choices.values():
         p.add_argument("--out", help="write the CSV here instead of stdout")
-        p.add_argument(
-            "--jobs",
-            type=_bounded_int(1),
-            default=1,
-            help="ignored; kept for compatibility (cells always run one at a time)",
-        )
+    sub.choices["table-repro"].add_argument(
+        "--jobs",
+        type=_bounded_int(1),
+        default=1,
+        help="ignored; kept for compatibility (cells always run one at a time)",
+    )
 
     return parser
 

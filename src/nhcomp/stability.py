@@ -58,7 +58,6 @@ __all__ = [
     "detA_identity",
     "tangents",
     "stretch_grid",
-    "coaxial_matrices",
     "min_coaxial_eig",
     "find_hill_violation",
     "find_csp_violation",
@@ -683,25 +682,6 @@ def _shared(kind, contraction, mu, lams, volfun):
     return entry[2], entry[3][1]
 
 
-@np.errstate(all="ignore")
-def coaxial_matrices(kind, volfun, params, lams, contraction="hill"):
-    """Batched 3x3 matrices of the contraction restricted to coaxial rates.
-
-    ``lams`` is (N, 3); row i describes the diagonal state F = diag(lams[i]).
-    The quadratic form in the diagonal rate components delta is
-    delta^T M delta. Off-diagonal (non-coaxial) rate components contribute
-    the separately nonnegative R term and never drive a violation, so the
-    minimum eigenvalue of M over the grid decides positivity. An entry
-    beyond the float range is +-inf or NaN, with no numpy warning.
-    """
-    entry, J, shift = _shear_form(kind, contraction, params.mu, _checked_grid(lams))
-    S = np.empty((len(J), 3, 3))
-    for j, k in np.ndindex(3, 3):
-        S[:, j, k] = entry(j, k)
-    column = _volumetric_column(contraction, volfun, J)
-    return S + (_volumetric_c(kind, contraction, params, J, column) + shift)[:, None, None]
-
-
 def _eig2_min(p, r, q):
     """Batched smallest eigenvalue of the symmetric 2x2 [[p, r], [r, q]]."""
     return 0.5 * (p + q) - np.hypot(0.5 * (p - q), r)
@@ -778,7 +758,8 @@ def min_coaxial_eig(kind, volfun, params, lams, contraction="hill"):
     """Minimum coaxial-form eigenvalue over the grid, with its argmin data.
 
     Returns (min_value, index, direction) where direction is the minimizing
-    diagonal rate (unit vector).
+    diagonal rate (unit vector). A non-coaxial rate adds only the
+    nonnegative R term, so this minimum decides positivity.
 
     Each state's value comes from one of three routes, and a state pays
     only for the route that decides it:

@@ -281,7 +281,7 @@ class TestBadUsage:
 
     @pytest.mark.parametrize("jobs", ("0", "-3"))
     def test_jobs_below_one_exits_one(self, capsys, jobs):
-        code, rows, err = run(capsys, "tangent-check", "--volfun", "3", "--nu", "0.3", "--jobs", jobs)
+        code, rows, err = run(capsys, "table-repro", "--table", "4", "--jobs", jobs)
         assert code == 1 and rows == []
         assert "--jobs: must be >= 1" in err
 
@@ -444,7 +444,7 @@ class TestBadUsage:
         assert err == f"nhcomp: error: cannot write --out {path}: {reason}\n"
 
     def test_jobs_is_ignored(self, capsys):
-        argv = ["tangent-check", "--volfun", "3", "--nu", "0.3"]
+        argv = ["table-repro", "--table", "4"]
         assert cli.main(argv) == 0
         one = capsys.readouterr().out
         assert cli.main([*argv, "--jobs", "3"]) == 0
@@ -455,14 +455,33 @@ class TestBadUsage:
         ("audit-volfun", "sweep", "limits", "dilatation", "stability", "tangent-check",
          "table-repro"),
     )
-    def test_every_subcommand_lists_jobs(self, capsys, subcommand):
+    def test_only_table_repro_lists_jobs(self, capsys, subcommand):
         assert cli.main([subcommand, "--help"]) == 0
         out = capsys.readouterr().out
-        assert "--jobs JOBS" in out
         options = re.findall(r"^  (-[-\w]+)", out, flags=re.MULTILINE)
-        assert options[-2:] == ["--out", "--jobs"]
-        for flag in ("--mu", "--E", "--nu", "--nu-set"):
+        tail = ["--out", "--jobs"] if subcommand == "table-repro" else ["--out"]
+        assert options[-len(tail):] == tail
+        for flag in ("--mu", "--E", "--nu", "--nu-set", "--jobs"):
             assert options.count(flag) <= 1, flag
+
+    @pytest.mark.parametrize(
+        "argv",
+        (
+            "audit-volfun",
+            "sweep --case ul --model mixed --volfun 2 --nu 0.3 --lam-min 0.5 --lam-max 2 "
+            "--points 3",
+            "limits --case ul --model mixed --volfun 2 --nu 0.3",
+            "dilatation --model mixed --volfun 2 --nu 0.3 --points 3",
+            "stability --volfun 2 --nu 0.3 --grid-n 3",
+            "tangent-check --volfun 3 --nu 0.3 --motions 1",
+        ),
+        ids=lambda argv: argv.split()[0],
+    )
+    def test_jobs_outside_table_repro_exits_one(self, capsys, tmp_path, argv):
+        out = tmp_path / "out.csv"
+        err = run_rejected(capsys, *argv.split(), "--out", str(out), "--jobs", "2")
+        assert err.endswith("error: unrecognized arguments: --jobs 2\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "argv, message",
@@ -476,9 +495,18 @@ class TestBadUsage:
                 "--lam-min 0.5 --lam-max 2 --points 3",
                 "nhcomp: error: give either --nu or --nu-set, not both\n",
             ),
+            (
+                "sweep --case ul --model mixed --volfun 2 --nu 0.3 --mu 2 --E 3 "
+                "--lam-min 0.5 --lam-max 2 --points 3",
+                "nhcomp: error: give either --mu or --E, not both\n",
+            ),
+            (
+                "limits --case ul --model inc --E 3 --mu 2",
+                "nhcomp: error: give either --mu or --E, not both\n",
+            ),
             ("stability --grid-n abc", "argument --grid-n: expected an integer, got 'abc'\n"),
         ),
-        ids=("inc-nu", "nu-and-nu-set", "grid-n-not-an-integer"),
+        ids=("inc-nu", "nu-and-nu-set", "mu-and-E", "inc-E-and-mu", "grid-n-not-an-integer"),
     )
     def test_conflicting_or_malformed_flags_exit_one(self, capsys, argv, message):
         assert run_rejected(capsys, *argv.split()).endswith(message)

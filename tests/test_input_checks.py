@@ -264,15 +264,14 @@ def test_pointwise_functions_leak_no_warning_at_extreme_states(kind, nu, volfun,
 @pytest.mark.parametrize("contraction", ("hill", "csp"))
 @pytest.mark.parametrize("mu", (1.0, 1e300))
 def test_grid_scans_leak_no_warning_at_extreme_stretches(kind, contraction, mu):
-    # stretches of 1e-150 and 1e150 beside a rest state: a scan returns
-    # (inf and NaN allowed in coaxial_matrices) or raises ValueError
+    # stretches of 1e-150 and 1e150 beside a rest state: the scan returns
+    # or raises ValueError
     grid = np.array([[1e-150, 1.0, 1.0], [1e150, 1.0, 1.0], [1.0, 1.0, 1.0]])
     nus = PAPER_NUS if kind == "mixed" else (-0.9, *PAPER_NUS)
     for nu in nus:
         params = params_from_mu_nu(mu, nu)
         for volfun in (*catalog().values(), parse_volfun("hn:5")):
-            for scan in (st.min_coaxial_eig, st.coaxial_matrices):
-                try:
-                    scan(kind, volfun, params, grid, contraction)
-                except ValueError:
-                    pass
+            try:
+                st.min_coaxial_eig(kind, volfun, params, grid, contraction)
+            except ValueError:
+                pass

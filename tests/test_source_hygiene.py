@@ -34,9 +34,6 @@ _MODULES = {path.name: ast.parse(path.read_text(), str(path)) for path in sorted
 _TEST_REFERENCES = {
     "oldroyd_rate": "tests/test_stability.py::TestRateIdentities::test_oldroyd_vs_fd",
     "bh_rate": "tests/test_stability.py::TestRateIdentities::test_bh_rate_vs_fd",
-    "coaxial_matrices": (
-        "tests/test_stability.py::TestGridSearch::test_coaxial_matrix_matches_contractions"
-    ),
 }
 
 

@@ -12,7 +12,6 @@ from nhcomp.kinematics import kinematics_from_F, rate_from_motion
 from nhcomp.materials import PAPER_NUS, ModelSpec, cauchy_stress, mantissa_params, params_from_mu_nu
 from nhcomp.stability import (
     bh_rate,
-    coaxial_matrices,
     csp_contraction,
     detA_identity,
     find_csp_violation,
@@ -658,12 +657,15 @@ class TestSharedMotions:
 
 class TestGridSearch:
     def test_coaxial_matrix_matches_contractions(self):
+        # the tests' own coaxial matrices, which the scan is pinned to bit for
+        # bit (TestCoaxialScanBytes), against the pointwise contractions
         lams = np.array([[1.3, 0.8, 1.9], [0.5, 2.2, 1.1]])
         for kind in ("mixed", "voliso"):
             for contraction in ("hill", "csp"):
                 prm = params_from_mu_nu(1.0, 0.3)
                 model = ModelSpec(kind, catalog()[7], prm)
-                M = coaxial_matrices(kind, catalog()[7], prm, lams, contraction)
+                S, c = reference_matrices(kind, catalog()[7], prm, lams, contraction)
+                M = S + c[:, None, None]
                 fn = hill_contraction if contraction == "hill" else csp_contraction
                 for s in range(len(lams)):
                     F = np.diag(lams[s])
@@ -783,14 +785,9 @@ def log_grid(n, lo, hi):
     return np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
 
 
-def reference_min_coaxial_eig(kind, volfun, params, lams, contraction):
-    """The scan as it was before the shear block was shared: every piece
-    rebuilt per call, and eigh run on every state, graded or not.
-
-    Returns (value, index, direction, branch, mins, graded): branch names
-    the path that produced the minimum, mins holds every state's value and
-    graded marks the states the analytic deflation covers.
-    """
+def reference_matrices(kind, volfun, params, lams, contraction):
+    """(S, c) of the coaxial forms M = S + c ones(3, 3) of a stretch grid,
+    built from MP = diag(2 lam2) and MB_jk = (lam2_j + lam2_k) / 2."""
     lams = np.asarray(lams, dtype=float)
     n = lams.shape[0]
     lam2 = lams**2
@@ -823,7 +820,18 @@ def reference_min_coaxial_eig(kind, volfun, params, lams, contraction):
             w = mu * J ** (-5.0 / 3.0)
             S = w[:, None, None] * (MP - (7.0 / 3.0) * MB)
             c = params.K * J * hpp + (5.0 / 9.0) * w * trc
+    return S, c
 
+
+def reference_min_coaxial_eig(kind, volfun, params, lams, contraction):
+    """The scan as it was before the shear block was shared: every piece
+    rebuilt per call, and eigh run on every state, graded or not.
+
+    Returns (value, index, direction, branch, mins, graded): branch names
+    the path that produced the minimum, mins holds every state's value and
+    graded marks the states the analytic deflation covers.
+    """
+    S, c = reference_matrices(kind, volfun, params, lams, contraction)
     Q = stability._TRACE_ROT
     qu = Q.T @ np.ones(3)
     Sp = np.einsum("ji,njk,kl->nil", Q, S, Q)
