@@ -121,7 +121,8 @@ def _model(args, kind, volfun, nu):
         raise ValueError("give either --mu or --E, not both")
     if kind == "inc":
         if nu is not None:
-            raise ValueError("--nu does not apply to the incompressible kind")
+            flag = "--nu" if getattr(args, "nu_set", None) is None else "--nu-set"
+            raise ValueError(f"{flag} does not apply to the incompressible kind")
         if volfun is not None:
             raise ValueError("--volfun does not apply to the incompressible kind")
         nu = 0.5  # the moduli of the incompressible kind, from --mu or --E
@@ -509,9 +510,10 @@ def _bounded_int(lo, hi=None):
     return parse
 
 
-# a stability run keeps 13 doubles per state of its n^3 grid from cell to
-# cell: at n = 100 a one-volfun run (--volfun 1 --nu 0.3) peaks at about
-# 153 MB RSS (63 MB at n = 64)
+# a stability run keeps 4 words per state of its n^3 grid and 11 doubles
+# per stretch class (about n^3 / 4 classes) from cell to cell: at n = 100 a
+# one-volfun run (--volfun 1 --nu 0.3) peaks at about 114 MB RSS (55 MB at
+# n = 64)
 _GRID_N_MAX = 100
 
 # the most points of a sweep or dilatation grid; 10^6 points are an 8 MB grid

@@ -215,6 +215,11 @@ def _coaxial_form(kind, contraction, mu, J, trc):
     return w, 7.0 / 3.0, (5.0 / 9.0) * w * trc
 
 
+def _volumetric_coef(kind, params):
+    """The modulus of the volumetric coefficient: lam (mixed) or K (vol-iso)."""
+    return params.lam if kind == "mixed" else params.K
+
+
 def _volumetric_c(kind, contraction, params, J, column):
     """The volumetric coefficient c: lam or K times chi J for Hill, times
     J h'' for CSP, on scalars or per-state arrays; ``column`` is the chi
@@ -225,7 +230,7 @@ def _volumetric_c(kind, contraction, params, J, column):
     the coaxial form's shear part stays at the shear-modulus scale, so the
     scan finds the minimum eigenvalue without forming the ill-conditioned
     sum. Call under an errstate."""
-    coef = params.lam if kind == "mixed" else params.K
+    coef = _volumetric_coef(kind, params)
     if coef == 0.0:
         return np.zeros_like(J)
     if contraction == "hill":
@@ -509,38 +514,95 @@ _TRACE_ROT = np.array(
 )
 
 
-@dataclass(frozen=True)
-class _ShearBlock:
-    """What the scan reads of the part of the coaxial form M = S + c * ones(3, 3)
-    that depends only on (kind, contraction, mu, grid), never on the
-    volumetric function or nu.
-
-    ``lower`` holds the six lower-triangle entries of S rotated by
-    _TRACE_ROT (:func:`_rotate_lower`), in ``_LOWER`` order, each a
-    C-contiguous length-n vector; nothing reads the upper triangle. ``shift``
-    is the shear-scale summand of the coefficient of ones per state (all 0.0
-    for the mixed Hill form, which has none). Every array is read-only, since
-    one block serves many calls.
-    """
-
-    lower: tuple  # (Sp00, Sp10, Sp20, Sp11, Sp21, Sp22), Sp = Q^T S Q
-    s_scale: np.ndarray  # largest |entry| of ``lower`` per state
-    J: np.ndarray
-    shift: np.ndarray
-
+# the image of (1, 1, 1) under _TRACE_ROT^T: (sqrt(3)-ish, exactly 0, exactly 0)
+_QU = _TRACE_ROT.T @ np.ones(3)
 
 # the (row, column) of each lower-triangle entry, in the order eigh's
 # lower triangle and _ShearBlock.lower list them
 _LOWER = ((0, 0), (1, 0), (2, 0), (1, 1), (2, 1), (2, 2))
 
-# The shared scan data of _shared: the last block built, as [key, private
-# copy of the grid, block, column]. column is (volfun, values): the one
-# volumetric column last read on the block's J, or None; the contraction in
-# the key fixes which column it is. A stability scan runs every (volfun, nu)
-# cell of one (kind, contraction) on one grid back to back, volfun by
-# volfun, so one slot and one column are enough; a block and its grid copy
-# hold up to 12 doubles per state (96 MB at n = 100), so more slots would
-# cost peak memory for nothing. The column goes with its block.
+# the factors Q[j, i] and Q[k, l] of each lower-triangle entry (i, l) of
+# Q^T S Q, Q = _TRACE_ROT: row j of _ROT_ROW and row k of _ROT_COL, as
+# columns, in _LOWER order
+_ROT_ROW = _TRACE_ROT[:, [i for i, _ in _LOWER]][:, :, None]
+_ROT_COL = _TRACE_ROT[:, [l for _, l in _LOWER]][:, :, None]
+
+# A class settles on its representative only where the representative's
+# shear scale lies in _SETTLE_SHEAR and no entry of its form, alpha
+# included, exceeds _SETTLE_ENTRY in size: there no square, product or
+# quotient of the deflation, the rotation or eigh overflows, and what
+# underflow loses is far below the certificate's margin, so every member's
+# value is the representative's up to rounding of order eps * max|entry|.
+_SETTLE_SHEAR = (1e-100, 1e100)
+_SETTLE_ENTRY = 1e300
+
+
+@dataclass(frozen=True)
+class _Classes:
+    """The stretch-permutation classes of a stretch grid: its states grouped
+    by the multiset of their stretches and the bits of their J
+    (:func:`_stretch_classes`).
+
+    Class k is the class whose lowest grid index, its representative, is
+    ``reps[k]``, so the representatives are in grid order; ``of`` holds the
+    class of each state. Both are read-only.
+    """
+
+    reps: np.ndarray
+    of: np.ndarray
+
+
+@dataclass(frozen=True)
+class _ShearBlock:
+    """What the scan reads of the part of the coaxial form M = S + c * ones(3, 3)
+    that depends only on (kind, contraction, mu, grid), never on the
+    volumetric function or nu, for the representative of each stretch class
+    (:class:`_Classes`), in class order.
+
+    ``lower`` holds the six lower-triangle entries of S rotated by
+    _TRACE_ROT (:func:`_rotate_lower`), in ``_LOWER`` order, each a
+    C-contiguous vector; nothing reads the upper triangle. ``shift`` is the
+    shear-scale summand of the coefficient of ones (all 0.0 for the mixed
+    Hill form, which has none). ``settles`` marks the classes that their
+    representative may settle (:data:`_SETTLE_SHEAR`). Every array is
+    read-only, since one block serves many calls.
+    """
+
+    lower: tuple  # (Sp00, Sp10, Sp20, Sp11, Sp21, Sp22), Sp = Q^T S Q
+    grading: np.ndarray  # 1e3 (s_scale + 1e-300), s_scale the largest |entry| of ``lower``
+    tail: np.ndarray  # the largest |entry| of ``lower`` besides Sp00
+    J: np.ndarray
+    shift: np.ndarray
+    settles: np.ndarray
+
+
+@dataclass
+class _ScanSlot:
+    """The shared scan data of one stretch grid (:func:`_shared`)."""
+
+    grid: np.ndarray  # a private read-only copy of the grid
+    classes: _Classes
+    key: tuple | None  # the (kind, contraction, mu) of ``block``
+    block: _ShearBlock | None
+    column: tuple | None  # (volfun, values): the column last read on block.J
+    zero: tuple | None  # the block's scan at a zero volumetric coefficient
+    members: dict  # the last open members' forms per grid block (_member_form)
+
+
+# The shared scan data of _shared: the last grid scanned, as a _ScanSlot
+# holding a private copy of the grid, its stretch classes, the shear block of
+# the last (kind, contraction, mu) on it, the one volumetric column last
+# read on the block's J (the contraction in the key fixes which column it
+# is), the block's (value, index, direction) at a zero volumetric
+# coefficient, which no volfun changes (the mixed kind at nu = 0), and the
+# forms of the last open members per grid block. A stability scan runs
+# every (volfun, nu) cell of one (kind, contraction) on one grid back to
+# back, volfun by volfun, so one slot and one column are enough; more slots
+# would cost peak memory for nothing. The slot keeps 3 doubles and a class
+# index per state, and 11 doubles and a flag per class; stretch_grid(n) has
+# about n^3 / 4 classes (1179 at n = 16, 260044 at n = 100), so at n = 100
+# it holds 55 MB, where one block of every state held 104 MB. The block,
+# its column, its zero result and its members' forms go together.
 _block_slot = [None]
 
 # The number of grid states that the scan, the shear-block build and the
@@ -560,23 +622,21 @@ def _blocks(n):
 
 
 def _rotate_lower(entry, lower):
-    """Fill ``lower``, six zeroed vectors of one length n, with the six
-    lower-triangle entries of Q^T S Q, Q = _TRACE_ROT, in ``_LOWER`` order,
-    for n 3x3 matrices S whose S[:, j, k] is ``entry(j, k)`` (a vector or a
-    scalar). Call under an errstate.
+    """Fill ``lower``, a zeroed (6, n) array, with the six lower-triangle
+    entries of Q^T S Q, Q = _TRACE_ROT, in ``_LOWER`` order, for n 3x3
+    matrices S whose S[:, j, k] is ``entry(j, k)`` (a vector or a scalar).
+    Call under an errstate.
 
     Each entry is formed once and S is never stored. Entry (i, l) adds
     (Q[j, i] * S[:, j, k]) * Q[k, l] onto 0.0, j outer and k inner, so it
     has the bits of ``np.einsum("ji,njk,kl->nil", Q, S, Q)``; only the sign
-    of a NaN may differ, where two NaNs meet in one sum."""
-    Q = _TRACE_ROT
-    term = np.empty(len(lower[0]))
+    of a NaN may differ, where two NaNs meet in one sum. The six entries
+    take each step together, so a step is three array operations."""
+    term = np.empty(lower.shape)
     for j, k in np.ndindex(3, 3):  # j outer, k inner
-        s_jk = entry(j, k)
-        for (i, l), acc in zip(_LOWER, lower):
-            np.multiply(Q[j, i], s_jk, out=term)
-            term *= Q[k, l]
-            np.add(term, acc, out=acc)
+        np.multiply(_ROT_ROW[j], entry(j, k), out=term)
+        term *= _ROT_COL[k]
+        np.add(term, lower, out=lower)
 
 
 def _max_abs(vectors):
@@ -599,13 +659,55 @@ def _checked_grid(lams):
     return lams
 
 
+def _stretch_classes(grid):
+    """The read-only :class:`_Classes` of a checked stretch grid
+    (:func:`_checked_grid`). Call under an errstate.
+
+    A stable lexsort orders the states by their sorted stretches, then by
+    J, the product of each row as the grid holds it (a permutation may
+    round it differently, and then lands in another class), keeping grid
+    order among equal keys. Each class is then one run of the order, led
+    by its lowest grid index. Only the four keys and the order are as long
+    as the grid; the runs are found one block at a time (:func:`_blocks`)."""
+    x, y, z = grid.T
+    lo, hi = np.minimum(x, y), np.maximum(x, y)
+    keys = (np.prod(grid, axis=1), np.maximum(hi, z), np.maximum(lo, np.minimum(hi, z)))
+    keys += (np.minimum(lo, z),)  # J, then the greatest, middle and least stretch
+    del lo, hi
+    order = np.lexsort(keys)
+    n = len(grid)
+    first = np.ones(n, dtype=bool)
+    for part in _blocks(n - 1):  # the neighbours order[i] and order[i + 1]
+        a, b = order[part], order[part.start + 1 : part.stop + 1]
+        new = first[part.start + 1 : part.stop + 1]
+        for key in keys:
+            new &= key[b] == key[a]
+        np.logical_not(new, out=new)
+    del keys
+    leads = order[first]
+    label = np.empty(len(leads), dtype=np.intp)
+    label[np.argsort(leads)] = np.arange(len(leads))
+    run = np.cumsum(first)
+    run -= 1
+    of = np.empty(n, dtype=np.intp)
+    for part in _blocks(n):
+        of[order[part]] = label[run[part]]
+    reps = np.sort(leads)
+    reps.flags.writeable = False
+    of.flags.writeable = False
+    return _Classes(reps=reps, of=of)
+
+
 def _shear_form(kind, contraction, mu, lams):
     """(entry, J, shift) of a checked stretch grid (:func:`_checked_grid`), or
-    of consecutive rows of one, where ``entry(j, k)`` forms S[:, j, k] of the
+    of some rows of one, where ``entry(j, k)`` forms S[:, j, k] of the
     shear part S = w (MP - a MB) of its coaxial forms M = S + (c + shift) *
     ones(3, 3): MP = diag(2 lam2) is the matrix of P and MB_jk = (lam2_j +
     lam2_k) / 2 that of B, and a = 0 skips MB, so an off-diagonal entry of
-    the mixed Hill form is the scalar 0, and so is its shift."""
+    the mixed Hill form is the scalar 0, and so is its shift.
+
+    Each state's values depend on its own row alone, so any subset of the
+    rows gives the same bits for the rows it holds."""
     lam2 = np.ascontiguousarray((lams**2).T)  # (3, n)
     J = np.prod(lams, axis=1)
     w, a, shift = _coaxial_form(kind, contraction, mu, J, lam2[0] + lam2[1] + lam2[2])
@@ -619,22 +721,39 @@ def _shear_form(kind, contraction, mu, lams):
     return entry, J, shift
 
 
-def _build_shear_block(kind, contraction, mu, lams):
-    """The read-only _ShearBlock of a stretch grid, whose full-size arrays are
-    filled block by block (:func:`_blocks`), so no temporary of the build
-    outgrows one block. Raises :func:`_checked_grid`'s ``ValueError``."""
-    lams = _checked_grid(lams)
-    n = len(lams)
-    lower = tuple(np.zeros(n) for _ in _LOWER)
-    s_scale, J, shift = np.empty(n), np.empty(n), np.empty(n)
-    for part in _blocks(n):
-        entry, J[part], shift[part] = _shear_form(kind, contraction, mu, lams[part])
-        rows = tuple(v[part] for v in lower)
-        _rotate_lower(entry, rows)
-        s_scale[part] = _max_abs(rows)
-    for v in (*lower, s_scale, J, shift):
+def _grading(s_scale):
+    """The size of alpha above which a state is graded: 1e3 (s_scale +
+    1e-300), for the largest |entry| s_scale of its rotated shear entries."""
+    return 1e3 * (s_scale + 1e-300)
+
+
+def _build_shear_block(kind, contraction, mu, grid, classes):
+    """The read-only _ShearBlock of the representatives of a checked stretch
+    grid's classes, whose arrays are filled block by block (:func:`_blocks`),
+    so no temporary of the build outgrows one block. For the vol-iso kind,
+    ``settles`` reads the shift of every state: it reads tr c, whose
+    rounding depends on the order of the stretches. The mixed shift reads
+    J alone, so every member's is its representative's."""
+    reps = classes.reps
+    m = len(reps)
+    lower = np.zeros((len(_LOWER), m))
+    tail, J, shift = np.empty(m), np.empty(m), np.empty(m)
+    for part in _blocks(m):
+        entry, J[part], shift[part] = _shear_form(kind, contraction, mu, grid[reps[part]])
+        _rotate_lower(entry, lower[:, part])
+        tail[part] = _max_abs(lower[1:, part])
+    s_scale = np.maximum(np.abs(lower[0]), tail)
+    lo, hi = _SETTLE_SHEAR
+    settles = (s_scale >= lo) & (s_scale <= hi)
+    for part in _blocks(len(grid)) if kind == "voliso" else ():
+        unsteady = ~np.isfinite(_shear_form(kind, contraction, mu, grid[part])[2])
+        settles[classes.of[part][unsteady]] = False
+    grading = _grading(s_scale)
+    for v in (lower, grading, tail, J, shift, settles):
         v.flags.writeable = False
-    return _ShearBlock(lower=lower, s_scale=s_scale, J=J, shift=shift)
+    return _ShearBlock(
+        lower=tuple(lower), grading=grading, tail=tail, J=J, shift=shift, settles=settles
+    )
 
 
 # the evaluate_grid column that each contraction's volumetric coefficient
@@ -652,34 +771,47 @@ def _volumetric_column(contraction, volfun, J):
     return column
 
 
-def _shared(kind, contraction, mu, lams, volfun):
-    """(block, column): the shear block of one (kind, contraction, mu, grid)
-    and the volumetric column of ``volfun`` on its J (:func:`_volumetric_column`),
-    each built at most once for a run of calls on the same inputs.
+def _shared(kind, contraction, mu, lams):
+    """The _ScanSlot of a stretch grid, holding the shear block of (kind,
+    contraction, mu) on it; the classes and the block are each built at most
+    once for a run of calls on the same inputs.
 
-    The slot is matched by value (an equal copy of the grid, not the same
-    object, and an equal volfun), so a grid changed in place gets a fresh
-    block. The old block, with its column, is dropped before the new one is
-    built, and the old column before the new one is read. Both are full-size
-    arrays filled one block of states at a time (:func:`_blocks`), and both
-    are read-only, since they serve many calls.
+    The grid is matched by value (an equal copy, not the same object), so a
+    grid changed in place gets fresh classes and a fresh block. The old
+    slot is dropped before the new classes are built, and the old block,
+    with its column and zero result, before the new block. Raises
+    :func:`_checked_grid`'s ``ValueError``.
     """
     lams = np.asarray(lams, dtype=float)
-    key = (kind, contraction, float(mu))
-    entry = _block_slot[0]
-    if entry is None or entry[0] != key or not np.array_equal(entry[1], lams):
-        # free the old block first: two blocks alive at once raise peak memory;
-        # the build checks the grid, and a slot hit equals a copy that passed
-        del entry
+    slot = _block_slot[0]
+    if slot is None or not np.array_equal(slot.grid, lams):
+        # free the old slot first: two alive at once raise peak memory; the
+        # copy is checked, and a slot hit equals a copy that passed
+        del slot
         _block_slot[0] = None
-        block = _build_shear_block(kind, contraction, float(mu), lams)
-        entry = _block_slot[0] = [key, lams.copy(), block, None]
-    if entry[3] is None or entry[3][0] != volfun:
-        entry[3] = None  # free the old column before the new one is allocated
-        column = _volumetric_column(contraction, volfun, entry[2].J)
-        column.flags.writeable = False
-        entry[3] = (volfun, column)
-    return entry[2], entry[3][1]
+        classes = _stretch_classes(_checked_grid(lams))  # before the copy: less peak memory
+        grid = lams.copy()
+        grid.flags.writeable = False
+        slot = _block_slot[0] = _ScanSlot(grid, classes, None, None, None, None, {})
+    key = (kind, contraction, float(mu))
+    if slot.key != key:
+        slot.key = slot.block = slot.column = slot.zero = None
+        slot.members.clear()
+        slot.block = _build_shear_block(kind, contraction, float(mu), slot.grid, slot.classes)
+        slot.key = key
+    return slot
+
+
+def _column(slot, contraction, volfun):
+    """The read-only volumetric column of ``volfun`` on the J of the slot's
+    block (:func:`_volumetric_column`), read at most once for a run of calls
+    with one volfun; the old column is dropped before the new one is read."""
+    if slot.column is None or slot.column[0] != volfun:
+        slot.column = None
+        values = _volumetric_column(contraction, volfun, slot.block.J)
+        values.flags.writeable = False
+        slot.column = (volfun, values)
+    return slot.column[1]
 
 
 def _eig2_min(p, r, q):
@@ -729,9 +861,10 @@ def _candidates(a00, a10, a20, a11, a21, a22):
     return [np.argmin(diag), np.argmin(low)]
 
 
-def _exceeds(upper, a00, a10, a20, a11, a21, a22):
-    """Which symmetric 3x3 matrices, given by their lower triangles, certainly
-    have an ``eigh`` minimum strictly above ``upper``.
+def _exceeds(upper, scale, a00, a10, a20, a11, a21, a22):
+    """Which symmetric 3x3 matrices, given by their lower triangles and the
+    largest |entry| of each, ``scale``, certainly have an ``eigh`` minimum
+    strictly above ``upper``.
 
     The certificate is an unpivoted LDL^T of A - t I, t = upper + margin,
     with all three pivots positive: floating-point Cholesky that completes
@@ -742,7 +875,6 @@ def _exceeds(upper, a00, a10, a20, a11, a21, a22):
     matrix's eigh value exceeds ``upper``. A NaN or inf entry, or a NaN
     ``upper``, fails every pivot test. Call under an errstate.
     """
-    scale = _max_abs((a00, a10, a20, a11, a21, a22))
     t = upper + (1e-9 * (3.0 * scale + abs(upper)) + 1e-300)
     d0 = a00 - t
     l10 = a10 / d0
@@ -751,6 +883,157 @@ def _exceeds(upper, a00, a10, a20, a11, a21, a22):
     e21 = a21 - l20 * a10
     d2 = (a22 - t) - l20 * a20 - (e21 / d1) * e21
     return (d0 > 0.0) & (d1 > 0.0) & (d2 > 0.0)
+
+
+def _with_alpha(c, sheared):
+    """The lower triangle eigh reads, for states whose rotated shear entries
+    are ``sheared`` and whose coefficient of ones is ``c``: the entries
+    with alpha = Sp00 + c * qu0 * qu0 in place of Sp00, in that order,
+    formed over c's own buffer. Call under an errstate."""
+    alpha = np.multiply(c, _QU[0], out=c)
+    alpha *= _QU[0]
+    np.add(sheared[0], alpha, out=alpha)
+    return (alpha, *sheared[1:])
+
+
+def _routes(lower, grading, upper=None, tail=None):
+    """Each value of a block of states, given by their lower triangles
+    (:func:`_with_alpha`) and gradings (:func:`_grading`), by the three
+    routes of :func:`min_coaxial_eig`: the deflation on the graded states,
+    then the certificate against ``upper`` and ``eigh`` on the others.
+
+    ``upper`` is first lowered by the graded values and by the ``eigh``
+    values of the block's two candidate states (:func:`_candidates`);
+    ``tail`` is the largest |entry| of each state's five entries besides
+    alpha. With no ``upper`` (the members of open classes, near U by
+    construction) there is no certificate, and every ungraded state takes
+    ``eigh``. Returns (mins, upper, route): mins is +inf at a certified
+    state, and route is what :func:`_direction` reads. Call under an
+    errstate.
+    """
+    size = np.abs(lower[0])
+    graded = size > grading
+    mins = np.full(len(graded), np.inf)
+    rows = np.flatnonzero(graded)
+    x = vecs = None
+    if rows.size:
+        x, big = _deflate(*(v[rows] for v in lower))
+        deflated = np.minimum(x, big)
+        mins[rows] = deflated
+        if upper is not None:
+            upper = min(upper, float(np.min(deflated)))
+    kept = ~graded
+    cand = np.flatnonzero(kept)
+    if cand.size and upper is not None:
+        # with no graded state, the certificate reads the lower triangle itself
+        sub = [v[cand] for v in lower] if rows.size else lower
+        pair = cand[_candidates(*sub)]
+        pair_min = float(np.min(np.linalg.eigh(_lower_matrices(lower, pair))[0][:, 0]))
+        upper = min(upper, pair_min)
+        scale = np.maximum(size, tail)[cand]  # max|entry|, as _max_abs gives it
+        kept[cand[_exceeds(upper, scale, *sub)]] = False
+    if kept.any():
+        vals, vecs = np.linalg.eigh(_lower_matrices(lower, kept))
+        mins[kept] = vals[:, 0]
+    return mins, upper, (graded, rows, x, kept, vecs)
+
+
+def _direction(i, value, lower, route):
+    """The minimizing direction, in the rotated frame, of state i of a block
+    that :func:`_routes` valued at ``value``."""
+    graded, rows, x, kept, vecs = route
+    alpha, b1, b2, p, r, q = lower
+    if graded[i] and value == x[np.searchsorted(rows, i)]:
+        d = value - alpha[i]
+        pp = p[i] - b1[i] * b1[i] / -d
+        qq = q[i] - b2[i] * b2[i] / -d
+        rr = r[i] - b1[i] * b2[i] / -d
+        cand1 = np.array([rr, value - pp])
+        cand2 = np.array([value - qq, rr])
+        v2 = cand1 if np.linalg.norm(cand1) >= np.linalg.norm(cand2) else cand2
+        if np.linalg.norm(v2) == 0.0:  # isotropic small block
+            v2 = np.array([1.0, 0.0])
+        v1 = (b1[i] * v2[0] + b2[i] * v2[1]) / d
+        return np.array([v1, v2[0], v2[1]])
+    if graded[i]:  # the spherical branch itself is the minimum (c < 0)
+        return np.array([1.0, 0.0, 0.0])
+    return vecs[np.count_nonzero(kept[:i]), :, 0]
+
+
+def _member_form(slot, start, rows):
+    """(sheared, grading, J, shift) of the grid states ``rows`` of the grid
+    block that begins at ``start``, formed as the slot's block forms its
+    representatives (:func:`_shear_form`, :func:`_rotate_lower`). The forms
+    are kept per grid block until a call asks for other rows there: the
+    cells of one (kind, contraction) often open the same classes. Call
+    under an errstate."""
+    kept = slot.members.get(start)
+    if kept is not None and np.array_equal(kept[0], rows):
+        return kept[1]
+    kind, contraction, mu = slot.key
+    entry, J, shift = _shear_form(kind, contraction, mu, slot.grid[rows])
+    sheared = np.zeros((len(_LOWER), rows.size))
+    _rotate_lower(entry, sheared)
+    form = (sheared, _grading(_max_abs(sheared)), J, shift)
+    slot.members[start] = (rows, form)
+    return form
+
+
+def _clears(values, upper, grading):
+    """Which ``values`` exceed ``upper`` by the settle margin: the
+    certificate's, 1e-9 * (3 max|entry| + |upper|) plus its floor, with
+    max|entry| taken at the grading bound (:func:`_grading`), which is at
+    least max|entry| of an ungraded state and the scale of a deflated
+    value's rounding. False at a NaN value and at an infinite ``upper``.
+    Call under an errstate."""
+    t = np.multiply(grading, 3e-9)
+    t += upper + (1e-9 * abs(upper) + 1e-300)
+    return values > t
+
+
+def _class_scan(kind, contraction, params, slot, column):
+    """(value, grid index, rotated-frame direction) of the minimum of
+    :func:`min_coaxial_eig`, at params whose mu is a mantissa, with the
+    volumetric ``column`` on the J of the slot's block. Raises
+    ``ValueError`` at the first NaN state. Call under an errstate."""
+    block, classes = slot.block, slot.classes
+    # the representatives, in blocks, with U running across them; each block
+    # keeps the classes that its representatives do not settle against the
+    # U so far, to be judged again against the final U
+    upper, near = math.inf, []
+    for part in _blocks(len(block.J)):
+        c = _volumetric_c(kind, contraction, params, block.J[part], column[part])
+        c += block.shift[part]
+        lower = _with_alpha(c, [v[part] for v in block.lower])
+        grading = block.grading[part]
+        mins, upper, _ = _routes(lower, grading, upper, block.tail[part])
+        upper = min(upper, float(np.min(mins)))  # a real state's value
+        # a representative outside the settle range never clears U
+        mins[~block.settles[part] | (np.abs(lower[0]) > _SETTLE_ENTRY)] = np.nan
+        k = np.flatnonzero(~_clears(mins, upper, grading))
+        near.append((part.start + k, mins[k], grading[k]))
+    open_class = np.zeros(len(block.J), dtype=bool)
+    for k, mins, grading in near:
+        open_class[k[~_clears(mins, upper, grading)]] = True
+
+    # every member of an open class, in grid order, by the deflation or eigh
+    best = None
+    for part in _blocks(len(classes.of)):
+        rows = part.start + np.flatnonzero(open_class[classes.of[part]])
+        if not rows.size:
+            continue
+        sheared, grading, J, shift = _member_form(slot, part.start, rows)
+        c = _volumetric_c(kind, contraction, params, J, column[classes.of[rows]])
+        c += shift
+        lower = _with_alpha(c, sheared)
+        mins, _, route = _routes(lower, grading)
+        i = int(np.argmin(mins))  # the block's first NaN, if any
+        value = float(mins[i])
+        if value != value:
+            raise ValueError(f"the {contraction} stability form is NaN at grid state {rows[i]}")
+        if best is None or value < best[0]:  # a tie keeps the earlier block's state
+            best = (value, int(rows[i]), _direction(i, value, lower, route))
+    return best
 
 
 @np.errstate(all="ignore")
@@ -770,23 +1053,65 @@ def min_coaxial_eig(kind, volfun, params, lams, contraction="hill"):
       would bury the true minimum (which lives in the nearly-traceless
       subspace) under eps * |c| rounding noise;
     * the certificate (:func:`_exceeds`), on every ungraded state, against
-      an upper bound U on the minimum: the smallest graded value and the
-      ``eigh`` values of two candidate states of each block, decomposed in
-      one call (:func:`_candidates`: the smallest diagonal entry and the
-      smallest Gershgorin lower bound). An unpivoted LDL^T of the state's matrix
-      minus (U + 1e-9 * (3 max|entry| + |U|)) times I with three positive
-      pivots proves its ``eigh`` value strictly above U, so it cannot be the
-      minimum and its value is set to +inf;
+      an upper bound U on the minimum: the smallest value found so far and
+      the ``eigh`` values of two candidate states of each block, decomposed
+      in one call (:func:`_candidates`: the smallest diagonal entry and the
+      smallest Gershgorin lower bound). An unpivoted LDL^T of the state's
+      matrix minus (U + 1e-9 * (3 max|entry| + |U|)) times I with three
+      positive pivots proves its ``eigh`` value strictly above U, so it
+      cannot be the minimum and its value is set to +inf;
     * ``eigh``, on the states that fail the certificate: those whose value
       lies within that margin of U, or that have a NaN or inf entry, so
       ties keep their first index.
 
-    The grid is scanned in blocks of ``_SCAN_BLOCK`` consecutive states
-    (:func:`_blocks`), in order, and each block takes all three routes on its
-    own states, so no temporary outgrows a block. U runs across the blocks:
-    a block lowers it by its own graded values and candidates, and certifies
-    its states against the lowest U so far, which is still the value of a
-    real state and so at least the minimum. The merge keeps a block's
+    The states are grouped into stretch-permutation classes
+    (:func:`_stretch_classes`): states with the same multiset of stretches
+    and a bitwise-equal J. An isotropic form reads the stretches only as
+    an unordered set, and ``stretch_grid(n)`` holds every permutation of
+    each triple, so its 4096 states at n = 16 make 1179 classes. The scan
+    takes the three routes on one representative per class, its lowest
+    grid index, and then settles each class or leaves it open:
+
+    * a class settles when its representative is certified against U, or
+      when the representative's value exceeds the final U by the
+      certificate's own margin, 1e-9 * (3 max|entry| + |U|), with
+      max|entry| taken at the grading bound 1e3 * max|shear entry|
+      (:func:`_clears`);
+    * every other class is open: ties and near-ties of U, a NaN value, a
+      class with a member whose shift is not finite, and a representative
+      outside the range where rounding stays relative (_SETTLE_SHEAR,
+      _SETTLE_ENTRY). Every member of an open class then takes the
+      deflation or ``eigh`` itself, in grid order, and the minimum is
+      taken over them.
+
+    Why no member of a settled class can be the minimum: within a class J,
+    w and the volumetric column are bitwise equal, so c is too, and the
+    shear matrix S of a member is the representative's with its rows and
+    columns permuted, bit for bit (the squares of the stretches are the
+    same numbers). A permutation fixes (1, 1, 1), so in the rotated frame
+    it is a fixed rotation of the trace-free plane, and the member's
+    rotated form is the representative's conjugated by it, up to rounding
+    in the rotation and the shift of order eps times the shear entries, and
+    eps * |alpha| in alpha alone. Its exact eigenvalues are the
+    representative's to that order: a graded state's trace-free values
+    move by eps * |alpha| * (shear / alpha)^2 at most, and its spherical
+    value, the minimum only where it is far below 0, keeps a relative
+    error of order eps. Its value, by whichever route, is within a few
+    eps of those scales of them, since in the settle range the deflation
+    after three passes and ``eigh`` both are. The margin dwarfs all of it,
+    so every member of a settled class has a value above U, and U, the
+    value of a real state, is at least the minimum. The minimum's own
+    class always stays open, and so do the first NaN state's, so the
+    value, the first index of a tie, the direction and the first-NaN error
+    keep the bits of scanning every state.
+
+    The representatives are scanned in blocks of ``_SCAN_BLOCK``
+    (:func:`_blocks`), in order, and so are the members of the open
+    classes, by grid block; each block takes its routes on its own states,
+    so no temporary outgrows a block. U runs across the blocks: a block
+    lowers it by its own values, and certifies its states against the
+    lowest U so far, which is still the value of a real state and so at
+    least the minimum. The merge of the open members keeps a block's
     minimum only when it is strictly below the best of the blocks before,
     so a tie keeps its first index, and a block whose minimum is NaN raises
     at once, naming its first NaN state by its grid index: no earlier block
@@ -802,89 +1127,37 @@ def min_coaxial_eig(kind, volfun, params, lams, contraction="hill"):
     ``ValueError``. The whole scan runs under one error state, so no numpy
     warning leaks.
 
-    A run of calls on one (kind, contraction, mu, grid) builds the shear
-    block (the rotated lower triangle of S, and its scale) once, and a run
-    with one volfun reads its volumetric column once, whatever nu
-    (:func:`_shared`).
+    A run of calls on one grid builds its classes once, and on one (kind,
+    contraction, mu) its shear block (the rotated lower triangle of S of
+    each representative, and its scale) once (:func:`_shared`); a run with
+    one volfun reads its volumetric column, on the representatives' J,
+    once, whatever nu. Where the volumetric coefficient is 0 (the mixed
+    kind at nu = 0) the form is the shear block alone, so the first such
+    scan of a block answers every volfun's, with no column read.
     The values, the argmin and the direction are bit for bit those of
     deflating every graded state and running ``eigh`` on every other one,
-    whatever the block size. U is the value of a real state, so it is at
-    least the minimum, and a certified state's value is above it. The
-    deflation is element-wise and batched ``eigh`` treats each matrix on its
-    own, so a subset gives the same bits for the rows it holds, and the
-    argmin row's eigenvector or deflated direction is taken from the subset.
-    Only the sign bit of a NaN may differ, where two NaNs meet in one
-    operation: numpy's vector and scalar loops may keep different ones, and
-    nothing prints that sign. The rotation (:func:`_rotate_lower`) keeps the
-    bits of the batched ``einsum`` it replaced, and ``eigh`` stays as it is:
-    ``eigvalsh`` rounds differently and would change the reported values in
-    the last bits.
+    whatever the block size. The deflation is element-wise, batched
+    ``eigh`` treats each matrix on its own, and a state's rotated entries
+    depend on its own row alone, so a subset gives the same bits for the
+    rows it holds, and the argmin row's eigenvector or deflated direction
+    is taken from the subset. Only the sign bit of a NaN may differ, where
+    two NaNs meet in one operation: numpy's vector and scalar loops may
+    keep different ones, and nothing prints that sign. The rotation
+    (:func:`_rotate_lower`) keeps the bits of the batched ``einsum`` it
+    replaced, and ``eigh`` stays as it is: ``eigvalsh`` rounds differently
+    and would change the reported values in the last bits.
     """
     mu = params.mu
     params, e = mantissa_params(params)
-    block, column = _shared(kind, contraction, params.mu, lams, volfun)
-    Q = _TRACE_ROT
-    qu = Q.T @ np.ones(3)  # (sqrt(3)-ish, exactly 0, exactly 0)
-    upper, best = math.inf, None
-    for part in _blocks(len(block.J)):
-        c = _volumetric_c(kind, contraction, params, block.J[part], column[part])
-        c += block.shift[part]
-        s00, b1, b2, p, r, q = (v[part] for v in block.lower)
-        # alpha = s00 + c * qu0 * qu0, in the same order, over c's own buffer
-        alpha = np.multiply(c, qu[0], out=c)
-        alpha *= qu[0]
-        np.add(s00, alpha, out=alpha)
-        # the lower triangle eigh reads: Sp with alpha in place of Sp[0, 0]
-        lower = (alpha, b1, b2, p, r, q)
-        graded = np.abs(alpha) > 1e3 * (block.s_scale[part] + 1e-300)
-        mins = np.full(len(alpha), np.inf)
-        rows = np.flatnonzero(graded)
-        if rows.size:
-            x, big = _deflate(*(v[rows] for v in lower))
-            deflated = np.minimum(x, big)
-            mins[rows] = deflated
-            upper = min(upper, float(np.min(deflated)))
-
-        kept = ~graded
-        cand = np.flatnonzero(kept)
-        if cand.size:
-            # with no graded state, the certificate reads the lower triangle itself
-            sub = [v[cand] for v in lower] if rows.size else lower
-            pair = cand[_candidates(*sub)]
-            pair_min = float(np.min(np.linalg.eigh(_lower_matrices(lower, pair))[0][:, 0]))
-            upper = min(upper, pair_min)
-            kept[cand[_exceeds(upper, *sub)]] = False
-        vals, vecs = np.linalg.eigh(_lower_matrices(lower, kept))
-        mins[kept] = vals[:, 0]
-
-        i = int(np.argmin(mins))  # the block's first NaN, if any
-        value = float(mins[i])
-        if value != value:
-            raise ValueError(
-                f"the {contraction} stability form is NaN at grid state {part.start + i}"
-            )
-        if best is not None and not value < best[0]:
-            continue  # a tie keeps the earlier block's state
-        if graded[i] and value == x[np.searchsorted(rows, i)]:
-            d = value - alpha[i]
-            pp = p[i] - b1[i] * b1[i] / -d
-            qq = q[i] - b2[i] * b2[i] / -d
-            rr = r[i] - b1[i] * b2[i] / -d
-            cand1 = np.array([rr, value - pp])
-            cand2 = np.array([value - qq, rr])
-            v2 = cand1 if np.linalg.norm(cand1) >= np.linalg.norm(cand2) else cand2
-            if np.linalg.norm(v2) == 0.0:  # isotropic small block
-                v2 = np.array([1.0, 0.0])
-            v1 = (b1[i] * v2[0] + b2[i] * v2[1]) / d
-            vp = np.array([v1, v2[0], v2[1]])
-        elif graded[i]:  # the spherical branch itself is the minimum (c < 0)
-            vp = np.array([1.0, 0.0, 0.0])
-        else:
-            vp = vecs[np.count_nonzero(kept[:i]), :, 0]
-        best = (value, part.start + i, vp)
-
-    value, i, vp = best
-    direction = Q @ vp
+    slot = _shared(kind, contraction, params.mu, lams)
+    zero = _volumetric_coef(kind, params) == 0.0
+    if zero and slot.zero is not None:
+        value, i, vp = slot.zero  # c = 0 makes the scan the same for every volfun
+    else:
+        value, i, vp = _class_scan(kind, contraction, params, slot, _column(slot, contraction, volfun))
+        if zero:
+            slot.zero = (value, i, vp)
+    direction = _TRACE_ROT @ vp
     try:
         value = math.ldexp(value, e)
     except OverflowError:

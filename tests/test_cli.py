@@ -491,6 +491,10 @@ class TestBadUsage:
                 "nhcomp: error: --nu does not apply to the incompressible kind\n",
             ),
             (
+                "sweep --case ul --model inc --nu-set paper --lam-min 0.5 --lam-max 2 --points 3",
+                "nhcomp: error: --nu-set does not apply to the incompressible kind\n",
+            ),
+            (
                 "sweep --case ul --model mixed --volfun 2 --nu 0.3 --nu-set paper "
                 "--lam-min 0.5 --lam-max 2 --points 3",
                 "nhcomp: error: give either --nu or --nu-set, not both\n",
@@ -506,7 +510,14 @@ class TestBadUsage:
             ),
             ("stability --grid-n abc", "argument --grid-n: expected an integer, got 'abc'\n"),
         ),
-        ids=("inc-nu", "nu-and-nu-set", "mu-and-E", "inc-E-and-mu", "grid-n-not-an-integer"),
+        ids=(
+            "inc-nu",
+            "inc-nu-set",
+            "nu-and-nu-set",
+            "mu-and-E",
+            "inc-E-and-mu",
+            "grid-n-not-an-integer",
+        ),
     )
     def test_conflicting_or_malformed_flags_exit_one(self, capsys, argv, message):
         assert run_rejected(capsys, *argv.split()).endswith(message)
@@ -692,7 +703,8 @@ class TestStability:
     def test_paper_scan_reads_one_volumetric_table_per_block_and_volfun(
         self, capsys, monkeypatch
     ):
-        # 2 kinds x 2 contractions x 8 volfuns; the parent read one per cell (192)
+        # 2 kinds x 2 contractions x 8 volfuns, each on the J of the 26
+        # stretch classes of the 64 states; the parent read one per cell (192)
         calls = []
         original = st.evaluate_grid
 
@@ -704,7 +716,7 @@ class TestStability:
         st._block_slot[0] = None
         code, rows, _ = run(capsys, *"stability --grid-n 4 --nu-set paper".split())
         assert code == 0 and len(rows) == 192
-        assert calls == [64] * 32
+        assert calls == [26] * 32
 
     def test_stability_value_overflow_exits_one(self, capsys):
         err = run_rejected(capsys, *"stability --mu 1e307 --nu 0.3 --grid-n 5".split())

@@ -648,8 +648,10 @@ class TestSharedMotions:
             arrays += [rate.l, rate.d, rate.w]
         stability._block_slot[0] = None
         min_coaxial_eig("voliso", catalog()[2], params_from_mu_nu(1.0, 0.3), stretch_grid(4), "csp")
-        column = stability._block_slot[0][3][1]
-        assert column.flags.c_contiguous and column.shape == (64,)
+        # one value per stretch class: the 20 multisets of 4 stretches, six
+        # of them split in two by the rounding of J
+        column = stability._block_slot[0].column[1]
+        assert column.flags.c_contiguous and column.shape == (26,)
         for a in (*arrays, column):
             with pytest.raises(ValueError, match="read-only"):
                 a[0] = 0.0
@@ -951,6 +953,28 @@ class TestCoaxialScanBytes:
         monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
         return passes, batches
 
+    @staticmethod
+    def record_open_members(monkeypatch):
+        """A list that fills, while the scan runs, with the grid rows of the
+        open-class members that each grid block asks forms for."""
+        opened = []
+        member_form = stability._member_form
+
+        def recording(slot, start, rows):
+            opened.append(rows.copy())
+            return member_form(slot, start, rows)
+
+        monkeypatch.setattr(stability, "_member_form", recording)
+        return opened
+
+    @staticmethod
+    def deflation_passes(graded, *row_sets):
+        """The ``_eig2_min`` pass sizes of deflating, three passes each, the
+        graded states among each set of rows in turn (a set with none is
+        not deflated)."""
+        counts = [np.count_nonzero(graded[rows]) for rows in row_sets]
+        return [k for k in counts if k for _ in range(3)]
+
     @pytest.mark.parametrize(
         "kind, contraction, vid, nu, grid, case",
         (
@@ -975,6 +999,8 @@ class TestCoaxialScanBytes:
         want = reference_min_coaxial_eig(kind, vf, params, grid, contraction)
         value, _, _, branch, mins, graded = want
         passes, batches = self.record_routes(monkeypatch)
+        opened = self.record_open_members(monkeypatch)
+        stability._block_slot[0] = None  # no scan kept from before
         got = min_coaxial_eig(kind, vf, params, grid, contraction)
         if case == "all graded":
             assert graded.all()
@@ -988,8 +1014,10 @@ class TestCoaxialScanBytes:
             assert np.count_nonzero(graded) == 1
         else:  # the smallest diagonal and the smallest Gershgorin bound share a state
             assert len(batches[0]) == 2 and batches[0][0].tobytes() == batches[0][1].tobytes()
-        # the deflation runs on the graded states alone, three passes each
-        assert passes == ([np.count_nonzero(graded)] * 3 if graded.any() else [])
+        # the deflation runs on graded states alone, three passes each: the
+        # graded representatives, then the graded members of open classes
+        reps = stability._block_slot[0].classes.reps
+        assert len(opened) <= 1 and passes == self.deflation_passes(graded, reps, *opened)
         assert bits(got) == bits(want)
 
     @given(
@@ -1042,7 +1070,7 @@ class TestCoaxialScanBytes:
     def test_eigh_of_a_subset_equals_the_same_rows_of_the_batch(self):
         # the scan runs eigh on a subset of states and relies on batched
         # eigh treating every matrix on its own
-        block = stability._shared("voliso", "hill", 1.0, stretch_grid(10), catalog()[7])[0]
+        block = stability._shared("voliso", "hill", 1.0, stretch_grid(10)).block
         scan = stability._lower_matrices(block.lower, np.ones(len(block.J), dtype=bool))
         sym = rng.standard_normal((500, 3, 3))
         for batch in (scan, sym + sym.transpose(0, 2, 1)):
@@ -1065,17 +1093,20 @@ class TestCoaxialScanBytes:
         args = (kind, catalog()[vid], params_from_mu_nu(1.0, nu), stretch_grid(16), contraction)
         graded = reference_min_coaxial_eig(*args)[5]
         passes, _ = self.record_routes(monkeypatch)
+        opened = self.record_open_members(monkeypatch)
         min_coaxial_eig(*args)
-        assert passes == ([np.count_nonzero(graded)] * 3 if graded.any() else [])
+        reps = stability._block_slot[0].classes.reps
+        assert len(opened) == 1 and passes == self.deflation_passes(graded, reps, *opened)
 
     def test_eigh_budget_of_one_cell(self, monkeypatch):
-        # 4000 ungraded states; eigh sees the two candidates of the upper
-        # bound, then at most the six permutations of the minimizing stretch
-        # triple, whose values agree to rounding, so none is certified
+        # 4000 ungraded states in 1179 classes; eigh sees the two candidates
+        # of the upper bound, the few representatives near it, which the
+        # certificate cannot settle, then at most the six permutations of
+        # the minimizing stretch triple, whose values agree to rounding
         args = ("voliso", catalog()[7], params_from_mu_nu(1.0, 0.25), stretch_grid(16), "csp")
         _, batches = self.record_routes(monkeypatch)
         min_coaxial_eig(*args)
-        assert len(batches[0]) == 2 and sum(map(len, batches)) <= 2 + 6
+        assert [len(b) for b in batches[::2]] == [2, 3] and len(batches[1]) <= 6
 
     def test_most_ungraded_states_skip_eigh(self, monkeypatch):
         grid = stretch_grid(16)
@@ -1163,15 +1194,18 @@ class TestCoaxialScanBytes:
 
     def test_shared_arrays_are_read_only(self):
         grid = stretch_grid(3)
-        block, column = stability._shared("voliso", "csp", 1.0, grid, catalog()[2])
-        S = shear_matrices("voliso", "csp", 1.0, grid)
-        assert len(block.lower) == 6
+        slot = stability._shared("voliso", "csp", 1.0, grid)
+        block, classes = slot.block, slot.classes
+        column = stability._column(slot, "csp", catalog()[2])
+        S = shear_matrices("voliso", "csp", 1.0, grid[classes.reps])
+        assert len(block.lower) == 6 and block.J.shape == (10,)  # the 10 multisets
         for v in (*block.lower, column):
             assert v.shape == block.J.shape and v.flags.c_contiguous
         TestShearRotation.assert_matches_einsum(S, block.lower)
-        for a in (*block.lower, block.s_scale, block.J, block.shift, column):
+        arrays = (*block.lower, block.grading, block.tail, block.J, block.shift, block.settles)
+        for a in (*arrays, column, slot.grid, classes.reps, classes.of):
             with pytest.raises(ValueError):
-                a[0] = 0.0
+                a[0] = 0
 
 
 def scan_outcome(kind, volfun, params, grid, contraction):
@@ -1195,22 +1229,50 @@ def reference_outcome(kind, volfun, params, grid, contraction):
         return f"the minimum {contraction} stability value overflows at modulus mu = {params.mu}"
 
 
-def shared_arrays(block, column):
-    """The arrays of ``_shared``'s (block, column), named."""
-    names = [f"lower{i}{l}" for i, l in stability._LOWER] + ["s_scale", "J", "shift", "column"]
-    return dict(zip(names, (*block.lower, block.s_scale, block.J, block.shift, column)))
+def reference_classes(grid):
+    """(reps, of) of a stretch grid's classes, grouped by a dict keyed on
+    each state's sorted stretches and the bits of its J, and numbered by
+    their first state."""
+    grid = np.asarray(grid, dtype=float)
+    with np.errstate(all="ignore"):  # J may overflow or underflow
+        keys = zip(np.sort(grid, axis=1), np.prod(grid, axis=1))
+    seen = {}
+    of = np.array([seen.setdefault((row.tobytes(), J.tobytes()), len(seen)) for row, J in keys])
+    reps = np.flatnonzero(np.diff(np.maximum.accumulate(of), prepend=-1))
+    return reps, of
+
+
+def shared_arrays(slot, column):
+    """The arrays of a ``_shared`` slot and its column, named."""
+    block, classes = slot.block, slot.classes
+    names = [f"lower{i}{l}" for i, l in stability._LOWER]
+    names += ["grading", "tail", "J", "shift", "settles", "column", "reps", "of"]
+    arrays = (*block.lower, block.grading, block.tail, block.J, block.shift, block.settles)
+    return dict(zip(names, (*arrays, column, classes.reps, classes.of)))
 
 
 def one_shot_shared(kind, contraction, mu, grid, volfun):
-    """:func:`shared_arrays` of ``_shared``, each built in one pass over the
-    whole grid."""
-    entry, J, shift = stability._shear_form(kind, contraction, mu, grid)
-    lower = tuple(np.zeros(len(J)) for _ in stability._LOWER)
+    """The named arrays of :func:`shared_arrays`, from
+    :func:`reference_classes` and one pass over the whole grid: ``settles``
+    marks a shear scale in the settle range and a finite shift at every
+    member of the class."""
+    reps, of = reference_classes(grid)
+    entry, J, shift = stability._shear_form(kind, contraction, mu, grid[reps])
+    lower = np.zeros((len(stability._LOWER), len(reps)))
     with np.errstate(all="ignore"):
         stability._rotate_lower(entry, lower)
-    block = stability._ShearBlock(lower, stability._max_abs(lower), J, np.broadcast_to(shift, J.shape))
+        member_shift = np.broadcast_to(stability._shear_form(kind, contraction, mu, grid)[2], of.shape)
+    tail = stability._max_abs(lower[1:])
+    s_scale = np.maximum(np.abs(lower[0]), tail)
+    lo, hi = stability._SETTLE_SHEAR
+    unsteady = np.bincount(of, weights=~np.isfinite(member_shift), minlength=len(reps))
+    settles = (s_scale >= lo) & (s_scale <= hi) & (unsteady == 0)
     column = evaluate_grid(volfun, J)[:, stability._VOLUMETRIC_COLUMN[contraction]]
-    return shared_arrays(block, column)
+    names = [f"lower{i}{l}" for i, l in stability._LOWER]
+    names += ["grading", "tail", "J", "shift", "settles", "column", "reps", "of"]
+    grading = 1e3 * (s_scale + 1e-300)
+    shift = np.broadcast_to(shift, J.shape)
+    return dict(zip(names, (*lower, grading, tail, J, shift, settles, column, reps, of)))
 
 
 # the scan's catalog plus a steep power pair, one whose table leaves the
@@ -1276,7 +1338,8 @@ class TestScanBlocks:
     @pytest.mark.parametrize("block", (1, 7, 64))
     def test_an_all_graded_block_next_to_an_ungraded_one(self, block, monkeypatch):
         # blocks of graded, ungraded and graded states, in that order; the
-        # deflation runs block by block, on the graded blocks alone
+        # deflation runs block by block, on graded states alone: the blocks
+        # of representatives, then the open members of each grid block
         args = ("mixed", catalog()[2], params_from_mu_nu(1.0, 0.4999))
         states = stretch_grid(8)
         graded = reference_min_coaxial_eig(*args, states, "hill")[5]
@@ -1288,50 +1351,66 @@ class TestScanBlocks:
         want = reference_outcome(*args, grid, "hill")
         monkeypatch.setattr(stability, "_SCAN_BLOCK", block)
         passes, _ = TestCoaxialScanBytes.record_routes(monkeypatch)
+        opened = TestCoaxialScanBytes.record_open_members(monkeypatch)
         assert scan_outcome(*args, grid, "hill") == want
-        assert passes == [block] * 6
+        reps = reference_classes(grid)[0]
+        rep_blocks = [reps[part] for part in stability._blocks(len(reps))]
+        assert passes == TestCoaxialScanBytes.deflation_passes(mask, *rep_blocks, *opened)
 
     @pytest.mark.parametrize("block", (1, 7, 64))
     def test_streamed_shared_data_equals_a_one_shot_build(self, block, monkeypatch):
+        # the grid with each row also reversed: classes of one and of two
         grid = log_grid(5, -0.9, 0.8)
+        grid = np.concatenate([grid, grid[::7, ::-1]])
         monkeypatch.setattr(stability, "_SCAN_BLOCK", block)
         for kind in ("mixed", "voliso"):
             for contraction in ("hill", "csp"):
                 for vf in (catalog()[2], catalog()[7], VolFun.power_pair(400.0)):
                     stability._block_slot[0] = None
-                    got = shared_arrays(*stability._shared(kind, contraction, 0.6, grid, vf))
+                    slot = stability._shared(kind, contraction, 0.6, grid)
+                    got = shared_arrays(slot, stability._column(slot, contraction, vf))
                     want = one_shot_shared(kind, contraction, 0.6, grid, vf)
                     assert list(got) == list(want)
                     for name, a in got.items():
                         assert a.tobytes() == want[name].tobytes(), (kind, contraction, vf, name)
-                        assert a.shape == (len(grid),) and a.flags.c_contiguous
+                        assert a.shape == want[name].shape and a.flags.c_contiguous
                         with pytest.raises(ValueError, match="read-only"):
-                            a[0] = 0.0
+                            a[0] = 0
 
     def test_the_old_block_and_column_are_freed_before_the_new_ones(self, monkeypatch):
+        # the old grid's slot is dropped before the new classes are built,
+        # the old block (and its column) before the new block, and the old
+        # column before the new one is read
+        classes = stability._stretch_classes
         build, read = stability._build_shear_block, stability._volumetric_column
         seen = []
 
+        def checked_classes(*args):
+            seen.append(("classes", stability._block_slot[0]))
+            return classes(*args)
+
         def checked_build(*args):
-            seen.append(("block", stability._block_slot[0]))
+            slot = stability._block_slot[0]
+            seen.append(("block", slot.block, slot.column))
             return build(*args)
 
         def checked_read(*args):
-            entry = stability._block_slot[0]
-            seen.append(("column", entry[3]))
+            seen.append(("column", stability._block_slot[0].column))
             return read(*args)
 
+        monkeypatch.setattr(stability, "_stretch_classes", checked_classes)
         monkeypatch.setattr(stability, "_build_shear_block", checked_build)
         monkeypatch.setattr(stability, "_volumetric_column", checked_read)
         params = params_from_mu_nu(1.0, 0.3)
-        for vid, n in ((2, 4), (7, 4), (7, 5)):
-            min_coaxial_eig("voliso", catalog()[vid], params, stretch_grid(n), "csp")
-        assert seen[1:] == [("column", None)] * 2 + [("block", None), ("column", None)]
+        for vid, n, contraction in ((2, 4, "csp"), (7, 4, "csp"), (7, 4, "hill"), (7, 5, "hill")):
+            min_coaxial_eig("voliso", catalog()[vid], params, stretch_grid(n), contraction)
+        new_grid = [("classes", None), ("block", None, None), ("column", None)]
+        assert seen == new_grid + [("column", None), ("block", None, None), ("column", None)] + new_grid
 
     def test_a_scan_holds_a_few_blocks_of_temporaries(self):
         # numpy reports its buffers to tracemalloc. stretch_grid(32) is
-        # eight blocks; scanning it whole made about 19 temporaries of the
-        # grid's size, 150 blocks, warm or cold
+        # eight blocks of states in 8805 classes; scanning it whole made
+        # about 19 temporaries of the grid's size, 150 blocks, warm or cold
         args = ("voliso", catalog()[7], stretch_grid(32), "csp")
         limit = 32 * stability._SCAN_BLOCK * 8
         stability._block_slot[0] = None
@@ -1349,12 +1428,179 @@ class TestScanBlocks:
         finally:
             if started:
                 tracemalloc.stop()
-        _, grid_copy, block, (_, column) = stability._block_slot[0]
-        resident = sum(
-            a.nbytes for a in (grid_copy, *block.lower, block.s_scale, block.J, block.shift, column)
-        )
+        # the slot keeps the grid, its classes, and per class the block and
+        # its column; a cold call sorts the grid's classes (four keys and
+        # an order per state) before it copies the grid
+        slot = stability._block_slot[0]
+        block, classes = slot.block, slot.classes
+        arrays = (*block.lower, block.grading, block.tail, block.J, block.shift, block.settles)
+        resident = sum(a.nbytes for a in (slot.grid, classes.reps, classes.of, *arrays))
+        resident += slot.column[1].nbytes
         assert warm < limit, warm
         assert cold < resident + limit, (cold, resident)
+
+
+def reference_or_error(kind, volfun, params, grid, contraction):
+    """:func:`reference_outcome`, or the message of the ``ValueError`` it
+    raises (a J of 0 has no volumetric column). The reference may overflow
+    on the way, and it does not hold the scan's error state."""
+    try:
+        with np.errstate(all="ignore"):
+            return reference_outcome(kind, volfun, params, grid, contraction)
+    except ValueError as err:
+        return str(err)
+
+
+def stretch_rows(exponent):
+    """Hypothesis strategy of a stretch triple, each stretch 10^x with
+    |x| <= ``exponent``."""
+    return hst.tuples(*[hst.floats(-exponent, exponent)] * 3).map(
+        lambda t: [10.0**x for x in t]
+    )
+
+
+_SCAN_CELL = {
+    "kind": hst.sampled_from(("mixed", "voliso")),
+    "contraction": hst.sampled_from(("hill", "csp")),
+    "volfun": volfuns(),
+    "nu": hst.one_of(hst.sampled_from(PAPER_NUS), hst.floats(-0.99, 0.4999, allow_subnormal=False)),
+    "mu": hst.floats(0.1, 10.0),
+}
+
+
+class TestStretchClasses:
+    """The scan on one representative per stretch-permutation class, against
+    the reference that scans every state."""
+
+    @pytest.mark.parametrize("n, classes", ((1, 1), (3, 10), (16, 1179), (32, 8805)))
+    def test_classes_group_equal_multisets_with_equal_j(self, n, classes):
+        grid = stretch_grid(n)
+        with np.errstate(all="ignore"):
+            got = stability._stretch_classes(grid)
+        reps, of = reference_classes(grid)
+        assert len(reps) == classes
+        assert got.reps.tobytes() == reps.tobytes() and np.array_equal(got.of, of)
+
+    @given(
+        rows=hst.lists(stretch_rows(150.0), min_size=1, max_size=40),
+        picks=hst.lists(hst.integers(0, 10**6), max_size=60),
+        perms=hst.lists(hst.permutations(range(3)), min_size=1, max_size=6),
+    )
+    def test_classes_of_permuted_and_repeated_rows(self, rows, picks, perms):
+        # rows, some repeated or permuted, out to stretches of 1e+-150,
+        # where permuted products round J differently
+        rows = np.array(rows)
+        extra = [rows[k % len(rows)][perms[k % len(perms)]] for k in picks]
+        grid = np.concatenate([rows, np.reshape(extra, (-1, 3))])
+        with np.errstate(all="ignore"):
+            got = stability._stretch_classes(grid)
+        reps, of = reference_classes(grid)
+        assert got.reps.tobytes() == reps.tobytes() and np.array_equal(got.of, of)
+
+    @given(
+        **_SCAN_CELL,
+        shape=hst.tuples(*[hst.integers(1, 6)] * 3),
+        spans=hst.lists(hst.floats(-1.0, 1.0), min_size=6, max_size=6),
+        rows=hst.lists(stretch_rows(1.0), max_size=30),
+    )
+    def test_grids_without_every_permutation_match_the_reference(
+        self, kind, contraction, volfun, nu, mu, shape, spans, rows
+    ):
+        # distinct axes, so the grid misses most permutations of its rows,
+        # then random rows
+        assume(kind == "voliso" or nu >= 0.0)
+        axes = [np.logspace(spans[2 * a], spans[2 * a + 1], shape[a]) for a in range(3)]
+        grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
+        grid = np.concatenate([grid, np.reshape(rows, (-1, 3))])
+        args = (kind, volfun, params_from_mu_nu(mu, nu), grid, contraction)
+        assert scan_outcome(*args) == reference_or_error(*args)
+
+    @given(
+        **_SCAN_CELL,
+        n=hst.integers(2, 7),
+        seed=hst.integers(0, 2**32 - 1),
+        repeats=hst.integers(0, 40),
+    )
+    def test_shuffled_and_repeated_rows_match_the_reference(
+        self, kind, contraction, volfun, nu, mu, n, seed, repeats
+    ):
+        # a shuffled stretch grid with some rows repeated: every class holds
+        # rows far apart in the grid, and repeated rows tie bit for bit
+        assume(kind == "voliso" or nu >= 0.0)
+        gen = np.random.default_rng(seed)
+        grid = stretch_grid(n)
+        grid = grid[gen.permutation(len(grid))]
+        grid = np.concatenate([grid, grid[gen.integers(0, len(grid), repeats)]])
+        args = (kind, volfun, params_from_mu_nu(mu, nu), grid, contraction)
+        assert scan_outcome(*args) == reference_or_error(*args)
+
+    @given(
+        **_SCAN_CELL,
+        rows=hst.lists(stretch_rows(150.0), min_size=1, max_size=12),
+        perms=hst.lists(hst.permutations(range(3)), min_size=1, max_size=6),
+    )
+    def test_extreme_stretches_match_the_reference(
+        self, kind, contraction, volfun, nu, mu, rows, perms
+    ):
+        # stretches out to 1e+-150 with their permutations: products that
+        # round J differently, overflow or underflow, and forms beyond the
+        # settle range, with the errors of the reference
+        assume(kind == "voliso" or nu >= 0.0)
+        rows = np.array(rows)
+        grid = np.concatenate([rows[:, p] for p in perms])
+        args = (kind, volfun, params_from_mu_nu(mu, nu), grid, contraction)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = scan_outcome(*args)
+        assert got == reference_or_error(*args)
+
+    def test_a_cell_takes_routes_on_the_representatives_and_open_members(self, monkeypatch):
+        # each representative is deflated or sent to eigh at most once, and
+        # so is each member of an open class, beside the two candidates
+        grid = stretch_grid(16)
+        passes, batches = TestCoaxialScanBytes.record_routes(monkeypatch)
+        opened = TestCoaxialScanBytes.record_open_members(monkeypatch)
+        routed = 0
+        for kind in ("mixed", "voliso"):
+            for contraction in ("hill", "csp"):
+                for vf in (catalog()[1], catalog()[4], catalog()[7]):
+                    for nu in (0.0, 0.25, 0.4999):
+                        del passes[:], batches[:], opened[:]
+                        stability._block_slot[0] = None
+                        min_coaxial_eig(kind, vf, params_from_mu_nu(1.0, nu), grid, contraction)
+                        reps = stability._block_slot[0].classes.reps
+                        members = sum(map(len, opened))
+                        cell = sum(passes[::3]) + sum(map(len, batches))
+                        assert cell <= len(reps) + 2 + members, (kind, contraction, vf, nu)
+                        routed += cell
+        assert routed < 36 * len(grid) / 3
+
+    def test_a_zero_volumetric_coefficient_reuses_the_scan_invisibly(self, monkeypatch):
+        # the mixed kind at nu = 0 has c = 0: the first scan of a block
+        # answers every volfun's, with no column read, at every modulus
+        reads = []
+        original = stability.evaluate_grid
+
+        def counting(vf, Js):
+            reads.append(vf.label)
+            return original(vf, Js)
+
+        vfs = [*catalog().values(), VolFun.power_pair(400.0), VolFun.log_augmented(-2.0)]
+        cells = []
+        for grid in (stretch_grid(5), log_grid(6, -0.5, 0.9)):
+            for mu in (1.0, 2.7, 1e300):
+                for contraction in ("hill", "csp"):
+                    for vf in vfs:
+                        cells.append((vf, params_from_mu_nu(mu, 0.0), grid, contraction))
+        stability._block_slot[0] = None
+        monkeypatch.setattr(stability, "evaluate_grid", counting)
+        got = [scan_outcome("mixed", *cell) for cell in cells]
+        # one read per (grid, modulus mantissa, contraction), by the first cell
+        assert reads == [catalog()[1].label] * (2 * 3 * 2)
+        for cell, outcome in zip(cells, got):
+            stability._block_slot[0] = None
+            assert outcome == scan_outcome("mixed", *cell)
+            assert outcome == reference_outcome("mixed", *cell)
 
 
 def nan_blind_bits(x):
@@ -1384,7 +1630,7 @@ def shear_matrices(kind, contraction, mu, grid):
 def rotate(S):
     """``_rotate_lower`` fed the entries of a stored batch S, under the error
     state its callers hold."""
-    lower = tuple(np.zeros(len(S)) for _ in stability._LOWER)
+    lower = np.zeros((len(stability._LOWER), len(S)))
     with np.errstate(all="ignore"):
         stability._rotate_lower(lambda j, k: S[:, j, k], lower)
     return lower
@@ -1408,12 +1654,17 @@ class TestShearRotation:
 
     @pytest.mark.parametrize("n", (16, 32))
     def test_every_block_matches_einsum_bitwise(self, n):
+        # the block holds the representatives; the rotation of every state
+        # of the grid is checked too
         grid = stretch_grid(n)
+        with np.errstate(all="ignore"):
+            classes = stability._stretch_classes(grid)
         for kind in ("mixed", "voliso"):
             for contraction in ("hill", "csp"):
-                block = stability._build_shear_block(kind, contraction, 1.0, grid)
+                block = stability._build_shear_block(kind, contraction, 1.0, grid, classes)
                 S = shear_matrices(kind, contraction, 1.0, grid)
-                self.assert_matches_einsum(S, block.lower)
+                self.assert_matches_einsum(S[classes.reps], block.lower)
+                self.assert_matches_einsum(S, rotate(S))
 
     @pytest.mark.parametrize("n", (1, 7, 8, 17, 1000, 4099))
     def test_wide_exponents_match_einsum_bitwise(self, n):
