@@ -510,10 +510,10 @@ def _bounded_int(lo, hi=None):
     return parse
 
 
-# a stability run keeps 4 words per state of its n^3 grid and 11 doubles
-# per stretch class (about n^3 / 4 classes) from cell to cell: at n = 100 a
-# one-volfun run (--volfun 1 --nu 0.3) peaks at about 114 MB RSS (55 MB at
-# n = 64)
+# a stability run keeps 4 words per state of its n^3 grid, 13 doubles per
+# stretch class (about n^3 / 4 classes) and 10 words per state of the last
+# open classes from cell to cell: at n = 100 a one-volfun run (--volfun 1
+# --nu 0.3) peaks at about 120 MB RSS (56 MB at n = 64)
 _GRID_N_MAX = 100
 
 # the most points of a sweep or dilatation grid; 10^6 points are an 8 MB grid

@@ -561,7 +561,10 @@ class _ShearBlock:
 
     ``lower`` holds the six lower-triangle entries of S rotated by
     _TRACE_ROT (:func:`_rotate_lower`), in ``_LOWER`` order, each a
-    C-contiguous vector; nothing reads the upper triangle. ``shift`` is the
+    C-contiguous vector; nothing reads the upper triangle. The volumetric
+    coefficient changes Sp00 alone, so ``plane`` and ``coupling``, which the
+    bounds of :func:`_candidates` and :func:`_graded_clears` read, serve
+    every volfun and nu. ``shift`` is the
     shear-scale summand of the coefficient of ones (all 0.0 for the mixed
     Hill form, which has none). ``settles`` marks the classes that their
     representative may settle (:data:`_SETTLE_SHEAR`). Every array is
@@ -571,6 +574,8 @@ class _ShearBlock:
     lower: tuple  # (Sp00, Sp10, Sp20, Sp11, Sp21, Sp22), Sp = Q^T S Q
     grading: np.ndarray  # 1e3 (s_scale + 1e-300), s_scale the largest |entry| of ``lower``
     tail: np.ndarray  # the largest |entry| of ``lower`` besides Sp00
+    plane: np.ndarray  # the smallest eigenvalue of [[Sp11, Sp21], [Sp21, Sp22]]
+    coupling: np.ndarray  # |(Sp10, Sp20)|
     J: np.ndarray
     shift: np.ndarray
     settles: np.ndarray
@@ -599,10 +604,15 @@ class _ScanSlot:
 # every (volfun, nu) cell of one (kind, contraction) on one grid back to
 # back, volfun by volfun, so one slot and one column are enough; more slots
 # would cost peak memory for nothing. The slot keeps 3 doubles and a class
-# index per state, and 11 doubles and a flag per class; stretch_grid(n) has
-# about n^3 / 4 classes (1179 at n = 16, 260044 at n = 100), so at n = 100
-# it holds 55 MB, where one block of every state held 104 MB. The block,
-# its column, its zero result and its members' forms go together.
+# index per state, 13 doubles and a flag per class, and 9 doubles and a
+# grid index per member of the last open classes of each grid block;
+# stretch_grid(n) has about n^3 / 4 classes (1179 at n = 16, 260044 at n =
+# 100), so at n = 100 it holds 59 MB besides the members' forms, where one
+# block of every state held 104 MB. The members' forms answer about 70 %
+# of the cells of `stability --grid-n 16 --nu-set paper` (the cells of one
+# (kind, contraction) often open the same classes); forming them on every
+# call made that command about 15 % slower. The block, its column, its zero
+# result and its members' forms go together.
 _block_slot = [None]
 
 # The number of grid states that the scan, the shear-block build and the
@@ -730,10 +740,10 @@ def _grading(s_scale):
 def _build_shear_block(kind, contraction, mu, grid, classes):
     """The read-only _ShearBlock of the representatives of a checked stretch
     grid's classes, whose arrays are filled block by block (:func:`_blocks`),
-    so no temporary of the build outgrows one block. For the vol-iso kind,
-    ``settles`` reads the shift of every state: it reads tr c, whose
-    rounding depends on the order of the stretches. The mixed shift reads
-    J alone, so every member's is its representative's."""
+    so no temporary of the build outgrows one block. It reads the
+    representatives' rows alone: a member's shift can differ from its
+    representative's by more than rounding only outside the settle range
+    (see :func:`min_coaxial_eig`)."""
     reps = classes.reps
     m = len(reps)
     lower = np.zeros((len(_LOWER), m))
@@ -745,14 +755,21 @@ def _build_shear_block(kind, contraction, mu, grid, classes):
     s_scale = np.maximum(np.abs(lower[0]), tail)
     lo, hi = _SETTLE_SHEAR
     settles = (s_scale >= lo) & (s_scale <= hi)
-    for part in _blocks(len(grid)) if kind == "voliso" else ():
-        unsteady = ~np.isfinite(_shear_form(kind, contraction, mu, grid[part])[2])
-        settles[classes.of[part][unsteady]] = False
     grading = _grading(s_scale)
-    for v in (lower, grading, tail, J, shift, settles):
+    _, b1, b2, p, r, q = lower
+    plane = 0.5 * (p + q) - np.hypot(0.5 * (p - q), r)  # as _eig2_min forms it
+    coupling = np.hypot(b1, b2)
+    for v in (lower, grading, tail, plane, coupling, J, shift, settles):
         v.flags.writeable = False
     return _ShearBlock(
-        lower=tuple(lower), grading=grading, tail=tail, J=J, shift=shift, settles=settles
+        lower=tuple(lower),
+        grading=grading,
+        tail=tail,
+        plane=plane,
+        coupling=coupling,
+        J=J,
+        shift=shift,
+        settles=settles,
     )
 
 
@@ -849,16 +866,19 @@ def _lower_matrices(lower, select):
     return M
 
 
-def _candidates(a00, a10, a20, a11, a21, a22):
-    """Positions of two symmetric 3x3 matrices, given by their lower
-    triangles, whose smallest eigenvalues are likely near the smallest of
-    all: the one with the smallest diagonal entry (an upper bound on its
-    eigenvalue) and the one with the smallest Gershgorin lower bound
-    min_i (a_ii - sum_{j != i} |a_ij|). Call under an errstate."""
-    g10, g20, g21 = np.abs(a10), np.abs(a20), np.abs(a21)
-    low = np.minimum(np.minimum(a00 - g10 - g20, a11 - g10 - g21), a22 - g20 - g21)
-    diag = np.minimum(np.minimum(a00, a11), a22)
-    return [np.argmin(diag), np.argmin(low)]
+def _candidates(alpha, plane, coupling):
+    """Positions of two symmetric 3x3 matrices of the rotated frame whose
+    smallest eigenvalues are likely near the smallest of all, given by
+    alpha, the smallest eigenvalue ``plane`` of their trace-free block and
+    the length ``coupling`` of the column that couples the two: the one
+    with the smallest upper bound min(alpha, plane) on its eigenvalue (a
+    principal submatrix's eigenvalues interlace), and the one with the
+    smallest lower bound min(alpha, plane) - coupling (Weyl's inequality).
+    A permutation of the stretches rotates the trace-free plane and leaves
+    both bounds as they are, so a representative ranks as every member of
+    its class would."""
+    upper = np.minimum(alpha, plane)
+    return [np.argmin(upper), np.argmin(upper - coupling)]
 
 
 def _exceeds(upper, scale, a00, a10, a20, a11, a21, a22):
@@ -896,25 +916,44 @@ def _with_alpha(c, sheared):
     return (alpha, *sheared[1:])
 
 
-def _routes(lower, grading, upper=None, tail=None):
+def _routes(lower, grading, upper=None, shear=None):
     """Each value of a block of states, given by their lower triangles
     (:func:`_with_alpha`) and gradings (:func:`_grading`), by the three
     routes of :func:`min_coaxial_eig`: the deflation on the graded states,
     then the certificate against ``upper`` and ``eigh`` on the others.
 
-    ``upper`` is first lowered by the graded values and by the ``eigh``
-    values of the block's two candidate states (:func:`_candidates`);
-    ``tail`` is the largest |entry| of each state's five entries besides
-    alpha. With no ``upper`` (the members of open classes, near U by
-    construction) there is no certificate, and every ungraded state takes
-    ``eigh``. Returns (mins, upper, route): mins is +inf at a certified
-    state, and route is what :func:`_direction` reads. Call under an
-    errstate.
+    ``shear`` holds the states' (tail, plane, coupling, settles) of
+    :class:`_ShearBlock`. ``upper`` is first lowered by the ``eigh`` values
+    of the block's two candidate states (:func:`_candidates`); a graded
+    state whose value then provably clears it (:func:`_graded_clears`) is
+    not deflated, and the deflated values lower it further. With no
+    ``upper`` (the members of open classes, near U by construction) there
+    is no bound and no certificate: every graded state is deflated and
+    every other one takes ``eigh``. Returns (mins, upper, route): mins is
+    +inf at a certified or bounded state, and route is what
+    :func:`_direction` reads. Call under an errstate.
     """
     size = np.abs(lower[0])
     graded = size > grading
     mins = np.full(len(graded), np.inf)
     rows = np.flatnonzero(graded)
+    kept = ~graded
+    cand = np.flatnonzero(kept)
+    if upper is not None:
+        tail, plane, coupling, settles = shear
+        if cand.size:
+            # with no graded state, the certificate reads the lower triangle itself
+            sub = [v[cand] for v in lower] if rows.size else lower
+            pair = cand[_candidates(sub[0], plane[cand], coupling[cand])]
+            pair_min = float(np.min(np.linalg.eigh(_lower_matrices(lower, pair))[0][:, 0]))
+            upper = min(upper, pair_min)
+        if rows.size:
+            bounded = settles[rows] & (size[rows] <= _SETTLE_ENTRY)
+            bounded &= _graded_clears(
+                upper, grading[rows], lower[0][rows], plane[rows], coupling[rows]
+            )
+            graded[rows[bounded]] = False
+            rows = rows[~bounded]
     x = vecs = None
     if rows.size:
         x, big = _deflate(*(v[rows] for v in lower))
@@ -922,14 +961,7 @@ def _routes(lower, grading, upper=None, tail=None):
         mins[rows] = deflated
         if upper is not None:
             upper = min(upper, float(np.min(deflated)))
-    kept = ~graded
-    cand = np.flatnonzero(kept)
     if cand.size and upper is not None:
-        # with no graded state, the certificate reads the lower triangle itself
-        sub = [v[cand] for v in lower] if rows.size else lower
-        pair = cand[_candidates(*sub)]
-        pair_min = float(np.min(np.linalg.eigh(_lower_matrices(lower, pair))[0][:, 0]))
-        upper = min(upper, pair_min)
         scale = np.maximum(size, tail)[cand]  # max|entry|, as _max_abs gives it
         kept[cand[_exceeds(upper, scale, *sub)]] = False
     if kept.any():
@@ -979,16 +1011,46 @@ def _member_form(slot, start, rows):
     return form
 
 
-def _clears(values, upper, grading):
-    """Which ``values`` exceed ``upper`` by the settle margin: the
-    certificate's, 1e-9 * (3 max|entry| + |upper|) plus its floor, with
-    max|entry| taken at the grading bound (:func:`_grading`), which is at
-    least max|entry| of an ungraded state and the scale of a deflated
-    value's rounding. False at a NaN value and at an infinite ``upper``.
-    Call under an errstate."""
+def _settle_bar(upper, grading):
+    """The value a state must exceed to settle against ``upper``: the
+    certificate's margin, 1e-9 * (3 max|entry| + |upper|) plus its floor,
+    above ``upper``, with max|entry| taken at the grading bound
+    (:func:`_grading`), which is at least max|entry| of an ungraded state
+    and the scale of a deflated value's rounding. NaN or inf at an infinite
+    ``upper``."""
     t = np.multiply(grading, 3e-9)
     t += upper + (1e-9 * abs(upper) + 1e-300)
-    return values > t
+    return t
+
+
+def _clears(values, upper, grading):
+    """Which ``values`` exceed the settle bar of ``upper`` (:func:`_settle_bar`);
+    False at a NaN value and at an infinite ``upper``. Call under an
+    errstate."""
+    return values > _settle_bar(upper, grading)
+
+
+def _graded_clears(upper, grading, alpha, plane, coupling):
+    """Which graded states of the settle range (:data:`_SETTLE_SHEAR`,
+    :data:`_SETTLE_ENTRY`) certainly have a value that clears ``upper``
+    (:func:`_clears`), with no deflation; ``plane`` and ``coupling`` are
+    those of :class:`_ShearBlock`.
+
+    Take t the settle bar and a state with alpha > t. An eigenvalue lam <=
+    t of its matrix lies below alpha, so it is one of the Schur complement
+    B - b b^T / (alpha - lam), B the trace-free block and b the coupling
+    column; that is at least B - b b^T / (alpha - t), so lam >= plane -
+    coupling^2 / (alpha - t), and a bound above t leaves no such
+    eigenvalue. Only alpha > 0 is taken: a bound above t then needs t <
+    plane <= 2 max|shear entry| < alpha / 500, so alpha - t > alpha / 2 >
+    5e-98 in the settle range, where no square overflows either. The bound
+    is then exact up to rounding of order eps * max|shear entry| plus what
+    underflow loses, far below the bar's margin of 3e-6 max|shear entry|:
+    the exact eigenvalues of the state, and so the values of every member
+    of its class, exceed ``upper`` (see :func:`min_coaxial_eig`). Call
+    under an errstate."""
+    t = _settle_bar(upper, grading)
+    return (alpha > 0.0) & (plane - coupling * coupling / (alpha - t) > t)
 
 
 def _class_scan(kind, contraction, params, slot, column):
@@ -1006,7 +1068,8 @@ def _class_scan(kind, contraction, params, slot, column):
         c += block.shift[part]
         lower = _with_alpha(c, [v[part] for v in block.lower])
         grading = block.grading[part]
-        mins, upper, _ = _routes(lower, grading, upper, block.tail[part])
+        shear = (block.tail[part], block.plane[part], block.coupling[part], block.settles[part])
+        mins, upper, _ = _routes(lower, grading, upper, shear)
         upper = min(upper, float(np.min(mins)))  # a real state's value
         # a representative outside the settle range never clears U
         mins[~block.settles[part] | (np.abs(lower[0]) > _SETTLE_ENTRY)] = np.nan
@@ -1055,11 +1118,12 @@ def min_coaxial_eig(kind, volfun, params, lams, contraction="hill"):
     * the certificate (:func:`_exceeds`), on every ungraded state, against
       an upper bound U on the minimum: the smallest value found so far and
       the ``eigh`` values of two candidate states of each block, decomposed
-      in one call (:func:`_candidates`: the smallest diagonal entry and the
-      smallest Gershgorin lower bound). An unpivoted LDL^T of the state's
-      matrix minus (U + 1e-9 * (3 max|entry| + |U|)) times I with three
-      positive pivots proves its ``eigh`` value strictly above U, so it
-      cannot be the minimum and its value is set to +inf;
+      in one call (:func:`_candidates`: the smallest upper and the smallest
+      lower bound on a state's eigenvalue from its trace-free block and the
+      column coupling it to the spherical direction). An unpivoted LDL^T of
+      the state's matrix minus (U + 1e-9 * (3 max|entry| + |U|)) times I
+      with three positive pivots proves its ``eigh`` value strictly above
+      U, so it cannot be the minimum and its value is set to +inf;
     * ``eigh``, on the states that fail the certificate: those whose value
       lies within that margin of U, or that have a NaN or inf entry, so
       ties keep their first index.
@@ -1076,13 +1140,14 @@ def min_coaxial_eig(kind, volfun, params, lams, contraction="hill"):
       when the representative's value exceeds the final U by the
       certificate's own margin, 1e-9 * (3 max|entry| + |U|), with
       max|entry| taken at the grading bound 1e3 * max|shear entry|
-      (:func:`_clears`);
-    * every other class is open: ties and near-ties of U, a NaN value, a
-      class with a member whose shift is not finite, and a representative
-      outside the range where rounding stays relative (_SETTLE_SHEAR,
-      _SETTLE_ENTRY). Every member of an open class then takes the
-      deflation or ``eigh`` itself, in grid order, and the minimum is
-      taken over them.
+      (:func:`_clears`). A graded representative whose Schur-complement
+      bound already clears U (:func:`_graded_clears`) settles its class
+      with no deflation, its value set to +inf like a certified one's;
+    * every other class is open: ties and near-ties of U, a NaN value, and
+      a representative outside the range where rounding stays relative
+      (_SETTLE_SHEAR, _SETTLE_ENTRY). Every member of an open class then
+      takes the deflation or ``eigh`` itself, in grid order, with no bound
+      or certificate, and the minimum is taken over them.
 
     Why no member of a settled class can be the minimum: within a class J,
     w and the volumetric column are bitwise equal, so c is too, and the
@@ -1100,7 +1165,15 @@ def min_coaxial_eig(kind, volfun, params, lams, contraction="hill"):
     eps of those scales of them, since in the settle range the deflation
     after three passes and ``eigh`` both are. The margin dwarfs all of it,
     so every member of a settled class has a value above U, and U, the
-    value of a real state, is at least the minimum. The minimum's own
+    value of a real state, is at least the minimum. A vol-iso member's
+    shift, a multiple of w tr c, sums the squared stretches in the
+    member's own order, and only an overflow sets it apart from the
+    representative's by more than rounding. An overflow of w tr c itself
+    comes with shear entries near the float limit; one of tr c that the
+    order decides needs a squared stretch near the limit and each smaller
+    one at least 1e-16 times the next, so the stretches exceed 1e154, 1e146
+    and 1e138 and J overflows, w is 0 and the shear entries are 0 or NaN.
+    Either way the class lies outside the settle range. The minimum's own
     class always stays open, and so do the first NaN state's, so the
     value, the first index of a tie, the direction and the first-NaN error
     keep the bits of scanning every state.

@@ -968,12 +968,23 @@ class TestCoaxialScanBytes:
         return opened
 
     @staticmethod
-    def deflation_passes(graded, *row_sets):
-        """The ``_eig2_min`` pass sizes of deflating, three passes each, the
-        graded states among each set of rows in turn (a set with none is
-        not deflated)."""
-        counts = [np.count_nonzero(graded[rows]) for rows in row_sets]
-        return [k for k in counts if k for _ in range(3)]
+    def assert_deflation_passes(passes, graded, reps, opened):
+        """Check the ``_eig2_min`` pass sizes of one scan: the deflation runs
+        on graded states alone, three equal passes at a time, first on
+        graded representatives, then on exactly the graded members of each
+        open grid block (``opened``) in turn. The representatives' passes
+        cover every graded representative of an open class and at most all
+        graded representatives: a graded representative whose bound clears
+        U (``_graded_clears``) settles its class undeflated, so a
+        representative of an open class never skips the deflation."""
+        sizes = passes[::3]
+        assert passes == [k for k in sizes for _ in range(3)] and 0 not in sizes
+        members = [k for k in (np.count_nonzero(graded[rows]) for rows in opened) if k]
+        head = sizes[: len(sizes) - len(members)]
+        assert sizes[len(head) :] == members
+        open_reps = np.intersect1d(reps, np.concatenate([[], *opened]).astype(int))
+        assert np.count_nonzero(graded[open_reps]) <= sum(head) <= np.count_nonzero(graded[reps])
+        return sum(head)
 
     @pytest.mark.parametrize(
         "kind, contraction, vid, nu, grid, case",
@@ -1012,12 +1023,13 @@ class TestCoaxialScanBytes:
             assert not graded.any()
         elif case == "one graded":
             assert np.count_nonzero(graded) == 1
-        else:  # the smallest diagonal and the smallest Gershgorin bound share a state
+        else:  # the smallest upper and the smallest lower bound share a state
             assert len(batches[0]) == 2 and batches[0][0].tobytes() == batches[0][1].tobytes()
         # the deflation runs on graded states alone, three passes each: the
         # graded representatives, then the graded members of open classes
         reps = stability._block_slot[0].classes.reps
-        assert len(opened) <= 1 and passes == self.deflation_passes(graded, reps, *opened)
+        assert len(opened) <= 1
+        self.assert_deflation_passes(passes, graded, reps, opened)
         assert bits(got) == bits(want)
 
     @given(
@@ -1096,17 +1108,22 @@ class TestCoaxialScanBytes:
         opened = self.record_open_members(monkeypatch)
         min_coaxial_eig(*args)
         reps = stability._block_slot[0].classes.reps
-        assert len(opened) == 1 and passes == self.deflation_passes(graded, reps, *opened)
+        assert len(opened) == 1
+        deflated = self.assert_deflation_passes(passes, graded, reps, opened)
+        # the bound settles most graded representatives undeflated
+        assert deflated <= np.count_nonzero(graded[reps]) / 4
 
     def test_eigh_budget_of_one_cell(self, monkeypatch):
         # 4000 ungraded states in 1179 classes; eigh sees the two candidates
-        # of the upper bound, the few representatives near it, which the
-        # certificate cannot settle, then at most the six permutations of
-        # the minimizing stretch triple, whose values agree to rounding
+        # of the upper bound, the representatives near it, which the
+        # certificate cannot settle, then the members of the minimizing
+        # stretch triple's class, whose values agree to rounding: the
+        # budget of scanning every state, the two candidates and the six
+        # permutations of that triple
         args = ("voliso", catalog()[7], params_from_mu_nu(1.0, 0.25), stretch_grid(16), "csp")
         _, batches = self.record_routes(monkeypatch)
         min_coaxial_eig(*args)
-        assert [len(b) for b in batches[::2]] == [2, 3] and len(batches[1]) <= 6
+        assert len(batches) == 3 and len(batches[0]) == 2 and sum(map(len, batches)) <= 2 + 6
 
     def test_most_ungraded_states_skip_eigh(self, monkeypatch):
         grid = stretch_grid(16)
@@ -1202,7 +1219,8 @@ class TestCoaxialScanBytes:
         for v in (*block.lower, column):
             assert v.shape == block.J.shape and v.flags.c_contiguous
         TestShearRotation.assert_matches_einsum(S, block.lower)
-        arrays = (*block.lower, block.grading, block.tail, block.J, block.shift, block.settles)
+        arrays = (*block.lower, block.grading, block.tail, block.plane, block.coupling)
+        arrays += (block.J, block.shift, block.settles)
         for a in (*arrays, column, slot.grid, classes.reps, classes.of):
             with pytest.raises(ValueError):
                 a[0] = 0
@@ -1246,8 +1264,10 @@ def shared_arrays(slot, column):
     """The arrays of a ``_shared`` slot and its column, named."""
     block, classes = slot.block, slot.classes
     names = [f"lower{i}{l}" for i, l in stability._LOWER]
-    names += ["grading", "tail", "J", "shift", "settles", "column", "reps", "of"]
-    arrays = (*block.lower, block.grading, block.tail, block.J, block.shift, block.settles)
+    names += ["grading", "tail", "plane", "coupling", "J", "shift", "settles"]
+    names += ["column", "reps", "of"]
+    arrays = (*block.lower, block.grading, block.tail, block.plane, block.coupling)
+    arrays += (block.J, block.shift, block.settles)
     return dict(zip(names, (*arrays, column, classes.reps, classes.of)))
 
 
@@ -1255,7 +1275,9 @@ def one_shot_shared(kind, contraction, mu, grid, volfun):
     """The named arrays of :func:`shared_arrays`, from
     :func:`reference_classes` and one pass over the whole grid: ``settles``
     marks a shear scale in the settle range and a finite shift at every
-    member of the class."""
+    member of the class. The scan reads the shear scale alone: a shift that
+    is not finite at some member leaves the representative's scale outside
+    the range (see ``min_coaxial_eig``), and the equality checks that."""
     reps, of = reference_classes(grid)
     entry, J, shift = stability._shear_form(kind, contraction, mu, grid[reps])
     lower = np.zeros((len(stability._LOWER), len(reps)))
@@ -1263,16 +1285,21 @@ def one_shot_shared(kind, contraction, mu, grid, volfun):
         stability._rotate_lower(entry, lower)
         member_shift = np.broadcast_to(stability._shear_form(kind, contraction, mu, grid)[2], of.shape)
     tail = stability._max_abs(lower[1:])
+    with np.errstate(all="ignore"):
+        plane = stability._eig2_min(lower[3], lower[4], lower[5])
+        coupling = np.hypot(lower[1], lower[2])
     s_scale = np.maximum(np.abs(lower[0]), tail)
     lo, hi = stability._SETTLE_SHEAR
     unsteady = np.bincount(of, weights=~np.isfinite(member_shift), minlength=len(reps))
     settles = (s_scale >= lo) & (s_scale <= hi) & (unsteady == 0)
     column = evaluate_grid(volfun, J)[:, stability._VOLUMETRIC_COLUMN[contraction]]
     names = [f"lower{i}{l}" for i, l in stability._LOWER]
-    names += ["grading", "tail", "J", "shift", "settles", "column", "reps", "of"]
+    names += ["grading", "tail", "plane", "coupling", "J", "shift", "settles"]
+    names += ["column", "reps", "of"]
     grading = 1e3 * (s_scale + 1e-300)
     shift = np.broadcast_to(shift, J.shape)
-    return dict(zip(names, (*lower, grading, tail, J, shift, settles, column, reps, of)))
+    arrays = (*lower, grading, tail, plane, coupling, J, shift, settles)
+    return dict(zip(names, (*arrays, column, reps, of)))
 
 
 # the scan's catalog plus a steep power pair, one whose table leaves the
@@ -1354,8 +1381,9 @@ class TestScanBlocks:
         opened = TestCoaxialScanBytes.record_open_members(monkeypatch)
         assert scan_outcome(*args, grid, "hill") == want
         reps = reference_classes(grid)[0]
-        rep_blocks = [reps[part] for part in stability._blocks(len(reps))]
-        assert passes == TestCoaxialScanBytes.deflation_passes(mask, *rep_blocks, *opened)
+        TestCoaxialScanBytes.assert_deflation_passes(passes, mask, reps, opened)
+        # a block deflates at most its own representatives
+        assert max(passes, default=0) <= block
 
     @pytest.mark.parametrize("block", (1, 7, 64))
     def test_streamed_shared_data_equals_a_one_shot_build(self, block, monkeypatch):
@@ -1433,7 +1461,8 @@ class TestScanBlocks:
         # an order per state) before it copies the grid
         slot = stability._block_slot[0]
         block, classes = slot.block, slot.classes
-        arrays = (*block.lower, block.grading, block.tail, block.J, block.shift, block.settles)
+        arrays = (*block.lower, block.grading, block.tail, block.plane, block.coupling)
+        arrays += (block.J, block.shift, block.settles)
         resident = sum(a.nbytes for a in (slot.grid, classes.reps, classes.of, *arrays))
         resident += slot.column[1].nbytes
         assert warm < limit, warm
@@ -1553,6 +1582,77 @@ class TestStretchClasses:
             warnings.simplefilter("error")
             got = scan_outcome(*args)
         assert got == reference_or_error(*args)
+
+    @pytest.mark.parametrize(
+        "kind, contraction, vid, nu, mu, grid",
+        (
+            (
+                "voliso", "hill", 7, 0.25, 1.0,
+                [
+                    [7.684249988699792e-20, 1.8055977754377267e120, 0.20957555038197137],
+                    [0.20957555038197137, 7.684249988699792e-20, 1.8055977754377267e120],
+                    [3.6492514555890627e104, 12264485145975.248, 1.4589521735963849e-124],
+                ],
+            ),
+            (
+                "mixed", "csp", 7, 0.4999, 2.7,
+                [
+                    [7.991622752789365e-31, 1.41237378382639e-143, 0.05186745374189163],
+                    [0.05186745374189163, 1.41237378382639e-143, 7.991622752789365e-31],
+                    [0.09433763708900257, 2.0237781403373683e116, 1.1608904436267001e-95],
+                ],
+            ),
+            (
+                "voliso", "hill", 5, 0.0, 1e-300,
+                [
+                    [0.053075127830230065, 62410137.591894574, 1.150403425042471e134],
+                    [1.150403425042471e134, 0.053075127830230065, 62410137.591894574],
+                    [5.161870134889311e-147, 2.1341805411693743e-21, 3.148840144163047e104],
+                ],
+            ),
+        ),
+    )  # fmt: skip
+    def test_a_class_beyond_the_settle_range_stays_open(
+        self, kind, contraction, vid, nu, mu, grid
+    ):
+        # two orderings of one triple, with shear entries near 1e172: the
+        # representative's value is finite and clears U, the other
+        # ordering's form is NaN, so settling the class on its
+        # representative would return a value where the reference raises
+        args = (kind, catalog()[vid], params_from_mu_nu(mu, nu), np.array(grid), contraction)
+        stability._block_slot[0] = None
+        got = scan_outcome(*args)
+        slot = stability._block_slot[0]
+        assert slot.classes.reps.tolist() == [0, 2] and not slot.block.settles.any()
+        assert got == reference_or_error(*args)
+        assert got == f"the {contraction} stability form is NaN at grid state 1"
+
+    @given(
+        scale=hst.floats(-100.0, 100.0),
+        grade=hst.floats(3.5, 8.0),
+        shear=hst.lists(hst.floats(-1.0, 1.0), min_size=5, max_size=5),
+        offset=hst.floats(-8.0, 0.0),
+        side=hst.sampled_from((-1.0, 1.0)),
+    )
+    def test_a_bounded_graded_state_exceeds_u(self, scale, grade, shear, offset, side):
+        # the bound that settles a graded representative undeflated holds
+        # for its deflated value across the settle range, with U just above
+        # or below that value, where the coupling column's second-order
+        # term decides
+        s = 10.0**scale
+        row = [np.array([s * v]) for v in (10.0**grade, *shear)]
+        grading = stability._grading(np.max(np.abs(row[1:])))
+        _, b1, b2, p, r, q = row
+        with np.errstate(all="ignore"):
+            assert row[0] > grading
+            x, big = stability._deflate(*row)
+            value = np.minimum(x, big)
+            upper = float(value[0]) + side * s * 10.0**offset
+            plane = stability._eig2_min(p, r, q)
+            clears = stability._graded_clears(upper, grading, row[0], plane, np.hypot(b1, b2))
+            assert not clears[0] or stability._clears(value, upper, grading)[0]
+            if side < 0.0:  # the bound lies within coupling^2 / (alpha - t) of the value
+                assert clears[0] or 10.0**offset <= 4.0 * 10.0**-grade + 1e-5
 
     def test_a_cell_takes_routes_on_the_representatives_and_open_members(self, monkeypatch):
         # each representative is deflated or sent to eigh at most once, and
