@@ -22,10 +22,12 @@ each command from paying for the other layer.
 
 Output is CSV only: a header row, LF line endings, ``.`` as the decimal
 separator, and floats printed with 17 significant digits. A given argv
-produces byte-identical output on every run. Every subcommand runs its
-cells one at a time. ``table-repro`` alone accepts ``--jobs`` and ignores
-it, since the benchmark's limit-tables argv passes it there; any other
-subcommand given ``--jobs`` exits 1.
+produces byte-identical output on every run. Every subcommand runs in one
+thread. ``stability`` scans all the nu of one (kind, contraction, volfun)
+in one batch, and every other subcommand runs its cells one at a time.
+``table-repro`` alone accepts ``--jobs`` and ignores it, since the
+benchmark's limit-tables argv passes it there; any other subcommand given
+``--jobs`` exits 1.
 
 Exit status: 0 on success, 1 on parameter errors (message on stderr),
 2 on solver non-convergence -- the partial CSV is still written, with the
@@ -43,6 +45,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import itertools
 import sys
 
 import numpy as np
@@ -251,9 +254,9 @@ def _cmd_stability(args):
         for contraction in ("hill", "csp")
     ]
 
-    def run(task):
-        model, contraction = task
-        value, i, _ = st.min_coaxial_eig(model.kind, model.volfun, model.params, grid, contraction)
+    def row(k, scan):
+        model, contraction = tasks[k]
+        value, i, _ = scan
         return [
             model.kind,
             model.volfun.label,
@@ -264,12 +267,35 @@ def _cmd_stability(args):
             st.classify_value(value, model.params.mu),
         ]
 
+    def batch(k):
+        model, contraction = tasks[k]
+        return model.kind, contraction, model.volfun
+
+    def scan_key(k):  # a cell with no volumetric term scans the same for every volfun
+        model, contraction = tasks[k]
+        return k if model.volumetric_term(1.0) else (model.kind, contraction, model.params)
+
     # run the cells of one (kind, contraction) back to back so that they
-    # share one shear block (see st.min_coaxial_eig); rows keep task order
-    rows = [None] * len(tasks)
-    order = sorted(range(len(tasks)), key=lambda k: (tasks[k][0].kind, tasks[k][1]))
-    for k in order:
-        rows[k] = run(tasks[k])
+    # share one shear block, and scan the nu of each volfun in one batch
+    # (see st.min_coaxial_eig); the first volfun's batch answers the cells
+    # with no volumetric term (the mixed kind at nu = 0) of the others.
+    # Rows keep task order, and the first error is the one that running
+    # the cells one at a time meets first.
+    rows, outcome = [None] * len(tasks), {}
+    order = sorted(range(len(tasks)), key=lambda k: batch(k)[:2])
+    for (kind, contraction, volfun), run in itertools.groupby(order, key=batch):
+        run = list(run)
+        scan = [k for k in run if scan_key(k) not in outcome]
+        params = [tasks[k][0].params for k in scan]
+        try:
+            results = st.min_coaxial_eig(kind, volfun, params, grid, contraction) if scan else []
+        except ValueError:  # a verdict of an earlier cell may fail first
+            for k in scan:
+                row(k, st.min_coaxial_eig(kind, volfun, tasks[k][0].params, grid, contraction))
+            raise
+        outcome.update(zip(map(scan_key, scan), results))
+        for k in run:
+            rows[k] = row(k, outcome[scan_key(k)])
     return header, rows, True
 
 

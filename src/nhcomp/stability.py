@@ -220,22 +220,18 @@ def _volumetric_coef(kind, params):
     return params.lam if kind == "mixed" else params.K
 
 
-def _volumetric_c(kind, contraction, params, J, column):
-    """The volumetric coefficient c: lam or K times chi J for Hill, times
-    J h'' for CSP, on scalars or per-state arrays; ``column`` is the chi
-    (Hill) or h'' (CSP) it reads. A zero lam (mixed at nu = 0) gives c = 0,
-    even where that column is inf.
+def _volumetric_c(contraction, coef, J, column):
+    """The volumetric coefficient c: ``coef`` (lam or K, :func:`_volumetric_coef`)
+    times chi J for Hill, times J h'' for CSP, on scalars or arrays that
+    broadcast; ``column`` is the chi (Hill) or h'' (CSP) it reads. A zero
+    coef (mixed at nu = 0) gives c = 0, even where that column is inf.
 
     Only c carries the volumetric factors that explode at the grid corners;
     the coaxial form's shear part stays at the shear-modulus scale, so the
     scan finds the minimum eigenvalue without forming the ill-conditioned
     sum. Call under an errstate."""
-    coef = _volumetric_coef(kind, params)
-    if coef == 0.0:
-        return np.zeros_like(J)
-    if contraction == "hill":
-        return coef * column * J
-    return coef * J * column
+    c = coef * column * J if contraction == "hill" else coef * J * column
+    return np.where(coef == 0.0, 0.0, c) if np.any(coef == 0.0) else c
 
 
 def _report(contraction, model, state, d, value):
@@ -247,7 +243,7 @@ def _report(contraction, model, state, d, value):
     ev = evaluate(model.volfun, J)
     w, a, shift = _coaxial_form(model.kind, contraction, prm.mu, J, trace(state.c))
     column = ev.chi if contraction == "hill" else ev.hpp
-    c = _volumetric_c(model.kind, contraction, prm, J, column)
+    c = _volumetric_c(contraction, _volumetric_coef(model.kind, prm), J, column)
     # at tr d = 0 (F = 0) the volumetric part is 0, even where c is not finite
     vol, vol_scale = ((c + shift) * F, (abs(c) + shift) * F) if F else (0.0, 0.0)
     reco = w * (P + R - a * B) + vol
@@ -589,35 +585,25 @@ class _ScanSlot:
     classes: _Classes
     key: tuple | None  # the (kind, contraction, mu) of ``block``
     block: _ShearBlock | None
-    column: tuple | None  # (volfun, values): the column last read on block.J
-    zero: tuple | None  # the block's scan at a zero volumetric coefficient
-    members: dict  # the last open members' forms per grid block (_member_form)
 
 
 # The shared scan data of _shared: the last grid scanned, as a _ScanSlot
-# holding a private copy of the grid, its stretch classes, the shear block of
-# the last (kind, contraction, mu) on it, the one volumetric column last
-# read on the block's J (the contraction in the key fixes which column it
-# is), the block's (value, index, direction) at a zero volumetric
-# coefficient, which no volfun changes (the mixed kind at nu = 0), and the
-# forms of the last open members per grid block. A stability scan runs
+# holding a private copy of the grid, its stretch classes and the shear
+# block of the last (kind, contraction, mu) on it. A stability scan runs
 # every (volfun, nu) cell of one (kind, contraction) on one grid back to
-# back, volfun by volfun, so one slot and one column are enough; more slots
-# would cost peak memory for nothing. The slot keeps 3 doubles and a class
-# index per state, 13 doubles and a flag per class, and 9 doubles and a
-# grid index per member of the last open classes of each grid block;
-# stretch_grid(n) has about n^3 / 4 classes (1179 at n = 16, 260044 at n =
-# 100), so at n = 100 it holds 59 MB besides the members' forms, where one
-# block of every state held 104 MB. The members' forms answer about 70 %
-# of the cells of `stability --grid-n 16 --nu-set paper` (the cells of one
-# (kind, contraction) often open the same classes); forming them on every
-# call made that command about 15 % slower. The block, its column, its zero
-# result and its members' forms go together.
+# back, so one slot is enough; more slots would cost peak memory for
+# nothing. Each call reads its own volumetric column on the block's J, once
+# for all the nu of its batch, and forms the open members' entries afresh.
+# The slot keeps 3 doubles and a class index per state and 13 doubles and a
+# flag per class; stretch_grid(n) has about n^3 / 4 classes (1179 at n =
+# 16, 260044 at n = 100), so at n = 100 it holds 59 MB, where one block of
+# every state held 104 MB.
 _block_slot = [None]
 
 # The number of grid states that the scan, the shear-block build and the
-# column read each take at a time (_blocks). Every temporary of a call is at
-# most this long, so a call's transient memory does not grow with the grid;
+# column read each take at a time (_blocks); a batch of k cells takes
+# _SCAN_BLOCK // k states at a time. Every temporary of a call is at most
+# about this long, so a call's transient memory does not grow with the grid;
 # only the arrays _shared keeps do. In a sweep from 1024 to 65536 states
 # (BENCH_29.json), 4096 gave the lowest stability-grid peak RSS (43.2-43.3
 # MB, against 43.4-43.6 at 2048 and 44.0-44.2 at 8192); smaller blocks split
@@ -625,10 +611,11 @@ _block_slot = [None]
 _SCAN_BLOCK = 4096
 
 
-def _blocks(n):
-    """Slices of at most _SCAN_BLOCK consecutive states, in order, that cover
-    n states."""
-    return [slice(s, min(s + _SCAN_BLOCK, n)) for s in range(0, n, _SCAN_BLOCK)]
+def _blocks(n, size=None):
+    """Slices of at most ``size`` (default _SCAN_BLOCK) consecutive states, in
+    order, that cover n states."""
+    size = size or _SCAN_BLOCK
+    return [slice(s, min(s + size, n)) for s in range(0, n, size)]
 
 
 def _rotate_lower(entry, lower):
@@ -795,9 +782,8 @@ def _shared(kind, contraction, mu, lams):
 
     The grid is matched by value (an equal copy, not the same object), so a
     grid changed in place gets fresh classes and a fresh block. The old
-    slot is dropped before the new classes are built, and the old block,
-    with its column and zero result, before the new block. Raises
-    :func:`_checked_grid`'s ``ValueError``.
+    slot is dropped before the new classes are built, and the old block
+    before the new block. Raises :func:`_checked_grid`'s ``ValueError``.
     """
     lams = np.asarray(lams, dtype=float)
     slot = _block_slot[0]
@@ -809,26 +795,13 @@ def _shared(kind, contraction, mu, lams):
         classes = _stretch_classes(_checked_grid(lams))  # before the copy: less peak memory
         grid = lams.copy()
         grid.flags.writeable = False
-        slot = _block_slot[0] = _ScanSlot(grid, classes, None, None, None, None, {})
+        slot = _block_slot[0] = _ScanSlot(grid, classes, None, None)
     key = (kind, contraction, float(mu))
     if slot.key != key:
-        slot.key = slot.block = slot.column = slot.zero = None
-        slot.members.clear()
+        slot.key = slot.block = None
         slot.block = _build_shear_block(kind, contraction, float(mu), slot.grid, slot.classes)
         slot.key = key
     return slot
-
-
-def _column(slot, contraction, volfun):
-    """The read-only volumetric column of ``volfun`` on the J of the slot's
-    block (:func:`_volumetric_column`), read at most once for a run of calls
-    with one volfun; the old column is dropped before the new one is read."""
-    if slot.column is None or slot.column[0] != volfun:
-        slot.column = None
-        values = _volumetric_column(contraction, volfun, slot.block.J)
-        values.flags.writeable = False
-        slot.column = (volfun, values)
-    return slot.column[1]
 
 
 def _eig2_min(p, r, q):
@@ -854,11 +827,9 @@ def _deflate(alpha, b1, b2, p, r, q):
     return x, big
 
 
-def _lower_matrices(lower, select):
-    """The symmetric 3x3 matrices eigh is given, rows ``select`` of the six
-    lower-triangle vectors ``lower`` (in ``_LOWER`` order) mirrored across
-    the diagonal."""
-    rows = [v[select] for v in lower]
+def _lower_matrices(rows):
+    """The symmetric 3x3 matrices eigh is given, from the six lower-triangle
+    vectors ``rows`` (in ``_LOWER`` order) mirrored across the diagonal."""
     M = np.empty((len(rows[0]), 3, 3))
     for (i, l), v in zip(_LOWER, rows):
         M[:, i, l] = v
@@ -866,19 +837,22 @@ def _lower_matrices(lower, select):
     return M
 
 
-def _candidates(alpha, plane, coupling):
-    """Positions of two symmetric 3x3 matrices of the rotated frame whose
-    smallest eigenvalues are likely near the smallest of all, given by
-    alpha, the smallest eigenvalue ``plane`` of their trace-free block and
-    the length ``coupling`` of the column that couples the two: the one
-    with the smallest upper bound min(alpha, plane) on its eigenvalue (a
-    principal submatrix's eigenvalues interlace), and the one with the
-    smallest lower bound min(alpha, plane) - coupling (Weyl's inequality).
-    A permutation of the stretches rotates the trace-free plane and leaves
-    both bounds as they are, so a representative ranks as every member of
-    its class would."""
+def _candidates(alpha, plane, coupling, graded):
+    """(bounds, positions), each (2, cells): for each cell, a row of
+    ``alpha``, two ungraded states whose smallest eigenvalues are likely
+    near the smallest of all, given by alpha, the smallest eigenvalue
+    ``plane`` of their trace-free block and the length ``coupling`` of the
+    column that couples the two: the one with the smallest upper bound
+    min(alpha, plane) on its eigenvalue (a principal submatrix's
+    eigenvalues interlace), and the one with the smallest lower bound
+    min(alpha, plane) - coupling (Weyl's inequality), the first of a tie.
+    A graded state's bound reads +inf. A permutation of the stretches
+    rotates the trace-free plane and leaves both bounds as they are, so a
+    representative ranks as every member of its class would."""
     upper = np.minimum(alpha, plane)
-    return [np.argmin(upper), np.argmin(upper - coupling)]
+    bounds = [np.where(graded, np.inf, b) for b in (upper, upper - coupling)]
+    pos = np.array([np.argmin(b, axis=1) for b in bounds])
+    return np.array([b[np.arange(len(b)), p] for b, p in zip(bounds, pos)]), pos
 
 
 def _exceeds(upper, scale, a00, a10, a20, a11, a21, a22):
@@ -916,63 +890,66 @@ def _with_alpha(c, sheared):
     return (alpha, *sheared[1:])
 
 
-def _routes(lower, grading, upper=None, shear=None):
-    """Each value of a block of states, given by their lower triangles
-    (:func:`_with_alpha`) and gradings (:func:`_grading`), by the three
-    routes of :func:`min_coaxial_eig`: the deflation on the graded states,
-    then the certificate against ``upper`` and ``eigh`` on the others.
-
-    ``shear`` holds the states' (tail, plane, coupling, settles) of
-    :class:`_ShearBlock`. ``upper`` is first lowered by the ``eigh`` values
-    of the block's two candidate states (:func:`_candidates`); a graded
-    state whose value then provably clears it (:func:`_graded_clears`) is
-    not deflated, and the deflated values lower it further. With no
-    ``upper`` (the members of open classes, near U by construction) there
-    is no bound and no certificate: every graded state is deflated and
-    every other one takes ``eigh``. Returns (mins, upper, route): mins is
-    +inf at a certified or bounded state, and route is what
-    :func:`_direction` reads. Call under an errstate.
-    """
-    size = np.abs(lower[0])
+def _bounded_routes(lower, grading, upper, shear):
+    """(mins, upper): the values of a block of representatives, a row per
+    cell, by the three routes of :func:`min_coaxial_eig`, and each cell's
+    U (``upper``) lowered by them. ``lower`` is :func:`_with_alpha`'s, a
+    row of alpha per cell; the other entries, ``grading`` and ``shear``
+    (tail, plane, coupling, settles of :class:`_ShearBlock`) are shared. A
+    graded state whose value provably clears U (:func:`_graded_clears`) is
+    not deflated; mins is +inf there and at a certified state. Call under
+    an errstate."""
+    alpha, rest = lower[0], lower[1:]
+    tail, plane, coupling, settles = shear
+    size = np.abs(alpha)
     graded = size > grading
-    mins = np.full(len(graded), np.inf)
+    kept = ~graded
+    mins = np.full(alpha.shape, np.inf)
+    bound, pos = _candidates(alpha, plane, coupling, graded)
+    pair = bound < np.inf
+    if pair.any():  # every cell's two candidates in one call
+        cells, at = np.nonzero(pair)[1], pos[pair]
+        rows = [alpha[cells, at], *(v[at] for v in rest)]
+        bound[pair] = np.linalg.eigh(_lower_matrices(rows))[0][:, 0]
+        upper = np.fmin(upper, np.min(np.where(pair, bound, np.inf), axis=0))
+    bounded = settles & (size <= _SETTLE_ENTRY)
+    bounded &= _graded_clears(upper[:, None], grading, alpha, plane, coupling)
+    graded &= ~bounded
+    k, i = np.nonzero(graded)
+    if k.size:
+        x, big = _deflate(alpha[k, i], *(v[i] for v in rest))
+        mins[k, i] = np.minimum(x, big)
+        upper = np.fmin(upper, np.min(mins, axis=1))
+    kept &= ~_exceeds(upper[:, None], np.maximum(size, tail), alpha, *rest)
+    k, i = np.nonzero(kept)
+    if k.size:
+        rows = [alpha[k, i], *(v[i] for v in rest)]
+        mins[k, i] = np.linalg.eigh(_lower_matrices(rows))[0][:, 0]
+    return mins, upper
+
+
+def _routes(lower, grading):
+    """(mins, route): the value of each state given by its lower triangle
+    (:func:`_with_alpha`) and grading, by the deflation where graded and
+    ``eigh`` elsewhere, and what :func:`_direction` reads. Call under an
+    errstate."""
+    graded = np.abs(lower[0]) > grading
+    mins = np.empty(len(graded))
     rows = np.flatnonzero(graded)
     kept = ~graded
-    cand = np.flatnonzero(kept)
-    if upper is not None:
-        tail, plane, coupling, settles = shear
-        if cand.size:
-            # with no graded state, the certificate reads the lower triangle itself
-            sub = [v[cand] for v in lower] if rows.size else lower
-            pair = cand[_candidates(sub[0], plane[cand], coupling[cand])]
-            pair_min = float(np.min(np.linalg.eigh(_lower_matrices(lower, pair))[0][:, 0]))
-            upper = min(upper, pair_min)
-        if rows.size:
-            bounded = settles[rows] & (size[rows] <= _SETTLE_ENTRY)
-            bounded &= _graded_clears(
-                upper, grading[rows], lower[0][rows], plane[rows], coupling[rows]
-            )
-            graded[rows[bounded]] = False
-            rows = rows[~bounded]
     x = vecs = None
     if rows.size:
         x, big = _deflate(*(v[rows] for v in lower))
-        deflated = np.minimum(x, big)
-        mins[rows] = deflated
-        if upper is not None:
-            upper = min(upper, float(np.min(deflated)))
-    if cand.size and upper is not None:
-        scale = np.maximum(size, tail)[cand]  # max|entry|, as _max_abs gives it
-        kept[cand[_exceeds(upper, scale, *sub)]] = False
+        mins[rows] = np.minimum(x, big)
     if kept.any():
-        vals, vecs = np.linalg.eigh(_lower_matrices(lower, kept))
+        vals, vecs = np.linalg.eigh(_lower_matrices([v[kept] for v in lower]))
         mins[kept] = vals[:, 0]
-    return mins, upper, (graded, rows, x, kept, vecs)
+    return mins, (graded, rows, x, kept, vecs)
 
 
 def _direction(i, value, lower, route):
-    """The minimizing direction, in the rotated frame, of state i of a block
-    that :func:`_routes` valued at ``value``."""
+    """The minimizing direction, in the rotated frame, of state i of the
+    states that :func:`_routes` valued, at ``value``."""
     graded, rows, x, kept, vecs = route
     alpha, b1, b2, p, r, q = lower
     if graded[i] and value == x[np.searchsorted(rows, i)]:
@@ -992,23 +969,20 @@ def _direction(i, value, lower, route):
     return vecs[np.count_nonzero(kept[:i]), :, 0]
 
 
-def _member_form(slot, start, rows):
-    """(sheared, grading, J, shift) of the grid states ``rows`` of the grid
-    block that begins at ``start``, formed as the slot's block forms its
-    representatives (:func:`_shear_form`, :func:`_rotate_lower`). The forms
-    are kept per grid block until a call asks for other rows there: the
-    cells of one (kind, contraction) often open the same classes. Call
-    under an errstate."""
-    kept = slot.members.get(start)
-    if kept is not None and np.array_equal(kept[0], rows):
-        return kept[1]
-    kind, contraction, mu = slot.key
-    entry, J, shift = _shear_form(kind, contraction, mu, slot.grid[rows])
-    sheared = np.zeros((len(_LOWER), rows.size))
-    _rotate_lower(entry, sheared)
-    form = (sheared, _grading(_max_abs(sheared)), J, shift)
-    slot.members[start] = (rows, form)
-    return form
+def _open_members(open_class, classes, size):
+    """(cells, rows) chunks of the pairs of a cell and a grid state whose class
+    is open for that cell (``open_class[cell, class]`` not 0), by grid block
+    and at most ``size`` states of one at a time, so each cell's states come
+    in grid order; the representative of a class marked 2 is left out."""
+    of, somewhere = classes.of, open_class.any(axis=0)
+    for part in _blocks(len(of)):
+        hit = part.start + np.flatnonzero(somewhere[of[part]])
+        for piece in _blocks(hit.size, size):
+            state = open_class[:, of[hit[piece]]]
+            k, i = np.nonzero(state)
+            rows = hit[piece][i]
+            keep = (state[k, i] == 1) | (classes.reps[of[rows]] != rows)
+            yield k[keep], rows[keep]
 
 
 def _settle_bar(upper, grading):
@@ -1017,10 +991,8 @@ def _settle_bar(upper, grading):
     above ``upper``, with max|entry| taken at the grading bound
     (:func:`_grading`), which is at least max|entry| of an ungraded state
     and the scale of a deflated value's rounding. NaN or inf at an infinite
-    ``upper``."""
-    t = np.multiply(grading, 3e-9)
-    t += upper + (1e-9 * abs(upper) + 1e-300)
-    return t
+    ``upper``. The arguments broadcast."""
+    return np.multiply(grading, 3e-9) + (upper + (1e-9 * np.abs(upper) + 1e-300))
 
 
 def _clears(values, upper, grading):
@@ -1053,49 +1025,63 @@ def _graded_clears(upper, grading, alpha, plane, coupling):
     return (alpha > 0.0) & (plane - coupling * coupling / (alpha - t) > t)
 
 
-def _class_scan(kind, contraction, params, slot, column):
-    """(value, grid index, rotated-frame direction) of the minimum of
-    :func:`min_coaxial_eig`, at params whose mu is a mantissa, with the
-    volumetric ``column`` on the J of the slot's block. Raises
-    ``ValueError`` at the first NaN state. Call under an errstate."""
+def _class_scan(slot, coefs, column):
+    """Each cell's (value, grid index, rotated-frame direction) of the
+    minimum of :func:`min_coaxial_eig`, or its first error, for cells of
+    volumetric coefficients ``coefs`` (at the mantissa of mu) and the
+    volumetric ``column`` on the J of the slot's block. Call under an
+    errstate."""
+    kind, contraction, mu = slot.key
     block, classes = slot.block, slot.classes
-    # the representatives, in blocks, with U running across them; each block
-    # keeps the classes that its representatives do not settle against the
-    # U so far, to be judged again against the final U
-    upper, near = math.inf, []
-    for part in _blocks(len(block.J)):
-        c = _volumetric_c(kind, contraction, params, block.J[part], column[part])
+    size = _SCAN_BLOCK // len(coefs) or 1
+    # the representatives, in blocks, with each cell's U running across
+    # them; each block keeps the classes that its representatives do not
+    # settle against the U so far, to be judged again against the final U
+    upper, near = np.full(len(coefs), np.inf), []
+    for part in _blocks(len(block.J), size):
+        c = _volumetric_c(contraction, coefs[:, None], block.J[part], column[part])
         c += block.shift[part]
         lower = _with_alpha(c, [v[part] for v in block.lower])
         grading = block.grading[part]
         shear = (block.tail[part], block.plane[part], block.coupling[part], block.settles[part])
-        mins, upper, _ = _routes(lower, grading, upper, shear)
-        upper = min(upper, float(np.min(mins)))  # a real state's value
+        mins, upper = _bounded_routes(lower, grading, upper, shear)
+        upper = np.fmin(upper, np.min(mins, axis=1))  # a real state's value
         # a representative outside the settle range never clears U
         mins[~block.settles[part] | (np.abs(lower[0]) > _SETTLE_ENTRY)] = np.nan
-        k = np.flatnonzero(~_clears(mins, upper, grading))
-        near.append((part.start + k, mins[k], grading[k]))
-    open_class = np.zeros(len(block.J), dtype=bool)
-    for k, mins, grading in near:
-        open_class[k[~_clears(mins, upper, grading)]] = True
+        k, i = np.nonzero(~_clears(mins, upper[:, None], grading))
+        near.append((k, part.start + i, mins[k, i], grading[i]))
+    k, i, mins, grading = (np.concatenate(v) for v in zip(*near))
+    k, i, mins = (v[~_clears(mins, upper[k], grading)] for v in (k, i, mins))
+    # a cell's open representatives with a value, the first smallest of
+    # them aside, cannot hold its minimum, so their own states need no scan:
+    # such a class is 2 in open_class, any other open class 1
+    low, first = np.full(len(coefs), np.inf), np.full(len(coefs), len(block.J))
+    np.fmin.at(low, k, mins)
+    np.minimum.at(first, k[mins == low[k]], i[mins == low[k]])
+    open_class = np.zeros((len(coefs), len(block.J)), dtype=np.uint8)
+    open_class[k, i] = 1 + ((mins == mins) & (i != first[k]))
 
     # every member of an open class, in grid order, by the deflation or eigh
-    best = None
-    for part in _blocks(len(classes.of)):
-        rows = part.start + np.flatnonzero(open_class[classes.of[part]])
-        if not rows.size:
-            continue
-        sheared, grading, J, shift = _member_form(slot, part.start, rows)
-        c = _volumetric_c(kind, contraction, params, J, column[classes.of[rows]])
+    best = [None] * len(coefs)  # each cell's minimum so far, or its NaN error
+    for cells, rows in _open_members(open_class, classes, size):
+        entry, J, shift = _shear_form(kind, contraction, mu, slot.grid[rows])
+        sheared = np.zeros((len(_LOWER), rows.size))
+        _rotate_lower(entry, sheared)
+        c = _volumetric_c(contraction, coefs[cells], J, column[classes.of[rows]])
         c += shift
         lower = _with_alpha(c, sheared)
-        mins, _, route = _routes(lower, grading)
-        i = int(np.argmin(mins))  # the block's first NaN, if any
-        value = float(mins[i])
-        if value != value:
-            raise ValueError(f"the {contraction} stability form is NaN at grid state {rows[i]}")
-        if best is None or value < best[0]:  # a tie keeps the earlier block's state
-            best = (value, int(rows[i]), _direction(i, value, lower, route))
+        mins, route = _routes(lower, _grading(_max_abs(sheared)))
+        for k in np.flatnonzero(np.bincount(cells)):
+            if isinstance(best[k], ValueError):
+                continue
+            own = np.flatnonzero(cells == k)
+            i = own[np.argmin(mins[own])]  # the cell's first NaN here, if any
+            value = float(mins[i])
+            if value != value:
+                message = f"the {contraction} stability form is NaN at grid state {rows[i]}"
+                best[k] = ValueError(message)
+            elif best[k] is None or value < best[k][0]:  # a tie keeps the earlier state
+                best[k] = (value, int(rows[i]), _direction(i, value, lower, route))
     return best
 
 
@@ -1107,6 +1093,13 @@ def min_coaxial_eig(kind, volfun, params, lams, contraction="hill"):
     diagonal rate (unit vector). A non-coaxial rate adds only the
     nonnegative R term, so this minimum decides positivity.
 
+    ``params`` is one ``MaterialParams`` (a cell), or a list or tuple of
+    them that share mu (a batch, a cell per nu), which returns a list of
+    one (min_value, index, direction) per cell with the bits of the cell
+    scanned alone, or raises the error of its first failing cell. A cell
+    is a batch of one: the cells share one column read and every call of
+    ``np.linalg.eigh`` and of the deflation, and each keeps its own U.
+
     Each state's value comes from one of three routes, and a state pays
     only for the route that decides it:
 
@@ -1117,13 +1110,14 @@ def min_coaxial_eig(kind, volfun, params, lams, contraction="hill"):
       subspace) under eps * |c| rounding noise;
     * the certificate (:func:`_exceeds`), on every ungraded state, against
       an upper bound U on the minimum: the smallest value found so far and
-      the ``eigh`` values of two candidate states of each block, decomposed
-      in one call (:func:`_candidates`: the smallest upper and the smallest
-      lower bound on a state's eigenvalue from its trace-free block and the
-      column coupling it to the spherical direction). An unpivoted LDL^T of
-      the state's matrix minus (U + 1e-9 * (3 max|entry| + |U|)) times I
-      with three positive pivots proves its ``eigh`` value strictly above
-      U, so it cannot be the minimum and its value is set to +inf;
+      the ``eigh`` values of two candidate states of each block, every
+      cell's decomposed in one call (:func:`_candidates`: the smallest
+      upper and the smallest lower bound on a state's eigenvalue from its
+      trace-free block and the column coupling it to the spherical
+      direction). An unpivoted LDL^T of the state's matrix minus (U + 1e-9
+      * (3 max|entry| + |U|)) times I with three positive pivots proves its
+      ``eigh`` value strictly above U, so it cannot be the minimum and its
+      value is set to +inf;
     * ``eigh``, on the states that fail the certificate: those whose value
       lies within that margin of U, or that have a NaN or inf entry, so
       ties keep their first index.
@@ -1147,7 +1141,9 @@ def min_coaxial_eig(kind, volfun, params, lams, contraction="hill"):
       a representative outside the range where rounding stays relative
       (_SETTLE_SHEAR, _SETTLE_ENTRY). Every member of an open class then
       takes the deflation or ``eigh`` itself, in grid order, with no bound
-      or certificate, and the minimum is taken over them.
+      or certificate, and the minimum is taken over them; of the open
+      representatives with a value (by the same route), only the first
+      smallest can be the minimum, so the others are not taken again.
 
     Why no member of a settled class can be the minimum: within a class J,
     w and the volumetric column are bitwise equal, so c is too, and the
@@ -1178,17 +1174,18 @@ def min_coaxial_eig(kind, volfun, params, lams, contraction="hill"):
     value, the first index of a tie, the direction and the first-NaN error
     keep the bits of scanning every state.
 
-    The representatives are scanned in blocks of ``_SCAN_BLOCK``
-    (:func:`_blocks`), in order, and so are the members of the open
-    classes, by grid block; each block takes its routes on its own states,
-    so no temporary outgrows a block. U runs across the blocks: a block
+    A batch of k cells scans the representatives in blocks of
+    ``_SCAN_BLOCK // k`` (:func:`_blocks`), in order, and the members of
+    the open classes by grid block (:func:`_open_members`); each block
+    takes its routes on its own states, so no temporary outgrows about
+    ``_SCAN_BLOCK`` values. A cell's U runs across the blocks: a block
     lowers it by its own values, and certifies its states against the
     lowest U so far, which is still the value of a real state and so at
-    least the minimum. The merge of the open members keeps a block's
-    minimum only when it is strictly below the best of the blocks before,
-    so a tie keeps its first index, and a block whose minimum is NaN raises
-    at once, naming its first NaN state by its grid index: no earlier block
-    held a NaN, so that is the grid's first NaN state.
+    least the minimum. A cell keeps a chunk's minimum only when it is
+    strictly below the chunks' before, so a tie keeps its first index, and
+    a NaN minimum ends it with an error naming that first NaN state. Where
+    LAPACK fails on one matrix, ``eigh`` raises ``LinAlgError`` for the
+    whole call, so then the batch scans its cells one at a time.
 
     The form is linear in (mu, lam, K), so the scan runs on the constants
     divided by 2^e, where mu = m 2^e with 1/2 <= m < 1
@@ -1202,12 +1199,10 @@ def min_coaxial_eig(kind, volfun, params, lams, contraction="hill"):
 
     A run of calls on one grid builds its classes once, and on one (kind,
     contraction, mu) its shear block (the rotated lower triangle of S of
-    each representative, and its scale) once (:func:`_shared`); a run with
-    one volfun reads its volumetric column, on the representatives' J,
-    once, whatever nu. Where the volumetric coefficient is 0 (the mixed
-    kind at nu = 0) the form is the shear block alone, so the first such
-    scan of a block answers every volfun's, with no column read.
-    The values, the argmin and the direction are bit for bit those of
+    each representative, and its scale) once (:func:`_shared`). Each call
+    reads its volumetric column, on the representatives' J, once for all
+    the nu of its batch, and forms the open members' entries afresh, so
+    nothing else is kept between calls. The values, the argmin and the direction are bit for bit those of
     deflating every graded state and running ``eigh`` on every other one,
     whatever the block size. The deflation is element-wise, batched
     ``eigh`` treats each matrix on its own, and a state's rotated entries
@@ -1220,24 +1215,34 @@ def min_coaxial_eig(kind, volfun, params, lams, contraction="hill"):
     replaced, and ``eigh`` stays as it is: ``eigvalsh`` rounds differently
     and would change the reported values in the last bits.
     """
-    mu = params.mu
-    params, e = mantissa_params(params)
-    slot = _shared(kind, contraction, params.mu, lams)
-    zero = _volumetric_coef(kind, params) == 0.0
-    if zero and slot.zero is not None:
-        value, i, vp = slot.zero  # c = 0 makes the scan the same for every volfun
-    else:
-        value, i, vp = _class_scan(kind, contraction, params, slot, _column(slot, contraction, volfun))
-        if zero:
-            slot.zero = (value, i, vp)
-    direction = _TRACE_ROT @ vp
+    batch = isinstance(params, (list, tuple))
+    cells = list(params) if batch else [params]
+    if not cells or any(p.mu != cells[0].mu for p in cells):
+        raise ValueError("a coaxial scan takes one or more cells that share mu")
+    mu = cells[0].mu
+    scaled = [mantissa_params(p) for p in cells]
+    e = scaled[0][1]
+    slot = _shared(kind, contraction, scaled[0][0].mu, lams)
+    column = _volumetric_column(contraction, volfun, slot.block.J)
+    coefs = np.array([_volumetric_coef(kind, p) for p, _ in scaled])
     try:
-        value = math.ldexp(value, e)
-    except OverflowError:
-        raise ValueError(
-            f"the minimum {contraction} stability value overflows at modulus mu = {mu}"
-        ) from None
-    return value, i, direction / np.linalg.norm(direction)
+        outcomes = _class_scan(slot, coefs, column)
+    except np.linalg.LinAlgError:  # LAPACK failed on a cell's matrix: scan the cells alone
+        outcomes = (_class_scan(slot, coefs[k : k + 1], column)[0] for k in range(len(coefs)))
+    results = []
+    for outcome in outcomes:
+        if isinstance(outcome, ValueError):
+            raise outcome  # the first failing cell's error
+        value, i, vp = outcome
+        try:
+            value = math.ldexp(value, e)
+        except OverflowError:
+            raise ValueError(
+                f"the minimum {contraction} stability value overflows at modulus mu = {mu}"
+            ) from None
+        direction = _TRACE_ROT @ vp
+        results.append((value, i, direction / np.linalg.norm(direction)))
+    return results if batch else results[0]
 
 
 def _search(contraction, kind, volfun, nus, grid):

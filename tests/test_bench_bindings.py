@@ -5,7 +5,7 @@
 ``perfbench/run.py`` imports the library to verify sweep rows. A rename
 here would break the benchmark, not the library, so tier-1 checks the
 bindings, and that the CLI still reaches the stability bindings once per
-cell or model, so that their counts cannot silently fall to zero.
+batch of cells or model, so that their counts cannot silently fall to zero.
 ``spans.py`` is read from its file and executed in a fresh namespace, as
 ``test_golden.py`` reads ``digests.json``; nothing is written under
 ``perfbench/``.
@@ -114,11 +114,14 @@ def _cli_rows(capsys, argv):
     return capsys.readouterr().out.splitlines()[1:]
 
 
-def test_stability_scans_each_cell_through_min_coaxial_eig(capsys, monkeypatch):
-    # the stability layer counts calls and len(args[3]) states of this binding
+def test_stability_scans_each_batch_through_min_coaxial_eig(capsys, monkeypatch):
+    # the stability layer counts calls and len(args[3]) states of this
+    # binding: one call per (kind, contraction, volfun), with every nu that
+    # the first volfun's mixed cell at nu = 0 does not answer
     calls = _record_calls(monkeypatch, stability, "min_coaxial_eig")
     rows = _cli_rows(capsys, "stability --grid-n 2 --nu-set paper".split())
-    assert len(calls) == len(rows) == 2 * 8 * 6 * 2  # kinds, volfuns, nus, contractions
+    assert len(rows) == 2 * 8 * 6 * 2  # kinds, volfuns, nus, contractions
+    assert len(calls) == 2 * 2 * 8 and sum(len(args[2]) for args in calls) == len(rows) - 2 * 7
     assert all(np.shape(args[3]) == (8, 3) for args in calls)
 
 

@@ -26,7 +26,7 @@ from nhcomp import cli, materials
 from nhcomp import homsolve as hs
 from nhcomp import stability as st
 from nhcomp.materials import ModelSpec, cauchy_stress
-from nhcomp.volfun import VolFun
+from nhcomp.volfun import VolFun, catalog
 
 E_CONST = math.e
 
@@ -717,6 +717,78 @@ class TestStability:
         code, rows, _ = run(capsys, *"stability --grid-n 4 --nu-set paper".split())
         assert code == 0 and len(rows) == 192
         assert calls == [26] * 32
+
+    def test_an_overflow_partway_through_a_batch_exits_one(self, capsys, monkeypatch):
+        # volfun 2's chi and h'' read -1e5 past J = 2, so at mu = 1e300 its
+        # cells from nu = 0.4 on have a minimum beyond the float range: the
+        # first cell to fail runs second in the mixed CSP batch of volfun 2,
+        # after whole batches of volfun 1, and the message is the one that
+        # scanning the cells one at a time gave
+        original, calls = st.evaluate_grid, []
+        scan = st.min_coaxial_eig
+
+        def steep_past_two(vf, Js):
+            table = original(vf, Js)
+            if vf == catalog()[2]:
+                table[Js > 2.0] = -1e5
+            return table
+
+        def recorded(kind, vf, cells, *args):
+            nus = [p.nu for p in cells] if isinstance(cells, list) else cells.nu
+            calls.append((kind, vf.label, nus, *args[1:]))
+            return scan(kind, vf, cells, *args)
+
+        monkeypatch.setattr(st, "evaluate_grid", steep_past_two)
+        monkeypatch.setattr(st, "min_coaxial_eig", recorded)
+        message = "the minimum csp stability value overflows at modulus mu = 1e+300"
+        err = run_rejected(capsys, *"stability --grid-n 4 --nu-set paper --mu 1e300".split())
+        assert err == f"nhcomp: error: {message}\n"
+        # the batch fails, and its cells one at a time fail at nu = 0.4
+        batch = ("mixed", "2", list(materials.PAPER_NUS[1:]), "csp")
+        assert calls[-3:] == [batch, ("mixed", "2", 0.25, "csp"), ("mixed", "2", 0.4, "csp")]
+        vf, grid = catalog()[2], st.stretch_grid(4)
+        scan("mixed", vf, materials.params_from_mu_nu(1e300, 0.0), grid, "csp")
+        cells = [materials.params_from_mu_nu(1e300, nu) for nu in batch[2]]
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            scan("mixed", vf, cells, grid, "csp")
+
+    def test_a_verdict_that_fails_before_a_later_cells_scan_error_wins(self, capsys, monkeypatch):
+        # one cell at a time, the cell at nu = 0.25 reaches its verdict,
+        # which fails at -inf, before the next cell's scan fails; a batch
+        # that raises is scanned again one cell at a time to keep that order
+        def scan(kind, volfun, params, grid, contraction):
+            if isinstance(params, list):
+                raise ValueError("a later cell's scan fails")
+            if params.nu < 0.4:
+                return (-math.inf if params.nu else 1.0), 0, np.ones(3)
+            raise ValueError("a later cell's scan fails")
+
+        monkeypatch.setattr(st, "min_coaxial_eig", scan)
+        err = run_rejected(capsys, *"stability --model voliso --volfun 2 --nu-set paper".split())
+        assert err == "nhcomp: error: stability value -inf at scale 1.0 has no sign verdict\n"
+
+    def test_cells_with_no_volumetric_term_scan_once_per_contraction(self, capsys, monkeypatch):
+        # the mixed cells at nu = 0 of every volfun share the first volfun's
+        # scan; every row equals a scan of its cell alone
+        calls = []
+        scan = st.min_coaxial_eig
+
+        def recorded(kind, vf, cells, *args):
+            calls.append((kind, vf.label, [p.nu for p in cells]))
+            return scan(kind, vf, cells, *args)
+
+        monkeypatch.setattr(st, "min_coaxial_eig", recorded)
+        code, rows, _ = run(capsys, *"stability --grid-n 4 --nu-set paper --mu 2.5".split())
+        assert code == 0 and len(rows) == 192 and len(calls) == 32
+        nus = list(materials.PAPER_NUS)
+        assert [nu for kind, label, nu in calls if kind == "mixed"] == 2 * ([nus] + 7 * [nus[1:]])
+        assert all(nu == nus for kind, _, nu in calls if kind == "voliso")
+        grid = st.stretch_grid(4)
+        for row in rows:
+            params = materials.params_from_mu_nu(2.5, float(row["nu"]))
+            vf = catalog()[int(row["volfun"])]
+            value, i, _ = scan(row["model"], vf, params, grid, row["contraction_kind"])
+            assert (float(row["value"]), float(row["J"])) == (value, float(np.prod(grid[i])))
 
     def test_stability_value_overflow_exits_one(self, capsys):
         err = run_rejected(capsys, *"stability --mu 1e307 --nu 0.3 --grid-n 5".split())

@@ -1,10 +1,11 @@
 import math
 import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as hst
 
 from nhcomp import stability
@@ -648,11 +649,11 @@ class TestSharedMotions:
             arrays += [rate.l, rate.d, rate.w]
         stability._block_slot[0] = None
         min_coaxial_eig("voliso", catalog()[2], params_from_mu_nu(1.0, 0.3), stretch_grid(4), "csp")
-        # one value per stretch class: the 20 multisets of 4 stretches, six
-        # of them split in two by the rounding of J
-        column = stability._block_slot[0].column[1]
-        assert column.flags.c_contiguous and column.shape == (26,)
-        for a in (*arrays, column):
+        # one J per stretch class: the 20 multisets of 4 stretches, six of
+        # them split in two by the rounding of J
+        J = stability._block_slot[0].block.J
+        assert J.flags.c_contiguous and J.shape == (26,)
+        for a in (*arrays, J):
             with pytest.raises(ValueError, match="read-only"):
                 a[0] = 0.0
 
@@ -796,9 +797,12 @@ def reference_matrices(kind, volfun, params, lams, contraction):
     J = np.prod(lams, axis=1)
     tab = evaluate_grid(volfun, J)
     hpp, chi = tab[:, 2], tab[:, 4]
-    if kind == "mixed" and params.lam == 0.0:
-        # the mixed kind at nu = 0 has no volumetric term, even where chi or h'' is inf
-        hpp = chi = np.zeros(n)
+    # the mixed kind at nu = 0 has no volumetric term, even where chi, h'' or J is inf
+    coef = params.lam if kind == "mixed" else params.K
+    if coef == 0.0:
+        vol = np.zeros(n)
+    else:
+        vol = coef * chi * J if contraction == "hill" else coef * J * hpp
     mu = params.mu
     MP = np.zeros((n, 3, 3))
     idx = np.arange(3)
@@ -808,20 +812,20 @@ def reference_matrices(kind, volfun, params, lams, contraction):
     if contraction == "hill":
         if kind == "mixed":
             S = mu * MP
-            c = params.lam * chi * J
+            c = vol
         else:
             w = mu * J ** (-2.0 / 3.0)
             S = w[:, None, None] * (MP - (4.0 / 3.0) * MB)
-            c = params.K * chi * J + (2.0 / 9.0) * w * trc
+            c = vol + (2.0 / 9.0) * w * trc
     else:
         if kind == "mixed":
             w = mu / J
             S = w[:, None, None] * (MP - MB)
-            c = params.lam * J * hpp + w
+            c = vol + w
         else:
             w = mu * J ** (-5.0 / 3.0)
             S = w[:, None, None] * (MP - (7.0 / 3.0) * MB)
-            c = params.K * J * hpp + (5.0 / 9.0) * w * trc
+            c = vol + (5.0 / 9.0) * w * trc
     return S, c
 
 
@@ -921,7 +925,9 @@ class TestCoaxialScanBytes:
         kind=hst.sampled_from(("mixed", "voliso")),
         contraction=hst.sampled_from(("hill", "csp")),
         volfun=volfuns(),
-        nu=hst.one_of(hst.sampled_from(PAPER_NUS), hst.floats(-0.99, 0.4999)),
+        nu=hst.one_of(
+            hst.sampled_from(PAPER_NUS), hst.floats(-0.99, 0.4999, allow_subnormal=False)
+        ),
         mu=hst.floats(0.1, 10.0),
         n=hst.integers(2, 12),
         lo=hst.floats(-1.0, 1.0),
@@ -955,16 +961,17 @@ class TestCoaxialScanBytes:
 
     @staticmethod
     def record_open_members(monkeypatch):
-        """A list that fills, while the scan runs, with the grid rows of the
-        open-class members that each grid block asks forms for."""
+        """A list that fills, while the scan runs, with the grid rows of each
+        chunk of open-class members that the scan takes its routes on."""
         opened = []
-        member_form = stability._member_form
+        open_members = stability._open_members
 
-        def recording(slot, start, rows):
-            opened.append(rows.copy())
-            return member_form(slot, start, rows)
+        def recording(*args):
+            for cells, rows in open_members(*args):
+                opened.append(rows.copy())
+                yield cells, rows
 
-        monkeypatch.setattr(stability, "_member_form", recording)
+        monkeypatch.setattr(stability, "_open_members", recording)
         return opened
 
     @staticmethod
@@ -972,7 +979,7 @@ class TestCoaxialScanBytes:
         """Check the ``_eig2_min`` pass sizes of one scan: the deflation runs
         on graded states alone, three equal passes at a time, first on
         graded representatives, then on exactly the graded members of each
-        open grid block (``opened``) in turn. The representatives' passes
+        chunk of open members (``opened``) in turn. The representatives' passes
         cover every graded representative of an open class and at most all
         graded representatives: a graded representative whose bound clears
         U (``_graded_clears``) settles its class undeflated, so a
@@ -1036,7 +1043,9 @@ class TestCoaxialScanBytes:
         kind=hst.sampled_from(("mixed", "voliso")),
         contraction=hst.sampled_from(("hill", "csp")),
         volfun=volfuns(),
-        nu=hst.one_of(hst.sampled_from(PAPER_NUS), hst.floats(-0.99, 0.4999)),
+        nu=hst.one_of(
+            hst.sampled_from(PAPER_NUS), hst.floats(-0.99, 0.4999, allow_subnormal=False)
+        ),
         mu=hst.floats(0.5, 4.0),
         k=hst.integers(-1000, 1000),
         n=hst.integers(2, 6),
@@ -1053,6 +1062,12 @@ class TestCoaxialScanBytes:
         scaled = params_from_mu_nu(math.ldexp(mu, k), nu)
         value, i, direction = min_coaxial_eig(kind, volfun, scaled, grid, contraction)
         assert bits((value, i, direction)) == bits((math.ldexp(base[0], k), *base[1:]))
+
+    @pytest.mark.parametrize("mus", ((), (1.0, 2.0)))
+    def test_a_batch_takes_one_or_more_cells_that_share_mu(self, mus):
+        cells = [params_from_mu_nu(mu, 0.3) for mu in mus]
+        with pytest.raises(ValueError, match="one or more cells that share mu"):
+            min_coaxial_eig("voliso", catalog()[1], cells, stretch_grid(3), "csp")
 
     def test_minimum_beyond_the_float_range_raises(self):
         params = params_from_mu_nu(1e307, 0.3)
@@ -1083,13 +1098,13 @@ class TestCoaxialScanBytes:
         # the scan runs eigh on a subset of states and relies on batched
         # eigh treating every matrix on its own
         block = stability._shared("voliso", "hill", 1.0, stretch_grid(10)).block
-        scan = stability._lower_matrices(block.lower, np.ones(len(block.J), dtype=bool))
+        scan = stability._lower_matrices(block.lower)
         sym = rng.standard_normal((500, 3, 3))
         for batch in (scan, sym + sym.transpose(0, 2, 1)):
             vals, vecs = np.linalg.eigh(batch)
             for keep in (rng.random(len(batch)) < 0.1, np.arange(len(batch)) == 7):
                 if batch is scan:
-                    sub = stability._lower_matrices(block.lower, keep)
+                    sub = stability._lower_matrices([v[keep] for v in block.lower])
                     assert sub.tobytes() == batch[keep].tobytes()
                 sub_vals, sub_vecs = np.linalg.eigh(batch[keep])
                 assert sub_vals.tobytes() == vals[keep].tobytes()
@@ -1169,51 +1184,53 @@ class TestCoaxialScanBytes:
             stability._block_slot[0] = None
             assert got == bits(min_coaxial_eig(*args)), (args[0], args[2].mu, args[4])
 
-    def test_the_volumetric_column_follows_volfun_contraction_and_grid(self, monkeypatch):
+    def test_each_call_reads_one_column_for_every_nu_of_its_batch(self, monkeypatch):
+        # a call reads the column of its own volfun and contraction on the
+        # J of its own grid's classes, once for all the nu it is given, and
+        # keeps nothing of it for the next call
         grid, other = stretch_grid(6), log_grid(6, -0.5, 0.9)
         reads = []
         original = stability.evaluate_grid
 
         def counting(vf, Js):
-            reads.append(vf.label)
+            reads.append((vf.label, Js.tobytes()))
             return original(vf, Js)
 
         monkeypatch.setattr(stability, "evaluate_grid", counting)
         hn = VolFun.power_pair(1.5)
-        # (kind, volfun, nu, grid, contraction, volfuns read by the call)
+        # (kind, volfun, nus, grid, contraction)
         calls = [
-            ("voliso", catalog()[3], 0.25, grid, "csp", ["3"]),
-            ("voliso", catalog()[3], 0.45, grid, "csp", []),  # one column, every nu
-            ("voliso", catalog()[7], 0.25, grid, "csp", ["7"]),  # alternating volfuns
-            ("voliso", catalog()[3], 0.25, grid, "csp", ["3"]),
-            ("voliso", catalog()[3], 0.25, grid, "hill", ["3"]),  # alternating contractions
-            ("voliso", catalog()[3], 0.25, grid, "csp", ["3"]),
-            ("mixed", catalog()[3], 0.25, grid, "csp", ["3"]),  # alternating kinds
-            ("mixed", catalog()[3], 0.25, other, "csp", ["3"]),  # alternating grids
-            ("mixed", hn, 0.4, other, "csp", [hn.label]),
-            ("mixed", VolFun.power_pair(1.5), 0.0, other, "csp", []),  # an equal volfun
-            ("mixed", hn, 0.4, grid, "csp", [hn.label]),
+            ("voliso", catalog()[3], (0.25,), grid, "csp"),
+            ("voliso", catalog()[3], (0.25, 0.45, -0.5), grid, "csp"),  # one column, every nu
+            ("voliso", catalog()[3], (0.45,), grid, "csp"),  # read again
+            ("voliso", catalog()[7], (0.25,), grid, "csp"),
+            ("voliso", catalog()[3], (0.25, 0.4), grid, "hill"),
+            ("mixed", catalog()[3], (0.0, 0.25), grid, "csp"),
+            ("mixed", hn, (0.4, 0.0), other, "csp"),
+            ("mixed", VolFun.power_pair(1.5), (0.0,), other, "csp"),  # an equal volfun
         ]
         stability._block_slot[0] = None
-        for kind, vf, nu, g, contraction, read in calls:
+        for kind, vf, nus, g, contraction in calls:
             reads.clear()
-            params = params_from_mu_nu(1.0, nu)
-            got = min_coaxial_eig(kind, vf, params, g, contraction)
-            want = reference_min_coaxial_eig(kind, vf, params, g, contraction)
-            assert bits(got) == bits(want) and reads == read, (kind, vf.label, nu, contraction)
+            cells = [params_from_mu_nu(1.0, nu) for nu in nus]
+            got = min_coaxial_eig(kind, vf, cells, g, contraction)
+            want = [reference_min_coaxial_eig(kind, vf, p, g, contraction) for p in cells]
+            assert [bits(r) for r in got] == [bits(r) for r in want], (kind, vf.label, nus)
+            J = stability._block_slot[0].block.J
+            assert reads == [(vf.label, J.tobytes())], (kind, vf.label, nus, contraction)
         # the same grid object, changed in place, gets a fresh block and column
         grid[:] = grid[::-1] * 0.7
         reads.clear()
         params = params_from_mu_nu(1.0, 0.4)
         got = min_coaxial_eig("mixed", hn, params, grid, "csp")
-        assert reads == [hn.label]
+        assert reads == [(hn.label, stability._block_slot[0].block.J.tobytes())]
         assert bits(got) == bits(reference_min_coaxial_eig("mixed", hn, params, grid, "csp"))
 
     def test_shared_arrays_are_read_only(self):
         grid = stretch_grid(3)
         slot = stability._shared("voliso", "csp", 1.0, grid)
         block, classes = slot.block, slot.classes
-        column = stability._column(slot, "csp", catalog()[2])
+        column = stability._volumetric_column("csp", catalog()[2], block.J)
         S = shear_matrices("voliso", "csp", 1.0, grid[classes.reps])
         assert len(block.lower) == 6 and block.J.shape == (10,)  # the 10 multisets
         for v in (*block.lower, column):
@@ -1221,7 +1238,9 @@ class TestCoaxialScanBytes:
         TestShearRotation.assert_matches_einsum(S, block.lower)
         arrays = (*block.lower, block.grading, block.tail, block.plane, block.coupling)
         arrays += (block.J, block.shift, block.settles)
-        for a in (*arrays, column, slot.grid, classes.reps, classes.of):
+        # the slot keeps the grid, its classes and the block, and nothing else
+        assert sorted(vars(slot)) == ["block", "classes", "grid", "key"]
+        for a in (*arrays, slot.grid, classes.reps, classes.of):
             with pytest.raises(ValueError):
                 a[0] = 0
 
@@ -1245,6 +1264,23 @@ def reference_outcome(kind, volfun, params, grid, contraction):
         return bits((math.ldexp(value, e), i, direction))
     except OverflowError:
         return f"the minimum {contraction} stability value overflows at modulus mu = {params.mu}"
+
+
+def batch_outcome(kind, volfun, cells, grid, contraction):
+    """The bits of a batch scan's (value, index, direction) per cell, or the
+    message of the error it raises."""
+    try:
+        return [bits(r) for r in min_coaxial_eig(kind, volfun, cells, grid, contraction)]
+    except ValueError as err:
+        return str(err)
+
+
+def reference_batch(kind, volfun, cells, grid, contraction, outcome=None):
+    """Each cell's reference outcome (``outcome``, :func:`reference_outcome`
+    by default), or the message of the first cell's in cell order that is
+    an error."""
+    outcomes = [(outcome or reference_outcome)(kind, volfun, p, grid, contraction) for p in cells]
+    return next((o for o in outcomes if isinstance(o, str)), outcomes)
 
 
 def reference_classes(grid):
@@ -1334,6 +1370,21 @@ class TestScanBlocks:
                             assert scan_outcome(*args) == want, (kind, contraction, mu, vf, nu)
 
     @pytest.mark.parametrize("block", (1, 7, 64))
+    def test_a_batch_matches_the_reference_at_every_block_size(self, block, monkeypatch):
+        # six nu share each block of representatives, which holds a sixth
+        # of _SCAN_BLOCK classes (at least one), and each chunk of open members
+        monkeypatch.setattr(stability, "_SCAN_BLOCK", block)
+        grid = stretch_grid(5)
+        for kind in ("mixed", "voliso"):
+            for contraction in ("hill", "csp"):
+                for mu, vfs in ((1.0, _BLOCK_VOLFUNS), (1e300, _BLOCK_VOLFUNS[::3])):
+                    cells = [params_from_mu_nu(mu, nu) for nu in PAPER_NUS]
+                    for vf in vfs:
+                        want = reference_batch(kind, vf, cells, grid, contraction)
+                        got = batch_outcome(kind, vf, cells, grid, contraction)
+                        assert got == want, (kind, contraction, mu, vf)
+
+    @pytest.mark.parametrize("block", (1, 7, 64))
     def test_a_tie_keeps_its_first_block(self, block, monkeypatch):
         # both copies of the minimizing state tie bit for bit, and they lie
         # in different blocks
@@ -1396,50 +1447,66 @@ class TestScanBlocks:
                 for vf in (catalog()[2], catalog()[7], VolFun.power_pair(400.0)):
                     stability._block_slot[0] = None
                     slot = stability._shared(kind, contraction, 0.6, grid)
-                    got = shared_arrays(slot, stability._column(slot, contraction, vf))
+                    column = stability._volumetric_column(contraction, vf, slot.block.J)
+                    got = shared_arrays(slot, column)
                     want = one_shot_shared(kind, contraction, 0.6, grid, vf)
                     assert list(got) == list(want)
                     for name, a in got.items():
                         assert a.tobytes() == want[name].tobytes(), (kind, contraction, vf, name)
                         assert a.shape == want[name].shape and a.flags.c_contiguous
+                        if a is column:  # a call's own, read for it
+                            continue
                         with pytest.raises(ValueError, match="read-only"):
                             a[0] = 0
 
-    def test_the_old_block_and_column_are_freed_before_the_new_ones(self, monkeypatch):
+    def test_the_old_slot_block_and_column_are_freed_before_the_new_ones(self, monkeypatch):
         # the old grid's slot is dropped before the new classes are built,
-        # the old block (and its column) before the new block, and the old
-        # column before the new one is read
+        # the old block before the new block, and each call's column with
+        # the call, before the next call reads its own
         classes = stability._stretch_classes
         build, read = stability._build_shear_block, stability._volumetric_column
-        seen = []
+        seen, columns = [], []
+
+        def alive_columns():
+            return sum(ref() is not None for ref in columns)
 
         def checked_classes(*args):
-            seen.append(("classes", stability._block_slot[0]))
+            seen.append(("classes", stability._block_slot[0], alive_columns()))
             return classes(*args)
 
         def checked_build(*args):
-            slot = stability._block_slot[0]
-            seen.append(("block", slot.block, slot.column))
+            seen.append(("block", stability._block_slot[0].block, alive_columns()))
             return build(*args)
 
         def checked_read(*args):
-            seen.append(("column", stability._block_slot[0].column))
-            return read(*args)
+            seen.append(("column", alive_columns()))
+            column = read(*args)
+            columns.append(weakref.ref(column))
+            return column
 
         monkeypatch.setattr(stability, "_stretch_classes", checked_classes)
         monkeypatch.setattr(stability, "_build_shear_block", checked_build)
         monkeypatch.setattr(stability, "_volumetric_column", checked_read)
         params = params_from_mu_nu(1.0, 0.3)
-        for vid, n, contraction in ((2, 4, "csp"), (7, 4, "csp"), (7, 4, "hill"), (7, 5, "hill")):
-            min_coaxial_eig("voliso", catalog()[vid], params, stretch_grid(n), contraction)
-        new_grid = [("classes", None), ("block", None, None), ("column", None)]
-        assert seen == new_grid + [("column", None), ("block", None, None), ("column", None)] + new_grid
+        batch = [params, params_from_mu_nu(1.0, 0.45)]
+        for vid, n, contraction, cells in (
+            (2, 4, "csp", params),
+            (7, 4, "csp", batch),
+            (7, 4, "hill", params),
+            (7, 5, "hill", batch),
+        ):
+            min_coaxial_eig("voliso", catalog()[vid], cells, stretch_grid(n), contraction)
+        new_grid = [("classes", None, 0), ("block", None, 0), ("column", 0)]
+        assert seen == new_grid + [("column", 0), ("block", None, 0), ("column", 0)] + new_grid
+        assert alive_columns() == 0 and len(columns) == 4
 
     def test_a_scan_holds_a_few_blocks_of_temporaries(self):
         # numpy reports its buffers to tracemalloc. stretch_grid(32) is
         # eight blocks of states in 8805 classes; scanning it whole made
-        # about 19 temporaries of the grid's size, 150 blocks, warm or cold
+        # about 19 temporaries of the grid's size, 150 blocks, warm or cold.
+        # A batch of six nu takes a sixth of a block of classes at a time
         args = ("voliso", catalog()[7], stretch_grid(32), "csp")
+        batch = [params_from_mu_nu(1.0, nu) for nu in PAPER_NUS]
         limit = 32 * stability._SCAN_BLOCK * 8
         stability._block_slot[0] = None
         started = not tracemalloc.is_tracing()
@@ -1447,24 +1514,23 @@ class TestScanBlocks:
         try:
             base = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            min_coaxial_eig(args[0], args[1], params_from_mu_nu(1.0, 0.25), *args[2:])
+            min_coaxial_eig(args[0], args[1], batch, *args[2:])
             cold = tracemalloc.get_traced_memory()[1] - base
             base = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            min_coaxial_eig(args[0], args[1], params_from_mu_nu(1.0, 0.4), *args[2:])
+            min_coaxial_eig(args[0], args[1], batch[::-1], *args[2:])
             warm = tracemalloc.get_traced_memory()[1] - base
         finally:
             if started:
                 tracemalloc.stop()
-        # the slot keeps the grid, its classes, and per class the block and
-        # its column; a cold call sorts the grid's classes (four keys and
-        # an order per state) before it copies the grid
+        # the slot keeps the grid, its classes and the block; a cold call
+        # sorts the grid's classes (four keys and an order per state) before
+        # it copies the grid
         slot = stability._block_slot[0]
         block, classes = slot.block, slot.classes
         arrays = (*block.lower, block.grading, block.tail, block.plane, block.coupling)
         arrays += (block.J, block.shift, block.settles)
         resident = sum(a.nbytes for a in (slot.grid, classes.reps, classes.of, *arrays))
-        resident += slot.column[1].nbytes
         assert warm < limit, warm
         assert cold < resident + limit, (cold, resident)
 
@@ -1487,6 +1553,8 @@ def stretch_rows(exponent):
         lambda t: [10.0**x for x in t]
     )
 
+
+_PERMUTATIONS = ((0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0))
 
 _SCAN_CELL = {
     "kind": hst.sampled_from(("mixed", "voliso")),
@@ -1568,6 +1636,16 @@ class TestStretchClasses:
         rows=hst.lists(stretch_rows(150.0), min_size=1, max_size=12),
         perms=hst.lists(hst.permutations(range(3)), min_size=1, max_size=6),
     )
+    # J overflows to inf, where the mixed kind at nu = 0 still has c = 0
+    @example(
+        kind="mixed",
+        contraction="csp",
+        volfun=catalog()[8],
+        nu=0.0,
+        mu=1.0,
+        rows=[[1.76e142, 4.15e118, 1.18e133]],
+        perms=[(0, 1, 2)],
+    )
     def test_extreme_stretches_match_the_reference(
         self, kind, contraction, volfun, nu, mu, rows, perms
     ):
@@ -1582,6 +1660,49 @@ class TestStretchClasses:
             warnings.simplefilter("error")
             got = scan_outcome(*args)
         assert got == reference_or_error(*args)
+
+    @given(
+        kind=_SCAN_CELL["kind"],
+        contraction=_SCAN_CELL["contraction"],
+        volfun=_SCAN_CELL["volfun"],
+        nus=hst.lists(_SCAN_CELL["nu"], min_size=1, max_size=6),
+        mu=_SCAN_CELL["mu"],
+        grid=hst.one_of(
+            # permutation-closed: log grids, and rows out to 1e+-150 with
+            # every permutation; then random rows out to 1e+-150
+            hst.tuples(hst.integers(2, 6), hst.floats(-1.0, 1.0), hst.floats(-1.0, 1.0)).map(
+                lambda t: log_grid(*t)
+            ),
+            hst.lists(stretch_rows(150.0), min_size=1, max_size=6).map(
+                lambda rows: np.concatenate([np.array(rows)[:, p] for p in _PERMUTATIONS])
+            ),
+            hst.lists(stretch_rows(150.0), min_size=1, max_size=30).map(np.array),
+        ),
+    )
+    # the first cell's form is NaN at state 0, and eigh fails on a matrix
+    # of the second, which fails the batch's call
+    @example(
+        kind="mixed",
+        contraction="csp",
+        volfun=catalog()[1],
+        nus=[0.0, 1.9466992773220358e-272],
+        mu=3.0,
+        grid=np.concatenate([np.array([[0.01, 1e-07, 1e-150]])[:, p] for p in _PERMUTATIONS]),
+    )
+    def test_a_batch_matches_each_cell_of_the_reference(
+        self, kind, contraction, volfun, nus, mu, grid
+    ):
+        # the nu of one batch, among them the paper's: each cell's value,
+        # index and direction, or the first failing cell's error
+        if kind == "mixed":
+            nus = [nu for nu in nus if nu >= 0.0]
+        assume(nus)
+        cells = [params_from_mu_nu(mu, nu) for nu in nus]
+        args = (kind, volfun, cells, grid, contraction)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = batch_outcome(*args)
+        assert got == reference_batch(*args, outcome=reference_or_error)
 
     @pytest.mark.parametrize(
         "kind, contraction, vid, nu, mu, grid",
@@ -1656,7 +1777,9 @@ class TestStretchClasses:
 
     def test_a_cell_takes_routes_on_the_representatives_and_open_members(self, monkeypatch):
         # each representative is deflated or sent to eigh at most once, and
-        # so is each member of an open class, beside the two candidates
+        # so is each member of an open class, beside the two candidates;
+        # of the open representatives, whose values every form here has in
+        # the settle range, only the first smallest is taken again
         grid = stretch_grid(16)
         passes, batches = TestCoaxialScanBytes.record_routes(monkeypatch)
         opened = TestCoaxialScanBytes.record_open_members(monkeypatch)
@@ -1672,12 +1795,15 @@ class TestStretchClasses:
                         members = sum(map(len, opened))
                         cell = sum(passes[::3]) + sum(map(len, batches))
                         assert cell <= len(reps) + 2 + members, (kind, contraction, vf, nu)
+                        assert len(np.intersect1d(reps, np.concatenate(opened))) == 1
                         routed += cell
         assert routed < 36 * len(grid) / 3
 
-    def test_a_zero_volumetric_coefficient_reuses_the_scan_invisibly(self, monkeypatch):
-        # the mixed kind at nu = 0 has c = 0: the first scan of a block
-        # answers every volfun's, with no column read, at every modulus
+    def test_a_zero_volumetric_coefficient_scans_the_same_for_every_volfun(self, monkeypatch):
+        # the mixed kind at nu = 0 has c = 0, even where the column is inf:
+        # every volfun's scan gives the reference's outcome, the same one,
+        # at every modulus, alone or in a batch with other nu; each call
+        # reads its own column once
         reads = []
         original = stability.evaluate_grid
 
@@ -1686,21 +1812,17 @@ class TestStretchClasses:
             return original(vf, Js)
 
         vfs = [*catalog().values(), VolFun.power_pair(400.0), VolFun.log_augmented(-2.0)]
-        cells = []
+        monkeypatch.setattr(stability, "evaluate_grid", counting)
         for grid in (stretch_grid(5), log_grid(6, -0.5, 0.9)):
             for mu in (1.0, 2.7, 1e300):
+                zero, other = params_from_mu_nu(mu, 0.0), params_from_mu_nu(mu, 0.4)
                 for contraction in ("hill", "csp"):
+                    want = reference_outcome("mixed", vfs[0], zero, grid, contraction)
                     for vf in vfs:
-                        cells.append((vf, params_from_mu_nu(mu, 0.0), grid, contraction))
-        stability._block_slot[0] = None
-        monkeypatch.setattr(stability, "evaluate_grid", counting)
-        got = [scan_outcome("mixed", *cell) for cell in cells]
-        # one read per (grid, modulus mantissa, contraction), by the first cell
-        assert reads == [catalog()[1].label] * (2 * 3 * 2)
-        for cell, outcome in zip(cells, got):
-            stability._block_slot[0] = None
-            assert outcome == scan_outcome("mixed", *cell)
-            assert outcome == reference_outcome("mixed", *cell)
+                        reads.clear()
+                        assert scan_outcome("mixed", vf, zero, grid, contraction) == want
+                        batch = min_coaxial_eig("mixed", vf, [other, zero], grid, contraction)
+                        assert bits(batch[1]) == want and reads == [vf.label] * 2
 
 
 def nan_blind_bits(x):
