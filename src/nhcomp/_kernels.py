@@ -36,9 +36,11 @@ range, ``ZeroDivisionError`` when a division or a negative power meets 0
 ``ArithmeticError`` the midpoint is evaluated again on the numpy lane at
 ``np.float64(lamT)``, with its inf and NaN values.
 
-The model kind (``"mixed"`` or ``"voliso"``) and the load case (``"ul"``,
-``"elp"`` or ``"ulp"``) are the strings ``ModelSpec`` and ``homsolve``
-use. A volumetric function is a family code plus its parameter:
+The model kind (``"mixed"`` or ``"voliso"``) is the string ``ModelSpec``
+uses. Each load case is stated once, as a :class:`LoadCase` record here;
+the residual reads its m, j(lam) and C0, and ``homsolve`` resolves a case
+name to the record once per call. A volumetric function is a family code
+plus its parameter:
 
 ====== ======================= ==========================================
 family parameter                h(J)
@@ -57,6 +59,7 @@ forms divide by the parameter and would cancel, or divide 0 by 0.
 from __future__ import annotations
 
 import functools
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -118,16 +121,6 @@ def h_tuple(family, par, J):
     return h, hp, hpp, jhp, chi
 
 
-def volume_fn(case, lam):
-    """lamT -> J of the homogeneous load case at axial stretch lam."""
-    if case == "ul":
-        return lambda lamT: lam * lamT * lamT
-    if case == "elp":
-        lam2 = lam * lam
-        return lambda lamT: lam2 * lamT
-    return lambda lamT: lam * lamT
-
-
 def _keep(x):
     return x
 
@@ -149,47 +142,65 @@ def _volumetric_fn(kind, family, par, scalar=False):
     if family == FAMILY_HN:
         q, q2 = par, 2.0 * par
         if mixed:
-
-            def term(J):
-                Jq = J**q
-                return (Jq - 1.0 / Jq) / q2
-
-        else:
-
-            def term(J):
-                Jq = J**q
-                return (Jq - 1.0 / Jq) / (q2 * J)
-
-        return term
+            return lambda J: ((Jq := J**q) - 1.0 / Jq) / q2
+        return lambda J: ((Jq := J**q) - 1.0 / Jq) / (q2 * J)
     if family == FAMILY_OGDEN:
         b, mb = par, -par
         if mixed:
             return lambda J: (1.0 - J**mb) / b
-
-        def term(J):
-            Jmb = J**mb
-            return (1.0 / J - Jmb / J) / b
-
-        return term
+        return lambda J: (1.0 / J - J**mb / J) / b
     if family == FAMILY_QUADRATIC:
         if mixed:
             return lambda J: J * (J - 1.0)
         return lambda J: J - 1.0
-
     # FAMILY_EXP_LOG2
     if mixed:
+        return lambda J: cast(np.exp((lnJ := cast(np.log(J))) * lnJ)) * lnJ
+    return lambda J: cast(np.exp((lnJ := cast(np.log(J))) * lnJ)) * lnJ / J
 
-        def term(J):
-            lnJ = cast(np.log(J))
-            return cast(np.exp(lnJ * lnJ)) * lnJ
 
-    else:
+@dataclass(frozen=True)
+class LoadCase:
+    """One homogeneous load case (``homsolve`` tabulates them): F =
+    diag(lam, F22, lamT), with ``f22`` one of "lamT", "lam" or "1".
 
-        def term(J):
-            lnJ = cast(np.log(J))
-            return cast(np.exp(lnJ * lnJ)) * lnJ / J
+    Its m free axes are at lamT, so J = j(lam) lamT^m, with j the product of
+    F's loaded entries, and the vol-iso deviator term is g = 3 lamT^2 - tr c
+    = (3 - m) lamT^2 - C0.
+    """
 
-    return term
+    name: str
+    f22: str
+
+    @functools.cached_property
+    def m(self):
+        return 2 if self.f22 == "lamT" else 1
+
+    def diagonal(self, lam, lamT):
+        return lam, lamT if self.f22 == "lamT" else lam if self.f22 == "lam" else 1.0, lamT
+
+    def j(self, lam):
+        return lam * lam if self.f22 == "lam" else lam
+
+    def c0(self, lam2):
+        """C0 at lam2 = lam^2 as the terms (c1, c2) g subtracts in turn; c2 is
+        None where every loaded axis is at lam, so that C0 = (3 - m) lam^2."""
+        return (1.0, lam2) if self.f22 == "1" else ((3 - self.m) * lam2, None)
+
+
+LOAD_CASES = {
+    c.name: c for c in (LoadCase("ul", "lamT"), LoadCase("elp", "lam"), LoadCase("ulp", "1"))
+}
+
+
+def load_case(case):
+    """The record of the load case named ``case``; a record passes through."""
+    if isinstance(case, LoadCase):
+        return case
+    try:
+        return LOAD_CASES[case]
+    except (KeyError, TypeError):
+        raise ValueError(f"load case must be one of {tuple(LOAD_CASES)}, got {case!r}") from None
 
 
 _M53 = -5.0 / 3.0
@@ -201,45 +212,33 @@ def residual_fn(kind, family, par, case, lam, mu, lame_lambda, K, scalar=False):
     Mixed kind: ``lambda * J h'(J) - mu * (1 - lamT^2)`` (the transverse
     Cauchy equilibrium multiplied through by J); at lambda = 0 (nu = 0) the
     closure has no volumetric term, so an infinite J h' gives no NaN.
-    Vol-iso kind: ``K h'(J) + (mu/3) J^(-5/3) g`` with the case-dependent
-    deviator combination g.
+    Vol-iso kind: ``K h'(J) + (mu/3) J^(-5/3) g`` with the case's deviator
+    term g = (3 - m) lamT^2 - C0, C0's terms subtracted in the record's order.
     Roots in lamT define the equilibrium transverse stretch. The kind,
     family and case are resolved here, once; the returned closure takes a
     scalar or an array. ``scalar=True`` binds the Python-float lane: the
     log and exp families take ``float()`` of ``np.log``/``np.exp`` (see the
     module docstring).
     """
-    volume = volume_fn(case, lam)
+    case = load_case(case)
+    j = case.j(lam)
     term = _volumetric_fn(kind, family, par, scalar)
+    # J = j lamT^m is formed inline, and each g keeps its own operation count:
+    # a multiply by 1 or a subtraction of 0 would cost an array pass per scan
+    two = case.m == 2
     if kind == "mixed":
         if lame_lambda == 0.0:  # nu = 0: no 0 * J h' where J h' is not finite
             return lambda lamT: -mu * (1.0 - lamT * lamT)
-
-        def residual(lamT):
-            return lame_lambda * term(volume(lamT)) - mu * (1.0 - lamT * lamT)
-
-        return residual
-    lam2 = lam * lam
+        if two:
+            return lambda lamT: lame_lambda * term(j * lamT * lamT) - mu * (1.0 - lamT * lamT)
+        return lambda lamT: lame_lambda * term(j * lamT) - mu * (1.0 - lamT * lamT)
+    c1, c2 = case.c0(lam * lam)
     mu3 = mu / 3.0
-    if case == "ul":
-
-        def residual(lamT):
-            J = volume(lamT)
-            return K * term(J) + mu3 * J**_M53 * (lamT * lamT - lam2)
-
-    elif case == "elp":
-
-        def residual(lamT):
-            J = volume(lamT)
-            return K * term(J) + mu3 * J**_M53 * (2.0 * (lamT * lamT - lam2))
-
-    else:
-
-        def residual(lamT):
-            J = volume(lamT)
-            return K * term(J) + mu3 * J**_M53 * (2.0 * lamT * lamT - 1.0 - lam2)
-
-    return residual
+    if two:
+        return lambda lamT: K * term(J := j * lamT * lamT) + mu3 * J**_M53 * (lamT * lamT - c1)
+    if c2 is None:
+        return lambda lamT: K * term(J := j * lamT) + mu3 * J**_M53 * (2.0 * lamT * lamT - c1)
+    return lambda lamT: K * term(J := j * lamT) + mu3 * J**_M53 * (2.0 * lamT * lamT - c1 - c2)
 
 
 @functools.lru_cache(maxsize=8)

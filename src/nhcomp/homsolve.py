@@ -12,7 +12,8 @@ ulp   diag(lam, 1, lamT)        sigma33 = 0                lam * lamT
 ====  ========================  =========================  ==============
 
 (`ul` is uniaxial stress, `elp` equibiaxial stress, `ulp` plane-strain
-uniaxial stress.)
+uniaxial stress.) Each row is a ``_kernels.LoadCase`` record, which every
+function here reads in place of the case name.
 
 For compressible kinds the transverse equilibrium condition is a scalar
 root-finding problem in lamT. Every model goes down one path: a global
@@ -21,8 +22,8 @@ decades each way when it finds no sign change), then bisection of the
 chosen bracket down to adjacent floats. lamT is exp(u) at the end of the
 bisection's last bracket, so the residual changes sign between u and a
 neighbouring float; :func:`residual` is evaluated there once. The
-kernels in ``_kernels`` take the model's kind and the case as the same
-strings ``ModelSpec`` and :data:`CASES` use. ``solve`` picks the bracket
+kernels in ``_kernels`` take the model's kind as the string ``ModelSpec``
+uses and the case as its record. ``solve`` picks the bracket
 nearest its ``seed_lamT``; ``sweep`` passes each point's root on as the
 next seed, so the solver stays on one physical branch when several roots
 appear. The incompressible kind has closed-form solutions and skips the
@@ -67,27 +68,26 @@ __all__ = [
 ]
 
 
-def _checked(case):
-    if case not in CASES:
-        raise ValueError(f"load case must be one of {CASES}, got {case!r}")
-    return case
+def _stretch(value, name="lam", what="axial"):
+    """``value`` if it is a positive finite stretch: the one check of every
+    public entry point that takes a stretch."""
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{what} stretch must be positive and finite, got {name} = {value}")
+    return value
 
 
 def volume_ratio(case, lam, lamT):
     """J of the load case at axial stretch lam and transverse stretch lamT."""
-    return _k.volume_fn(_checked(case), float(lam))(float(lamT))
+    c = _k.load_case(case)
+    j, lamT = c.j(float(_stretch(lam))), float(_stretch(lamT, "lamT", "transverse"))
+    return j * lamT * lamT if c.m == 2 else j * lamT
 
 
 def case_F(case, lam, lamT):
     """Deformation gradient of the load case (principal axes fixed)."""
+    lam, lamT = _stretch(lam), _stretch(lamT, "lamT", "transverse")
     F = np.zeros((3, 3))
-    F[0, 0] = lam
-    if _checked(case) == "ul":
-        F[1, 1] = F[2, 2] = lamT
-    elif case == "elp":
-        F[1, 1], F[2, 2] = lam, lamT
-    else:
-        F[1, 1], F[2, 2] = 1.0, lamT
+    F[0, 0], F[1, 1], F[2, 2] = _k.load_case(case).diagonal(lam, lamT)
     return F
 
 
@@ -137,81 +137,81 @@ def _kernel_args(case, model, lam):
     """The leading kernel arguments ``(kind, family, par, case, lam, mu, lam_e, K)``."""
     prm = model.params
     vf = model.volfun
-    return (model.kind, vf.family, vf.par, _checked(case), float(lam), prm.mu, prm.lam, prm.K)
+    return (model.kind, vf.family, vf.par, _k.load_case(case), float(lam), prm.mu, prm.lam, prm.K)
 
 
 @np.errstate(all="ignore")
 def residual(case, model, lam, lamT):
     """Transverse-equilibrium residual whose root in lamT solves the case.
 
-    Mixed kind: ``lam_e * J h'(J) - mu (1 - lamT^2)`` (transverse Cauchy
-    balance multiplied by J). Vol-iso kind: ``K h'(J) + (mu/3) J^(-5/3) g``
-    with the case's deviator combination g. This is the numpy-scalar form
-    of the kernel the scan and the bisection evaluate; :func:`solve`
-    reports it at the root it bisected. Raises ``ValueError`` unless
+    This is the numpy-scalar form of ``_kernels.residual_fn``, the kernel
+    the scan and the bisection evaluate; :func:`solve` reports it at the
+    root it bisected. Raises ``ValueError`` unless
     ``lam`` and ``lamT`` are positive finite stretches. A residual beyond
     the float range is +-inf or NaN (inf - inf), with no numpy warning.
     """
     if model.kind == "inc":
         raise ValueError("the incompressible kind fixes lamT kinematically; no residual")
-    if not 0.0 < lam < math.inf:
-        raise ValueError(f"axial stretch must be positive and finite, got lam = {lam}")
-    if not 0.0 < lamT < math.inf:
-        raise ValueError(f"transverse stretch must be positive and finite, got lamT = {lamT}")
+    _stretch(lam)
+    _stretch(lamT, "lamT", "transverse")
     # np.float64, as in the scan: a power past the float range is inf, not OverflowError
     return _k.residual_fn(*_kernel_args(case, model, lam))(np.float64(lamT))
+
+
+def _power(lam, k):
+    # 1 / lam where k = -1: lam**-1.0 rounds differently
+    return 1.0 / lam if k == -1.0 else lam**k
+
+
+def _stresses22(c, s11, P11, w, lamT2, J):
+    """(sigma22, P22) of the case record ``c``: none on a free axis 2,
+    sigma11's on one held at lam, and w (1 - lamT^2) on one held at 1."""
+    if c.f22 == "lamT":
+        return 0.0, 0.0
+    if c.f22 == "lam":
+        return s11, P11
+    s22 = w * (1.0 - lamT2)
+    return s22, J * s22
 
 
 def solve_incompressible(case, lam, mu=1.0):
     """Closed-form solution of the load case for the incompressible model.
 
-    A value beyond the float range is +-inf, as in :func:`solve`.
+    lamT = j(lam)^(-1/m) keeps J = 1, and sigma11 = mu (lam^2 - lamT^2). A
+    value beyond the float range is +-inf, as in :func:`solve`.
     """
-    if not lam > 0.0:
-        raise ValueError("axial stretch must be positive")
-    lam = np.float64(lam)
+    c = _k.load_case(case)
+    lam = np.float64(_stretch(lam))
+    k = -(2.0 if c.f22 == "lam" else 1.0) / c.m  # lamT = lam^k puts J at 1
     with np.errstate(over="ignore"):
-        if _checked(case) == "ul":
-            lamT = lam**-0.5
-            s11 = mu * (lam**2 - 1.0 / lam)
-            return SolveResult(lamT, 1.0, s11, 0.0, mu * (lam - lam**-2), 0.0, True, 0.0)
-        if case == "elp":
-            lamT = lam**-2.0
-            s11 = mu * (lam**2 - lam**-4)
-            P11 = mu * (lam - lam**-5)
-            return SolveResult(lamT, 1.0, s11, s11, P11, P11, True, 0.0)
-        lamT = 1.0 / lam
-        s11 = mu * (lam**2 - lam**-2)
-        s22 = mu * (1.0 - lam**-2)
-        return SolveResult(lamT, 1.0, s11, s22, mu * (lam - lam**-3), s22, True, 0.0)
+        lamT2 = _power(lam, 2.0 * k)
+        s11 = mu * (lam**2 - lamT2)
+        P11 = mu * (lam - _power(lam, 2.0 * k - 1.0))
+        s22, P22 = _stresses22(c, s11, P11, mu, lamT2, 1.0)
+        return SolveResult(_power(lam, k), 1.0, s11, s22, P11, P22, True, 0.0)
 
 
 def closed_form_quadratic_mixed(case, lam, params, volfun=None):
     """lamT radical for the mixed kind with the quadratic volumetric function.
 
-    With h'(J) = J - 1 the transverse balance becomes a quadratic in lamT
-    (ulp, elp) or in lamT^2 (ul); the positive root is returned.
+    With h'(J) = J - 1 and J = j lamT^m the transverse balance is the
+    quadratic a x^2 + b x - mu = 0 in x = lamT^m, whose positive root is
+    returned; a = 0 (nu = 0 in ``ul``) leaves x = 1. Raises ``ValueError``
+    where the radical leaves the float range.
     """
     if volfun is not None and volfun.family != _k.FAMILY_QUADRATIC:
         raise ValueError("closed form exists only for the quadratic volumetric function")
-    if not lam > 0.0:
-        raise ValueError("axial stretch must be positive")
+    c = _k.load_case(case)
+    j = c.j(float(_stretch(lam)))
     mu, le = params.mu, params.lam
-    if _checked(case) == "ul":
-        # le*lam^2 u^2 + (mu - le*lam) u - mu = 0 with u = lamT^2
-        if le == 0.0:
-            return 1.0
-        b = mu - le * lam
-        u = (-b + math.sqrt(b * b + 4.0 * le * lam**2 * mu)) / (2.0 * le * lam**2)
-        return math.sqrt(u)
-    if case == "elp":
-        # (le*lam^4 + mu) lamT^2 - le*lam^2 lamT - mu = 0
-        a = le * lam**4 + mu
-        b = le * lam**2
-        return (b + math.sqrt(b * b + 4.0 * a * mu)) / (2.0 * a)
-    a = le * lam**2 + mu
-    b = le * lam
-    return (b + math.sqrt(b * b + 4.0 * a * mu)) / (2.0 * a)
+    # mu lamT^2 is mu x^2 for m = 1 and mu x for m = 2
+    a = le * j * j + (mu if c.m == 1 else 0.0)
+    b = (0.0 if c.m == 1 else mu) - le * j
+    x = (-b + math.sqrt(b * b + 4.0 * a * mu)) / (2.0 * a) if a else 1.0
+    root = x if c.m == 1 else math.sqrt(x)
+    if not 0.0 < root < math.inf:
+        raise ValueError(f"the closed form leaves the float range at lam = {lam}")
+    return root
 
 
 # --------------------------------------------------------------------------
@@ -268,20 +268,20 @@ def solve(case, model, lam, seed_lamT=1.0):
     at adjacent floats or after 200 halvings, far inside that width, so it
     says only that the scan found a sign change and bisection closed it.
     """
-    if not 0.0 < lam < math.inf:
-        raise ValueError(f"axial stretch must be positive and finite, got lam = {lam}")
+    _stretch(lam)
     if not 0.0 < seed_lamT < math.inf:
         raise ValueError(
             f"continuation seed must be a positive finite stretch, got seed_lamT = {seed_lamT}"
         )
+    c = _k.load_case(case)
     if model.kind == "inc":
-        return solve_incompressible(case, lam, model.params.mu)
+        return solve_incompressible(c, lam, model.params.mu)
     # one error state for the whole solve: the scan, the bisection and the
     # stresses pass through inf and NaN by design, and the result reports them
     with np.errstate(all="ignore"):
         prm, e = mantissa_params(model.params)
         model = ModelSpec(model.kind, model.volfun, prm)
-        args = _kernel_args(case, model, lam)
+        args = _kernel_args(c, model, lam)
         tol = 1e-12 * (prm.mu + prm.lam + prm.K)
 
         u_lo, u_hi = math.log(_SCAN_LO), math.log(_SCAN_HI)
@@ -317,9 +317,9 @@ def solve(case, model, lam, seed_lamT=1.0):
 
         u, width, _ = _k.bisect_log(*args, ua, ub, fa, _MAX_BISECT)
         lamT = math.exp(u)
-        res = residual(case, model, lam, lamT)
+        res = residual(c, model, lam, lamT)
         converged = abs(res) <= tol or abs(width) <= 1e-12 * max(1.0, abs(u))
-        J = np.float64(volume_ratio(case, lam, lamT))
+        J = np.float64(volume_ratio(c, lam, lamT))
 
         # Stresses come from the per-case closed forms obtained by substituting
         # the transverse balance back into the constitutive law. These stay
@@ -327,24 +327,21 @@ def solve(case, model, lam, seed_lamT=1.0):
         # the root to cancellation (the equilibrium lamT can sit within one ulp
         # of lam under strong compression).
         w = model.shear_factor(J)
-        if model.kind == "voliso" and case != "ulp":
-            # the trace of the vol-iso stress: sigma11 = (3 or 3/2) K h'(J)
-            s11 = (3.0 if case == "ul" else 1.5) * prm.K * evaluate(model.volfun, J).hp
+        shortcut = model.kind == "voliso" and c.f22 != "1"
+        if shortcut:
+            # every loaded axis is at lam: sigma11 is their 3/(3 - m) share of
+            # the vol-iso stress trace 3 K h'(J), since the free axes carry none
+            s11 = 3.0 / (3 - c.m) * prm.K * evaluate(model.volfun, J).hp
         else:
             s11 = w * (lam * lam - lamT * lamT)
-        if case == "ul":
-            s22, P11, P22 = 0.0, lamT**2 * s11, 0.0
-        elif case == "elp":
-            s22 = s11
-            P11 = P22 = lam * lamT * s11
-        else:
-            s22 = w * (1.0 - lamT * lamT)
-            P11, P22 = lamT * s11, J * s22
+        # P = J sigma F^-T, J / F11 in the operation order of each case
+        P11 = (lamT**2 if c.m == 2 else c.diagonal(lam, lamT)[1] * lamT) * s11
+        s22, P22 = _stresses22(c, s11, P11, w, lamT * lamT, J)
 
-        if model.kind == "voliso" and case != "ulp":
+        if shortcut:
             # cross-check the trace shortcut against the full tensor evaluation
             # wherever the tensor path has the precision to be meaningful
-            direct = float(cauchy_stress(model, case_F(case, lam, lamT)).cauchy[0, 0])
+            direct = float(cauchy_stress(model, case_F(c, lam, lamT)).cauchy[0, 0])
             noise = w * np.spacing(max(lam, lamT) ** 2)
             scale = max(abs(s11), abs(direct), prm.mu)
             if math.isfinite(direct) and noise <= 1e-10 * scale:
@@ -509,9 +506,9 @@ def limit_probe(case, model, direction):
         raise ValueError("limits of the incompressible model follow from closed forms")
     if direction not in _PROBES:
         raise ValueError("direction must be 'to_zero' or 'to_infinity'")
-    quantities = ["lambda_T", "sigma11", "P11"]
-    if _checked(case) == "ulp":
-        quantities += ["sigma22", "P22"]
+    # sigma22 is sigma11's where F22 is lam, and 0 where it is free
+    extra = ("sigma22", "P22") if _k.load_case(case).f22 == "1" else ()
+    quantities = ("lambda_T", "sigma11", "P11", *extra)
 
     probe_rows = sweep(case, model, _PROBES[direction])
     if any(r.roots_found > 1 for r in probe_rows):

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from nhcomp._kernels import LOAD_CASES
 from nhcomp.tensor3 import I3, dev, scaled, sym, trace
 from nhcomp.volfun import VolFun, evaluate
 
@@ -46,9 +47,9 @@ __all__ = [
 
 KINDS = ("inc", "mixed", "voliso")
 
-# the homogeneous load cases of ``homsolve``; stated here so that the CLI
-# parser can list them without importing the solver
-CASES = ("ul", "elp", "ulp")
+# the names of the homogeneous load cases of ``homsolve``, which the CLI
+# parser lists without importing the solver
+CASES = tuple(LOAD_CASES)
 
 # the Poisson ratios of the paper's published curves, in ascending order
 PAPER_NUS = (0.0, 0.25, 0.4, 0.45, 0.499, 0.4999)

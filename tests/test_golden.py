@@ -4,14 +4,15 @@ The benchmark's seed-0 argv and their digests are read from
 ``perfbench/digests.json``, the one record of those bytes (re-recorded
 with ``perfbench/record_digests.py`` after a declared change of output).
 ``EXTRA`` pins argv the benchmark workloads do not run: the incompressible
-kind, ``--E``, other ``tangent-check`` and ``dilatation`` inputs, mixed
-``limits``, mixed ``sweep`` of the power pair at q = 1/12 and at nu = 0
-where J h' overflows, small ``stability`` scans, ``table-repro`` at
-moduli whose finite targets (``+mu``, ``-lambda``, ``-3K``) depend on mu,
-vol-iso ``limits`` whose probes need the continuation ladder, a
-vol-iso ``limits`` whose finite constant is the bisection's root, and
-vol-iso ``ul``/``elp`` sweeps at extreme moduli and stretches, whose every
-point also evaluates the full stress tensor.
+kind of each case to stretches of 1e+-8, ``--E``, other ``tangent-check``
+and ``dilatation`` inputs, mixed ``limits``, mixed ``sweep`` of the power
+pair at q = 1/12 and at nu = 0 where J h' overflows, small ``stability``
+scans, ``table-repro`` at moduli whose finite targets (``+mu``,
+``-lambda``, ``-3K``) depend on mu, vol-iso ``limits`` whose probes need
+the continuation ladder, a vol-iso ``limits`` whose finite constant is the
+bisection's root, vol-iso ``ul``/``elp`` sweeps at extreme moduli and
+stretches, whose every point also evaluates the full stress tensor, and
+vol-iso ``ulp`` and mixed ``elp`` sweeps to stretches of 1e+-5.
 Each argv runs in-process through ``cli.main`` with ``--out`` and must
 exit 0.
 """
@@ -104,6 +105,20 @@ EXTRA = {
     "sweep --case ul --model voliso --volfun 8 --nu-set paper --lam-min 1e-5 --lam-max 1e5 "
     "--points 4":
         "0d27cb72ca263987dac1609f7191f1c47c520c3533066859787d48f0f3360026",
+    # each case's incompressible closed form over sixteen decades
+    "sweep --case ul --model inc --lam-min 1e-8 --lam-max 1e8 --points 33 --log":
+        "3e6b070b96adcaf3cdef00cc95fc7c9341c257d17b887cbc5912459ea22fd59b",
+    "sweep --case elp --model inc --lam-min 1e-8 --lam-max 1e8 --points 33 --log":
+        "fe6b35fd9e9db58058cd247a486e28d2165ed876381c94365e5ff4b7ba42ead4",
+    "sweep --case ulp --model inc --lam-min 1e-8 --lam-max 1e8 --points 33 --log":
+        "69f02e48ed1d7f767317a1c59f0a6ff8300f7f9ba80b43fc9b2f98f8f3d4ded8",
+    # the vol-iso ulp stresses and the mixed elp stresses to 1e+-5 at every paper nu
+    "sweep --case ulp --model voliso --volfun 4 --nu-set paper --lam-min 1e-5 --lam-max 1e5 "
+    "--points 11 --log":
+        "7f10622b95358654aeedb47853f052dd10835ea339b26ae2ba8a9dfb35e839af",
+    "sweep --case elp --model mixed --volfun 7 --nu-set paper --lam-min 1e-5 --lam-max 1e5 "
+    "--points 11 --log":
+        "bf09ea7fb1a84c8b4b563d4d747ae81607b650b34cb06eeb4c2c8e60544a5bf9",
 }
 
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as hst
 
 from nhcomp import _kernels as _k
 from nhcomp import homsolve as hs
+from nhcomp._kernels import load_case
 from nhcomp.materials import ModelSpec, cauchy_stress, params_from_mu_nu
 from nhcomp.volfun import VolFun, catalog, evaluate
 
@@ -82,6 +83,18 @@ def three_root_model():
     probes at lam = 1e-4 and 1e-5 find three roots each, so the branch
     they report depends on the continuation seed."""
     return ModelSpec.vol_iso(catalog()[7], 1.0, 0.499999)
+
+
+@pytest.mark.parametrize("case", hs.CASES)
+def test_the_module_table_states_each_record(case):
+    # the docstring's row of the case: its F, its eliminated stresses (one per
+    # free axis) and its J, read at lam = 2, lamT = 3
+    (row,) = [line for line in hs.__doc__.splitlines() if line.split()[:1] == [case]]
+    _, F, eliminated, J = re.split(r"\s{2,}", row)
+    names = {"diag": lambda *d: np.diag(d).astype(float), "lam": 2.0, "lamT": 3.0}
+    np.testing.assert_array_equal(eval(F, names), hs.case_F(case, 2.0, 3.0))
+    assert eliminated.count("=") == load_case(case).m
+    assert eval(J, names) == hs.volume_ratio(case, 2.0, 3.0)
 
 
 class TestIncompressibleClosedForms:

@@ -44,6 +44,42 @@ CHECKS = {
         lambda: hs.closed_form_quadratic_mixed("ul", -1.0, PARAMS, QUAD),
         "axial stretch must be positive",
     ),
+    # every public case entry point checks its stretches as solve does
+    "solve_incompressible-inf-stretch": (
+        lambda: hs.solve_incompressible("ul", np.inf),
+        "axial stretch must be positive and finite, got lam = inf",
+    ),
+    **{
+        f"closed_form-{case}-{lam:g}": (
+            lambda case=case, lam=lam: hs.closed_form_quadratic_mixed(case, lam, PARAMS),
+            message,
+        )
+        for case in hs.CASES
+        for lam, message in (
+            (np.inf, "axial stretch must be positive and finite, got lam = inf"),
+            (np.nan, "axial stretch must be positive and finite, got lam = nan"),
+            (1e200, "the closed form leaves the float range at lam = 1e\\+200"),
+        )
+    },
+    "volume_ratio-negative-stretch": (
+        lambda: hs.volume_ratio("ul", -1, 2),
+        "axial stretch must be positive and finite, got lam = -1",
+    ),
+    "volume_ratio-nan-lamT": (
+        lambda: hs.volume_ratio("elp", 2.0, np.nan),
+        "transverse stretch must be positive and finite, got lamT = nan",
+    ),
+    **{
+        f"case_F-{lam}": (
+            lambda lam=lam: hs.case_F("ulp", lam, 1.0),
+            f"axial stretch must be positive and finite, got lam = {lam}",
+        )
+        for lam in (0.0, -2.0, np.nan)
+    },
+    "case_F-zero-lamT": (
+        lambda: hs.case_F("ul", 1.0, 0.0),
+        "transverse stretch must be positive and finite, got lamT = 0.0",
+    ),
     "solve-stretch": (lambda: hs.solve("elp", MIXED, 0.0), "axial stretch must be positive"),
     "solve-inf-stretch": (
         lambda: hs.solve("ul", MIXED, np.inf),

@@ -16,7 +16,9 @@ Only the fields in ``_TEST_FIELDS`` are exempt.
 No module calls ``np.trace``: ``tensor3.trace`` gives its bits on a 3x3
 array at a fraction of its cost. No private function enters a numpy error
 state: each public entry point holds one for its whole body, and the
-helpers it calls run under it.
+helpers it calls run under it. No module but ``_kernels``, which states
+each load case once as a record, compares a value with a load case name:
+every other module reads what a case is from its record.
 """
 
 import ast
@@ -251,3 +253,33 @@ def test_no_private_function_enters_an_error_state(name):
         for line in _np_calls(node, "errstate")
     ]
     assert not entered, f"{name}: private functions call np.errstate: {entered}"
+
+
+_CASE_NAMES = {"ul", "elp", "ulp"}
+
+
+def _case_comparisons(tree):
+    """Line numbers of the comparisons with a load case name, alone or
+    inside a tuple, list or set literal."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Compare):
+            for operand in (node.left, *node.comparators):
+                literal = isinstance(operand, (ast.Tuple, ast.List, ast.Set))
+                elts = operand.elts if literal else [operand]
+                if any(isinstance(e, ast.Constant) and e.value in _CASE_NAMES for e in elts):
+                    lines.append(node.lineno)
+    return lines
+
+
+@pytest.mark.parametrize("name", sorted(set(_MODULES) - {"_kernels.py"}))
+def test_no_module_but_the_record_compares_a_case_name(name):
+    lines = _case_comparisons(_MODULES[name])
+    assert not lines, f"{name} compares a load case name on lines {lines}; read the LoadCase record"
+
+
+def test_the_case_gates_see_the_records():
+    # the comparison gate catches a name test, and the dataclass-field gate
+    # covers the record's fields
+    assert _case_comparisons(ast.parse('case == "ul" or case in ("elp", "ulp")')) == [1, 1]
+    assert {"LoadCase.name", "LoadCase.f22"} <= set(_fields(_MODULES["_kernels.py"]))
