@@ -545,8 +545,9 @@ _GRID_N_MAX = 100
 # the most points of a sweep or dilatation grid; 10^6 points are an 8 MB grid
 _POINTS_MAX = 10**6
 
-# the most tangent-check motions; the motion set is held for the run, about
-# 3.4 KB a motion (tracemalloc), so 3.4 MB at the bound
+# the most tangent-check motions, the motions in stability's table; the
+# motion set is held for the run, about 2.9 KB a motion (tracemalloc, at
+# 1000 motions), so 2.9 MB at the bound
 _MOTIONS_MAX = 1000
 
 

@@ -197,7 +197,8 @@ def closed_form_quadratic_mixed(case, lam, params, volfun=None):
     With h'(J) = J - 1 and J = j lamT^m the transverse balance is the
     quadratic a x^2 + b x - mu = 0 in x = lamT^m, whose positive root is
     returned; a = 0 (nu = 0 in ``ul``) leaves x = 1. Raises ``ValueError``
-    where the radical leaves the float range.
+    where the discriminant is negative (no real root, which a negative first
+    Lame constant can give) and where the radical leaves the float range.
     """
     if volfun is not None and volfun.family != _k.FAMILY_QUADRATIC:
         raise ValueError("closed form exists only for the quadratic volumetric function")
@@ -207,7 +208,13 @@ def closed_form_quadratic_mixed(case, lam, params, volfun=None):
     # mu lamT^2 is mu x^2 for m = 1 and mu x for m = 2
     a = le * j * j + (mu if c.m == 1 else 0.0)
     b = (0.0 if c.m == 1 else mu) - le * j
-    x = (-b + math.sqrt(b * b + 4.0 * a * mu)) / (2.0 * a) if a else 1.0
+    disc = b * b + 4.0 * a * mu
+    if disc < 0.0:
+        raise ValueError(
+            f"the closed form has no real root at mu = {mu:g} and first Lame constant "
+            f"{le:g} in case {c.name} at lam = {lam}: its discriminant is negative"
+        )
+    x = (-b + math.sqrt(disc)) / (2.0 * a) if a else 1.0
     root = x if c.m == 1 else math.sqrt(x)
     if not 0.0 < root < math.inf:
         raise ValueError(f"the closed form leaves the float range at lam = {lam}")

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import functools
 import math
+import os
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -403,33 +404,38 @@ def _c_tr(model, state):
     )
 
 
-# the central-difference step of tangent_fd_error and the seed of its
-# motions; the seed fixes the motions, so tangent-check bytes repeat
-_FD_STEP, _FD_SEED = 1e-5, 913
+# the central-difference step of tangent_fd_error, and the table of its
+# motions with the number of motions it holds
+_FD_STEP = 1e-5
+_FD_TABLE = os.path.join(os.path.dirname(__file__), "_fd_motions.f64")
+_FD_TABLE_MOTIONS = 1000
 
 
 @functools.lru_cache(maxsize=1)
 def _fd_motions(n_motions):
     """The first ``n_motions`` motions of :func:`tangent_fd_error`, as
     (F0, F0 + h Fdot, F0 - h Fdot, state, rate) tuples with every array
-    read-only.
+    read-only. Raises ``ValueError`` unless 1 <= n_motions <= 1000.
 
-    They depend on nothing but the seed and the count, so one set serves
-    every model of a ``tangent-check`` run. F0 = I + 0.3 N and Fdot = 0.5 N
-    are drawn in turn from one seeded stream, and a draw of F0 with
-    det F0 <= 0.4 is rejected and redrawn.
+    They depend on nothing but the count, so one set serves every model of
+    a ``tangent-check`` run. They are read from ``_fd_motions.f64``: raw
+    little-endian float64, F0 then Fdot (3 x 3, row-major) for each of 1000
+    motions, as drawn from ``numpy.random.default_rng(913)``: F0 = I + 0.3 N
+    and Fdot = 0.5 N in turn from one stream of standard normal 3 x 3
+    draws N, where a draw of F0 with det F0 <= 0.4 is rejected and redrawn.
+    The table holds the products, so reading it gives the drawn bits with
+    no arithmetic, and the motions do not depend on the numpy release.
     """
-    h, rng = _FD_STEP, np.random.default_rng(_FD_SEED)
+    if not 1 <= n_motions <= _FD_TABLE_MOTIONS:
+        raise ValueError(f"n_motions must be in 1..{_FD_TABLE_MOTIONS}, got {n_motions}")
+    table = np.fromfile(_FD_TABLE, "<f8", count=18 * n_motions).reshape(n_motions, 2, 3, 3)
+    table.flags.writeable = False
+    h = _FD_STEP
     motions = []
-    for _ in range(n_motions):
-        while True:
-            F0 = I3 + 0.3 * rng.standard_normal((3, 3))
-            if np.linalg.det(F0) > 0.4:
-                break
-        Fdot = 0.5 * rng.standard_normal((3, 3))
+    for F0, Fdot in table:
         state, rate = rate_from_motion(F0, Fdot)
         F_p, F_m = F0 + h * Fdot, F0 - h * Fdot
-        for a in (F0, F_p, F_m, state.F, state.c, *state.projections, rate.l, rate.d, rate.w):
+        for a in (F_p, F_m, state.F, state.c, *state.projections, rate.l, rate.d, rate.w):
             a.flags.writeable = False
         motions.append((F0, F_p, F_m, state, rate))
     return tuple(motions)

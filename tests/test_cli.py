@@ -1088,7 +1088,7 @@ def test_module_entry_point_runs_in_a_subprocess():
 
 
 # Run in a fresh interpreter: import nhcomp.cli, run one argv (if any), and
-# print which of the package's layers and numpy are loaded.
+# print which of the package's layers, numpy and numpy.random are loaded.
 _LOADED_AFTER = """
 import contextlib, io, json, sys
 import nhcomp.cli
@@ -1096,8 +1096,8 @@ argv = json.loads(sys.argv[1])
 if argv:
     with contextlib.redirect_stdout(io.StringIO()):
         assert nhcomp.cli.main(argv) == 0
-names = ("numpy", "materials", "volfun", "homsolve", "stability", "kinematics")
-print(" ".join(n for n in names if ("" if n == "numpy" else "nhcomp.") + n in sys.modules))
+names = ("numpy", "numpy.random", "materials", "volfun", "homsolve", "stability", "kinematics")
+print(" ".join(n for n in names if (n if n.startswith("numpy") else "nhcomp." + n) in sys.modules))
 """
 
 _BASE = "numpy materials volfun"
@@ -1113,13 +1113,17 @@ _LAYERS_LOADED = {
     "table-repro": ("table-repro --table 4", _SOLVER),
     "stability": ("stability --volfun 1 --nu 0.3 --grid-n 2", _STABILITY),
     "tangent-check": ("tangent-check --volfun 1 --nu 0.3 --motions 1", _STABILITY),
+    "tangent-check-default": ("tangent-check --volfun 1 --nu 0.3", _STABILITY),
+    "tangent-check-1000": ("tangent-check --volfun 1 --nu 0.3 --motions 1000", _STABILITY),
 }
 
 
 @pytest.mark.parametrize("argv, loaded", _LAYERS_LOADED.values(), ids=_LAYERS_LOADED.keys())
 def test_each_subcommand_imports_only_the_layers_it_runs(argv, loaded):
     # the solver and the stability layer load in the subcommands that run
-    # them, so neither is paid for by the other's commands or by --help
+    # them, so neither is paid for by the other's commands or by --help;
+    # no subcommand loads numpy.random (tangent-check reads its motions
+    # from a table)
     src = os.path.dirname(os.path.dirname(nhcomp.__file__))
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
@@ -1130,6 +1134,7 @@ def test_each_subcommand_imports_only_the_layers_it_runs(argv, loaded):
         env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0, proc.stderr
+    assert "numpy.random" not in proc.stdout.split()
     assert proc.stdout.split() == loaded.split()
 
 

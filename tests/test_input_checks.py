@@ -61,6 +61,14 @@ CHECKS = {
             (1e200, "the closed form leaves the float range at lam = 1e\\+200"),
         )
     },
+    # a negative first Lame constant can leave the quadratic with no real root
+    **{
+        f"closed_form-{case}-no-real-root": (
+            lambda case=case: hs.closed_form_quadratic_mixed(case, 2.0, params_from_mu_nu(1.0, -0.5)),
+            f"no real root at mu = 1 and first Lame constant -0.5 in case {case} at lam = 2.0",
+        )
+        for case in hs.CASES
+    },
     "volume_ratio-negative-stretch": (
         lambda: hs.volume_ratio("ul", -1, 2),
         "axial stretch must be positive and finite, got lam = -1",

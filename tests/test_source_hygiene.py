@@ -14,7 +14,9 @@ it as an attribute, or as a string in a function that calls ``getattr``.
 Only the fields in ``_TEST_FIELDS`` are exempt.
 
 No module calls ``np.trace``: ``tensor3.trace`` gives its bits on a 3x3
-array at a fraction of its cost. No private function enters a numpy error
+array at a fraction of its cost. No module reads ``numpy.random``:
+``tangent-check`` reads its motions from a table, and the import costs
+each process about 6 MB. No private function enters a numpy error
 state: each public entry point holds one for its whole body, and the
 helpers it calls run under it. No module but ``_kernels``, which states
 each load case once as a record, compares a value with a load case name:
@@ -242,6 +244,35 @@ def _np_calls(node, attr):
 def test_no_module_calls_np_trace(name):
     lines = _np_calls(_MODULES[name], "trace")
     assert not lines, f"{name} calls np.trace on lines {lines}; use tensor3.trace"
+
+
+def _np_random_lines(tree):
+    """Line numbers of the imports of numpy.random and of the reads of
+    np.random or numpy.random."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [f"{node.module}.{alias.name}" for alias in node.names]
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            names = [f"{'numpy' if node.value.id == 'np' else node.value.id}.{node.attr}"]
+        else:
+            continue
+        if any(n == "numpy.random" or n.startswith("numpy.random.") for n in names):
+            lines.append(node.lineno)
+    return lines
+
+
+@pytest.mark.parametrize("name", sorted(_MODULES))
+def test_no_module_reads_numpy_random(name):
+    lines = _np_random_lines(_MODULES[name])
+    assert not lines, f"{name} reads numpy.random on lines {lines}"
+
+
+def test_the_numpy_random_gate_sees_each_form():
+    src = "import numpy.random\nfrom numpy import random\nfrom numpy.random import x\nnp.random.rng()"
+    assert _np_random_lines(ast.parse(src)) == [1, 2, 3, 4]
 
 
 @pytest.mark.parametrize("name", sorted(_MODULES))

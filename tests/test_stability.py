@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, example, given
 from hypothesis import strategies as hst
 
-from nhcomp import stability
+from nhcomp import cli, stability
 from nhcomp.kinematics import kinematics_from_F, rate_from_motion
 from nhcomp.materials import PAPER_NUS, ModelSpec, cauchy_stress, mantissa_params, params_from_mu_nu
 from nhcomp.stability import (
@@ -565,18 +565,25 @@ def reference_tangents(model, state):
     return c_tr
 
 
-def reference_fd_error(model, n_motions):
-    """``tangent_fd_error`` as it was before its motions were shared: every
-    motion drawn and decomposed again on each call, the stress at F0
-    evaluated twice, and the model taken as given."""
-    h, gen = 1e-5, np.random.default_rng(913)
-    worst = 0.0
+def drawn_motions(n_motions):
+    """The (F0, Fdot) of the first ``n_motions`` motions, drawn from the
+    seeded stream that ``_fd_motions.f64`` was made from."""
+    gen = np.random.default_rng(913)
     for _ in range(n_motions):
         while True:
             F0 = I3 + 0.3 * gen.standard_normal((3, 3))
             if np.linalg.det(F0) > 0.4:
                 break
-        Fdot = 0.5 * gen.standard_normal((3, 3))
+        yield F0, 0.5 * gen.standard_normal((3, 3))
+
+
+def reference_fd_error(model, n_motions):
+    """``tangent_fd_error`` as it was before its motions were shared: every
+    motion drawn and decomposed again on each call, the stress at F0
+    evaluated twice, and the model taken as given."""
+    h = 1e-5
+    worst = 0.0
+    for F0, Fdot in drawn_motions(n_motions):
         state, rate = rate_from_motion(F0, Fdot)
         with np.errstate(all="ignore"):
             tau_p = cauchy_stress(model, F0 + h * Fdot).kirchhoff
@@ -638,6 +645,18 @@ class TestSharedMotions:
             "the mixed kind",
             "the voliso kind",
         }
+
+    def test_the_table_holds_the_seeded_draws_bitwise(self):
+        drawn = np.array([np.stack(pair) for pair in drawn_motions(1000)])
+        with open(stability._FD_TABLE, "rb") as f:
+            assert f.read() == drawn.astype("<f8").tobytes()
+        assert stability._FD_TABLE_MOTIONS == cli._MOTIONS_MAX == len(drawn)
+
+    @pytest.mark.parametrize("n_motions", [0, 1001])
+    def test_counts_beyond_the_table_raise(self, n_motions):
+        model = ModelSpec("mixed", catalog()[1], params_from_mu_nu(1.0, 0.3))
+        with pytest.raises(ValueError, match=rf"n_motions must be in 1\.\.1000, got {n_motions}"):
+            tangent_fd_error(model, n_motions=n_motions)
 
     def test_every_cached_array_is_read_only(self):
         stability._fd_motions.cache_clear()
