@@ -12,13 +12,21 @@ the one column of :func:`h_tuple` the residual uses, term by term from
 the same closed forms: J h'(J) for the mixed kind, h'(J) for vol-iso.
 The bisection (``bisect_log``) and ``homsolve.residual`` (once per solve,
 at the bisection's root) call such a closure point by point, and the
-sign-change scan (:func:`residual_scan`) calls it once on the grid of
+sign-change scan (:func:`residual_scan`) evaluates it on the grid of
 :func:`scan_nodes`, built once per range, and returns that grid with the
 residual. The two agree to an ulp or so: array ``np.exp``/``np.log``
 match their scalar counterparts bit for bit, while array ``**`` may
 round the last bit differently from the scalar power. Only the scan's
 signs feed the root finder, so such a difference can move a root only
 when a grid point sits within rounding of a zero.
+
+Only lam_e (mixed) and K (vol-iso) in the scan depend on nu. The scan
+keeps the nu-free volumetric column T and shear term D of its last call in
+a one-entry, read-only slot, keyed by kind, family, parameter, case record,
+lam, mu, scan range and point count, and where the key matches it forms
+only lam_e T - D or K T + D, the closure's own last two operations, so the
+bits are the closure's. The models of one stretch that differ only in nu,
+solved in turn, share it; any other call replaces it.
 
 The closures run on two lanes. The numpy lane takes an array or an
 np.float64 and keeps numpy's inf and NaN values. ``bisect_log`` builds
@@ -255,11 +263,57 @@ def scan_nodes(u_lo, u_hi, n):
     return us, lamT
 
 
+def _scan_terms(kind, family, par, case, lam, mu, lamT):
+    """``(T, D)``: the two nu-free terms of the residual on the array lamT.
+
+    T is the volumetric column term(J) and D the shear term, mu (1 - lamT^2)
+    (mixed) or (mu/3) J^(-5/3) g (vol-iso), each from the operations of the
+    :func:`residual_fn` closure in its order, so lam_e T - D (mixed) and
+    K T + D (vol-iso) give that closure's bits.
+    """
+    j = case.j(lam)
+    J = j * lamT * lamT if case.m == 2 else j * lamT
+    T = _volumetric_fn(kind, family, par)(J)
+    if kind == "mixed":
+        return T, mu * (1.0 - lamT * lamT)
+    c1, c2 = case.c0(lam * lam)
+    if case.m == 2:
+        g = lamT * lamT - c1
+    elif c2 is None:
+        g = 2.0 * lamT * lamT - c1
+    else:
+        g = 2.0 * lamT * lamT - c1 - c2
+    return T, mu / 3.0 * J**_M53 * g
+
+
+# The nu-free terms of the last scan, as (key, T, D), both read-only: the
+# models of one stretch that differ only in lam_e or K share them. A call
+# reads the tuple once and replaces it whole, so a concurrent call costs at
+# most a rebuild, never a mismatched pair.
+_scan_slot = [None]
+
+
 def residual_scan(kind, family, par, case, lam, mu, lame_lambda, K, u_lo, u_hi, n):
     """``(us, fs)``: the grid ``scan_nodes(u_lo, u_hi, n)`` over u = ln(lamT)
-    and the residual sampled there. Call under an errstate."""
+    and the residual sampled there. Call under an errstate.
+
+    The nu-free terms (:func:`_scan_terms`) of the last call are kept, keyed
+    by every input they read; a call that shares them forms only its own
+    lam_e T - D or K T + D. The mixed kind at lam_e = 0 has no volumetric
+    term and calls its :func:`residual_fn` closure.
+    """
     us, lamT = scan_nodes(u_lo, u_hi, n)
-    return us, residual_fn(kind, family, par, case, lam, mu, lame_lambda, K)(lamT)
+    if kind == "mixed" and lame_lambda == 0.0:
+        return us, residual_fn(kind, family, par, case, lam, mu, lame_lambda, K)(lamT)
+    case = load_case(case)
+    key = (kind, family, par, case, lam, mu, u_lo, u_hi, n)
+    slot = _scan_slot[0]
+    if slot is None or slot[0] != key:
+        T, D = _scan_terms(kind, family, par, case, lam, mu, lamT)
+        T.flags.writeable = D.flags.writeable = False
+        slot = _scan_slot[0] = (key, T, D)
+    _, T, D = slot
+    return us, lame_lambda * T - D if kind == "mixed" else K * T + D
 
 
 def bisect_log(kind, family, par, case, lam, mu, lame_lambda, K, u_a, u_b, f_a, max_iter):

@@ -24,7 +24,9 @@ Output is CSV only: a header row, LF line endings, ``.`` as the decimal
 separator, and floats printed with 17 significant digits. A given argv
 produces byte-identical output on every run. Every subcommand runs in one
 thread. ``stability`` scans all the nu of one (kind, contraction, volfun)
-in one batch, and every other subcommand runs its cells one at a time.
+in one batch; ``sweep`` solves all its nu, and ``table-repro`` the three nu
+of one (volfun, kind, direction), at each stretch in turn (see
+``homsolve.sweep``); every other subcommand runs its cells one at a time.
 ``table-repro`` alone accepts ``--jobs`` and ignores it, since the
 benchmark's limit-tables argv passes it there; any other subcommand given
 ``--jobs`` exits 1.
@@ -189,7 +191,7 @@ def _cmd_sweep(args):
         header = ["nu", *header]
 
     models = [_model(args, args.model, args.volfun, nu) for nu in _nu_list(args)]
-    sweeps = [hs.sweep(args.case, model, grid) for model in models]
+    sweeps = hs.sweep(args.case, models, grid)
 
     rows, ok = [], True
     for model, results in zip(models, sweeps):
@@ -466,10 +468,13 @@ def _cmd_table_repro(args):
     models, probes = {}, {}
     for vid in vids:
         for kind in ("mixed", "voliso"):
-            for nu in _TABLE_NUS:
-                model = models[vid, kind, nu] = _model(args, kind, cat[vid], nu)
-                for direction in ("to_zero", "to_infinity"):
-                    probes[vid, kind, nu, direction] = hs.limit_probe(case, model, direction)
+            cell = [_model(args, kind, cat[vid], nu) for nu in _TABLE_NUS]
+            # the three nu in one probe walk per direction
+            walks = {d: hs.limit_probe(case, cell, d) for d in ("to_zero", "to_infinity")}
+            for k, nu in enumerate(_TABLE_NUS):
+                models[vid, kind, nu] = cell[k]
+                for direction, classes in walks.items():
+                    probes[vid, kind, nu, direction] = classes[k]
 
     rows, ok = [], True
     for vid in vids:
@@ -536,10 +541,11 @@ def _bounded_int(lo, hi=None):
     return parse
 
 
-# a stability run keeps 4 words per state of its n^3 grid, 13 doubles per
-# stretch class (about n^3 / 4 classes) and 10 words per state of the last
-# open classes from cell to cell: at n = 100 a one-volfun run (--volfun 1
-# --nu 0.3) peaks at about 120 MB RSS (56 MB at n = 64)
+# a stability run keeps 4 words per state of its n^3 grid (the grid, which
+# the scan keeps by reference, and a class index), 13 doubles per stretch
+# class (about n^3 / 4 classes) and 10 words per state of the last open
+# classes from cell to cell: at n = 100 a one-volfun run (--volfun 1 --nu
+# 0.3) peaks at about 107 MB RSS (54 MB at n = 64)
 _GRID_N_MAX = 100
 
 # the most points of a sweep or dilatation grid; 10^6 points are an 8 MB grid
@@ -673,7 +679,7 @@ def _build_parser():
         "--jobs",
         type=_bounded_int(1),
         default=1,
-        help="ignored; kept for compatibility (cells always run one at a time)",
+        help="ignored; kept for compatibility (every run uses one thread)",
     )
 
     return parser

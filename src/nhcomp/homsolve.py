@@ -26,8 +26,12 @@ kernels in ``_kernels`` take the model's kind as the string ``ModelSpec``
 uses and the case as its record. ``solve`` picks the bracket
 nearest its ``seed_lamT``; ``sweep`` passes each point's root on as the
 next seed, so the solver stays on one physical branch when several roots
-appear. The incompressible kind has closed-form solutions and skips the
-solver entirely.
+appear. ``sweep`` and ``limit_probe`` take one model or a list: a list is
+walked stretch by stretch, every model solved at each stretch in turn with
+its own seed, so that the models that differ only in nu share the nu-free
+part of the scan (``_kernels.residual_scan``), and each model's rows are
+those of its own walk. The incompressible kind has closed-form solutions
+and skips the solver entirely.
 
 ``limit_probe`` pushes lam toward 0 or infinity and classifies the trend
 of each reported quantity, reproducing the qualitative limit tables. It
@@ -46,7 +50,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from nhcomp import _kernels as _k
-from nhcomp.materials import CASES, ModelSpec, cauchy_stress, mantissa_params
+from nhcomp.materials import CASES, ModelSpec, cauchy_stress
 from nhcomp.volfun import evaluate
 
 __all__ = [
@@ -263,9 +267,10 @@ def solve(case, model, lam, seed_lamT=1.0):
     result's ``roots_found`` counts them. The seed matters nowhere else.
 
     The root is found with the constants divided by 2^e, where mu = m 2^e
-    (:func:`materials.mantissa_params`), and the stresses and the residual
-    are scaled back by 2^e. So the root and ``converged`` do not depend on
-    the modulus scale, and a stress beyond the float range is +-inf.
+    (``ModelSpec.at_mantissa``, built once per model object), and the
+    stresses and the residual are scaled back by 2^e. So the root and
+    ``converged`` do not depend on the modulus scale, and a stress beyond
+    the float range is +-inf.
 
     ``lambda_T`` is exp(u) for the u the bisection returns: an end of its
     last bracket once the ends are adjacent floats, so the residual changes
@@ -286,8 +291,8 @@ def solve(case, model, lam, seed_lamT=1.0):
     # one error state for the whole solve: the scan, the bisection and the
     # stresses pass through inf and NaN by design, and the result reports them
     with np.errstate(all="ignore"):
-        prm, e = mantissa_params(model.params)
-        model = ModelSpec(model.kind, model.volfun, prm)
+        model, e = model.at_mantissa
+        prm = model.params
         args = _kernel_args(c, model, lam)
         tol = 1e-12 * (prm.mu + prm.lam + prm.K)
 
@@ -406,27 +411,52 @@ class SweepSpec:
 _NAN_RESULT = SolveResult(*([math.nan] * 6), converged=False, residual=math.nan, roots_found=0)
 
 
-def sweep(case, model, lams):
+def _model_list(models):
+    """``(list, single)``: one ModelSpec as a list of one, or a list of them."""
+    single = isinstance(models, ModelSpec)
+    return ([models] if single else list(models)), single
+
+
+def sweep(case, models, lams):
     """Solve the case over a stretch grid with continuation seeding.
 
-    Returns one SolveResult per grid point in order. The first point is
-    seeded at lamT = 1 and each later one at the last converged root;
-    points where the solver fails are reported as unconverged NaN rows
-    that carry the error's message and ``roots_found``.
+    ``models`` is one ModelSpec, for which one SolveResult per grid point is
+    returned in order, or a list of them, for which one such list per model
+    is returned. The first point of each model is seeded at lamT = 1 and
+    each later one at that model's last converged root; points where the
+    solver fails are reported as unconverged NaN rows that carry the
+    error's message and ``roots_found``.
+
+    The grid is walked once, solving every model at each stretch in turn,
+    so that the models of one stretch that differ only in nu share the nu-free
+    part of their residual scans (``_kernels.residual_scan``). The rows are
+    those of one sweep per model. A ``ValueError`` stops its model and is
+    raised after the walk; of several, the lowest-index model's.
     """
-    results = []
-    seed = 1.0
+    models, single = _model_list(models)
+    results = [[] for _ in models]
+    seeds = [1.0] * len(models)
+    errors = [None] * len(models)
     for lam in np.asarray(lams, dtype=float):
-        try:
-            res = solve(case, model, lam, seed)
-        except SolveError as err:
-            roots = err.diagnostics.get("roots_found", 0)
-            results.append(replace(_NAN_RESULT, warning=str(err), roots_found=roots))
-            continue
-        results.append(res)
-        if res.converged:
-            seed = res.lambda_T
-    return results
+        for i, model in enumerate(models):
+            if errors[i] is not None:
+                continue
+            try:
+                res = solve(case, model, lam, seeds[i])
+            except SolveError as err:
+                roots = err.diagnostics.get("roots_found", 0)
+                results[i].append(replace(_NAN_RESULT, warning=str(err), roots_found=roots))
+                continue
+            except ValueError as err:
+                errors[i] = err
+                continue
+            results[i].append(res)
+            if res.converged:
+                seeds[i] = res.lambda_T
+    error = next((err for err in errors if err is not None), None)
+    if error is not None:
+        raise error
+    return results[0] if single else results
 
 
 @np.errstate(all="ignore")
@@ -499,34 +529,41 @@ def _classify(vals):
     return LimitClass("unresolved", note=f"probes {v1:g}, {v2:g}, {v3:g}")
 
 
-def limit_probe(case, model, direction):
+def limit_probe(case, models, direction):
     """Classify lambda_T, sigma11, P11 (plus sigma22, P22 for ulp) trends.
 
+    ``models`` is one ModelSpec, for which one dict of classes is returned,
+    or a list of them, for which one such dict per model is returned.
     ``direction`` is 'to_zero' or 'to_infinity'. The three probe decades
-    are solved first. Only when a probe's scan finds several roots does
-    the solver walk a ladder of intermediate stretches for continuation
-    before the probes, so that the seed picks the branch; with at most one
-    root per probe the seed changes nothing. An unconverged probe marks
-    every quantity unresolved.
+    are solved first, for every model in one :func:`sweep`. Only when a
+    probe's scan finds several roots does the solver walk a ladder of
+    intermediate stretches for that model alone, before its probes, so that
+    the seed picks the branch; with at most one root per probe the seed
+    changes nothing. An unconverged probe marks every quantity unresolved.
     """
-    if model.kind == "inc":
-        raise ValueError("limits of the incompressible model follow from closed forms")
-    if direction not in _PROBES:
-        raise ValueError("direction must be 'to_zero' or 'to_infinity'")
+    models, single = _model_list(models)
+    for model in models:
+        if model.kind == "inc":
+            raise ValueError("limits of the incompressible model follow from closed forms")
+        if direction not in _PROBES:
+            raise ValueError("direction must be 'to_zero' or 'to_infinity'")
     # sigma22 is sigma11's where F22 is lam, and 0 where it is free
     extra = ("sigma22", "P22") if _k.load_case(case).f22 == "1" else ()
     quantities = ("lambda_T", "sigma11", "P11", *extra)
 
-    probe_rows = sweep(case, model, _PROBES[direction])
-    if any(r.roots_found > 1 for r in probe_rows):
-        probe_rows = sweep(case, model, _LADDER[direction] + _PROBES[direction])[-3:]
-    bad = next((r for r in probe_rows if not r.converged), None)
-    if bad is not None:
-        mark = LimitClass(
-            "unresolved", note=f"solver failed at a probe: {bad.warning}", solver_failed=True
-        )
-        return {q: mark for q in quantities}
-    return {q: _classify([getattr(r, q) for r in probe_rows]) for q in quantities}
+    out = []
+    for model, probe_rows in zip(models, sweep(case, models, _PROBES[direction])):
+        if any(r.roots_found > 1 for r in probe_rows):
+            probe_rows = sweep(case, model, _LADDER[direction] + _PROBES[direction])[-3:]
+        bad = next((r for r in probe_rows if not r.converged), None)
+        if bad is not None:
+            mark = LimitClass(
+                "unresolved", note=f"solver failed at a probe: {bad.warning}", solver_failed=True
+            )
+            out.append({q: mark for q in quantities})
+        else:
+            out.append({q: _classify([getattr(r, q) for r in probe_rows]) for q in quantities})
+    return out[0] if single else out
 
 
 @np.errstate(all="ignore")

@@ -222,6 +222,13 @@ class ModelSpec:
     def vol_iso(cls, volfun, mu, nu):
         return cls("voliso", volfun, params_from_mu_nu(mu, nu))
 
+    @functools.cached_property
+    def at_mantissa(self):
+        """``(model, e)``: this model at the constants of :func:`mantissa_params`
+        and their exponent e, built and validated once per model object."""
+        prm, e = mantissa_params(self.params)
+        return ModelSpec(self.kind, self.volfun, prm), e
+
     def shear_factor(self, J):
         """mu / J (mixed) or mu J^(-5/3) (vol-iso), the factor of c - I or dev c
         in the Cauchy stress; inf past the float range, never OverflowError."""

@@ -497,10 +497,17 @@ class Witness:
 
 
 def stretch_grid(n):
-    """Deterministic log-spaced grid of n^3 diagonal stretch triples."""
+    """Deterministic log-spaced grid of n^3 diagonal stretch triples, the
+    last axis fastest, as one read-only array (which :func:`_shared` keeps
+    by reference)."""
     axis = np.logspace(_GRID_LO, _GRID_HI, n)
-    g = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1)
-    return g.reshape(-1, 3)
+    g = np.empty((n**3, 3))
+    cube = g.reshape(n, n, n, 3)  # a view: each axis is written in place
+    cube[..., 0] = axis[:, None, None]
+    cube[..., 1] = axis[:, None]
+    cube[..., 2] = axis
+    g.flags.writeable = False
+    return g
 
 
 # Orthonormal columns: the spherical direction, then two vectors whose dot
@@ -587,23 +594,25 @@ class _ShearBlock:
 class _ScanSlot:
     """The shared scan data of one stretch grid (:func:`_shared`)."""
 
-    grid: np.ndarray  # a private read-only copy of the grid
+    grid: np.ndarray  # the read-only grid, or a private read-only copy of it
     classes: _Classes
     key: tuple | None  # the (kind, contraction, mu) of ``block``
     block: _ShearBlock | None
 
 
 # The shared scan data of _shared: the last grid scanned, as a _ScanSlot
-# holding a private copy of the grid, its stretch classes and the shear
-# block of the last (kind, contraction, mu) on it. A stability scan runs
+# holding the grid (stretch_grid's by reference, any other as a private
+# copy), its stretch classes and the shear block of the last (kind,
+# contraction, mu) on it. A stability scan runs
 # every (volfun, nu) cell of one (kind, contraction) on one grid back to
 # back, so one slot is enough; more slots would cost peak memory for
 # nothing. Each call reads its own volumetric column on the block's J, once
 # for all the nu of its batch, and forms the open members' entries afresh.
-# The slot keeps 3 doubles and a class index per state and 13 doubles and a
-# flag per class; stretch_grid(n) has about n^3 / 4 classes (1179 at n =
-# 16, 260044 at n = 100), so at n = 100 it holds 59 MB, where one block of
-# every state held 104 MB.
+# The slot keeps a class index per state (and 3 doubles per state for a
+# copied grid) and 13 doubles and a flag per class; stretch_grid(n) has
+# about n^3 / 4 classes (1179 at n = 16, 260044 at n = 100), so at n = 100
+# it holds 35 MB beside the caller's grid (59 MB with a copy), where one
+# block of every state held 104 MB.
 _block_slot = [None]
 
 # The number of grid states that the scan, the shear-block build and the
@@ -786,21 +795,27 @@ def _shared(kind, contraction, mu, lams):
     contraction, mu) on it; the classes and the block are each built at most
     once for a run of calls on the same inputs.
 
-    The grid is matched by value (an equal copy, not the same object), so a
-    grid changed in place gets fresh classes and a fresh block. The old
-    slot is dropped before the new classes are built, and the old block
-    before the new block. Raises :func:`_checked_grid`'s ``ValueError``.
+    A read-only grid that owns its data (such as :func:`stretch_grid`'s) is
+    kept by reference and taken not to change, so the same object hits the
+    slot with no compare. Any other grid is kept as a private read-only
+    copy and matched by value, so a grid changed in place gets fresh
+    classes and a fresh block. The old slot is dropped before the new classes are built,
+    and the old block before the new block. Raises :func:`_checked_grid`'s
+    ``ValueError``.
     """
     lams = np.asarray(lams, dtype=float)
     slot = _block_slot[0]
-    if slot is None or not np.array_equal(slot.grid, lams):
+    same = slot is not None and slot.grid is lams and not lams.flags.writeable
+    if not same and (slot is None or not np.array_equal(slot.grid, lams)):
         # free the old slot first: two alive at once raise peak memory; the
-        # copy is checked, and a slot hit equals a copy that passed
+        # grid is checked, and a slot hit equals a grid that passed
         del slot
         _block_slot[0] = None
-        classes = _stretch_classes(_checked_grid(lams))  # before the copy: less peak memory
-        grid = lams.copy()
-        grid.flags.writeable = False
+        classes = _stretch_classes(_checked_grid(lams))  # before any copy: less peak memory
+        grid = lams
+        if lams.flags.writeable or not lams.flags.owndata:
+            grid = lams.copy()
+            grid.flags.writeable = False
         slot = _block_slot[0] = _ScanSlot(grid, classes, None, None)
     key = (kind, contraction, float(mu))
     if slot.key != key:

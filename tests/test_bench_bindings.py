@@ -158,3 +158,40 @@ def test_one_solve_reaches_each_counted_layer(monkeypatch, kind, calls):
     )
     assert hs.solve("ul", model, 1.7).converged
     assert [len(c) for c in recorded] == calls
+
+
+@pytest.mark.parametrize(
+    "argv",
+    (
+        "sweep --case ul --model voliso --volfun 2 --nu-set paper --log --lam-min 0.5 "
+        "--lam-max 2 --points 4",
+        "table-repro --table 6",
+    ),
+    ids=("sweep-nu-set", "table-repro"),
+)
+def test_each_solved_point_reaches_the_solver_layers(capsys, monkeypatch, argv):
+    # the solver workloads count these bindings: every solve of a walk over
+    # several nu still scans (twice where the first scan finds no sign
+    # change), bisects once if it found a bracket and reports the residual,
+    # so the per-layer solve and scan counts cannot silently fall to zero
+    scans = _record_calls(monkeypatch, _k, "residual_scan")
+    bisects = _record_calls(monkeypatch, _k, "bisect_log")
+    real, per_solve = hs.solve, []
+
+    def solve(*args):
+        before = (len(scans), len(bisects))
+        try:
+            return real(*args)
+        finally:
+            per_solve.append((len(scans) - before[0], len(bisects) - before[1]))
+
+    monkeypatch.setattr(hs, "solve", solve)
+    rows = _cli_rows(capsys, argv.split())
+    assert per_solve and all(s in (1, 2) and b in (0, 1) for s, b in per_solve)
+    assert [sum(counts) for counts in zip(*per_solve)] == [len(scans), len(bisects)]
+    assert all(args[10] == hs._SCAN_POINTS for args in scans)
+    if argv.startswith("sweep"):
+        assert per_solve == [(1, 1)] * len(rows) == [(1, 1)] * 6 * 4
+    else:
+        # three probes of every (volfun, kind, nu, direction), ladders aside
+        assert len(per_solve) >= 3 * 2 * 3 * 2 * len({row.split(",")[3] for row in rows})

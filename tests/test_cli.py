@@ -150,6 +150,32 @@ class TestSweep:
         nus = [float(r["nu"]) for r in rows[::2]]
         assert nus == [0.0, 0.25, 0.4, 0.45, 0.499, 0.4999]
 
+    @pytest.mark.parametrize(
+        "argv",
+        (
+            "sweep --case ul --model voliso --volfun 7 --lam-min 1e-5 --lam-max 2 --points 6",
+            "sweep --case elp --model mixed --volfun 1 --lam-min 0.5 --lam-max 1e9 --points 4",
+            "sweep --case ulp --model mixed --volfun hn:0.5 --mu 2.53 --lam-min 0.1 --lam-max 10 "
+            "--points 5 --log",
+        ),
+        ids=("voliso-ul", "mixed-elp-failing", "mixed-ulp"),
+    )
+    def test_nu_set_prints_the_rows_of_each_single_nu(self, capsys, argv):
+        # the set walks every nu at each stretch; its rows are those of one
+        # run per nu, in nu order, each with the nu column put first, and it
+        # exits 2 if any of those runs does
+        code = cli.main([*argv.split(), "--nu-set", "paper"])
+        header, *lines = capsys.readouterr().out.splitlines()
+        want_header, want_lines, want_codes = None, [], []
+        for nu in materials.PAPER_NUS:
+            want_codes.append(cli.main([*argv.split(), "--nu", repr(nu)]))
+            want_header, *single = capsys.readouterr().out.splitlines()
+            want_lines += [(nu, line) for line in single]
+        assert header == "nu," + want_header and code == max(want_codes)
+        assert [(float(line.split(",", 1)[0]), line.split(",", 1)[1]) for line in lines] == (
+            want_lines
+        )
+
     def test_out_file_matches_stdout_bytes(self, capsys, tmp_path):
         argv = "sweep --case elp --model mixed --volfun 2 --nu 0.3 --lam-min 0.5 --lam-max 2 --points 5 --log".split()
         cli.main(argv)

@@ -1,6 +1,7 @@
 import itertools
 import math
 import re
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -517,6 +518,100 @@ class TestSweep:
                         assert hits == ("P22",), (vid, case, hits)
                     else:
                         assert hits == (), (vid, model.kind, case, hits)
+
+
+def row_bits(rows):
+    """Every field of each row, each float as its exact bits (NaN as 'nan')."""
+    return [tuple(v.hex() if isinstance(v, float) else v for v in astuple(r)) for r in rows]
+
+
+# vol-iso #7 at nu = 0.49999, whose uniaxial scans in compression find
+# three roots, after a model whose roots there are far from its own, so
+# that another model's seed would pick another branch; a model whose
+# equibiaxial root at lam = 1e9 lies outside the widened scan (SolveError);
+# mixed nu = 0; and two moduli, so that neighbouring models share the
+# scan's nu-free terms and miss them
+LIST_MODELS = [
+    ModelSpec.vol_iso(catalog()[7], 1.0, 0.25),
+    ModelSpec.vol_iso(catalog()[7], 1.0, 0.49999),
+    ModelSpec.mixed(catalog()[1], 1.0, 0.3),
+    ModelSpec.mixed(catalog()[1], 1.0, 0.0),
+    ModelSpec.mixed(catalog()[1], 1.0, 0.45),
+    ModelSpec.vol_iso(catalog()[7], 2.53, 0.25),
+]
+LIST_GRID = (1e9, 2.0, 0.5, 0.1, 1e-2, 1e-3, 1e-4, 1e-5)
+
+
+class TestModelLists:
+    @pytest.mark.parametrize("case", hs.CASES)
+    def test_a_list_sweep_equals_one_sweep_per_model(self, case):
+        got = hs.sweep(case, LIST_MODELS, LIST_GRID)
+        want = [hs.sweep(case, model, LIST_GRID) for model in LIST_MODELS]
+        assert [row_bits(rows) for rows in got] == [row_bits(rows) for rows in want]
+        flat = [r for rows in got for r in rows]
+        if case == "elp":
+            assert any(not r.converged and r.warning.startswith("no sign change") for r in flat)
+        if case == "ul":
+            assert max(r.roots_found for r in got[1]) == 3
+
+    def test_a_list_of_one_and_an_empty_list(self):
+        (rows,) = hs.sweep("ul", LIST_MODELS[:1], LIST_GRID)
+        assert row_bits(rows) == row_bits(hs.sweep("ul", LIST_MODELS[0], LIST_GRID))
+        assert hs.sweep("ul", [], LIST_GRID) == []
+
+    def test_the_lowest_index_models_value_error_is_raised_after_the_walk(self, monkeypatch):
+        # model 2 fails at the first stretch and model 1 at the fourth; one
+        # sweep per model meets model 1's error first, and so does the walk,
+        # after every model has been solved as far as it goes
+        real, calls = hs.solve, []
+        fail_at = {0.45: 1e-3, 0.3: 2.0}
+
+        def solve(case, model, lam, seed_lamT=1.0):
+            calls.append((model.params.nu, lam))
+            if fail_at.get(model.params.nu) == lam:
+                raise ValueError(f"injected at nu = {model.params.nu}")
+            return real(case, model, lam, seed_lamT)
+
+        monkeypatch.setattr(hs, "solve", solve)
+        models = [mixed(2, nu=0.25), mixed(2, nu=0.45), mixed(2, nu=0.3), mixed(2, nu=0.4)]
+        grid = LIST_GRID[1:]
+        with pytest.raises(ValueError, match=r"^injected at nu = 0.45$"):
+            hs.sweep("ul", models, grid)
+        assert calls.count((0.45, 1e-4)) == calls.count((0.3, 0.5)) == 0
+        assert calls.count((0.25, 1e-5)) == calls.count((0.4, 1e-5)) == 1
+        with pytest.raises(ValueError, match=r"^injected at nu = 0.45$"):
+            for model in models:
+                hs.sweep("ul", model, grid)
+        # a stretch every model rejects stops each at once
+        monkeypatch.undo()
+        with pytest.raises(ValueError, match=r"got lam = -1.0$"):
+            hs.sweep("ul", models, (2.0, -1.0, 0.5))
+
+    @pytest.mark.parametrize("direction", ("to_zero", "to_infinity"))
+    @pytest.mark.parametrize("case", hs.CASES)
+    def test_a_list_limit_probe_equals_one_probe_per_model(self, case, direction):
+        models = [three_root_model(), *LIST_MODELS, mixed(4)]
+        got = hs.limit_probe(case, models, direction)
+        want = [hs.limit_probe(case, model, direction) for model in models]
+        assert [class_bits(c) for c in got] == [class_bits(c) for c in want]
+
+    def test_only_a_multi_root_model_walks_its_ladder(self, monkeypatch):
+        calls = []
+        real = hs.sweep
+
+        def sweep(case, models, lams):
+            calls.append((len(models) if isinstance(models, list) else models, tuple(lams)))
+            return real(case, models, lams)
+
+        monkeypatch.setattr(hs, "sweep", sweep)
+        models = [mixed(4), three_root_model(), voliso(2)]
+        hs.limit_probe("ul", models, "to_zero")
+        ladder = LADDER["to_zero"] + PROBES["to_zero"]
+        assert calls == [(3, PROBES["to_zero"]), (models[1], ladder)]
+
+    def test_an_incompressible_model_in_the_list_is_rejected(self):
+        with pytest.raises(ValueError, match="incompressible"):
+            hs.limit_probe("ul", [mixed(4), ModelSpec.incompressible(1.0)], "to_zero")
 
 
 class TestLimitClassifier:

@@ -426,3 +426,63 @@ def test_scan_nodes_are_a_read_only_fresh_grid(widen):
     for arr in (us, lamT):
         with pytest.raises(ValueError):
             arr[0] = 0.0
+
+
+# the nu of the paper's curves, with mixed nu = 0 (no volumetric term), and
+# any other nu either kind admits
+_SCAN_NUS = hst.sampled_from((0.0, 0.25, 0.4, 0.45, 0.499, 0.4999)) | hst.floats(-0.9, 0.49)
+
+
+@given(
+    kind=hst.sampled_from(("mixed", "voliso")),
+    family_par=hst.sampled_from(_FAMILIES)
+    | hst.tuples(hst.just(_k.FAMILY_HN), hst.floats(1e-3, 8.0))
+    | hst.tuples(hst.just(_k.FAMILY_OGDEN), hst.floats(-4.0, 4.0).filter(bool)),
+    case=hst.sampled_from(hs.CASES),
+    lam=hst.floats(-6.0, 6.0).map(lambda e: 10.0**e),
+    mu=hst.floats(0.5, 1.0, exclude_max=True),
+    calls=hst.lists(hst.tuples(_SCAN_NUS, hst.booleans()), min_size=1, max_size=6),
+)
+@example("mixed", (_k.FAMILY_HN, 2.0), "ul", 1.7, 0.5, [(0.25, False), (0.0, False), (0.45, False)])
+@example("voliso", (_k.FAMILY_QUADRATIC, 0.0), "ulp", 0.3, 0.75, [(0.4, True), (0.499, False)])
+def test_residual_scan_is_its_closure_on_the_scan_grid(kind, family_par, case, lam, mu, calls):
+    # one residual_scan per nu in turn, each followed by a widened-range call
+    # where drawn, gives a fresh residual_fn closure's bits on its grid, and
+    # the kept nu-free terms are read-only
+    family, par = family_par
+    u_lo, u_hi = math.log(hs._SCAN_LO), math.log(hs._SCAN_HI)
+    wide = (u_lo - 3.0 * math.log(10.0), u_hi + 3.0 * math.log(10.0))
+    for nu, widen in calls:
+        lame = 2.0 * mu * nu / (1.0 - 2.0 * nu)
+        args = (kind, family, par, case, lam, mu, lame, lame + 2.0 * mu / 3.0)
+        for lo, hi in ((u_lo, u_hi), wide) if widen else ((u_lo, u_hi),):
+            with np.errstate(all="ignore"):
+                us, fs = _k.residual_scan(*args, lo, hi, hs._SCAN_POINTS)
+                want = _k.residual_fn(*args)(_k.scan_nodes(lo, hi, hs._SCAN_POINTS)[1])
+            assert us is _k.scan_nodes(lo, hi, hs._SCAN_POINTS)[0]
+            assert np.array_equal(fs, want, equal_nan=True), (nu, lo)
+            for kept in _k._scan_slot[0][1:]:
+                assert not kept.flags.writeable
+
+
+def test_residual_scan_forms_the_nu_free_terms_once_per_stretch(monkeypatch):
+    # the nu of one stretch share the kept terms, a new stretch or mu forms
+    # them again, and the mixed kind at nu = 0 reads none
+    built = []
+    real = _k._scan_terms
+
+    def counted(*args):
+        built.append(args[:6])
+        return real(*args)
+
+    monkeypatch.setattr(_k, "_scan_terms", counted)
+    _k._scan_slot[0] = None
+    u = (math.log(hs._SCAN_LO), math.log(hs._SCAN_HI), hs._SCAN_POINTS)
+    for kind in ("mixed", "voliso"):
+        for lam, mu in ((1.7, 0.5), (1.7, 0.5), (2.0, 0.5), (2.0, 0.75)):
+            for lame in (0.0, 0.5, 2.5):
+                with np.errstate(all="ignore"):
+                    _k.residual_scan(kind, 0, 2.0, "ul", lam, mu, lame, lame + mu, *u)
+    case = _k.load_case("ul")
+    cells = ((1.7, 0.5), (2.0, 0.5), (2.0, 0.75))
+    assert built == [(kind, 0, 2.0, case, *cell) for kind in ("mixed", "voliso") for cell in cells]

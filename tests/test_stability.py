@@ -1171,7 +1171,7 @@ class TestCoaxialScanBytes:
 
     def test_reused_shear_block_is_invisible(self):
         grids = [stretch_grid(5), log_grid(6, -0.5, 0.9)]
-        mutated = stretch_grid(5)
+        mutated = stretch_grid(5).copy()  # a writeable grid, matched by value
         calls = []
         for mu in (1.0, 2.7):
             for g in grids:
@@ -1207,7 +1207,7 @@ class TestCoaxialScanBytes:
         # a call reads the column of its own volfun and contraction on the
         # J of its own grid's classes, once for all the nu it is given, and
         # keeps nothing of it for the next call
-        grid, other = stretch_grid(6), log_grid(6, -0.5, 0.9)
+        grid, other = stretch_grid(6).copy(), log_grid(6, -0.5, 0.9)
         reads = []
         original = stability.evaluate_grid
 
@@ -1262,6 +1262,25 @@ class TestCoaxialScanBytes:
         for a in (*arrays, slot.grid, classes.reps, classes.of):
             with pytest.raises(ValueError):
                 a[0] = 0
+
+
+    @pytest.mark.parametrize("n", (1, 2, 5, 16))
+    def test_stretch_grid_is_one_read_only_array_kept_by_reference(self, n):
+        grid = stretch_grid(n)
+        assert np.array_equal(grid, log_grid(n, stability._GRID_LO, stability._GRID_HI))
+        assert grid.shape == (n**3, 3) and grid.flags.c_contiguous and grid.flags.owndata
+        with pytest.raises(ValueError):
+            grid[0, 0] = 1.0
+        slot = stability._shared("mixed", "hill", 1.0, grid)
+        assert slot.grid is grid
+        assert stability._shared("mixed", "hill", 1.0, grid) is slot
+        # a writeable grid, or a read-only view of one, is copied
+        view = grid.copy()[::1]
+        view.flags.writeable = False
+        for other in (grid.copy(), view):
+            slot = stability._shared("mixed", "hill", 1.0, other)
+            assert slot.grid is not other and np.array_equal(slot.grid, grid)
+            assert not slot.grid.flags.writeable
 
 
 def scan_outcome(kind, volfun, params, grid, contraction):
