@@ -23,9 +23,9 @@ each command from paying for the other layer.
 Output is CSV only: a header row, LF line endings, ``.`` as the decimal
 separator, and floats printed with 17 significant digits. A given argv
 produces byte-identical output on every run. Every subcommand runs in one
-thread. ``stability`` scans all the nu of one (kind, contraction, volfun)
-in one batch; ``sweep`` solves all its nu, and ``table-repro`` the three nu
-of one (volfun, kind, direction), at each stretch in turn (see
+thread. ``stability`` scans all the (volfun, nu) cells of one (kind,
+contraction) in one call; ``sweep`` solves all its nu, and ``table-repro``
+the three nu of one (volfun, kind, direction), at each stretch in turn (see
 ``homsolve.sweep``); every other subcommand runs its cells one at a time.
 ``table-repro`` alone accepts ``--jobs`` and ignores it, since the
 benchmark's limit-tables argv passes it there; any other subcommand given
@@ -47,7 +47,6 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
-import itertools
 import sys
 
 import numpy as np
@@ -256,48 +255,26 @@ def _cmd_stability(args):
         for contraction in ("hill", "csp")
     ]
 
-    def row(k, scan):
-        model, contraction = tasks[k]
+    # one scan per (kind, contraction), of its cells in task order (see
+    # st.min_coaxial_eig); each row then raises its cell's error or a failing
+    # verdict, so the first error is the one that scanning the cells one at a
+    # time in task order meets
+    pairs = {}
+    for model, contraction in tasks:
+        pairs.setdefault((model.kind, contraction), []).append(model)
+    scans = {}
+    for (kind, contraction), models in pairs.items():
+        volfuns, params = zip(*[(m.volfun, m.params) for m in models])
+        found = st.min_coaxial_eig(kind, volfuns, params, grid, contraction)
+        scans[kind, contraction] = iter(found)
+    rows = []
+    for model, contraction in tasks:
+        scan = next(scans[model.kind, contraction])
+        if isinstance(scan, ValueError):
+            raise scan
         value, i, _ = scan
-        return [
-            model.kind,
-            model.volfun.label,
-            float(model.params.nu),
-            float(np.prod(grid[i])),
-            contraction,
-            value,
-            st.classify_value(value, model.params.mu),
-        ]
-
-    def batch(k):
-        model, contraction = tasks[k]
-        return model.kind, contraction, model.volfun
-
-    def scan_key(k):  # a cell with no volumetric term scans the same for every volfun
-        model, contraction = tasks[k]
-        return k if model.volumetric_term(1.0) else (model.kind, contraction, model.params)
-
-    # run the cells of one (kind, contraction) back to back so that they
-    # share one shear block, and scan the nu of each volfun in one batch
-    # (see st.min_coaxial_eig); the first volfun's batch answers the cells
-    # with no volumetric term (the mixed kind at nu = 0) of the others.
-    # Rows keep task order, and the first error is the one that running
-    # the cells one at a time meets first.
-    rows, outcome = [None] * len(tasks), {}
-    order = sorted(range(len(tasks)), key=lambda k: batch(k)[:2])
-    for (kind, contraction, volfun), run in itertools.groupby(order, key=batch):
-        run = list(run)
-        scan = [k for k in run if scan_key(k) not in outcome]
-        params = [tasks[k][0].params for k in scan]
-        try:
-            results = st.min_coaxial_eig(kind, volfun, params, grid, contraction) if scan else []
-        except ValueError:  # a verdict of an earlier cell may fail first
-            for k in scan:
-                row(k, st.min_coaxial_eig(kind, volfun, tasks[k][0].params, grid, contraction))
-            raise
-        outcome.update(zip(map(scan_key, scan), results))
-        for k in run:
-            rows[k] = row(k, outcome[scan_key(k)])
+        row = [model.kind, model.volfun.label, float(model.params.nu), float(np.prod(grid[i]))]
+        rows.append([*row, contraction, value, st.classify_value(value, model.params.mu)])
     return header, rows, True
 
 
@@ -542,10 +519,10 @@ def _bounded_int(lo, hi=None):
 
 
 # a stability run keeps 4 words per state of its n^3 grid (the grid, which
-# the scan keeps by reference, and a class index), 13 doubles per stretch
-# class (about n^3 / 4 classes) and 10 words per state of the last open
-# classes from cell to cell: at n = 100 a one-volfun run (--volfun 1 --nu
-# 0.3) peaks at about 107 MB RSS (54 MB at n = 64)
+# the scan keeps by reference, and a class index) and a word per stretch
+# class (about n^3 / 4 classes) from call to call, and a call holds 13
+# doubles per class more; sorting the states into classes sets the peak: at
+# n = 100 a run peaks at about 103 MB RSS (51 MB at n = 64)
 _GRID_N_MAX = 100
 
 # the most points of a sweep or dilatation grid; 10^6 points are an 8 MB grid

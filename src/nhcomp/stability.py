@@ -37,7 +37,7 @@ from __future__ import annotations
 import functools
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -455,7 +455,7 @@ def tangent_fd_error(model, n_motions=10):
     c_tr, never the c_bh of :func:`tangents`. Raises ``ValueError`` when a
     stress or c_tr leaves the float range, which makes the error not finite.
     """
-    model = replace(model, params=mantissa_params(model.params)[0])
+    model = model.at_mantissa[0]
     h = _FD_STEP
     worst = 0.0
     for F0, F_p, F_m, state, rate in _fd_motions(n_motions):
@@ -568,18 +568,18 @@ class _ShearBlock:
     volumetric function or nu, for the representative of each stretch class
     (:class:`_Classes`), in class order.
 
-    ``lower`` holds the six lower-triangle entries of S rotated by
-    _TRACE_ROT (:func:`_rotate_lower`), in ``_LOWER`` order, each a
-    C-contiguous vector; nothing reads the upper triangle. The volumetric
-    coefficient changes Sp00 alone, so ``plane`` and ``coupling``, which the
-    bounds of :func:`_candidates` and :func:`_graded_clears` read, serve
-    every volfun and nu. ``shift`` is the
-    shear-scale summand of the coefficient of ones (all 0.0 for the mixed
-    Hill form, which has none). ``settles`` marks the classes that their
-    representative may settle (:data:`_SETTLE_SHEAR`). Every array is
-    read-only, since one block serves many calls.
+    ``form`` is the (kind, contraction, mu) of S. ``lower`` holds the six
+    lower-triangle entries of S rotated by _TRACE_ROT
+    (:func:`_rotate_lower`), in ``_LOWER`` order, each a C-contiguous
+    vector; nothing reads the upper triangle. The volumetric coefficient
+    changes Sp00 alone, so ``plane`` and ``coupling``, which the bounds of
+    :func:`_candidates` and :func:`_graded_clears` read, serve every volfun
+    and nu. ``shift`` is the shear-scale summand of the coefficient of ones
+    (all 0.0 for the mixed Hill form, which has none). ``settles`` marks the
+    classes that their representative may settle (:data:`_SETTLE_SHEAR`).
     """
 
+    form: tuple  # (kind, contraction, mu)
     lower: tuple  # (Sp00, Sp10, Sp20, Sp11, Sp21, Sp22), Sp = Q^T S Q
     grading: np.ndarray  # 1e3 (s_scale + 1e-300), s_scale the largest |entry| of ``lower``
     tail: np.ndarray  # the largest |entry| of ``lower`` besides Sp00
@@ -590,39 +590,31 @@ class _ShearBlock:
     settles: np.ndarray
 
 
-@dataclass
+@dataclass(frozen=True)
 class _ScanSlot:
     """The shared scan data of one stretch grid (:func:`_shared`)."""
 
     grid: np.ndarray  # the read-only grid, or a private read-only copy of it
     classes: _Classes
-    key: tuple | None  # the (kind, contraction, mu) of ``block``
-    block: _ShearBlock | None
 
 
 # The shared scan data of _shared: the last grid scanned, as a _ScanSlot
 # holding the grid (stretch_grid's by reference, any other as a private
-# copy), its stretch classes and the shear block of the last (kind,
-# contraction, mu) on it. A stability scan runs
-# every (volfun, nu) cell of one (kind, contraction) on one grid back to
-# back, so one slot is enough; more slots would cost peak memory for
-# nothing. Each call reads its own volumetric column on the block's J, once
-# for all the nu of its batch, and forms the open members' entries afresh.
-# The slot keeps a class index per state (and 3 doubles per state for a
-# copied grid) and 13 doubles and a flag per class; stretch_grid(n) has
-# about n^3 / 4 classes (1179 at n = 16, 260044 at n = 100), so at n = 100
-# it holds 35 MB beside the caller's grid (59 MB with a copy), where one
-# block of every state held 104 MB.
-_block_slot = [None]
+# copy) and its stretch classes, which depend on the grid alone. A stability
+# run scans all its cells on one grid, so one slot is enough; more would
+# cost peak memory for nothing. The slot keeps a class index per state (3
+# doubles more for a copied grid) and a representative per class; a call
+# holds its own shear block, 12 doubles and a flag per class (about n^3 / 4
+# classes: 1179 at n = 16, 260044 at n = 100, where the block is 25 MB).
+_grid_slot = [None]
 
 # The number of grid states that the scan, the shear-block build and the
-# column read each take at a time (_blocks); a batch of k cells takes
-# _SCAN_BLOCK // k states at a time. Every temporary of a call is at most
-# about this long, so a call's transient memory does not grow with the grid;
-# only the arrays _shared keeps do. In a sweep from 1024 to 65536 states
-# (BENCH_29.json), 4096 gave the lowest stability-grid peak RSS (43.2-43.3
-# MB, against 43.4-43.6 at 2048 and 44.0-44.2 at 8192); smaller blocks split
-# the 4096-state scans of `stability --grid-n 16` and ran slower.
+# column read each take at a time (_blocks); a pass over k cells takes
+# _SCAN_BLOCK // k states at a time. Every temporary of a call but its shear
+# block and columns is at most about this long. In a sweep from 1024 to
+# 65536 states (BENCH_29.json), 4096 gave the lowest stability-grid peak RSS
+# (43.2-43.3 MB, against 43.4-43.6 at 2048 and 44.0-44.2 at 8192); smaller
+# blocks split the 4096-state scans of `stability --grid-n 16` and ran slower.
 _SCAN_BLOCK = 4096
 
 
@@ -740,12 +732,12 @@ def _grading(s_scale):
 
 
 def _build_shear_block(kind, contraction, mu, grid, classes):
-    """The read-only _ShearBlock of the representatives of a checked stretch
-    grid's classes, whose arrays are filled block by block (:func:`_blocks`),
-    so no temporary of the build outgrows one block. It reads the
-    representatives' rows alone: a member's shift can differ from its
-    representative's by more than rounding only outside the settle range
-    (see :func:`min_coaxial_eig`)."""
+    """The _ShearBlock of the representatives of a checked stretch grid's
+    classes, whose arrays are filled block by block (:func:`_blocks`), so no
+    temporary of the build outgrows one block. It reads the representatives'
+    rows alone: a member's shift can differ from its representative's by
+    more than rounding only outside the settle range (see
+    :func:`min_coaxial_eig`)."""
     reps = classes.reps
     m = len(reps)
     lower = np.zeros((len(_LOWER), m))
@@ -756,22 +748,17 @@ def _build_shear_block(kind, contraction, mu, grid, classes):
         tail[part] = _max_abs(lower[1:, part])
     s_scale = np.maximum(np.abs(lower[0]), tail)
     lo, hi = _SETTLE_SHEAR
-    settles = (s_scale >= lo) & (s_scale <= hi)
-    grading = _grading(s_scale)
     _, b1, b2, p, r, q = lower
-    plane = 0.5 * (p + q) - np.hypot(0.5 * (p - q), r)  # as _eig2_min forms it
-    coupling = np.hypot(b1, b2)
-    for v in (lower, grading, tail, plane, coupling, J, shift, settles):
-        v.flags.writeable = False
     return _ShearBlock(
+        form=(kind, contraction, mu),
         lower=tuple(lower),
-        grading=grading,
+        grading=_grading(s_scale),
         tail=tail,
-        plane=plane,
-        coupling=coupling,
+        plane=0.5 * (p + q) - np.hypot(0.5 * (p - q), r),  # as _eig2_min forms it
+        coupling=np.hypot(b1, b2),
         J=J,
         shift=shift,
-        settles=settles,
+        settles=(s_scale >= lo) & (s_scale <= hi),
     )
 
 
@@ -790,39 +777,33 @@ def _volumetric_column(contraction, volfun, J):
     return column
 
 
-def _shared(kind, contraction, mu, lams):
-    """The _ScanSlot of a stretch grid, holding the shear block of (kind,
-    contraction, mu) on it; the classes and the block are each built at most
-    once for a run of calls on the same inputs.
+def _shared(lams):
+    """The _ScanSlot of a stretch grid, whose classes are built once for a run
+    of calls on the same grid.
 
     A read-only grid that owns its data (such as :func:`stretch_grid`'s) is
     kept by reference and taken not to change, so the same object hits the
     slot with no compare. Any other grid is kept as a private read-only
     copy and matched by value, so a grid changed in place gets fresh
-    classes and a fresh block. The old slot is dropped before the new classes are built,
-    and the old block before the new block. Raises :func:`_checked_grid`'s
-    ``ValueError``.
+    classes. The old slot is dropped before the new classes are built.
+    Raises :func:`_checked_grid`'s ``ValueError``.
     """
     lams = np.asarray(lams, dtype=float)
-    slot = _block_slot[0]
+    slot = _grid_slot[0]
     same = slot is not None and slot.grid is lams and not lams.flags.writeable
-    if not same and (slot is None or not np.array_equal(slot.grid, lams)):
-        # free the old slot first: two alive at once raise peak memory; the
-        # grid is checked, and a slot hit equals a grid that passed
-        del slot
-        _block_slot[0] = None
-        classes = _stretch_classes(_checked_grid(lams))  # before any copy: less peak memory
-        grid = lams
-        if lams.flags.writeable or not lams.flags.owndata:
-            grid = lams.copy()
-            grid.flags.writeable = False
-        slot = _block_slot[0] = _ScanSlot(grid, classes, None, None)
-    key = (kind, contraction, float(mu))
-    if slot.key != key:
-        slot.key = slot.block = None
-        slot.block = _build_shear_block(kind, contraction, float(mu), slot.grid, slot.classes)
-        slot.key = key
-    return slot
+    if same or (slot is not None and np.array_equal(slot.grid, lams)):
+        return slot
+    # free the old slot first: two alive at once raise peak memory; the
+    # grid is checked, and a slot hit equals a grid that passed
+    del slot
+    _grid_slot[0] = None
+    classes = _stretch_classes(_checked_grid(lams))  # before any copy: less peak memory
+    grid = lams
+    if lams.flags.writeable or not lams.flags.owndata:
+        grid = lams.copy()
+        grid.flags.writeable = False
+    _grid_slot[0] = _ScanSlot(grid, classes)
+    return _grid_slot[0]
 
 
 def _eig2_min(p, r, q):
@@ -856,6 +837,19 @@ def _lower_matrices(rows):
         M[:, i, l] = v
         M[:, l, i] = v
     return M
+
+
+def _eigh(rows):
+    """``np.linalg.eigh`` of the matrices of :func:`_lower_matrices`, NaN at a
+    matrix with an entry that is not finite, which LAPACK is never given: it
+    may fail on one for the whole call, or return finite eigenvalues."""
+    M = _lower_matrices(rows)
+    if np.isfinite(M).all():
+        return np.linalg.eigh(M)
+    finite = np.isfinite(M).all(axis=(1, 2))
+    vals, vecs = np.full((len(M), 3), np.nan), np.full(M.shape, np.nan)
+    vals[finite], vecs[finite] = np.linalg.eigh(M[finite])
+    return vals, vecs
 
 
 def _candidates(alpha, plane, coupling, graded):
@@ -931,7 +925,7 @@ def _bounded_routes(lower, grading, upper, shear):
     if pair.any():  # every cell's two candidates in one call
         cells, at = np.nonzero(pair)[1], pos[pair]
         rows = [alpha[cells, at], *(v[at] for v in rest)]
-        bound[pair] = np.linalg.eigh(_lower_matrices(rows))[0][:, 0]
+        bound[pair] = _eigh(rows)[0][:, 0]
         upper = np.fmin(upper, np.min(np.where(pair, bound, np.inf), axis=0))
     bounded = settles & (size <= _SETTLE_ENTRY)
     bounded &= _graded_clears(upper[:, None], grading, alpha, plane, coupling)
@@ -945,7 +939,7 @@ def _bounded_routes(lower, grading, upper, shear):
     k, i = np.nonzero(kept)
     if k.size:
         rows = [alpha[k, i], *(v[i] for v in rest)]
-        mins[k, i] = np.linalg.eigh(_lower_matrices(rows))[0][:, 0]
+        mins[k, i] = _eigh(rows)[0][:, 0]
     return mins, upper
 
 
@@ -963,7 +957,7 @@ def _routes(lower, grading):
         x, big = _deflate(*(v[rows] for v in lower))
         mins[rows] = np.minimum(x, big)
     if kept.any():
-        vals, vecs = np.linalg.eigh(_lower_matrices([v[kept] for v in lower]))
+        vals, vecs = _eigh([v[kept] for v in lower])
         mins[kept] = vals[:, 0]
     return mins, (graded, rows, x, kept, vecs)
 
@@ -1046,14 +1040,14 @@ def _graded_clears(upper, grading, alpha, plane, coupling):
     return (alpha > 0.0) & (plane - coupling * coupling / (alpha - t) > t)
 
 
-def _class_scan(slot, coefs, column):
+def _class_scan(slot, block, coefs, column):
     """Each cell's (value, grid index, rotated-frame direction) of the
     minimum of :func:`min_coaxial_eig`, or its first error, for cells of
     volumetric coefficients ``coefs`` (at the mantissa of mu) and the
-    volumetric ``column`` on the J of the slot's block. Call under an
-    errstate."""
-    kind, contraction, mu = slot.key
-    block, classes = slot.block, slot.classes
+    volumetric ``column`` on the J of the shear block of the slot's grid.
+    Call under an errstate."""
+    kind, contraction, mu = block.form
+    classes = slot.classes
     size = _SCAN_BLOCK // len(coefs) or 1
     # the representatives, in blocks, with each cell's U running across
     # them; each block keeps the classes that its representatives do not
@@ -1115,11 +1109,14 @@ def min_coaxial_eig(kind, volfun, params, lams, contraction="hill"):
     nonnegative R term, so this minimum decides positivity.
 
     ``params`` is one ``MaterialParams`` (a cell), or a list or tuple of
-    them that share mu (a batch, a cell per nu), which returns a list of
-    one (min_value, index, direction) per cell with the bits of the cell
-    scanned alone, or raises the error of its first failing cell. A cell
-    is a batch of one: the cells share one column read and every call of
-    ``np.linalg.eigh`` and of the deflation, and each keeps its own U.
+    them that share mu (a batch), and ``volfun`` one ``VolFun`` or a list
+    or tuple of one per cell. A batch returns, per cell, its (min_value,
+    index, direction) with the bits of the cell scanned alone, or the
+    ``ValueError`` that scan raises; a single cell raises it. The cells of
+    each volfun, in first-seen order, share one pass (:func:`_class_scan`):
+    one column read and every call of ``np.linalg.eigh`` and of the
+    deflation, each cell with its own U. The cells with no volumetric term
+    (the mixed kind at nu = 0, where c = 0 at every volfun) share one scan.
 
     Each state's value comes from one of three routes, and a state pays
     only for the route that decides it:
@@ -1195,7 +1192,7 @@ def min_coaxial_eig(kind, volfun, params, lams, contraction="hill"):
     value, the first index of a tie, the direction and the first-NaN error
     keep the bits of scanning every state.
 
-    A batch of k cells scans the representatives in blocks of
+    A pass over k cells scans the representatives in blocks of
     ``_SCAN_BLOCK // k`` (:func:`_blocks`), in order, and the members of
     the open classes by grid block (:func:`_open_members`); each block
     takes its routes on its own states, so no temporary outgrows about
@@ -1204,9 +1201,11 @@ def min_coaxial_eig(kind, volfun, params, lams, contraction="hill"):
     lowest U so far, which is still the value of a real state and so at
     least the minimum. A cell keeps a chunk's minimum only when it is
     strictly below the chunks' before, so a tie keeps its first index, and
-    a NaN minimum ends it with an error naming that first NaN state. Where
-    LAPACK fails on one matrix, ``eigh`` raises ``LinAlgError`` for the
-    whole call, so then the batch scans its cells one at a time.
+    a NaN minimum ends it with an error naming that first NaN state. A
+    matrix with an entry that is not finite never reaches ``eigh``, and its
+    value is NaN (:func:`_eigh`). Where LAPACK fails on a finite matrix,
+    ``eigh`` raises ``LinAlgError`` for the whole call, so then the pass
+    scans its cells one at a time.
 
     The form is linear in (mu, lam, K), so the scan runs on the constants
     divided by 2^e, where mu = m 2^e with 1/2 <= m < 1
@@ -1218,12 +1217,10 @@ def min_coaxial_eig(kind, volfun, params, lams, contraction="hill"):
     ``ValueError``. The whole scan runs under one error state, so no numpy
     warning leaks.
 
-    A run of calls on one grid builds its classes once, and on one (kind,
-    contraction, mu) its shear block (the rotated lower triangle of S of
-    each representative, and its scale) once (:func:`_shared`). Each call
-    reads its volumetric column, on the representatives' J, once for all
-    the nu of its batch, and forms the open members' entries afresh, so
-    nothing else is kept between calls. The values, the argmin and the direction are bit for bit those of
+    A run of calls on one grid builds its classes once (:func:`_shared`);
+    each call builds its own shear block (the rotated lower triangle of S
+    of each representative, and its scale) and columns, and keeps neither.
+    The values, the argmin and the direction are bit for bit those of
     deflating every graded state and running ``eigh`` on every other one,
     whatever the block size. The deflation is element-wise, batched
     ``eigh`` treats each matrix on its own, and a state's rotated entries
@@ -1238,38 +1235,50 @@ def min_coaxial_eig(kind, volfun, params, lams, contraction="hill"):
     """
     batch = isinstance(params, (list, tuple))
     cells = list(params) if batch else [params]
-    if not cells or any(p.mu != cells[0].mu for p in cells):
-        raise ValueError("a coaxial scan takes one or more cells that share mu")
-    mu = cells[0].mu
+    volfuns = list(volfun) if isinstance(volfun, (list, tuple)) else [volfun] * len(cells)
+    if not cells or len(volfuns) != len(cells) or any(p.mu != cells[0].mu for p in cells):
+        raise ValueError("a coaxial scan takes one or more cells that share mu, and a volfun each")
     scaled = [mantissa_params(p) for p in cells]
-    e = scaled[0][1]
-    slot = _shared(kind, contraction, scaled[0][0].mu, lams)
-    column = _volumetric_column(contraction, volfun, slot.block.J)
+    mu, e = cells[0].mu, scaled[0][1]
     coefs = np.array([_volumetric_coef(kind, p) for p, _ in scaled])
-    try:
-        outcomes = _class_scan(slot, coefs, column)
-    except np.linalg.LinAlgError:  # LAPACK failed on a cell's matrix: scan the cells alone
-        outcomes = (_class_scan(slot, coefs[k : k + 1], column)[0] for k in range(len(coefs)))
-    results = []
-    for outcome in outcomes:
-        if isinstance(outcome, ValueError):
-            raise outcome  # the first failing cell's error
-        value, i, vp = outcome
+    slot = _shared(lams)
+    block = _build_shear_block(kind, contraction, scaled[0][0].mu, slot.grid, slot.classes)
+    # the cell whose scan each cell takes: itself, or the first cell with no
+    # volumetric term, whose scan is every such cell's
+    scanned = [k if coef else list(coefs).index(0.0) for k, coef in enumerate(coefs)]
+    groups = {}  # the cells that each volfun's pass scans, in order
+    for k in dict.fromkeys(scanned):
+        groups.setdefault(volfuns[k], []).append(k)
+    found = {}
+    for vf, ks in groups.items():
+        column = _volumetric_column(contraction, vf, block.J)
         try:
-            value = math.ldexp(value, e)
-        except OverflowError:
-            raise ValueError(
-                f"the minimum {contraction} stability value overflows at modulus mu = {mu}"
-            ) from None
-        direction = _TRACE_ROT @ vp
-        results.append((value, i, direction / np.linalg.norm(direction)))
+            found.update(zip(ks, _class_scan(slot, block, coefs[ks], column)))
+        except np.linalg.LinAlgError:  # LAPACK failed on a cell's matrix: scan the cells alone
+            found.update((k, _class_scan(slot, block, coefs[[k]], column)[0]) for k in ks)
+    results = []
+    for outcome in map(found.get, scanned):
+        if not isinstance(outcome, ValueError):
+            value, i, vp = outcome
+            direction = _TRACE_ROT @ vp
+            try:
+                outcome = (math.ldexp(value, e), i, direction / np.linalg.norm(direction))
+            except OverflowError:
+                outcome = ValueError(
+                    f"the minimum {contraction} stability value overflows at modulus mu = {mu}"
+                )
+        results.append(outcome)
+    if not batch and isinstance(results[0], ValueError):
+        raise results[0]
     return results if batch else results[0]
 
 
 def _search(contraction, kind, volfun, nus, grid):
-    for nu in nus:
-        params = params_from_mu_nu(1.0, nu)
-        value, i, direction = min_coaxial_eig(kind, volfun, params, grid, contraction)
+    cells = [params_from_mu_nu(1.0, nu) for nu in nus]
+    for nu, outcome in zip(nus, min_coaxial_eig(kind, volfun, cells, grid, contraction)):
+        if isinstance(outcome, ValueError):
+            raise outcome
+        value, i, direction = outcome
         if value < 0.0:
             return Witness(
                 contraction=contraction,

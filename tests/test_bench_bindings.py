@@ -116,12 +116,14 @@ def _cli_rows(capsys, argv):
 
 def test_stability_scans_each_batch_through_min_coaxial_eig(capsys, monkeypatch):
     # the stability layer counts calls and len(args[3]) states of this
-    # binding: one call per (kind, contraction, volfun), with every nu that
-    # the first volfun's mixed cell at nu = 0 does not answer
+    # binding: one call per (kind, contraction), with every volfun and nu
     calls = _record_calls(monkeypatch, stability, "min_coaxial_eig")
     rows = _cli_rows(capsys, "stability --grid-n 2 --nu-set paper".split())
     assert len(rows) == 2 * 8 * 6 * 2  # kinds, volfuns, nus, contractions
-    assert len(calls) == 2 * 2 * 8 and sum(len(args[2]) for args in calls) == len(rows) - 2 * 7
+    assert [(args[0], args[4]) for args in calls] == [
+        (kind, contraction) for kind in ("mixed", "voliso") for contraction in ("hill", "csp")
+    ]
+    assert all(len(args[1]) == len(args[2]) == 8 * 6 for args in calls)
     assert all(np.shape(args[3]) == (8, 3) for args in calls)
 
 

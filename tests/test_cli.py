@@ -8,6 +8,7 @@ module entry point and the modules that a fresh interpreter imports.
 import contextlib
 import csv
 import io
+import itertools
 import json
 import math
 import os
@@ -739,17 +740,18 @@ class TestStability:
             return original(vf, Js)
 
         monkeypatch.setattr(st, "evaluate_grid", counting)
-        st._block_slot[0] = None
+        st._grid_slot[0] = None
         code, rows, _ = run(capsys, *"stability --grid-n 4 --nu-set paper".split())
         assert code == 0 and len(rows) == 192
         assert calls == [26] * 32
 
     def test_an_overflow_partway_through_a_batch_exits_one(self, capsys, monkeypatch):
-        # volfun 2's chi and h'' read -1e5 past J = 2, so at mu = 1e300 its
-        # cells from nu = 0.4 on have a minimum beyond the float range: the
-        # first cell to fail runs second in the mixed CSP batch of volfun 2,
-        # after whole batches of volfun 1, and the message is the one that
-        # scanning the cells one at a time gave
+        # volfun 2's chi and h'' read -1e5 past J = 2, so at mu = 1e300 some
+        # of its cells have a minimum beyond the float range. The command
+        # scans each (kind, contraction) in one call, and its message is
+        # that of the first error that scanning the cells one at a time in
+        # task order meets: at the mixed Hill cell of volfun 2 at nu = 0.4,
+        # though the mixed CSP scan of volfun 2 fails from nu = 0.25 on
         original, calls = st.evaluate_grid, []
         scan = st.min_coaxial_eig
 
@@ -759,56 +761,69 @@ class TestStability:
                 table[Js > 2.0] = -1e5
             return table
 
-        def recorded(kind, vf, cells, *args):
-            nus = [p.nu for p in cells] if isinstance(cells, list) else cells.nu
-            calls.append((kind, vf.label, nus, *args[1:]))
-            return scan(kind, vf, cells, *args)
+        def recorded(kind, vfs, cells, *args):
+            calls.append((kind, args[1]))
+            return scan(kind, vfs, cells, *args)
 
         monkeypatch.setattr(st, "evaluate_grid", steep_past_two)
         monkeypatch.setattr(st, "min_coaxial_eig", recorded)
-        message = "the minimum csp stability value overflows at modulus mu = 1e+300"
         err = run_rejected(capsys, *"stability --grid-n 4 --nu-set paper --mu 1e300".split())
+        message = "the minimum hill stability value overflows at modulus mu = 1e+300"
         assert err == f"nhcomp: error: {message}\n"
-        # the batch fails, and its cells one at a time fail at nu = 0.4
-        batch = ("mixed", "2", list(materials.PAPER_NUS[1:]), "csp")
-        assert calls[-3:] == [batch, ("mixed", "2", 0.25, "csp"), ("mixed", "2", 0.4, "csp")]
-        vf, grid = catalog()[2], st.stretch_grid(4)
-        scan("mixed", vf, materials.params_from_mu_nu(1e300, 0.0), grid, "csp")
-        cells = [materials.params_from_mu_nu(1e300, nu) for nu in batch[2]]
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            scan("mixed", vf, cells, grid, "csp")
+        assert calls == [("mixed", "hill"), ("mixed", "csp"), ("voliso", "hill"), ("voliso", "csp")]
+        grid, first = st.stretch_grid(4), None
+        for kind, vid, nu, contraction in itertools.product(
+            ("mixed", "voliso"), sorted(catalog()), materials.PAPER_NUS, ("hill", "csp")
+        ):
+            params = materials.params_from_mu_nu(1e300, nu)
+            try:
+                value, _, _ = scan(kind, catalog()[vid], params, grid, contraction)
+                st.classify_value(value, params.mu)
+            except ValueError as error:
+                first = first or ((kind, vid, nu, contraction), str(error))
+        assert first == (("mixed", 2, 0.4, "hill"), message)
 
     def test_a_verdict_that_fails_before_a_later_cells_scan_error_wins(self, capsys, monkeypatch):
         # one cell at a time, the cell at nu = 0.25 reaches its verdict,
-        # which fails at -inf, before the next cell's scan fails; a batch
-        # that raises is scanned again one cell at a time to keep that order
-        def scan(kind, volfun, params, grid, contraction):
-            if isinstance(params, list):
-                raise ValueError("a later cell's scan fails")
-            if params.nu < 0.4:
-                return (-math.inf if params.nu else 1.0), 0, np.ones(3)
-            raise ValueError("a later cell's scan fails")
+        # which fails at -inf, before the next cell's scan fails; the scan
+        # of every cell returns that error in its place
+        def scan(kind, volfuns, cells, grid, contraction):
+            return [
+                ((-math.inf if p.nu else 1.0), 0, np.ones(3))
+                if p.nu < 0.4
+                else ValueError("a later cell's scan fails")
+                for p in cells
+            ]
 
         monkeypatch.setattr(st, "min_coaxial_eig", scan)
         err = run_rejected(capsys, *"stability --model voliso --volfun 2 --nu-set paper".split())
         assert err == "nhcomp: error: stability value -inf at scale 1.0 has no sign verdict\n"
 
     def test_cells_with_no_volumetric_term_scan_once_per_contraction(self, capsys, monkeypatch):
-        # the mixed cells at nu = 0 of every volfun share the first volfun's
-        # scan; every row equals a scan of its cell alone
-        calls = []
-        scan = st.min_coaxial_eig
+        # each (kind, contraction) is one call with every volfun and nu; in
+        # it the mixed cells at nu = 0 of every volfun share one scan, and
+        # every row equals a scan of its cell alone
+        calls, scanned = [], []
+        scan, class_scan = st.min_coaxial_eig, st._class_scan
 
-        def recorded(kind, vf, cells, *args):
-            calls.append((kind, vf.label, [p.nu for p in cells]))
-            return scan(kind, vf, cells, *args)
+        def recorded(kind, vfs, cells, *args):
+            calls.append((kind, [vf.label for vf in vfs], [p.nu for p in cells]))
+            return scan(kind, vfs, cells, *args)
+
+        def counted(slot, block, coefs, column):
+            scanned.append((block.form[0], len(coefs)))
+            return class_scan(slot, block, coefs, column)
 
         monkeypatch.setattr(st, "min_coaxial_eig", recorded)
+        monkeypatch.setattr(st, "_class_scan", counted)
         code, rows, _ = run(capsys, *"stability --grid-n 4 --nu-set paper --mu 2.5".split())
-        assert code == 0 and len(rows) == 192 and len(calls) == 32
+        assert code == 0 and len(rows) == 192 and len(calls) == 4
         nus = list(materials.PAPER_NUS)
-        assert [nu for kind, label, nu in calls if kind == "mixed"] == 2 * ([nus] + 7 * [nus[1:]])
-        assert all(nu == nus for kind, _, nu in calls if kind == "voliso")
+        labels = [str(vid) for vid in sorted(catalog())]
+        assert all(call[1:] == ([v for v in labels for _ in nus], 8 * nus) for call in calls)
+        assert [kind for kind, _, _ in calls] == ["mixed", "mixed", "voliso", "voliso"]
+        # one pass per volfun: six nu, or five beside the first volfun's nu = 0
+        assert scanned == 2 * ([("mixed", 6)] + 7 * [("mixed", 5)]) + 16 * [("voliso", 6)]
         grid = st.stretch_grid(4)
         for row in rows:
             params = materials.params_from_mu_nu(2.5, float(row["nu"]))

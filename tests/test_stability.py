@@ -666,13 +666,14 @@ class TestSharedMotions:
         for F0, F_p, F_m, state, rate in motions:
             arrays += [F0, F_p, F_m, state.F, state.c, *state.projections]
             arrays += [rate.l, rate.d, rate.w]
-        stability._block_slot[0] = None
+        stability._grid_slot[0] = None
         min_coaxial_eig("voliso", catalog()[2], params_from_mu_nu(1.0, 0.3), stretch_grid(4), "csp")
-        # one J per stretch class: the 20 multisets of 4 stretches, six of
-        # them split in two by the rounding of J
-        J = stability._block_slot[0].block.J
-        assert J.flags.c_contiguous and J.shape == (26,)
-        for a in (*arrays, J):
+        # the scan keeps its grid and a representative per stretch class: the
+        # 20 multisets of 4 stretches, six of them split in two by the
+        # rounding of J
+        slot = stability._grid_slot[0]
+        assert slot.classes.reps.shape == (26,)
+        for a in (*arrays, slot.grid, slot.classes.reps, slot.classes.of):
             with pytest.raises(ValueError, match="read-only"):
                 a[0] = 0.0
 
@@ -849,8 +850,9 @@ def reference_matrices(kind, volfun, params, lams, contraction):
 
 
 def reference_min_coaxial_eig(kind, volfun, params, lams, contraction):
-    """The scan as it was before the shear block was shared: every piece
-    rebuilt per call, and eigh run on every state, graded or not.
+    """The scan with every piece built per call, and eigh run on every
+    state, graded or not, whose form has finite entries (the value of any
+    other is NaN).
 
     Returns (value, index, direction, branch, mins, graded): branch names
     the path that produced the minimum, mins holds every state's value and
@@ -877,7 +879,10 @@ def reference_min_coaxial_eig(kind, volfun, params, lams, contraction):
 
     Mp = Sp.copy()
     Mp[:, 0, 0] = alpha
-    vals, vecs = np.linalg.eigh(Mp)
+    # eigh reads the lower triangle; LAPACK may fail on a non-finite one
+    finite = np.isfinite(np.tril(Mp)).all(axis=(1, 2))
+    vals, vecs = np.full((len(Mp), 3), np.nan), np.full(Mp.shape, np.nan)
+    vals[finite], vecs[finite] = np.linalg.eigh(Mp[finite])
     mins = np.where(graded, deflated, vals[:, 0])
 
     i = int(np.argmin(mins))
@@ -1037,7 +1042,7 @@ class TestCoaxialScanBytes:
         value, _, _, branch, mins, graded = want
         passes, batches = self.record_routes(monkeypatch)
         opened = self.record_open_members(monkeypatch)
-        stability._block_slot[0] = None  # no scan kept from before
+        stability._grid_slot[0] = None  # no scan kept from before
         got = min_coaxial_eig(kind, vf, params, grid, contraction)
         if case == "all graded":
             assert graded.all()
@@ -1053,7 +1058,7 @@ class TestCoaxialScanBytes:
             assert len(batches[0]) == 2 and batches[0][0].tobytes() == batches[0][1].tobytes()
         # the deflation runs on graded states alone, three passes each: the
         # graded representatives, then the graded members of open classes
-        reps = stability._block_slot[0].classes.reps
+        reps = stability._grid_slot[0].classes.reps
         assert len(opened) <= 1
         self.assert_deflation_passes(passes, graded, reps, opened)
         assert bits(got) == bits(want)
@@ -1113,10 +1118,50 @@ class TestCoaxialScanBytes:
             with pytest.raises(ValueError, match="the csp stability form is NaN at grid state 0"):
                 min_coaxial_eig("voliso", catalog()[2], params, grid, "csp")
 
+    @pytest.mark.parametrize("kind", ("mixed", "voliso"))
+    @pytest.mark.parametrize("contraction", ("hill", "csp"))
+    def test_a_non_finite_form_never_reaches_eigh(self, kind, contraction, monkeypatch):
+        # every rotated entry of state 27's form is inf or NaN; LAPACK
+        # fails on such a matrix, and eigh then raises its bare LinAlgError
+        # for the whole call
+        grid = np.concatenate([stretch_grid(3), [[1e154, 1.0, 1.0]]])
+        args = (kind, catalog()[2], params_from_mu_nu(1.0, 0.3), grid, contraction)
+        message = f"the {contraction} stability form is NaN at grid state 27"
+        assert reference_or_error(*args) == message
+        _, batches = self.record_routes(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                min_coaxial_eig(*args)
+        assert batches and all(np.isfinite(b).all() for b in batches)
+
+    def test_a_lapack_failure_scans_the_cells_of_its_pass_alone(self, monkeypatch):
+        # LAPACK fails on some finite matrices too, and eigh then raises for
+        # its whole call. Here eigh fails on every call that holds the forms
+        # of one state for two cells, which only a pass over several cells
+        # makes, so each such pass scans its cells alone
+        eigh, failed = np.linalg.eigh, []
+
+        def failing(a):
+            rest = a.reshape(len(a), 9)[:, 1:]  # all but alpha, the one entry c moves
+            if len(np.unique(rest, axis=0)) < len(rest):
+                failed.append(len(a))
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return eigh(a)
+
+        grid, c2, c7 = stretch_grid(5), catalog()[2], catalog()[7]
+        vfs = [c2, c2, c7, c7]
+        cells = [params_from_mu_nu(1.0, nu) for nu in (0.25, 0.45, 0.25, 0.45)]
+        want = [scan_outcome("voliso", vf, p, grid, "csp") for vf, p in zip(vfs, cells)]
+        monkeypatch.setattr(np.linalg, "eigh", failing)
+        assert batch_outcome("voliso", vfs, cells, grid, "csp") == want
+        assert len(failed) == 2
+
     def test_eigh_of_a_subset_equals_the_same_rows_of_the_batch(self):
         # the scan runs eigh on a subset of states and relies on batched
         # eigh treating every matrix on its own
-        block = stability._shared("voliso", "hill", 1.0, stretch_grid(10)).block
+        slot = stability._shared(stretch_grid(10))
+        block = stability._build_shear_block("voliso", "hill", 1.0, slot.grid, slot.classes)
         scan = stability._lower_matrices(block.lower)
         sym = rng.standard_normal((500, 3, 3))
         for batch in (scan, sym + sym.transpose(0, 2, 1)):
@@ -1141,7 +1186,7 @@ class TestCoaxialScanBytes:
         passes, _ = self.record_routes(monkeypatch)
         opened = self.record_open_members(monkeypatch)
         min_coaxial_eig(*args)
-        reps = stability._block_slot[0].classes.reps
+        reps = stability._grid_slot[0].classes.reps
         assert len(opened) == 1
         deflated = self.assert_deflation_passes(passes, graded, reps, opened)
         # the bound settles most graded representatives undeflated
@@ -1169,7 +1214,7 @@ class TestCoaxialScanBytes:
             min_coaxial_eig(*args)
         assert 0 < sum(map(len, batches)) < ungraded / 25
 
-    def test_reused_shear_block_is_invisible(self):
+    def test_a_reused_grid_slot_is_invisible(self):
         grids = [stretch_grid(5), log_grid(6, -0.5, 0.9)]
         mutated = stretch_grid(5).copy()  # a writeable grid, matched by value
         calls = []
@@ -1200,13 +1245,15 @@ class TestCoaxialScanBytes:
         seen.append((args[:3] + (mutated.copy(), "hill"), after))
 
         for args, got in seen:
-            stability._block_slot[0] = None
+            stability._grid_slot[0] = None
             assert got == bits(min_coaxial_eig(*args)), (args[0], args[2].mu, args[4])
 
-    def test_each_call_reads_one_column_for_every_nu_of_its_batch(self, monkeypatch):
-        # a call reads the column of its own volfun and contraction on the
-        # J of its own grid's classes, once for all the nu it is given, and
-        # keeps nothing of it for the next call
+    def test_each_call_reads_one_column_per_volfun(self, monkeypatch):
+        # a call reads the column of each of its volfuns, in the order they
+        # first appear, on the J of its own grid's classes, once for all
+        # the nu of that volfun, and keeps nothing of it for the next call;
+        # the cells with no volumetric term (the mixed kind at nu = 0) scan
+        # with the first volfun that has one
         grid, other = stretch_grid(6).copy(), log_grid(6, -0.5, 0.9)
         reads = []
         original = stability.evaluate_grid
@@ -1215,54 +1262,52 @@ class TestCoaxialScanBytes:
             reads.append((vf.label, Js.tobytes()))
             return original(vf, Js)
 
+        def class_J():
+            slot = stability._grid_slot[0]
+            return np.prod(slot.grid[slot.classes.reps], axis=1).tobytes()
+
         monkeypatch.setattr(stability, "evaluate_grid", counting)
-        hn = VolFun.power_pair(1.5)
-        # (kind, volfun, nus, grid, contraction)
+        c3, c7, hn = catalog()[3], catalog()[7], VolFun.power_pair(1.5)
+        # (kind, (volfun, nu) of each cell, grid, contraction, the volfuns read)
         calls = [
-            ("voliso", catalog()[3], (0.25,), grid, "csp"),
-            ("voliso", catalog()[3], (0.25, 0.45, -0.5), grid, "csp"),  # one column, every nu
-            ("voliso", catalog()[3], (0.45,), grid, "csp"),  # read again
-            ("voliso", catalog()[7], (0.25,), grid, "csp"),
-            ("voliso", catalog()[3], (0.25, 0.4), grid, "hill"),
-            ("mixed", catalog()[3], (0.0, 0.25), grid, "csp"),
-            ("mixed", hn, (0.4, 0.0), other, "csp"),
-            ("mixed", VolFun.power_pair(1.5), (0.0,), other, "csp"),  # an equal volfun
+            ("voliso", [(c3, 0.25)], grid, "csp", [c3]),
+            ("voliso", [(c3, 0.25), (c3, 0.45), (c3, -0.5)], grid, "csp", [c3]),
+            ("voliso", [(c3, 0.45)], grid, "csp", [c3]),  # read again
+            ("voliso", [(c7, 0.25), (c3, 0.25), (c7, 0.4)], grid, "hill", [c7, c3]),
+            ("mixed", [(c3, 0.0), (c3, 0.25)], grid, "csp", [c3]),
+            ("mixed", [(c7, 0.4), (c3, 0.0), (c7, 0.0), (hn, 0.0)], other, "csp", [c7, c3]),
+            ("mixed", [(hn, 0.4), (VolFun.power_pair(1.5), 0.0)], other, "csp", [hn]),  # equal
         ]
-        stability._block_slot[0] = None
-        for kind, vf, nus, g, contraction in calls:
+        stability._grid_slot[0] = None
+        for kind, pairs, g, contraction, read in calls:
             reads.clear()
-            cells = [params_from_mu_nu(1.0, nu) for nu in nus]
-            got = min_coaxial_eig(kind, vf, cells, g, contraction)
-            want = [reference_min_coaxial_eig(kind, vf, p, g, contraction) for p in cells]
-            assert [bits(r) for r in got] == [bits(r) for r in want], (kind, vf.label, nus)
-            J = stability._block_slot[0].block.J
-            assert reads == [(vf.label, J.tobytes())], (kind, vf.label, nus, contraction)
-        # the same grid object, changed in place, gets a fresh block and column
+            vfs, cells = [vf for vf, _ in pairs], [params_from_mu_nu(1.0, nu) for _, nu in pairs]
+            got = batch_outcome(kind, vfs, cells, g, contraction)
+            assert got == reference_batch(kind, vfs, cells, g, contraction), (kind, pairs)
+            assert reads == [(vf.label, class_J()) for vf in read], (kind, pairs, contraction)
+        # the same grid object, changed in place, gets fresh classes
         grid[:] = grid[::-1] * 0.7
         reads.clear()
         params = params_from_mu_nu(1.0, 0.4)
         got = min_coaxial_eig("mixed", hn, params, grid, "csp")
-        assert reads == [(hn.label, stability._block_slot[0].block.J.tobytes())]
+        assert reads == [(hn.label, class_J())]
         assert bits(got) == bits(reference_min_coaxial_eig("mixed", hn, params, grid, "csp"))
 
     def test_shared_arrays_are_read_only(self):
         grid = stretch_grid(3)
-        slot = stability._shared("voliso", "csp", 1.0, grid)
-        block, classes = slot.block, slot.classes
+        slot = stability._shared(grid)
+        block = stability._build_shear_block("voliso", "csp", 1.0, slot.grid, slot.classes)
         column = stability._volumetric_column("csp", catalog()[2], block.J)
-        S = shear_matrices("voliso", "csp", 1.0, grid[classes.reps])
+        S = shear_matrices("voliso", "csp", 1.0, grid[slot.classes.reps])
         assert len(block.lower) == 6 and block.J.shape == (10,)  # the 10 multisets
         for v in (*block.lower, column):
             assert v.shape == block.J.shape and v.flags.c_contiguous
         TestShearRotation.assert_matches_einsum(S, block.lower)
-        arrays = (*block.lower, block.grading, block.tail, block.plane, block.coupling)
-        arrays += (block.J, block.shift, block.settles)
-        # the slot keeps the grid, its classes and the block, and nothing else
-        assert sorted(vars(slot)) == ["block", "classes", "grid", "key"]
-        for a in (*arrays, slot.grid, classes.reps, classes.of):
+        # the slot keeps the grid and its classes, and nothing else
+        assert sorted(vars(slot)) == ["classes", "grid"]
+        for a in (slot.grid, slot.classes.reps, slot.classes.of):
             with pytest.raises(ValueError):
                 a[0] = 0
-
 
     @pytest.mark.parametrize("n", (1, 2, 5, 16))
     def test_stretch_grid_is_one_read_only_array_kept_by_reference(self, n):
@@ -1271,14 +1316,14 @@ class TestCoaxialScanBytes:
         assert grid.shape == (n**3, 3) and grid.flags.c_contiguous and grid.flags.owndata
         with pytest.raises(ValueError):
             grid[0, 0] = 1.0
-        slot = stability._shared("mixed", "hill", 1.0, grid)
+        slot = stability._shared(grid)
         assert slot.grid is grid
-        assert stability._shared("mixed", "hill", 1.0, grid) is slot
+        assert stability._shared(grid) is slot
         # a writeable grid, or a read-only view of one, is copied
         view = grid.copy()[::1]
         view.flags.writeable = False
         for other in (grid.copy(), view):
-            slot = stability._shared("mixed", "hill", 1.0, other)
+            slot = stability._shared(other)
             assert slot.grid is not other and np.array_equal(slot.grid, grid)
             assert not slot.grid.flags.writeable
 
@@ -1305,20 +1350,17 @@ def reference_outcome(kind, volfun, params, grid, contraction):
 
 
 def batch_outcome(kind, volfun, cells, grid, contraction):
-    """The bits of a batch scan's (value, index, direction) per cell, or the
-    message of the error it raises."""
-    try:
-        return [bits(r) for r in min_coaxial_eig(kind, volfun, cells, grid, contraction)]
-    except ValueError as err:
-        return str(err)
+    """Each cell's bits of a batch scan's (value, index, direction), or the
+    message of its error."""
+    found = min_coaxial_eig(kind, volfun, cells, grid, contraction)
+    return [str(r) if isinstance(r, ValueError) else bits(r) for r in found]
 
 
-def reference_batch(kind, volfun, cells, grid, contraction, outcome=None):
-    """Each cell's reference outcome (``outcome``, :func:`reference_outcome`
-    by default), or the message of the first cell's in cell order that is
-    an error."""
-    outcomes = [(outcome or reference_outcome)(kind, volfun, p, grid, contraction) for p in cells]
-    return next((o for o in outcomes if isinstance(o, str)), outcomes)
+def reference_batch(kind, volfun, cells, grid, contraction, outcome=reference_outcome):
+    """Each cell's ``outcome`` (:func:`reference_outcome` by default), for
+    one volfun or a list of one per cell."""
+    volfuns = volfun if isinstance(volfun, list) else [volfun] * len(cells)
+    return [outcome(kind, vf, p, grid, contraction) for vf, p in zip(volfuns, cells)]
 
 
 def reference_classes(grid):
@@ -1334,9 +1376,10 @@ def reference_classes(grid):
     return reps, of
 
 
-def shared_arrays(slot, column):
-    """The arrays of a ``_shared`` slot and its column, named."""
-    block, classes = slot.block, slot.classes
+def shared_arrays(slot, block, column):
+    """The arrays of a shear block, its column and the classes of a
+    ``_shared`` slot, named."""
+    classes = slot.classes
     names = [f"lower{i}{l}" for i, l in stability._LOWER]
     names += ["grading", "tail", "plane", "coupling", "J", "shift", "settles"]
     names += ["column", "reps", "of"]
@@ -1483,41 +1526,43 @@ class TestScanBlocks:
         for kind in ("mixed", "voliso"):
             for contraction in ("hill", "csp"):
                 for vf in (catalog()[2], catalog()[7], VolFun.power_pair(400.0)):
-                    stability._block_slot[0] = None
-                    slot = stability._shared(kind, contraction, 0.6, grid)
-                    column = stability._volumetric_column(contraction, vf, slot.block.J)
-                    got = shared_arrays(slot, column)
+                    stability._grid_slot[0] = None
+                    slot = stability._shared(grid)
+                    block = stability._build_shear_block(
+                        kind, contraction, 0.6, slot.grid, slot.classes
+                    )
+                    column = stability._volumetric_column(contraction, vf, block.J)
+                    got = shared_arrays(slot, block, column)
                     want = one_shot_shared(kind, contraction, 0.6, grid, vf)
                     assert list(got) == list(want)
                     for name, a in got.items():
                         assert a.tobytes() == want[name].tobytes(), (kind, contraction, vf, name)
                         assert a.shape == want[name].shape and a.flags.c_contiguous
-                        if a is column:  # a call's own, read for it
-                            continue
-                        with pytest.raises(ValueError, match="read-only"):
-                            a[0] = 0
 
     def test_the_old_slot_block_and_column_are_freed_before_the_new_ones(self, monkeypatch):
         # the old grid's slot is dropped before the new classes are built,
-        # the old block before the new block, and each call's column with
-        # the call, before the next call reads its own
+        # and each call's block and columns with the call, before the next
+        # call builds its own; within a call, a volfun's column is read while
+        # at most the column of the volfun before it is alive
         classes = stability._stretch_classes
         build, read = stability._build_shear_block, stability._volumetric_column
-        seen, columns = [], []
+        seen, blocks, columns = [], [], []
 
-        def alive_columns():
-            return sum(ref() is not None for ref in columns)
+        def alive(refs):
+            return sum(ref() is not None for ref in refs)
 
         def checked_classes(*args):
-            seen.append(("classes", stability._block_slot[0], alive_columns()))
+            seen.append(("classes", stability._grid_slot[0], alive(blocks), alive(columns)))
             return classes(*args)
 
         def checked_build(*args):
-            seen.append(("block", stability._block_slot[0].block, alive_columns()))
-            return build(*args)
+            seen.append(("block", alive(blocks), alive(columns)))
+            block = build(*args)
+            blocks.append(weakref.ref(block.J))
+            return block
 
         def checked_read(*args):
-            seen.append(("column", alive_columns()))
+            seen.append(("column", alive(blocks), alive(columns)))
             column = read(*args)
             columns.append(weakref.ref(column))
             return column
@@ -1527,16 +1572,17 @@ class TestScanBlocks:
         monkeypatch.setattr(stability, "_volumetric_column", checked_read)
         params = params_from_mu_nu(1.0, 0.3)
         batch = [params, params_from_mu_nu(1.0, 0.45)]
-        for vid, n, contraction, cells in (
-            (2, 4, "csp", params),
-            (7, 4, "csp", batch),
-            (7, 4, "hill", params),
-            (7, 5, "hill", batch),
+        for vf, n, contraction, cells in (
+            (catalog()[2], 4, "csp", params),
+            (catalog()[7], 4, "csp", batch),
+            ([catalog()[2], catalog()[7]], 4, "hill", batch),
+            (catalog()[7], 5, "hill", batch),
         ):
-            min_coaxial_eig("voliso", catalog()[vid], cells, stretch_grid(n), contraction)
-        new_grid = [("classes", None, 0), ("block", None, 0), ("column", 0)]
-        assert seen == new_grid + [("column", 0), ("block", None, 0), ("column", 0)] + new_grid
-        assert alive_columns() == 0 and len(columns) == 4
+            min_coaxial_eig("voliso", vf, cells, stretch_grid(n), contraction)
+        call = [("block", 0, 0), ("column", 1, 0)]
+        new_grid = [("classes", None, 0, 0)] + call
+        assert seen == new_grid + call + call + [("column", 1, 1)] + new_grid
+        assert alive(blocks) == alive(columns) == 0 and len(columns) == 5
 
     def test_a_scan_holds_a_few_blocks_of_temporaries(self):
         # numpy reports its buffers to tracemalloc. stretch_grid(32) is
@@ -1546,7 +1592,7 @@ class TestScanBlocks:
         args = ("voliso", catalog()[7], stretch_grid(32), "csp")
         batch = [params_from_mu_nu(1.0, nu) for nu in PAPER_NUS]
         limit = 32 * stability._SCAN_BLOCK * 8
-        stability._block_slot[0] = None
+        stability._grid_slot[0] = None
         started = not tracemalloc.is_tracing()
         tracemalloc.start()
         try:
@@ -1561,16 +1607,16 @@ class TestScanBlocks:
         finally:
             if started:
                 tracemalloc.stop()
-        # the slot keeps the grid, its classes and the block; a cold call
-        # sorts the grid's classes (four keys and an order per state) before
-        # it copies the grid
-        slot = stability._block_slot[0]
-        block, classes = slot.block, slot.classes
+        # every call builds its shear block; the slot keeps the grid and its
+        # classes, and a cold call sorts the grid's classes (four keys and an
+        # order per state) before it copies the grid
+        slot = stability._grid_slot[0]
+        block = stability._build_shear_block("voliso", "csp", 0.5, slot.grid, slot.classes)
         arrays = (*block.lower, block.grading, block.tail, block.plane, block.coupling)
-        arrays += (block.J, block.shift, block.settles)
-        resident = sum(a.nbytes for a in (slot.grid, classes.reps, classes.of, *arrays))
-        assert warm < limit, warm
-        assert cold < resident + limit, (cold, resident)
+        held = sum(a.nbytes for a in (*arrays, block.J, block.shift, block.settles))
+        resident = sum(a.nbytes for a in (slot.grid, slot.classes.reps, slot.classes.of))
+        assert warm < held + limit, (warm, held)
+        assert cold < resident + held + limit, (cold, resident, held)
 
 
 def reference_or_error(kind, volfun, params, grid, contraction):
@@ -1702,7 +1748,7 @@ class TestStretchClasses:
     @given(
         kind=_SCAN_CELL["kind"],
         contraction=_SCAN_CELL["contraction"],
-        volfun=_SCAN_CELL["volfun"],
+        vfs=hst.lists(_SCAN_CELL["volfun"], min_size=1, max_size=3),
         nus=hst.lists(_SCAN_CELL["nu"], min_size=1, max_size=6),
         mu=_SCAN_CELL["mu"],
         grid=hst.one_of(
@@ -1717,30 +1763,33 @@ class TestStretchClasses:
             hst.lists(stretch_rows(150.0), min_size=1, max_size=30).map(np.array),
         ),
     )
-    # the first cell's form is NaN at state 0, and eigh fails on a matrix
-    # of the second, which fails the batch's call
+    # both cells' forms are NaN at state 0, and the second cell's holds a
+    # non-finite entry on which eigh fails for its whole call
     @example(
         kind="mixed",
         contraction="csp",
-        volfun=catalog()[1],
+        vfs=[catalog()[1]],
         nus=[0.0, 1.9466992773220358e-272],
         mu=3.0,
         grid=np.concatenate([np.array([[0.01, 1e-07, 1e-150]])[:, p] for p in _PERMUTATIONS]),
     )
     def test_a_batch_matches_each_cell_of_the_reference(
-        self, kind, contraction, volfun, nus, mu, grid
+        self, kind, contraction, vfs, nus, mu, grid
     ):
-        # the nu of one batch, among them the paper's: each cell's value,
-        # index and direction, or the first failing cell's error
+        # every volfun at every nu of one batch, among them the paper's, and
+        # nu = 0 (where the mixed kind has no volumetric term): each cell's
+        # value, index and direction, or its error, as the reference and the
+        # scan of the cell alone give them
         if kind == "mixed":
             nus = [nu for nu in nus if nu >= 0.0]
-        assume(nus)
-        cells = [params_from_mu_nu(mu, nu) for nu in nus]
-        args = (kind, volfun, cells, grid, contraction)
+        pairs = [(vf, nu) for vf in vfs for nu in [*nus, 0.0]]
+        cells = [params_from_mu_nu(mu, nu) for _, nu in pairs]
+        args = (kind, [vf for vf, _ in pairs], cells, grid, contraction)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = batch_outcome(*args)
-        assert got == reference_batch(*args, outcome=reference_or_error)
+            alone = reference_batch(*args, outcome=scan_outcome)
+        assert got == alone == reference_batch(*args, outcome=reference_or_error)
 
     @pytest.mark.parametrize(
         "kind, contraction, vid, nu, mu, grid",
@@ -1778,11 +1827,14 @@ class TestStretchClasses:
         # representative's value is finite and clears U, the other
         # ordering's form is NaN, so settling the class on its
         # representative would return a value where the reference raises
-        args = (kind, catalog()[vid], params_from_mu_nu(mu, nu), np.array(grid), contraction)
-        stability._block_slot[0] = None
+        params = params_from_mu_nu(mu, nu)
+        args = (kind, catalog()[vid], params, np.array(grid), contraction)
+        stability._grid_slot[0] = None
         got = scan_outcome(*args)
-        slot = stability._block_slot[0]
-        assert slot.classes.reps.tolist() == [0, 2] and not slot.block.settles.any()
+        slot = stability._grid_slot[0]
+        scaled_mu = mantissa_params(params)[0].mu
+        block = stability._build_shear_block(kind, contraction, scaled_mu, slot.grid, slot.classes)
+        assert slot.classes.reps.tolist() == [0, 2] and not block.settles.any()
         assert got == reference_or_error(*args)
         assert got == f"the {contraction} stability form is NaN at grid state 1"
 
@@ -1827,9 +1879,9 @@ class TestStretchClasses:
                 for vf in (catalog()[1], catalog()[4], catalog()[7]):
                     for nu in (0.0, 0.25, 0.4999):
                         del passes[:], batches[:], opened[:]
-                        stability._block_slot[0] = None
+                        stability._grid_slot[0] = None
                         min_coaxial_eig(kind, vf, params_from_mu_nu(1.0, nu), grid, contraction)
-                        reps = stability._block_slot[0].classes.reps
+                        reps = stability._grid_slot[0].classes.reps
                         members = sum(map(len, opened))
                         cell = sum(passes[::3]) + sum(map(len, batches))
                         assert cell <= len(reps) + 2 + members, (kind, contraction, vf, nu)
@@ -1840,17 +1892,23 @@ class TestStretchClasses:
     def test_a_zero_volumetric_coefficient_scans_the_same_for_every_volfun(self, monkeypatch):
         # the mixed kind at nu = 0 has c = 0, even where the column is inf:
         # every volfun's scan gives the reference's outcome, the same one,
-        # at every modulus, alone or in a batch with other nu; each call
-        # reads its own column once
-        reads = []
-        original = stability.evaluate_grid
+        # at every modulus, alone or in a batch with other nu and volfuns;
+        # each call reads each of its volfuns' columns once, and scans one
+        # cell with no volumetric term for all of them
+        reads, scanned = [], []
+        original, scan = stability.evaluate_grid, stability._class_scan
 
         def counting(vf, Js):
             reads.append(vf.label)
             return original(vf, Js)
 
+        def counting_scan(slot, block, coefs, column):
+            scanned.append(len(coefs))
+            return scan(slot, block, coefs, column)
+
         vfs = [*catalog().values(), VolFun.power_pair(400.0), VolFun.log_augmented(-2.0)]
         monkeypatch.setattr(stability, "evaluate_grid", counting)
+        monkeypatch.setattr(stability, "_class_scan", counting_scan)
         for grid in (stretch_grid(5), log_grid(6, -0.5, 0.9)):
             for mu in (1.0, 2.7, 1e300):
                 zero, other = params_from_mu_nu(mu, 0.0), params_from_mu_nu(mu, 0.4)
@@ -1861,6 +1919,11 @@ class TestStretchClasses:
                         assert scan_outcome("mixed", vf, zero, grid, contraction) == want
                         batch = min_coaxial_eig("mixed", vf, [other, zero], grid, contraction)
                         assert bits(batch[1]) == want and reads == [vf.label] * 2
+                    del reads[:], scanned[:]
+                    cells = [zero, other] * len(vfs)
+                    got = batch_outcome("mixed", sorted(vfs * 2, key=vfs.index), cells, grid, contraction)
+                    assert got[::2] == [want] * len(vfs) and reads == [vf.label for vf in vfs]
+                    assert sum(scanned) == len(vfs) + 1
 
 
 def nan_blind_bits(x):
