@@ -23,9 +23,9 @@ each command from paying for the other layer.
 Output is CSV only: a header row, LF line endings, ``.`` as the decimal
 separator, and floats printed with 17 significant digits. A given argv
 produces byte-identical output on every run. Every subcommand runs in one
-thread. ``stability`` scans all the (volfun, nu) cells of one (kind,
-contraction) in one call; ``sweep`` solves all its nu, and ``table-repro``
-the three nu of one (volfun, kind, direction), at each stretch in turn (see
+thread. ``stability`` scans all its cells in one call, which keeps nothing
+once it returns; ``sweep`` solves all its nu, and ``table-repro`` the three
+nu of one (volfun, kind, direction), at each stretch in turn (see
 ``homsolve.sweep``); every other subcommand runs its cells one at a time.
 ``table-repro`` alone accepts ``--jobs`` and ignores it, since the
 benchmark's limit-tables argv passes it there; any other subcommand given
@@ -255,21 +255,14 @@ def _cmd_stability(args):
         for contraction in ("hill", "csp")
     ]
 
-    # one scan per (kind, contraction), of its cells in task order (see
-    # st.min_coaxial_eig); each row then raises its cell's error or a failing
-    # verdict, so the first error is the one that scanning the cells one at a
-    # time in task order meets
-    pairs = {}
-    for model, contraction in tasks:
-        pairs.setdefault((model.kind, contraction), []).append(model)
-    scans = {}
-    for (kind, contraction), models in pairs.items():
-        volfuns, params = zip(*[(m.volfun, m.params) for m in models])
-        found = st.min_coaxial_eig(kind, volfuns, params, grid, contraction)
-        scans[kind, contraction] = iter(found)
+    # one scan of every cell (see st.min_coaxial_eig); each row then raises
+    # its cell's error or a failing verdict, so the first error is the one
+    # that scanning the cells one at a time in task order meets
+    models, contractions = zip(*tasks)
+    cells = ([m.kind for m in models], [m.volfun for m in models], [m.params for m in models])
+    found = st.min_coaxial_eig(*cells, grid, contractions)
     rows = []
-    for model, contraction in tasks:
-        scan = next(scans[model.kind, contraction])
+    for (model, contraction), scan in zip(tasks, found):
         if isinstance(scan, ValueError):
             raise scan
         value, i, _ = scan
@@ -518,11 +511,11 @@ def _bounded_int(lo, hi=None):
     return parse
 
 
-# a stability run keeps 4 words per state of its n^3 grid (the grid, which
-# the scan keeps by reference, and a class index) and a word per stretch
-# class (about n^3 / 4 classes) from call to call, and a call holds 13
-# doubles per class more; sorting the states into classes sets the peak: at
-# n = 100 a run peaks at about 103 MB RSS (51 MB at n = 64)
+# a stability run holds 4 words per state of its n^3 grid (the grid, which
+# the scan reads in place, and a class index) and a word per stretch class
+# (about n^3 / 4 classes), and 13 doubles per class more for one (kind,
+# contraction) at a time; sorting the states into classes sets the peak: at
+# n = 100 a run peaks at about 103 MB RSS (50 MB at n = 64)
 _GRID_N_MAX = 100
 
 # the most points of a sweep or dilatation grid; 10^6 points are an 8 MB grid

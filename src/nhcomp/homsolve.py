@@ -423,9 +423,9 @@ def sweep(case, models, lams):
     ``models`` is one ModelSpec, for which one SolveResult per grid point is
     returned in order, or a list of them, for which one such list per model
     is returned. The first point of each model is seeded at lamT = 1 and
-    each later one at that model's last converged root; points where the
-    solver fails are reported as unconverged NaN rows that carry the
-    error's message and ``roots_found``.
+    each later one at that model's last converged finite positive root;
+    points where the solver fails are reported as unconverged NaN rows that
+    carry the error's message and ``roots_found``.
 
     The grid is walked once, solving every model at each stretch in turn,
     so that the models of one stretch that differ only in nu share the nu-free
@@ -451,7 +451,8 @@ def sweep(case, models, lams):
                 errors[i] = err
                 continue
             results[i].append(res)
-            if res.converged:
+            # an incompressible root past the float range (inf or 0.0) seeds nothing
+            if res.converged and 0.0 < res.lambda_T < math.inf:
                 seeds[i] = res.lambda_T
     error = next((err for err in errors if err is not None), None)
     if error is not None:

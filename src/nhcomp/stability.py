@@ -498,8 +498,7 @@ class Witness:
 
 def stretch_grid(n):
     """Deterministic log-spaced grid of n^3 diagonal stretch triples, the
-    last axis fastest, as one read-only array (which :func:`_shared` keeps
-    by reference)."""
+    last axis fastest, as one read-only array."""
     axis = np.logspace(_GRID_LO, _GRID_HI, n)
     g = np.empty((n**3, 3))
     cube = g.reshape(n, n, n, 3)  # a view: each axis is written in place
@@ -554,7 +553,7 @@ class _Classes:
 
     Class k is the class whose lowest grid index, its representative, is
     ``reps[k]``, so the representatives are in grid order; ``of`` holds the
-    class of each state. Both are read-only.
+    class of each state.
     """
 
     reps: np.ndarray
@@ -590,28 +589,11 @@ class _ShearBlock:
     settles: np.ndarray
 
 
-@dataclass(frozen=True)
-class _ScanSlot:
-    """The shared scan data of one stretch grid (:func:`_shared`)."""
-
-    grid: np.ndarray  # the read-only grid, or a private read-only copy of it
-    classes: _Classes
-
-
-# The shared scan data of _shared: the last grid scanned, as a _ScanSlot
-# holding the grid (stretch_grid's by reference, any other as a private
-# copy) and its stretch classes, which depend on the grid alone. A stability
-# run scans all its cells on one grid, so one slot is enough; more would
-# cost peak memory for nothing. The slot keeps a class index per state (3
-# doubles more for a copied grid) and a representative per class; a call
-# holds its own shear block, 12 doubles and a flag per class (about n^3 / 4
-# classes: 1179 at n = 16, 260044 at n = 100, where the block is 25 MB).
-_grid_slot = [None]
-
 # The number of grid states that the scan, the shear-block build and the
 # column read each take at a time (_blocks); a pass over k cells takes
-# _SCAN_BLOCK // k states at a time. Every temporary of a call but its shear
-# block and columns is at most about this long. In a sweep from 1024 to
+# _SCAN_BLOCK // k states at a time. Every temporary of a call but its
+# classes, shear blocks (25 MB at n = 100) and columns is at most about
+# this long. In a sweep from 1024 to
 # 65536 states (BENCH_29.json), 4096 gave the lowest stability-grid peak RSS
 # (43.2-43.3 MB, against 43.4-43.6 at 2048 and 44.0-44.2 at 8192); smaller
 # blocks split the 4096-state scans of `stability --grid-n 16` and ran slower.
@@ -651,21 +633,9 @@ def _max_abs(vectors):
     return scale
 
 
-def _checked_grid(lams):
-    """``lams`` as a float array, once it is known to be a stretch grid.
-    Raises ``ValueError`` for a grid that is empty, not (n, 3), or holds a
-    stretch that is not positive and finite."""
-    lams = np.asarray(lams, dtype=float)
-    if lams.ndim != 2 or lams.shape[1] != 3 or lams.shape[0] == 0:
-        raise ValueError(f"the stretch grid must be a nonempty (n, 3) array, got {lams.shape}")
-    if not (np.all(lams > 0.0) and np.all(np.isfinite(lams))):
-        raise ValueError("the stretch grid must hold positive finite stretches")
-    return lams
-
-
 def _stretch_classes(grid):
-    """The read-only :class:`_Classes` of a checked stretch grid
-    (:func:`_checked_grid`). Call under an errstate.
+    """The :class:`_Classes` of a stretch grid that :func:`min_coaxial_eig`
+    has checked. Call under an errstate.
 
     A stable lexsort orders the states by their sorted stretches, then by
     J, the product of each row as the grid holds it (a permutation may
@@ -696,15 +666,12 @@ def _stretch_classes(grid):
     of = np.empty(n, dtype=np.intp)
     for part in _blocks(n):
         of[order[part]] = label[run[part]]
-    reps = np.sort(leads)
-    reps.flags.writeable = False
-    of.flags.writeable = False
-    return _Classes(reps=reps, of=of)
+    return _Classes(reps=np.sort(leads), of=of)
 
 
 def _shear_form(kind, contraction, mu, lams):
-    """(entry, J, shift) of a checked stretch grid (:func:`_checked_grid`), or
-    of some rows of one, where ``entry(j, k)`` forms S[:, j, k] of the
+    """(entry, J, shift) of a checked stretch grid (see :func:`min_coaxial_eig`),
+    or of some rows of one, where ``entry(j, k)`` forms S[:, j, k] of the
     shear part S = w (MP - a MB) of its coaxial forms M = S + (c + shift) *
     ones(3, 3): MP = diag(2 lam2) is the matrix of P and MB_jk = (lam2_j +
     lam2_k) / 2 that of B, and a = 0 skips MB, so an off-diagonal entry of
@@ -775,35 +742,6 @@ def _volumetric_column(contraction, volfun, J):
     for part in _blocks(len(J)):
         column[part] = evaluate_grid(volfun, J[part])[:, _VOLUMETRIC_COLUMN[contraction]]
     return column
-
-
-def _shared(lams):
-    """The _ScanSlot of a stretch grid, whose classes are built once for a run
-    of calls on the same grid.
-
-    A read-only grid that owns its data (such as :func:`stretch_grid`'s) is
-    kept by reference and taken not to change, so the same object hits the
-    slot with no compare. Any other grid is kept as a private read-only
-    copy and matched by value, so a grid changed in place gets fresh
-    classes. The old slot is dropped before the new classes are built.
-    Raises :func:`_checked_grid`'s ``ValueError``.
-    """
-    lams = np.asarray(lams, dtype=float)
-    slot = _grid_slot[0]
-    same = slot is not None and slot.grid is lams and not lams.flags.writeable
-    if same or (slot is not None and np.array_equal(slot.grid, lams)):
-        return slot
-    # free the old slot first: two alive at once raise peak memory; the
-    # grid is checked, and a slot hit equals a grid that passed
-    del slot
-    _grid_slot[0] = None
-    classes = _stretch_classes(_checked_grid(lams))  # before any copy: less peak memory
-    grid = lams
-    if lams.flags.writeable or not lams.flags.owndata:
-        grid = lams.copy()
-        grid.flags.writeable = False
-    _grid_slot[0] = _ScanSlot(grid, classes)
-    return _grid_slot[0]
 
 
 def _eig2_min(p, r, q):
@@ -1040,14 +978,13 @@ def _graded_clears(upper, grading, alpha, plane, coupling):
     return (alpha > 0.0) & (plane - coupling * coupling / (alpha - t) > t)
 
 
-def _class_scan(slot, block, coefs, column):
+def _class_scan(grid, classes, block, coefs, column):
     """Each cell's (value, grid index, rotated-frame direction) of the
     minimum of :func:`min_coaxial_eig`, or its first error, for cells of
     volumetric coefficients ``coefs`` (at the mantissa of mu) and the
-    volumetric ``column`` on the J of the shear block of the slot's grid.
-    Call under an errstate."""
+    volumetric ``column`` on the J of the shear block of a checked stretch
+    grid and its classes. Call under an errstate."""
     kind, contraction, mu = block.form
-    classes = slot.classes
     size = _SCAN_BLOCK // len(coefs) or 1
     # the representatives, in blocks, with each cell's U running across
     # them; each block keeps the classes that its representatives do not
@@ -1079,7 +1016,7 @@ def _class_scan(slot, block, coefs, column):
     # every member of an open class, in grid order, by the deflation or eigh
     best = [None] * len(coefs)  # each cell's minimum so far, or its NaN error
     for cells, rows in _open_members(open_class, classes, size):
-        entry, J, shift = _shear_form(kind, contraction, mu, slot.grid[rows])
+        entry, J, shift = _shear_form(kind, contraction, mu, grid[rows])
         sheared = np.zeros((len(_LOWER), rows.size))
         _rotate_lower(entry, sheared)
         c = _volumetric_c(contraction, coefs[cells], J, column[classes.of[rows]])
@@ -1100,6 +1037,36 @@ def _class_scan(slot, block, coefs, column):
     return best
 
 
+def _pair_scan(kind, contraction, mu, grid, classes, cells, volfuns, coefs):
+    """The outcome of each of ``cells``, keyed by cell: they index the cells
+    of one (kind, contraction) into ``volfuns`` and the volumetric ``coefs``
+    (at the mantissa of ``mu``). The pair's shear block lives only as long
+    as this call. The cells of each volfun, in first-seen order, share one
+    pass (:func:`_class_scan`): one column read and every call of
+    ``np.linalg.eigh`` and of the deflation, each cell with its own U. The
+    cells with no volumetric term (the mixed kind at nu = 0, where c = 0 at
+    every volfun) share one scan. Call under an errstate."""
+    block = _build_shear_block(kind, contraction, mu, grid, classes)
+    # the cell whose scan each cell takes: itself, or the first cell with no
+    # volumetric term, whose scan is every such cell's
+    scanned = {k: k if coefs[k] else next(j for j in cells if not coefs[j]) for k in cells}
+    groups = {}  # the cells that each volfun's pass scans, in order
+    for k in dict.fromkeys(scanned.values()):
+        groups.setdefault(volfuns[k], []).append(k)
+    found = {}
+    for vf, ks in groups.items():
+        try:
+            column = _volumetric_column(contraction, vf, block.J)
+        except ValueError as error:  # a J that underflows to 0 has no volumetric column
+            found.update(dict.fromkeys(ks, error))
+            continue
+        try:
+            found.update(zip(ks, _class_scan(grid, classes, block, coefs[ks], column)))
+        except np.linalg.LinAlgError:  # LAPACK failed on a cell's matrix: scan the cells alone
+            found.update((k, _class_scan(grid, classes, block, coefs[[k]], column)[0]) for k in ks)
+    return {k: found[j] for k, j in scanned.items()}
+
+
 @np.errstate(all="ignore")
 def min_coaxial_eig(kind, volfun, params, lams, contraction="hill"):
     """Minimum coaxial-form eigenvalue over the grid, with its argmin data.
@@ -1109,14 +1076,12 @@ def min_coaxial_eig(kind, volfun, params, lams, contraction="hill"):
     nonnegative R term, so this minimum decides positivity.
 
     ``params`` is one ``MaterialParams`` (a cell), or a list or tuple of
-    them that share mu (a batch), and ``volfun`` one ``VolFun`` or a list
-    or tuple of one per cell. A batch returns, per cell, its (min_value,
-    index, direction) with the bits of the cell scanned alone, or the
-    ``ValueError`` that scan raises; a single cell raises it. The cells of
-    each volfun, in first-seen order, share one pass (:func:`_class_scan`):
-    one column read and every call of ``np.linalg.eigh`` and of the
-    deflation, each cell with its own U. The cells with no volumetric term
-    (the mixed kind at nu = 0, where c = 0 at every volfun) share one scan.
+    them that share mu (a batch); ``kind``, ``volfun`` and ``contraction``
+    are each one value, or a list or tuple of one per cell. A batch returns,
+    per cell, its (min_value, index, direction) with the bits of the cell
+    scanned alone, or the ``ValueError`` that scan raises; a single cell
+    raises it. The call sorts the grid into classes once, then scans each
+    (kind, contraction) in first-seen order (:func:`_pair_scan`).
 
     Each state's value comes from one of three routes, and a state pays
     only for the route that decides it:
@@ -1217,10 +1182,8 @@ def min_coaxial_eig(kind, volfun, params, lams, contraction="hill"):
     ``ValueError``. The whole scan runs under one error state, so no numpy
     warning leaks.
 
-    A run of calls on one grid builds its classes once (:func:`_shared`);
-    each call builds its own shear block (the rotated lower triangle of S
-    of each representative, and its scale) and columns, and keeps neither.
-    The values, the argmin and the direction are bit for bit those of
+    A call keeps nothing once it returns. The values, the argmin and the
+    direction are bit for bit those of
     deflating every graded state and running ``eigh`` on every other one,
     whatever the block size. The deflation is element-wise, batched
     ``eigh`` treats each matrix on its own, and a state's rotated entries
@@ -1235,29 +1198,34 @@ def min_coaxial_eig(kind, volfun, params, lams, contraction="hill"):
     """
     batch = isinstance(params, (list, tuple))
     cells = list(params) if batch else [params]
-    volfuns = list(volfun) if isinstance(volfun, (list, tuple)) else [volfun] * len(cells)
-    if not cells or len(volfuns) != len(cells) or any(p.mu != cells[0].mu for p in cells):
-        raise ValueError("a coaxial scan takes one or more cells that share mu, and a volfun each")
+    kinds, volfuns, contractions = (
+        list(arg) if isinstance(arg, (list, tuple)) else [arg] * len(cells)
+        for arg in (kind, volfun, contraction)
+    )
+    each = len(kinds) == len(volfuns) == len(contractions) == len(cells)
+    if not (cells and each) or any(p.mu != cells[0].mu for p in cells):
+        raise ValueError(
+            "a coaxial scan takes one or more cells that share mu, and a kind, volfun and "
+            "contraction each"
+        )
     scaled = [mantissa_params(p) for p in cells]
     mu, e = cells[0].mu, scaled[0][1]
-    coefs = np.array([_volumetric_coef(kind, p) for p, _ in scaled])
-    slot = _shared(lams)
-    block = _build_shear_block(kind, contraction, scaled[0][0].mu, slot.grid, slot.classes)
-    # the cell whose scan each cell takes: itself, or the first cell with no
-    # volumetric term, whose scan is every such cell's
-    scanned = [k if coef else list(coefs).index(0.0) for k, coef in enumerate(coefs)]
-    groups = {}  # the cells that each volfun's pass scans, in order
-    for k in dict.fromkeys(scanned):
-        groups.setdefault(volfuns[k], []).append(k)
+    coefs = np.array([_volumetric_coef(k, p) for k, (p, _) in zip(kinds, scaled)])
+    grid = np.asarray(lams, dtype=float)
+    if grid.ndim != 2 or grid.shape[1] != 3 or grid.shape[0] == 0:
+        raise ValueError(f"the stretch grid must be a nonempty (n, 3) array, got {grid.shape}")
+    if not (np.all(grid > 0.0) and np.all(np.isfinite(grid))):
+        raise ValueError("the stretch grid must hold positive finite stretches")
+    classes = _stretch_classes(grid)
+    pairs = {}  # the cells of each (kind, contraction), in first-seen order
+    for k, pair in enumerate(zip(kinds, contractions)):
+        pairs.setdefault(pair, []).append(k)
     found = {}
-    for vf, ks in groups.items():
-        column = _volumetric_column(contraction, vf, block.J)
-        try:
-            found.update(zip(ks, _class_scan(slot, block, coefs[ks], column)))
-        except np.linalg.LinAlgError:  # LAPACK failed on a cell's matrix: scan the cells alone
-            found.update((k, _class_scan(slot, block, coefs[[k]], column)[0]) for k in ks)
+    for pair, ks in pairs.items():
+        found.update(_pair_scan(*pair, scaled[0][0].mu, grid, classes, ks, volfuns, coefs))
     results = []
-    for outcome in map(found.get, scanned):
+    for k, contraction in enumerate(contractions):
+        outcome = found[k]
         if not isinstance(outcome, ValueError):
             value, i, vp = outcome
             direction = _TRACE_ROT @ vp

@@ -116,15 +116,18 @@ def _cli_rows(capsys, argv):
 
 def test_stability_scans_each_batch_through_min_coaxial_eig(capsys, monkeypatch):
     # the stability layer counts calls and len(args[3]) states of this
-    # binding: one call per (kind, contraction), with every volfun and nu
+    # binding: one call per command, with a kind, volfun, params and
+    # contraction for each of its cells
     calls = _record_calls(monkeypatch, stability, "min_coaxial_eig")
     rows = _cli_rows(capsys, "stability --grid-n 2 --nu-set paper".split())
     assert len(rows) == 2 * 8 * 6 * 2  # kinds, volfuns, nus, contractions
-    assert [(args[0], args[4]) for args in calls] == [
-        (kind, contraction) for kind in ("mixed", "voliso") for contraction in ("hill", "csp")
-    ]
-    assert all(len(args[1]) == len(args[2]) == 8 * 6 for args in calls)
-    assert all(np.shape(args[3]) == (8, 3) for args in calls)
+    (args,) = calls
+    assert all(len(args[k]) == len(rows) for k in (0, 1, 2, 4))
+    assert list(zip(args[0], args[4])) == [
+        (kind, contraction) for kind in ("mixed", "voliso") for _ in range(8 * 6)
+        for contraction in ("hill", "csp")
+    ]  # fmt: skip
+    assert np.shape(args[3]) == (8, 3)
 
 
 def test_tangent_check_calls_tangent_fd_error_once_per_model(capsys, monkeypatch):

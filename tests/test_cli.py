@@ -740,7 +740,6 @@ class TestStability:
             return original(vf, Js)
 
         monkeypatch.setattr(st, "evaluate_grid", counting)
-        st._grid_slot[0] = None
         code, rows, _ = run(capsys, *"stability --grid-n 4 --nu-set paper".split())
         assert code == 0 and len(rows) == 192
         assert calls == [26] * 32
@@ -748,10 +747,10 @@ class TestStability:
     def test_an_overflow_partway_through_a_batch_exits_one(self, capsys, monkeypatch):
         # volfun 2's chi and h'' read -1e5 past J = 2, so at mu = 1e300 some
         # of its cells have a minimum beyond the float range. The command
-        # scans each (kind, contraction) in one call, and its message is
-        # that of the first error that scanning the cells one at a time in
-        # task order meets: at the mixed Hill cell of volfun 2 at nu = 0.4,
-        # though the mixed CSP scan of volfun 2 fails from nu = 0.25 on
+        # scans every cell in one call, and its message is that of the
+        # first error that scanning the cells one at a time in task order
+        # meets: at the mixed Hill cell of volfun 2 at nu = 0.4, though the
+        # mixed CSP scan of volfun 2 fails from nu = 0.25 on
         original, calls = st.evaluate_grid, []
         scan = st.min_coaxial_eig
 
@@ -761,19 +760,21 @@ class TestStability:
                 table[Js > 2.0] = -1e5
             return table
 
-        def recorded(kind, vfs, cells, *args):
-            calls.append((kind, args[1]))
-            return scan(kind, vfs, cells, *args)
+        def recorded(kinds, vfs, cells, grid, contractions):
+            calls.append(list(zip(kinds, contractions)))
+            return scan(kinds, vfs, cells, grid, contractions)
 
         monkeypatch.setattr(st, "evaluate_grid", steep_past_two)
         monkeypatch.setattr(st, "min_coaxial_eig", recorded)
         err = run_rejected(capsys, *"stability --grid-n 4 --nu-set paper --mu 1e300".split())
         message = "the minimum hill stability value overflows at modulus mu = 1e+300"
         assert err == f"nhcomp: error: {message}\n"
-        assert calls == [("mixed", "hill"), ("mixed", "csp"), ("voliso", "hill"), ("voliso", "csp")]
+        kinds, contractions = ("mixed", "voliso"), ("hill", "csp")
+        tasks = [(kind, c) for kind in kinds for _ in range(8 * 6) for c in contractions]
+        assert calls == [tasks]
         grid, first = st.stretch_grid(4), None
         for kind, vid, nu, contraction in itertools.product(
-            ("mixed", "voliso"), sorted(catalog()), materials.PAPER_NUS, ("hill", "csp")
+            kinds, sorted(catalog()), materials.PAPER_NUS, contractions
         ):
             params = materials.params_from_mu_nu(1e300, nu)
             try:
@@ -800,30 +801,44 @@ class TestStability:
         assert err == "nhcomp: error: stability value -inf at scale 1.0 has no sign verdict\n"
 
     def test_cells_with_no_volumetric_term_scan_once_per_contraction(self, capsys, monkeypatch):
-        # each (kind, contraction) is one call with every volfun and nu; in
-        # it the mixed cells at nu = 0 of every volfun share one scan, and
-        # every row equals a scan of its cell alone
+        # one call scans every cell of the command, a kind, volfun, nu and
+        # contraction each; in each (kind, contraction) the mixed cells at
+        # nu = 0 of every volfun share one scan, and every row equals a scan
+        # of its cell alone
         calls, scanned = [], []
         scan, class_scan = st.min_coaxial_eig, st._class_scan
 
-        def recorded(kind, vfs, cells, *args):
-            calls.append((kind, [vf.label for vf in vfs], [p.nu for p in cells]))
-            return scan(kind, vfs, cells, *args)
+        def recorded(kinds, vfs, cells, grid, contractions):
+            labels = [vf.label for vf in vfs]
+            calls.append((list(kinds), labels, [p.nu for p in cells], list(contractions)))
+            return scan(kinds, vfs, cells, grid, contractions)
 
-        def counted(slot, block, coefs, column):
-            scanned.append((block.form[0], len(coefs)))
-            return class_scan(slot, block, coefs, column)
+        def counted(grid, classes, block, coefs, column):
+            scanned.append((*block.form[:2], len(coefs)))
+            return class_scan(grid, classes, block, coefs, column)
 
         monkeypatch.setattr(st, "min_coaxial_eig", recorded)
         monkeypatch.setattr(st, "_class_scan", counted)
         code, rows, _ = run(capsys, *"stability --grid-n 4 --nu-set paper --mu 2.5".split())
-        assert code == 0 and len(rows) == 192 and len(calls) == 4
+        assert code == 0 and len(rows) == 192 and len(calls) == 1
         nus = list(materials.PAPER_NUS)
         labels = [str(vid) for vid in sorted(catalog())]
-        assert all(call[1:] == ([v for v in labels for _ in nus], 8 * nus) for call in calls)
-        assert [kind for kind, _, _ in calls] == ["mixed", "mixed", "voliso", "voliso"]
-        # one pass per volfun: six nu, or five beside the first volfun's nu = 0
-        assert scanned == 2 * ([("mixed", 6)] + 7 * [("mixed", 5)]) + 16 * [("voliso", 6)]
+        kinds = ("mixed", "voliso")
+        assert calls == [
+            (
+                [kind for kind in kinds for _ in range(96)],
+                2 * [v for v in labels for _ in range(12)],
+                16 * [nu for nu in nus for _ in range(2)],
+                96 * ["hill", "csp"],
+            )
+        ]
+        # each (kind, contraction) in turn, with one pass per volfun: six
+        # nu, or five beside the first volfun's mixed nu = 0
+        passes = {"mixed": [6] + 7 * [5], "voliso": 8 * [6]}
+        assert scanned == [
+            (kind, contraction, k) for kind in kinds for contraction in ("hill", "csp")
+            for k in passes[kind]
+        ]  # fmt: skip
         grid = st.stretch_grid(4)
         for row in rows:
             params = materials.params_from_mu_nu(2.5, float(row["nu"]))
@@ -967,6 +982,20 @@ class TestExtremeInputs:
             ("1", "0", "0"),
         ]
         assert math.isfinite(float(rows[2]["sigma_m"]))
+
+    @pytest.mark.parametrize(
+        "bounds, lam_t",
+        (
+            ("1e-160 --lam-max 1 --points 2", ["inf", "1"]),
+            ("1e160 --lam-max 1e200 --points 3", ["9.9998886718268301e-321", "0", "0"]),
+        ),
+    )
+    def test_incompressible_sweep_past_the_float_range_prints_its_rows(self, capsys, bounds, lam_t):
+        # the root lam^-2 is inf or 0.0 there, which seeds no later point
+        argv = f"sweep --case elp --model inc --log --lam-min {bounds}"
+        code, rows, _ = run_clean(capsys, *argv.split())
+        assert code == 0 and [r["lambda_T"] for r in rows] == lam_t
+        assert all(r["converged"] == "true" for r in rows)
 
     def test_stability_with_an_overflowing_volumetric_factor_is_quiet(self, capsys):
         code, rows, _ = run_clean(capsys, *"stability --grid-n 3 --volfun hn:400 --nu 0.3".split())

@@ -496,6 +496,16 @@ class TestSweep:
         lamTs = [r.lambda_T for r in results]
         assert all(np.isfinite(lamTs))
 
+    @pytest.mark.parametrize("lams", ((1e-160, 1.0), (1e160, 1e180, 1e200)))
+    def test_an_incompressible_root_beyond_the_float_range_seeds_nothing(self, lams):
+        # the equibiaxial root lam^-2 is inf or 0.0 here, which is no seed;
+        # every point is still the closed form's row
+        model = ModelSpec.incompressible(MU)
+        results = hs.sweep("elp", model, np.array(lams))
+        assert results == [hs.solve_incompressible("elp", lam, mu=MU) for lam in lams]
+        assert all(r.converged for r in results)
+        assert not all(0.0 < r.lambda_T < math.inf for r in results)
+
     def test_quadratic_models_flag_non_monotone(self):
         lams = hs.SweepSpec(0.1, 10.0, 81).grid()
         for model in (mixed(7, nu=0.25), voliso(7, nu=0.25)):

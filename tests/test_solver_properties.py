@@ -91,6 +91,13 @@ def test_a_converged_row_is_an_equilibrium(model, case, lam):
 # but stays within a few times the rounding noise of cauchy_stress
 @example(ModelSpec.vol_iso(catalog()[7], 1.0, 0.0), "ul", 1e-3)
 @example(ModelSpec.vol_iso(catalog()[7], 1.0202840608681036, 0.25), "elp", 0.0012106301729350667)
+# a known defect: just above the 1e-8 switch to ln J, the residual's
+# (J^q - J^-q) / (2q) cancels, and sigma33 reads 2.54e-8 against a bound of
+# 9.15e-9; when the cancellation is mended, this example passes and fails here
+@example(ModelSpec.mixed(VolFun.power_pair(5.960464477539063e-08), 1.0, 0.45), "ul", 10.0).xfail(
+    raises=AssertionError,
+    reason="the power pair's (J^q - J^-q) / (2q) cancels for q just above 1e-8",
+)
 def test_eliminated_stresses_vanish_through_the_tensor_path(model, case, lam):
     r = solved(case, model, lam)
     assume(r is not None and r.converged)

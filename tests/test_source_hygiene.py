@@ -21,6 +21,10 @@ state: each public entry point holds one for its whole body, and the
 helpers it calls run under it. No module but ``_kernels``, which states
 each load case once as a record, compares a value with a load case name:
 every other module reads what a case is from its record.
+
+No function keeps state in a module-level name: none writes one through a
+subscript or attribute store, or rebinds one through ``global``, unless
+``_MODULE_STATE`` lists it with the reason it may.
 """
 
 import ast
@@ -314,3 +318,102 @@ def test_the_case_gates_see_the_records():
     # covers the record's fields
     assert _case_comparisons(ast.parse('case == "ul" or case in ("elp", "ulp")')) == [1, 1]
     assert {"LoadCase.name", "LoadCase.f22"} <= set(_fields(_MODULES["_kernels.py"]))
+
+
+# module-level names that a function may write, each with its reason
+_MODULE_STATE = {
+    "_kernels.py:_scan_slot": (
+        "the nu-free terms of the last residual scan, which the models of one "
+        "sweep stretch that differ only in nu share"
+    ),
+}
+
+
+def _module_names(tree):
+    """The names a module binds at its top level."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Assign):
+            names.update(b for t in node.targets for b in _bound(t))
+        elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
+            names.update(_bound(node.target))
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update((a.asname or a.name).split(".")[0] for a in node.names)
+    return names
+
+
+def _store_base(node):
+    """The name at the root of a subscript or attribute chain, or None."""
+    while isinstance(node, (ast.Subscript, ast.Attribute)):
+        node = node.value
+    return node.id if isinstance(node, ast.Name) else None
+
+
+def _locals(fn):
+    """The names a function, or a function nested in it, binds: its
+    arguments and every name it stores or deletes, ``global`` names aside."""
+    names = set()
+    for node in ast.walk(fn):
+        if isinstance(node, ast.arguments):
+            args = (*node.posonlyargs, *node.args, *node.kwonlyargs, node.vararg, node.kwarg)
+            names.update(a.arg for a in args if a is not None)
+        elif isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+    declared = {name for g in ast.walk(fn) if isinstance(g, ast.Global) for name in g.names}
+    return names - declared
+
+
+def _module_state_writes(tree):
+    """(name, line) of each write of a module-level name inside a function:
+    a ``global`` statement naming it, or a subscript or attribute store or
+    delete whose root is that name and no local of the outermost function
+    around it (:func:`_locals`)."""
+    module = _module_names(tree)
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef)
+    functions = [n for n in ast.walk(tree) if isinstance(n, kinds)]
+    nested = {id(inner) for fn in functions for inner in ast.walk(fn) if inner is not fn}
+    writes = []
+    for fn in (f for f in functions if id(f) not in nested):
+        local = _locals(fn)
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Global):
+                writes += [(name, node.lineno) for name in node.names if name in module]
+            elif isinstance(node, (ast.Subscript, ast.Attribute)) and not isinstance(
+                node.ctx, ast.Load
+            ):
+                base = _store_base(node)
+                if base in module and base not in local:
+                    writes.append((base, node.lineno))
+    return writes
+
+
+@pytest.mark.parametrize("name", sorted(_MODULES))
+def test_no_function_keeps_unlisted_module_state(name):
+    unlisted = [
+        f"{base} (line {line})"
+        for base, line in _module_state_writes(_MODULES[name])
+        if f"{name}:{base}" not in _MODULE_STATE
+    ]
+    assert not unlisted, f"{name}: functions write module-level names: {unlisted}"
+
+
+def test_each_listed_module_state_is_written():
+    written = {
+        f"{name}:{base}"
+        for name, tree in _MODULES.items()
+        for base, _ in _module_state_writes(tree)
+    }
+    assert written == set(_MODULE_STATE)
+
+
+def test_the_module_state_gate_sees_each_form():
+    src = (
+        "import x\n_x, _y, _z = [None], None, {}\n"
+        "def f(v):\n    _x[0] = v\n    _z.a.b = v\n    del _z[v]\n"
+        "def g():\n    global _y\n    _y = 1\n"
+        "def h(_x):\n    _x[0] = 1\n    _z = {}\n    _z[1] = 2\n"
+        "    def inner():\n        _z[2] = 3\n"
+    )
+    assert _module_state_writes(ast.parse(src)) == [("_x", 4), ("_z", 5), ("_z", 6), ("_y", 8)]

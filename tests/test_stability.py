@@ -666,14 +666,7 @@ class TestSharedMotions:
         for F0, F_p, F_m, state, rate in motions:
             arrays += [F0, F_p, F_m, state.F, state.c, *state.projections]
             arrays += [rate.l, rate.d, rate.w]
-        stability._grid_slot[0] = None
-        min_coaxial_eig("voliso", catalog()[2], params_from_mu_nu(1.0, 0.3), stretch_grid(4), "csp")
-        # the scan keeps its grid and a representative per stretch class: the
-        # 20 multisets of 4 stretches, six of them split in two by the
-        # rounding of J
-        slot = stability._grid_slot[0]
-        assert slot.classes.reps.shape == (26,)
-        for a in (*arrays, slot.grid, slot.classes.reps, slot.classes.of):
+        for a in arrays:
             with pytest.raises(ValueError, match="read-only"):
                 a[0] = 0.0
 
@@ -806,6 +799,12 @@ def log_grid(n, lo, hi):
     """The grid of ``stretch_grid(n)``, with each axis from 10^lo to 10^hi."""
     axis = np.logspace(lo, hi, n)
     return np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
+
+
+def classes_of(grid):
+    """The stretch classes that a scan of ``grid`` sorts its states into."""
+    with np.errstate(all="ignore"):  # J may overflow or underflow
+        return stability._stretch_classes(np.asarray(grid, dtype=float))
 
 
 def reference_matrices(kind, volfun, params, lams, contraction):
@@ -1042,7 +1041,6 @@ class TestCoaxialScanBytes:
         value, _, _, branch, mins, graded = want
         passes, batches = self.record_routes(monkeypatch)
         opened = self.record_open_members(monkeypatch)
-        stability._grid_slot[0] = None  # no scan kept from before
         got = min_coaxial_eig(kind, vf, params, grid, contraction)
         if case == "all graded":
             assert graded.all()
@@ -1058,7 +1056,7 @@ class TestCoaxialScanBytes:
             assert len(batches[0]) == 2 and batches[0][0].tobytes() == batches[0][1].tobytes()
         # the deflation runs on graded states alone, three passes each: the
         # graded representatives, then the graded members of open classes
-        reps = stability._grid_slot[0].classes.reps
+        reps = classes_of(grid).reps
         assert len(opened) <= 1
         self.assert_deflation_passes(passes, graded, reps, opened)
         assert bits(got) == bits(want)
@@ -1087,11 +1085,19 @@ class TestCoaxialScanBytes:
         value, i, direction = min_coaxial_eig(kind, volfun, scaled, grid, contraction)
         assert bits((value, i, direction)) == bits((math.ldexp(base[0], k), *base[1:]))
 
-    @pytest.mark.parametrize("mus", ((), (1.0, 2.0)))
-    def test_a_batch_takes_one_or_more_cells_that_share_mu(self, mus):
+    @pytest.mark.parametrize(
+        "mus, kind, contraction",
+        (
+            ((), "voliso", "csp"),
+            ((1.0, 2.0), "voliso", "csp"),
+            ((1.0, 1.0), ["voliso"], "csp"),
+            ((1.0, 1.0), "voliso", ["csp", "hill", "csp"]),
+        ),
+    )
+    def test_a_batch_takes_one_or_more_cells_that_share_mu(self, mus, kind, contraction):
         cells = [params_from_mu_nu(mu, 0.3) for mu in mus]
         with pytest.raises(ValueError, match="one or more cells that share mu"):
-            min_coaxial_eig("voliso", catalog()[1], cells, stretch_grid(3), "csp")
+            min_coaxial_eig(kind, catalog()[1], cells, stretch_grid(3), contraction)
 
     def test_minimum_beyond_the_float_range_raises(self):
         params = params_from_mu_nu(1e307, 0.3)
@@ -1160,8 +1166,8 @@ class TestCoaxialScanBytes:
     def test_eigh_of_a_subset_equals_the_same_rows_of_the_batch(self):
         # the scan runs eigh on a subset of states and relies on batched
         # eigh treating every matrix on its own
-        slot = stability._shared(stretch_grid(10))
-        block = stability._build_shear_block("voliso", "hill", 1.0, slot.grid, slot.classes)
+        grid = stretch_grid(10)
+        block = stability._build_shear_block("voliso", "hill", 1.0, grid, classes_of(grid))
         scan = stability._lower_matrices(block.lower)
         sym = rng.standard_normal((500, 3, 3))
         for batch in (scan, sym + sym.transpose(0, 2, 1)):
@@ -1186,7 +1192,7 @@ class TestCoaxialScanBytes:
         passes, _ = self.record_routes(monkeypatch)
         opened = self.record_open_members(monkeypatch)
         min_coaxial_eig(*args)
-        reps = stability._grid_slot[0].classes.reps
+        reps = classes_of(args[3]).reps
         assert len(opened) == 1
         deflated = self.assert_deflation_passes(passes, graded, reps, opened)
         # the bound settles most graded representatives undeflated
@@ -1214,9 +1220,11 @@ class TestCoaxialScanBytes:
             min_coaxial_eig(*args)
         assert 0 < sum(map(len, batches)) < ungraded / 25
 
-    def test_a_reused_grid_slot_is_invisible(self):
+    def test_a_call_keeps_nothing_for_the_next(self):
+        # calls on alternating grids, mu, kinds and contractions, and on a
+        # grid changed in place, give the same bits again in reverse order
         grids = [stretch_grid(5), log_grid(6, -0.5, 0.9)]
-        mutated = stretch_grid(5).copy()  # a writeable grid, matched by value
+        mutated = stretch_grid(5).copy()  # a writeable grid
         calls = []
         for mu in (1.0, 2.7):
             for g in grids:
@@ -1236,7 +1244,7 @@ class TestCoaxialScanBytes:
         for kind, vid, mu, nu, g, contraction in calls:
             args = (kind, catalog()[vid], params_from_mu_nu(mu, nu), g, contraction)
             seen.append((args[:3] + (g.copy(), contraction), bits(min_coaxial_eig(*args))))
-        # the same grid object, changed in place, must not hit the slot
+        # the same grid object, changed in place, gives the new grid's scan
         args = ("mixed", catalog()[5], params_from_mu_nu(1.0, 0.4999), mutated, "hill")
         before = bits(min_coaxial_eig(*args))
         mutated[:] = mutated[::-1] * 0.7
@@ -1244,8 +1252,7 @@ class TestCoaxialScanBytes:
         assert after != before
         seen.append((args[:3] + (mutated.copy(), "hill"), after))
 
-        for args, got in seen:
-            stability._grid_slot[0] = None
+        for args, got in seen[::-1]:
             assert got == bits(min_coaxial_eig(*args)), (args[0], args[2].mu, args[4])
 
     def test_each_call_reads_one_column_per_volfun(self, monkeypatch):
@@ -1262,9 +1269,8 @@ class TestCoaxialScanBytes:
             reads.append((vf.label, Js.tobytes()))
             return original(vf, Js)
 
-        def class_J():
-            slot = stability._grid_slot[0]
-            return np.prod(slot.grid[slot.classes.reps], axis=1).tobytes()
+        def class_J(g):
+            return np.prod(g[classes_of(g).reps], axis=1).tobytes()
 
         monkeypatch.setattr(stability, "evaluate_grid", counting)
         c3, c7, hn = catalog()[3], catalog()[7], VolFun.power_pair(1.5)
@@ -1278,54 +1284,63 @@ class TestCoaxialScanBytes:
             ("mixed", [(c7, 0.4), (c3, 0.0), (c7, 0.0), (hn, 0.0)], other, "csp", [c7, c3]),
             ("mixed", [(hn, 0.4), (VolFun.power_pair(1.5), 0.0)], other, "csp", [hn]),  # equal
         ]
-        stability._grid_slot[0] = None
         for kind, pairs, g, contraction, read in calls:
             reads.clear()
             vfs, cells = [vf for vf, _ in pairs], [params_from_mu_nu(1.0, nu) for _, nu in pairs]
             got = batch_outcome(kind, vfs, cells, g, contraction)
             assert got == reference_batch(kind, vfs, cells, g, contraction), (kind, pairs)
-            assert reads == [(vf.label, class_J()) for vf in read], (kind, pairs, contraction)
+            assert reads == [(vf.label, class_J(g)) for vf in read], (kind, pairs, contraction)
+        # a call over several (kind, contraction) reads the columns of each
+        # in turn, in the order the pairs first appear
+        reads.clear()
+        kinds, contractions = ["voliso", "mixed", "voliso"], ["csp", "hill", "csp"]
+        cells = [params_from_mu_nu(1.0, nu) for nu in (0.25, 0.4, 0.45)]
+        vfs = [c3, c3, c7]
+        got = batch_outcome(kinds, vfs, cells, grid, contractions)
+        cell_args = zip(kinds, vfs, cells, contractions)
+        want = [reference_outcome(k, vf, p, grid, c) for k, vf, p, c in cell_args]
+        assert got == want
+        assert reads == [(vf.label, class_J(grid)) for vf in (c3, c7, c3)]
         # the same grid object, changed in place, gets fresh classes
         grid[:] = grid[::-1] * 0.7
         reads.clear()
         params = params_from_mu_nu(1.0, 0.4)
         got = min_coaxial_eig("mixed", hn, params, grid, "csp")
-        assert reads == [(hn.label, class_J())]
+        assert reads == [(hn.label, class_J(grid))]
         assert bits(got) == bits(reference_min_coaxial_eig("mixed", hn, params, grid, "csp"))
 
-    def test_shared_arrays_are_read_only(self):
+    def test_block_and_column_are_contiguous_class_vectors(self):
         grid = stretch_grid(3)
-        slot = stability._shared(grid)
-        block = stability._build_shear_block("voliso", "csp", 1.0, slot.grid, slot.classes)
+        classes = classes_of(grid)
+        block = stability._build_shear_block("voliso", "csp", 1.0, grid, classes)
         column = stability._volumetric_column("csp", catalog()[2], block.J)
-        S = shear_matrices("voliso", "csp", 1.0, grid[slot.classes.reps])
+        S = shear_matrices("voliso", "csp", 1.0, grid[classes.reps])
         assert len(block.lower) == 6 and block.J.shape == (10,)  # the 10 multisets
         for v in (*block.lower, column):
             assert v.shape == block.J.shape and v.flags.c_contiguous
         TestShearRotation.assert_matches_einsum(S, block.lower)
-        # the slot keeps the grid and its classes, and nothing else
-        assert sorted(vars(slot)) == ["classes", "grid"]
-        for a in (slot.grid, slot.classes.reps, slot.classes.of):
-            with pytest.raises(ValueError):
-                a[0] = 0
 
     @pytest.mark.parametrize("n", (1, 2, 5, 16))
-    def test_stretch_grid_is_one_read_only_array_kept_by_reference(self, n):
+    def test_stretch_grid_is_one_read_only_array_kept_by_reference(self, n, monkeypatch):
         grid = stretch_grid(n)
         assert np.array_equal(grid, log_grid(n, stability._GRID_LO, stability._GRID_HI))
         assert grid.shape == (n**3, 3) and grid.flags.c_contiguous and grid.flags.owndata
         with pytest.raises(ValueError):
             grid[0, 0] = 1.0
-        slot = stability._shared(grid)
-        assert slot.grid is grid
-        assert stability._shared(grid) is slot
-        # a writeable grid, or a read-only view of one, is copied
-        view = grid.copy()[::1]
-        view.flags.writeable = False
-        for other in (grid.copy(), view):
-            slot = stability._shared(other)
-            assert slot.grid is not other and np.array_equal(slot.grid, grid)
-            assert not slot.grid.flags.writeable
+        # a scan builds every shear block on the caller's grid itself,
+        # read-only or writeable, with no copy
+        build, seen = stability._build_shear_block, []
+
+        def recorded(kind, contraction, mu, g, classes):
+            seen.append(g)
+            return build(kind, contraction, mu, g, classes)
+
+        monkeypatch.setattr(stability, "_build_shear_block", recorded)
+        cells = [params_from_mu_nu(1.0, 0.3)] * 2
+        for g in (grid, grid.copy()):
+            seen.clear()
+            min_coaxial_eig(["mixed", "voliso"], catalog()[2], cells, g, "csp")
+            assert len(seen) == 2 and all(s is g for s in seen)
 
 
 def scan_outcome(kind, volfun, params, grid, contraction):
@@ -1376,10 +1391,9 @@ def reference_classes(grid):
     return reps, of
 
 
-def shared_arrays(slot, block, column):
-    """The arrays of a shear block, its column and the classes of a
-    ``_shared`` slot, named."""
-    classes = slot.classes
+def shared_arrays(classes, block, column):
+    """The arrays of a shear block, its column and its grid's classes,
+    named."""
     names = [f"lower{i}{l}" for i, l in stability._LOWER]
     names += ["grading", "tail", "plane", "coupling", "J", "shift", "settles"]
     names += ["column", "reps", "of"]
@@ -1523,27 +1537,25 @@ class TestScanBlocks:
         grid = log_grid(5, -0.9, 0.8)
         grid = np.concatenate([grid, grid[::7, ::-1]])
         monkeypatch.setattr(stability, "_SCAN_BLOCK", block)
+        classes = classes_of(grid)
         for kind in ("mixed", "voliso"):
             for contraction in ("hill", "csp"):
                 for vf in (catalog()[2], catalog()[7], VolFun.power_pair(400.0)):
-                    stability._grid_slot[0] = None
-                    slot = stability._shared(grid)
-                    block = stability._build_shear_block(
-                        kind, contraction, 0.6, slot.grid, slot.classes
-                    )
+                    block = stability._build_shear_block(kind, contraction, 0.6, grid, classes)
                     column = stability._volumetric_column(contraction, vf, block.J)
-                    got = shared_arrays(slot, block, column)
+                    got = shared_arrays(classes, block, column)
                     want = one_shot_shared(kind, contraction, 0.6, grid, vf)
                     assert list(got) == list(want)
                     for name, a in got.items():
                         assert a.tobytes() == want[name].tobytes(), (kind, contraction, vf, name)
                         assert a.shape == want[name].shape and a.flags.c_contiguous
 
-    def test_the_old_slot_block_and_column_are_freed_before_the_new_ones(self, monkeypatch):
-        # the old grid's slot is dropped before the new classes are built,
-        # and each call's block and columns with the call, before the next
-        # call builds its own; within a call, a volfun's column is read while
-        # at most the column of the volfun before it is alive
+    def test_each_block_and_column_is_freed_before_the_next(self, monkeypatch):
+        # a call builds its classes once, with no block or column alive, and
+        # each (kind, contraction) frees its block and columns before the
+        # next builds its own; within a pair, a volfun's column is read
+        # while at most the column of the volfun before it is alive, and a
+        # call keeps nothing for the next
         classes = stability._stretch_classes
         build, read = stability._build_shear_block, stability._volumetric_column
         seen, blocks, columns = [], [], []
@@ -1552,7 +1564,7 @@ class TestScanBlocks:
             return sum(ref() is not None for ref in refs)
 
         def checked_classes(*args):
-            seen.append(("classes", stability._grid_slot[0], alive(blocks), alive(columns)))
+            seen.append(("classes", alive(blocks), alive(columns)))
             return classes(*args)
 
         def checked_build(*args):
@@ -1572,51 +1584,54 @@ class TestScanBlocks:
         monkeypatch.setattr(stability, "_volumetric_column", checked_read)
         params = params_from_mu_nu(1.0, 0.3)
         batch = [params, params_from_mu_nu(1.0, 0.45)]
-        for vf, n, contraction, cells in (
-            (catalog()[2], 4, "csp", params),
-            (catalog()[7], 4, "csp", batch),
-            ([catalog()[2], catalog()[7]], 4, "hill", batch),
-            (catalog()[7], 5, "hill", batch),
+        three = [params, *batch]
+        for kind, vf, n, contraction, cells in (
+            ("voliso", catalog()[2], 4, "csp", params),
+            ("voliso", catalog()[7], 4, "csp", batch),
+            ("voliso", [catalog()[2], catalog()[7]], 4, "hill", batch),
+            ("voliso", catalog()[7], 5, "hill", batch),
+            (["voliso", "mixed", "voliso"], catalog()[2], 4, ["csp", "hill", "hill"], three),
         ):
-            min_coaxial_eig("voliso", vf, cells, stretch_grid(n), contraction)
-        call = [("block", 0, 0), ("column", 1, 0)]
-        new_grid = [("classes", None, 0, 0)] + call
-        assert seen == new_grid + call + call + [("column", 1, 1)] + new_grid
-        assert alive(blocks) == alive(columns) == 0 and len(columns) == 5
+            min_coaxial_eig(kind, vf, cells, stretch_grid(n), contraction)
+        pair = [("block", 0, 0), ("column", 1, 0)]
+        call = [("classes", 0, 0)] + pair
+        want = call + call + call + [("column", 1, 1)] + call + call + pair + pair
+        assert seen == want
+        assert alive(blocks) == alive(columns) == 0 and len(columns) == 8
 
     def test_a_scan_holds_a_few_blocks_of_temporaries(self):
         # numpy reports its buffers to tracemalloc. stretch_grid(32) is
         # eight blocks of states in 8805 classes; scanning it whole made
-        # about 19 temporaries of the grid's size, 150 blocks, warm or cold.
-        # A batch of six nu takes a sixth of a block of classes at a time
-        args = ("voliso", catalog()[7], stretch_grid(32), "csp")
+        # about 19 temporaries of the grid's size, 150 blocks. A batch of six
+        # nu takes a sixth of a block of classes at a time
+        grid = stretch_grid(32)
+        args = ("voliso", catalog()[7], grid, "csp")
         batch = [params_from_mu_nu(1.0, nu) for nu in PAPER_NUS]
         limit = 32 * stability._SCAN_BLOCK * 8
-        stability._grid_slot[0] = None
         started = not tracemalloc.is_tracing()
         tracemalloc.start()
         try:
-            base = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
-            min_coaxial_eig(args[0], args[1], batch, *args[2:])
-            cold = tracemalloc.get_traced_memory()[1] - base
-            base = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
-            min_coaxial_eig(args[0], args[1], batch[::-1], *args[2:])
-            warm = tracemalloc.get_traced_memory()[1] - base
+            peaks, kept = [], []
+            for cells in (batch, batch[::-1]):
+                base = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                min_coaxial_eig(args[0], args[1], cells, *args[2:])
+                now, peak = tracemalloc.get_traced_memory()
+                peaks.append(peak - base)
+                kept.append(now - base)
         finally:
             if started:
                 tracemalloc.stop()
-        # every call builds its shear block; the slot keeps the grid and its
-        # classes, and a cold call sorts the grid's classes (four keys and an
-        # order per state) before it copies the grid
-        slot = stability._grid_slot[0]
-        block = stability._build_shear_block("voliso", "csp", 0.5, slot.grid, slot.classes)
+        # a call reads the caller's grid, sorts it into classes (four keys
+        # and an order per state) and builds its shear block; it keeps
+        # nothing of them once it returns
+        classes = classes_of(grid)
+        block = stability._build_shear_block("voliso", "csp", 0.5, grid, classes)
         arrays = (*block.lower, block.grading, block.tail, block.plane, block.coupling)
         held = sum(a.nbytes for a in (*arrays, block.J, block.shift, block.settles))
-        resident = sum(a.nbytes for a in (slot.grid, slot.classes.reps, slot.classes.of))
-        assert warm < held + limit, (warm, held)
-        assert cold < resident + held + limit, (cold, resident, held)
+        resident = classes.reps.nbytes + classes.of.nbytes
+        assert max(peaks) < resident + held + limit, (peaks, resident, held)
+        assert max(kept) < classes.reps.nbytes, kept
 
 
 def reference_or_error(kind, volfun, params, grid, contraction):
@@ -1647,6 +1662,19 @@ _SCAN_CELL = {
     "nu": hst.one_of(hst.sampled_from(PAPER_NUS), hst.floats(-0.99, 0.4999, allow_subnormal=False)),
     "mu": hst.floats(0.1, 10.0),
 }
+
+
+# permutation-closed grids: log grids, and rows out to 1e+-150 with every
+# permutation; then random rows out to 1e+-150
+_SCAN_GRIDS = hst.one_of(
+    hst.tuples(hst.integers(2, 6), hst.floats(-1.0, 1.0), hst.floats(-1.0, 1.0)).map(
+        lambda t: log_grid(*t)
+    ),
+    hst.lists(stretch_rows(150.0), min_size=1, max_size=6).map(
+        lambda rows: np.concatenate([np.array(rows)[:, p] for p in _PERMUTATIONS])
+    ),
+    hst.lists(stretch_rows(150.0), min_size=1, max_size=30).map(np.array),
+)
 
 
 class TestStretchClasses:
@@ -1751,17 +1779,7 @@ class TestStretchClasses:
         vfs=hst.lists(_SCAN_CELL["volfun"], min_size=1, max_size=3),
         nus=hst.lists(_SCAN_CELL["nu"], min_size=1, max_size=6),
         mu=_SCAN_CELL["mu"],
-        grid=hst.one_of(
-            # permutation-closed: log grids, and rows out to 1e+-150 with
-            # every permutation; then random rows out to 1e+-150
-            hst.tuples(hst.integers(2, 6), hst.floats(-1.0, 1.0), hst.floats(-1.0, 1.0)).map(
-                lambda t: log_grid(*t)
-            ),
-            hst.lists(stretch_rows(150.0), min_size=1, max_size=6).map(
-                lambda rows: np.concatenate([np.array(rows)[:, p] for p in _PERMUTATIONS])
-            ),
-            hst.lists(stretch_rows(150.0), min_size=1, max_size=30).map(np.array),
-        ),
+        grid=_SCAN_GRIDS,
     )
     # both cells' forms are NaN at state 0, and the second cell's holds a
     # non-finite entry on which eigh fails for its whole call
@@ -1790,6 +1808,48 @@ class TestStretchClasses:
             got = batch_outcome(*args)
             alone = reference_batch(*args, outcome=scan_outcome)
         assert got == alone == reference_batch(*args, outcome=reference_or_error)
+
+    @given(
+        cells=hst.lists(
+            hst.tuples(*(_SCAN_CELL[k] for k in ("kind", "contraction", "volfun", "nu"))),
+            min_size=1,
+            max_size=8,
+        ),
+        zero=hst.tuples(_SCAN_CELL["contraction"], _SCAN_CELL["volfun"], hst.integers(0, 8)),
+        mu=_SCAN_CELL["mu"],
+        grid=_SCAN_GRIDS,
+    )
+    # the vol-iso CSP form of volfun 2 at nu = -0.9 is NaN at the stretch
+    # 1e-150, so that cell's scan raises while the others return a minimum
+    @example(
+        cells=[
+            ("voliso", "csp", catalog()[2], -0.9),
+            ("mixed", "hill", catalog()[7], 0.45),
+            ("voliso", "hill", catalog()[2], 0.25),
+            ("mixed", "csp", catalog()[2], 0.4),
+        ],
+        zero=("csp", catalog()[5], 2),
+        mu=1.0,
+        grid=np.concatenate([stretch_grid(3), [[1e-150, 1.0, 1.0]]]),
+    )
+    def test_one_call_equals_a_scan_of_each_cell_alone(self, cells, zero, mu, grid):
+        # interleaved cells of both kinds, both contractions, several
+        # volfuns and nu, and a mixed cell at nu = 0 (no volumetric term):
+        # one call gives each cell's bits, or its error, of scanning that
+        # cell alone
+        cells = [(k, c, vf, nu if k == "voliso" else abs(nu) % 0.5) for k, c, vf, nu in cells]
+        contraction, volfun, at = zero
+        cells.insert(at, ("mixed", contraction, volfun, 0.0))
+        kinds, contractions, vfs, nus = (list(v) for v in zip(*cells))
+        params = [params_from_mu_nu(mu, nu) for nu in nus]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = batch_outcome(kinds, vfs, params, grid, contractions)
+            alone = [
+                scan_outcome(k, vf, p, grid, c)
+                for k, vf, p, c in zip(kinds, vfs, params, contractions)
+            ]
+        assert got == alone
 
     @pytest.mark.parametrize(
         "kind, contraction, vid, nu, mu, grid",
@@ -1829,12 +1889,11 @@ class TestStretchClasses:
         # representative would return a value where the reference raises
         params = params_from_mu_nu(mu, nu)
         args = (kind, catalog()[vid], params, np.array(grid), contraction)
-        stability._grid_slot[0] = None
         got = scan_outcome(*args)
-        slot = stability._grid_slot[0]
+        classes = classes_of(grid)
         scaled_mu = mantissa_params(params)[0].mu
-        block = stability._build_shear_block(kind, contraction, scaled_mu, slot.grid, slot.classes)
-        assert slot.classes.reps.tolist() == [0, 2] and not block.settles.any()
+        block = stability._build_shear_block(kind, contraction, scaled_mu, args[3], classes)
+        assert classes.reps.tolist() == [0, 2] and not block.settles.any()
         assert got == reference_or_error(*args)
         assert got == f"the {contraction} stability form is NaN at grid state 1"
 
@@ -1873,15 +1932,13 @@ class TestStretchClasses:
         grid = stretch_grid(16)
         passes, batches = TestCoaxialScanBytes.record_routes(monkeypatch)
         opened = TestCoaxialScanBytes.record_open_members(monkeypatch)
-        routed = 0
+        reps, routed = classes_of(grid).reps, 0
         for kind in ("mixed", "voliso"):
             for contraction in ("hill", "csp"):
                 for vf in (catalog()[1], catalog()[4], catalog()[7]):
                     for nu in (0.0, 0.25, 0.4999):
                         del passes[:], batches[:], opened[:]
-                        stability._grid_slot[0] = None
                         min_coaxial_eig(kind, vf, params_from_mu_nu(1.0, nu), grid, contraction)
-                        reps = stability._grid_slot[0].classes.reps
                         members = sum(map(len, opened))
                         cell = sum(passes[::3]) + sum(map(len, batches))
                         assert cell <= len(reps) + 2 + members, (kind, contraction, vf, nu)
@@ -1902,9 +1959,9 @@ class TestStretchClasses:
             reads.append(vf.label)
             return original(vf, Js)
 
-        def counting_scan(slot, block, coefs, column):
+        def counting_scan(grid, classes, block, coefs, column):
             scanned.append(len(coefs))
-            return scan(slot, block, coefs, column)
+            return scan(grid, classes, block, coefs, column)
 
         vfs = [*catalog().values(), VolFun.power_pair(400.0), VolFun.log_augmented(-2.0)]
         monkeypatch.setattr(stability, "evaluate_grid", counting)
