@@ -1,24 +1,25 @@
 """Numeric kernels of the volumetric catalog and the 1-D solvers.
 
-The closed forms are numpy expressions written once for a scalar or an
-array argument. :func:`h_tuple` gives all five columns (h, h', h'', J h',
-chi) and serves ``volfun`` alone, which calls it on one J (``evaluate``)
-or on a whole array (``evaluate_grid``).
+Each volumetric family's closed forms are stated once, in :func:`columns`:
+five functions of J (h, h', h'', J h', chi), each a numpy expression for
+a scalar or an array argument. ``volfun`` calls those a caller reads, on
+one J (``evaluate``) or on a whole array (``evaluate_grid``);
+:func:`h_tuple` reads all five.
 
 One factory, :func:`residual_fn`, states the residual. It resolves the
 kind, the volumetric family and the load case and binds the constants
-once, and returns a closure of lamT alone. Its volumetric term restates
-the one column of :func:`h_tuple` the residual uses, term by term from
-the same closed forms: J h'(J) for the mixed kind, h'(J) for vol-iso.
-The bisection (``bisect_log``) and ``homsolve.residual`` (once per solve,
-at the bisection's root) call such a closure point by point, and the
-sign-change scan (:func:`residual_scan`) evaluates it on the grid of
-:func:`scan_nodes`, built once per range, and returns that grid with the
-residual. The two agree to an ulp or so: array ``np.exp``/``np.log``
-match their scalar counterparts bit for bit, while array ``**`` may
-round the last bit differently from the scalar power. Only the scan's
-signs feed the root finder, so such a difference can move a root only
-when a grid point sits within rounding of a zero.
+once, and returns a closure of lamT alone. Its volumetric term is the
+one column of :func:`columns` the residual uses: J h'(J) for the mixed
+kind, h'(J) for vol-iso. The bisection (``bisect_log``) and
+``homsolve.residual`` (once per solve, at the bisection's root) call
+such a closure point by point, and the sign-change scan
+(:func:`residual_scan`) evaluates it on the grid of :func:`scan_nodes`,
+built once per range, and returns that grid with the residual. The two
+agree to an ulp or so: array ``np.exp``/``np.log`` match their scalar
+counterparts bit for bit, while array ``**`` may round the last bit
+differently from the scalar power. Only the scan's signs feed the root
+finder, so such a difference can move a root only when a grid point sits
+within rounding of a zero.
 
 Only lam_e (mixed) and K (vol-iso) in the scan depend on nu. The scan
 keeps the nu-free volumetric column T and shear term D of its last call in
@@ -79,92 +80,71 @@ FAMILY_EXP_LOG2 = 3
 _LOG_LIMIT_PAR = 1e-8
 
 
-def h_tuple(family, par, J):
-    """(h, h', h'', J h', chi) for one volumetric function at J > 0.
-
-    ``J`` is a scalar or an array; the branches depend on the family only.
-
-    ``J h'`` and ``chi = h' + J h''`` are computed from their own closed
-    forms, not by multiplying, so they stay accurate at extreme J.
-    """
-    if family in (FAMILY_HN, FAMILY_OGDEN) and abs(par) < _LOG_LIMIT_PAR:
-        lnJ = np.log(J)
-        h = 0.5 * lnJ * lnJ
-        hp = lnJ / J
-        hpp = (1.0 - lnJ) / (J * J)
-        jhp = lnJ
-        chi = 1.0 / J
-    elif family == FAMILY_HN:
-        q = par
-        Jq = J**q
-        Jmq = 1.0 / Jq
-        h = (Jq + Jmq - 2.0) / (2.0 * q * q)
-        hp = (Jq - Jmq) / (2.0 * q * J)
-        hpp = ((q - 1.0) * Jq + (q + 1.0) * Jmq) / (2.0 * q * J * J)
-        jhp = (Jq - Jmq) / (2.0 * q)
-        chi = (Jq + Jmq) / (2.0 * J)
-    elif family == FAMILY_OGDEN:
-        b = par
-        Jmb = J ** (-b)
-        lnJ = np.log(J)
-        h = (b * lnJ + Jmb - 1.0) / (b * b)
-        hp = (1.0 / J - Jmb / J) / b
-        hpp = ((b + 1.0) * Jmb / (J * J) - 1.0 / (J * J)) / b
-        jhp = (1.0 - Jmb) / b
-        chi = Jmb / J
-    elif family == FAMILY_QUADRATIC:
-        h = 0.5 * (J - 1.0) * (J - 1.0)
-        hp = J - 1.0
-        hpp = 1.0
-        jhp = J * (J - 1.0)
-        chi = 2.0 * J - 1.0
-    else:  # FAMILY_EXP_LOG2
-        lnJ = np.log(J)
-        e = np.exp(lnJ * lnJ)
-        h = 0.5 * (e - 1.0)
-        hp = e * lnJ / J
-        hpp = e / (J * J) * (2.0 * lnJ * lnJ + 1.0 - lnJ)
-        jhp = e * lnJ
-        chi = e / J * (1.0 + 2.0 * lnJ * lnJ)
-    return h, hp, hpp, jhp, chi
-
-
 def _keep(x):
     return x
 
 
-def _volumetric_fn(kind, family, par, scalar=False):
-    """J -> J h'(J) for the mixed kind, h'(J) for vol-iso.
+def columns(family, par, scalar=False):
+    """The five closed forms of one volumetric function, as functions of
+    J > 0 keyed by the ``VolFunEval`` field each gives: h, h' (``hp``), h''
+    (``hpp``), J h' (``jhp``) and chi = h' + J h''.
 
-    The one column of :func:`h_tuple` the residual uses, from the same
-    closed forms term by term. With ``scalar=True`` each ``np.log`` and
-    ``np.exp`` is cast to ``float``, so the arithmetic after it stays on
-    Python floats.
+    Each takes a scalar or an array; the branches depend on the family only.
+    ``J h'`` and ``chi`` come from their own closed forms, not by
+    multiplying, so they stay accurate at extreme J. With ``scalar=True``
+    each ``np.log`` and ``np.exp`` is cast to ``float``, so the arithmetic
+    after it stays on Python floats.
     """
-    mixed = kind == "mixed"
     cast = float if scalar else _keep
     if family in (FAMILY_HN, FAMILY_OGDEN) and abs(par) < _LOG_LIMIT_PAR:
-        if mixed:
-            return lambda J: cast(np.log(J))
-        return lambda J: cast(np.log(J)) / J
+        return dict(
+            h=lambda J: 0.5 * (lnJ := cast(np.log(J))) * lnJ,
+            hp=lambda J: cast(np.log(J)) / J,
+            hpp=lambda J: (1.0 - cast(np.log(J))) / (J * J),
+            jhp=lambda J: cast(np.log(J)),
+            chi=lambda J: 1.0 / J,
+        )
     if family == FAMILY_HN:
-        q, q2 = par, 2.0 * par
-        if mixed:
-            return lambda J: ((Jq := J**q) - 1.0 / Jq) / q2
-        return lambda J: ((Jq := J**q) - 1.0 / Jq) / (q2 * J)
+        q, q2, q2q, qm, qp = par, 2.0 * par, 2.0 * par * par, par - 1.0, par + 1.0
+        return dict(
+            h=lambda J: ((Jq := J**q) + 1.0 / Jq - 2.0) / q2q,
+            hp=lambda J: ((Jq := J**q) - 1.0 / Jq) / (q2 * J),
+            hpp=lambda J: (qm * (Jq := J**q) + qp * (1.0 / Jq)) / (q2 * J * J),
+            jhp=lambda J: ((Jq := J**q) - 1.0 / Jq) / q2,
+            chi=lambda J: ((Jq := J**q) + 1.0 / Jq) / (2.0 * J),
+        )
     if family == FAMILY_OGDEN:
-        b, mb = par, -par
-        if mixed:
-            return lambda J: (1.0 - J**mb) / b
-        return lambda J: (1.0 / J - J**mb / J) / b
+        b, mb, bb, bp = par, -par, par * par, par + 1.0
+        return dict(
+            h=lambda J: (b * cast(np.log(J)) + J**mb - 1.0) / bb,
+            hp=lambda J: (1.0 / J - J**mb / J) / b,
+            hpp=lambda J: (bp * J**mb / (J2 := J * J) - 1.0 / J2) / b,
+            jhp=lambda J: (1.0 - J**mb) / b,
+            chi=lambda J: J**mb / J,
+        )
     if family == FAMILY_QUADRATIC:
-        if mixed:
-            return lambda J: J * (J - 1.0)
-        return lambda J: J - 1.0
-    # FAMILY_EXP_LOG2
-    if mixed:
-        return lambda J: cast(np.exp((lnJ := cast(np.log(J))) * lnJ)) * lnJ
-    return lambda J: cast(np.exp((lnJ := cast(np.log(J))) * lnJ)) * lnJ / J
+        return dict(
+            h=lambda J: 0.5 * (J - 1.0) * (J - 1.0),
+            hp=lambda J: J - 1.0,
+            hpp=lambda J: 1.0,
+            jhp=lambda J: J * (J - 1.0),
+            chi=lambda J: 2.0 * J - 1.0,
+        )
+    # FAMILY_EXP_LOG2, e = exp(ln^2 J)
+    return dict(
+        h=lambda J: 0.5 * (cast(np.exp((lnJ := cast(np.log(J))) * lnJ)) - 1.0),
+        hp=lambda J: cast(np.exp((lnJ := cast(np.log(J))) * lnJ)) * lnJ / J,
+        hpp=lambda J: (
+            cast(np.exp((lnJ := cast(np.log(J))) * lnJ)) / (J * J) * (2.0 * lnJ * lnJ + 1.0 - lnJ)
+        ),
+        jhp=lambda J: cast(np.exp((lnJ := cast(np.log(J))) * lnJ)) * lnJ,
+        chi=lambda J: cast(np.exp((lnJ := cast(np.log(J))) * lnJ)) / J * (1.0 + 2.0 * lnJ * lnJ),
+    )
+
+
+def h_tuple(family, par, J):
+    """(h, h', h'', J h', chi) of :func:`columns` at J."""
+    return tuple(form(J) for form in columns(family, par).values())
 
 
 @dataclass(frozen=True)
@@ -230,7 +210,7 @@ def residual_fn(kind, family, par, case, lam, mu, lame_lambda, K, scalar=False):
     """
     case = load_case(case)
     j = case.j(lam)
-    term = _volumetric_fn(kind, family, par, scalar)
+    term = columns(family, par, scalar)["jhp" if kind == "mixed" else "hp"]
     # J = j lamT^m is formed inline, and each g keeps its own operation count:
     # a multiply by 1 or a subtraction of 0 would cost an array pass per scan
     two = case.m == 2
@@ -273,7 +253,7 @@ def _scan_terms(kind, family, par, case, lam, mu, lamT):
     """
     j = case.j(lam)
     J = j * lamT * lamT if case.m == 2 else j * lamT
-    T = _volumetric_fn(kind, family, par)(J)
+    T = columns(family, par)["jhp" if kind == "mixed" else "hp"](J)
     if kind == "mixed":
         return T, mu * (1.0 - lamT * lamT)
     c1, c2 = case.c0(lam * lam)

@@ -343,7 +343,7 @@ def solve(case, model, lam, seed_lamT=1.0):
         if shortcut:
             # every loaded axis is at lam: sigma11 is their 3/(3 - m) share of
             # the vol-iso stress trace 3 K h'(J), since the free axes carry none
-            s11 = 3.0 / (3 - c.m) * prm.K * evaluate(model.volfun, J).hp
+            s11 = 3.0 / (3 - c.m) * prm.K * evaluate(model.volfun, J, "hp")
         else:
             s11 = w * (lam * lam - lamT * lamT)
         # P = J sigma F^-T, J / F11 in the operation order of each case
@@ -583,7 +583,7 @@ def dilatation_response(model, k):
     J = np.float64(k) ** 3
     if not 0.0 < J < math.inf:
         raise ValueError(f"dilatation stretch k = {k:g} puts J = k^3 outside the float range")
-    vol = model.volumetric_term(evaluate(model.volfun, J).hp)
+    vol = model.volumetric_term(evaluate(model.volfun, J, "hp"))
     if model.kind == "voliso":
         return vol
     return model.shear_factor(J) * (k * k - 1.0) + vol

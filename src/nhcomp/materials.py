@@ -301,7 +301,7 @@ def energy(model, F, p=None):
     norm2 = float(np.tensordot(F, F, axes=2))
     if model.kind == "inc":
         return 0.5 * mu * (norm2 - 3.0) - (mu + p) * (J - 1.0)
-    vol = model.volumetric_term(evaluate(model.volfun, J).h)
+    vol = model.volumetric_term(evaluate(model.volfun, J, "h"))
     if model.kind == "mixed":
         return 0.5 * mu * (norm2 - 3.0 - 2.0 * math.log(J)) + vol
     # voliso: |Fbar|^2 = J^(-2/3) |F|^2; the log of the modified volume
@@ -326,7 +326,7 @@ def cauchy_stress(model, F, p=None):
         sigma = model.params.mu * (c - I3) - p * I3
     else:
         shear = scaled(model.shear_factor(J), c - I3 if model.kind == "mixed" else dev(c))
-        sigma = shear + scaled(model.volumetric_term(evaluate(model.volfun, J).hp), I3)
+        sigma = shear + scaled(model.volumetric_term(evaluate(model.volfun, J, "hp")), I3)
     return StressResult(cauchy=sigma, kirchhoff=J * sigma, F=F)
 
 

@@ -89,7 +89,7 @@ def zj_rate(model, state, rate, pdot=None):
             raise ValueError("the incompressible kind requires pdot")
         return -pdot * I3 + mu * dc_cd
     trd = float(trace(d))
-    vol = scaled(model.volumetric_term(evaluate(model.volfun, J).chi) * J, trd * I3)
+    vol = scaled(model.volumetric_term(evaluate(model.volfun, J, "chi")) * J, trd * I3)
     if model.kind == "mixed":
         return mu * dc_cd + vol
     iso = dc_cd - (2.0 / 3.0) * (dev(c) * trd + ddot(c, d) * I3)
@@ -241,9 +241,8 @@ def _report(contraction, model, state, d, value):
     P, R, B, C, F = _letters(state, d)
     _crosscheck_A(state, d, P, R)
     J, prm = np.float64(state.J), model.params  # so a power past the float range is inf
-    ev = evaluate(model.volfun, J)
     w, a, shift = _coaxial_form(model.kind, contraction, prm.mu, J, trace(state.c))
-    column = ev.chi if contraction == "hill" else ev.hpp
+    column = evaluate(model.volfun, J, _VOLUMETRIC_COLUMN[contraction])
     c = _volumetric_c(contraction, _volumetric_coef(model.kind, prm), J, column)
     # at tr d = 0 (F = 0) the volumetric part is 0, even where c is not finite
     vol, vol_scale = ((c + shift) * F, (abs(c) + shift) * F) if F else (0.0, 0.0)
@@ -721,7 +720,7 @@ def _build_shear_block(kind, contraction, mu, grid, classes):
         lower=tuple(lower),
         grading=_grading(s_scale),
         tail=tail,
-        plane=0.5 * (p + q) - np.hypot(0.5 * (p - q), r),  # as _eig2_min forms it
+        plane=_eig2_min(p, r, q),
         coupling=np.hypot(b1, b2),
         J=J,
         shift=shift,
@@ -729,18 +728,19 @@ def _build_shear_block(kind, contraction, mu, grid, classes):
     )
 
 
-# the evaluate_grid column that each contraction's volumetric coefficient
-# reads: chi for Hill, h'' for CSP
-_VOLUMETRIC_COLUMN = {"hill": 4, "csp": 2}
+# the VolFunEval field that each contraction's volumetric coefficient reads:
+# chi for Hill, h'' for CSP
+_VOLUMETRIC_COLUMN = {"hill": "chi", "csp": "hpp"}
 
 
 def _volumetric_column(contraction, volfun, J):
     """chi (Hill) or h'' (CSP) of ``volfun`` at every J, as a contiguous vector
-    read one block of J at a time (:func:`_blocks`): ``evaluate_grid`` works
-    point by point, so the blocks give the bits of one call on every J."""
+    read one block of J at a time (:func:`_blocks`). ``evaluate_grid`` forms
+    that column alone, point by point, so the blocks give the bits of one
+    call on every J and of that column of the full table."""
     column = np.empty(len(J))
     for part in _blocks(len(J)):
-        column[part] = evaluate_grid(volfun, J[part])[:, _VOLUMETRIC_COLUMN[contraction]]
+        column[part] = evaluate_grid(volfun, J[part], _VOLUMETRIC_COLUMN[contraction])
     return column
 
 

@@ -170,16 +170,17 @@ class VolFunEval:
     chi: float
 
 
-# h_tuple forms powers of J (J^q, J^-q, J^-beta, exp(ln^2 J), J * J) and
-# their products and quotients. While |ln J| (|par| + 2) stays within this
-# span (|ln J| (|ln J| + 2) for the exp family), every one of them lies
-# within e^+-680 (5e-296 .. 2e295), so no intermediate overflows, underflows
-# or loses bits as a subnormal, with room for the factors 2 q and 1 / q^2.
+# The closed forms of _kernels.columns form powers of J (J^q, J^-q, J^-beta,
+# exp(ln^2 J), J * J) and their products and quotients. While |ln J|
+# (|par| + 2) stays within this span (|ln J| (|ln J| + 2) for the exp
+# family), every one of them lies within e^+-680 (5e-296 .. 2e295), so no
+# intermediate overflows, underflows or loses bits as a subnormal, with room
+# for the factors 2 q and 1 / q^2.
 _DIRECT_SPAN = 680.0
 
 
 def _direct_span(vf):
-    """The largest |ln J| at which the closed forms of ``h_tuple`` are used."""
+    """The largest |ln J| at which the closed forms of ``_kernels.columns`` are used."""
     if vf.family == _k.FAMILY_QUADRATIC:
         return math.inf  # its only powers are J - 1, J (J - 1) and 2 J
     if vf.family == _k.FAMILY_EXP_LOG2:
@@ -198,7 +199,7 @@ def _log_abs_expm1(x):
 
 
 def _log_tuple(family, par, J):
-    """(h, h', h'', J h', chi) of ``h_tuple``, each as sign * exp(log |value|).
+    """(h, h', h'', J h', chi) of ``_kernels.h_tuple``, each as sign * exp(log |value|).
 
     The log of each closed form is a sum of terms of size |ln J| and
     |par ln J|, so no intermediate leaves the float range: a value beyond
@@ -254,39 +255,55 @@ def _log_tuple(family, par, J):
     return h, hp, hpp, jhp, np.exp(L2 - L + np.log1p(2.0 * L2))
 
 
-def evaluate(vf, J):
-    """Evaluate one volumetric function at a single J > 0.
+def evaluate(vf, J, column=None):
+    """Evaluate one volumetric function at a single J > 0: the
+    :class:`VolFunEval` of all five columns, or the value of the one field
+    named ``column``, with the bits of that field of the full read.
 
     Each column comes out finite wherever its exact value is within the
     float range, and +-inf beyond it, with no warning raised; the same
     holds for :func:`evaluate_grid`. Near J = 1 these are the closed forms
-    of ``_kernels.h_tuple``; farther out than ``_direct_span`` allows, where
-    a power of J inside a closed form would leave the float range, all five
-    columns are evaluated in log space (``_log_tuple``).
+    of ``_kernels.columns``, each formed only when read; farther out than
+    ``_direct_span`` allows, where a power of J inside a closed form would
+    leave the float range, all five columns are evaluated in log space
+    (``_log_tuple``).
     """
     if not J > 0.0:
         raise ValueError(f"volume ratio must be positive, got J = {J}")
-    form = _k.h_tuple if abs(math.log(J)) <= _direct_span(vf) else _log_tuple
+    x = np.float64(J)
+    forms = _k.columns(vf.family, vf.par)
+    names = forms if column is None else (column,)
     with np.errstate(all="ignore"):
-        h, hp, hpp, jhp, chi = form(vf.family, vf.par, np.float64(J))
-    return VolFunEval(h=h, hp=hp, hpp=hpp, jhp=jhp, chi=chi)
+        if abs(math.log(J)) <= _direct_span(vf):
+            values = {c: forms[c](x) for c in names}
+        else:
+            values = dict(zip(forms, _log_tuple(vf.family, vf.par, x)))
+    return VolFunEval(**values) if column is None else values[column]
 
 
-def evaluate_grid(vf, Js):
-    """Vectorized evaluation; returns an (n, 5) array (h, h', h'', Jh', chi)."""
+def evaluate_grid(vf, Js, column=None):
+    """Vectorized :func:`evaluate`: an (n, 5) array of the columns (h, h',
+    h'', J h', chi), or the vector of the one field named ``column``, with
+    the bits of that column of the table. Each J is read alone, so a grid
+    split in parts gives the bits of one call."""
     Js = np.ascontiguousarray(Js, dtype=float)
     if Js.ndim != 1:
         raise ValueError("expected a 1-D grid of volume ratios")
-    if np.any(Js <= 0.0):
+    if not np.all(Js > 0.0):  # NaN too
         raise ValueError("volume ratios must be positive")
     span = _direct_span(vf)
-    # a constant column (h'' of the quadratic) comes back as a scalar
+    forms = _k.columns(vf.family, vf.par)
+    names = list(forms) if column is None else [column]
+    table = np.empty((Js.size, len(names)))
     with np.errstate(all="ignore"):
-        table = np.column_stack(np.broadcast_arrays(*_k.h_tuple(vf.family, vf.par, Js)))
+        for k, c in enumerate(names):
+            table[:, k] = forms[c](Js)  # a constant (h'' of the quadratic) broadcasts
         if Js.size and (Js.min() < math.exp(-span) or Js.max() > math.exp(span)):
             far = np.abs(np.log(Js)) > span
-            table[far] = np.column_stack(_log_tuple(vf.family, vf.par, Js[far]))
-    return table
+            logs = dict(zip(forms, _log_tuple(vf.family, vf.par, Js[far])))
+            for k, c in enumerate(names):
+                table[far, k] = logs[c]
+    return table if column is None else table[:, 0]
 
 
 @dataclass(frozen=True)

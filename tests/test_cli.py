@@ -731,18 +731,20 @@ class TestStability:
         self, capsys, monkeypatch
     ):
         # 2 kinds x 2 contractions x 8 volfuns, each on the J of the 26
-        # stretch classes of the 64 states; the parent read one per cell (192)
+        # stretch classes of the 64 states; the parent read one per cell (192).
+        # Each reads the one column its contraction needs: chi or h''
         calls = []
         original = st.evaluate_grid
 
-        def counting(vf, Js):
-            calls.append(len(Js))
-            return original(vf, Js)
+        def counting(vf, Js, column):
+            calls.append((len(Js), column))
+            return original(vf, Js, column)
 
         monkeypatch.setattr(st, "evaluate_grid", counting)
         code, rows, _ = run(capsys, *"stability --grid-n 4 --nu-set paper".split())
         assert code == 0 and len(rows) == 192
-        assert calls == [26] * 32
+        assert [n for n, _ in calls] == [26] * 32
+        assert sorted(c for _, c in calls) == ["chi"] * 16 + ["hpp"] * 16
 
     def test_an_overflow_partway_through_a_batch_exits_one(self, capsys, monkeypatch):
         # volfun 2's chi and h'' read -1e5 past J = 2, so at mu = 1e300 some
@@ -754,11 +756,11 @@ class TestStability:
         original, calls = st.evaluate_grid, []
         scan = st.min_coaxial_eig
 
-        def steep_past_two(vf, Js):
-            table = original(vf, Js)
+        def steep_past_two(vf, Js, column):
+            values = original(vf, Js, column)
             if vf == catalog()[2]:
-                table[Js > 2.0] = -1e5
-            return table
+                values[Js > 2.0] = -1e5
+            return values
 
         def recorded(kinds, vfs, cells, grid, contractions):
             calls.append(list(zip(kinds, contractions)))

@@ -244,6 +244,10 @@ CHECKS = {
         lambda: evaluate_grid(QUAD, np.array([1.0, 0.0, 2.0])),
         "volume ratios must be positive",
     ),
+    "evaluate_grid-nan": (
+        lambda: evaluate_grid(catalog()[4], np.array([np.nan, 1.0])),
+        "volume ratios must be positive",
+    ),
 }
 
 

@@ -16,6 +16,47 @@ from nhcomp.volfun import VolFun, catalog, evaluate_grid
 _FAMILIES = [(vf.family, vf.par) for vf in catalog().values()] + [(_k.FAMILY_HN, 5e-9)]
 
 
+def _h_tuple_reference(family, par, J):
+    # the five columns from shared powers, in one branch chain; columns
+    # restates each with the same operations in the same order
+    if family in (_k.FAMILY_HN, _k.FAMILY_OGDEN) and abs(par) < 1e-8:
+        lnJ = np.log(J)
+        return 0.5 * lnJ * lnJ, lnJ / J, (1.0 - lnJ) / (J * J), lnJ, 1.0 / J
+    if family == _k.FAMILY_HN:
+        q = par
+        Jq = J**q
+        Jmq = 1.0 / Jq
+        return (
+            (Jq + Jmq - 2.0) / (2.0 * q * q),
+            (Jq - Jmq) / (2.0 * q * J),
+            ((q - 1.0) * Jq + (q + 1.0) * Jmq) / (2.0 * q * J * J),
+            (Jq - Jmq) / (2.0 * q),
+            (Jq + Jmq) / (2.0 * J),
+        )
+    if family == _k.FAMILY_OGDEN:
+        b = par
+        Jmb = J ** (-b)
+        lnJ = np.log(J)
+        return (
+            (b * lnJ + Jmb - 1.0) / (b * b),
+            (1.0 / J - Jmb / J) / b,
+            ((b + 1.0) * Jmb / (J * J) - 1.0 / (J * J)) / b,
+            (1.0 - Jmb) / b,
+            Jmb / J,
+        )
+    if family == _k.FAMILY_QUADRATIC:
+        return 0.5 * (J - 1.0) * (J - 1.0), J - 1.0, 1.0, J * (J - 1.0), 2.0 * J - 1.0
+    lnJ = np.log(J)
+    e = np.exp(lnJ * lnJ)
+    return (
+        0.5 * (e - 1.0),
+        e * lnJ / J,
+        e / (J * J) * (2.0 * lnJ * lnJ + 1.0 - lnJ),
+        e * lnJ,
+        e / J * (1.0 + 2.0 * lnJ * lnJ),
+    )
+
+
 def _volumetric_term_reference(kind, family, par, J):
     # the per-call branch chain that residual_fn's closures replace
     mixed = kind == "mixed"
@@ -304,19 +345,29 @@ def test_solver_brackets_come_from_the_points_the_scan_evaluated():
 
 @pytest.mark.parametrize("family, par", _FAMILIES)
 def test_volumetric_term_is_its_h_tuple_column_bit_for_bit(family, par):
-    # the residual's J h' (mixed) and h' (vol-iso) come from the closed
-    # forms of h_tuple term by term, for a numpy scalar, an array and, on
-    # the Python-float lane, a Python float
+    # every column of columns, which h_tuple reads, gives the bits of the
+    # shared-power branch chain on both lanes: for a numpy scalar, an array
+    # and, on the Python-float lane, a Python float. The residual's J h'
+    # (mixed) and h' (vol-iso) are two of them, and give the bits of the
+    # per-call branch chain too
     Js = np.logspace(-6, 6, 241)
-    for kind, col in (("mixed", 3), ("voliso", 1)):
-        term = _k._volumetric_fn(kind, family, par)
-        python_term = _k._volumetric_fn(kind, family, par, scalar=True)
-        want = _k.h_tuple(family, par, Js)[col]
-        np.testing.assert_array_equal(term(Js), want)
+    numpy_lane, python_lane = _k.columns(family, par), _k.columns(family, par, scalar=True)
+    assert list(numpy_lane) == list(python_lane) == ["h", "hp", "hpp", "jhp", "chi"]
+    grid = _k.h_tuple(family, par, Js)
+    for col, name in enumerate(numpy_lane):
+        want = np.broadcast_to(_h_tuple_reference(family, par, Js)[col], Js.shape)
+        np.testing.assert_array_equal(numpy_lane[name](Js), want)
+        np.testing.assert_array_equal(grid[col], want)
         for J in Js:
-            want = _k.h_tuple(family, par, J)[col]
-            assert term(J).hex() == want.hex()
-            assert python_term(float(J)).hex() == want.hex()
+            want = _h_tuple_reference(family, par, J)[col]
+            assert numpy_lane[name](J).hex() == want.hex()
+            assert python_lane[name](float(J)).hex() == want.hex()
+    for kind, name in (("mixed", "jhp"), ("voliso", "hp")):
+        want = _volumetric_term_reference(kind, family, par, Js)
+        np.testing.assert_array_equal(numpy_lane[name](Js), want)
+        for J in Js:
+            want = _volumetric_term_reference(kind, family, par, J).hex()
+            assert python_lane[name](float(J)).hex() == want
 
 
 def _bisect_log_numpy(kind, family, par, case, lam, mu, lame_lambda, K, u_a, u_b, f_a, max_iter):

@@ -20,7 +20,10 @@ each process about 6 MB. No private function enters a numpy error
 state: each public entry point holds one for its whole body, and the
 helpers it calls run under it. No module but ``_kernels``, which states
 each load case once as a record, compares a value with a load case name:
-every other module reads what a case is from its record.
+every other module reads what a case is from its record. Likewise only the
+functions in ``_FAMILY_READERS`` compare a value with a volumetric family
+code (``FAMILY_*``): ``_kernels.columns`` states each family's closed forms
+once, and every other caller reads a column from it.
 
 No function keeps state in a module-level name: none writes one through a
 subscript or attribute store, or rebinds one through ``global``, unless
@@ -318,6 +321,58 @@ def test_the_case_gates_see_the_records():
     # covers the record's fields
     assert _case_comparisons(ast.parse('case == "ul" or case in ("elp", "ulp")')) == [1, 1]
     assert {"LoadCase.name", "LoadCase.f22"} <= set(_fields(_MODULES["_kernels.py"]))
+
+
+# the functions that may compare a value with a volumetric family code: the
+# one statement of each family's closed forms, the span that bounds them,
+# their log-space continuation, and the quadratic's radical
+_FAMILY_READERS = {
+    "_kernels.py:columns",
+    "volfun.py:_direct_span",
+    "volfun.py:_log_tuple",
+    "homsolve.py:closed_form_quadratic_mixed",
+}
+
+
+def _is_family_code(node):
+    name = node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", "")
+    return name.startswith("FAMILY_")
+
+
+def _family_comparisons(tree):
+    """The module-level functions and classes (``<module>`` for other
+    statements) that compare a value with a ``FAMILY_*`` code, alone or
+    inside a tuple, list or set literal."""
+    found = set()
+    for top in tree.body:
+        where = getattr(top, "name", "<module>")
+        for node in ast.walk(top):
+            if isinstance(node, ast.Compare):
+                for operand in (node.left, *node.comparators):
+                    literal = isinstance(operand, (ast.Tuple, ast.List, ast.Set))
+                    if any(map(_is_family_code, operand.elts if literal else [operand])):
+                        found.add(where)
+    return found
+
+
+@pytest.mark.parametrize("name", sorted(_MODULES))
+def test_only_the_family_statements_compare_a_family_code(name):
+    found = {f"{name}:{where}" for where in _family_comparisons(_MODULES[name])}
+    stray = sorted(found - _FAMILY_READERS)
+    assert not stray, f"{stray} compare a volumetric family code; read a column of _kernels.columns"
+
+
+def test_the_family_gate_sees_each_form():
+    # a bare, an attribute and a tuple-member code, in a function, a method
+    # and at module level; and every listed reader still compares one
+    source = (
+        "def f(family):\n    return family == FAMILY_HN\n"
+        "class V:\n    def g(self):\n        return self.family != _k.FAMILY_OGDEN\n"
+        "x = 1 if family in (_k.FAMILY_HN, 0) else 2\n"
+    )
+    assert _family_comparisons(ast.parse(source)) == {"f", "V", "<module>"}
+    found = {f"{n}:{w}" for n, tree in _MODULES.items() for w in _family_comparisons(tree)}
+    assert _FAMILY_READERS <= found
 
 
 # module-level names that a function may write, each with its reason

@@ -1,4 +1,5 @@
 import math
+import sys
 import tracemalloc
 import warnings
 import weakref
@@ -966,12 +967,15 @@ class TestCoaxialScanBytes:
     @staticmethod
     def record_routes(monkeypatch):
         """Lists that fill, while the scan runs, with the number of states of
-        each ``_eig2_min`` pass and the batch of each ``eigh`` call."""
+        each ``_eig2_min`` pass of the deflation and the batch of each
+        ``eigh`` call. The shear block's plane, the one other call, is no
+        deflation pass."""
         passes, batches = [], []
         eig2, eigh = stability._eig2_min, np.linalg.eigh
 
         def counting_eig2(p, r, q):
-            passes.append(len(p))
+            if sys._getframe(1).f_code is stability._deflate.__code__:
+                passes.append(len(p))
             return eig2(p, r, q)
 
         def recording_eigh(a):
@@ -1265,9 +1269,9 @@ class TestCoaxialScanBytes:
         reads = []
         original = stability.evaluate_grid
 
-        def counting(vf, Js):
+        def counting(vf, Js, column):
             reads.append((vf.label, Js.tobytes()))
-            return original(vf, Js)
+            return original(vf, Js, column)
 
         def class_J(g):
             return np.prod(g[classes_of(g).reps], axis=1).tobytes()
@@ -1423,7 +1427,7 @@ def one_shot_shared(kind, contraction, mu, grid, volfun):
     lo, hi = stability._SETTLE_SHEAR
     unsteady = np.bincount(of, weights=~np.isfinite(member_shift), minlength=len(reps))
     settles = (s_scale >= lo) & (s_scale <= hi) & (unsteady == 0)
-    column = evaluate_grid(volfun, J)[:, stability._VOLUMETRIC_COLUMN[contraction]]
+    column = evaluate_grid(volfun, J)[:, 4 if contraction == "hill" else 2]  # chi or h''
     names = [f"lower{i}{l}" for i, l in stability._LOWER]
     names += ["grading", "tail", "plane", "coupling", "J", "shift", "settles"]
     names += ["column", "reps", "of"]
@@ -1955,9 +1959,9 @@ class TestStretchClasses:
         reads, scanned = [], []
         original, scan = stability.evaluate_grid, stability._class_scan
 
-        def counting(vf, Js):
+        def counting(vf, Js, column):
             reads.append(vf.label)
-            return original(vf, Js)
+            return original(vf, Js, column)
 
         def counting_scan(grid, classes, block, coefs, column):
             scanned.append(len(coefs))

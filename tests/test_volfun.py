@@ -5,9 +5,10 @@ import sys
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as hst
 
+from nhcomp import volfun
 from nhcomp.volfun import (
     VolFun,
     audit,
@@ -268,6 +269,46 @@ def test_every_column_rounds_the_exact_value(vf, decades):
 )
 def test_far_columns_are_finite_where_the_exact_value_is(vf, J, column, exact):
     assert getattr(evaluate(vf, J), column) == pytest.approx(exact, rel=_RTOL, abs=0.0)
+
+
+# --- a one-column read against the full read ---------------------------------
+
+FIELDS = ("h", "hp", "hpp", "jhp", "chi")
+
+# the catalog and one member of each other branch: hn:200 leaves its closed
+# forms at |ln J| = 680 / 202, about 3.37; the 5e-9 members take the
+# (ln J)^2 / 2 limit; the quadratic's h'' is a constant that a grid read
+# broadcasts to a vector
+COLUMN_VOLFUNS = (
+    *catalog().values(),
+    VolFun.power_pair(200.0),
+    VolFun.power_pair(5e-9),
+    VolFun.log_augmented(-5e-9),
+    VolFun.log_augmented(300.0),
+)
+
+
+def typed_bits(x):
+    return type(x), np.asarray(x, dtype=float).tobytes()
+
+
+@given(
+    vf=hst.sampled_from(COLUMN_VOLFUNS),
+    spans=hst.lists(hst.floats(-1.5, 1.5), min_size=1, max_size=8),
+)
+@example(VolFun.power_pair(200.0), [-1.01, -0.99, 0.99, 1.01])
+@example(VolFun.quadratic(), [0.0, 0.5])
+def test_a_column_read_gives_the_bits_of_the_full_read(vf, spans):
+    # ln J in units of the span of the closed forms (at most 400, so that J
+    # stays finite), so J lands on both sides of it
+    Js = np.exp(np.array(spans) * min(volfun._direct_span(vf), 400.0))
+    table = evaluate_grid(vf, Js)
+    for k, column in enumerate(FIELDS):
+        got = evaluate_grid(vf, Js, column)
+        assert got.shape == Js.shape and got.tobytes() == table[:, k].tobytes(), column
+        for J in Js:
+            want = getattr(evaluate(vf, J), column)
+            assert typed_bits(evaluate(vf, J, column)) == typed_bits(want), (column, J)
 
 
 # --- audit: the five-constraint matrix -----------------------------------------
